@@ -7,11 +7,14 @@ growing rebalances regions onto the new colors. A valid line is always
 reachable through the current mapping: whenever a region is remapped, its
 resident lines are flushed (dirty ones counted as writebacks), which keeps
 lookups consistent and the per-bank valid counters exact.
+
+Each set is a list of resident tags, least recent first: the same LRU stack
+the profiling units keep (Mattson et al., 1970). A tag is a full block
+number, so a block sits in at most one set, and the dirty bits and
+last-touch phases live in maps keyed by tag.
 """
 
 from dataclasses import dataclass
-
-from .trace import Op, TraceRecord
 
 
 class GeometryError(ValueError):
@@ -82,11 +85,6 @@ class CacheGeometry:
         return self.total_sets // self.num_banks
 
 
-def color_count(geometry: CacheGeometry) -> int:
-    """Maximum number of colors supported by a geometry."""
-    return geometry.color_count
-
-
 def lines_at(geometry: CacheGeometry, colors: int) -> int:
     """Total cache lines available when `colors` colors are active."""
     if not 1 <= colors <= geometry.color_count:
@@ -106,21 +104,12 @@ class PhaseClock:
 
 
 @dataclass(slots=True)
-class CacheLine:
-    valid: bool = False
-    dirty: bool = False
-    tag: int = 0
-    recency: int = 0
-    last_update_phase: int | None = None
-
-
-@dataclass(slots=True)
 class AccessResult:
     hit: bool
     evicted_dirty: bool
     is_load_miss: bool
     set_index: int
-    way: int
+    tag: int
 
 
 @dataclass
@@ -151,23 +140,20 @@ class CacheState:
         self.active_colors: set[int] = set(active)
         # balanced initial mapping: region i -> i-th active color, cycling
         self.mapping: list[int] = [active[i % len(active)] for i in range(m_total)]
-        self.sets: list[list[CacheLine]] = [
-            [CacheLine() for _ in range(geometry.associativity)]
-            for _ in range(geometry.total_sets)
-        ]
+        # resident tags of each set, least recent first
+        self.sets: list[list[int]] = [[] for _ in range(geometry.total_sets)]
+        self.dirty: set[int] = set()
+        # last-touch phase of each resident tag; filled only under a phase clock
+        self.phase_of_tag: dict[int, int] = {}
         self.n_valid = 0
         self.valid_by_bank = [0] * geometry.num_banks
         k = phase_clock.phases if phase_clock else 1
         self.valid_by_bank_phase = [[0] * k for _ in range(geometry.num_banks)]
-        self._access_counter = 0
         self._blocks_per_page = geometry.page_bytes // geometry.block_bytes
 
     @property
     def active_count(self) -> int:
         return len(self.active_colors)
-
-    def bank_of_set(self, set_index: int) -> int:
-        return set_index // self.geometry.sets_per_bank
 
     def region_of_tag(self, tag: int) -> int:
         # tags are full block numbers, so the region is recoverable
@@ -190,106 +176,77 @@ def locate(state: CacheState, address: int) -> tuple[int, int, int]:
     return color, set_index, tag
 
 
-def access(state: CacheState, record: TraceRecord, now_cycle: int) -> AccessResult:
-    """Apply one access: LRU probe/fill with valid/dirty/phase bookkeeping."""
-    return access_block(state, record.op == Op.WRITE, record.address, now_cycle)
-
-
 def access_block(state: CacheState, is_write: bool, address: int,
                  now_cycle: int) -> AccessResult:
-    """Object-free core of access(); the replay loop calls this directly."""
+    """Apply one access: LRU probe/fill with valid/dirty/phase bookkeeping."""
     color, set_index, tag = locate(state, address)
     if color not in state.active_colors:
         raise AssertionError(
             f"mapping routed address {address:#x} to inactive color {color}")
-    ways = state.sets[set_index]
-    state._access_counter += 1
-    stamp = state._access_counter
+    tags = state.sets[set_index]
     clock = state.phase_clock
     phase = clock.phase_of(now_cycle) if clock else None
     bank = set_index // state.geometry.sets_per_bank
+    phase_of_tag = state.phase_of_tag
 
-    victim = None
-    victim_way = -1
-    for way, line in enumerate(ways):
-        if line.valid and line.tag == tag:
-            line.recency = stamp
-            if is_write:
-                line.dirty = True
-            if phase is not None and line.last_update_phase != phase:
-                state.valid_by_bank_phase[bank][line.last_update_phase] -= 1
-                state.valid_by_bank_phase[bank][phase] += 1
-                line.last_update_phase = phase
-            return AccessResult(True, False, False, set_index, way)
-        if victim is None and not line.valid:
-            victim = line
-            victim_way = way
-
-    if victim is None:  # all valid: evict least-recent
-        victim_way = 0
-        victim = ways[0]
-        for way in range(1, len(ways)):
-            if ways[way].recency < victim.recency:
-                victim = ways[way]
-                victim_way = way
+    if tag in tags:
+        tags.remove(tag)
+        tags.append(tag)
+        if is_write:
+            state.dirty.add(tag)
+        if phase is not None and phase_of_tag[tag] != phase:
+            state.valid_by_bank_phase[bank][phase_of_tag[tag]] -= 1
+            state.valid_by_bank_phase[bank][phase] += 1
+            phase_of_tag[tag] = phase
+        return AccessResult(True, False, False, set_index, tag)
 
     evicted_dirty = False
-    if victim.valid:
-        evicted_dirty = victim.dirty
+    if len(tags) == state.geometry.associativity:  # full: evict least recent
+        victim = tags.pop(0)
+        evicted_dirty = victim in state.dirty
+        state.dirty.discard(victim)
         state.n_valid -= 1
         state.valid_by_bank[bank] -= 1
-        if victim.last_update_phase is not None:
-            state.valid_by_bank_phase[bank][victim.last_update_phase] -= 1
+        if phase is not None:
+            state.valid_by_bank_phase[bank][phase_of_tag.pop(victim)] -= 1
 
-    victim.valid = True
-    victim.dirty = is_write
-    victim.tag = tag
-    victim.recency = stamp
-    victim.last_update_phase = phase
+    tags.append(tag)
+    if is_write:
+        state.dirty.add(tag)
     state.n_valid += 1
     state.valid_by_bank[bank] += 1
     if phase is not None:
+        phase_of_tag[tag] = phase
         state.valid_by_bank_phase[bank][phase] += 1
-    return AccessResult(False, evicted_dirty, not is_write, set_index, victim_way)
+    return AccessResult(False, evicted_dirty, not is_write, set_index, tag)
 
 
-def _flush_line(state: CacheState, set_index: int, line: CacheLine) -> bool:
-    """Invalidate one valid line; returns True if it was dirty."""
-    bank = set_index // state.geometry.sets_per_bank
-    state.n_valid -= 1
-    state.valid_by_bank[bank] -= 1
-    if line.last_update_phase is not None:
-        state.valid_by_bank_phase[bank][line.last_update_phase] -= 1
-    dirty = line.dirty
-    line.valid = False
-    line.dirty = False
-    line.last_update_phase = None
-    return dirty
+def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[int, int]:
+    """Invalidate the lines of a color, or only those of one region in it.
 
-
-def _flush_color(state: CacheState, color: int) -> tuple[int, int]:
+    Returns (flushed lines, writebacks of dirty ones).
+    """
     g = state.geometry
     flushed = writebacks = 0
     start = color * g.sets_per_color
     for set_index in range(start, start + g.sets_per_color):
-        for line in state.sets[set_index]:
-            if line.valid:
-                flushed += 1
-                if _flush_line(state, set_index, line):
-                    writebacks += 1
-    return flushed, writebacks
-
-
-def _flush_region_from_color(state: CacheState, region: int, color: int) -> tuple[int, int]:
-    g = state.geometry
-    flushed = writebacks = 0
-    start = color * g.sets_per_color
-    for set_index in range(start, start + g.sets_per_color):
-        for line in state.sets[set_index]:
-            if line.valid and state.region_of_tag(line.tag) == region:
-                flushed += 1
-                if _flush_line(state, set_index, line):
-                    writebacks += 1
+        tags = state.sets[set_index]
+        gone = [t for t in tags
+                if region is None or state.region_of_tag(t) == region]
+        if not gone:
+            continue
+        bank = set_index // g.sets_per_bank
+        for tag in gone:
+            tags.remove(tag)
+            if tag in state.dirty:
+                state.dirty.remove(tag)
+                writebacks += 1
+            phase = state.phase_of_tag.pop(tag, None)
+            if phase is not None:
+                state.valid_by_bank_phase[bank][phase] -= 1
+        flushed += len(gone)
+        state.n_valid -= len(gone)
+        state.valid_by_bank[bank] -= len(gone)
     return flushed, writebacks
 
 
@@ -318,7 +275,7 @@ def reconfigure(state: CacheState, new_colors) -> ReconfigReport:
 
     # 1. flush everything in colors being turned off
     for color in sorted(deactivated):
-        f, w = _flush_color(state, color)
+        f, w = _flush(state, color)
         flushed += f
         writebacks += w
 
@@ -344,7 +301,7 @@ def reconfigure(state: CacheState, new_colors) -> ReconfigReport:
                 if counts[donor] <= counts[color]:
                     break
                 region = regions_of[donor].pop()  # highest region index
-                f, w = _flush_region_from_color(state, region, donor)
+                f, w = _flush(state, donor, region)
                 flushed += f
                 writebacks += w
                 state.mapping[region] = color

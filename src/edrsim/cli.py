@@ -7,11 +7,11 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import trace as trace_mod
 from .config import ConfigError, RunConfig, load_config
 from .controller import default_config
-from .refresh import RefreshConfig
 from .sim import ComparisonReport, RunReport, compare, run
 from .trace import TraceArrays, TraceHeader
 
@@ -139,8 +139,7 @@ def cmd_compare(args) -> int:
     warmup = _warmup_for(cfg, arrays)
     report = compare(arrays, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
                      warmup_instructions=warmup,
-                     interval_instructions=cfg.interval_instructions,
-                     threads=args.threads)
+                     interval_instructions=cfg.interval_instructions)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "comparison.json"),
                   _json_bytes(report.to_dict()))
@@ -160,47 +159,31 @@ def cmd_compare(args) -> int:
 
 
 _SWEEPABLE = ("refresh_period_us", "l2_size_kb", "beta", "delta")
+_INTEGRAL = ("l2_size_kb", "delta")
+
+
+def _replace_schemes(cfg: RunConfig, part: str, **changes) -> RunConfig:
+    """Copy cfg, applying `changes` to each scheme's `part` sub-config
+    (refresh or controller); schemes without that part are kept as is."""
+    schemes = [s if getattr(s, part) is None
+               else replace(s, **{part: replace(getattr(s, part), **changes)})
+               for s in cfg.schemes]
+    return replace(cfg, schemes=schemes)
 
 
 def _apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig:
-    from dataclasses import replace
-
     if parameter == "refresh_period_us":
-        schemes = []
-        for s in cfg.schemes:
-            if s.refresh is not None:
-                refresh = RefreshConfig(retention_period_us=value,
-                                        clock_ghz=s.refresh.clock_ghz,
-                                        phases=s.refresh.phases)
-                schemes.append(replace(s, refresh=refresh))
-            else:
-                schemes.append(s)
-        return RunConfig(**{**cfg.__dict__, "schemes": schemes})
+        return _replace_schemes(cfg, "refresh", retention_period_us=value)
     if parameter == "l2_size_kb":
         geometry = replace(cfg.geometry, size_bytes=int(value) * 1024)
-        schemes = []
-        for s in cfg.schemes:
-            if s.controller is not None:
-                schemes.append(replace(s, controller=default_config(
-                    geometry,
-                    granularity=s.controller.granularity,
-                    delta=s.controller.delta,
-                    beta=s.controller.beta,
-                    interval_instructions=s.controller.interval_instructions)))
-            else:
-                schemes.append(s)
-        return RunConfig(**{**cfg.__dict__, "geometry": geometry,
-                            "schemes": schemes})
-    if parameter in ("beta", "delta"):
-        schemes = []
-        for s in cfg.schemes:
-            if s.controller is not None:
-                ctrl = replace(s.controller, **{
-                    parameter: float(value) if parameter == "beta" else int(value)})
-                schemes.append(replace(s, controller=ctrl))
-            else:
-                schemes.append(s)
-        return RunConfig(**{**cfg.__dict__, "schemes": schemes})
+        # c_min is the default slice of the new color count
+        swept = _replace_schemes(cfg, "controller",
+                                 c_min=default_config(geometry).c_min)
+        return replace(swept, geometry=geometry)
+    if parameter == "beta":
+        return _replace_schemes(cfg, "controller", beta=value)
+    if parameter == "delta":
+        return _replace_schemes(cfg, "controller", delta=int(value))
     raise ConfigError(f"parameter must be one of {_SWEEPABLE}")
 
 
@@ -212,6 +195,8 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
+    if args.parameter in _INTEGRAL and not all(v.is_integer() for v in values):
+        raise ConfigError(f"{args.parameter} values must be integers")
 
     rows = []
     for value in values:
@@ -220,8 +205,7 @@ def cmd_sweep(args) -> int:
         warmup = _warmup_for(swept, arrays)
         report = compare(arrays, swept.schemes, swept.geometry, swept.timing,
                          swept.energy, warmup_instructions=warmup,
-                         interval_instructions=swept.interval_instructions,
-                         threads=args.threads)
+                         interval_instructions=swept.interval_instructions)
         rows.append([args.parameter, repr(value), report.baseline_name,
                      repr(0.0), repr(0.0), repr(0.0), repr(0.0),
                      repr(report.baseline.active_ratio_pct),
@@ -268,12 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run all schemes and compare to baseline")
     common(p)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="repeat compare over a parameter range")
     common(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--parameter", required=True,
                    help=f"one of {', '.join(_SWEEPABLE)}")
     p.add_argument("--values", required=True, help="comma-separated values")

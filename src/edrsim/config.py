@@ -6,7 +6,7 @@ rejected before any simulation or output file is produced.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import CacheGeometry
 from .controller import default_config
@@ -64,7 +64,6 @@ class RunConfig:
     warmup_instructions: int | None  # None: use warmup_fraction
     warmup_fraction: float
     interval_instructions: int | None
-    scheme_order: list[str] = field(default_factory=list)
 
 
 def _parse_phases(value: str) -> list[PhaseSpec]:
@@ -265,5 +264,4 @@ def _load_config(path: str) -> RunConfig:
                      synthetic=synthetic,
                      warmup_instructions=warmup_instructions,
                      warmup_fraction=warmup_fraction,
-                     interval_instructions=interval_instructions,
-                     scheme_order=scheme_names)
+                     interval_instructions=interval_instructions)

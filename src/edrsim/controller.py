@@ -7,6 +7,7 @@ full-size cache exceeds the tolerance, and reconfigures to the energy
 minimum among the survivors.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .cache import CacheGeometry, CacheState, ReconfigReport, reconfigure
@@ -29,8 +30,8 @@ class ControllerConfig:
             raise ValueError("c_min must be >= 1")
         if self.delta < self.granularity:
             raise ValueError("delta must be >= granularity")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be a finite number > 0, got {self.beta}")
         if self.interval_instructions < 1:
             raise ValueError("interval_instructions must be >= 1")
 

@@ -120,15 +120,10 @@ def observe_arrays(units: list[ProfilingUnit], arrays) -> None:
             unit.probe(block, is_write)
 
 
-def reset_interval(units: list[ProfilingUnit], stats: IntervalStats | None = None) -> None:
+def reset_interval(units: list[ProfilingUnit]) -> None:
     """Zero the interval counters; tag arrays persist (warm profiler)."""
     for unit in units:
         unit.reset_counters()
-    if stats is not None:
-        for name in ("instructions", "l2_hits", "l2_misses", "load_misses",
-                     "memory_stall_cycles", "refreshed_lines", "dram_accesses",
-                     "elapsed_cycles", "switched_blocks", "prof_accesses"):
-            setattr(stats, name, 0)
 
 
 def profiler_overhead_bytes(units: list[ProfilingUnit], tag_bits: int = 30) -> float:

@@ -9,13 +9,12 @@ Three policies are modeled:
   * valid_only      -- only valid lines, at each retention boundary
 
 Counts come from incrementally maintained per-bank (and per-bank-per-phase)
-valid counters; collect_lines=True additionally walks the array and returns
-line coordinates, which the charge-timeline oracle uses on small instances.
+valid counters, so an event costs O(banks), not O(lines).
 """
 
 from dataclasses import dataclass
 
-from .cache import CacheState, PhaseClock, access as cache_access
+from .cache import CacheState, PhaseClock
 
 
 class RefreshConfigError(ValueError):
@@ -60,129 +59,28 @@ class RefreshEvent:
     at_cycle: int
     lines_refreshed: int
     per_bank_lines: list[int]
-    lines: list[tuple[int, int]] | None = None  # (set_index, way) when collected
 
 
-def _collect(state: CacheState, predicate) -> list[tuple[int, int]]:
-    out = []
-    for set_index, ways in enumerate(state.sets):
-        for way, line in enumerate(ways):
-            if predicate(line):
-                out.append((set_index, way))
-    return out
-
-
-def refresh_all(state: CacheState, config: RefreshConfig, at_cycle: int,
-                collect_lines: bool = False) -> RefreshEvent:
+def refresh_all(state: CacheState, config: RefreshConfig,
+                at_cycle: int) -> RefreshEvent:
     """Baseline policy: refresh every line of every color, valid or not."""
     g = state.geometry
     per_bank = [g.total_lines // g.num_banks] * g.num_banks
-    lines = _collect(state, lambda line: True) if collect_lines else None
-    return RefreshEvent(at_cycle, g.total_lines, per_bank, lines)
+    return RefreshEvent(at_cycle, g.total_lines, per_bank)
 
 
 def rpv_refresh(state: CacheState, config: RefreshConfig, phase_index: int,
-                at_cycle: int, collect_lines: bool = False) -> RefreshEvent:
+                at_cycle: int) -> RefreshEvent:
     """Polyphase-valid: refresh valid lines last touched in this phase."""
     if state.phase_clock is None or state.phase_clock.phases != config.phases:
         raise RefreshConfigError("cache state has no matching phase clock")
     if not 0 <= phase_index < config.phases:
         raise RefreshConfigError(f"phase_index {phase_index} out of range")
     per_bank = [bank[phase_index] for bank in state.valid_by_bank_phase]
-    lines = None
-    if collect_lines:
-        lines = _collect(state, lambda line: line.valid
-                         and line.last_update_phase == phase_index)
-        assert len(lines) == sum(per_bank)
-    return RefreshEvent(at_cycle, sum(per_bank), per_bank, lines)
+    return RefreshEvent(at_cycle, sum(per_bank), per_bank)
 
 
-def valid_only_refresh(state: CacheState, config: RefreshConfig, at_cycle: int,
-                       collect_lines: bool = False) -> RefreshEvent:
+def valid_only_refresh(state: CacheState, config: RefreshConfig,
+                       at_cycle: int) -> RefreshEvent:
     """Refresh exactly the valid lines (all live in active colors)."""
-    per_bank = list(state.valid_by_bank)
-    lines = None
-    if collect_lines:
-        lines = _collect(state, lambda line: line.valid)
-        assert len(lines) == sum(per_bank)
-    return RefreshEvent(at_cycle, state.n_valid, per_bank, lines)
-
-
-@dataclass
-class TimelineVerdict:
-    ok: bool
-    line: tuple[int, int] | None = None
-    at_cycle: int | None = None
-    detail: str = ""
-
-
-def timeline_oracle(records, policy: str, config: RefreshConfig, geometry,
-                    skip_phases=frozenset()) -> TimelineVerdict:
-    """Brute-force retention-safety check on a small cache instance.
-
-    Replays the records against a real cache under the given policy while
-    tracking every line's exact charge timestamp (charged on install, read,
-    write, and refresh). Reports a violation if any valid line's
-    time-since-charge ever exceeds the retention period. skip_phases injects
-    a broken polyphase policy for mutation testing.
-    """
-    if policy not in ("refresh_all", "rpv", "valid_only"):
-        raise ValueError(f"unknown policy {policy!r}")
-    if geometry.total_sets > 64:
-        raise ValueError("timeline oracle is for small instances (<= 64 sets)")
-
-    clock = config.phase_clock() if policy == "rpv" else None
-    state = CacheState(geometry, phase_clock=clock)
-    retention = config.retention_cycles
-    boundary_len = config.phase_cycles if policy == "rpv" else retention
-    charge: dict[tuple[int, int], int] = {}
-
-    def over_age(key, cycle) -> TimelineVerdict | None:
-        t0 = charge.get(key)
-        if t0 is not None and cycle - t0 > retention:
-            return TimelineVerdict(
-                False, line=key, at_cycle=t0 + retention,
-                detail=f"line {key} charged at {t0}, still valid at {cycle}")
-        return None
-
-    now = 0
-    next_boundary = boundary_len
-    for rec in records:
-        now += rec.instr_gap
-        while next_boundary <= now:
-            at = next_boundary
-            if policy == "refresh_all":
-                ev = refresh_all(state, config, at, collect_lines=True)
-            elif policy == "valid_only":
-                ev = valid_only_refresh(state, config, at, collect_lines=True)
-            else:
-                phase = (at // config.phase_cycles) % config.phases
-                if phase in skip_phases:
-                    ev = None
-                else:
-                    ev = rpv_refresh(state, config, phase, at, collect_lines=True)
-            if ev is not None:
-                for key in ev.lines:
-                    if state.sets[key[0]][key[1]].valid:
-                        bad = over_age(key, at)
-                        if bad:
-                            return bad
-                        charge[key] = at
-            next_boundary += boundary_len
-
-        res = cache_access(state, rec, now)
-        key = (res.set_index, res.way)
-        bad = over_age(key, now)  # covers both re-touch and eviction of a stale line
-        if bad:
-            return bad
-        charge[key] = now
-        now += 1
-
-    # every line still valid at the end must be within its retention window
-    for set_index, ways in enumerate(state.sets):
-        for way, line in enumerate(ways):
-            if line.valid:
-                bad = over_age((set_index, way), now)
-                if bad:
-                    return bad
-    return TimelineVerdict(True)
+    return RefreshEvent(at_cycle, state.n_valid, list(state.valid_by_bank))

@@ -8,7 +8,6 @@ for one cycle per refreshed line; an access to a busy bank waits for the
 burst to finish. Metrics accumulate only after the warm-up window.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import cache as _cache
@@ -445,8 +444,7 @@ class ComparisonReport:
 def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeometry,
             timing: TimingParams, params: EnergyParams,
             warmup_instructions: int | None = None,
-            interval_instructions: int | None = None,
-            threads: int = 1) -> ComparisonReport:
+            interval_instructions: int | None = None) -> ComparisonReport:
     """Run every scheme on the same trace and report metrics vs the baseline.
 
     The first scheme with the baseline-eDRAM kind is the reference; every
@@ -460,16 +458,10 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
     if baseline_idx is None or len(schemes) < 2:
         raise SchemeConfigError("compare needs >= 2 schemes including the baseline")
 
-    def _one(spec: SchemeSpec) -> RunReport:
-        return run(trace, spec, geometry, timing, params,
+    reports = [run(trace, spec, geometry, timing, params,
                    warmup_instructions=warmup_instructions,
                    interval_instructions=interval_instructions)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_one, schemes))
-    else:
-        reports = [_one(s) for s in schemes]
+               for spec in schemes]
 
     base = reports[baseline_idx]
     rows = []

@@ -1,4 +1,4 @@
-"""Memory-access traces: record model, binary/CSV file formats, synthetic generators.
+"""Memory-access traces: record model, binary file format, synthetic generators.
 
 Traces carry raw LLC-level accesses (no L1 filtering is simulated; the
 generator's accesses_per_kilo_instr knob stands in for L1 intensity).
@@ -14,16 +14,14 @@ import numpy as np
 MAGIC = b"EDRTRACE"
 FORMAT_VERSION = 1
 
-# instr_gap: u32, op: u8, 3 pad bytes, address: u64 -- 16 bytes, little endian
-_RECORD = struct.Struct("<IB3xQ")
 # magic, version: u32, record_count: u64, page_size_bytes: u32, desc_len: u32
 _HEADER = struct.Struct("<8sIQII")
-
+# instr_gap: u32, op: u8, 3 pad bytes, address: u64 -- 16 bytes, little endian
 _RECORD_DTYPE = np.dtype([("gap", "<u4"), ("op", "u1"), ("pad", "V3"), ("addr", "<u8")])
 
 
 class TraceError(ValueError):
-    """Malformed trace input (bad magic, truncation, unparsable CSV line)."""
+    """Malformed trace input (bad magic, truncation, bad field values)."""
 
 
 class Op(IntEnum):
@@ -142,29 +140,12 @@ def _pack_header(header: TraceHeader) -> bytes:
                         header.page_size_bytes, len(desc)) + desc
 
 
-def write_trace(records, header: TraceHeader, sink) -> int:
+def write_trace_arrays(arrays: TraceArrays, header: TraceHeader, sink) -> int:
     """Write header + fixed-width records to a binary stream.
 
     Returns the number of bytes written. header.record_count must match the
     number of records.
     """
-    hdr = _pack_header(header)
-    sink.write(hdr)
-    written = len(hdr)
-    count = 0
-    pack = _RECORD.pack
-    for rec in records:
-        sink.write(pack(rec.instr_gap, int(rec.op), rec.address))
-        written += _RECORD.size
-        count += 1
-    if count != header.record_count:
-        raise TraceError(
-            f"header says {header.record_count} records, wrote {count}")
-    return written
-
-
-def write_trace_arrays(arrays: TraceArrays, header: TraceHeader, sink) -> int:
-    """Bulk writer; emits bytes identical to write_trace on the same records."""
     if header.record_count != len(arrays):
         raise TraceError(
             f"header says {header.record_count} records, have {len(arrays)}")
@@ -193,56 +174,17 @@ def _read_header(source) -> TraceHeader:
                        page_size_bytes=page, description=desc.decode("utf-8"))
 
 
-def read_trace(source):
-    """Read a binary trace. Returns (header, lazy record iterator)."""
-    header = _read_header(source)
-
-    def _records():
-        unpack = _RECORD.unpack
-        for i in range(header.record_count):
-            raw = source.read(_RECORD.size)
-            if len(raw) < _RECORD.size:
-                raise TraceError(f"truncated record at index {i}")
-            gap, op, addr = unpack(raw)
-            yield TraceRecord(gap, Op(op), addr)
-
-    return header, _records()
-
-
 def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
-    """Bulk reader; semantically identical to read_trace."""
+    """Read a binary trace into columns. Returns (header, arrays)."""
     header = _read_header(source)
-    body = source.read(header.record_count * _RECORD.size)
-    if len(body) < header.record_count * _RECORD.size:
-        got = len(body) // _RECORD.size
+    size = header.record_count * _RECORD_DTYPE.itemsize
+    body = source.read(size)
+    if len(body) < size:
+        got = len(body) // _RECORD_DTYPE.itemsize
         raise TraceError(f"truncated record at index {got}")
     raw = np.frombuffer(body, dtype=_RECORD_DTYPE, count=header.record_count)
     return header, TraceArrays(gaps=raw["gap"].copy(), ops=raw["op"].copy(),
                                addrs=raw["addr"].copy())
-
-
-def read_csv_trace(source):
-    """Parse `instr_gap,op,hex_address` lines (op R or W, # comments skipped)."""
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TraceError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        gap_s, op_s, addr_s = (p.strip() for p in parts)
-        try:
-            gap = int(gap_s)
-            addr = int(addr_s, 16)
-        except ValueError as exc:
-            raise TraceError(f"line {lineno}: {exc}") from None
-        if op_s == "R":
-            op = Op.READ
-        elif op_s == "W":
-            op = Op.WRITE
-        else:
-            raise TraceError(f"line {lineno}: op must be R or W, got {op_s!r}")
-        yield TraceRecord(gap, op, addr)
 
 
 _REUSE_WINDOW = 32

@@ -2,14 +2,19 @@
 
 These are deliberately plain: full scans and straight-line formula
 re-evaluation, O(lines) or O(trace), no shared code with the paths they
-check beyond the parameter objects.
+check beyond the parameter objects. The one exception is the charge-timeline
+oracle, which drives the real cache and refresh policies and checks them
+against its own per-line charge bookkeeping.
 """
 
 from dataclasses import dataclass
 
-from edrsim.cache import CacheGeometry, CacheState
+from edrsim.cache import CacheGeometry, CacheState, access_block, locate
 from edrsim.energy import EnergyBreakdown, EnergyParams, SchemeKind
 from edrsim.profiler import IntervalStats
+from edrsim.refresh import (RefreshConfig, refresh_all, rpv_refresh,
+                            valid_only_refresh)
+from edrsim.trace import Op
 
 
 @dataclass
@@ -69,10 +74,12 @@ def recompute_energy(stats: IntervalStats, params: EnergyParams,
 def validate_state(state: CacheState) -> OracleVerdict:
     """Full-scan consistency check of a cache state.
 
-    Verifies the n_valid counter (total, per bank, per bank-and-phase),
-    containment (no valid line in an inactive color), mapping totality and
-    codomain, and reachability (each valid line's region still maps to the
-    color holding it).
+    Verifies set occupancy (at most `associativity` distinct tags per set, no
+    block in two sets), the n_valid counter (total, per bank, per
+    bank-and-phase), that every dirty bit and phase entry belongs to a
+    resident tag, containment (no valid line in an inactive color), mapping
+    totality and codomain, and reachability (each valid line's region still
+    maps to the color holding it).
     """
     g = state.geometry
     m_total = g.color_count
@@ -89,31 +96,41 @@ def validate_state(state: CacheState) -> OracleVerdict:
                              f"{sorted(state.active_colors - codomain)}")
 
     n_valid = 0
+    resident: set[int] = set()
     by_bank = [0] * g.num_banks
     phases = len(state.valid_by_bank_phase[0])
     by_bank_phase = [[0] * phases for _ in range(g.num_banks)]
-    for set_index, ways in enumerate(state.sets):
+    for set_index, tags in enumerate(state.sets):
         color = set_index // g.sets_per_color
         bank = set_index // g.sets_per_bank
-        for way, line in enumerate(ways):
-            if not line.valid:
-                if line.dirty:
-                    return OracleVerdict(False, f"invalid dirty line at "
-                                         f"set {set_index} way {way}")
-                continue
+        if len(tags) > g.associativity:
+            return OracleVerdict(False, f"set {set_index} holds {len(tags)} "
+                                 f"tags, associativity is {g.associativity}")
+        for tag in tags:
+            if tag in resident:
+                return OracleVerdict(False, f"tag {tag:#x} resident twice "
+                                     f"(again in set {set_index})")
+            resident.add(tag)
             n_valid += 1
             by_bank[bank] += 1
-            if line.last_update_phase is not None:
-                by_bank_phase[bank][line.last_update_phase] += 1
+            if state.phase_clock is not None:
+                if tag not in state.phase_of_tag:
+                    return OracleVerdict(False, f"tag {tag:#x} in set "
+                                         f"{set_index} has no phase")
+                by_bank_phase[bank][state.phase_of_tag[tag]] += 1
             if color not in state.active_colors:
                 return OracleVerdict(False, f"valid line in inactive color "
-                                     f"{color} (set {set_index} way {way})")
-            region = state.region_of_tag(line.tag)
+                                     f"{color} (set {set_index} tag {tag:#x})")
+            region = state.region_of_tag(tag)
             if state.mapping[region] != color:
                 return OracleVerdict(False, f"stale line: region {region} maps "
                                      f"to {state.mapping[region]} but line sits "
                                      f"in color {color}")
 
+    stray = (state.dirty | state.phase_of_tag.keys()) - resident
+    if stray:
+        return OracleVerdict(False, f"dirty or phase entries for non-resident "
+                             f"tags {sorted(stray)[:8]}")
     if n_valid != state.n_valid:
         return OracleVerdict(False, f"n_valid counter {state.n_valid}, "
                              f"scan found {n_valid}")
@@ -123,3 +140,100 @@ def validate_state(state: CacheState) -> OracleVerdict:
     if state.phase_clock is not None and by_bank_phase != state.valid_by_bank_phase:
         return OracleVerdict(False, "per-bank-phase counters diverge from scan")
     return OracleVerdict(True)
+
+
+@dataclass
+class TimelineVerdict:
+    ok: bool
+    line: tuple[int, int] | None = None  # (set_index, tag)
+    at_cycle: int | None = None
+    detail: str = ""
+
+
+def timeline_oracle(records, policy: str, config: RefreshConfig,
+                    geometry: CacheGeometry,
+                    skip_phases=frozenset()) -> TimelineVerdict:
+    """Brute-force retention-safety check on a small cache instance.
+
+    Replays the records against a real cache under the given policy while
+    tracking every line's exact charge timestamp (charged on install, read,
+    write, and refresh). Reports a violation if any valid line's
+    time-since-charge ever exceeds the retention period, whether it is next
+    touched, refreshed, evicted or still resident at the end. At each refresh
+    boundary the oracle scans the array for the lines the policy covers and
+    requires the scan to count the lines the event reports refreshed.
+    skip_phases injects a broken polyphase policy for mutation testing.
+    """
+    if policy not in ("refresh_all", "rpv", "valid_only"):
+        raise ValueError(f"unknown policy {policy!r}")
+    if geometry.total_sets > 64:
+        raise ValueError("timeline oracle is for small instances (<= 64 sets)")
+
+    clock = config.phase_clock() if policy == "rpv" else None
+    state = CacheState(geometry, phase_clock=clock)
+    retention = config.retention_cycles
+    boundary_len = config.phase_cycles if policy == "rpv" else retention
+    charge: dict[tuple[int, int], int] = {}  # (set_index, tag) -> cycle
+
+    def over_age(key, cycle) -> TimelineVerdict | None:
+        t0 = charge.get(key)
+        if t0 is not None and cycle - t0 > retention:
+            return TimelineVerdict(
+                False, line=key, at_cycle=t0 + retention,
+                detail=f"line {key} charged at {t0}, still valid at {cycle}")
+        return None
+
+    def resident(phase=None):
+        return [(set_index, tag) for set_index, tags in enumerate(state.sets)
+                for tag in tags
+                if phase is None or state.phase_of_tag[tag] == phase]
+
+    now = 0
+    next_boundary = boundary_len
+    for rec in records:
+        now += rec.instr_gap
+        while next_boundary <= now:
+            at = next_boundary
+            next_boundary += boundary_len
+            if policy == "refresh_all":
+                refresh_all(state, config, at)
+                lines = resident()
+            elif policy == "valid_only":
+                lines = resident()
+                assert len(lines) == valid_only_refresh(
+                    state, config, at).lines_refreshed
+            else:
+                phase = (at // config.phase_cycles) % config.phases
+                if phase in skip_phases:
+                    continue
+                lines = resident(phase)
+                assert len(lines) == rpv_refresh(
+                    state, config, phase, at).lines_refreshed
+            for key in lines:
+                bad = over_age(key, at)
+                if bad:
+                    return bad
+                charge[key] = at
+
+        _, set_index, _ = locate(state, rec.address)
+        before = set(state.sets[set_index])
+        res = access_block(state, rec.op == Op.WRITE, rec.address, now)
+        # a line the fill pushed out must not have outlived its charge
+        for tag in before - set(state.sets[set_index]):
+            bad = over_age((set_index, tag), now)
+            if bad:
+                return bad
+            del charge[(set_index, tag)]
+        key = (res.set_index, res.tag)
+        bad = over_age(key, now)
+        if bad:
+            return bad
+        charge[key] = now
+        now += 1
+
+    # every line still valid at the end must be within its retention window
+    for key in resident():
+        bad = over_age(key, now)
+        if bad:
+            return bad
+    return TimelineVerdict(True)

@@ -8,14 +8,15 @@ import time
 
 import pytest
 
-from oracles import full_profile, recompute_energy, validate_state
+from oracles import (full_profile, recompute_energy, timeline_oracle,
+                     validate_state)
 from edrsim.cache import (CacheGeometry, CacheState, access_block, reconfigure)
 from edrsim.cli import main as cli_main
 from edrsim.controller import ControllerConfig, candidate_space, default_config
 from edrsim.energy import SchemeKind, builtin_params, interval_energy
 from edrsim.profiler import (IntervalStats, make_units, observe_arrays,
                              profiler_overhead_bytes)
-from edrsim.refresh import RefreshConfig, timeline_oracle
+from edrsim.refresh import RefreshConfig
 from edrsim.sim import SchemeSpec, TimingParams, compare
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec, TraceRecord,
                           generate_synthetic)

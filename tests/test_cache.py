@@ -2,19 +2,19 @@ import random
 
 import pytest
 
-from oracles import validate_state
+from oracles import full_profile, validate_state
 from edrsim.cache import (CacheGeometry, CacheState, GeometryError, PhaseClock,
-                          ReconfigError, access_block, color_count, lines_at,
-                          locate, reconfigure)
+                          ReconfigError, access_block, lines_at, locate,
+                          reconfigure)
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
 
 def test_color_count_2mb_is_64():
-    assert color_count(CacheGeometry(2 * 1024 * 1024, 8)) == 64
+    assert CacheGeometry(2 * 1024 * 1024, 8).color_count == 64
 
 
 def test_color_count_4mb_is_128():
-    assert color_count(CacheGeometry(4 * 1024 * 1024, 8)) == 128
+    assert CacheGeometry(4 * 1024 * 1024, 8).color_count == 128
 
 
 def test_single_color_geometry_rejected():
@@ -134,7 +134,26 @@ def test_counter_matches_scan_after_random_replay(small_geometry):
         access_block(state, rec.op == Op.WRITE, rec.address, i * 7)
     verdict = validate_state(state)
     assert verdict.ok, verdict.first_divergence
-    assert state.n_valid == sum(1 for s in state.sets for ln in s if ln.valid)
+    assert state.n_valid == sum(len(tags) for tags in state.sets)
+
+
+def test_full_cache_matches_independent_lru(small_geometry):
+    # with every color active, set = block mod total_sets, so the main cache
+    # must miss exactly like a plain per-set LRU of the same size
+    arrays = generate_synthetic(SyntheticTraceSpec(
+        phases=[PhaseSpec(200_000, 96 * 1024, 0.4, 0.4),
+                PhaseSpec(200_000, 40 * 1024, 0.4, 0.2)],
+        rng_seed=21, accesses_per_kilo_instr=100))
+    assert len(arrays) == 40_000
+    state = CacheState(small_geometry)
+    misses = load_misses = 0
+    for i, (op, addr) in enumerate(zip(arrays.ops.tolist(),
+                                       arrays.addrs.tolist())):
+        res = access_block(state, op == Op.WRITE, addr, i)
+        misses += not res.hit
+        load_misses += res.is_load_miss
+    assert (misses, load_misses) == full_profile(arrays, small_geometry,
+                                                 small_geometry.size_bytes)
 
 
 def test_identity_reconfigure_is_free(small_geometry):
@@ -161,10 +180,9 @@ def test_reconfigure_counts_flushes_and_writebacks(small_geometry):
     start = victim_color * small_geometry.sets_per_color
     valid = dirty = 0
     for s in range(start, start + small_geometry.sets_per_color):
-        for line in state.sets[s]:
-            if line.valid:
-                valid += 1
-                dirty += line.dirty
+        for tag in state.sets[s]:
+            valid += 1
+            dirty += tag in state.dirty
     assert (valid, dirty) == (12, 3)
     report = reconfigure(state, sorted(state.active_colors - {victim_color}))
     assert report.flushed_lines == 12

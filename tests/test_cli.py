@@ -206,6 +206,25 @@ def test_sweep_command(config_file, tmp_path):
     assert len(lines) == 1 + 2 * 4
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_non_finite_beta_is_config_error(tmp_path, beta):
+    # d_i > nan is always false, so a NaN beta would switch the bound off
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG.replace("delta = 4", f"delta = 4\nbeta = {beta}"))
+    out = str(tmp_path / "outdir")
+    assert main(["run", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("parameter", ["delta", "l2_size_kb"])
+def test_sweep_rejects_non_integral_values(config_file, tmp_path, parameter):
+    out = str(tmp_path / "x")
+    rc = main(["sweep", "--config", config_file, "--out", out,
+               "--parameter", parameter, "--values", "4,2.5"])
+    assert rc == 2
+    assert not os.path.exists(out)
+
+
 def test_sweep_rejects_unknown_parameter(config_file, tmp_path):
     rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "x"),
                "--parameter", "voltage", "--values", "1"])

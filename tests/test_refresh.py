@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from oracles import timeline_oracle
 from edrsim.cache import CacheGeometry, CacheState, access_block, reconfigure
 from edrsim.refresh import (RefreshConfig, RefreshConfigError, refresh_all,
-                            rpv_refresh, timeline_oracle, valid_only_refresh)
+                            rpv_refresh, valid_only_refresh)
 from edrsim.trace import Op, TraceRecord
 
 
@@ -76,7 +77,7 @@ def test_rpv_refreshes_line_at_its_own_phase_boundary(tiny_geometry):
     counts = {}
     for boundary in range(1500, 4001, 500):
         phase = (boundary // 500) % 4
-        ev = rpv_refresh(state, cfg, phase, boundary, collect_lines=True)
+        ev = rpv_refresh(state, cfg, phase, boundary)
         counts[boundary] = ev.lines_refreshed
     # refreshed exactly at the phase-2 boundary of the next period (cycle 3000)
     assert counts[3000] == 1

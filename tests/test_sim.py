@@ -215,15 +215,6 @@ def test_compare_rpv_and_sram_exact_invariants(small_geometry):
     assert by_name["sram"].delta_mpki == 0.0
 
 
-def test_compare_threads_match_serial(small_geometry):
-    arrays = _trace(seed=12, instr=600_000)
-    schemes = list(_small_schemes().values())
-    serial = compare(arrays, schemes, small_geometry, TIMING_2GHZ, EDRAM_2GHZ)
-    threaded = compare(arrays, schemes, small_geometry, TIMING_2GHZ,
-                       EDRAM_2GHZ, threads=3)
-    assert serial.to_dict() == threaded.to_dict()
-
-
 def test_compare_rejects_duplicate_names(small_geometry):
     arrays = _trace(instr=200_000)
     a = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,

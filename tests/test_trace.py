@@ -1,30 +1,34 @@
 import io
+import struct
 
 import numpy as np
 import pytest
 
-from edrsim.cache import CacheGeometry, CacheState, access
+from edrsim.cache import CacheGeometry, CacheState, access_block
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec,
-                          TraceError, TraceHeader, TraceRecord,
-                          generate_synthetic, read_csv_trace, read_trace,
-                          read_trace_arrays, write_trace, write_trace_arrays)
+                          TraceArrays, TraceError, TraceHeader, TraceRecord,
+                          generate_synthetic, read_trace_arrays,
+                          write_trace_arrays)
 
 
 def test_empty_trace_round_trip():
     buf = io.BytesIO()
-    n = write_trace([], TraceHeader(record_count=0), buf)
+    n = write_trace_arrays(TraceArrays.from_records([]),
+                           TraceHeader(record_count=0), buf)
     assert n == len(buf.getvalue())  # only the header
     buf.seek(0)
-    header, records = read_trace(buf)
+    header, arrays = read_trace_arrays(buf)
     assert header.record_count == 0
-    assert list(records) == []
+    assert list(arrays.records()) == []
 
 
 def test_single_record_is_16_bytes():
     buf = io.BytesIO()
     header_only = io.BytesIO()
-    write_trace([], TraceHeader(record_count=0), header_only)
-    write_trace([TraceRecord(5, Op.READ, 0x1000)], TraceHeader(record_count=1), buf)
+    write_trace_arrays(TraceArrays.from_records([]),
+                       TraceHeader(record_count=0), header_only)
+    write_trace_arrays(TraceArrays.from_records([TraceRecord(5, Op.READ, 0x1000)]),
+                       TraceHeader(record_count=1), buf)
     assert len(buf.getvalue()) - len(header_only.getvalue()) == 16
 
 
@@ -35,25 +39,31 @@ def test_round_trip_1000_generated_records():
     records = list(arrays.records())[:1000]
     header = TraceHeader(record_count=len(records), description="round trip")
     buf = io.BytesIO()
-    write_trace(records, header, buf)
+    write_trace_arrays(TraceArrays.from_records(records), header, buf)
     buf.seek(0)
-    rheader, rrecords = read_trace(buf)
+    rheader, rarrays = read_trace_arrays(buf)
     assert rheader.description == "round trip"
-    assert list(rrecords) == records
+    assert list(rarrays.records()) == records
 
 
 def test_bulk_and_record_paths_produce_identical_bytes():
+    # the bulk writer against the documented layout packed one record at a time
     spec = SyntheticTraceSpec(phases=[PhaseSpec(20_000, 16 * 1024, 0.5, 0.2)],
                               rng_seed=3)
     arrays = generate_synthetic(spec)
     header = TraceHeader(record_count=len(arrays))
-    a = io.BytesIO()
-    b = io.BytesIO()
-    write_trace(list(arrays.records()), header, a)
-    write_trace_arrays(arrays, header, b)
-    assert a.getvalue() == b.getvalue()
-    b.seek(0)
-    rheader, rarrays = read_trace_arrays(b)
+    header_only = io.BytesIO()
+    write_trace_arrays(TraceArrays.from_records([]),
+                       TraceHeader(record_count=0), header_only)
+    buf = io.BytesIO()
+    write_trace_arrays(arrays, header, buf)
+    body = buf.getvalue()[len(header_only.getvalue()):]
+    assert body == b"".join(
+        struct.pack("<IB3xQ", r.instr_gap, int(r.op), r.address)
+        for r in arrays.records())
+    buf.seek(0)
+    rheader, rarrays = read_trace_arrays(buf)
+    assert rheader.record_count == len(arrays)
     assert np.array_equal(rarrays.gaps, arrays.gaps)
     assert np.array_equal(rarrays.ops, arrays.ops)
     assert np.array_equal(rarrays.addrs, arrays.addrs)
@@ -61,43 +71,28 @@ def test_bulk_and_record_paths_produce_identical_bytes():
 
 def test_bad_magic_rejected():
     with pytest.raises(TraceError, match="magic"):
-        read_trace(io.BytesIO(b"NOTTRACE" + b"\0" * 64))
+        read_trace_arrays(io.BytesIO(b"NOTTRACE" + b"\0" * 64))
 
 
 def test_truncated_record_reports_index():
     buf = io.BytesIO()
     records = [TraceRecord(1, Op.READ, i * 64) for i in range(4)]
-    write_trace(records, TraceHeader(record_count=4), buf)
+    write_trace_arrays(TraceArrays.from_records(records),
+                       TraceHeader(record_count=4), buf)
     data = buf.getvalue()[:-20]  # chop the last record and a bit more
-    header, it = read_trace(io.BytesIO(data))
     with pytest.raises(TraceError, match="index 2"):
-        list(it)
+        read_trace_arrays(io.BytesIO(data))
 
 
 def test_header_record_count_enforced():
     with pytest.raises(TraceError):
-        write_trace([TraceRecord(0, Op.READ, 0)], TraceHeader(record_count=2),
-                    io.BytesIO())
+        write_trace_arrays(TraceArrays.from_records([TraceRecord(0, Op.READ, 0)]),
+                           TraceHeader(record_count=2), io.BytesIO())
 
 
 def test_page_size_must_be_power_of_two():
     with pytest.raises(TraceError):
         TraceHeader(page_size_bytes=3000)
-
-
-def test_csv_round_trip_and_comments():
-    text = io.StringIO("# comment\n5,R,0x1000\n0,W,ff80\n\n2,R,0x0\n")
-    records = list(read_csv_trace(text))
-    assert records == [TraceRecord(5, Op.READ, 0x1000),
-                       TraceRecord(0, Op.WRITE, 0xFF80),
-                       TraceRecord(2, Op.READ, 0)]
-
-
-def test_csv_malformed_line_reports_line_number():
-    with pytest.raises(TraceError, match="line 2"):
-        list(read_csv_trace(io.StringIO("1,R,0x10\n1,X,0x20\n")))
-    with pytest.raises(TraceError, match="line 1"):
-        list(read_csv_trace(io.StringIO("1,R\n")))
 
 
 def test_generator_is_deterministic_and_seed_sensitive():
@@ -167,6 +162,6 @@ def test_replay_oracle_small_working_set_fits():
     state = CacheState(geometry)
     misses = 0
     for i, rec in enumerate(arrays.records()):
-        if not access(state, rec, i).hit:
+        if not access_block(state, rec.op == Op.WRITE, rec.address, i).hit:
             misses += 1
     assert misses / len(arrays) < 0.01
