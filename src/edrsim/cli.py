@@ -7,12 +7,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import trace as trace_mod
 from .config import ConfigError, RunConfig, load_config
 from .controller import default_config
-from .sim import ComparisonReport, RunReport, compare, run
+from .profiler import make_units
+from .sim import ComparisonRow, RunReport, compare, comparison_row, run
 from .trace import TraceArrays, TraceHeader
 
 
@@ -82,15 +83,15 @@ def _interval_csv(report: RunReport) -> bytes:
          "de_l2", "re_l2", "e_dram", "e_algo", "total"], rows)
 
 
-def _comparison_csv(report: ComparisonReport) -> bytes:
-    rows = [[r.scheme_name, repr(r.pct_energy_saved),
-             repr(r.pct_perf_improvement), repr(r.delta_rpki),
-             repr(r.delta_mpki), repr(r.active_ratio_pct), repr(r.rpki),
-             repr(r.mpki), repr(r.total_energy_j)] for r in report.rows]
-    return _csv_bytes(
-        ["scheme", "pct_energy_saved", "pct_perf_improvement", "delta_rpki",
-         "delta_mpki", "active_ratio_pct", "rpki", "mpki", "total_energy_j"],
-        rows)
+# comparison.csv and sweep.csv columns: the scheme, then ComparisonRow's
+# metrics in field order
+_ROW_METRICS = [f.name for f in fields(ComparisonRow)
+                if f.name not in ("scheme_name", "kind")]
+_ROW_COLUMNS = ["scheme", *_ROW_METRICS]
+
+
+def _row_cells(row: ComparisonRow) -> list[str]:
+    return [row.scheme_name, *(repr(getattr(row, m)) for m in _ROW_METRICS)]
 
 
 def cmd_gen_trace(args) -> int:
@@ -118,15 +119,18 @@ def cmd_run(args) -> int:
     _require_schemes(cfg, 1)
     arrays = _load_trace_for(cfg, args.seed)
     warmup = _warmup_for(cfg, arrays)
+    # every scheme runs before the first write, so a late failure leaves no
+    # partial output
+    reports = [run(arrays, spec, cfg.geometry, cfg.timing, cfg.energy,
+                   warmup_instructions=warmup,
+                   interval_instructions=cfg.interval_instructions)
+               for spec in cfg.schemes]
     os.makedirs(args.out, exist_ok=True)
-    for spec in cfg.schemes:
-        report = run(arrays, spec, cfg.geometry, cfg.timing, cfg.energy,
-                     warmup_instructions=warmup,
-                     interval_instructions=cfg.interval_instructions)
-        base = os.path.join(args.out, f"report-{spec.name}")
+    for report in reports:
+        base = os.path.join(args.out, f"report-{report.scheme_name}")
         _atomic_write(base + ".json", _json_bytes(report.to_dict()))
         _atomic_write(base + ".intervals.csv", _interval_csv(report))
-        print(f"{spec.name}: {report.total_energy_j:.6e} J, "
+        print(f"{report.scheme_name}: {report.total_energy_j:.6e} J, "
               f"{report.total_cycles} cycles, RPKI {report.rpki:.2f}, "
               f"MPKI {report.mpki:.3f}")
     return 0
@@ -143,8 +147,8 @@ def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "comparison.json"),
                   _json_bytes(report.to_dict()))
-    _atomic_write(os.path.join(args.out, "comparison.csv"),
-                  _comparison_csv(report))
+    _atomic_write(os.path.join(args.out, "comparison.csv"), _csv_bytes(
+        _ROW_COLUMNS, [_row_cells(r) for r in report.rows]))
     for name, rep in report.reports.items():
         _atomic_write(os.path.join(args.out, f"report-{name}.json"),
                       _json_bytes(rep.to_dict()))
@@ -179,6 +183,9 @@ def _apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfi
         # c_min is the default slice of the new color count
         swept = _replace_schemes(cfg, "controller",
                                  c_min=default_config(geometry).c_min)
+        for spec in swept.schemes:
+            if spec.controller is not None:  # the ratio must fit the new size
+                make_units(geometry, spec.profiler_ratio)
         return replace(swept, geometry=geometry)
     if parameter == "beta":
         return _replace_schemes(cfg, "controller", beta=value)
@@ -198,30 +205,25 @@ def cmd_sweep(args) -> int:
     if args.parameter in _INTEGRAL and not all(v.is_integer() for v in values):
         raise ConfigError(f"{args.parameter} values must be integers")
 
+    try:
+        swept = [_apply_sweep_value(cfg, args.parameter, v) for v in values]
+    except ValueError as exc:  # a domain check, e.g. bank_kb > l2_size_kb
+        raise ConfigError(str(exc)) from None
+
+    # no sweepable parameter changes the trace or the warm-up
+    arrays = _load_trace_for(cfg, args.seed)
+    warmup = _warmup_for(cfg, arrays)
     rows = []
-    for value in values:
-        swept = _apply_sweep_value(cfg, args.parameter, value)
-        arrays = _load_trace_for(swept, args.seed)
-        warmup = _warmup_for(swept, arrays)
-        report = compare(arrays, swept.schemes, swept.geometry, swept.timing,
-                         swept.energy, warmup_instructions=warmup,
-                         interval_instructions=swept.interval_instructions)
-        rows.append([args.parameter, repr(value), report.baseline_name,
-                     repr(0.0), repr(0.0), repr(0.0), repr(0.0),
-                     repr(report.baseline.active_ratio_pct),
-                     repr(report.baseline.rpki), repr(report.baseline.mpki),
-                     repr(report.baseline.total_energy_j)])
-        for r in report.rows:
-            rows.append([args.parameter, repr(value), r.scheme_name,
-                         repr(r.pct_energy_saved), repr(r.pct_perf_improvement),
-                         repr(r.delta_rpki), repr(r.delta_mpki),
-                         repr(r.active_ratio_pct), repr(r.rpki), repr(r.mpki),
-                         repr(r.total_energy_j)])
+    for value, vcfg in zip(values, swept):
+        report = compare(arrays, vcfg.schemes, vcfg.geometry, vcfg.timing,
+                         vcfg.energy, warmup_instructions=warmup,
+                         interval_instructions=vcfg.interval_instructions)
+        base = report.baseline
+        for row in [comparison_row(base, base), *report.rows]:
+            rows.append([args.parameter, repr(value), *_row_cells(row)])
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "sweep.csv"), _csv_bytes(
-        ["parameter", "value", "scheme", "pct_energy_saved",
-         "pct_perf_improvement", "delta_rpki", "delta_mpki",
-         "active_ratio_pct", "rpki", "mpki", "total_energy_j"], rows))
+    _atomic_write(os.path.join(args.out, "sweep.csv"),
+                  _csv_bytes(["parameter", "value", *_ROW_COLUMNS], rows))
     print(f"swept {args.parameter} over {len(values)} value(s) -> "
           f"{os.path.join(args.out, 'sweep.csv')}")
     return 0

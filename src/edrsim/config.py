@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .cache import CacheGeometry
 from .controller import default_config
 from .energy import EnergyParams, SchemeKind, builtin_params
+from .profiler import make_units
 from .refresh import RefreshConfig
 from .sim import SchemeSpec, TimingParams
 from .trace import PhaseSpec, SyntheticTraceSpec
@@ -158,10 +159,11 @@ def _parse_scheme(sec, name: str, geometry: CacheGeometry, clock_ghz: float,
     if "energy_builtin" in sec:
         energy = builtin_params(sec["energy_builtin"], clock_ghz=clock_ghz)
 
+    profiler_ratio = _get(sec, "sampling_ratio_denom", int, default=64)
+    if kind is SchemeKind.DCR:
+        make_units(geometry, profiler_ratio)  # raises if the ratio does not fit
     return SchemeSpec(kind=kind, refresh=refresh, controller=controller,
-                      energy=energy, name=name,
-                      profiler_ratio=_get(sec, "sampling_ratio_denom", int,
-                                          default=64))
+                      energy=energy, name=name, profiler_ratio=profiler_ratio)
 
 
 def load_config(path: str) -> RunConfig:

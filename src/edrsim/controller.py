@@ -61,9 +61,9 @@ def delta_pct(t_i: float, t_0: float) -> float:
 @dataclass
 class Candidate:
     colors: int
-    est_time: float
+    est_time_cycles: float
     delta_pct: float
-    est_energy: float
+    est_energy_j: float
     rejected_by_beta: bool
 
 
@@ -114,7 +114,7 @@ def select(stats: IntervalStats, units: list[ProfilingUnit], state: CacheState,
 
     survivors = [c for c in candidates if not c.rejected_by_beta]
     if survivors:
-        best = min(survivors, key=lambda c: (c.est_energy, c.colors))
+        best = min(survivors, key=lambda c: (c.est_energy_j, c.colors))
         return Decision(best.colors, current, candidates, fail_safe=False)
     # every candidate breaches the slowdown bound (possible right after a
     # working-set shift); take the least-bad one instead of stalling

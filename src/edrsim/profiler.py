@@ -43,6 +43,9 @@ class ProfilingUnit:
         self.num_sets = emulated_size // (geometry.block_bytes * geometry.associativity)
         if self.num_sets < 1:
             raise ValueError(f"emulated size {emulated_size} too small")
+        if sample_ratio_denom < 1:
+            raise ValueError(
+                f"sampling_ratio_denom must be >= 1, got {sample_ratio_denom}")
         if self.num_sets % sample_ratio_denom:
             raise ValueError(
                 f"sampling 1/{sample_ratio_denom} must divide {self.num_sets} sets")
@@ -98,23 +101,16 @@ def observe(units: list[ProfilingUnit], op_is_write: bool, address: int) -> None
 def observe_arrays(units: list[ProfilingUnit], arrays) -> None:
     """Bulk observe; same counts as calling observe() per record.
 
-    When every unit's set count is a multiple of the sampling denominator the
+    Every unit's set count is a multiple of the sampling denominator, so the
     sampling predicate collapses to `block % denom == 0`, shared by all units,
-    so unsampled records can be skipped wholesale.
+    and unsampled records are skipped wholesale.
     """
     import numpy as np
 
     denom = units[0].sample_ratio_denom
-    block_bytes = units[0].block_bytes
-    blocks = arrays.addrs // np.uint64(block_bytes)
-    shared = all(u.num_sets % denom == 0 for u in units)
-    if shared and denom > 1:
-        sampled = blocks % np.uint64(denom) == 0
-        blocks = blocks[sampled]
-        ops = arrays.ops[sampled]
-    else:
-        ops = arrays.ops
-    for block, op in zip(blocks.tolist(), ops.tolist()):
+    blocks = arrays.addrs // np.uint64(units[0].block_bytes)
+    sampled = blocks % np.uint64(denom) == 0
+    for block, op in zip(blocks[sampled].tolist(), arrays.ops[sampled].tolist()):
         is_write = bool(op)
         for unit in units:
             unit.probe(block, is_write)

@@ -12,6 +12,7 @@ Counts come from incrementally maintained per-bank (and per-bank-per-phase)
 valid counters, so an event costs O(banks), not O(lines).
 """
 
+import math
 from dataclasses import dataclass
 
 from .cache import CacheState, PhaseClock
@@ -33,6 +34,9 @@ class RefreshConfig:
         if self.phases < 1:
             raise RefreshConfigError("phases must be >= 1")
         cycles = self.retention_period_us * self.clock_ghz * 1000.0
+        if not math.isfinite(cycles):
+            raise RefreshConfigError(
+                f"retention_cycles must be finite, got {cycles}")
         if abs(cycles - round(cycles)) > 1e-6:
             raise RefreshConfigError(
                 f"retention period must be a whole number of cycles, got {cycles}")

@@ -8,12 +8,12 @@ for one cycle per refreshed line; an access to a busy bank waits for the
 burst to finish. Metrics accumulate only after the warm-up window.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import cache as _cache
 from . import refresh as _refresh
 from .cache import CacheGeometry, CacheState
-from .controller import ControllerConfig, apply as apply_decision, select
+from .controller import Candidate, ControllerConfig, apply as apply_decision, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
 from .profiler import IntervalStats, make_units, reset_interval
 from .refresh import RefreshConfig
@@ -83,7 +83,16 @@ class DecisionRecord:
     fail_safe: bool
     switched_blocks: int
     flush_writebacks: int
-    candidates: list  # (colors, est_time, delta_pct, est_energy, rejected)
+    candidates: list[Candidate]
+
+
+def _report_dict(report) -> dict:
+    """asdict() with the report spellings: `scheme` for scheme_name and the
+    kind's value for the kind."""
+    doc = asdict(report)
+    doc["scheme"] = doc.pop("scheme_name")
+    doc["kind"] = report.kind.value
+    return doc
 
 
 @dataclass
@@ -106,69 +115,11 @@ class RunReport:
     decisions: list[DecisionRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme_name,
-            "kind": self.kind.value,
-            "warmup_instructions": self.warmup_instructions,
-            "instructions": self.instructions,
-            "total_cycles": self.total_cycles,
-            "total_energy_j": self.total_energy_j,
-            "energy_components": self.energy_components,
-            "rpki": self.rpki,
-            "mpki": self.mpki,
-            "active_ratio_pct": self.active_ratio_pct,
-            "total_refreshed_lines": self.total_refreshed_lines,
-            "total_l2_hits": self.total_l2_hits,
-            "total_l2_misses": self.total_l2_misses,
-            "intervals": [
-                {
-                    "index": iv.index,
-                    "colors": iv.colors,
-                    "instructions": iv.stats.instructions,
-                    "elapsed_cycles": iv.stats.elapsed_cycles,
-                    "active_fraction": iv.stats.active_fraction,
-                    "l2_hits": iv.stats.l2_hits,
-                    "l2_misses": iv.stats.l2_misses,
-                    "load_misses": iv.stats.load_misses,
-                    "memory_stall_cycles": iv.stats.memory_stall_cycles,
-                    "refreshed_lines": iv.stats.refreshed_lines,
-                    "dram_accesses": iv.stats.dram_accesses,
-                    "switched_blocks": iv.stats.switched_blocks,
-                    "prof_accesses": iv.stats.prof_accesses,
-                    "energy": {
-                        "le_l2": iv.energy.le_l2,
-                        "de_l2": iv.energy.de_l2,
-                        "re_l2": iv.energy.re_l2,
-                        "e_dram": iv.energy.e_dram,
-                        "e_algo": iv.energy.e_algo,
-                        "e_prof": iv.energy.e_prof,
-                        "total": iv.energy.total,
-                    },
-                }
-                for iv in self.intervals
-            ],
-            "decisions": [
-                {
-                    "interval": d.interval,
-                    "current": d.current,
-                    "chosen": d.chosen,
-                    "fail_safe": d.fail_safe,
-                    "switched_blocks": d.switched_blocks,
-                    "flush_writebacks": d.flush_writebacks,
-                    "candidates": [
-                        {
-                            "colors": c[0],
-                            "est_time_cycles": c[1],
-                            "delta_pct": c[2],
-                            "est_energy_j": c[3],
-                            "rejected_by_beta": c[4],
-                        }
-                        for c in d.candidates
-                    ],
-                }
-                for d in self.decisions
-            ],
-        }
+        doc = _report_dict(self)
+        del doc["refresh_event_cycles"]
+        for iv in doc["intervals"]:
+            iv.update(iv.pop("stats"))
+        return doc
 
 
 def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
@@ -213,6 +164,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         next_boundary = boundary_len
 
     sets_per_bank = geometry.sets_per_bank
+    block_bytes = geometry.block_bytes
+    sample_ratio = scheme.profiler_ratio
     bank_busy = [0] * geometry.num_banks
     event_cycles: list[int] | None = [] if collect_refresh_events else None
 
@@ -277,8 +230,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                 fail_safe=decision.fail_safe,
                 switched_blocks=report.switched_blocks,
                 flush_writebacks=report.writebacks,
-                candidates=[(c.colors, c.est_time, c.delta_pct, c.est_energy,
-                             c.rejected_by_beta) for c in decision.candidates],
+                candidates=decision.candidates,
             ))
             carry_writebacks = report.writebacks
             carry_switched = report.switched_blocks
@@ -341,9 +293,12 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                     stats.load_misses += 1
                     stats.memory_stall_cycles += miss_cost
         if units is not None:
-            block = addr // geometry.block_bytes
-            for unit in units:
-                unit.probe(block, is_write)
+            # every unit samples exactly the blocks with residue 0, since
+            # make_units requires the ratio to divide each unit's set count
+            block = addr // block_bytes
+            if block % sample_ratio == 0:
+                for unit in units:
+                    unit.probe(block, is_write)
 
         if warmed and interval_instr >= interval_instructions:
             close_interval(run_controller=is_dcr)
@@ -358,14 +313,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     total_refreshed = sum(iv.stats.refreshed_lines for iv in intervals)
     total_hits = sum(iv.stats.l2_hits for iv in intervals)
     total_misses = sum(iv.stats.l2_misses for iv in intervals)
-    components = {
-        "le_l2": sum(iv.energy.le_l2 for iv in intervals),
-        "de_l2": sum(iv.energy.de_l2 for iv in intervals),
-        "re_l2": sum(iv.energy.re_l2 for iv in intervals),
-        "e_dram": sum(iv.energy.e_dram for iv in intervals),
-        "e_algo": sum(iv.energy.e_algo for iv in intervals),
-        "e_prof": sum(iv.energy.e_prof for iv in intervals),
-    }
+    components = {f.name: sum(getattr(iv.energy, f.name) for iv in intervals)
+                  for f in fields(EnergyBreakdown) if f.name != "total"}
     total_energy = sum(iv.energy.total for iv in intervals)
     kilo = instructions / 1000.0 if instructions else 1.0
     if total_cycles:
@@ -397,9 +346,11 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
 
 @dataclass
 class ComparisonRow:
+    """One scheme against the baseline; the fields after `kind` are in the
+    column order of comparison.csv and sweep.csv."""
+
     scheme_name: str
     kind: SchemeKind
-    total_energy_j: float
     pct_energy_saved: float
     pct_perf_improvement: float
     delta_rpki: float
@@ -407,20 +358,28 @@ class ComparisonRow:
     active_ratio_pct: float
     rpki: float
     mpki: float
+    total_energy_j: float
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme_name,
-            "kind": self.kind.value,
-            "total_energy_j": self.total_energy_j,
-            "pct_energy_saved": self.pct_energy_saved,
-            "pct_perf_improvement": self.pct_perf_improvement,
-            "delta_rpki": self.delta_rpki,
-            "delta_mpki": self.delta_mpki,
-            "active_ratio_pct": self.active_ratio_pct,
-            "rpki": self.rpki,
-            "mpki": self.mpki,
-        }
+        return _report_dict(self)
+
+
+def comparison_row(base: RunReport, rep: RunReport) -> ComparisonRow:
+    """rep's metrics relative to base; base against itself gives 0.0 deltas."""
+    return ComparisonRow(
+        scheme_name=rep.scheme_name,
+        kind=rep.kind,
+        pct_energy_saved=(base.total_energy_j - rep.total_energy_j)
+        / base.total_energy_j * 100.0,
+        pct_perf_improvement=(base.total_cycles - rep.total_cycles)
+        / base.total_cycles * 100.0,
+        delta_rpki=base.rpki - rep.rpki,
+        delta_mpki=rep.mpki - base.mpki,
+        active_ratio_pct=rep.active_ratio_pct,
+        rpki=rep.rpki,
+        mpki=rep.mpki,
+        total_energy_j=rep.total_energy_j,
+    )
 
 
 @dataclass
@@ -464,23 +423,7 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
                for spec in schemes]
 
     base = reports[baseline_idx]
-    rows = []
-    for i, rep in enumerate(reports):
-        if i == baseline_idx:
-            continue
-        rows.append(ComparisonRow(
-            scheme_name=rep.scheme_name,
-            kind=rep.kind,
-            total_energy_j=rep.total_energy_j,
-            pct_energy_saved=(base.total_energy_j - rep.total_energy_j)
-            / base.total_energy_j * 100.0,
-            pct_perf_improvement=(base.total_cycles - rep.total_cycles)
-            / base.total_cycles * 100.0,
-            delta_rpki=base.rpki - rep.rpki,
-            delta_mpki=rep.mpki - base.mpki,
-            active_ratio_pct=rep.active_ratio_pct,
-            rpki=rep.rpki,
-            mpki=rep.mpki,
-        ))
+    rows = [comparison_row(base, rep) for i, rep in enumerate(reports)
+            if i != baseline_idx]
     return ComparisonReport(base.scheme_name, base, rows,
                             {r.scheme_name: r for r in reports})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -206,6 +207,39 @@ def test_sweep_command(config_file, tmp_path):
     assert len(lines) == 1 + 2 * 4
 
 
+_GOLDEN_SHA256 = {
+    "cmp/comparison.csv":
+        "632d70b7e80bbf15744a71105419536b8aa1a3b6a360ae563ea4249d8c18abf5",
+    "cmp/comparison.json":
+        "0ab2462451f907f7d625c2930913a2dad38528cd16f16cd772ea54ce7c8a193b",
+    "cmp/report-baseline.json":
+        "218b87ec1f101641fac522653529814c912b99ad0e9a83b373b7deb26bf53d5c",
+    "cmp/report-dcr.json":
+        "25fb23bfac527de11b95db598c321e33eb0fd0b5054398b7468cb5c50c58ee75",
+    "cmp/report-rpv.json":
+        "9b1d417f1ae173188da43d923ab3e9803dfbfb8f59c6c7a8bae63e022135b9b2",
+    "cmp/report-sram.json":
+        "040c2ae5eab29e3bdb652386d8de5f820789daab3cd3722882d380f56457db8b",
+    "sweep/sweep.csv":
+        "40bed0615f6020b3cb29dcccaaa31ebdd19d5d075c87428ce3e2dd8e09c2b23c",
+}
+
+
+def test_reports_match_golden_digests(config_file, tmp_path):
+    # criterion 10 compares two runs of one build; these digests pin the
+    # report bytes across changes to the serialization code
+    assert main(["compare", "--config", config_file,
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert main(["sweep", "--config", config_file, "--out", str(tmp_path / "sweep"),
+                 "--parameter", "refresh_period_us", "--values", "1,2"]) == 0
+    digests = {}
+    for sub in ("cmp", "sweep"):
+        for name in os.listdir(tmp_path / sub):
+            data = (tmp_path / sub / name).read_bytes()
+            digests[f"{sub}/{name}"] = hashlib.sha256(data).hexdigest()
+    assert digests == _GOLDEN_SHA256
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 def test_non_finite_beta_is_config_error(tmp_path, beta):
     # d_i > nan is always false, so a NaN beta would switch the bound off
@@ -223,6 +257,49 @@ def test_sweep_rejects_non_integral_values(config_file, tmp_path, parameter):
                "--parameter", parameter, "--values", "4,2.5"])
     assert rc == 2
     assert not os.path.exists(out)
+
+
+def test_infinite_retention_period_is_config_error(config_file, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG.replace("retention_period_us = 1",
+                                        "retention_period_us = inf"))
+    out = tmp_path / "outdir"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    rc = main(["sweep", "--config", config_file, "--out", str(tmp_path / "sw"),
+               "--parameter", "refresh_period_us", "--values", "1,inf"])
+    assert rc == 2
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
+# 16 KB is below the 32 KB bank; at 32 KB the X/16 profiling unit has 4
+# sets, which 1/8 sampling does not divide
+@pytest.mark.parametrize("ratio,values", [(2, "64,16"), (8, "64,32")])
+def test_sweep_validates_every_value_before_running(tmp_path, monkeypatch,
+                                                    ratio, values):
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CONFIG.replace("sampling_ratio_denom = 2",
+                                        f"sampling_ratio_denom = {ratio}"))
+    calls = []
+    monkeypatch.setattr("edrsim.cli.compare", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--config", str(path), "--out", str(out),
+               "--parameter", "l2_size_kb", "--values", values])
+    assert rc == 2
+    assert calls == []
+    assert not (out / "sweep.csv").exists()
+
+
+# 1/64 sampling does not divide the 32, 16 and 8 sets of the X/4 to X/16
+# profiling units; 1/0 is no ratio at all
+@pytest.mark.parametrize("ratio", [64, 0])
+def test_run_checks_every_scheme_before_writing(tmp_path, ratio):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG.replace("sampling_ratio_denom = 2",
+                                        f"sampling_ratio_denom = {ratio}"))
+    out = tmp_path / "outdir"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_parameter(config_file, tmp_path):

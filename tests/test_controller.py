@@ -113,7 +113,7 @@ def test_select_chosen_is_in_space_and_beats_current(small_geometry):
     chosen_cand = next(c for c in decision.candidates
                        if c.colors == decision.chosen)
     if not current_cand.rejected_by_beta:
-        assert chosen_cand.est_energy <= current_cand.est_energy
+        assert chosen_cand.est_energy_j <= current_cand.est_energy_j
 
 
 def test_beta_filter_rejects_slow_candidates(small_geometry):
@@ -160,10 +160,10 @@ def test_fail_safe_when_everything_breaches_beta(small_geometry):
 
 def test_tie_break_toward_fewer_colors(small_geometry):
     # identical energies force the tie-break
-    cands = [Candidate(colors=c, est_time=100.0, delta_pct=0.0,
-                       est_energy=1.0, rejected_by_beta=False)
+    cands = [Candidate(colors=c, est_time_cycles=100.0, delta_pct=0.0,
+                       est_energy_j=1.0, rejected_by_beta=False)
              for c in (4, 6, 8)]
-    best = min(cands, key=lambda c: (c.est_energy, c.colors))
+    best = min(cands, key=lambda c: (c.est_energy_j, c.colors))
     assert best.colors == 4
 
 
@@ -174,9 +174,10 @@ def test_argmin_invariant_under_uniform_scaling(small_geometry):
     params = builtin_params("EDRAM_2MB", clock_ghz=2.0)
     decision = select(stats, units, state, refresh, cfg, params)
     survivors = [c for c in decision.candidates if not c.rejected_by_beta]
-    scaled = [Candidate(c.colors, c.est_time, c.delta_pct, c.est_energy * 7.5,
-                        c.rejected_by_beta) for c in survivors]
-    best_scaled = min(scaled, key=lambda c: (c.est_energy, c.colors))
+    scaled = [Candidate(c.colors, c.est_time_cycles, c.delta_pct,
+                        c.est_energy_j * 7.5, c.rejected_by_beta)
+              for c in survivors]
+    best_scaled = min(scaled, key=lambda c: (c.est_energy_j, c.colors))
     assert best_scaled.colors == decision.chosen
 
 
