@@ -12,8 +12,15 @@ Each set is a list of resident tags, least recent first: the same LRU stack
 the profiling units keep (Mattson et al., 1970). A tag is a full block
 number, so a block sits in at most one set, and the dirty bits and
 last-touch phases live in maps keyed by tag.
+
+`replay` is the functional pass of a simulation: it applies a run of trace
+records to the tag lists and writes each record's outcome into compact
+columns (a `Replay`), which the timing pass in `sim.run` then reads. Hits,
+misses and evictions do not depend on time, so one replay serves every
+scheme that never remaps the cache.
 """
 
+from array import array
 from dataclasses import dataclass
 
 
@@ -219,6 +226,98 @@ def access_block(state: CacheState, is_write: bool, address: int,
         phase_of_tag[tag] = phase
         state.valid_by_bank_phase[bank][phase] += 1
     return AccessResult(False, evicted_dirty, not is_write, set_index, tag)
+
+
+# outcome bits of a Replay code byte
+HIT = 1
+EVICTED = 2  # a miss that pushed out the set's least recent line
+DIRTY_VICTIM = 4  # ... and that line was dirty
+WRITE = 8
+
+
+class Replay:
+    """Outcome columns of a functional replay, one entry per trace record.
+
+    `codes` holds the HIT/EVICTED/DIRTY_VICTIM/WRITE bits; `slots` holds
+    set_index * associativity + pos, where pos is the hit tag's position in
+    its set's least-recent-first list before the access, or 0 on a fill.
+    """
+
+    def __init__(self, geometry: CacheGeometry, records: int):
+        self.geometry = geometry
+        self.codes = bytearray(records)
+        self.slots = array("I", [0]) * records
+
+    def __len__(self):
+        return len(self.codes)
+
+
+def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
+           units=None, ratio: int = 64) -> None:
+    """Apply records [lo, hi) to the cache and write their outcomes to `out`.
+
+    `addrs` and `writes` are the trace's columns: byte addresses and write
+    flags (numpy arrays; only the slice [lo, hi) is turned into Python
+    objects). Same LRU, dirty and valid-counter bookkeeping as
+    `access_block` (the phase maps are not kept), with `locate` inlined: the
+    mapping is fixed for the call. With `units`, every block whose number is
+    a multiple of `ratio` is probed in each profiling unit.
+    """
+    g = state.geometry
+    stray = set(state.mapping) - state.active_colors
+    if stray:
+        raise AssertionError(
+            f"mapping routes regions to inactive colors {sorted(stray)}")
+    ways = g.associativity
+    block_shift = g.block_bytes.bit_length() - 1
+    page_shift = g.page_bytes.bit_length() - 1
+    region_mask = g.color_count - 1
+    within_mask = g.sets_per_color - 1
+    sets_per_bank = g.sets_per_bank
+    first_set = [color * g.sets_per_color for color in state.mapping]
+    sets = state.sets
+    dirty = state.dirty
+    valid_by_bank = state.valid_by_bank
+    codes = out.codes
+    slots = out.slots
+    fills = 0
+    for i, addr, is_write in zip(range(lo, hi), addrs[lo:hi].tolist(),
+                                 writes[lo:hi].tolist()):
+        tag = addr >> block_shift
+        set_index = first_set[(addr >> page_shift) & region_mask] + (tag & within_mask)
+        tags = sets[set_index]
+        if tag in tags:
+            pos = tags.index(tag)
+            del tags[pos]
+            tags.append(tag)
+            if is_write:
+                dirty.add(tag)
+                codes[i] = HIT | WRITE
+            else:
+                codes[i] = HIT
+            slots[i] = set_index * ways + pos
+        else:
+            if len(tags) == ways:
+                victim = tags.pop(0)
+                if victim in dirty:
+                    dirty.remove(victim)
+                    code = EVICTED | DIRTY_VICTIM
+                else:
+                    code = EVICTED
+            else:
+                code = 0
+                valid_by_bank[set_index // sets_per_bank] += 1
+                fills += 1
+            tags.append(tag)
+            if is_write:
+                dirty.add(tag)
+                code |= WRITE
+            codes[i] = code
+            slots[i] = set_index * ways
+        if units is not None and not tag % ratio:
+            for unit in units:
+                unit.probe(tag, is_write)
+    state.n_valid += fills
 
 
 def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[int, int]:

@@ -13,7 +13,8 @@ from . import trace as trace_mod
 from .config import ConfigError, RunConfig, load_config
 from .controller import default_config
 from .profiler import make_units
-from .sim import ComparisonRow, RunReport, compare, comparison_row, run
+from .sim import (ComparisonRow, RunReport, check_refresh_fits, compare,
+                  comparison_row, fixed_replay, run)
 from .trace import TraceArrays, TraceHeader
 
 
@@ -177,8 +178,8 @@ def _replace_schemes(cfg: RunConfig, part: str, **changes) -> RunConfig:
 
 def _apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig:
     if parameter == "refresh_period_us":
-        return _replace_schemes(cfg, "refresh", retention_period_us=value)
-    if parameter == "l2_size_kb":
+        swept = _replace_schemes(cfg, "refresh", retention_period_us=value)
+    elif parameter == "l2_size_kb":
         geometry = replace(cfg.geometry, size_bytes=int(value) * 1024)
         # c_min is the default slice of the new color count
         swept = _replace_schemes(cfg, "controller",
@@ -186,12 +187,16 @@ def _apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfi
         for spec in swept.schemes:
             if spec.controller is not None:  # the ratio must fit the new size
                 make_units(geometry, spec.profiler_ratio)
-        return replace(swept, geometry=geometry)
-    if parameter == "beta":
-        return _replace_schemes(cfg, "controller", beta=value)
-    if parameter == "delta":
-        return _replace_schemes(cfg, "controller", delta=int(value))
-    raise ConfigError(f"parameter must be one of {_SWEEPABLE}")
+        swept = replace(swept, geometry=geometry)
+    elif parameter == "beta":
+        swept = _replace_schemes(cfg, "controller", beta=value)
+    elif parameter == "delta":
+        swept = _replace_schemes(cfg, "controller", delta=int(value))
+    else:
+        raise ConfigError(f"parameter must be one of {_SWEEPABLE}")
+    for spec in swept.schemes:
+        check_refresh_fits(spec, swept.geometry)
+    return swept
 
 
 def cmd_sweep(args) -> int:
@@ -199,7 +204,10 @@ def cmd_sweep(args) -> int:
     _require_schemes(cfg, 2)
     if args.parameter not in _SWEEPABLE:
         raise ConfigError(f"parameter must be one of {_SWEEPABLE}")
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from None
     if not values:
         raise ConfigError("--values must list at least one value")
     if args.parameter in _INTEGRAL and not all(v.is_integer() for v in values):
@@ -210,14 +218,18 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:  # a domain check, e.g. bank_kb > l2_size_kb
         raise ConfigError(str(exc)) from None
 
-    # no sweepable parameter changes the trace or the warm-up
+    # no sweepable parameter changes the trace or the warm-up, and only the
+    # cache size changes the functional replay the fixed-size schemes share
     arrays = _load_trace_for(cfg, args.seed)
     warmup = _warmup_for(cfg, arrays)
+    shared = (None if args.parameter == "l2_size_kb"
+              else fixed_replay(arrays, cfg.geometry))
     rows = []
     for value, vcfg in zip(values, swept):
         report = compare(arrays, vcfg.schemes, vcfg.geometry, vcfg.timing,
                          vcfg.energy, warmup_instructions=warmup,
-                         interval_instructions=vcfg.interval_instructions)
+                         interval_instructions=vcfg.interval_instructions,
+                         replay=shared)
         base = report.baseline
         for row in [comparison_row(base, base), *report.rows]:
             rows.append([args.parameter, repr(value), *_row_cells(row)])

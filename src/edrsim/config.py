@@ -13,7 +13,7 @@ from .controller import default_config
 from .energy import EnergyParams, SchemeKind, builtin_params
 from .profiler import make_units
 from .refresh import RefreshConfig
-from .sim import SchemeSpec, TimingParams
+from .sim import SchemeSpec, TimingParams, check_refresh_fits
 from .trace import PhaseSpec, SyntheticTraceSpec
 
 
@@ -162,8 +162,10 @@ def _parse_scheme(sec, name: str, geometry: CacheGeometry, clock_ghz: float,
     profiler_ratio = _get(sec, "sampling_ratio_denom", int, default=64)
     if kind is SchemeKind.DCR:
         make_units(geometry, profiler_ratio)  # raises if the ratio does not fit
-    return SchemeSpec(kind=kind, refresh=refresh, controller=controller,
+    spec = SchemeSpec(kind=kind, refresh=refresh, controller=controller,
                       energy=energy, name=name, profiler_ratio=profiler_ratio)
+    check_refresh_fits(spec, geometry)
+    return spec
 
 
 def load_config(path: str) -> RunConfig:

@@ -6,13 +6,23 @@ miss. Load-miss latency is accounted as memory stall; store misses advance
 the clock but are hidden by the store buffer. Refresh bursts occupy each bank
 for one cycle per refreshed line; an access to a busy bank waits for the
 burst to finish. Metrics accumulate only after the warm-up window.
+
+A run has two stages, as in gem5's atomic and timing CPUs. The functional
+pass (`cache.replay`) decides each record's hit, eviction and dirty victim
+and writes them to compact columns; the timing pass in `run` reads the
+columns and adds cycles, refresh bursts and bank waits. The functional pass
+does not depend on time, so baseline, RPV and SRAM share one
+(`fixed_replay`); DCR replays each interval only after the controller has
+acted on the previous one.
 """
 
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from . import cache as _cache
-from . import refresh as _refresh
-from .cache import CacheGeometry, CacheState
+from .cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
+                    CacheState, Replay)
 from .controller import Candidate, ControllerConfig, apply as apply_decision, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
 from .profiler import IntervalStats, make_units, reset_interval
@@ -121,19 +131,176 @@ class RunReport:
             iv.update(iv.pop("stats"))
         return doc
 
+    @classmethod
+    def from_intervals(cls, scheme: SchemeSpec, warmup_instructions: int,
+                       intervals: list[IntervalRecord],
+                       decisions: list[DecisionRecord],
+                       refresh_event_cycles: list[int] | None) -> "RunReport":
+        """The run totals of a scheme's interval records."""
+        instructions = sum(iv.stats.instructions for iv in intervals)
+        total_cycles = sum(iv.stats.elapsed_cycles for iv in intervals)
+        total_refreshed = sum(iv.stats.refreshed_lines for iv in intervals)
+        total_hits = sum(iv.stats.l2_hits for iv in intervals)
+        total_misses = sum(iv.stats.l2_misses for iv in intervals)
+        components = {f.name: sum(getattr(iv.energy, f.name) for iv in intervals)
+                      for f in fields(EnergyBreakdown) if f.name != "total"}
+        total_energy = sum(iv.energy.total for iv in intervals)
+        kilo = instructions / 1000.0 if instructions else 1.0
+        if total_cycles:
+            active_ratio = 100.0 * sum(
+                iv.stats.active_fraction * iv.stats.elapsed_cycles
+                for iv in intervals) / total_cycles
+        else:
+            active_ratio = 100.0
+
+        return cls(
+            scheme_name=scheme.name,
+            kind=scheme.kind,
+            warmup_instructions=warmup_instructions,
+            instructions=instructions,
+            total_cycles=total_cycles,
+            total_energy_j=total_energy,
+            energy_components=components,
+            rpki=total_refreshed / kilo,
+            mpki=total_misses / kilo,
+            active_ratio_pct=active_ratio,
+            total_refreshed_lines=total_refreshed,
+            total_l2_hits=total_hits,
+            total_l2_misses=total_misses,
+            refresh_event_cycles=refresh_event_cycles,
+            intervals=intervals,
+            decisions=decisions,
+        )
+
+
+def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
+    """Reject a refresh period no longer than a bank's refresh burst.
+
+    A burst holds a bank for one cycle per line; if a bank's lines do not fit
+    in one retention period, the bank is never free again and the replay
+    waits forever.
+    """
+    if scheme.refresh is None:
+        return
+    lines = geometry.total_lines // geometry.num_banks
+    period = scheme.refresh.retention_cycles
+    if lines >= period:
+        raise SchemeConfigError(
+            f"{scheme.name}: refreshing a bank of {lines} lines takes {lines} "
+            f"cycles, which does not fit in the {period}-cycle retention period")
+
+
+# the most records one step of a replay turns into Python objects
+_BLOCK = 1 << 16
+
+
+def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
+    """The functional pass of a scheme that never remaps the cache.
+
+    Baseline, RPV and SRAM see the same hits, misses and evictions, so they
+    can share this one replay of the trace on a full-size cache.
+    """
+    n = len(trace)
+    out = Replay(geometry, n)
+    state = CacheState(geometry)
+    writes = trace.ops == Op.WRITE
+    for lo in range(0, n, _BLOCK):
+        _cache.replay(state, trace.addrs, writes, lo, min(lo + _BLOCK, n), out)
+    return out
+
+
+def _segments(gaps: np.ndarray, warmup: int, interval: int
+              ) -> tuple[int | None, int, list[tuple[int, int, bool, int]]]:
+    """Cut the records where warm-up ends and after each interval close.
+
+    Both points depend only on instruction counts. Returns the index of the
+    record at which warm-up ends (None without warm-up; that record's own
+    gap is not counted), the instructions through that record, and the
+    (lo, hi, closes, instructions through record hi - 1) segments, at most
+    _BLOCK records long; `closes` says an interval closes after record
+    hi - 1. A close on the last record adds an empty final segment, which
+    holds what the last decision carries over.
+    """
+    cum = np.cumsum(gaps, dtype=np.int64)
+    n = len(cum)
+    warm_at = None
+    base = 0
+    ends = {n: False}
+    if warmup:
+        warm_at = int(np.searchsorted(cum, warmup))  # first cum >= warmup
+        base = int(cum[warm_at])
+        if warm_at:
+            ends[warm_at] = False
+    warm_base = base
+    while True:
+        j = int(np.searchsorted(cum, base + interval))
+        if j >= n:
+            break
+        ends[j + 1] = True
+        base = int(cum[j])
+    segments = []
+    lo = 0
+    for end in sorted(ends):
+        for hi in range(lo + _BLOCK, end, _BLOCK):
+            segments.append((lo, hi, False, int(cum[hi - 1])))
+            lo = hi
+        segments.append((lo, end, ends[end], int(cum[end - 1])))
+        lo = end
+    if ends[n]:
+        segments.append((n, n, False, int(cum[-1])))
+    return warm_at, warm_base, segments
+
+
+def _close_interval(intervals, decisions, stats, colors, scheme, params,
+                    state, units, run_controller) -> tuple[int, int]:
+    """Record a finished interval and, for DCR, let the controller act.
+
+    Returns the flush writebacks and switched blocks the next interval pays.
+    """
+    index = len(intervals)
+    if units is not None:
+        stats.prof_accesses = sum(u.accesses for u in units)
+    intervals.append(IntervalRecord(index, colors, stats,
+                                    interval_energy(stats, params, scheme.kind)))
+    if not run_controller:
+        return 0, 0
+    decision = select(stats, units, state, scheme.refresh, scheme.controller,
+                      params)
+    report = apply_decision(decision, state)
+    decisions.append(DecisionRecord(
+        interval=index,
+        current=decision.current,
+        chosen=decision.chosen,
+        fail_safe=decision.fail_safe,
+        switched_blocks=report.switched_blocks,
+        flush_writebacks=report.writebacks,
+        candidates=decision.candidates,
+    ))
+    reset_interval(units)
+    return report.writebacks, report.switched_blocks
+
 
 def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         timing: TimingParams, params: EnergyParams,
         warmup_instructions: int | None = None,
         interval_instructions: int | None = None,
-        collect_refresh_events: bool = False) -> RunReport:
-    """Replay a trace under one scheme and return the full report."""
+        collect_refresh_events: bool = False,
+        replay: Replay | None = None) -> RunReport:
+    """Replay a trace under one scheme and return the full report.
+
+    A scheme that never remaps (baseline, RPV, SRAM) times the columns of
+    `replay`, a `fixed_replay` of this trace and geometry, built here when
+    not given. DCR replays the trace itself, one segment between controller
+    decisions at a time, so each segment sees the mapping the controller
+    left.
+    """
     if len(trace) == 0:
         raise ValueError("trace is empty")
     if scheme.energy is not None:
         params = scheme.energy
     if abs(params.clock_ghz - timing.clock_ghz) > 1e-12:
         raise ValueError("energy params and timing disagree on the clock")
+    check_refresh_fits(scheme, geometry)
 
     total_instr = trace.instructions
     if warmup_instructions is None:
@@ -143,205 +310,172 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
 
     kind = scheme.kind
     is_dcr = kind is SchemeKind.DCR
+    is_rpv = kind is SchemeKind.RPV
     refresh_cfg = scheme.refresh
     ctrl_cfg = scheme.controller
     if interval_instructions is None:
         interval_instructions = (ctrl_cfg.interval_instructions
                                  if is_dcr else 10_000_000)
 
-    phase_clock = refresh_cfg.phase_clock() if kind is SchemeKind.RPV else None
-    state = CacheState(geometry, phase_clock=phase_clock,
-                       min_colors=ctrl_cfg.c_min if is_dcr else 1)
-    units = make_units(geometry, scheme.profiler_ratio) if is_dcr else None
+    n = len(trace)
     m_total = geometry.color_count
+    if is_dcr:
+        if replay is not None:
+            raise ValueError("a DCR scheme remaps the cache, so it replays "
+                             "the trace itself")
+        state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
+        units = make_units(geometry, scheme.profiler_ratio)
+        replay = Replay(geometry, n)
+        writes = trace.ops == Op.WRITE
+    else:
+        state = units = None
+        if replay is None:
+            replay = fixed_replay(trace, geometry)
+        elif replay.geometry != geometry or len(replay) != n:
+            raise ValueError(
+                f"replay of {len(replay)} records on {replay.geometry} does "
+                f"not match this trace of {n} records on {geometry}")
+    codes = replay.codes
+    slots = replay.slots
 
+    num_banks = geometry.num_banks
+    lines_per_bank = geometry.total_lines // num_banks  # slot // this = bank
+    ways = geometry.associativity
+    way_bits = ways.bit_length() - 1
+    bank_busy = [0] * num_banks
+    busy_max = 0  # no bank is busy at or after this cycle
+    event_cycles: list[int] | None = [] if collect_refresh_events else None
     if refresh_cfg is None:
         boundary_len = 0
-        next_boundary = None
+        next_boundary = 1 << 62  # never
     else:
-        boundary_len = (refresh_cfg.phase_cycles
-                        if kind is SchemeKind.RPV else refresh_cfg.retention_cycles)
+        boundary_len = (refresh_cfg.phase_cycles if is_rpv
+                        else refresh_cfg.retention_cycles)
         next_boundary = boundary_len
-
-    sets_per_bank = geometry.sets_per_bank
-    block_bytes = geometry.block_bytes
-    sample_ratio = scheme.profiler_ratio
-    bank_busy = [0] * geometry.num_banks
-    event_cycles: list[int] | None = [] if collect_refresh_events else None
+    # the lines a refresh event covers in each bank: every line for the
+    # baseline, DCR's running valid counts, RPV's count for the due phase
+    per_bank = [lines_per_bank] * num_banks
+    phase = 0  # RPV: the phase of the current cycle
+    if is_rpv:
+        k_phases = refresh_cfg.phases
+        phase_counts = [[0] * k_phases for _ in range(num_banks)]
+        # each set's last-touch phases, in the order of its tags
+        set_phases = [[] for _ in range(geometry.total_sets)]
+        counts_of_set = [phase_counts[s // geometry.sets_per_bank]
+                         for s in range(geometry.total_sets)]
 
     hit_cycles = timing.l2_hit_cycles
-    dram_cycles = timing.dram_latency_cycles
-    miss_cost = hit_cycles + dram_cycles
+    miss_cost = hit_cycles + timing.dram_latency_cycles
     base_cpi = timing.base_cpi
-    unit_cpi = abs(base_cpi - 1.0) < 1e-12
+    scale_gaps = abs(base_cpi - 1.0) >= 1e-12
+    warm_at, warm_base, segments = _segments(
+        trace.gaps, warmup_instructions, interval_instructions)
 
     now = 0
-    cum_instr = 0
-    warmed = warmup_instructions == 0
-    interval_start_cycle = 0
-    interval_instr = 0
-    interval_index = 0
-    stats = IntervalStats(active_fraction=state.active_count / m_total)
+    hits = misses = load_misses = writebacks = refreshed = 0
+    carry_writebacks = carry_switched = 0
+    interval_start = 0
+    interval_base = 0  # instructions before the interval's first record
+    active_fraction = 1.0
     intervals: list[IntervalRecord] = []
     decisions: list[DecisionRecord] = []
 
-    raw_access = _cache.access_block
-    rpv = _refresh.rpv_refresh
-    refresh_all = _refresh.refresh_all
-    valid_only = _refresh.valid_only_refresh
-    k_phases = refresh_cfg.phases if refresh_cfg else 1
-    phase_len = refresh_cfg.phase_cycles if refresh_cfg else 1
-
-    def fire(at: int) -> None:
-        if kind is SchemeKind.BASELINE_EDRAM:
-            ev = refresh_all(state, refresh_cfg, at)
-        elif kind is SchemeKind.RPV:
-            ev = rpv(state, refresh_cfg, (at // phase_len) % k_phases, at)
-        else:  # DCR refreshes only valid lines in the active colors
-            ev = valid_only(state, refresh_cfg, at)
-        for b, lines in enumerate(ev.per_bank_lines):
-            if lines:
-                start = bank_busy[b] if bank_busy[b] > at else at
-                bank_busy[b] = start + lines
-        if warmed:
-            stats.refreshed_lines += ev.lines_refreshed
-        if event_cycles is not None:
-            event_cycles.append(at)
-
-    def close_interval(run_controller: bool) -> None:
-        nonlocal stats, interval_start_cycle, interval_instr, interval_index
-        stats.instructions = interval_instr
-        stats.elapsed_cycles = now - interval_start_cycle
-        if units is not None:
-            stats.prof_accesses = sum(u.accesses for u in units)
-        breakdown = interval_energy(stats, params, kind)
-        colors = state.active_count
-        intervals.append(IntervalRecord(interval_index, colors, stats, breakdown))
-
-        carry_writebacks = 0
-        carry_switched = 0
-        if run_controller:
-            decision = select(stats, units, state, refresh_cfg, ctrl_cfg, params)
-            report = apply_decision(decision, state)
-            decisions.append(DecisionRecord(
-                interval=interval_index,
-                current=decision.current,
-                chosen=decision.chosen,
-                fail_safe=decision.fail_safe,
-                switched_blocks=report.switched_blocks,
-                flush_writebacks=report.writebacks,
-                candidates=decision.candidates,
-            ))
-            carry_writebacks = report.writebacks
-            carry_switched = report.switched_blocks
-            reset_interval(units)
-
-        interval_index += 1
-        interval_instr = 0
-        interval_start_cycle = now
-        stats = IntervalStats(active_fraction=state.active_count / m_total,
-                              dram_accesses=carry_writebacks,
-                              switched_blocks=carry_switched)
-
-    gaps = trace.gaps.tolist()
-    ops = trace.ops.tolist()
-    addrs = trace.addrs.tolist()
-    write_op = int(Op.WRITE)
-
-    for i in range(len(gaps)):
-        gap = gaps[i]
-        now += gap if unit_cpi else round(gap * base_cpi)
-        cum_instr += gap
-        if warmed:
-            interval_instr += gap
-        elif cum_instr >= warmup_instructions:
-            warmed = True
-            interval_start_cycle = now
-            stats = IntervalStats(active_fraction=state.active_count / m_total)
+    for lo, hi, closes, instructions in segments:
+        cycles = trace.gaps[lo:hi].tolist()
+        if scale_gaps:
+            cycles = [round(gap * base_cpi) for gap in cycles]
+        if lo == warm_at:  # metrics start with this record
+            hits = misses = load_misses = writebacks = refreshed = 0
+            interval_start = now + cycles[0]
+            interval_base = warm_base
             if units is not None:
                 reset_interval(units)
+        if is_dcr:
+            per_bank = list(state.valid_by_bank)
+            _cache.replay(state, trace.addrs, writes, lo, hi, replay, units,
+                          scheme.profiler_ratio)
 
-        is_write = ops[i] == write_op
-        addr = addrs[i]
-        _color, set_index, _tag = _cache.locate(state, addr)
-        bank = set_index // sets_per_bank
+        for i, dt, code in zip(range(lo, hi), cycles, codes[lo:hi]):
+            now += dt
+            # fire due refresh events, then wait out any burst on our bank;
+            # a wait can cross the next boundary, so settle both together
+            if now >= next_boundary or now < busy_max:
+                bank = slots[i] // lines_per_bank
+                while True:
+                    while next_boundary <= now:
+                        at = next_boundary
+                        next_boundary += boundary_len
+                        if is_rpv:
+                            phase = (at // boundary_len) % k_phases
+                            per_bank = [c[phase] for c in phase_counts]
+                        for b, lines in enumerate(per_bank):
+                            if lines:
+                                start = bank_busy[b]
+                                bank_busy[b] = (start if start > at else at) + lines
+                                refreshed += lines
+                        busy_max = max(bank_busy)
+                        if event_cycles is not None:
+                            event_cycles.append(at)
+                    if bank_busy[bank] > now:
+                        now = bank_busy[bank]
+                    else:
+                        break
 
-        # fire due refresh events, then wait out any burst on our bank; a wait
-        # can cross the next boundary, so settle both together
-        while True:
-            while next_boundary is not None and next_boundary <= now:
-                fire(next_boundary)
-                next_boundary += boundary_len
-            if bank_busy[bank] > now:
-                now = bank_busy[bank]
-                continue
-            break
+            if code & HIT:
+                if is_rpv:  # the line moves to the MRU end, touched now
+                    slot = slots[i]
+                    lst = set_phases[slot >> way_bits]
+                    old = lst.pop(slot & (ways - 1))
+                    if old != phase:
+                        counts = counts_of_set[slot >> way_bits]
+                        counts[old] -= 1
+                        counts[phase] += 1
+                    lst.append(phase)
+                now += hit_cycles
+                hits += 1
+            else:
+                if is_rpv:
+                    slot = slots[i]
+                    lst = set_phases[slot >> way_bits]
+                    counts = counts_of_set[slot >> way_bits]
+                    if code & EVICTED:
+                        counts[lst.pop(0)] -= 1
+                    lst.append(phase)
+                    counts[phase] += 1
+                elif is_dcr and not code & EVICTED:  # a fill of a free way
+                    per_bank[slots[i] // lines_per_bank] += 1
+                now += miss_cost
+                misses += 1
+                if code & DIRTY_VICTIM:
+                    writebacks += 1
+                if not code & WRITE:
+                    load_misses += 1
 
-        res = raw_access(state, is_write, addr, now)
-        if res.hit:
-            now += hit_cycles
-            if warmed:
-                stats.l2_hits += 1
-        else:
-            now += miss_cost
-            if warmed:
-                stats.l2_misses += 1
-                stats.dram_accesses += 1
-                if res.evicted_dirty:
-                    stats.dram_accesses += 1
-                if not is_write:
-                    stats.load_misses += 1
-                    stats.memory_stall_cycles += miss_cost
-        if units is not None:
-            # every unit samples exactly the blocks with residue 0, since
-            # make_units requires the ratio to divide each unit's set count
-            block = addr // block_bytes
-            if block % sample_ratio == 0:
-                for unit in units:
-                    unit.probe(block, is_write)
+        if closes or hi == n:
+            stats = IntervalStats(
+                instructions=instructions - interval_base,
+                l2_hits=hits, l2_misses=misses, load_misses=load_misses,
+                memory_stall_cycles=load_misses * miss_cost,
+                refreshed_lines=refreshed,
+                dram_accesses=carry_writebacks + misses + writebacks,
+                active_fraction=active_fraction,
+                elapsed_cycles=now - interval_start,
+                switched_blocks=carry_switched)
+            # the last interval is kept if anything happened in it
+            if closes or (stats.instructions or hits or misses or refreshed
+                          or stats.dram_accesses or carry_switched):
+                colors = state.active_count if is_dcr else m_total
+                carry_writebacks, carry_switched = _close_interval(
+                    intervals, decisions, stats, colors, scheme, params, state,
+                    units, run_controller=is_dcr and closes)
+            hits = misses = load_misses = writebacks = refreshed = 0
+            interval_start = now
+            interval_base = instructions
+            if is_dcr:
+                active_fraction = state.active_count / m_total
 
-        if warmed and interval_instr >= interval_instructions:
-            close_interval(run_controller=is_dcr)
-
-    if warmed and (interval_instr > 0 or stats.l2_hits or stats.l2_misses
-                   or stats.refreshed_lines or stats.dram_accesses
-                   or stats.switched_blocks):
-        close_interval(run_controller=False)  # no decision after the last interval
-
-    instructions = sum(iv.stats.instructions for iv in intervals)
-    total_cycles = sum(iv.stats.elapsed_cycles for iv in intervals)
-    total_refreshed = sum(iv.stats.refreshed_lines for iv in intervals)
-    total_hits = sum(iv.stats.l2_hits for iv in intervals)
-    total_misses = sum(iv.stats.l2_misses for iv in intervals)
-    components = {f.name: sum(getattr(iv.energy, f.name) for iv in intervals)
-                  for f in fields(EnergyBreakdown) if f.name != "total"}
-    total_energy = sum(iv.energy.total for iv in intervals)
-    kilo = instructions / 1000.0 if instructions else 1.0
-    if total_cycles:
-        active_ratio = 100.0 * sum(
-            iv.stats.active_fraction * iv.stats.elapsed_cycles
-            for iv in intervals) / total_cycles
-    else:
-        active_ratio = 100.0
-
-    return RunReport(
-        scheme_name=scheme.name,
-        kind=kind,
-        warmup_instructions=warmup_instructions,
-        instructions=instructions,
-        total_cycles=total_cycles,
-        total_energy_j=total_energy,
-        energy_components=components,
-        rpki=total_refreshed / kilo,
-        mpki=total_misses / kilo,
-        active_ratio_pct=active_ratio,
-        total_refreshed_lines=total_refreshed,
-        total_l2_hits=total_hits,
-        total_l2_misses=total_misses,
-        refresh_event_cycles=event_cycles,
-        intervals=intervals,
-        decisions=decisions,
-    )
+    return RunReport.from_intervals(scheme, warmup_instructions, intervals,
+                                    decisions, event_cycles)
 
 
 @dataclass
@@ -403,11 +537,13 @@ class ComparisonReport:
 def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeometry,
             timing: TimingParams, params: EnergyParams,
             warmup_instructions: int | None = None,
-            interval_instructions: int | None = None) -> ComparisonReport:
+            interval_instructions: int | None = None,
+            replay: Replay | None = None) -> ComparisonReport:
     """Run every scheme on the same trace and report metrics vs the baseline.
 
     The first scheme with the baseline-eDRAM kind is the reference; every
-    other scheme gets a comparison row.
+    other scheme gets a comparison row. The schemes that never remap share
+    one functional replay: `replay` if given, else one built here.
     """
     names = [s.name for s in schemes]
     if len(set(names)) != len(names):
@@ -417,9 +553,12 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
     if baseline_idx is None or len(schemes) < 2:
         raise SchemeConfigError("compare needs >= 2 schemes including the baseline")
 
+    if replay is None:
+        replay = fixed_replay(trace, geometry)
     reports = [run(trace, spec, geometry, timing, params,
                    warmup_instructions=warmup_instructions,
-                   interval_instructions=interval_instructions)
+                   interval_instructions=interval_instructions,
+                   replay=None if spec.kind is SchemeKind.DCR else replay)
                for spec in schemes]
 
     base = reports[baseline_idx]

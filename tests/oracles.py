@@ -2,18 +2,22 @@
 
 These are deliberately plain: full scans and straight-line formula
 re-evaluation, O(lines) or O(trace), no shared code with the paths they
-check beyond the parameter objects. The one exception is the charge-timeline
-oracle, which drives the real cache and refresh policies and checks them
-against its own per-line charge bookkeeping.
+check beyond the parameter objects. Two exceptions drive the real per-record
+cache and refresh policies: the charge-timeline oracle, which checks them
+against its own per-line charge bookkeeping, and `reference_run`, the
+record-at-a-time replay that `sim.run`'s two-stage replay must match.
 """
 
 from dataclasses import dataclass
 
 from edrsim.cache import CacheGeometry, CacheState, access_block, locate
-from edrsim.energy import EnergyBreakdown, EnergyParams, SchemeKind
-from edrsim.profiler import IntervalStats
+from edrsim.controller import apply, select
+from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
+                           interval_energy)
+from edrsim.profiler import IntervalStats, make_units, reset_interval
 from edrsim.refresh import (RefreshConfig, refresh_all, rpv_refresh,
                             valid_only_refresh)
+from edrsim.sim import DecisionRecord, IntervalRecord, RunReport
 from edrsim.trace import Op
 
 
@@ -237,3 +241,151 @@ def timeline_oracle(records, policy: str, config: RefreshConfig,
         if bad:
             return bad
     return TimelineVerdict(True)
+
+
+def reference_run(trace, scheme, geometry, timing, params,
+                  warmup_instructions=None, interval_instructions=None,
+                  collect_refresh_events=False) -> RunReport:
+    """`sim.run` one record at a time: locate, access_block, then the
+    profiling units, with refresh events from the `refresh` policy functions
+    fired before each access. Same arguments and report as `sim.run`."""
+    if scheme.energy is not None:
+        params = scheme.energy
+    total_instr = trace.instructions
+    if warmup_instructions is None:
+        warmup_instructions = total_instr // 10
+    assert warmup_instructions < total_instr
+
+    kind = scheme.kind
+    is_dcr = kind is SchemeKind.DCR
+    refresh_cfg = scheme.refresh
+    ctrl_cfg = scheme.controller
+    if interval_instructions is None:
+        interval_instructions = (ctrl_cfg.interval_instructions
+                                 if is_dcr else 10_000_000)
+
+    phase_clock = refresh_cfg.phase_clock() if kind is SchemeKind.RPV else None
+    state = CacheState(geometry, phase_clock=phase_clock,
+                       min_colors=ctrl_cfg.c_min if is_dcr else 1)
+    units = make_units(geometry, scheme.profiler_ratio) if is_dcr else None
+    m_total = geometry.color_count
+
+    if refresh_cfg is None:
+        boundary_len = 0
+        next_boundary = None
+    else:
+        boundary_len = (refresh_cfg.phase_cycles
+                        if kind is SchemeKind.RPV else refresh_cfg.retention_cycles)
+        next_boundary = boundary_len
+
+    bank_busy = [0] * geometry.num_banks
+    event_cycles = [] if collect_refresh_events else None
+    miss_cost = timing.l2_hit_cycles + timing.dram_latency_cycles
+    unit_cpi = abs(timing.base_cpi - 1.0) < 1e-12
+
+    now = 0
+    cum_instr = 0
+    warmed = warmup_instructions == 0
+    interval_start_cycle = 0
+    interval_instr = 0
+    stats = IntervalStats(active_fraction=state.active_count / m_total)
+    intervals = []
+    decisions = []
+
+    def fire(at):
+        if kind is SchemeKind.BASELINE_EDRAM:
+            ev = refresh_all(state, refresh_cfg, at)
+        elif kind is SchemeKind.RPV:
+            ev = rpv_refresh(state, refresh_cfg,
+                             (at // refresh_cfg.phase_cycles) % refresh_cfg.phases, at)
+        else:
+            ev = valid_only_refresh(state, refresh_cfg, at)
+        for b, lines in enumerate(ev.per_bank_lines):
+            if lines:
+                bank_busy[b] = max(bank_busy[b], at) + lines
+        if warmed:
+            stats.refreshed_lines += ev.lines_refreshed
+        if event_cycles is not None:
+            event_cycles.append(at)
+
+    def close_interval(run_controller):
+        nonlocal stats, interval_start_cycle, interval_instr
+        stats.instructions = interval_instr
+        stats.elapsed_cycles = now - interval_start_cycle
+        if units is not None:
+            stats.prof_accesses = sum(u.accesses for u in units)
+        index = len(intervals)
+        intervals.append(IntervalRecord(index, state.active_count, stats,
+                                        interval_energy(stats, params, kind)))
+        carry_writebacks = carry_switched = 0
+        if run_controller:
+            decision = select(stats, units, state, refresh_cfg, ctrl_cfg, params)
+            report = apply(decision, state)
+            decisions.append(DecisionRecord(
+                interval=index, current=decision.current,
+                chosen=decision.chosen, fail_safe=decision.fail_safe,
+                switched_blocks=report.switched_blocks,
+                flush_writebacks=report.writebacks,
+                candidates=decision.candidates))
+            carry_writebacks = report.writebacks
+            carry_switched = report.switched_blocks
+            reset_interval(units)
+        interval_instr = 0
+        interval_start_cycle = now
+        stats = IntervalStats(active_fraction=state.active_count / m_total,
+                              dram_accesses=carry_writebacks,
+                              switched_blocks=carry_switched)
+
+    for gap, op, addr in zip(trace.gaps.tolist(), trace.ops.tolist(),
+                             trace.addrs.tolist()):
+        now += gap if unit_cpi else round(gap * timing.base_cpi)
+        cum_instr += gap
+        if warmed:
+            interval_instr += gap
+        elif cum_instr >= warmup_instructions:
+            warmed = True
+            interval_start_cycle = now
+            stats = IntervalStats(active_fraction=state.active_count / m_total)
+            if units is not None:
+                reset_interval(units)
+
+        is_write = op == Op.WRITE
+        _, set_index, _ = locate(state, addr)
+        bank = set_index // geometry.sets_per_bank
+        while True:
+            while next_boundary is not None and next_boundary <= now:
+                fire(next_boundary)
+                next_boundary += boundary_len
+            if bank_busy[bank] > now:
+                now = bank_busy[bank]
+                continue
+            break
+
+        res = access_block(state, is_write, addr, now)
+        if res.hit:
+            now += timing.l2_hit_cycles
+            if warmed:
+                stats.l2_hits += 1
+        else:
+            now += miss_cost
+            if warmed:
+                stats.l2_misses += 1
+                stats.dram_accesses += 1 + res.evicted_dirty
+                if not is_write:
+                    stats.load_misses += 1
+                    stats.memory_stall_cycles += miss_cost
+        block = addr // geometry.block_bytes
+        if units is not None and block % scheme.profiler_ratio == 0:
+            for unit in units:
+                unit.probe(block, is_write)
+
+        if warmed and interval_instr >= interval_instructions:
+            close_interval(run_controller=is_dcr)
+
+    if warmed and (interval_instr > 0 or stats.l2_hits or stats.l2_misses
+                   or stats.refreshed_lines or stats.dram_accesses
+                   or stats.switched_blocks):
+        close_interval(run_controller=False)
+
+    return RunReport.from_intervals(scheme, warmup_instructions, intervals,
+                                    decisions, event_cycles)

@@ -319,3 +319,34 @@ def test_seed_flag_overrides_config(config_file, tmp_path):
     with open(b, "rb") as fh:
         bb = fh.read()
     assert ba != bb
+
+
+def test_refresh_burst_longer_than_retention_is_config_error(tmp_path):
+    # 512-line banks against a 500-cycle period: the banks never go free
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG.replace("retention_period_us = 1",
+                                        "retention_period_us = 0.25"))
+    out = tmp_path / "outdir"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_rejects_refresh_period_below_bank_burst(tmp_path, monkeypatch):
+    # the demo's 1 MB banks hold 16384 lines; 7 us is 15400 cycles at 2.2 GHz
+    demo = os.path.join(os.path.dirname(__file__), "..", "configs", "demo.cfg")
+    calls = []
+    monkeypatch.setattr("edrsim.cli.compare", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--config", demo, "--out", str(out),
+               "--parameter", "refresh_period_us", "--values", "40,7"])
+    assert rc == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_sweep_rejects_non_numeric_values(config_file, tmp_path):
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--config", config_file, "--out", str(out),
+               "--parameter", "beta", "--values", "1,abc"])
+    assert rc == 2
+    assert not out.exists()

@@ -1,0 +1,183 @@
+"""The two-stage replay (functional pass, then timing pass) against the
+record-at-a-time reference in oracles.reference_run, bit for bit."""
+
+import itertools
+import random
+
+import pytest
+
+from oracles import reference_run, validate_state
+from edrsim.cache import (HIT, CacheGeometry, CacheState, Replay, access_block,
+                          locate, replay)
+from edrsim.controller import default_config
+from edrsim.energy import SchemeKind, builtin_params
+from edrsim.refresh import RefreshConfig
+from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams,
+                        check_refresh_fits, compare, fixed_replay, run)
+from edrsim.trace import PhaseSpec, SyntheticTraceSpec, generate_synthetic
+
+EDRAM = builtin_params("EDRAM_2MB", clock_ghz=2.0)
+SRAM = builtin_params("SRAM_2MB", clock_ghz=2.0)
+
+
+def _geometry(banks):
+    # 64 KB, 8-way, 1 KB pages: 8 colors, 128 sets, 1024 lines
+    return CacheGeometry(size_bytes=64 * 1024, associativity=8,
+                         page_bytes=1024, bank_bytes=64 * 1024 // banks)
+
+
+def _trace(seed):
+    # a working set that fits, then one that thrashes, with many writes
+    return generate_synthetic(SyntheticTraceSpec(
+        phases=[PhaseSpec(120_000, 24 * 1024, 0.4, 0.3),
+                PhaseSpec(120_000, 160 * 1024, 0.5, 0.2)],
+        rng_seed=seed, accesses_per_kilo_instr=25))
+
+
+def _scheme(kind, phases, geometry, interval):
+    refresh = RefreshConfig(1.0, 2.0, phases)  # 2000 cycles
+    if kind is SchemeKind.SRAM:
+        return SchemeSpec(kind=kind, energy=SRAM)
+    if kind is SchemeKind.DCR:
+        return SchemeSpec(kind=kind, refresh=refresh, profiler_ratio=2,
+                          controller=default_config(
+                              geometry, delta=4, interval_instructions=interval))
+    return SchemeSpec(kind=kind, refresh=refresh)
+
+
+_KINDS = [(SchemeKind.BASELINE_EDRAM, 1), (SchemeKind.RPV, 1),
+          (SchemeKind.RPV, 2), (SchemeKind.RPV, 4), (SchemeKind.SRAM, 1),
+          (SchemeKind.DCR, 1)]
+_WARMUPS = ["none", "default", "first record"]
+# every kind meets every warm-up, every CPI and every bank count
+_CASES = [(i, kind, phases, warmup) for i, ((kind, phases), warmup)
+          in enumerate(itertools.product(_KINDS, _WARMUPS))]
+
+
+def _case_id(case):
+    i, kind, phases, warmup = case
+    return f"{i}-{kind.value}-k{phases}-{warmup.replace(' ', '_')}"
+
+
+@pytest.mark.parametrize("case", _CASES, ids=_case_id)
+def test_run_matches_reference_run(case, monkeypatch):
+    i, kind, phases, warmup = case
+    if i % 2:  # replay and time in steps of a few hundred records
+        monkeypatch.setattr("edrsim.sim._BLOCK", 331)
+    k, w = divmod(i, len(_WARMUPS))
+    cpi = (1.0, 0.7, 1.5)[(k + w) % 3]
+    banks = (1, 2, 4)[(k + 2 * w) % 3]
+    interval = random.Random(i).choice((5_000, 10_000, 20_000))
+    geometry = _geometry(banks)
+    trace = _trace(seed=100 + i)
+    warmup_instructions = {"none": 0, "default": None,
+                           "first record": int(trace.gaps[0])}[warmup]
+    scheme = _scheme(kind, phases, geometry, interval)
+    timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
+    kwargs = dict(warmup_instructions=warmup_instructions,
+                  interval_instructions=interval, collect_refresh_events=True)
+
+    got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
+    want = reference_run(trace, scheme, geometry, timing, EDRAM, **kwargs)
+    assert got.to_dict() == want.to_dict()
+    assert got.refresh_event_cycles == want.refresh_event_cycles
+    if kind is SchemeKind.DCR:
+        assert len(got.decisions) > 5  # the controller acted many times
+
+
+def test_decision_on_the_last_record_opens_a_trailing_interval():
+    # 240k instructions close the last 4000-instruction interval on the last
+    # record; that decision switches colors and flushes dirty lines, which
+    # an interval of no instructions pays for
+    geometry = _geometry(2)
+    trace = _trace(seed=100)
+    scheme = _scheme(SchemeKind.DCR, 1, geometry, 4_000)
+    timing = TimingParams(clock_ghz=2.0)
+    got = run(trace, scheme, geometry, timing, EDRAM, warmup_instructions=0,
+              interval_instructions=4_000)
+    want = reference_run(trace, scheme, geometry, timing, EDRAM,
+                         warmup_instructions=0, interval_instructions=4_000)
+    assert got.to_dict() == want.to_dict()
+    last = got.intervals[-1].stats
+    assert last.instructions == 0 and last.elapsed_cycles == 0
+    assert last.switched_blocks == got.decisions[-1].switched_blocks > 0
+    assert last.dram_accesses == got.decisions[-1].flush_writebacks
+
+
+def test_compare_with_shared_replay_matches_reference_runs():
+    geometry = _geometry(2)
+    trace = _trace(seed=7)
+    timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
+    schemes = [_scheme(kind, phases, geometry, 10_000)
+               for kind, phases in _KINDS if phases in (1, 4)]
+    schemes[1].name = "rpv1"
+    report = compare(trace, schemes, geometry, timing, EDRAM,
+                     warmup_instructions=20_000, interval_instructions=10_000)
+    for spec in schemes:
+        want = reference_run(trace, spec, geometry, timing, EDRAM,
+                             warmup_instructions=20_000,
+                             interval_instructions=10_000)
+        assert report.reports[spec.name].to_dict() == want.to_dict(), spec.name
+
+
+def test_functional_replay_matches_access_block(small_geometry):
+    trace = _trace(seed=3)
+    writes = trace.ops == 1
+    fast = CacheState(small_geometry)
+    out = Replay(small_geometry, len(trace))
+    # in two chunks, to cover a start in the middle of the trace
+    half = len(trace) // 2
+    replay(fast, trace.addrs, writes, 0, half, out)
+    replay(fast, trace.addrs, writes, half, len(trace), out)
+
+    slow = CacheState(small_geometry)
+    ways = small_geometry.associativity
+    for i, (addr, is_write) in enumerate(zip(trace.addrs.tolist(),
+                                             writes.tolist())):
+        tags = list(slow.sets[locate(slow, addr)[1]])
+        res = access_block(slow, is_write, addr, 0)
+        assert bool(out.codes[i] & HIT) == res.hit
+        if res.hit:
+            assert out.slots[i] == res.set_index * ways + tags.index(res.tag)
+        else:
+            assert out.slots[i] == res.set_index * ways
+    assert fast.sets == slow.sets
+    assert fast.dirty == slow.dirty
+    assert fast.n_valid == slow.n_valid
+    assert fast.valid_by_bank == slow.valid_by_bank
+    assert validate_state(fast).ok
+
+
+def test_run_rejects_a_replay_of_another_trace_or_geometry():
+    geometry = _geometry(2)
+    trace = _trace(seed=1)
+    scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry, 10_000)
+    timing = TimingParams(clock_ghz=2.0)
+    with pytest.raises(ValueError, match="does not match"):
+        run(trace, scheme, geometry, timing, EDRAM,
+            replay=fixed_replay(trace, _geometry(4)))
+    with pytest.raises(ValueError, match="does not match"):
+        run(trace, scheme, geometry, timing, EDRAM,
+            replay=Replay(geometry, len(trace) - 1))
+    dcr = _scheme(SchemeKind.DCR, 1, geometry, 10_000)
+    with pytest.raises(ValueError, match="replays the trace itself"):
+        run(trace, dcr, geometry, timing, EDRAM,
+            replay=fixed_replay(trace, geometry))
+
+
+def test_refresh_burst_must_fit_in_the_retention_period():
+    # one bank of 1024 lines: a 1024-cycle period never frees it
+    geometry = _geometry(1)
+    fits = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
+                      refresh=RefreshConfig(0.5125, 2.0, 1))  # 1025 cycles
+    check_refresh_fits(fits, geometry)
+    for kind, phases in _KINDS:
+        if kind is SchemeKind.SRAM:
+            continue
+        tight = _scheme(kind, phases, geometry, 10_000)
+        tight.refresh = RefreshConfig(0.512, 2.0, phases)  # 1024 cycles
+        with pytest.raises(SchemeConfigError, match="1024-cycle"):
+            check_refresh_fits(tight, geometry)
+        with pytest.raises(SchemeConfigError):
+            run(_trace(seed=1), tight, geometry, TimingParams(clock_ghz=2.0),
+                EDRAM)
