@@ -14,13 +14,12 @@ number, so a block sits in at most one set, and the dirty bits and
 last-touch phases live in maps keyed by tag.
 
 `replay` is the functional pass of a simulation: it applies a run of trace
-records to the tag lists and writes each record's outcome into compact
-columns (a `Replay`), which the timing pass in `sim.run` then reads. Hits,
+records to the tag lists and writes each record's outcome into a code byte
+(a `Replay`), which the timing pass in `sim.run` then reads. Hits,
 misses and evictions do not depend on time, so one replay serves every
 scheme that never remaps the cache.
 """
 
-from array import array
 from dataclasses import dataclass
 
 
@@ -156,15 +155,10 @@ class CacheState:
         self.valid_by_bank = [0] * geometry.num_banks
         k = phase_clock.phases if phase_clock else 1
         self.valid_by_bank_phase = [[0] * k for _ in range(geometry.num_banks)]
-        self._blocks_per_page = geometry.page_bytes // geometry.block_bytes
 
     @property
     def active_count(self) -> int:
         return len(self.active_colors)
-
-    def region_of_tag(self, tag: int) -> int:
-        # tags are full block numbers, so the region is recoverable
-        return (tag // self._blocks_per_page) % self.geometry.color_count
 
 
 def locate(state: CacheState, address: int) -> tuple[int, int, int]:
@@ -238,15 +232,16 @@ WRITE = 8
 class Replay:
     """Outcome columns of a functional replay, one entry per trace record.
 
-    `codes` holds the HIT/EVICTED/DIRTY_VICTIM/WRITE bits; `slots` holds
-    set_index * associativity + pos, where pos is the hit tag's position in
-    its set's least-recent-first list before the access, or 0 on a fill.
+    `codes` holds the HIT/EVICTED/DIRTY_VICTIM/WRITE bits, one byte per
+    record. `last_touch` is left for the timing pass to fill once (see
+    `sim.last_touch`): RPV's per-record index of the record that last touched
+    the line a hit or an eviction takes.
     """
 
     def __init__(self, geometry: CacheGeometry, records: int):
         self.geometry = geometry
         self.codes = bytearray(records)
-        self.slots = array("I", [0]) * records
+        self.last_touch = None
 
     def __len__(self):
         return len(self.codes)
@@ -279,7 +274,6 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     dirty = state.dirty
     valid_by_bank = state.valid_by_bank
     codes = out.codes
-    slots = out.slots
     fills = 0
     for i, addr, is_write in zip(range(lo, hi), addrs[lo:hi].tolist(),
                                  writes[lo:hi].tolist()):
@@ -287,15 +281,13 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
         set_index = first_set[(addr >> page_shift) & region_mask] + (tag & within_mask)
         tags = sets[set_index]
         if tag in tags:
-            pos = tags.index(tag)
-            del tags[pos]
+            tags.remove(tag)
             tags.append(tag)
             if is_write:
                 dirty.add(tag)
                 codes[i] = HIT | WRITE
             else:
                 codes[i] = HIT
-            slots[i] = set_index * ways + pos
         else:
             if len(tags) == ways:
                 victim = tags.pop(0)
@@ -313,7 +305,6 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
                 dirty.add(tag)
                 code |= WRITE
             codes[i] = code
-            slots[i] = set_index * ways
         if units is not None and not tag % ratio:
             for unit in units:
                 unit.probe(tag, is_write)
@@ -323,26 +314,39 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
 def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[int, int]:
     """Invalidate the lines of a color, or only those of one region in it.
 
-    Returns (flushed lines, writebacks of dirty ones).
+    The surviving tags keep their order. Returns (flushed lines, writebacks
+    of dirty ones).
     """
     g = state.geometry
+    sets_per_color = g.sets_per_color
+    sets_per_bank = g.sets_per_bank
+    page_shift = sets_per_color.bit_length() - 1  # tag >> page_shift = page
+    region_mask = g.color_count - 1
+    dirty = state.dirty
+    phase_of_tag = state.phase_of_tag
     flushed = writebacks = 0
-    start = color * g.sets_per_color
-    for set_index in range(start, start + g.sets_per_color):
+    start = color * sets_per_color
+    for set_index in range(start, start + sets_per_color):
         tags = state.sets[set_index]
-        gone = [t for t in tags
-                if region is None or state.region_of_tag(t) == region]
+        if region is None:
+            gone = tags[:]
+            tags.clear()
+        else:
+            gone = [t for t in tags if (t >> page_shift) & region_mask == region]
+            if gone:
+                tags[:] = [t for t in tags
+                           if (t >> page_shift) & region_mask != region]
         if not gone:
             continue
-        bank = set_index // g.sets_per_bank
-        for tag in gone:
-            tags.remove(tag)
-            if tag in state.dirty:
-                state.dirty.remove(tag)
-                writebacks += 1
-            phase = state.phase_of_tag.pop(tag, None)
-            if phase is not None:
-                state.valid_by_bank_phase[bank][phase] -= 1
+        bank = set_index // sets_per_bank
+        stale = dirty.intersection(gone)
+        writebacks += len(stale)
+        dirty -= stale
+        if phase_of_tag:
+            for tag in gone:
+                phase = phase_of_tag.pop(tag, None)
+                if phase is not None:
+                    state.valid_by_bank_phase[bank][phase] -= 1
         flushed += len(gone)
         state.n_valid -= len(gone)
         state.valid_by_bank[bank] -= len(gone)

@@ -9,11 +9,19 @@ burst to finish. Metrics accumulate only after the warm-up window.
 
 A run has two stages, as in gem5's atomic and timing CPUs. The functional
 pass (`cache.replay`) decides each record's hit, eviction and dirty victim
-and writes them to compact columns; the timing pass in `run` reads the
-columns and adds cycles, refresh bursts and bank waits. The functional pass
+and writes them to a code byte per record; the timing pass in `run` turns
+the codes into cycles, refresh bursts and bank waits. The functional pass
 does not depend on time, so baseline, RPV and SRAM share one
 (`fixed_replay`); DCR replays each interval only after the controller has
 acted on the previous one.
+
+The timing pass is event-driven. Per segment of records it computes with
+numpy the cycle at which each record would check for refresh if nothing
+waited, and steps in Python only to the records where a refresh boundary
+falls due or the record's bank is busy. Between two such records no event
+fires and no record waits, so the counters an event reads (DCR's valid
+lines per bank, RPV's valid lines per bank and last-touch phase) are
+brought up to date in bulk.
 """
 
 from dataclasses import asdict, dataclass, field, fields
@@ -190,8 +198,9 @@ def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
             f"cycles, which does not fit in the {period}-cycle retention period")
 
 
-# the most records one step of a replay turns into Python objects
-_BLOCK = 1 << 16
+# the most records one step of a replay turns into Python objects or numpy
+# columns; at 8192 they add about 0.4 MB to the cache state's memory
+_BLOCK = 1 << 13
 
 
 def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
@@ -206,6 +215,69 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     writes = trace.ops == Op.WRITE
     for lo in range(0, n, _BLOCK):
         _cache.replay(state, trace.addrs, writes, lo, min(lo + _BLOCK, n), out)
+    return out
+
+
+def _banks(addrs: np.ndarray, geometry: CacheGeometry,
+           mapping: list[int]) -> np.ndarray:
+    """The bank of each byte address's set, with the set found as
+    `cache.locate` finds it under `mapping` (region -> color)."""
+    g = geometry
+    blocks = (addrs >> (g.block_bytes.bit_length() - 1)).astype(np.int64)
+    sets = blocks & (g.sets_per_color - 1)  # the set within the color
+    blocks >>= g.sets_per_color.bit_length() - 1  # the page ...
+    blocks &= g.color_count - 1  # ... and its region
+    sets += (np.asarray(mapping, dtype=np.int64) * g.sets_per_color)[blocks]
+    sets //= g.sets_per_bank
+    return sets
+
+
+def last_touch(replay: Replay, addrs: np.ndarray) -> np.ndarray:
+    """For each record of a fixed replay, the index of the record that last
+    touched the line it hits or evicts; -1 for a fill of a free way.
+
+    A hit's line was last touched by the previous access to its block. A
+    set of a cache that never remaps or invalidates loses lines only to LRU
+    evictions, and those take lines in the order of their last touch: the
+    k-th eviction in a set takes the k-th touch in that set, in record
+    order, that is not followed by a hit to the same block.
+    """
+    g = replay.geometry
+    n = len(replay)
+    index = np.min_scalar_type(-n)
+    codes = np.frombuffer(replay.codes, dtype=np.uint8)
+    hit = (codes & HIT) != 0
+    blocks = addrs >> (g.block_bytes.bit_length() - 1)
+    # the narrowest key that also holds a set index sorts in the least memory
+    blocks = blocks.astype(np.min_scalar_type(max(int(blocks.max()),
+                                                  g.total_sets)))
+    order = np.argsort(blocks, kind="stable").astype(index)
+    sorted_blocks = blocks[order]
+    same = sorted_blocks[1:] == sorted_blocks[:-1]
+    del sorted_blocks
+    # under the identity mapping a block's set is its number modulo the sets
+    blocks &= g.total_sets - 1
+    sets = blocks.astype(np.min_scalar_type(g.total_sets - 1))
+    del blocks
+    earlier, later = order[:-1][same], order[1:][same]
+    del order, same
+    hit_later = hit[later]
+    out = np.full(n, -1, dtype=index)
+    out[later[hit_later]] = earlier[hit_later]
+    final = np.ones(n, dtype=bool)  # no hit to the block follows
+    final[earlier] = ~hit_later
+    del earlier, later, hit_later
+
+    finals = np.flatnonzero(final)
+    finals = finals[np.argsort(sets[finals], kind="stable")]
+    evictions = np.flatnonzero(codes & EVICTED)
+    evictions = evictions[np.argsort(sets[evictions], kind="stable")]
+    final_sets, eviction_sets = sets[finals], sets[evictions]
+    # an eviction's rank among its set's evictions picks the final touch of
+    # the same rank in that set
+    rank = np.arange(len(evictions)) - np.searchsorted(eviction_sets,
+                                                       eviction_sets)
+    out[evictions] = finals[np.searchsorted(final_sets, eviction_sets) + rank]
     return out
 
 
@@ -335,13 +407,10 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
             raise ValueError(
                 f"replay of {len(replay)} records on {replay.geometry} does "
                 f"not match this trace of {n} records on {geometry}")
-    codes = replay.codes
-    slots = replay.slots
+    codes = np.frombuffer(replay.codes, dtype=np.uint8)
 
     num_banks = geometry.num_banks
-    lines_per_bank = geometry.total_lines // num_banks  # slot // this = bank
-    ways = geometry.associativity
-    way_bits = ways.bit_length() - 1
+    identity = list(range(m_total))  # the mapping of a fixed replay
     bank_busy = [0] * num_banks
     busy_max = 0  # no bank is busy at or after this cycle
     event_cycles: list[int] | None = [] if collect_refresh_events else None
@@ -354,15 +423,17 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         next_boundary = boundary_len
     # the lines a refresh event covers in each bank: every line for the
     # baseline, DCR's running valid counts, RPV's count for the due phase
-    per_bank = [lines_per_bank] * num_banks
+    per_bank = [geometry.total_lines // num_banks] * num_banks
     phase = 0  # RPV: the phase of the current cycle
     if is_rpv:
         k_phases = refresh_cfg.phases
-        phase_counts = [[0] * k_phases for _ in range(num_banks)]
-        # each set's last-touch phases, in the order of its tags
-        set_phases = [[] for _ in range(geometry.total_sets)]
-        counts_of_set = [phase_counts[s // geometry.sets_per_bank]
-                         for s in range(geometry.total_sets)]
+        # valid lines by bank and last-touch phase, at bank * k_phases +
+        # phase, and the phase each record touches its line in
+        phase_counts = np.zeros(num_banks * k_phases, dtype=np.int64)
+        record_phase = np.zeros(n, dtype=np.min_scalar_type(k_phases - 1))
+        if replay.last_touch is None:
+            replay.last_touch = last_touch(replay, trace.addrs)
+        touched_by = replay.last_touch
 
     hit_cycles = timing.l2_hit_cycles
     miss_cost = hit_cycles + timing.dram_latency_cycles
@@ -381,33 +452,88 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     decisions: list[DecisionRecord] = []
 
     for lo, hi, closes, instructions in segments:
-        cycles = trace.gaps[lo:hi].tolist()
-        if scale_gaps:
-            cycles = [round(gap * base_cpi) for gap in cycles]
-        if lo == warm_at:  # metrics start with this record
-            hits = misses = load_misses = writebacks = refreshed = 0
-            interval_start = now + cycles[0]
-            interval_base = warm_base
-            if units is not None:
-                reset_interval(units)
-        if is_dcr:
-            per_bank = list(state.valid_by_bank)
-            _cache.replay(state, trace.addrs, writes, lo, hi, replay, units,
-                          scheme.profiler_ratio)
+        if hi > lo:
+            gaps = trace.gaps[lo:hi]
+            if scale_gaps:
+                cycles = np.rint(gaps * base_cpi).astype(np.int64)
+            else:
+                cycles = gaps.astype(np.int64)
+            if lo == warm_at:  # metrics start with this record
+                hits = misses = load_misses = writebacks = refreshed = 0
+                interval_start = now + int(cycles[0])
+                interval_base = warm_base
+                if units is not None:
+                    reset_interval(units)
+            banks = _banks(trace.addrs[lo:hi], geometry,
+                           state.mapping if is_dcr else identity)
+            if is_dcr:
+                per_bank = list(state.valid_by_bank)
+                _cache.replay(state, trace.addrs, writes, lo, hi, replay, units,
+                              scheme.profiler_ratio)
+            code = codes[lo:hi]
+            hit = (code & HIT) != 0
+            touched = (code & (HIT | EVICTED)) != 0  # else a fill of a free way
+            count = hi - lo
+            n_hits = int(np.count_nonzero(hit))
+            hits += n_hits
+            misses += count - n_hits
+            writebacks += int(np.count_nonzero(code & DIRTY_VICTIM))
+            load_misses += int(np.count_nonzero((code & (HIT | WRITE)) == 0))
 
-        for i, dt, code in zip(range(lo, hi), cycles, codes[lo:hi]):
-            now += dt
-            # fire due refresh events, then wait out any burst on our bank;
-            # a wait can cross the next boundary, so settle both together
-            if now >= next_boundary or now < busy_max:
-                bank = slots[i] // lines_per_bank
+            # each record's cycle before its refresh check, if none waits:
+            # the gaps so far plus the costs of the records before it
+            cost = np.where(hit, hit_cycles, miss_cost)
+            cycles[1:] += cost[:-1]
+            ready = np.cumsum(cycles)
+            ready += now
+            # a record gates if a refresh boundary is due by its cycle or its
+            # bank is busy then; between gates nothing fires and none waits,
+            # and a gate's wait delays every later record of the segment
+            delay = 0
+            scan = done = 0
+            while True:
+                rest = ready[scan:]
+                gate = scan + int(np.searchsorted(rest, next_boundary - delay))
+                if scan < gate and ready[scan] + delay < busy_max:
+                    end = scan + int(np.searchsorted(rest, busy_max - delay))
+                    end = min(end, gate)
+                    busy = (np.array(bank_busy)[banks[scan:end]]
+                            > ready[scan:end] + delay)
+                    first = int(busy.argmax())
+                    if busy[first]:
+                        gate = scan + first
+                # bring the counters an event reads up to date before the
+                # gate; records [done, gate) touch their lines in this phase
+                if is_rpv and gate > done:
+                    record_phase[lo + done:lo + gate] = phase
+                    chunk = banks[done:gate]
+                    phase_counts[phase::k_phases] += np.bincount(
+                        chunk, minlength=num_banks)
+                    # a hit or an eviction takes a line from the phase of
+                    # the record that last touched it
+                    old = touched[done:gate]
+                    lost = (chunk[old] * k_phases
+                            + record_phase[touched_by[lo + done:lo + gate][old]])
+                    phase_counts -= np.bincount(lost,
+                                                minlength=len(phase_counts))
+                elif is_dcr and gate > done:
+                    fills = np.bincount(banks[done:gate][~touched[done:gate]],
+                                        minlength=num_banks)
+                    per_bank = [v + f for v, f in zip(per_bank, fills.tolist())]
+                if gate == count:
+                    break
+                done = gate
+                now = int(ready[gate]) + delay
+                bank = int(banks[gate])
+                # fire due refresh events, then wait out any burst on our
+                # bank; a wait can cross the next boundary, so settle both
                 while True:
                     while next_boundary <= now:
                         at = next_boundary
                         next_boundary += boundary_len
                         if is_rpv:
                             phase = (at // boundary_len) % k_phases
-                            per_bank = [c[phase] for c in phase_counts]
+                            per_bank = phase_counts[phase::k_phases].tolist()
                         for b, lines in enumerate(per_bank):
                             if lines:
                                 start = bank_busy[b]
@@ -420,36 +546,9 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                         now = bank_busy[bank]
                     else:
                         break
-
-            if code & HIT:
-                if is_rpv:  # the line moves to the MRU end, touched now
-                    slot = slots[i]
-                    lst = set_phases[slot >> way_bits]
-                    old = lst.pop(slot & (ways - 1))
-                    if old != phase:
-                        counts = counts_of_set[slot >> way_bits]
-                        counts[old] -= 1
-                        counts[phase] += 1
-                    lst.append(phase)
-                now += hit_cycles
-                hits += 1
-            else:
-                if is_rpv:
-                    slot = slots[i]
-                    lst = set_phases[slot >> way_bits]
-                    counts = counts_of_set[slot >> way_bits]
-                    if code & EVICTED:
-                        counts[lst.pop(0)] -= 1
-                    lst.append(phase)
-                    counts[phase] += 1
-                elif is_dcr and not code & EVICTED:  # a fill of a free way
-                    per_bank[slots[i] // lines_per_bank] += 1
-                now += miss_cost
-                misses += 1
-                if code & DIRTY_VICTIM:
-                    writebacks += 1
-                if not code & WRITE:
-                    load_misses += 1
+                delay = now - int(ready[gate])
+                scan = gate + 1
+            now = int(ready[-1]) + delay + int(cost[-1])
 
         if closes or hi == n:
             stats = IntervalStats(

@@ -193,6 +193,27 @@ _REUSE_WINDOW = 32
 _PHASE_STRIDE_BLOCKS = 1 << 26
 
 
+def _reuse_sources(reuse: np.ndarray, widx: np.ndarray) -> np.ndarray:
+    """The record whose fresh block each record ends up touching.
+
+    A reused record re-touches the block at slot `widx % filled` of a ring
+    of the last _REUSE_WINDOW blocks: record w % j while the ring is
+    filling (j <= _REUSE_WINDOW), else the most recent record before j that
+    is congruent to w modulo the ring size. Following those links until
+    they stop changing (pointer jumping) reaches a record that drew its own
+    block. The first record has nothing to re-touch.
+    """
+    j = np.arange(len(reuse), dtype=np.int64)
+    src = np.where(j <= _REUSE_WINDOW, widx % np.maximum(j, 1),
+                   j - 1 - (j - 1 - widx) % _REUSE_WINDOW)
+    src = np.where(reuse & (j > 0), src, j)
+    while True:
+        nxt = src[src]
+        if np.array_equal(nxt, src):
+            return src
+        src = nxt
+
+
 def generate_synthetic(spec: SyntheticTraceSpec) -> TraceArrays:
     """Generate a deterministic trace from a phase-structured spec.
 
@@ -219,28 +240,7 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> TraceArrays:
         widx = rng.integers(0, _REUSE_WINDOW, size=n, dtype=np.int64)
         writes = rng.random(n) < phase.write_fraction
 
-        if phase.reuse_locality == 0.0:
-            blocks = uniform
-        else:
-            blocks = np.empty(n, dtype=np.int64)
-            window = [0] * _REUSE_WINDOW
-            filled = 0
-            wpos = 0
-            u_list = uniform.tolist()
-            r_list = reuse.tolist()
-            w_list = widx.tolist()
-            out = blocks  # local alias
-            for j in range(n):
-                if r_list[j] and filled:
-                    b = window[w_list[j] % filled]
-                else:
-                    b = u_list[j]
-                out[j] = b
-                window[wpos] = b
-                wpos = (wpos + 1) % _REUSE_WINDOW
-                if filled < _REUSE_WINDOW:
-                    filled += 1
-
+        blocks = uniform[_reuse_sources(reuse, widx)]
         addrs = (blocks.astype(np.uint64) + np.uint64(base_block)) * np.uint64(block)
         gap_chunks.append(gaps)
         op_chunks.append(writes.astype(np.uint8))

@@ -10,6 +10,8 @@ record-at-a-time replay that `sim.run`'s two-stage replay must match.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from edrsim.cache import CacheGeometry, CacheState, access_block, locate
 from edrsim.controller import apply, select
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
@@ -125,7 +127,8 @@ def validate_state(state: CacheState) -> OracleVerdict:
             if color not in state.active_colors:
                 return OracleVerdict(False, f"valid line in inactive color "
                                      f"{color} (set {set_index} tag {tag:#x})")
-            region = state.region_of_tag(tag)
+            # tags are full block numbers, so the region is recoverable
+            region = (tag // (g.page_bytes // g.block_bytes)) % m_total
             if state.mapping[region] != color:
                 return OracleVerdict(False, f"stale line: region {region} maps "
                                      f"to {state.mapping[region]} but line sits "
@@ -241,6 +244,47 @@ def timeline_oracle(records, policy: str, config: RefreshConfig,
         if bad:
             return bad
     return TimelineVerdict(True)
+
+
+def last_touch_mirror(trace, geometry: CacheGeometry) -> list[int]:
+    """`sim.last_touch` record by record: a per-set list of record indices
+    kept in the order of `access_block`'s tag list, so a hit or an eviction
+    reads the index of the record that last touched its line."""
+    state = CacheState(geometry)
+    mirror: list[list[int]] = [[] for _ in range(geometry.total_sets)]
+    out = []
+    for i, (op, addr) in enumerate(zip(trace.ops.tolist(),
+                                       trace.addrs.tolist())):
+        _, set_index, tag = locate(state, addr)
+        before = list(state.sets[set_index])
+        indices = mirror[set_index]
+        res = access_block(state, op == Op.WRITE, addr, 0)
+        if res.hit:
+            out.append(indices.pop(before.index(tag)))
+        elif len(before) == geometry.associativity:
+            out.append(indices.pop(0))
+        else:
+            out.append(-1)
+        indices.append(i)
+    return out
+
+
+def reuse_window(uniform, reuse, widx):
+    """`trace.generate_synthetic`'s reuse window, one record at a time: a
+    reused record re-touches the block at slot widx % filled of a ring of
+    the last 32 blocks."""
+    window = [0] * 32
+    filled = 0
+    wpos = 0
+    out = []
+    for u, r, w in zip(uniform.tolist(), reuse.tolist(), widx.tolist()):
+        b = window[w % filled] if r and filled else u
+        out.append(b)
+        window[wpos] = b
+        wpos = (wpos + 1) % 32
+        if filled < 32:
+            filled += 1
+    return np.array(out, dtype=np.int64)
 
 
 def reference_run(trace, scheme, geometry, timing, params,

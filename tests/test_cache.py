@@ -191,6 +191,32 @@ def test_reconfigure_counts_flushes_and_writebacks(small_geometry):
     assert verdict.ok, verdict.first_divergence
 
 
+def test_region_pull_keeps_survivors_in_lru_order(small_geometry):
+    g = small_geometry
+    state = CacheState(g)
+    reconfigure(state, range(g.color_count // 2))  # two regions per color
+    rng = random.Random(4)
+    for i in range(3000):
+        access_block(state, rng.random() < 0.4,
+                     rng.randrange(4 * g.total_lines) * g.block_bytes, i)
+    before = [list(tags) for tags in state.sets]
+    dirty = set(state.dirty)
+    # each new color pulls a region out of an old one
+    report = reconfigure(state, range(g.color_count))
+    flushed = writebacks = 0
+    for set_index, tags in enumerate(before):
+        color = set_index // g.sets_per_color
+        kept = [t for t in tags if state.mapping[
+            (t // (g.page_bytes // g.block_bytes)) % g.color_count] == color]
+        assert state.sets[set_index] == kept
+        flushed += len(tags) - len(kept)
+        writebacks += len(dirty.intersection(tags) - set(kept))
+    assert report.flushed_lines == flushed > 0
+    assert report.writebacks == writebacks > 0
+    verdict = validate_state(state)
+    assert verdict.ok, verdict.first_divergence
+
+
 def test_switched_blocks_64_to_32_colors():
     g = CacheGeometry(2 * 1024 * 1024, 8)
     state = CacheState(g)

@@ -4,17 +4,23 @@ record-at-a-time reference in oracles.reference_run, bit for bit."""
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import reference_run, validate_state
-from edrsim.cache import (HIT, CacheGeometry, CacheState, Replay, access_block,
-                          locate, replay)
+import oracles
+from oracles import last_touch_mirror, reference_run, validate_state
+from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
+                          CacheState, Replay, access_block, locate, replay)
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams,
-                        check_refresh_fits, compare, fixed_replay, run)
-from edrsim.trace import PhaseSpec, SyntheticTraceSpec, generate_synthetic
+                        check_refresh_fits, compare, fixed_replay, last_touch,
+                        run)
+from edrsim.trace import (PhaseSpec, SyntheticTraceSpec, TraceArrays,
+                          generate_synthetic)
 
 EDRAM = builtin_params("EDRAM_2MB", clock_ghz=2.0)
 SRAM = builtin_params("SRAM_2MB", clock_ghz=2.0)
@@ -50,29 +56,59 @@ _KINDS = [(SchemeKind.BASELINE_EDRAM, 1), (SchemeKind.RPV, 1),
           (SchemeKind.DCR, 1)]
 _WARMUPS = ["none", "default", "first record"]
 # every kind meets every warm-up, every CPI and every bank count
-_CASES = [(i, kind, phases, warmup) for i, ((kind, phases), warmup)
+_CASES = [(i, kind, phases, warmup, "") for i, ((kind, phases), warmup)
           in enumerate(itertools.product(_KINDS, _WARMUPS))]
+# and the timing pass's corner cases: gaps that span several refresh periods,
+# so one record fires several events; RPV bursts on one bank that last a
+# whole phase; segments of a few records
+_CASES += [(18 + j, kind, phases, warmup, variant)
+           for j, (kind, phases, warmup, variant) in enumerate([
+               (SchemeKind.BASELINE_EDRAM, 1, "default", "sparse"),
+               (SchemeKind.RPV, 4, "none", "sparse"),
+               (SchemeKind.DCR, 1, "default", "sparse"),
+               (SchemeKind.RPV, 4, "default", "long burst"),
+               (SchemeKind.RPV, 2, "first record", "tiny block"),
+               (SchemeKind.DCR, 1, "none", "tiny block")])]
 
 
 def _case_id(case):
-    i, kind, phases, warmup = case
-    return f"{i}-{kind.value}-k{phases}-{warmup.replace(' ', '_')}"
+    i, kind, phases, warmup, variant = case
+    name = f"{i}-{kind.value}-k{phases}-{warmup}" + (
+        f"-{variant}" if variant else "")
+    return name.replace(" ", "_")
 
 
 @pytest.mark.parametrize("case", _CASES, ids=_case_id)
 def test_run_matches_reference_run(case, monkeypatch):
-    i, kind, phases, warmup = case
-    if i % 2:  # replay and time in steps of a few hundred records
+    i, kind, phases, warmup, variant = case
+    if variant == "tiny block":
+        monkeypatch.setattr("edrsim.sim._BLOCK", 5)
+    elif i % 2:  # replay and time in steps of a few hundred records
         monkeypatch.setattr("edrsim.sim._BLOCK", 331)
     k, w = divmod(i, len(_WARMUPS))
     cpi = (1.0, 0.7, 1.5)[(k + w) % 3]
-    banks = (1, 2, 4)[(k + 2 * w) % 3]
+    banks = 1 if variant == "long burst" else (1, 2, 4)[(k + 2 * w) % 3]
     interval = random.Random(i).choice((5_000, 10_000, 20_000))
     geometry = _geometry(banks)
     trace = _trace(seed=100 + i)
+    if variant == "sparse":  # every 97th gap spans 3-7 refresh periods
+        trace.gaps[::97] += 9_000
     warmup_instructions = {"none": 0, "default": None,
                            "first record": int(trace.gaps[0])}[warmup]
     scheme = _scheme(kind, phases, geometry, interval)
+    bursts = []
+    if variant == "long burst":
+        # 1028 cycles for 1024 lines: a phase is 257 cycles, about the
+        # lines one phase's burst refreshes, so a burst holds the bank up to
+        # the next boundary and a wait on it runs into the next event
+        scheme.refresh = RefreshConfig(0.514, 2.0, phases)
+
+        def rpv_refresh(*args):
+            event = real_rpv_refresh(*args)
+            bursts.append(event.lines_refreshed)
+            return event
+        real_rpv_refresh = oracles.rpv_refresh
+        monkeypatch.setattr(oracles, "rpv_refresh", rpv_refresh)
     timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
     kwargs = dict(warmup_instructions=warmup_instructions,
                   interval_instructions=interval, collect_refresh_events=True)
@@ -83,6 +119,8 @@ def test_run_matches_reference_run(case, monkeypatch):
     assert got.refresh_event_cycles == want.refresh_event_cycles
     if kind is SchemeKind.DCR:
         assert len(got.decisions) > 5  # the controller acted many times
+    if variant == "long burst":
+        assert max(bursts) >= scheme.refresh.phase_cycles
 
 
 def test_decision_on_the_last_record_opens_a_trailing_interval():
@@ -134,18 +172,55 @@ def test_functional_replay_matches_access_block(small_geometry):
     ways = small_geometry.associativity
     for i, (addr, is_write) in enumerate(zip(trace.addrs.tolist(),
                                              writes.tolist())):
-        tags = list(slow.sets[locate(slow, addr)[1]])
+        full = len(slow.sets[locate(slow, addr)[1]]) == ways
         res = access_block(slow, is_write, addr, 0)
-        assert bool(out.codes[i] & HIT) == res.hit
-        if res.hit:
-            assert out.slots[i] == res.set_index * ways + tags.index(res.tag)
-        else:
-            assert out.slots[i] == res.set_index * ways
+        want = ((HIT if res.hit else EVICTED if full else 0)
+                | (DIRTY_VICTIM if res.evicted_dirty else 0)
+                | (WRITE if is_write else 0))
+        assert out.codes[i] == want, i
     assert fast.sets == slow.sets
     assert fast.dirty == slow.dirty
     assert fast.n_valid == slow.n_valid
     assert fast.valid_by_bank == slow.valid_by_bank
     assert validate_state(fast).ok
+
+
+@pytest.mark.parametrize("span", [None, 10, 1 << 34])
+def test_last_touch_matches_a_per_set_mirror(span, small_geometry,
+                                             geometry_2mb):
+    if span is None:
+        geometry, trace = small_geometry, _trace(seed=5)
+    else:
+        # on 4096 sets: fewer distinct blocks than sets, or block numbers
+        # past 32 bits; all in sets 0-7, so that they evict each other
+        geometry = geometry_2mb
+        rng = np.random.default_rng(span % 1000)
+        pool = rng.integers(0, span, 200)
+        pool += rng.integers(0, 8, 200) - pool % geometry.total_sets
+        n = 3_000
+        trace = TraceArrays(gaps=np.ones(n, dtype=np.uint32),
+                            ops=(rng.random(n) < 0.3).astype(np.uint8),
+                            addrs=rng.choice(pool, n).astype(np.uint64) * 64)
+    got = last_touch(fixed_replay(trace, geometry), trace.addrs)
+    assert got.tolist() == last_touch_mirror(trace, geometry)
+    assert (got >= 0).sum() > len(trace) // 2  # mostly hits and evictions
+
+
+@settings(max_examples=150, deadline=None)
+@given(ways=st.sampled_from([2, 4]), colors=st.sampled_from([2, 4]),
+       banks=st.sampled_from([1, 2]),
+       accesses=st.lists(st.tuples(st.integers(0, 47), st.booleans()),
+                         min_size=1, max_size=120))
+def test_last_touch_property_on_tiny_caches(ways, colors, banks, accesses):
+    # 128 B pages of two 64 B blocks: 2 sets per color, 4-8 sets in all
+    geometry = CacheGeometry(size_bytes=colors * 128 * ways, associativity=ways,
+                             page_bytes=128, bank_bytes=colors * 128 * ways // banks)
+    blocks, writes = zip(*accesses)
+    trace = TraceArrays(gaps=np.ones(len(blocks), dtype=np.uint32),
+                        ops=np.array(writes, dtype=np.uint8),
+                        addrs=np.array(blocks, dtype=np.uint64) * 64)
+    got = last_touch(fixed_replay(trace, geometry), trace.addrs)
+    assert got.tolist() == last_touch_mirror(trace, geometry)
 
 
 def test_run_rejects_a_replay_of_another_trace_or_geometry():

@@ -4,11 +4,12 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import reuse_window
 from edrsim.cache import CacheGeometry, CacheState, access_block
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec,
                           TraceArrays, TraceError, TraceHeader, TraceRecord,
-                          generate_synthetic, read_trace_arrays,
-                          write_trace_arrays)
+                          _reuse_sources, generate_synthetic,
+                          read_trace_arrays, write_trace_arrays)
 
 
 def test_empty_trace_round_trip():
@@ -151,6 +152,18 @@ def test_reuse_locality_biases_toward_recent_blocks():
     cold = generate_synthetic(SyntheticTraceSpec(
         phases=[PhaseSpec(200_000, 1024 * 1024, 0.0, 0.0)], rng_seed=6))
     assert len(set(hot.addrs.tolist())) < len(set(cold.addrs.tolist()))
+
+
+@pytest.mark.parametrize("reuse", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 7, 31, 32, 33, 4000])
+def test_reuse_window_matches_the_record_loop(reuse, n):
+    # draws as generate_synthetic makes them for a phase of n records
+    rng = np.random.default_rng(n)
+    uniform = rng.integers(0, 1000, size=n, dtype=np.int64)
+    reused = rng.random(n) < reuse
+    widx = rng.integers(0, 32, size=n, dtype=np.int64)
+    got = uniform[_reuse_sources(reused, widx)]
+    assert np.array_equal(got, reuse_window(uniform, reused, widx))
 
 
 def test_replay_oracle_small_working_set_fits():
