@@ -10,8 +10,8 @@ lookups consistent and the per-bank valid counters exact.
 
 Each set is a list of resident tags, least recent first: the same LRU stack
 the profiling units keep (Mattson et al., 1970). A tag is a full block
-number, so a block sits in at most one set, and the dirty bits and
-last-touch phases live in maps keyed by tag.
+number, so a block sits in at most one set, and the dirty bits live in a set
+of tags.
 
 `replay` is the functional pass of a simulation: it applies a run of trace
 records to the tag lists and writes each record's outcome into a code byte
@@ -21,6 +21,8 @@ scheme that never remaps the cache.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class GeometryError(ValueError):
@@ -98,26 +100,6 @@ def lines_at(geometry: CacheGeometry, colors: int) -> int:
     return colors * geometry.lines_per_color
 
 
-@dataclass(frozen=True)
-class PhaseClock:
-    """Maps cycles to retention-phase indices (used by the polyphase policy)."""
-
-    cycles_per_phase: int
-    phases: int
-
-    def phase_of(self, cycle: int) -> int:
-        return (cycle // self.cycles_per_phase) % self.phases
-
-
-@dataclass(slots=True)
-class AccessResult:
-    hit: bool
-    evicted_dirty: bool
-    is_load_miss: bool
-    set_index: int
-    tag: int
-
-
 @dataclass
 class ReconfigReport:
     flushed_lines: int
@@ -129,9 +111,8 @@ class CacheState:
     """Mutable cache state owned by a single simulation instance."""
 
     def __init__(self, geometry: CacheGeometry, active_colors=None,
-                 phase_clock: PhaseClock | None = None, min_colors: int = 1):
+                 min_colors: int = 1):
         self.geometry = geometry
-        self.phase_clock = phase_clock
         self.min_colors = min_colors
         m_total = geometry.color_count
         if active_colors is None:
@@ -149,77 +130,12 @@ class CacheState:
         # resident tags of each set, least recent first
         self.sets: list[list[int]] = [[] for _ in range(geometry.total_sets)]
         self.dirty: set[int] = set()
-        # last-touch phase of each resident tag; filled only under a phase clock
-        self.phase_of_tag: dict[int, int] = {}
         self.n_valid = 0
         self.valid_by_bank = [0] * geometry.num_banks
-        k = phase_clock.phases if phase_clock else 1
-        self.valid_by_bank_phase = [[0] * k for _ in range(geometry.num_banks)]
 
     @property
     def active_count(self) -> int:
         return len(self.active_colors)
-
-
-def locate(state: CacheState, address: int) -> tuple[int, int, int]:
-    """Resolve an address to (color, global set index, tag).
-
-    The region is the page number mod M; the mapping table picks its color;
-    the page offset selects the set inside the color. Pure in (mapping, address).
-    """
-    g = state.geometry
-    page = address // g.page_bytes
-    region = page % g.color_count
-    color = state.mapping[region]
-    within = (address % g.page_bytes) // g.block_bytes
-    set_index = color * g.sets_per_color + within
-    tag = address // g.block_bytes
-    return color, set_index, tag
-
-
-def access_block(state: CacheState, is_write: bool, address: int,
-                 now_cycle: int) -> AccessResult:
-    """Apply one access: LRU probe/fill with valid/dirty/phase bookkeeping."""
-    color, set_index, tag = locate(state, address)
-    if color not in state.active_colors:
-        raise AssertionError(
-            f"mapping routed address {address:#x} to inactive color {color}")
-    tags = state.sets[set_index]
-    clock = state.phase_clock
-    phase = clock.phase_of(now_cycle) if clock else None
-    bank = set_index // state.geometry.sets_per_bank
-    phase_of_tag = state.phase_of_tag
-
-    if tag in tags:
-        tags.remove(tag)
-        tags.append(tag)
-        if is_write:
-            state.dirty.add(tag)
-        if phase is not None and phase_of_tag[tag] != phase:
-            state.valid_by_bank_phase[bank][phase_of_tag[tag]] -= 1
-            state.valid_by_bank_phase[bank][phase] += 1
-            phase_of_tag[tag] = phase
-        return AccessResult(True, False, False, set_index, tag)
-
-    evicted_dirty = False
-    if len(tags) == state.geometry.associativity:  # full: evict least recent
-        victim = tags.pop(0)
-        evicted_dirty = victim in state.dirty
-        state.dirty.discard(victim)
-        state.n_valid -= 1
-        state.valid_by_bank[bank] -= 1
-        if phase is not None:
-            state.valid_by_bank_phase[bank][phase_of_tag.pop(victim)] -= 1
-
-    tags.append(tag)
-    if is_write:
-        state.dirty.add(tag)
-    state.n_valid += 1
-    state.valid_by_bank[bank] += 1
-    if phase is not None:
-        phase_of_tag[tag] = phase
-        state.valid_by_bank_phase[bank][phase] += 1
-    return AccessResult(False, evicted_dirty, not is_write, set_index, tag)
 
 
 # outcome bits of a Replay code byte
@@ -253,10 +169,12 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
 
     `addrs` and `writes` are the trace's columns: byte addresses and write
     flags (numpy arrays; only the slice [lo, hi) is turned into Python
-    objects). Same LRU, dirty and valid-counter bookkeeping as
-    `access_block` (the phase maps are not kept), with `locate` inlined: the
-    mapping is fixed for the call. With `units`, every block whose number is
-    a multiple of `ratio` is probed in each profiling unit.
+    objects). A record's region (page number mod M) picks a color through
+    the mapping, which is fixed for the call, and its page offset picks the
+    set inside that color. A hit moves the tag to the end of its set's list;
+    a miss into a full set evicts the first. The dirty set and the valid
+    counters (total and per bank) follow. With `units`, every block whose
+    number is a multiple of `ratio` is probed in each profiling unit.
     """
     g = state.geometry
     stray = set(state.mapping) - state.active_colors
@@ -311,6 +229,20 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     state.n_valid += fills
 
 
+def banks(addrs: np.ndarray, geometry: CacheGeometry,
+          mapping: list[int]) -> np.ndarray:
+    """The bank of each byte address's set, with the set found as `replay`
+    finds it under `mapping` (region -> color)."""
+    g = geometry
+    blocks = (addrs >> (g.block_bytes.bit_length() - 1)).astype(np.int64)
+    sets = blocks & (g.sets_per_color - 1)  # the set within the color
+    blocks >>= g.sets_per_color.bit_length() - 1  # the page ...
+    blocks &= g.color_count - 1  # ... and its region
+    sets += (np.asarray(mapping, dtype=np.int64) * g.sets_per_color)[blocks]
+    sets //= g.sets_per_bank
+    return sets
+
+
 def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[int, int]:
     """Invalidate the lines of a color, or only those of one region in it.
 
@@ -323,7 +255,6 @@ def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[in
     page_shift = sets_per_color.bit_length() - 1  # tag >> page_shift = page
     region_mask = g.color_count - 1
     dirty = state.dirty
-    phase_of_tag = state.phase_of_tag
     flushed = writebacks = 0
     start = color * sets_per_color
     for set_index in range(start, start + sets_per_color):
@@ -342,11 +273,6 @@ def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[in
         stale = dirty.intersection(gone)
         writebacks += len(stale)
         dirty -= stale
-        if phase_of_tag:
-            for tag in gone:
-                phase = phase_of_tag.pop(tag, None)
-                if phase is not None:
-                    state.valid_by_bank_phase[bank][phase] -= 1
         flushed += len(gone)
         state.n_valid -= len(gone)
         state.valid_by_bank[bank] -= len(gone)

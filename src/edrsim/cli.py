@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 from . import trace as trace_mod
 from .config import ConfigError, RunConfig, load_config
 from .controller import default_config
+from .energy import SchemeKind
 from .profiler import make_units
 from .sim import (ComparisonRow, RunReport, check_refresh_fits, compare,
                   comparison_row, fixed_replay, run)
@@ -120,11 +121,16 @@ def cmd_run(args) -> int:
     _require_schemes(cfg, 1)
     arrays = _load_trace_for(cfg, args.seed)
     warmup = _warmup_for(cfg, arrays)
+    # the schemes that never remap share one functional replay
+    shared = (fixed_replay(arrays, cfg.geometry)
+              if any(s.kind is not SchemeKind.DCR for s in cfg.schemes)
+              else None)
     # every scheme runs before the first write, so a late failure leaves no
     # partial output
     reports = [run(arrays, spec, cfg.geometry, cfg.timing, cfg.energy,
                    warmup_instructions=warmup,
-                   interval_instructions=cfg.interval_instructions)
+                   interval_instructions=cfg.interval_instructions,
+                   replay=None if spec.kind is SchemeKind.DCR else shared)
                for spec in cfg.schemes]
     os.makedirs(args.out, exist_ok=True)
     for report in reports:

@@ -91,31 +91,6 @@ def make_units(geometry: CacheGeometry, sample_ratio_denom: int = 64) -> list[Pr
             for f in PROFILED_FRACTIONS]
 
 
-def observe(units: list[ProfilingUnit], op_is_write: bool, address: int) -> None:
-    """Feed one access to every unit (each applies its own set sampling)."""
-    block = address // units[0].block_bytes
-    for unit in units:
-        unit.probe(block, op_is_write)
-
-
-def observe_arrays(units: list[ProfilingUnit], arrays) -> None:
-    """Bulk observe; same counts as calling observe() per record.
-
-    Every unit's set count is a multiple of the sampling denominator, so the
-    sampling predicate collapses to `block % denom == 0`, shared by all units,
-    and unsampled records are skipped wholesale.
-    """
-    import numpy as np
-
-    denom = units[0].sample_ratio_denom
-    blocks = arrays.addrs // np.uint64(units[0].block_bytes)
-    sampled = blocks % np.uint64(denom) == 0
-    for block, op in zip(blocks[sampled].tolist(), arrays.ops[sampled].tolist()):
-        is_write = bool(op)
-        for unit in units:
-            unit.probe(block, is_write)
-
-
 def reset_interval(units: list[ProfilingUnit]) -> None:
     """Zero the interval counters; tag arrays persist (warm profiler)."""
     for unit in units:

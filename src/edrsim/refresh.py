@@ -1,21 +1,18 @@
-"""Refresh policies for the eDRAM cache.
+"""Refresh timing of the eDRAM cache.
 
-Three policies are modeled:
-  * refresh_all     -- every line, valid or not, at each retention boundary
-  * rpv_refresh     -- retention period split into k phases; a valid line is
-                       refreshed at the boundary of the phase in which it was
-                       last touched (a touch recharges the cell, so the next
-                       refresh is due one full period later at that boundary)
-  * valid_only      -- only valid lines, at each retention boundary
-
-Counts come from incrementally maintained per-bank (and per-bank-per-phase)
-valid counters, so an event costs O(banks), not O(lines).
+`RefreshConfig` holds the retention period and, for polyphase refresh, the
+number of phases it is split into. `sim.run` counts the lines each refresh
+event covers, per bank:
+  * baseline (refresh-all) -- every line, valid or not, at each retention
+                              boundary
+  * RPV (polyphase valid)  -- the valid lines last touched in the phase whose
+                              boundary is due (a touch recharges the cell,
+                              so its next refresh is one full period later)
+  * DCR (valid-only)       -- the valid lines, at each retention boundary
 """
 
 import math
 from dataclasses import dataclass
-
-from .cache import CacheState, PhaseClock
 
 
 class RefreshConfigError(ValueError):
@@ -53,38 +50,3 @@ class RefreshConfig:
     @property
     def phase_cycles(self) -> int:
         return self.retention_cycles // self.phases
-
-    def phase_clock(self) -> PhaseClock:
-        return PhaseClock(cycles_per_phase=self.phase_cycles, phases=self.phases)
-
-
-@dataclass
-class RefreshEvent:
-    at_cycle: int
-    lines_refreshed: int
-    per_bank_lines: list[int]
-
-
-def refresh_all(state: CacheState, config: RefreshConfig,
-                at_cycle: int) -> RefreshEvent:
-    """Baseline policy: refresh every line of every color, valid or not."""
-    g = state.geometry
-    per_bank = [g.total_lines // g.num_banks] * g.num_banks
-    return RefreshEvent(at_cycle, g.total_lines, per_bank)
-
-
-def rpv_refresh(state: CacheState, config: RefreshConfig, phase_index: int,
-                at_cycle: int) -> RefreshEvent:
-    """Polyphase-valid: refresh valid lines last touched in this phase."""
-    if state.phase_clock is None or state.phase_clock.phases != config.phases:
-        raise RefreshConfigError("cache state has no matching phase clock")
-    if not 0 <= phase_index < config.phases:
-        raise RefreshConfigError(f"phase_index {phase_index} out of range")
-    per_bank = [bank[phase_index] for bank in state.valid_by_bank_phase]
-    return RefreshEvent(at_cycle, sum(per_bank), per_bank)
-
-
-def valid_only_refresh(state: CacheState, config: RefreshConfig,
-                       at_cycle: int) -> RefreshEvent:
-    """Refresh exactly the valid lines (all live in active colors)."""
-    return RefreshEvent(at_cycle, state.n_valid, list(state.valid_by_bank))

@@ -218,20 +218,6 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     return out
 
 
-def _banks(addrs: np.ndarray, geometry: CacheGeometry,
-           mapping: list[int]) -> np.ndarray:
-    """The bank of each byte address's set, with the set found as
-    `cache.locate` finds it under `mapping` (region -> color)."""
-    g = geometry
-    blocks = (addrs >> (g.block_bytes.bit_length() - 1)).astype(np.int64)
-    sets = blocks & (g.sets_per_color - 1)  # the set within the color
-    blocks >>= g.sets_per_color.bit_length() - 1  # the page ...
-    blocks &= g.color_count - 1  # ... and its region
-    sets += (np.asarray(mapping, dtype=np.int64) * g.sets_per_color)[blocks]
-    sets //= g.sets_per_bank
-    return sets
-
-
 def last_touch(replay: Replay, addrs: np.ndarray) -> np.ndarray:
     """For each record of a fixed replay, the index of the record that last
     touched the line it hits or evicts; -1 for a fill of a free way.
@@ -464,8 +450,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                 interval_base = warm_base
                 if units is not None:
                     reset_interval(units)
-            banks = _banks(trace.addrs[lo:hi], geometry,
-                           state.mapping if is_dcr else identity)
+            banks = _cache.banks(trace.addrs[lo:hi], geometry,
+                                 state.mapping if is_dcr else identity)
             if is_dcr:
                 per_bank = list(state.valid_by_bank)
                 _cache.replay(state, trace.addrs, writes, lo, hi, replay, units,

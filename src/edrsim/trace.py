@@ -1,4 +1,4 @@
-"""Memory-access traces: record model, binary file format, synthetic generators.
+"""Memory-access traces: column model, binary file format, synthetic generators.
 
 Traces carry raw LLC-level accesses (no L1 filtering is simulated; the
 generator's accesses_per_kilo_instr knob stands in for L1 intensity).
@@ -29,22 +29,6 @@ class Op(IntEnum):
     WRITE = 1
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    """One memory access: instructions elapsed since the previous record,
-    read/write, and a full byte address."""
-
-    instr_gap: int
-    op: Op
-    address: int
-
-    def __post_init__(self):
-        if self.instr_gap < 0:
-            raise TraceError("instr_gap must be >= 0")
-        if not 0 <= self.address < 2**64:
-            raise TraceError("address must fit in 64 bits")
-
-
 @dataclass
 class TraceHeader:
     version: int = FORMAT_VERSION
@@ -62,8 +46,9 @@ class TraceHeader:
 class TraceArrays:
     """Column-wise in-memory trace; the representation the simulator replays.
 
-    Semantically identical to a sequence of TraceRecord but without
-    per-record object overhead.
+    Record i is one memory access: `gaps[i]` instructions elapsed since the
+    previous record, a read or write (`ops[i]`, an `Op` value) and a full
+    byte address (`addrs[i]`).
     """
 
     gaps: np.ndarray  # u32
@@ -81,20 +66,6 @@ class TraceArrays:
     @property
     def instructions(self) -> int:
         return int(self.gaps.sum())
-
-    def records(self):
-        """Iterate as TraceRecord objects."""
-        for g, o, a in zip(self.gaps.tolist(), self.ops.tolist(), self.addrs.tolist()):
-            yield TraceRecord(g, Op(o), a)
-
-    @staticmethod
-    def from_records(records) -> "TraceArrays":
-        recs = list(records)
-        return TraceArrays(
-            gaps=np.array([r.instr_gap for r in recs], dtype=np.uint32),
-            ops=np.array([int(r.op) for r in recs], dtype=np.uint8),
-            addrs=np.array([r.address for r in recs], dtype=np.uint64),
-        )
 
 
 @dataclass

@@ -2,25 +2,130 @@
 
 These are deliberately plain: full scans and straight-line formula
 re-evaluation, O(lines) or O(trace), no shared code with the paths they
-check beyond the parameter objects. Two exceptions drive the real per-record
-cache and refresh policies: the charge-timeline oracle, which checks them
-against its own per-line charge bookkeeping, and `reference_run`, the
-record-at-a-time replay that `sim.run`'s two-stage replay must match.
+check beyond the parameter objects.
+
+They include a record-at-a-time model of the cache: `access_block` applies
+one access to a plain `CacheState` and returns the code byte
+`cache.replay` writes, and `RpvPhases` keeps RPV's last-touch phases and
+per-bank-per-phase valid counts beside the state. The charge-timeline
+oracle checks the refresh counts against its own per-line charges, and
+`reference_run`, the record-at-a-time replay that `sim.run`'s two-stage
+replay must match, counts refreshed lines from the same model.
+
+`trace_of` builds a trace from tuples and `replay_codes` drives the real
+functional pass, for tests that check the cache itself.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from edrsim.cache import CacheGeometry, CacheState, access_block, locate
+from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
+                          CacheState, Replay, replay)
 from edrsim.controller import apply, select
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
 from edrsim.profiler import IntervalStats, make_units, reset_interval
-from edrsim.refresh import (RefreshConfig, refresh_all, rpv_refresh,
-                            valid_only_refresh)
+from edrsim.refresh import RefreshConfig
 from edrsim.sim import DecisionRecord, IntervalRecord, RunReport
-from edrsim.trace import Op
+from edrsim.trace import Op, TraceArrays
+
+
+def trace_of(records) -> TraceArrays:
+    """A trace from (instruction gap, op, byte address) tuples."""
+    records = list(records)
+    return TraceArrays(
+        gaps=np.array([r[0] for r in records], dtype=np.uint32),
+        ops=np.array([r[1] for r in records], dtype=np.uint8),
+        addrs=np.array([r[2] for r in records], dtype=np.uint64))
+
+
+def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
+                 hi: int | None = None) -> bytes:
+    """Apply records [lo, hi) of a trace to `state` with `cache.replay`;
+    their code bytes."""
+    hi = len(trace) if hi is None else hi
+    out = Replay(state.geometry, len(trace))
+    replay(state, trace.addrs, trace.ops == Op.WRITE, lo, hi, out)
+    return bytes(out.codes[lo:hi])
+
+
+def set_of(state: CacheState, address: int) -> int:
+    """The set of a byte address: its region (page number mod M) picks a
+    color through the mapping, its page offset the set inside the color."""
+    g = state.geometry
+    color = state.mapping[address // g.page_bytes % g.color_count]
+    return color * g.sets_per_color + address % g.page_bytes // g.block_bytes
+
+
+class RpvPhases:
+    """RPV's refresh bookkeeping beside a `CacheState` that never remaps:
+    the phase of the retention period each resident tag was last touched
+    in, and the valid lines of each bank by that phase."""
+
+    def __init__(self, geometry: CacheGeometry, config: RefreshConfig):
+        self.phase_cycles = config.phase_cycles
+        self.phases = config.phases
+        self.of_tag: dict[int, int] = {}
+        self.by_bank = [[0] * config.phases for _ in range(geometry.num_banks)]
+
+    def phase_of(self, cycle: int) -> int:
+        return cycle // self.phase_cycles % self.phases
+
+    def lines(self, phase: int) -> list[int]:
+        """Per bank, the valid lines due at the boundary of `phase`."""
+        return [bank[phase] for bank in self.by_bank]
+
+
+def access_block(state: CacheState, is_write: bool, address: int,
+                 rpv: RpvPhases | None = None, now: int = 0) -> int:
+    """Apply one access (LRU probe and fill, dirty and valid bookkeeping,
+    and with `rpv` the line's last-touch phase at cycle `now`); returns the
+    HIT/EVICTED/DIRTY_VICTIM/WRITE code byte."""
+    g = state.geometry
+    set_index = set_of(state, address)
+    assert set_index // g.sets_per_color in state.active_colors
+    tag = address // g.block_bytes
+    tags = state.sets[set_index]
+    bank = set_index // g.sets_per_bank
+    if tag in tags:
+        tags.remove(tag)
+        code = HIT
+    else:
+        code = 0
+        if len(tags) == g.associativity:  # full: evict least recent
+            victim = tags.pop(0)
+            code = EVICTED
+            if victim in state.dirty:
+                state.dirty.remove(victim)
+                code |= DIRTY_VICTIM
+            state.n_valid -= 1
+            state.valid_by_bank[bank] -= 1
+            if rpv is not None:
+                rpv.by_bank[bank][rpv.of_tag.pop(victim)] -= 1
+        state.n_valid += 1
+        state.valid_by_bank[bank] += 1
+    tags.append(tag)
+    if is_write:
+        state.dirty.add(tag)
+        code |= WRITE
+    if rpv is not None:
+        if code & HIT:
+            rpv.by_bank[bank][rpv.of_tag[tag]] -= 1
+        rpv.of_tag[tag] = rpv.phase_of(now)
+        rpv.by_bank[bank][rpv.of_tag[tag]] += 1
+    return code
+
+
+def observe_arrays(units, trace) -> None:
+    """Probe every profiling unit with each record whose block number is a
+    multiple of the units' sampling denominator."""
+    denom = units[0].sample_ratio_denom
+    blocks = trace.addrs // np.uint64(units[0].block_bytes)
+    sampled = blocks % np.uint64(denom) == 0
+    for block, op in zip(blocks[sampled].tolist(), trace.ops[sampled].tolist()):
+        for unit in units:
+            unit.probe(block, op == Op.WRITE)
 
 
 @dataclass
@@ -77,15 +182,17 @@ def recompute_energy(stats: IntervalStats, params: EnergyParams,
     return EnergyBreakdown(le_l2, de_l2, re_l2, e_dram, e_algo, e_prof, total)
 
 
-def validate_state(state: CacheState) -> OracleVerdict:
+def validate_state(state: CacheState,
+                   rpv: RpvPhases | None = None) -> OracleVerdict:
     """Full-scan consistency check of a cache state.
 
     Verifies set occupancy (at most `associativity` distinct tags per set, no
-    block in two sets), the n_valid counter (total, per bank, per
-    bank-and-phase), that every dirty bit and phase entry belongs to a
-    resident tag, containment (no valid line in an inactive color), mapping
-    totality and codomain, and reachability (each valid line's region still
-    maps to the color holding it).
+    block in two sets), the n_valid counter (total and per bank), that every
+    dirty bit belongs to a resident tag, containment (no valid line in an
+    inactive color), mapping totality and codomain, and reachability (each
+    valid line's region still maps to the color holding it). With `rpv`, it
+    also checks that every resident tag, and only those, has a phase, and
+    the per-bank-per-phase counts.
     """
     g = state.geometry
     m_total = g.color_count
@@ -104,8 +211,8 @@ def validate_state(state: CacheState) -> OracleVerdict:
     n_valid = 0
     resident: set[int] = set()
     by_bank = [0] * g.num_banks
-    phases = len(state.valid_by_bank_phase[0])
-    by_bank_phase = [[0] * phases for _ in range(g.num_banks)]
+    if rpv is not None:
+        by_bank_phase = [[0] * rpv.phases for _ in range(g.num_banks)]
     for set_index, tags in enumerate(state.sets):
         color = set_index // g.sets_per_color
         bank = set_index // g.sets_per_bank
@@ -119,11 +226,11 @@ def validate_state(state: CacheState) -> OracleVerdict:
             resident.add(tag)
             n_valid += 1
             by_bank[bank] += 1
-            if state.phase_clock is not None:
-                if tag not in state.phase_of_tag:
+            if rpv is not None:
+                if tag not in rpv.of_tag:
                     return OracleVerdict(False, f"tag {tag:#x} in set "
                                          f"{set_index} has no phase")
-                by_bank_phase[bank][state.phase_of_tag[tag]] += 1
+                by_bank_phase[bank][rpv.of_tag[tag]] += 1
             if color not in state.active_colors:
                 return OracleVerdict(False, f"valid line in inactive color "
                                      f"{color} (set {set_index} tag {tag:#x})")
@@ -134,7 +241,8 @@ def validate_state(state: CacheState) -> OracleVerdict:
                                      f"to {state.mapping[region]} but line sits "
                                      f"in color {color}")
 
-    stray = (state.dirty | state.phase_of_tag.keys()) - resident
+    stray = state.dirty | (rpv.of_tag.keys() if rpv is not None else set())
+    stray -= resident
     if stray:
         return OracleVerdict(False, f"dirty or phase entries for non-resident "
                              f"tags {sorted(stray)[:8]}")
@@ -144,7 +252,7 @@ def validate_state(state: CacheState) -> OracleVerdict:
     if by_bank != state.valid_by_bank:
         return OracleVerdict(False, f"per-bank counters {state.valid_by_bank}, "
                              f"scan found {by_bank}")
-    if state.phase_clock is not None and by_bank_phase != state.valid_by_bank_phase:
+    if rpv is not None and by_bank_phase != rpv.by_bank:
         return OracleVerdict(False, "per-bank-phase counters diverge from scan")
     return OracleVerdict(True)
 
@@ -157,27 +265,29 @@ class TimelineVerdict:
     detail: str = ""
 
 
-def timeline_oracle(records, policy: str, config: RefreshConfig,
+def timeline_oracle(trace, policy: str, config: RefreshConfig,
                     geometry: CacheGeometry,
                     skip_phases=frozenset()) -> TimelineVerdict:
     """Brute-force retention-safety check on a small cache instance.
 
-    Replays the records against a real cache under the given policy while
-    tracking every line's exact charge timestamp (charged on install, read,
-    write, and refresh). Reports a violation if any valid line's
-    time-since-charge ever exceeds the retention period, whether it is next
-    touched, refreshed, evicted or still resident at the end. At each refresh
-    boundary the oracle scans the array for the lines the policy covers and
-    requires the scan to count the lines the event reports refreshed.
-    skip_phases injects a broken polyphase policy for mutation testing.
+    Replays the trace against the record-at-a-time cache under the given
+    policy while tracking every line's exact charge timestamp (charged on
+    install, read, write, and refresh). Reports a violation if any valid
+    line's time-since-charge ever exceeds the retention period, whether it
+    is next touched, refreshed, evicted or still resident at the end. At
+    each refresh boundary the oracle scans the array for the lines the
+    policy covers and requires the scan to count the lines the policy's
+    counters say are due: every valid line per bank for valid-only, the
+    valid lines of the due phase per bank for RPV. skip_phases injects a
+    broken polyphase policy for mutation testing.
     """
     if policy not in ("refresh_all", "rpv", "valid_only"):
         raise ValueError(f"unknown policy {policy!r}")
     if geometry.total_sets > 64:
         raise ValueError("timeline oracle is for small instances (<= 64 sets)")
 
-    clock = config.phase_clock() if policy == "rpv" else None
-    state = CacheState(geometry, phase_clock=clock)
+    state = CacheState(geometry)
+    rpv = RpvPhases(geometry, config) if policy == "rpv" else None
     retention = config.retention_cycles
     boundary_len = config.phase_cycles if policy == "rpv" else retention
     charge: dict[tuple[int, int], int] = {}  # (set_index, tag) -> cycle
@@ -193,45 +303,43 @@ def timeline_oracle(records, policy: str, config: RefreshConfig,
     def resident(phase=None):
         return [(set_index, tag) for set_index, tags in enumerate(state.sets)
                 for tag in tags
-                if phase is None or state.phase_of_tag[tag] == phase]
+                if phase is None or rpv.of_tag[tag] == phase]
 
     now = 0
     next_boundary = boundary_len
-    for rec in records:
-        now += rec.instr_gap
+    for gap, op, addr in zip(trace.gaps.tolist(), trace.ops.tolist(),
+                             trace.addrs.tolist()):
+        now += gap
         while next_boundary <= now:
             at = next_boundary
             next_boundary += boundary_len
             if policy == "refresh_all":
-                refresh_all(state, config, at)
                 lines = resident()
             elif policy == "valid_only":
                 lines = resident()
-                assert len(lines) == valid_only_refresh(
-                    state, config, at).lines_refreshed
+                assert len(lines) == sum(state.valid_by_bank)
             else:
-                phase = (at // config.phase_cycles) % config.phases
+                phase = rpv.phase_of(at)
                 if phase in skip_phases:
                     continue
                 lines = resident(phase)
-                assert len(lines) == rpv_refresh(
-                    state, config, phase, at).lines_refreshed
+                assert len(lines) == sum(rpv.lines(phase))
             for key in lines:
                 bad = over_age(key, at)
                 if bad:
                     return bad
                 charge[key] = at
 
-        _, set_index, _ = locate(state, rec.address)
+        set_index = set_of(state, addr)
         before = set(state.sets[set_index])
-        res = access_block(state, rec.op == Op.WRITE, rec.address, now)
+        access_block(state, op == Op.WRITE, addr, rpv, now)
         # a line the fill pushed out must not have outlived its charge
         for tag in before - set(state.sets[set_index]):
             bad = over_age((set_index, tag), now)
             if bad:
                 return bad
             del charge[(set_index, tag)]
-        key = (res.set_index, res.tag)
+        key = (set_index, addr // geometry.block_bytes)
         bad = over_age(key, now)
         if bad:
             return bad
@@ -255,13 +363,13 @@ def last_touch_mirror(trace, geometry: CacheGeometry) -> list[int]:
     out = []
     for i, (op, addr) in enumerate(zip(trace.ops.tolist(),
                                        trace.addrs.tolist())):
-        _, set_index, tag = locate(state, addr)
+        set_index = set_of(state, addr)
         before = list(state.sets[set_index])
         indices = mirror[set_index]
-        res = access_block(state, op == Op.WRITE, addr, 0)
-        if res.hit:
-            out.append(indices.pop(before.index(tag)))
-        elif len(before) == geometry.associativity:
+        code = access_block(state, op == Op.WRITE, addr)
+        if code & HIT:
+            out.append(indices.pop(before.index(addr // geometry.block_bytes)))
+        elif code & EVICTED:
             out.append(indices.pop(0))
         else:
             out.append(-1)
@@ -290,9 +398,11 @@ def reuse_window(uniform, reuse, widx):
 def reference_run(trace, scheme, geometry, timing, params,
                   warmup_instructions=None, interval_instructions=None,
                   collect_refresh_events=False) -> RunReport:
-    """`sim.run` one record at a time: locate, access_block, then the
-    profiling units, with refresh events from the `refresh` policy functions
-    fired before each access. Same arguments and report as `sim.run`."""
+    """`sim.run` one record at a time: access_block, then the profiling
+    units, with due refresh events fired before each access. An event
+    refreshes, per bank, every line (baseline), the valid lines (DCR) or the
+    valid lines last touched in the due phase (RPV). Same arguments and
+    report as `sim.run`."""
     if scheme.energy is not None:
         params = scheme.energy
     total_instr = trace.instructions
@@ -308,9 +418,8 @@ def reference_run(trace, scheme, geometry, timing, params,
         interval_instructions = (ctrl_cfg.interval_instructions
                                  if is_dcr else 10_000_000)
 
-    phase_clock = refresh_cfg.phase_clock() if kind is SchemeKind.RPV else None
-    state = CacheState(geometry, phase_clock=phase_clock,
-                       min_colors=ctrl_cfg.c_min if is_dcr else 1)
+    state = CacheState(geometry, min_colors=ctrl_cfg.c_min if is_dcr else 1)
+    rpv = RpvPhases(geometry, refresh_cfg) if kind is SchemeKind.RPV else None
     units = make_units(geometry, scheme.profiler_ratio) if is_dcr else None
     m_total = geometry.color_count
 
@@ -322,7 +431,8 @@ def reference_run(trace, scheme, geometry, timing, params,
                         if kind is SchemeKind.RPV else refresh_cfg.retention_cycles)
         next_boundary = boundary_len
 
-    bank_busy = [0] * geometry.num_banks
+    num_banks = geometry.num_banks
+    bank_busy = [0] * num_banks
     event_cycles = [] if collect_refresh_events else None
     miss_cost = timing.l2_hit_cycles + timing.dram_latency_cycles
     unit_cpi = abs(timing.base_cpi - 1.0) < 1e-12
@@ -338,17 +448,16 @@ def reference_run(trace, scheme, geometry, timing, params,
 
     def fire(at):
         if kind is SchemeKind.BASELINE_EDRAM:
-            ev = refresh_all(state, refresh_cfg, at)
+            per_bank = [geometry.total_lines // num_banks] * num_banks
         elif kind is SchemeKind.RPV:
-            ev = rpv_refresh(state, refresh_cfg,
-                             (at // refresh_cfg.phase_cycles) % refresh_cfg.phases, at)
+            per_bank = rpv.lines(rpv.phase_of(at))
         else:
-            ev = valid_only_refresh(state, refresh_cfg, at)
-        for b, lines in enumerate(ev.per_bank_lines):
+            per_bank = list(state.valid_by_bank)
+        for b, lines in enumerate(per_bank):
             if lines:
                 bank_busy[b] = max(bank_busy[b], at) + lines
         if warmed:
-            stats.refreshed_lines += ev.lines_refreshed
+            stats.refreshed_lines += sum(per_bank)
         if event_cycles is not None:
             event_cycles.append(at)
 
@@ -394,8 +503,7 @@ def reference_run(trace, scheme, geometry, timing, params,
                 reset_interval(units)
 
         is_write = op == Op.WRITE
-        _, set_index, _ = locate(state, addr)
-        bank = set_index // geometry.sets_per_bank
+        bank = set_of(state, addr) // geometry.sets_per_bank
         while True:
             while next_boundary is not None and next_boundary <= now:
                 fire(next_boundary)
@@ -405,8 +513,8 @@ def reference_run(trace, scheme, geometry, timing, params,
                 continue
             break
 
-        res = access_block(state, is_write, addr, now)
-        if res.hit:
+        code = access_block(state, is_write, addr, rpv, now)
+        if code & HIT:
             now += timing.l2_hit_cycles
             if warmed:
                 stats.l2_hits += 1
@@ -414,7 +522,7 @@ def reference_run(trace, scheme, geometry, timing, params,
             now += miss_cost
             if warmed:
                 stats.l2_misses += 1
-                stats.dram_accesses += 1 + res.evicted_dirty
+                stats.dram_accesses += 1 + bool(code & DIRTY_VICTIM)
                 if not is_write:
                     stats.load_misses += 1
                     stats.memory_stall_cycles += miss_cost

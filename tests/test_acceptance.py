@@ -8,18 +8,16 @@ import time
 
 import pytest
 
-from oracles import (full_profile, recompute_energy, timeline_oracle,
-                     validate_state)
-from edrsim.cache import (CacheGeometry, CacheState, access_block, reconfigure)
+from oracles import (full_profile, observe_arrays, recompute_energy,
+                     replay_codes, timeline_oracle, trace_of, validate_state)
+from edrsim.cache import CacheGeometry, CacheState, reconfigure
 from edrsim.cli import main as cli_main
 from edrsim.controller import ControllerConfig, candidate_space, default_config
 from edrsim.energy import SchemeKind, builtin_params, interval_energy
-from edrsim.profiler import (IntervalStats, make_units, observe_arrays,
-                             profiler_overhead_bytes)
+from edrsim.profiler import IntervalStats, make_units, profiler_overhead_bytes
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import SchemeSpec, TimingParams, compare
-from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec, TraceRecord,
-                          generate_synthetic)
+from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
 
 @contextlib.contextmanager
@@ -80,18 +78,17 @@ def test_criterion_1_refresh_safety(tiny_geometry):
         cfg_rpv = RefreshConfig(1, 2.0, 4)
         for seed in range(1000):
             rng = random.Random(seed)
-            records = [TraceRecord(rng.randint(0, 30),
-                                   Op.WRITE if rng.random() < 0.4 else Op.READ,
-                                   rng.randrange(24 * 1024 // 64) * 64)
-                       for _ in range(400)]  # > 3 retention periods of cycles
+            records = trace_of((rng.randint(0, 30),
+                                Op.WRITE if rng.random() < 0.4 else Op.READ,
+                                rng.randrange(24 * 1024 // 64) * 64)
+                               for _ in range(400))  # > 3 retention periods
             for policy, cfg in (("refresh_all", cfg_whole),
                                 ("rpv", cfg_rpv),
                                 ("valid_only", cfg_whole)):
                 verdict = timeline_oracle(records, policy, cfg, tiny_geometry)
                 assert verdict.ok, f"seed {seed} {policy}: {verdict.detail}"
         # a polyphase policy that skips one phase must be caught
-        records = [TraceRecord(1600, Op.WRITE, 0x80),
-                   TraceRecord(6000, Op.READ, 0x2000)]
+        records = trace_of([(1600, Op.WRITE, 0x80), (6000, Op.READ, 0x2000)])
         assert timeline_oracle(records, "rpv", cfg_rpv, tiny_geometry).ok
         broken = timeline_oracle(records, "rpv", cfg_rpv, tiny_geometry,
                                  skip_phases={3})
@@ -110,16 +107,11 @@ def test_criterion_2_counter_scan_equivalence(small_geometry):
                 rng_seed=seed, accesses_per_kilo_instr=20))
             rng = random.Random(1000 + seed)
             state = CacheState(small_geometry)
-            gaps = arrays.gaps.tolist()
-            ops = arrays.ops.tolist()
-            addrs = arrays.addrs.tolist()
-            cycle = 0
-            for i in range(10_000):
-                cycle += gaps[i] + 1
-                access_block(state, ops[i] == 1, addrs[i], cycle)
-                if (i + 1) % 1000 == 0:  # forced reconfiguration
-                    count = rng.randint(1, m)
-                    reconfigure(state, rng.sample(range(m), count))
+            for lo in range(0, 10_000, 1000):
+                replay_codes(state, arrays, lo, lo + 1000)
+                # forced reconfiguration
+                count = rng.randint(1, m)
+                reconfigure(state, rng.sample(range(m), count))
             verdict = validate_state(state)
             assert verdict.ok, f"seed {seed}: {verdict.first_divergence}"
         elapsed = time.monotonic() - started

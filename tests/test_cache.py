@@ -2,11 +2,23 @@ import random
 
 import pytest
 
-from oracles import full_profile, validate_state
-from edrsim.cache import (CacheGeometry, CacheState, GeometryError, PhaseClock,
-                          ReconfigError, access_block, lines_at, locate,
+from oracles import (RpvPhases, access_block, full_profile, replay_codes,
+                     trace_of, validate_state)
+from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
+                          CacheState, GeometryError, ReconfigError, lines_at,
                           reconfigure)
+from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
+
+
+def _access(state, is_write, addr) -> int:
+    """One access through `cache.replay`; its code byte."""
+    return replay_codes(state, trace_of([(0, is_write, addr)]))[0]
+
+
+def _set_holding(state, addr) -> int:
+    tag = addr // state.geometry.block_bytes
+    return next(i for i, tags in enumerate(state.sets) if tag in tags)
 
 
 def test_color_count_2mb_is_64():
@@ -37,9 +49,12 @@ def test_lines_at_proportional():
 
 def test_locate_same_page_same_color(small_geometry):
     state = CacheState(small_geometry)
-    c1, s1, _ = locate(state, 0x4000)
-    c2, s2, _ = locate(state, 0x4000 + small_geometry.block_bytes)
-    assert c1 == c2
+    per_color = small_geometry.sets_per_color
+    _access(state, False, 0x4000)
+    _access(state, False, 0x4000 + small_geometry.block_bytes)
+    s1 = _set_holding(state, 0x4000)
+    s2 = _set_holding(state, 0x4000 + small_geometry.block_bytes)
+    assert s1 // per_color == s2 // per_color
     assert s2 == s1 + 1  # next block of the page sits in the next set
 
 
@@ -49,20 +64,22 @@ def test_locate_page_plus_m_same_region(small_geometry):
     page = small_geometry.page_bytes
     a = 5 * page + 128
     b = (5 + m) * page + 128
-    ca, sa, ta = locate(state, a)
-    cb, sb, tb = locate(state, b)
-    assert (ca, sa) == (cb, sb)  # same region, same placement
-    assert ta != tb  # different pages stay distinguishable
+    _access(state, False, a)
+    assert _access(state, False, b) == 0  # different pages stay distinguishable
+    assert _set_holding(state, a) == _set_holding(state, b)  # same region
 
 
 def test_locate_follows_remap(small_geometry):
     state = CacheState(small_geometry)
     addr = 3 * small_geometry.page_bytes
-    before, _, _ = locate(state, addr)
+    per_color = small_geometry.sets_per_color
+    _access(state, False, addr)
+    before = _set_holding(state, addr) // per_color
     # drop the color currently holding region 3
     new_colors = sorted(state.active_colors - {before})
     reconfigure(state, new_colors)
-    after, _, _ = locate(state, addr)
+    assert _access(state, False, addr) == 0  # flushed with its color
+    after = _set_holding(state, addr) // per_color
     assert after != before
     assert after in state.active_colors
     assert after == state.mapping[3]
@@ -70,8 +87,7 @@ def test_locate_follows_remap(small_geometry):
 
 def test_cold_miss_fills_line(small_geometry):
     state = CacheState(small_geometry)
-    res = access_block(state, False, 0x1000, 0)
-    assert not res.hit and not res.evicted_dirty and res.is_load_miss
+    assert _access(state, False, 0x1000) == 0  # a load miss, nothing evicted
     assert state.n_valid == 1
 
 
@@ -82,13 +98,11 @@ def test_lru_evicts_least_recent(small_geometry):
     page = small_geometry.page_bytes
     # w+1 distinct tags landing in one set: same page offset, pages m apart
     addrs = [(i * m) * page for i in range(w + 1)]
-    for t, a in enumerate(addrs):
-        assert not access_block(state, False, a, t).hit
-    res = access_block(state, False, addrs[0], 99)  # first one was evicted
-    assert not res.hit
+    for a in addrs:
+        assert not _access(state, False, a) & HIT
+    assert _access(state, False, addrs[0]) == EVICTED  # first one was evicted
     # and the second-oldest went next
-    res = access_block(state, False, addrs[1], 100)
-    assert not res.hit
+    assert _access(state, False, addrs[1]) == EVICTED
 
 
 def test_hit_promotes_to_mru(small_geometry):
@@ -97,11 +111,11 @@ def test_hit_promotes_to_mru(small_geometry):
     m = small_geometry.color_count
     page = small_geometry.page_bytes
     addrs = [(i * m) * page for i in range(w)]
-    for t, a in enumerate(addrs):
-        access_block(state, False, a, t)
-    access_block(state, False, addrs[0], 50)  # touch the oldest
-    access_block(state, False, (w * m) * page, 51)  # forces an eviction
-    assert access_block(state, False, addrs[0], 52).hit  # survived
+    for a in addrs:
+        _access(state, False, a)
+    _access(state, False, addrs[0])  # touch the oldest
+    assert _access(state, False, (w * m) * page) == EVICTED
+    assert _access(state, False, addrs[0]) == HIT  # survived
 
 
 def test_write_sets_dirty_and_eviction_reports_it(small_geometry):
@@ -109,16 +123,15 @@ def test_write_sets_dirty_and_eviction_reports_it(small_geometry):
     w = small_geometry.associativity
     m = small_geometry.color_count
     page = small_geometry.page_bytes
-    access_block(state, True, 0, 0)  # dirty line
+    _access(state, True, 0)  # dirty line
     for i in range(1, w):
-        access_block(state, False, (i * m) * page, i)
-    res = access_block(state, False, (w * m) * page, w)
-    assert not res.hit and res.evicted_dirty
+        _access(state, False, (i * m) * page)
+    assert _access(state, False, (w * m) * page) == EVICTED | DIRTY_VICTIM
 
 
 def test_store_miss_is_not_load_miss(small_geometry):
     state = CacheState(small_geometry)
-    assert not access_block(state, True, 0x2000, 0).is_load_miss
+    assert _access(state, True, 0x2000) == WRITE  # a miss that is no load
 
 
 def test_counter_matches_scan_after_random_replay(small_geometry):
@@ -126,15 +139,20 @@ def test_counter_matches_scan_after_random_replay(small_geometry):
         phases=[PhaseSpec(100_000, 96 * 1024, 0.4, 0.4)], rng_seed=13,
         accesses_per_kilo_instr=100)
     arrays = generate_synthetic(spec)
-    state = CacheState(small_geometry,
-                       phase_clock=PhaseClock(cycles_per_phase=500, phases=4))
-    for i, rec in enumerate(arrays.records()):
-        if i >= 10_000:
-            break
-        access_block(state, rec.op == Op.WRITE, rec.address, i * 7)
+    state = CacheState(small_geometry)
+    replay_codes(state, arrays)
     verdict = validate_state(state)
     assert verdict.ok, verdict.first_divergence
     assert state.n_valid == sum(len(tags) for tags in state.sets)
+    # the test-side model, with RPV's phases: 500 cycles each, 4 of them
+    model = CacheState(small_geometry)
+    rpv = RpvPhases(small_geometry, RefreshConfig(1, 2.0, 4))
+    for i, (op, addr) in enumerate(zip(arrays.ops.tolist(),
+                                       arrays.addrs.tolist())):
+        access_block(model, op == Op.WRITE, addr, rpv, i * 7)
+    verdict = validate_state(model, rpv)
+    assert verdict.ok, verdict.first_divergence
+    assert model.sets == state.sets
 
 
 def test_full_cache_matches_independent_lru(small_geometry):
@@ -145,21 +163,17 @@ def test_full_cache_matches_independent_lru(small_geometry):
                 PhaseSpec(200_000, 40 * 1024, 0.4, 0.2)],
         rng_seed=21, accesses_per_kilo_instr=100))
     assert len(arrays) == 40_000
-    state = CacheState(small_geometry)
-    misses = load_misses = 0
-    for i, (op, addr) in enumerate(zip(arrays.ops.tolist(),
-                                       arrays.addrs.tolist())):
-        res = access_block(state, op == Op.WRITE, addr, i)
-        misses += not res.hit
-        load_misses += res.is_load_miss
+    codes = replay_codes(CacheState(small_geometry), arrays)
+    misses = sum(not code & HIT for code in codes)
+    load_misses = sum(not code & (HIT | WRITE) for code in codes)
     assert (misses, load_misses) == full_profile(arrays, small_geometry,
                                                  small_geometry.size_bytes)
 
 
 def test_identity_reconfigure_is_free(small_geometry):
     state = CacheState(small_geometry)
-    for i in range(200):
-        access_block(state, i % 3 == 0, i * small_geometry.block_bytes, i)
+    replay_codes(state, trace_of((0, i % 3 == 0, i * small_geometry.block_bytes)
+                                 for i in range(200)))
     report = reconfigure(state, sorted(state.active_colors))
     assert report.flushed_lines == 0
     assert report.writebacks == 0
@@ -173,8 +187,8 @@ def test_reconfigure_counts_flushes_and_writebacks(small_geometry):
     # fill lines in region (m-1): 12 blocks, 3 of them written
     victim_region = m - 1
     base = victim_region * page
-    for i in range(12):
-        access_block(state, i < 3, base + i * small_geometry.block_bytes, i)
+    replay_codes(state, trace_of((0, i < 3, base + i * small_geometry.block_bytes)
+                                 for i in range(12)))
     victim_color = state.mapping[victim_region]
     # count by scan what sits in the victim color
     start = victim_color * small_geometry.sets_per_color
@@ -196,9 +210,9 @@ def test_region_pull_keeps_survivors_in_lru_order(small_geometry):
     state = CacheState(g)
     reconfigure(state, range(g.color_count // 2))  # two regions per color
     rng = random.Random(4)
-    for i in range(3000):
-        access_block(state, rng.random() < 0.4,
-                     rng.randrange(4 * g.total_lines) * g.block_bytes, i)
+    replay_codes(state, trace_of(
+        (0, rng.random() < 0.4, rng.randrange(4 * g.total_lines) * g.block_bytes)
+        for _ in range(3000)))
     before = [list(tags) for tags in state.sets]
     dirty = set(state.dirty)
     # each new color pulls a region out of an old one
@@ -226,8 +240,8 @@ def test_switched_blocks_64_to_32_colors():
 
 def test_reconfigure_is_idempotent(small_geometry):
     state = CacheState(small_geometry)
-    for i in range(500):
-        access_block(state, i % 2 == 0, i * 64 * 13, i)
+    replay_codes(state, trace_of((0, i % 2 == 0, i * 64 * 13)
+                                 for i in range(500)))
     colors = list(range(small_geometry.color_count // 2))
     reconfigure(state, colors)
     second = reconfigure(state, colors)
@@ -245,8 +259,7 @@ def test_n_valid_drops_by_flushed_count(small_geometry):
     state = CacheState(small_geometry)
     spec = SyntheticTraceSpec(phases=[PhaseSpec(20_000, 48 * 1024, 0.3, 0.0)],
                               rng_seed=2, accesses_per_kilo_instr=200)
-    for i, rec in enumerate(generate_synthetic(spec).records()):
-        access_block(state, rec.op == Op.WRITE, rec.address, i)
+    replay_codes(state, generate_synthetic(spec))
     before = state.n_valid
     half = sorted(state.active_colors)[:small_geometry.color_count // 2]
     report = reconfigure(state, half)
@@ -259,12 +272,10 @@ def test_growth_rebalances_and_stays_consistent(small_geometry):
     state = CacheState(small_geometry)
     spec = SyntheticTraceSpec(phases=[PhaseSpec(20_000, 48 * 1024, 0.3, 0.0)],
                               rng_seed=8, accesses_per_kilo_instr=200)
-    records = list(generate_synthetic(spec).records())
-    for i, rec in enumerate(records):
-        access_block(state, rec.op == Op.WRITE, rec.address, i)
+    arrays = generate_synthetic(spec)
+    replay_codes(state, arrays)
     reconfigure(state, [0, 1])
-    for i, rec in enumerate(records[:5000]):
-        access_block(state, rec.op == Op.WRITE, rec.address, i)
+    replay_codes(state, arrays, 0, 5000)
     report = reconfigure(state, list(range(6)))
     assert report.switched_blocks == 4 * small_geometry.lines_per_color
     verdict = validate_state(state)
@@ -278,14 +289,10 @@ def test_random_reconfigure_sequences_keep_invariants(small_geometry):
     m = small_geometry.color_count
     spec = SyntheticTraceSpec(phases=[PhaseSpec(50_000, 64 * 1024, 0.5, 0.3)],
                               rng_seed=55, accesses_per_kilo_instr=100)
-    records = list(generate_synthetic(spec).records())
+    arrays = generate_synthetic(spec)
     state = CacheState(small_geometry)
-    cursor = 0
     for step in range(20):
-        for _ in range(200):
-            rec = records[cursor % len(records)]
-            access_block(state, rec.op == Op.WRITE, rec.address, cursor)
-            cursor += 1
+        replay_codes(state, arrays, step * 200, step * 200 + 200)
         count = rng.randint(1, m)
         colors = rng.sample(range(m), count)
         reconfigure(state, colors)

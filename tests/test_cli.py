@@ -6,6 +6,7 @@ import pytest
 
 from edrsim.cli import main
 from edrsim.config import ConfigError, load_config
+from edrsim.sim import fixed_replay
 from edrsim.trace import read_trace_arrays
 
 BASE_CONFIG = """
@@ -238,6 +239,35 @@ def test_reports_match_golden_digests(config_file, tmp_path):
             data = (tmp_path / sub / name).read_bytes()
             digests[f"{sub}/{name}"] = hashlib.sha256(data).hexdigest()
     assert digests == _GOLDEN_SHA256
+
+
+# the interval CSVs `run` writes on BASE_CONFIG; its JSON reports are the
+# bytes `compare` writes
+_RUN_INTERVALS_SHA256 = {
+    "baseline": "421288ed3d9ccfd3e3b95d25fbfd18beebc24fe76b77f28f89bb78accff31b17",
+    "dcr": "b3a7632811cc3be0aaa7253bc20c171bfd3c89be215b7221aa69c8ea4da2dbe3",
+    "rpv": "c881cfbbd4bcf3469ae4d43580aad5c0466d5896e5277e06bb0839e0f05d8662",
+    "sram": "957d6fff4f487c694d3c827b3dbf658c2c5ca32f509053b2f651aecfdc0f7d4b",
+}
+
+
+def test_run_shares_one_fixed_replay(config_file, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fixed_replay(*args)
+    monkeypatch.setattr("edrsim.cli.fixed_replay", counted)
+    monkeypatch.setattr("edrsim.sim.fixed_replay", counted)
+    out = tmp_path / "run"
+    assert main(["run", "--config", config_file, "--out", str(out)]) == 0
+    assert len(calls) == 1  # baseline, RPV and SRAM share it; DCR needs none
+    for name, digest in _RUN_INTERVALS_SHA256.items():
+        data = (out / f"report-{name}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            _GOLDEN_SHA256[f"cmp/report-{name}.json"]
+        data = (out / f"report-{name}.intervals.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])

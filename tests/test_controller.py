@@ -3,12 +3,12 @@ import random
 import pytest
 
 from oracles import validate_state
-from edrsim.cache import CacheGeometry, CacheState, access_block
+from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay, replay
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                apply as apply_decision, candidate_space,
                                default_config, delta_pct, select)
 from edrsim.energy import builtin_params
-from edrsim.profiler import IntervalStats, make_units, observe_arrays
+from edrsim.profiler import IntervalStats, make_units
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -63,13 +63,12 @@ def _prepped_state_and_units(geometry, ws_kb, seed=3, records=40_000):
         rng_seed=seed, accesses_per_kilo_instr=20))
     state = CacheState(geometry)
     units = make_units(geometry, sample_ratio_denom=2)
-    hits = misses = load_misses = 0
-    for i, rec in enumerate(arrays.records()):
-        res = access_block(state, rec.op == Op.WRITE, rec.address, i * 5)
-        hits += res.hit
-        misses += not res.hit
-        load_misses += res.is_load_miss
-    observe_arrays(units, arrays)
+    out = Replay(geometry, len(arrays))
+    replay(state, arrays.addrs, arrays.ops == Op.WRITE, 0, len(arrays), out,
+           units, 2)
+    hits = sum(bool(code & HIT) for code in out.codes)
+    misses = len(arrays) - hits
+    load_misses = sum(not code & (HIT | WRITE) for code in out.codes)
     stats = IntervalStats(
         instructions=arrays.instructions, l2_hits=hits, l2_misses=misses,
         load_misses=load_misses, memory_stall_cycles=load_misses * 166,

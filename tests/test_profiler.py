@@ -2,12 +2,11 @@ import math
 
 import pytest
 
-from oracles import full_profile
-from edrsim.cache import CacheGeometry, CacheState, access_block
+from oracles import full_profile, observe_arrays
+from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay, replay
 from edrsim.profiler import (IntervalStats, estimate_misses,
                              estimate_refreshes, estimate_time, make_units,
-                             observe, observe_arrays, profiler_overhead_bytes,
-                             reset_interval)
+                             profiler_overhead_bytes, reset_interval)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -24,13 +23,11 @@ def test_full_sampling_matches_main_cache(small_geometry):
     # placement, so the 1X unit at full sampling tracks the cache exactly
     arrays = _trace(5, ws_kb=96)
     units = make_units(small_geometry, sample_ratio_denom=1)
-    state = CacheState(small_geometry)
-    misses = load_misses = 0
-    for i, rec in enumerate(arrays.records()):
-        res = access_block(state, rec.op == Op.WRITE, rec.address, i)
-        misses += not res.hit
-        load_misses += res.is_load_miss
-        observe(units, rec.op == Op.WRITE, rec.address)
+    out = Replay(small_geometry, len(arrays))
+    replay(CacheState(small_geometry), arrays.addrs, arrays.ops == Op.WRITE,
+           0, len(arrays), out, units, 1)
+    misses = sum(not code & HIT for code in out.codes)
+    load_misses = sum(not code & (HIT | WRITE) for code in out.codes)
     one_x = max(units, key=lambda u: u.emulated_size)
     assert one_x.misses == misses
     assert one_x.load_misses == load_misses
@@ -48,21 +45,32 @@ def test_full_sampling_matches_full_profile_oracle(small_geometry):
 def test_unsampled_record_leaves_counters_alone(small_geometry):
     units = make_units(small_geometry, sample_ratio_denom=2)
     # block 1 maps to set 1 in every unit: sampled sets are the even ones
-    observe(units, False, 1 * small_geometry.block_bytes)
+    for unit in units:
+        unit.probe(1, False)
     assert all(u.accesses == 0 and u.misses == 0 for u in units)
-    observe(units, False, 2 * small_geometry.block_bytes)
+    for unit in units:
+        unit.probe(2, False)
     assert all(u.accesses == 1 and u.misses == 1 for u in units)
 
 
-def test_observe_arrays_equals_per_record_observe(small_geometry):
+def test_replay_feeds_units_like_observe_arrays(small_geometry):
+    # sim.run fills the units inside the functional pass; they must end as
+    # the units probed record by record from the trace alone
     arrays = _trace(7, ws_kb=64, records=5_000)
-    bulk = make_units(small_geometry, sample_ratio_denom=2)
-    slow = make_units(small_geometry, sample_ratio_denom=2)
-    observe_arrays(bulk, arrays)
-    for rec in arrays.records():
-        observe(slow, rec.op == Op.WRITE, rec.address)
-    for a, b in zip(bulk, slow):
-        assert (a.misses, a.load_misses, a.accesses) == (b.misses, b.load_misses, b.accesses)
+    writes = arrays.ops == Op.WRITE
+    for ratio in (1, 2):
+        fed = make_units(small_geometry, sample_ratio_denom=ratio)
+        out = Replay(small_geometry, len(arrays))
+        state = CacheState(small_geometry)
+        half = len(arrays) // 2  # two calls, as sim.run's segments make
+        replay(state, arrays.addrs, writes, 0, half, out, fed, ratio)
+        replay(state, arrays.addrs, writes, half, len(arrays), out, fed, ratio)
+        want = make_units(small_geometry, sample_ratio_denom=ratio)
+        observe_arrays(want, arrays)
+        for a, b in zip(fed, want):
+            assert a.tags == b.tags
+            assert (a.misses, a.load_misses, a.accesses) == \
+                (b.misses, b.load_misses, b.accesses) != (0, 0, 0)
 
 
 def test_sampled_estimates_track_full_profile(small_geometry):

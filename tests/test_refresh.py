@@ -2,23 +2,31 @@ import random
 
 import pytest
 
-from oracles import timeline_oracle
-from edrsim.cache import CacheGeometry, CacheState, access_block, reconfigure
-from edrsim.refresh import (RefreshConfig, RefreshConfigError, refresh_all,
-                            rpv_refresh, valid_only_refresh)
-from edrsim.trace import Op, TraceRecord
+from oracles import (RpvPhases, access_block, replay_codes, timeline_oracle,
+                     trace_of)
+from edrsim.cache import CacheGeometry, CacheState, reconfigure
+from edrsim.energy import SchemeKind, builtin_params
+from edrsim.refresh import RefreshConfig, RefreshConfigError
+from edrsim.sim import SchemeSpec, TimingParams, run
+from edrsim.trace import Op
 
 
 def _fragment(seed, n_records=400, gap_hi=12, ws_bytes=24 * 1024):
     """Random small trace fragment with explicit gaps."""
     rng = random.Random(seed)
-    records = []
-    for _ in range(n_records):
-        records.append(TraceRecord(
-            rng.randint(0, gap_hi),
-            Op.WRITE if rng.random() < 0.4 else Op.READ,
-            rng.randrange(ws_bytes // 64) * 64))
-    return records
+    return trace_of((rng.randint(0, gap_hi),
+                     Op.WRITE if rng.random() < 0.4 else Op.READ,
+                     rng.randrange(ws_bytes // 64) * 64)
+                    for _ in range(n_records))
+
+
+def _model(geometry, trace, rpv, cycle_step=1):
+    """The test-side cache after the trace, record i at cycle i * cycle_step."""
+    state = CacheState(geometry)
+    for i, (op, addr) in enumerate(zip(trace.ops.tolist(),
+                                       trace.addrs.tolist())):
+        access_block(state, op == Op.WRITE, addr, rpv, i * cycle_step)
+    return state
 
 
 def test_retention_cycles_arithmetic():
@@ -35,75 +43,65 @@ def test_retention_must_divide_phases():
 
 def test_refresh_all_counts_every_line():
     g = CacheGeometry(2 * 1024 * 1024, 8)
-    state = CacheState(g)
-    cfg = RefreshConfig(40, 1.0, 1)
-    ev = refresh_all(state, cfg, 40_000)
-    assert ev.lines_refreshed == 32768
-    assert ev.per_bank_lines == [16384, 16384]
-    # state independent: next event identical
-    access_block(state, True, 0x1234 * 64, 41_000)
-    ev2 = refresh_all(state, cfg, 80_000)
-    assert ev2.lines_refreshed == ev.lines_refreshed
+    scheme = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
+                        refresh=RefreshConfig(40, 1.0, 1))
+    # events at 40k (an empty cache) and 80k cycles (one valid line)
+    trace = trace_of([(40_000, Op.WRITE, 0x1234 * 64), (40_000, Op.READ, 0)])
+    report = run(trace, scheme, g, TimingParams(clock_ghz=1.0),
+                 builtin_params("EDRAM_2MB", clock_ghz=1.0),
+                 warmup_instructions=0, collect_refresh_events=True)
+    assert report.refresh_event_cycles == [40_000, 80_000]
+    assert report.total_refreshed_lines == 2 * 32768
+    # each 16384-line bank burst holds its bank as long: the first access
+    # waits out the first burst
+    assert report.total_cycles == 40_000 + 16_384 + 2 * 166 + 40_000
 
 
 def test_valid_only_counts(tiny_geometry):
-    cfg = RefreshConfig(1, 2.0, 1)  # 2000 cycles
     state = CacheState(tiny_geometry)
-    assert valid_only_refresh(state, cfg, 2000).lines_refreshed == 0
-    for i in range(512):
-        access_block(state, False, i * 64, i)
-    ev = valid_only_refresh(state, cfg, 4000)
-    assert ev.lines_refreshed == 512
-    assert sum(ev.per_bank_lines) == 512
+    assert state.valid_by_bank == [0, 0]
+    replay_codes(state, trace_of((1, Op.READ, i * 64) for i in range(512)))
+    assert state.n_valid == sum(state.valid_by_bank) == 512
 
 
 def test_valid_only_drops_by_flush_count(tiny_geometry):
-    cfg = RefreshConfig(1, 2.0, 1)
     state = CacheState(tiny_geometry)
-    for i, rec in enumerate(_fragment(3, n_records=2000, ws_bytes=16 * 1024)):
-        access_block(state, rec.op == Op.WRITE, rec.address, i)
-    before = valid_only_refresh(state, cfg, 2000).lines_refreshed
+    replay_codes(state, _fragment(3, n_records=2000, ws_bytes=16 * 1024))
+    before = sum(state.valid_by_bank)
     report = reconfigure(state, sorted(state.active_colors)[:2])
-    after = valid_only_refresh(state, cfg, 4000).lines_refreshed
+    after = sum(state.valid_by_bank)
     assert after == before - report.flushed_lines
 
 
 def test_rpv_refreshes_line_at_its_own_phase_boundary(tiny_geometry):
     cfg = RefreshConfig(1, 2.0, 4)  # 2000 cycles, 500/phase
-    state = CacheState(tiny_geometry, phase_clock=cfg.phase_clock())
+    state = CacheState(tiny_geometry)
+    rpv = RpvPhases(tiny_geometry, cfg)
     # write one line in phase 2 of period 0 (cycle 1100); replay the
     # boundaries that follow it through the end of period 1
-    access_block(state, True, 0x40, 1100)
+    access_block(state, True, 0x40, rpv, 1100)
     counts = {}
     for boundary in range(1500, 4001, 500):
-        phase = (boundary // 500) % 4
-        ev = rpv_refresh(state, cfg, phase, boundary)
-        counts[boundary] = ev.lines_refreshed
+        counts[boundary] = sum(rpv.lines(rpv.phase_of(boundary)))
     # refreshed exactly at the phase-2 boundary of the next period (cycle 3000)
     assert counts[3000] == 1
     assert sum(counts.values()) == 1
 
 
 def test_rpv_partition_over_one_period(tiny_geometry):
-    cfg = RefreshConfig(1, 2.0, 4)
-    state = CacheState(tiny_geometry, phase_clock=cfg.phase_clock())
-    for i, rec in enumerate(_fragment(17, n_records=1500)):
-        access_block(state, rec.op == Op.WRITE, rec.address, i)
-    total = 0
-    for phase in range(4):
-        total += rpv_refresh(state, cfg, phase, 10_000 + phase * 500).lines_refreshed
+    rpv = RpvPhases(tiny_geometry, RefreshConfig(1, 2.0, 4))
+    state = _model(tiny_geometry, _fragment(17, n_records=1500), rpv)
+    total = sum(sum(rpv.lines(phase)) for phase in range(4))
     assert total == state.n_valid
 
 
 def test_dominance_per_period(tiny_geometry):
-    cfg = RefreshConfig(1, 2.0, 4)
-    state = CacheState(tiny_geometry, phase_clock=cfg.phase_clock())
-    for i, rec in enumerate(_fragment(23, n_records=3000)):
-        access_block(state, rec.op == Op.WRITE, rec.address, i * 3)
-    all_count = refresh_all(state, cfg, 2000).lines_refreshed
-    rpv_total = sum(rpv_refresh(state, cfg, p, 2000 + 500 * p).lines_refreshed
-                    for p in range(4))
-    valid_count = valid_only_refresh(state, cfg, 2000).lines_refreshed
+    rpv = RpvPhases(tiny_geometry, RefreshConfig(1, 2.0, 4))
+    state = _model(tiny_geometry, _fragment(23, n_records=3000), rpv,
+                   cycle_step=3)
+    all_count = tiny_geometry.total_lines
+    rpv_total = sum(sum(rpv.lines(p)) for p in range(4))
+    valid_count = sum(state.valid_by_bank)
     assert rpv_total <= all_count
     assert valid_count <= all_count
 
@@ -121,8 +119,8 @@ def test_timeline_oracle_catches_skipped_phase(tiny_geometry):
     cfg = RefreshConfig(1, 2.0, 4)
     # write one block inside phase 3 (cycles 1500..1999), then idle long
     # enough that its refresh would be overdue
-    records = [TraceRecord(1600, Op.WRITE, 0x80),
-               TraceRecord(6000, Op.READ, 0x100000 >> 1)]
+    records = trace_of([(1600, Op.WRITE, 0x80),
+                        (6000, Op.READ, 0x100000 >> 1)])
     good = timeline_oracle(records, "rpv", cfg, tiny_geometry)
     assert good.ok
     bad = timeline_oracle(records, "rpv", cfg, tiny_geometry, skip_phases={3})
@@ -144,4 +142,5 @@ def test_timeline_oracle_mutation_caught_on_random_fragments(tiny_geometry):
 def test_timeline_oracle_rejects_large_instances():
     g = CacheGeometry(2 * 1024 * 1024, 8)
     with pytest.raises(ValueError):
-        timeline_oracle([], "refresh_all", RefreshConfig(40, 1.0, 1), g)
+        timeline_oracle(trace_of([]), "refresh_all", RefreshConfig(40, 1.0, 1),
+                        g)

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import last_touch_mirror, reference_run, validate_state
-from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, Replay, access_block, locate, replay)
+from oracles import (access_block, last_touch_mirror, reference_run,
+                     validate_state)
+from edrsim.cache import CacheGeometry, CacheState, Replay, replay
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim.refresh import RefreshConfig
@@ -103,12 +103,12 @@ def test_run_matches_reference_run(case, monkeypatch):
         # the next boundary and a wait on it runs into the next event
         scheme.refresh = RefreshConfig(0.514, 2.0, phases)
 
-        def rpv_refresh(*args):
-            event = real_rpv_refresh(*args)
-            bursts.append(event.lines_refreshed)
-            return event
-        real_rpv_refresh = oracles.rpv_refresh
-        monkeypatch.setattr(oracles, "rpv_refresh", rpv_refresh)
+        def lines(rpv, phase):
+            per_bank = real_lines(rpv, phase)
+            bursts.append(sum(per_bank))
+            return per_bank
+        real_lines = oracles.RpvPhases.lines
+        monkeypatch.setattr(oracles.RpvPhases, "lines", lines)
     timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
     kwargs = dict(warmup_instructions=warmup_instructions,
                   interval_instructions=interval, collect_refresh_events=True)
@@ -169,15 +169,9 @@ def test_functional_replay_matches_access_block(small_geometry):
     replay(fast, trace.addrs, writes, half, len(trace), out)
 
     slow = CacheState(small_geometry)
-    ways = small_geometry.associativity
     for i, (addr, is_write) in enumerate(zip(trace.addrs.tolist(),
                                              writes.tolist())):
-        full = len(slow.sets[locate(slow, addr)[1]]) == ways
-        res = access_block(slow, is_write, addr, 0)
-        want = ((HIT if res.hit else EVICTED if full else 0)
-                | (DIRTY_VICTIM if res.evicted_dirty else 0)
-                | (WRITE if is_write else 0))
-        assert out.codes[i] == want, i
+        assert out.codes[i] == access_block(slow, is_write, addr), i
     assert fast.sets == slow.sets
     assert fast.dirty == slow.dirty
     assert fast.n_valid == slow.n_valid

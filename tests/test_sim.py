@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import trace_of
 from edrsim.cache import CacheGeometry
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
@@ -8,11 +9,7 @@ from edrsim.refresh import RefreshConfig
 from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams, compare,
                         run)
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec, TraceArrays,
-                          TraceRecord, generate_synthetic)
-
-
-def _arrays(records):
-    return TraceArrays.from_records(records)
+                          generate_synthetic)
 
 
 def _trace(seed=1, instr=2_000_000, ws_kb=24, writes=0.3, reuse=0.2, apki=20):
@@ -38,13 +35,13 @@ def _small_schemes(retention_us=1.0):
 
 def test_exact_timing_of_hand_built_trace(small_geometry):
     # SRAM, no refresh: pure compute + latency arithmetic
-    records = [
-        TraceRecord(10, Op.READ, 0x0000),   # cold load miss
-        TraceRecord(5, Op.READ, 0x0000),    # hit
-        TraceRecord(0, Op.WRITE, 0x0000),   # hit
-        TraceRecord(7, Op.WRITE, 0x9000),   # store miss (no stall)
-    ]
-    report = run(_arrays(records), SchemeSpec(kind=SchemeKind.SRAM),
+    trace = trace_of([
+        (10, Op.READ, 0x0000),   # cold load miss
+        (5, Op.READ, 0x0000),    # hit
+        (0, Op.WRITE, 0x0000),   # hit
+        (7, Op.WRITE, 0x9000),   # store miss (no stall)
+    ])
+    report = run(trace, SchemeSpec(kind=SchemeKind.SRAM),
                  small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
                  warmup_instructions=0)
     # cycles: gaps (22) + miss (12+154) + hit (12) + hit (12) + miss (166)

@@ -4,31 +4,34 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import reuse_window
-from edrsim.cache import CacheGeometry, CacheState, access_block
+from oracles import replay_codes, reuse_window, trace_of
+from edrsim.cache import HIT, CacheGeometry, CacheState
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec,
-                          TraceArrays, TraceError, TraceHeader, TraceRecord,
+                          TraceArrays, TraceError, TraceHeader,
                           _reuse_sources, generate_synthetic,
                           read_trace_arrays, write_trace_arrays)
 
 
+def _same(a: TraceArrays, b: TraceArrays) -> bool:
+    return (np.array_equal(a.gaps, b.gaps) and np.array_equal(a.ops, b.ops)
+            and np.array_equal(a.addrs, b.addrs))
+
+
 def test_empty_trace_round_trip():
     buf = io.BytesIO()
-    n = write_trace_arrays(TraceArrays.from_records([]),
-                           TraceHeader(record_count=0), buf)
+    n = write_trace_arrays(trace_of([]), TraceHeader(record_count=0), buf)
     assert n == len(buf.getvalue())  # only the header
     buf.seek(0)
     header, arrays = read_trace_arrays(buf)
     assert header.record_count == 0
-    assert list(arrays.records()) == []
+    assert len(arrays) == 0
 
 
 def test_single_record_is_16_bytes():
     buf = io.BytesIO()
     header_only = io.BytesIO()
-    write_trace_arrays(TraceArrays.from_records([]),
-                       TraceHeader(record_count=0), header_only)
-    write_trace_arrays(TraceArrays.from_records([TraceRecord(5, Op.READ, 0x1000)]),
+    write_trace_arrays(trace_of([]), TraceHeader(record_count=0), header_only)
+    write_trace_arrays(trace_of([(5, Op.READ, 0x1000)]),
                        TraceHeader(record_count=1), buf)
     assert len(buf.getvalue()) - len(header_only.getvalue()) == 16
 
@@ -37,14 +40,15 @@ def test_round_trip_1000_generated_records():
     spec = SyntheticTraceSpec(
         phases=[PhaseSpec(50_000, 32 * 1024, 0.4, 0.3)], rng_seed=11)
     arrays = generate_synthetic(spec)
-    records = list(arrays.records())[:1000]
-    header = TraceHeader(record_count=len(records), description="round trip")
+    first = TraceArrays(gaps=arrays.gaps[:1000], ops=arrays.ops[:1000],
+                        addrs=arrays.addrs[:1000])
+    header = TraceHeader(record_count=len(first), description="round trip")
     buf = io.BytesIO()
-    write_trace_arrays(TraceArrays.from_records(records), header, buf)
+    write_trace_arrays(first, header, buf)
     buf.seek(0)
     rheader, rarrays = read_trace_arrays(buf)
     assert rheader.description == "round trip"
-    assert list(rarrays.records()) == records
+    assert len(rarrays) == 1000 and _same(rarrays, first)
 
 
 def test_bulk_and_record_paths_produce_identical_bytes():
@@ -54,20 +58,18 @@ def test_bulk_and_record_paths_produce_identical_bytes():
     arrays = generate_synthetic(spec)
     header = TraceHeader(record_count=len(arrays))
     header_only = io.BytesIO()
-    write_trace_arrays(TraceArrays.from_records([]),
-                       TraceHeader(record_count=0), header_only)
+    write_trace_arrays(trace_of([]), TraceHeader(record_count=0), header_only)
     buf = io.BytesIO()
     write_trace_arrays(arrays, header, buf)
     body = buf.getvalue()[len(header_only.getvalue()):]
     assert body == b"".join(
-        struct.pack("<IB3xQ", r.instr_gap, int(r.op), r.address)
-        for r in arrays.records())
+        struct.pack("<IB3xQ", gap, op, addr)
+        for gap, op, addr in zip(arrays.gaps.tolist(), arrays.ops.tolist(),
+                                 arrays.addrs.tolist()))
     buf.seek(0)
     rheader, rarrays = read_trace_arrays(buf)
     assert rheader.record_count == len(arrays)
-    assert np.array_equal(rarrays.gaps, arrays.gaps)
-    assert np.array_equal(rarrays.ops, arrays.ops)
-    assert np.array_equal(rarrays.addrs, arrays.addrs)
+    assert _same(rarrays, arrays)
 
 
 def test_bad_magic_rejected():
@@ -77,8 +79,7 @@ def test_bad_magic_rejected():
 
 def test_truncated_record_reports_index():
     buf = io.BytesIO()
-    records = [TraceRecord(1, Op.READ, i * 64) for i in range(4)]
-    write_trace_arrays(TraceArrays.from_records(records),
+    write_trace_arrays(trace_of((1, Op.READ, i * 64) for i in range(4)),
                        TraceHeader(record_count=4), buf)
     data = buf.getvalue()[:-20]  # chop the last record and a bit more
     with pytest.raises(TraceError, match="index 2"):
@@ -87,7 +88,7 @@ def test_truncated_record_reports_index():
 
 def test_header_record_count_enforced():
     with pytest.raises(TraceError):
-        write_trace_arrays(TraceArrays.from_records([TraceRecord(0, Op.READ, 0)]),
+        write_trace_arrays(trace_of([(0, Op.READ, 0)]),
                            TraceHeader(record_count=2), io.BytesIO())
 
 
@@ -171,10 +172,6 @@ def test_replay_oracle_small_working_set_fits():
     spec = SyntheticTraceSpec(phases=[PhaseSpec(10_000_000, 64 * 1024, 0.3, 0.0)],
                               rng_seed=7)
     arrays = generate_synthetic(spec)
-    geometry = CacheGeometry(2 * 1024 * 1024, 8)
-    state = CacheState(geometry)
-    misses = 0
-    for i, rec in enumerate(arrays.records()):
-        if not access_block(state, rec.op == Op.WRITE, rec.address, i).hit:
-            misses += 1
+    codes = replay_codes(CacheState(CacheGeometry(2 * 1024 * 1024, 8)), arrays)
+    misses = sum(not code & HIT for code in codes)
     assert misses / len(arrays) < 0.01
