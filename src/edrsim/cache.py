@@ -8,18 +8,22 @@ reachable through the current mapping: whenever a region is remapped, its
 resident lines are flushed (dirty ones counted as writebacks), which keeps
 lookups consistent and the per-bank valid counters exact.
 
-Each set is a list of resident tags, least recent first: the same LRU stack
-the profiling units keep (Mattson et al., 1970). A tag is a full block
-number, so a block sits in at most one set, and the dirty bits live in a set
-of tags.
+The sets live in flat numpy arrays: set s owns the tag slots
+[s * ways, (s + 1) * ways), of which its first `fill[s]` hold the resident
+tags, least recent first: the same LRU stack the profiling units keep
+(Mattson et al., 1970). A tag is a full block number, so a block sits in at
+most one set; each slot has a dirty byte.
 
 `replay` is the functional pass of a simulation: it applies a run of trace
-records to the tag lists and writes each record's outcome into a code byte
+records to those arrays and writes each record's outcome into a code byte
 (a `Replay`), which the timing pass in `sim.run` then reads. Hits,
 misses and evictions do not depend on time, so one replay serves every
-scheme that never remaps the cache.
+scheme that never remaps the cache. The per-record work is one C routine
+(lru.c), built at the first replay; see native.py.
 """
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,11 +131,13 @@ class CacheState:
         self.active_colors: set[int] = set(active)
         # balanced initial mapping: region i -> i-th active color, cycling
         self.mapping: list[int] = [active[i % len(active)] for i in range(m_total)]
-        # resident tags of each set, least recent first
-        self.sets: list[list[int]] = [[] for _ in range(geometry.total_sets)]
-        self.dirty: set[int] = set()
+        # set s: tag slots [s * ways, (s + 1) * ways), the first fill[s]
+        # resident, least recent first, with a dirty byte per slot
+        self.tags = np.zeros(geometry.total_lines, dtype=np.uint64)
+        self.dirty = np.zeros(geometry.total_lines, dtype=np.uint8)
+        self.fill = np.zeros(geometry.total_sets, dtype=np.int32)
         self.n_valid = 0
-        self.valid_by_bank = [0] * geometry.num_banks
+        self.valid_by_bank = np.zeros(geometry.num_banks, dtype=np.int64)
 
     @property
     def active_count(self) -> int:
@@ -163,70 +169,75 @@ class Replay:
         return len(self.codes)
 
 
+_kernel = None
+
+
+def _replay_kernel():
+    """lru.c's edr_replay, built and loaded at the first call."""
+    global _kernel
+    if _kernel is None:
+        from . import native  # the compiler is needed only from here on
+        lib = native.load(os.path.join(os.path.dirname(__file__), "lru.c"))
+        fn = lib.edr_replay
+        fn.restype = ctypes.c_int64
+        ptr, i64, u64, c_int = (ctypes.c_void_p, ctypes.c_int64,
+                                ctypes.c_uint64, ctypes.c_int)
+        fn.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+                       c_int, c_int, c_int, u64, u64, i64, c_int, u64,
+                       ptr, ptr, ptr, ptr]
+        _kernel = fn
+    return _kernel
+
+
 def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
            units=None, ratio: int = 64) -> None:
     """Apply records [lo, hi) to the cache and write their outcomes to `out`.
 
     `addrs` and `writes` are the trace's columns: byte addresses and write
-    flags (numpy arrays; only the slice [lo, hi) is turned into Python
-    objects). A record's region (page number mod M) picks a color through
-    the mapping, which is fixed for the call, and its page offset picks the
-    set inside that color. A hit moves the tag to the end of its set's list;
-    a miss into a full set evicts the first. The dirty set and the valid
-    counters (total and per bank) follow. With `units`, every block whose
-    number is a multiple of `ratio` is probed in each profiling unit.
+    flags (numpy arrays). A record's region (page number mod M) picks a
+    color through the mapping, which is fixed for the call, and its page
+    offset picks the set inside that color. A hit moves the tag to the end
+    of its set's row; a miss into a full set evicts the first. The dirty
+    bytes and the valid counters (total and per bank) follow. With `units`,
+    every block whose number is a multiple of `ratio` is looked up in each
+    profiling unit, which counts its accesses, misses and load misses.
     """
     g = state.geometry
     stray = set(state.mapping) - state.active_colors
     if stray:
         raise AssertionError(
             f"mapping routes regions to inactive colors {sorted(stray)}")
-    ways = g.associativity
-    block_shift = g.block_bytes.bit_length() - 1
-    page_shift = g.page_bytes.bit_length() - 1
-    region_mask = g.color_count - 1
-    within_mask = g.sets_per_color - 1
-    sets_per_bank = g.sets_per_bank
-    first_set = [color * g.sets_per_color for color in state.mapping]
-    sets = state.sets
-    dirty = state.dirty
-    valid_by_bank = state.valid_by_bank
-    codes = out.codes
-    fills = 0
-    for i, addr, is_write in zip(range(lo, hi), addrs[lo:hi].tolist(),
-                                 writes[lo:hi].tolist()):
-        tag = addr >> block_shift
-        set_index = first_set[(addr >> page_shift) & region_mask] + (tag & within_mask)
-        tags = sets[set_index]
-        if tag in tags:
-            tags.remove(tag)
-            tags.append(tag)
-            if is_write:
-                dirty.add(tag)
-                codes[i] = HIT | WRITE
-            else:
-                codes[i] = HIT
-        else:
-            if len(tags) == ways:
-                victim = tags.pop(0)
-                if victim in dirty:
-                    dirty.remove(victim)
-                    code = EVICTED | DIRTY_VICTIM
-                else:
-                    code = EVICTED
-            else:
-                code = 0
-                valid_by_bank[set_index // sets_per_bank] += 1
-                fills += 1
-            tags.append(tag)
-            if is_write:
-                dirty.add(tag)
-                code |= WRITE
-            codes[i] = code
-        if units is not None and not tag % ratio:
-            for unit in units:
-                unit.probe(tag, is_write)
+    units = units or []
+    if units and (ratio < 1 or any(u.associativity != g.associativity
+                                   for u in units)):
+        raise ValueError("profiling units need a sampling ratio >= 1 and the "
+                         "cache's associativity")
+    addrs = np.ascontiguousarray(addrs[lo:hi], dtype=np.uint64)
+    writes = np.ascontiguousarray(writes[lo:hi], dtype=np.bool_)
+    codes = np.frombuffer(out.codes, dtype=np.uint8)[lo:hi]
+    if not len(addrs) == len(writes) == len(codes):  # the kernel trusts them
+        raise ValueError(f"records [{lo}, {hi}) of the trace do not fit its "
+                         "write flags or the replay")
+    first_set = np.array(state.mapping, dtype=np.int64) * g.sets_per_color
+    shape = np.array([(u.num_sets, u.sample_ratio_denom) for u in units],
+                     dtype=np.int64)
+    counts = np.zeros((len(units), 3), dtype=np.int64)
+    ptrs = ctypes.c_void_p * len(units)
+    fills = _replay_kernel()(
+        addrs.ctypes.data, writes.ctypes.data, len(codes), codes.ctypes.data,
+        state.tags.ctypes.data, state.dirty.ctypes.data,
+        state.fill.ctypes.data, state.valid_by_bank.ctypes.data,
+        first_set.ctypes.data, g.associativity,
+        g.block_bytes.bit_length() - 1, g.page_bytes.bit_length() - 1,
+        g.color_count - 1, g.sets_per_color - 1, g.sets_per_bank,
+        len(units), ratio, ptrs(*[u.tags.ctypes.data for u in units]),
+        ptrs(*[u.fill.ctypes.data for u in units]), shape.ctypes.data,
+        counts.ctypes.data)
     state.n_valid += fills
+    for unit, (misses, load_misses, accesses) in zip(units, counts.tolist()):
+        unit.misses += misses
+        unit.load_misses += load_misses
+        unit.accesses += accesses
 
 
 def banks(addrs: np.ndarray, geometry: CacheGeometry,
@@ -246,36 +257,36 @@ def banks(addrs: np.ndarray, geometry: CacheGeometry,
 def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[int, int]:
     """Invalidate the lines of a color, or only those of one region in it.
 
-    The surviving tags keep their order. Returns (flushed lines, writebacks
-    of dirty ones).
+    The surviving tags of each set move to the front of its row in their
+    order. Returns (flushed lines, writebacks of dirty ones).
     """
     g = state.geometry
-    sets_per_color = g.sets_per_color
-    sets_per_bank = g.sets_per_bank
-    page_shift = sets_per_color.bit_length() - 1  # tag >> page_shift = page
-    region_mask = g.color_count - 1
-    dirty = state.dirty
-    flushed = writebacks = 0
-    start = color * sets_per_color
-    for set_index in range(start, start + sets_per_color):
-        tags = state.sets[set_index]
-        if region is None:
-            gone = tags[:]
-            tags.clear()
-        else:
-            gone = [t for t in tags if (t >> page_shift) & region_mask == region]
-            if gone:
-                tags[:] = [t for t in tags
-                           if (t >> page_shift) & region_mask != region]
-        if not gone:
-            continue
-        bank = set_index // sets_per_bank
-        stale = dirty.intersection(gone)
-        writebacks += len(stale)
-        dirty -= stale
-        flushed += len(gone)
-        state.n_valid -= len(gone)
-        state.valid_by_bank[bank] -= len(gone)
+    ways = g.associativity
+    first = color * g.sets_per_color
+    rows = slice(first, first + g.sets_per_color)
+    tags = state.tags.reshape(-1, ways)[rows]  # views into the state
+    dirty = state.dirty.reshape(-1, ways)[rows]
+    fill = state.fill[rows]
+    gone = np.arange(ways) < fill[:, None]  # the resident slots ...
+    if region is not None:  # ... of the region's pages
+        page_shift = g.sets_per_color.bit_length() - 1  # tag >> it = page
+        gone &= (tags >> page_shift) & np.uint64(g.color_count - 1) == region
+    lost = gone.sum(axis=1)
+    flushed = int(lost.sum())
+    if not flushed:
+        return 0, 0
+    writebacks = int(np.count_nonzero(dirty[gone]))
+    dirty[gone] = 0
+    if region is not None:
+        # a stable sort on "gone" moves the survivors to the front in order
+        order = np.argsort(gone, axis=1, kind="stable")
+        tags[:] = np.take_along_axis(tags, order, axis=1)
+        dirty[:] = np.take_along_axis(dirty, order, axis=1)
+    fill -= lost.astype(np.int32)
+    state.n_valid -= flushed
+    np.subtract.at(state.valid_by_bank,
+                   np.arange(first, first + g.sets_per_color) // g.sets_per_bank,
+                   lost)
     return flushed, writebacks
 
 

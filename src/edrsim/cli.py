@@ -10,7 +10,7 @@ import tempfile
 from dataclasses import fields, replace
 
 from . import trace as trace_mod
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_c_min, load_config
 from .controller import default_config
 from .energy import SchemeKind
 from .profiler import make_units
@@ -187,13 +187,16 @@ def _apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfi
         swept = _replace_schemes(cfg, "refresh", retention_period_us=value)
     elif parameter == "l2_size_kb":
         geometry = replace(cfg.geometry, size_bytes=int(value) * 1024)
-        # c_min is the default slice of the new color count
-        swept = _replace_schemes(cfg, "controller",
-                                 c_min=default_config(geometry).c_min)
-        for spec in swept.schemes:
-            if spec.controller is not None:  # the ratio must fit the new size
-                make_units(geometry, spec.profiler_ratio)
-        swept = replace(swept, geometry=geometry)
+        schemes = []
+        for spec in cfg.schemes:
+            if spec.controller is not None:
+                # an unset c_min is the default slice of the new color count
+                if spec.name not in cfg.fixed_c_min:
+                    spec = replace(spec, controller=replace(
+                        spec.controller, c_min=default_config(geometry).c_min))
+                make_units(geometry, spec.profiler_ratio)  # the ratio must fit
+            schemes.append(spec)
+        swept = replace(cfg, geometry=geometry, schemes=schemes)
     elif parameter == "beta":
         swept = _replace_schemes(cfg, "controller", beta=value)
     elif parameter == "delta":
@@ -202,6 +205,7 @@ def _apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfi
         raise ConfigError(f"parameter must be one of {_SWEEPABLE}")
     for spec in swept.schemes:
         check_refresh_fits(spec, swept.geometry)
+        check_c_min(spec, swept.geometry)
     return swept
 
 

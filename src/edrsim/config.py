@@ -65,6 +65,19 @@ class RunConfig:
     warmup_instructions: int | None  # None: use warmup_fraction
     warmup_fraction: float
     interval_instructions: int | None
+    # the DCR schemes whose c_min the config sets; an l2_size_kb sweep keeps
+    # theirs and gives the others the default slice of each size
+    fixed_c_min: frozenset[str] = frozenset()
+
+
+def check_c_min(spec: SchemeSpec, geometry: CacheGeometry) -> None:
+    """Reject a DCR minimum allocation above the cache's color count."""
+    if spec.controller is not None and \
+            spec.controller.c_min > geometry.color_count:
+        raise ConfigError(
+            f"{spec.name}: c_min {spec.controller.c_min} exceeds the "
+            f"{geometry.color_count} colors of a "
+            f"{geometry.size_bytes // 1024} KB cache")
 
 
 def _parse_phases(value: str) -> list[PhaseSpec]:
@@ -165,6 +178,7 @@ def _parse_scheme(sec, name: str, geometry: CacheGeometry, clock_ghz: float,
     spec = SchemeSpec(kind=kind, refresh=refresh, controller=controller,
                       energy=energy, name=name, profiler_ratio=profiler_ratio)
     check_refresh_fits(spec, geometry)
+    check_c_min(spec, geometry)
     return spec
 
 
@@ -268,4 +282,7 @@ def _load_config(path: str) -> RunConfig:
                      synthetic=synthetic,
                      warmup_instructions=warmup_instructions,
                      warmup_fraction=warmup_fraction,
-                     interval_instructions=interval_instructions)
+                     interval_instructions=interval_instructions,
+                     fixed_c_min=frozenset(
+                         name for name in scheme_names
+                         if "c_min" in parser[f"scheme.{name}"]))

@@ -3,12 +3,16 @@
 Five tag-only LRU units emulate conventional caches of size X, X/2, X/4, X/8
 and X/16 (X = the main cache size) and count misses and load misses on a
 sampled subset of sets. All units sample the same set residues so the LRU
-stacks stay comparable across sizes. Estimates for intermediate sizes are
+stacks stay comparable across sizes. A unit's sampled sets are laid out as
+the main cache's (see cache.py), without dirty bytes, and `cache.replay`
+steps them with the same LRU routine. Estimates for intermediate sizes are
 interpolated log-linearly between the profiled points.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cache import CacheGeometry, lines_at
 from .refresh import RefreshConfig
@@ -51,33 +55,18 @@ class ProfilingUnit:
                 f"sampling 1/{sample_ratio_denom} must divide {self.num_sets} sets")
         self.sample_ratio_denom = sample_ratio_denom
         self.block_bytes = geometry.block_bytes
-        # sampled sets are the residue-0 sets; tags keyed by set index, MRU last
-        self.tags: dict[int, list[int]] = {
-            s: [] for s in range(0, self.num_sets, sample_ratio_denom)}
+        # the sampled sets are the residue-0 ones: set s is row
+        # s // sample_ratio_denom, its tags least recent first
+        rows = self.num_sets // sample_ratio_denom
+        self.tags = np.zeros(rows * self.associativity, dtype=np.uint64)
+        self.fill = np.zeros(rows, dtype=np.int32)
         self.misses = 0
         self.load_misses = 0
         self.accesses = 0
 
     @property
     def sampled_set_count(self) -> int:
-        return len(self.tags)
-
-    def probe(self, block: int, is_write: bool) -> None:
-        set_index = block % self.num_sets
-        lst = self.tags.get(set_index)
-        if lst is None:
-            return
-        self.accesses += 1
-        if block in lst:
-            lst.remove(block)
-            lst.append(block)
-            return
-        self.misses += 1
-        if not is_write:
-            self.load_misses += 1
-        lst.append(block)
-        if len(lst) > self.associativity:
-            lst.pop(0)
+        return len(self.fill)
 
     def reset_counters(self) -> None:
         self.misses = 0

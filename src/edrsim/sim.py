@@ -198,8 +198,8 @@ def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
             f"cycles, which does not fit in the {period}-cycle retention period")
 
 
-# the most records one step of a replay turns into Python objects or numpy
-# columns; at 8192 they add about 0.4 MB to the cache state's memory
+# the most records one step of the timing pass turns into numpy columns;
+# at 8192 they add about 0.4 MB to the run's memory
 _BLOCK = 1 << 13
 
 
@@ -211,10 +211,8 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     """
     n = len(trace)
     out = Replay(geometry, n)
-    state = CacheState(geometry)
-    writes = trace.ops == Op.WRITE
-    for lo in range(0, n, _BLOCK):
-        _cache.replay(state, trace.addrs, writes, lo, min(lo + _BLOCK, n), out)
+    _cache.replay(CacheState(geometry), trace.addrs, trace.ops == Op.WRITE,
+                  0, n, out)
     return out
 
 
@@ -453,7 +451,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
             banks = _cache.banks(trace.addrs[lo:hi], geometry,
                                  state.mapping if is_dcr else identity)
             if is_dcr:
-                per_bank = list(state.valid_by_bank)
+                per_bank = state.valid_by_bank.tolist()
                 _cache.replay(state, trace.addrs, writes, lo, hi, replay, units,
                               scheme.profiler_ratio)
             code = codes[lo:hi]

@@ -6,8 +6,12 @@ check beyond the parameter objects.
 
 They include a record-at-a-time model of the cache: `access_block` applies
 one access to a plain `CacheState` and returns the code byte
-`cache.replay` writes, and `RpvPhases` keeps RPV's last-touch phases and
-per-bank-per-phase valid counts beside the state. The charge-timeline
+`cache.replay` writes, `probe` looks one block up in a profiling unit, and
+`replay_reference` is `cache.replay` built from the two, record by record
+in Python: the reference the compiled kernel is diffed against.
+`RpvPhases` keeps RPV's last-touch phases and per-bank-per-phase valid
+counts beside the state. `set_tags` and `set_dirty` read one set of the
+flat arrays back as lists. The charge-timeline
 oracle checks the refresh counts against its own per-line charges, and
 `reference_run`, the record-at-a-time replay that `sim.run`'s two-stage
 replay must match, counts refreshed lines from the same model.
@@ -16,10 +20,13 @@ replay must match, counts refreshed lines from the same model.
 functional pass, for tests that check the cache itself.
 """
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from edrsim import native
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
                           CacheState, Replay, replay)
 from edrsim.controller import apply, select
@@ -48,6 +55,38 @@ def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
     out = Replay(state.geometry, len(trace))
     replay(state, trace.addrs, trace.ops == Op.WRITE, lo, hi, out)
     return bytes(out.codes[lo:hi])
+
+
+def set_tags(state, row: int) -> list[int]:
+    """The resident tags of a set of a `CacheState`, or of a sampled set of
+    a `ProfilingUnit`, least recent first."""
+    start = row * (len(state.tags) // len(state.fill))
+    return state.tags[start:start + state.fill[row]].tolist()
+
+
+def set_dirty(state: CacheState, row: int) -> list[int]:
+    """The dirty bytes of a set's resident tags, in `set_tags` order."""
+    start = row * state.geometry.associativity
+    return state.dirty[start:start + state.fill[row]].tolist()
+
+
+def _store_set(state, row: int, tags: list[int]) -> None:
+    start = row * (len(state.tags) // len(state.fill))
+    state.tags[start:start + len(tags)] = tags
+    state.fill[row] = len(tags)
+
+
+def all_sets(state) -> list[list[int]]:
+    """`set_tags` of every set (or sampled set)."""
+    rows = state.tags.reshape(len(state.fill), -1).tolist()
+    return [tags[:n] for tags, n in zip(rows, state.fill.tolist())]
+
+
+def dirty_tags(state: CacheState) -> set[int]:
+    """The resident tags whose dirty byte is set."""
+    return {tag for row in range(len(state.fill))
+            for tag, d in zip(set_tags(state, row), set_dirty(state, row))
+            if d}
 
 
 def set_of(state: CacheState, address: int) -> int:
@@ -86,18 +125,21 @@ def access_block(state: CacheState, is_write: bool, address: int,
     set_index = set_of(state, address)
     assert set_index // g.sets_per_color in state.active_colors
     tag = address // g.block_bytes
-    tags = state.sets[set_index]
+    start = set_index * g.associativity
+    stop = start + state.fill[set_index]
+    tags = state.tags[start:stop].tolist()
+    dirty = state.dirty[start:stop].tolist()
     bank = set_index // g.sets_per_bank
     if tag in tags:
+        was_dirty = dirty.pop(tags.index(tag))
         tags.remove(tag)
         code = HIT
     else:
-        code = 0
+        code = was_dirty = 0
         if len(tags) == g.associativity:  # full: evict least recent
             victim = tags.pop(0)
             code = EVICTED
-            if victim in state.dirty:
-                state.dirty.remove(victim)
+            if dirty.pop(0):
                 code |= DIRTY_VICTIM
             state.n_valid -= 1
             state.valid_by_bank[bank] -= 1
@@ -106,9 +148,12 @@ def access_block(state: CacheState, is_write: bool, address: int,
         state.n_valid += 1
         state.valid_by_bank[bank] += 1
     tags.append(tag)
+    dirty.append(1 if is_write else was_dirty)
     if is_write:
-        state.dirty.add(tag)
         code |= WRITE
+    state.tags[start:start + len(tags)] = tags
+    state.dirty[start:start + len(tags)] = dirty
+    state.fill[set_index] = len(tags)
     if rpv is not None:
         if code & HIT:
             rpv.by_bank[bank][rpv.of_tag[tag]] -= 1
@@ -117,15 +162,63 @@ def access_block(state: CacheState, is_write: bool, address: int,
     return code
 
 
-def observe_arrays(units, trace) -> None:
-    """Probe every profiling unit with each record whose block number is a
-    multiple of the units' sampling denominator."""
+def probe(unit, block: int, is_write: bool) -> None:
+    """Look one block up in a profiling unit: a sampled set counts an
+    access, and a miss (and a load miss) when the block is not resident; a
+    hit moves the block to the end of the set, a miss appends it and drops
+    the first tag of a full set."""
+    set_index = block % unit.num_sets
+    if set_index % unit.sample_ratio_denom:
+        return
+    row = set_index // unit.sample_ratio_denom
+    tags = set_tags(unit, row)
+    unit.accesses += 1
+    if block in tags:
+        tags.remove(block)
+    else:
+        unit.misses += 1
+        if not is_write:
+            unit.load_misses += 1
+        if len(tags) == unit.associativity:
+            tags.pop(0)
+    tags.append(block)
+    _store_set(unit, row, tags)
+
+
+def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
+                     out: Replay, units=None, ratio: int = 64) -> None:
+    """`cache.replay` record by record: `access_block`, then `probe` in
+    every unit for a block whose number is a multiple of `ratio`."""
+    stray = set(state.mapping) - state.active_colors
+    assert not stray, f"mapping routes regions to inactive colors {stray}"
+    block_bytes = state.geometry.block_bytes
+    for i, addr, is_write in zip(range(lo, hi), addrs[lo:hi].tolist(),
+                                 writes[lo:hi].tolist()):
+        out.codes[i] = access_block(state, bool(is_write), addr)
+        block = addr // block_bytes
+        if units and not block % ratio:
+            for unit in units:
+                probe(unit, block, bool(is_write))
+
+
+def observe_arrays(units, trace, geometry: CacheGeometry) -> None:
+    """Feed a whole trace to the profiling units through `cache.replay`,
+    on a scratch main cache of `geometry`: each record whose block number
+    is a multiple of the units' sampling denominator is looked up in every
+    unit."""
+    out = Replay(geometry, len(trace))
+    replay(CacheState(geometry), trace.addrs, trace.ops == Op.WRITE, 0,
+           len(trace), out, units, units[0].sample_ratio_denom)
+
+
+def observe_reference(units, trace) -> None:
+    """`observe_arrays` one sampled record at a time, with `probe`."""
     denom = units[0].sample_ratio_denom
     blocks = trace.addrs // np.uint64(units[0].block_bytes)
     sampled = blocks % np.uint64(denom) == 0
     for block, op in zip(blocks[sampled].tolist(), trace.ops[sampled].tolist()):
         for unit in units:
-            unit.probe(block, op == Op.WRITE)
+            probe(unit, block, op == Op.WRITE)
 
 
 @dataclass
@@ -162,6 +255,35 @@ def full_profile(arrays, geometry: CacheGeometry, emulated_size: int):
     return misses, load_misses
 
 
+_profile = None
+
+
+def compiled_full_profile(arrays, geometry: CacheGeometry, emulated_size: int):
+    """`full_profile` in C (lru_oracle.c, built with `edrsim.native`): the
+    same counts from a per-way last-use time and an oldest-way victim
+    instead of an ordered tag list."""
+    global _profile
+    if _profile is None:
+        lib = native.load(os.path.join(os.path.dirname(__file__),
+                                       "lru_oracle.c"))
+        _profile = lib.lru_profile
+        ptr, i64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
+        _profile.argtypes = [ptr, ptr, i64, c_int, i64, c_int, ptr]
+        _profile.restype = c_int
+    ways = geometry.associativity
+    num_sets = emulated_size // (geometry.block_bytes * ways)
+    assert num_sets >= 1
+    addrs = np.ascontiguousarray(arrays.addrs, dtype=np.uint64)
+    ops = np.ascontiguousarray(arrays.ops, dtype=np.uint8)
+    out = np.zeros(2, dtype=np.int64)
+    if _profile(addrs.ctypes.data, ops.ctypes.data, len(addrs),
+                geometry.block_bytes.bit_length() - 1, num_sets, ways,
+                out.ctypes.data):
+        raise MemoryError(f"no memory for {num_sets} x {ways} LRU ways")
+    misses, load_misses = out.tolist()
+    return misses, load_misses
+
+
 def recompute_energy(stats: IntervalStats, params: EnergyParams,
                      scheme: SchemeKind) -> EnergyBreakdown:
     """Straight-line re-evaluation of the interval energy equations."""
@@ -187,8 +309,8 @@ def validate_state(state: CacheState,
     """Full-scan consistency check of a cache state.
 
     Verifies set occupancy (at most `associativity` distinct tags per set, no
-    block in two sets), the n_valid counter (total and per bank), that every
-    dirty bit belongs to a resident tag, containment (no valid line in an
+    block in two sets), the n_valid counter (total and per bank), that no
+    dirty byte is set on an empty slot, containment (no valid line in an
     inactive color), mapping totality and codomain, and reachability (each
     valid line's region still maps to the color holding it). With `rpv`, it
     also checks that every resident tag, and only those, has a phase, and
@@ -213,12 +335,21 @@ def validate_state(state: CacheState,
     by_bank = [0] * g.num_banks
     if rpv is not None:
         by_bank_phase = [[0] * rpv.phases for _ in range(g.num_banks)]
-    for set_index, tags in enumerate(state.sets):
+    if len(state.fill) != g.total_sets or len(state.tags) != g.total_lines \
+            or len(state.dirty) != g.total_lines:
+        return OracleVerdict(False, "arrays do not match the geometry")
+    if state.fill.min() < 0 or state.fill.max() > g.associativity:
+        return OracleVerdict(False, f"a set's fill count is outside [0, "
+                             f"{g.associativity}]: {state.fill.min()} "
+                             f"to {state.fill.max()}")
+    slots = np.arange(g.associativity) < state.fill[:, None]
+    stale = state.dirty.reshape(-1, g.associativity)[~slots]
+    if stale.any():
+        return OracleVerdict(False, f"{np.count_nonzero(stale)} dirty bytes "
+                             "set on empty slots")
+    for set_index, tags in enumerate(all_sets(state)):
         color = set_index // g.sets_per_color
         bank = set_index // g.sets_per_bank
-        if len(tags) > g.associativity:
-            return OracleVerdict(False, f"set {set_index} holds {len(tags)} "
-                                 f"tags, associativity is {g.associativity}")
         for tag in tags:
             if tag in resident:
                 return OracleVerdict(False, f"tag {tag:#x} resident twice "
@@ -241,15 +372,14 @@ def validate_state(state: CacheState,
                                      f"to {state.mapping[region]} but line sits "
                                      f"in color {color}")
 
-    stray = state.dirty | (rpv.of_tag.keys() if rpv is not None else set())
-    stray -= resident
+    stray = (rpv.of_tag.keys() if rpv is not None else set()) - resident
     if stray:
-        return OracleVerdict(False, f"dirty or phase entries for non-resident "
+        return OracleVerdict(False, f"phase entries for non-resident "
                              f"tags {sorted(stray)[:8]}")
     if n_valid != state.n_valid:
         return OracleVerdict(False, f"n_valid counter {state.n_valid}, "
                              f"scan found {n_valid}")
-    if by_bank != state.valid_by_bank:
+    if by_bank != state.valid_by_bank.tolist():
         return OracleVerdict(False, f"per-bank counters {state.valid_by_bank}, "
                              f"scan found {by_bank}")
     if rpv is not None and by_bank_phase != rpv.by_bank:
@@ -301,7 +431,7 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
         return None
 
     def resident(phase=None):
-        return [(set_index, tag) for set_index, tags in enumerate(state.sets)
+        return [(set_index, tag) for set_index, tags in enumerate(all_sets(state))
                 for tag in tags
                 if phase is None or rpv.of_tag[tag] == phase]
 
@@ -331,10 +461,10 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
                 charge[key] = at
 
         set_index = set_of(state, addr)
-        before = set(state.sets[set_index])
+        before = set(set_tags(state, set_index))
         access_block(state, op == Op.WRITE, addr, rpv, now)
         # a line the fill pushed out must not have outlived its charge
-        for tag in before - set(state.sets[set_index]):
+        for tag in before - set(set_tags(state, set_index)):
             bad = over_age((set_index, tag), now)
             if bad:
                 return bad
@@ -364,7 +494,7 @@ def last_touch_mirror(trace, geometry: CacheGeometry) -> list[int]:
     for i, (op, addr) in enumerate(zip(trace.ops.tolist(),
                                        trace.addrs.tolist())):
         set_index = set_of(state, addr)
-        before = list(state.sets[set_index])
+        before = set_tags(state, set_index)
         indices = mirror[set_index]
         code = access_block(state, op == Op.WRITE, addr)
         if code & HIT:
@@ -452,7 +582,7 @@ def reference_run(trace, scheme, geometry, timing, params,
         elif kind is SchemeKind.RPV:
             per_bank = rpv.lines(rpv.phase_of(at))
         else:
-            per_bank = list(state.valid_by_bank)
+            per_bank = state.valid_by_bank.tolist()
         for b, lines in enumerate(per_bank):
             if lines:
                 bank_busy[b] = max(bank_busy[b], at) + lines
@@ -529,7 +659,7 @@ def reference_run(trace, scheme, geometry, timing, params,
         block = addr // geometry.block_bytes
         if units is not None and block % scheme.profiler_ratio == 0:
             for unit in units:
-                unit.probe(block, is_write)
+                probe(unit, block, is_write)
 
         if warmed and interval_instr >= interval_instructions:
             close_interval(run_controller=is_dcr)

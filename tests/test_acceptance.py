@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from oracles import (full_profile, observe_arrays, recompute_energy,
+from oracles import (compiled_full_profile, full_profile, observe_arrays,
+                     recompute_energy,
                      replay_codes, timeline_oracle, trace_of, validate_state)
 from edrsim.cache import CacheGeometry, CacheState, reconfigure
 from edrsim.cli import main as cli_main
@@ -238,32 +239,36 @@ def test_criterion_8_dcr_performance_bounds(ordering_runs):
 
 def test_criterion_9_profiler_fidelity():
     with criterion(9, "profiler fidelity"):
-        # 1/64 sampling within +/-15% of the exhaustive profile, 10 seeds
+        # 1/64 sampling within +/-15% of the exhaustive profile, 10 seeds;
+        # the exhaustive profile is the compiled oracle, pinned to the
+        # Python one on the ratio-1 traces below
         for seed in range(10):
             trace = generate_synthetic(SyntheticTraceSpec(
                 phases=[PhaseSpec(500_000_000, 512 * 1024, 0.3, 0.0)],
                 rng_seed=300 + seed, accesses_per_kilo_instr=20))
             assert len(trace) == 10_000_000
             units = make_units(GEOMETRY_2MB, sample_ratio_denom=64)
-            observe_arrays(units, trace)
+            observe_arrays(units, trace, GEOMETRY_2MB)
             for unit in units:
-                exact, exact_loads = full_profile(trace, GEOMETRY_2MB,
-                                                  unit.emulated_size)
+                exact, exact_loads = compiled_full_profile(
+                    trace, GEOMETRY_2MB, unit.emulated_size)
                 est = unit.misses * 64
                 est_loads = unit.load_misses * 64
                 assert abs(est - exact) <= 0.15 * max(exact, 1), \
                     (seed, unit.emulated_size, est, exact)
                 assert abs(est_loads - exact_loads) <= 0.15 * max(exact_loads, 1)
-        # at sampling ratio 1: exact equality with the oracle
+        # at sampling ratio 1: exact equality with both oracles
         for seed in (77, 78):
             trace = generate_synthetic(SyntheticTraceSpec(
                 phases=[PhaseSpec(50_000_000, 256 * 1024, 0.3, 0.0)],
                 rng_seed=seed, accesses_per_kilo_instr=20))
             units = make_units(GEOMETRY_2MB, sample_ratio_denom=1)
-            observe_arrays(units, trace)
+            observe_arrays(units, trace, GEOMETRY_2MB)
             for unit in units:
-                assert (unit.misses, unit.load_misses) == \
-                    full_profile(trace, GEOMETRY_2MB, unit.emulated_size)
+                exact = full_profile(trace, GEOMETRY_2MB, unit.emulated_size)
+                assert (unit.misses, unit.load_misses) == exact
+                assert compiled_full_profile(trace, GEOMETRY_2MB,
+                                             unit.emulated_size) == exact
         # tag-only storage bound at 1/64 with 30-bit tags
         units = make_units(GEOMETRY_2MB, sample_ratio_denom=64)
         assert profiler_overhead_bytes(units, tag_bits=30) \

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from oracles import (RpvPhases, access_block, full_profile, replay_codes,
-                     trace_of, validate_state)
+from oracles import (RpvPhases, access_block, all_sets, dirty_tags,
+                     full_profile, replay_codes, trace_of, validate_state)
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
                           CacheState, GeometryError, ReconfigError, lines_at,
                           reconfigure)
@@ -18,7 +18,7 @@ def _access(state, is_write, addr) -> int:
 
 def _set_holding(state, addr) -> int:
     tag = addr // state.geometry.block_bytes
-    return next(i for i, tags in enumerate(state.sets) if tag in tags)
+    return next(i for i, tags in enumerate(all_sets(state)) if tag in tags)
 
 
 def test_color_count_2mb_is_64():
@@ -143,7 +143,7 @@ def test_counter_matches_scan_after_random_replay(small_geometry):
     replay_codes(state, arrays)
     verdict = validate_state(state)
     assert verdict.ok, verdict.first_divergence
-    assert state.n_valid == sum(len(tags) for tags in state.sets)
+    assert state.n_valid == int(state.fill.sum())
     # the test-side model, with RPV's phases: 500 cycles each, 4 of them
     model = CacheState(small_geometry)
     rpv = RpvPhases(small_geometry, RefreshConfig(1, 2.0, 4))
@@ -152,7 +152,8 @@ def test_counter_matches_scan_after_random_replay(small_geometry):
         access_block(model, op == Op.WRITE, addr, rpv, i * 7)
     verdict = validate_state(model, rpv)
     assert verdict.ok, verdict.first_divergence
-    assert model.sets == state.sets
+    assert all_sets(model) == all_sets(state)
+    assert dirty_tags(model) == dirty_tags(state)
 
 
 def test_full_cache_matches_independent_lru(small_geometry):
@@ -193,10 +194,11 @@ def test_reconfigure_counts_flushes_and_writebacks(small_geometry):
     # count by scan what sits in the victim color
     start = victim_color * small_geometry.sets_per_color
     valid = dirty = 0
-    for s in range(start, start + small_geometry.sets_per_color):
-        for tag in state.sets[s]:
+    stale = dirty_tags(state)
+    for tags in all_sets(state)[start:start + small_geometry.sets_per_color]:
+        for tag in tags:
             valid += 1
-            dirty += tag in state.dirty
+            dirty += tag in stale
     assert (valid, dirty) == (12, 3)
     report = reconfigure(state, sorted(state.active_colors - {victim_color}))
     assert report.flushed_lines == 12
@@ -213,20 +215,22 @@ def test_region_pull_keeps_survivors_in_lru_order(small_geometry):
     replay_codes(state, trace_of(
         (0, rng.random() < 0.4, rng.randrange(4 * g.total_lines) * g.block_bytes)
         for _ in range(3000)))
-    before = [list(tags) for tags in state.sets]
-    dirty = set(state.dirty)
+    before = all_sets(state)
+    dirty = dirty_tags(state)
     # each new color pulls a region out of an old one
     report = reconfigure(state, range(g.color_count))
+    after = all_sets(state)
     flushed = writebacks = 0
     for set_index, tags in enumerate(before):
         color = set_index // g.sets_per_color
         kept = [t for t in tags if state.mapping[
             (t // (g.page_bytes // g.block_bytes)) % g.color_count] == color]
-        assert state.sets[set_index] == kept
+        assert after[set_index] == kept
         flushed += len(tags) - len(kept)
         writebacks += len(dirty.intersection(tags) - set(kept))
     assert report.flushed_lines == flushed > 0
     assert report.writebacks == writebacks > 0
+    assert dirty_tags(state) == dirty & set().union(*after)
     verdict = validate_state(state)
     assert verdict.ok, verdict.first_divergence
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from edrsim.cli import main
+from edrsim.cli import _apply_sweep_value, main
 from edrsim.config import ConfigError, load_config
 from edrsim.sim import fixed_replay
 from edrsim.trace import read_trace_arrays
@@ -379,4 +379,45 @@ def test_sweep_rejects_non_numeric_values(config_file, tmp_path):
     rc = main(["sweep", "--config", config_file, "--out", str(out),
                "--parameter", "beta", "--values", "1,abc"])
     assert rc == 2
+    assert not out.exists()
+
+
+
+def _dcr_c_min(cfg):
+    (spec,) = [s for s in cfg.schemes if s.controller is not None]
+    return spec.controller.c_min
+
+
+def _config_with(tmp_path, extra):
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CONFIG.replace("delta = 4", "delta = 4" + extra))
+    return str(path)
+
+
+def test_size_sweep_keeps_a_configured_c_min(tmp_path):
+    # 64 KB holds 8 colors, 128 KB 16 and 512 KB 64
+    cfg = load_config(_config_with(tmp_path, "\nc_min = 4"))
+    for kb in (64, 128, 512):
+        assert _dcr_c_min(_apply_sweep_value(cfg, "l2_size_kb", kb)) == 4
+    # an unset c_min is the default slice, 1/16th of each size's colors
+    cfg = load_config(_config_with(tmp_path, ""))
+    assert [_dcr_c_min(_apply_sweep_value(cfg, "l2_size_kb", kb))
+            for kb in (64, 128, 512)] == [1, 1, 4]
+
+
+def test_c_min_above_the_color_count_is_config_error(tmp_path, monkeypatch):
+    # 6 of the 8 colors at 64 KB; 32 KB has only 4
+    path = _config_with(tmp_path, "\nc_min = 6")
+    calls = []
+    monkeypatch.setattr("edrsim.cli.compare", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", path, "--out", str(out),
+                 "--parameter", "l2_size_kb", "--values", "64,32"]) == 2
+    assert calls == []
+    assert not out.exists()
+    # and at 64 KB itself, when the config asks for 9
+    path = _config_with(tmp_path, "\nc_min = 9")
+    with pytest.raises(ConfigError, match="c_min 9 exceeds the 8 colors"):
+        load_config(path)
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()

@@ -1,0 +1,63 @@
+"""The build helper: compile once into the user cache, reuse after, and fail
+loudly without a compiler."""
+
+import os
+
+import pytest
+
+from oracles import replay_reference
+from edrsim import cache, native
+from edrsim.cache import CacheState, Replay, replay
+from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
+
+KERNEL = os.path.join(os.path.dirname(cache.__file__), "lru.c")
+
+
+def _codes(geometry, step=replay) -> bytes:
+    trace = generate_synthetic(SyntheticTraceSpec(
+        phases=[PhaseSpec(100_000, 96 * 1024, 0.4, 0.2)], rng_seed=3,
+        accesses_per_kilo_instr=100))
+    out = Replay(geometry, len(trace))
+    step(CacheState(geometry), trace.addrs, trace.ops == Op.WRITE, 0,
+         len(trace), out)
+    return bytes(out.codes)
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch):
+    """An empty build cache, and a kernel that is not loaded yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(cache, "_kernel", None)
+    return tmp_path / "edrsim"
+
+
+def test_cold_build_loads_and_gives_the_same_codes(cold_cache,
+                                                   small_geometry):
+    assert not cold_cache.exists()
+    got = _codes(small_geometry)
+    built = os.listdir(cold_cache)
+    assert built == [os.path.basename(native.library_path(KERNEL))]
+    assert got == _codes(small_geometry, replay_reference)
+
+
+def test_second_load_reuses_the_build(cold_cache, small_geometry,
+                                      monkeypatch):
+    native.load(KERNEL)
+    (target,) = os.listdir(cold_cache)
+    stamp = os.stat(cold_cache / target).st_mtime_ns
+
+    def no_compile(*args):
+        raise AssertionError("compiled again")
+    monkeypatch.setattr(native, "_build", no_compile)
+    assert _codes(small_geometry)
+    assert os.listdir(cold_cache) == [target]
+    assert os.stat(cold_cache / target).st_mtime_ns == stamp
+
+
+def test_missing_compiler_is_an_error_naming_it(cold_cache, small_geometry,
+                                                monkeypatch):
+    monkeypatch.setattr(native, "_find_compiler", lambda: None)
+    with pytest.raises(native.BuildError, match=f"'{native.CC}'"):
+        _codes(small_geometry)
+    assert cache._kernel is None
+    assert not cold_cache.exists()

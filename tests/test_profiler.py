@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from oracles import full_profile, observe_arrays
+from oracles import (compiled_full_profile, full_profile, observe_arrays,
+                     observe_reference, probe, trace_of)
 from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay, replay
 from edrsim.profiler import (IntervalStats, estimate_misses,
                              estimate_refreshes, estimate_time, make_units,
@@ -36,24 +37,40 @@ def test_full_sampling_matches_main_cache(small_geometry):
 def test_full_sampling_matches_full_profile_oracle(small_geometry):
     arrays = _trace(6, ws_kb=48)
     units = make_units(small_geometry, sample_ratio_denom=1)
-    observe_arrays(units, arrays)
+    observe_arrays(units, arrays, small_geometry)
     for unit in units:
         exact = full_profile(arrays, small_geometry, unit.emulated_size)
         assert (unit.misses, unit.load_misses) == exact
+        assert compiled_full_profile(arrays, small_geometry,
+                                     unit.emulated_size) == exact
 
 
 def test_unsampled_record_leaves_counters_alone(small_geometry):
     units = make_units(small_geometry, sample_ratio_denom=2)
-    # block 1 maps to set 1 in every unit: sampled sets are the even ones
-    for unit in units:
-        unit.probe(1, False)
+    # block 1 maps to set 1 in every unit: sampled sets are the even ones;
+    # replay's own ratio 1 offers every block to the units
+    arrays = trace_of([(1, Op.READ, 64), (1, Op.READ, 128)])
+    state = CacheState(small_geometry)
+    out = Replay(small_geometry, 2)
+    replay(state, arrays.addrs, arrays.ops == Op.WRITE, 0, 1, out, units, 1)
     assert all(u.accesses == 0 and u.misses == 0 for u in units)
-    for unit in units:
-        unit.probe(2, False)
+    assert all(not u.fill.any() for u in units)
+    replay(state, arrays.addrs, arrays.ops == Op.WRITE, 1, 2, out, units, 1)
     assert all(u.accesses == 1 and u.misses == 1 for u in units)
+    # set 2 is the second sampled set
+    assert all(u.tags[u.associativity] == 2 and u.fill.tolist() == [0, 1] + [
+        0] * (len(u.fill) - 2) for u in units)
+    # the Python reference agrees
+    ref = make_units(small_geometry, sample_ratio_denom=2)
+    for unit in ref:
+        probe(unit, 1, False)
+        probe(unit, 2, False)
+    for a, b in zip(units, ref):
+        assert (a.tags.tolist(), a.fill.tolist(), a.accesses, a.misses) == \
+            (b.tags.tolist(), b.fill.tolist(), b.accesses, b.misses)
 
 
-def test_replay_feeds_units_like_observe_arrays(small_geometry):
+def test_replay_feeds_units_like_the_python_reference(small_geometry):
     # sim.run fills the units inside the functional pass; they must end as
     # the units probed record by record from the trace alone
     arrays = _trace(7, ws_kb=64, records=5_000)
@@ -66,9 +83,10 @@ def test_replay_feeds_units_like_observe_arrays(small_geometry):
         replay(state, arrays.addrs, writes, 0, half, out, fed, ratio)
         replay(state, arrays.addrs, writes, half, len(arrays), out, fed, ratio)
         want = make_units(small_geometry, sample_ratio_denom=ratio)
-        observe_arrays(want, arrays)
+        observe_reference(want, arrays)
         for a, b in zip(fed, want):
-            assert a.tags == b.tags
+            assert a.tags.tolist() == b.tags.tolist()
+            assert a.fill.tolist() == b.fill.tolist()
             assert (a.misses, a.load_misses, a.accesses) == \
                 (b.misses, b.load_misses, b.accesses) != (0, 0, 0)
 
@@ -76,7 +94,7 @@ def test_replay_feeds_units_like_observe_arrays(small_geometry):
 def test_sampled_estimates_track_full_profile(small_geometry):
     arrays = _trace(8, ws_kb=48, records=100_000)
     units = make_units(small_geometry, sample_ratio_denom=2)
-    observe_arrays(units, arrays)
+    observe_arrays(units, arrays, small_geometry)
     m = small_geometry.color_count
     for unit, frac in zip(sorted(units, key=lambda u: -u.emulated_size),
                           (1, 2, 4, 8, 16)):
@@ -89,7 +107,7 @@ def test_sampled_estimates_track_full_profile(small_geometry):
 def test_estimate_exact_at_profiled_points(small_geometry):
     units = make_units(small_geometry, sample_ratio_denom=1)
     arrays = _trace(9, ws_kb=32)
-    observe_arrays(units, arrays)
+    observe_arrays(units, arrays, small_geometry)
     m = small_geometry.color_count
     one_x = max(units, key=lambda u: u.emulated_size)
     half = sorted(units, key=lambda u: u.emulated_size)[-2]
@@ -131,7 +149,8 @@ def test_estimate_clamps_below_smallest(geometry_2mb):
 def test_monotone_profiled_points_on_random_traces(small_geometry):
     for seed in range(8):
         units = make_units(small_geometry, sample_ratio_denom=2)
-        observe_arrays(units, _trace(100 + seed, ws_kb=40, records=40_000))
+        observe_arrays(units, _trace(100 + seed, ws_kb=40, records=40_000),
+                       small_geometry)
         by_size = sorted(units, key=lambda u: u.emulated_size)
         misses = [u.misses for u in by_size]
         assert misses == sorted(misses, reverse=True) or all(
@@ -182,11 +201,11 @@ def test_estimate_refreshes_monotone(geometry_2mb):
 def test_reset_interval_keeps_tags_warm(small_geometry):
     units = make_units(small_geometry, sample_ratio_denom=1)
     arrays = _trace(12, ws_kb=16, records=8_000)
-    observe_arrays(units, arrays)
+    observe_arrays(units, arrays, small_geometry)
     reset_interval(units)
     assert all(u.misses == 0 and u.accesses == 0 for u in units)
     # replaying the same working set now mostly hits: tags survived the reset
-    observe_arrays(units, arrays)
+    observe_arrays(units, arrays, small_geometry)
     one_x = max(units, key=lambda u: u.emulated_size)
     assert one_x.misses < 0.02 * one_x.accesses
 

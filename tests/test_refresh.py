@@ -59,7 +59,7 @@ def test_refresh_all_counts_every_line():
 
 def test_valid_only_counts(tiny_geometry):
     state = CacheState(tiny_geometry)
-    assert state.valid_by_bank == [0, 0]
+    assert state.valid_by_bank.tolist() == [0, 0]
     replay_codes(state, trace_of((1, Op.READ, i * 64) for i in range(512)))
     assert state.n_valid == sum(state.valid_by_bank) == 512
 

@@ -1,5 +1,7 @@
 """The two-stage replay (functional pass, then timing pass) against the
-record-at-a-time reference in oracles.reference_run, bit for bit."""
+record-at-a-time reference in oracles.reference_run, bit for bit, and the
+compiled functional pass against its Python reference,
+oracles.replay_reference."""
 
 import itertools
 import random
@@ -10,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (access_block, last_touch_mirror, reference_run,
-                     validate_state)
-from edrsim.cache import CacheGeometry, CacheState, Replay, replay
+from oracles import (access_block, all_sets, dirty_tags, last_touch_mirror,
+                     reference_run, replay_reference, validate_state)
+from edrsim.cache import CacheGeometry, CacheState, Replay, reconfigure, replay
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
+from edrsim.profiler import PROFILED_FRACTIONS, ProfilingUnit
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams,
                         check_refresh_fits, compare, fixed_replay, last_touch,
@@ -172,11 +175,104 @@ def test_functional_replay_matches_access_block(small_geometry):
     for i, (addr, is_write) in enumerate(zip(trace.addrs.tolist(),
                                              writes.tolist())):
         assert out.codes[i] == access_block(slow, is_write, addr), i
-    assert fast.sets == slow.sets
-    assert fast.dirty == slow.dirty
+    assert all_sets(fast) == all_sets(slow)
+    assert dirty_tags(fast) == dirty_tags(slow)
     assert fast.n_valid == slow.n_valid
-    assert fast.valid_by_bank == slow.valid_by_bank
+    assert fast.valid_by_bank.tolist() == slow.valid_by_bank.tolist()
     assert validate_state(fast).ok
+
+
+def _assert_same_state(fast, slow, fast_units=(), slow_units=()):
+    """Every array and counter of two states (and their units) is equal,
+    the empty slots included."""
+    for name in ("tags", "dirty", "fill", "valid_by_bank"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    assert fast.n_valid == slow.n_valid
+    assert fast.mapping == slow.mapping
+    for a, b in zip(fast_units, slow_units, strict=True):
+        assert np.array_equal(a.tags, b.tags), a.emulated_size
+        assert np.array_equal(a.fill, b.fill), a.emulated_size
+        assert (a.misses, a.load_misses, a.accesses) == \
+            (b.misses, b.load_misses, b.accesses), a.emulated_size
+
+
+def _kernel_against_reference(geometry, trace, cuts, colors, ratio=None,
+                              min_colors=1, fractions=PROFILED_FRACTIONS):
+    """Replay the segments between `cuts` with the kernel and with the
+    Python reference, reconfiguring both to colors[k] after segment k;
+    with `ratio`, both also feed profiling units of 1/fraction the cache
+    size (DCR's five by default). Compare everything after each step."""
+    writes = trace.ops == 1
+    states = [CacheState(geometry, min_colors=min_colors) for _ in range(2)]
+    units = [[ProfilingUnit(geometry.size_bytes // f, geometry, ratio)
+              for f in fractions] if ratio else [] for _ in range(2)]
+    outs = [Replay(geometry, len(trace)) for _ in range(2)]
+    bounds = [0, *cuts, len(trace)]
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for step, state, us, out in zip((replay, replay_reference), states,
+                                        units, outs):
+            step(state, trace.addrs, writes, lo, hi, out, us, ratio or 64)
+        assert outs[0].codes[lo:hi] == outs[1].codes[lo:hi], k
+        _assert_same_state(states[0], states[1], units[0], units[1])
+        if k < len(colors):
+            reports = [reconfigure(state, colors[k]) for state in states]
+            assert reports[0] == reports[1]
+            _assert_same_state(states[0], states[1])
+    assert validate_state(states[0]).ok
+    return outs[0], units[0]
+
+
+@pytest.mark.parametrize("banks", [1, 2, 4])
+def test_kernel_matches_reference_on_a_fixed_replay(banks):
+    geometry = _geometry(banks)
+    trace = _trace(seed=40 + banks)
+    out, _ = _kernel_against_reference(geometry, trace, [len(trace) // 3],
+                                       [])
+    codes = np.frombuffer(out.codes, dtype=np.uint8)
+    assert (codes & 2).any() and (codes & 4).any()  # evictions, dirty ones
+
+
+def test_kernel_matches_reference_across_reconfigurations():
+    # DCR's shape: short segments, the controller shrinking and growing the
+    # allocation between them, and the five units fed for sampled blocks
+    geometry = _geometry(2)
+    trace = _trace(seed=61)
+    rng = random.Random(61)
+    cuts = sorted(rng.sample(range(1, len(trace)), 11))
+    m = geometry.color_count
+    colors = [sorted(rng.sample(range(m), rng.randint(2, m)))
+              for _ in cuts]
+    _, units = _kernel_against_reference(geometry, trace, cuts, colors,
+                                         ratio=2, min_colors=2)
+    assert all(u.misses and u.accesses for u in units)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ways=st.sampled_from([2, 4]), colors=st.sampled_from([2, 4]),
+       data=st.data(),
+       accesses=st.lists(st.tuples(st.integers(0, 63), st.booleans(),
+                                   st.booleans()),
+                         min_size=1, max_size=150))
+def test_kernel_matches_reference_on_tiny_caches(ways, colors, data,
+                                                 accesses):
+    # 128 B pages of two 64 B blocks: 2 sets per color, 4-8 sets in all;
+    # half the blocks sit at or above 2^63 bytes. Units of X, X/2 and X/4
+    # (1-8 sets) stand in for DCR's five, whose X/16 has no set here.
+    geometry = CacheGeometry(size_bytes=colors * 128 * ways,
+                             associativity=ways, page_bytes=128,
+                             bank_bytes=colors * 128 * ways // 2)
+    blocks, writes, high = zip(*accesses)
+    addrs = [(b + (h << 57)) * 64 for b, h in zip(blocks, high)]
+    trace = TraceArrays(gaps=np.ones(len(addrs), dtype=np.uint32),
+                        ops=np.array(writes, dtype=np.uint8),
+                        addrs=np.array(addrs, dtype=np.uint64))
+    cuts = sorted(set(data.draw(st.lists(
+        st.integers(1, max(1, len(addrs) - 1)), max_size=4))))
+    allocations = [data.draw(st.lists(st.integers(0, colors - 1), min_size=1,
+                                      unique=True)) for _ in cuts]
+    ratio = data.draw(st.sampled_from([1, 2]))
+    _kernel_against_reference(geometry, trace, cuts, allocations, ratio,
+                              fractions=(1, 2) if ratio == 2 else (1, 2, 4))
 
 
 @pytest.mark.parametrize("span", [None, 10, 1 << 34])
