@@ -18,8 +18,8 @@ most one set; each slot has a dirty byte.
 records to those arrays and writes each record's outcome into a code byte
 (a `Replay`), which the timing pass in `sim.run` then reads. Hits,
 misses and evictions do not depend on time, so one replay serves every
-scheme that never remaps the cache. The per-record work is one C routine
-(lru.c), built at the first replay; see native.py.
+scheme that never remaps the cache. The per-record work is a C routine
+(lru.c's edr_replay), built at first use; see native.py.
 """
 
 import ctypes
@@ -169,24 +169,40 @@ class Replay:
         return len(self.codes)
 
 
-_kernel = None
+_lib = None
 
 
-def _replay_kernel():
-    """lru.c's edr_replay, built and loaded at the first call."""
-    global _kernel
-    if _kernel is None:
+def kernel(name: str):
+    """A routine of lru.c, which is built and loaded at the first call."""
+    global _lib
+    if _lib is None:
         from . import native  # the compiler is needed only from here on
         lib = native.load(os.path.join(os.path.dirname(__file__), "lru.c"))
-        fn = lib.edr_replay
-        fn.restype = ctypes.c_int64
         ptr, i64, u64, c_int = (ctypes.c_void_p, ctypes.c_int64,
                                 ctypes.c_uint64, ctypes.c_int)
-        fn.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
-                       c_int, c_int, c_int, u64, u64, i64, c_int, u64,
-                       ptr, ptr, ptr, ptr]
-        _kernel = fn
-    return _kernel
+        lib.edr_replay.restype = i64
+        lib.edr_replay.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+                                   ptr, c_int, c_int, u64, ptr, ptr, ptr, ptr]
+        lib.edr_time.restype = None
+        lib.edr_time.argtypes = [ptr, ptr, ptr, ctypes.c_double, i64, i64,
+                                 ptr, ptr, i64, ptr, i64, c_int, ptr, c_int,
+                                 ptr, ptr, i64, i64]
+        _lib = lib
+    return getattr(_lib, name)
+
+
+def layout(geometry: CacheGeometry, mapping=None) -> np.ndarray:
+    """How the kernels find a byte address's set under `mapping` (region ->
+    color; the identity if None): the block shift, the page shift, the
+    region mask, the mask of a block's set inside its color, the sets per
+    bank, then the first set of each region's color."""
+    g = geometry
+    out = np.empty(5 + g.color_count, dtype=np.int64)
+    out[:5] = (g.block_bytes.bit_length() - 1, g.page_bytes.bit_length() - 1,
+               g.color_count - 1, g.sets_per_color - 1, g.sets_per_bank)
+    out[5:] = range(g.color_count) if mapping is None else mapping
+    out[5:] *= g.sets_per_color
+    return out
 
 
 def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
@@ -218,19 +234,17 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     if not len(addrs) == len(writes) == len(codes):  # the kernel trusts them
         raise ValueError(f"records [{lo}, {hi}) of the trace do not fit its "
                          "write flags or the replay")
-    first_set = np.array(state.mapping, dtype=np.int64) * g.sets_per_color
     shape = np.array([(u.num_sets, u.sample_ratio_denom) for u in units],
                      dtype=np.int64)
     counts = np.zeros((len(units), 3), dtype=np.int64)
     ptrs = ctypes.c_void_p * len(units)
-    fills = _replay_kernel()(
+    where = layout(g, state.mapping)
+    fills = kernel("edr_replay")(
         addrs.ctypes.data, writes.ctypes.data, len(codes), codes.ctypes.data,
         state.tags.ctypes.data, state.dirty.ctypes.data,
         state.fill.ctypes.data, state.valid_by_bank.ctypes.data,
-        first_set.ctypes.data, g.associativity,
-        g.block_bytes.bit_length() - 1, g.page_bytes.bit_length() - 1,
-        g.color_count - 1, g.sets_per_color - 1, g.sets_per_bank,
-        len(units), ratio, ptrs(*[u.tags.ctypes.data for u in units]),
+        where.ctypes.data, g.associativity, len(units), ratio,
+        ptrs(*[u.tags.ctypes.data for u in units]),
         ptrs(*[u.fill.ctypes.data for u in units]), shape.ctypes.data,
         counts.ctypes.data)
     state.n_valid += fills
@@ -240,22 +254,8 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
         unit.accesses += accesses
 
 
-def banks(addrs: np.ndarray, geometry: CacheGeometry,
-          mapping: list[int]) -> np.ndarray:
-    """The bank of each byte address's set, with the set found as `replay`
-    finds it under `mapping` (region -> color)."""
-    g = geometry
-    blocks = (addrs >> (g.block_bytes.bit_length() - 1)).astype(np.int64)
-    sets = blocks & (g.sets_per_color - 1)  # the set within the color
-    blocks >>= g.sets_per_color.bit_length() - 1  # the page ...
-    blocks &= g.color_count - 1  # ... and its region
-    sets += (np.asarray(mapping, dtype=np.int64) * g.sets_per_color)[blocks]
-    sets //= g.sets_per_bank
-    return sets
-
-
-def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[int, int]:
-    """Invalidate the lines of a color, or only those of one region in it.
+def _flush(state: CacheState, color: int, regions=None) -> tuple[int, int]:
+    """Invalidate the lines of a color, or only those of some regions in it.
 
     The surviving tags of each set move to the front of its row in their
     order. Returns (flushed lines, writebacks of dirty ones).
@@ -268,16 +268,18 @@ def _flush(state: CacheState, color: int, region: int | None = None) -> tuple[in
     dirty = state.dirty.reshape(-1, ways)[rows]
     fill = state.fill[rows]
     gone = np.arange(ways) < fill[:, None]  # the resident slots ...
-    if region is not None:  # ... of the region's pages
+    if regions is not None:  # ... of the regions' pages
         page_shift = g.sets_per_color.bit_length() - 1  # tag >> it = page
-        gone &= (tags >> page_shift) & np.uint64(g.color_count - 1) == region
+        pulled = np.zeros(g.color_count, dtype=bool)
+        pulled[regions] = True
+        gone &= pulled[(tags >> page_shift) & np.uint64(g.color_count - 1)]
     lost = gone.sum(axis=1)
     flushed = int(lost.sum())
     if not flushed:
         return 0, 0
     writebacks = int(np.count_nonzero(dirty[gone]))
     dirty[gone] = 0
-    if region is not None:
+    if regions is not None:
         # a stable sort on "gone" moves the survivors to the front in order
         order = np.argsort(gone, axis=1, kind="stable")
         tags[:] = np.take_along_axis(tags, order, axis=1)
@@ -297,7 +299,9 @@ def reconfigure(state: CacheState, new_colors) -> ReconfigReport:
     round-robin over the surviving colors (ascending). Newly activated colors
     pull regions from the most loaded colors until they reach the balanced
     share; pulled regions are flushed from their old color so no stale line
-    outlives its mapping entry.
+    outlives its mapping entry. Which color gives up which region depends
+    only on the region counts, so every pull is planned first and each
+    donor is then flushed once, over all the regions it gave up.
     """
     g = state.geometry
     m_total = g.color_count
@@ -327,6 +331,7 @@ def reconfigure(state: CacheState, new_colors) -> ReconfigReport:
             rr += 1
 
     # 3. rebalance onto newly activated colors
+    pulled: dict[int, list[int]] = {}
     if activated:
         counts = {c: 0 for c in new}
         for region in range(m_total):
@@ -341,13 +346,15 @@ def reconfigure(state: CacheState, new_colors) -> ReconfigReport:
                 if counts[donor] <= counts[color]:
                     break
                 region = regions_of[donor].pop()  # highest region index
-                f, w = _flush(state, donor, region)
-                flushed += f
-                writebacks += w
+                pulled.setdefault(donor, []).append(region)
                 state.mapping[region] = color
                 regions_of[color].append(region)
                 counts[donor] -= 1
                 counts[color] += 1
+    for donor, regions in sorted(pulled.items()):
+        f, w = _flush(state, donor, regions)
+        flushed += f
+        writebacks += w
 
     switched = (len(deactivated) + len(activated)) * g.lines_per_color
     state.active_colors = new_set

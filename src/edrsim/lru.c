@@ -1,13 +1,35 @@
-/* The functional pass of edrsim (see cache.py): a tag-only LRU step over
- * flat arrays, applied to the main cache and to DCR's profiling units.
+/* The compiled passes of edrsim, built by native.py with the local C
+ * compiler and called through ctypes.
  *
+ * edr_replay is the functional pass (see cache.py): a tag-only LRU step
+ * over flat arrays, applied to the main cache and to DCR's profiling units.
  * A set is a row of `ways` tag slots; its first `fill` slots hold the
- * resident tags, least recent first. Built by native.py with the local C
- * compiler and called through ctypes. */
+ * resident tags, least recent first.
+ *
+ * edr_time is the timing pass (see sim.py): it turns the functional pass's
+ * code bytes into cycles, fires refresh events at their boundaries and
+ * makes an access wait out a burst on its bank.
+ *
+ * Both find a record's set through a layout, built by cache.layout:
+ * layout[FIRST_SET + region] is the first set of the color the region maps
+ * to, and the block's offset in its page picks the set inside that color. */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 enum { HIT = 1, EVICTED = 2, DIRTY_VICTIM = 4, WRITE = 8 };
+enum { BLOCK_SHIFT, PAGE_SHIFT, REGION_MASK, WITHIN_MASK, SETS_PER_BANK,
+       FIRST_SET };
+/* the timing pass's clock, carried across calls */
+enum { NOW, NEXT_BOUNDARY, BOUNDARY_LEN, PHASE, REFRESHED };
+
+static int64_t set_of(const int64_t *layout, uint64_t addr)
+{
+    return layout[FIRST_SET + ((addr >> layout[PAGE_SHIFT])
+                               & (uint64_t)layout[REGION_MASK])]
+           + (int64_t)((addr >> layout[BLOCK_SHIFT])
+                       & (uint64_t)layout[WITHIN_MASK]);
+}
 
 /* One access to a set: a hit moves the tag to the end of the row, a miss
  * appends it and, in a full row, pushes out the first. `dirty`, if not
@@ -45,34 +67,31 @@ static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *fill, int ways,
 }
 
 /* Apply n records to the main cache, writing one code byte each, and return
- * the fills of free ways. A record's set is the first set of the
- * color its region maps to (`first_set`, by region) plus the block's offset
- * in the page. With units, every block whose number is a multiple of
- * `ratio` is looked up in each unit u: in set (block % sets) / denom when
- * that set is sampled (block % sets % denom == 0), where unit_shape[2u] is
- * its set count and unit_shape[2u + 1] its sampling denominator. The unit
- * counts misses, load misses and accesses at unit_counts[3u..3u + 2]. */
+ * the fills of free ways. With units, every block whose number is a
+ * multiple of `ratio` is looked up in each unit u: in set (block % sets) /
+ * denom when that set is sampled (block % sets % denom == 0), where
+ * unit_shape[2u] is its set count and unit_shape[2u + 1] its sampling
+ * denominator. The unit counts misses, load misses and accesses at
+ * unit_counts[3u..3u + 2]. */
 int64_t edr_replay(const uint64_t *addrs, const uint8_t *writes, int64_t n,
                    uint8_t *codes, uint64_t *tags, uint8_t *dirty,
                    int32_t *fill, int64_t *valid_by_bank,
-                   const int64_t *first_set, int ways, int block_shift,
-                   int page_shift, uint64_t region_mask, uint64_t within_mask,
-                   int64_t sets_per_bank, int n_units, uint64_t ratio,
-                   uint64_t *const *unit_tags, int32_t *const *unit_fill,
-                   const int64_t *unit_shape, int64_t *unit_counts)
+                   const int64_t *layout, int ways, int n_units,
+                   uint64_t ratio, uint64_t *const *unit_tags,
+                   int32_t *const *unit_fill, const int64_t *unit_shape,
+                   int64_t *unit_counts)
 {
     int64_t fills = 0;
 
     for (int64_t r = 0; r < n; r++) {
-        uint64_t tag = addrs[r] >> block_shift;
-        int64_t set = first_set[(addrs[r] >> page_shift) & region_mask]
-                      + (int64_t)(tag & within_mask);
+        uint64_t tag = addrs[r] >> layout[BLOCK_SHIFT];
+        int64_t set = set_of(layout, addrs[r]);
         int is_write = writes[r] != 0;
         int code = lru_step(tags + set * ways, dirty + set * ways, fill + set,
                             ways, tag);
 
         if (!(code & (HIT | EVICTED))) {
-            valid_by_bank[set / sets_per_bank]++;
+            valid_by_bank[set / layout[SETS_PER_BANK]]++;
             fills++;
         }
         if (is_write) {
@@ -99,4 +118,78 @@ int64_t edr_replay(const uint64_t *addrs, const uint8_t *writes, int64_t n,
         }
     }
     return fills;
+}
+
+static int64_t phase_of(const void *record_phase, int wide, int64_t r)
+{
+    return wide ? ((const uint32_t *)record_phase)[r]
+                : ((const uint8_t *)record_phase)[r];
+}
+
+/* Time records [lo, hi). Each record adds rint(gap * cpi) cycles, fires
+ * every refresh boundary due by then, waits while its bank is busy with a
+ * burst (firing the boundaries that fall due meanwhile), then costs
+ * hit_cycles or miss_cycles. clock[] holds the cycle, the next boundary
+ * (never due for a boundary length of 0), the boundary length, the current
+ * phase and the refreshed lines so far.
+ *
+ * A boundary refreshes, in each bank b, counts[b * phases + phase] lines
+ * at the phase it opens, and holds the bank one cycle per line. With
+ * `track`, counts are valid lines kept up to date: a fill of a free way adds
+ * one at the current phase, and with last_touch (RPV) a hit or an eviction
+ * moves the line it takes from the phase of the record that last touched
+ * it, record_phase[last_touch[r]], to the current one. record_phase, if not
+ * NULL, gets each record's phase: uint32 if `wide`, else a byte. */
+void edr_time(const uint32_t *gaps, const uint8_t *codes,
+              const uint64_t *addrs, double cpi, int64_t hit_cycles,
+              int64_t miss_cycles, int64_t *clock, int64_t *bank_busy,
+              int64_t n_banks, int64_t *counts, int64_t phases, int track,
+              void *record_phase, int wide, const int32_t *last_touch,
+              const int64_t *layout, int64_t lo, int64_t hi)
+{
+    int64_t now = clock[NOW], next = clock[NEXT_BOUNDARY];
+    int64_t len = clock[BOUNDARY_LEN], phase = clock[PHASE];
+    int64_t refreshed = clock[REFRESHED];
+
+    for (int64_t r = lo; r < hi; r++) {
+        int64_t bank = set_of(layout, addrs[r]) / layout[SETS_PER_BANK];
+        int code = codes[r];
+
+        now += (int64_t)rint(gaps[r] * cpi);
+        for (;;) {
+            for (; next <= now; next += len) {
+                phase = next / len % phases;
+                for (int64_t b = 0; b < n_banks; b++) {
+                    int64_t lines = counts[b * phases + phase];
+
+                    if (lines) {
+                        bank_busy[b] = (bank_busy[b] > next ? bank_busy[b]
+                                                            : next) + lines;
+                        refreshed += lines;
+                    }
+                }
+            }
+            if (bank_busy[bank] <= now)
+                break;
+            now = bank_busy[bank];
+        }
+        if (track && !(code & (HIT | EVICTED))) {
+            counts[bank * phases + phase]++;
+        } else if (last_touch) {
+            counts[bank * phases + phase]++;
+            counts[bank * phases
+                   + phase_of(record_phase, wide, last_touch[r])]--;
+        }
+        if (record_phase) {
+            if (wide)
+                ((uint32_t *)record_phase)[r] = (uint32_t)phase;
+            else
+                ((uint8_t *)record_phase)[r] = (uint8_t)phase;
+        }
+        now += code & HIT ? hit_cycles : miss_cycles;
+    }
+    clock[NOW] = now;
+    clock[NEXT_BOUNDARY] = next;
+    clock[PHASE] = phase;
+    clock[REFRESHED] = refreshed;
 }

@@ -2,7 +2,8 @@
 
 A source is compiled once into a shared library under the user cache
 directory (`$XDG_CACHE_HOME/edrsim`, by default `~/.cache/edrsim`), in a
-file named by the sha256 of the source, and later loads reuse that file.
+file named by the sha256 of the source, the compiler's name and its flags,
+and later loads reuse that file.
 A build writes a temporary file and renames it into place, so a process
 never loads a half-written library. There is no fallback: without the
 compiler, loading fails with an error that names it.
@@ -42,9 +43,12 @@ def cache_dir() -> str:
 
 
 def library_path(source_path: str) -> str:
-    """Where the library built from `source_path` is cached."""
+    """Where the library built from `source_path` with CC and CFLAGS is
+    cached."""
     with open(source_path, "rb") as fh:
-        digest = sha256(fh.read()).hexdigest()
+        digest = sha256(fh.read())
+    digest.update("\0".join((CC, *CFLAGS)).encode())
+    digest = digest.hexdigest()
     name = os.path.splitext(os.path.basename(source_path))[0]
     return os.path.join(cache_dir(), f"{name}-{digest}.so")
 

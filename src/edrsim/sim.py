@@ -15,16 +15,18 @@ does not depend on time, so baseline, RPV and SRAM share one
 (`fixed_replay`); DCR replays each interval only after the controller has
 acted on the previous one.
 
-The timing pass is event-driven. Per segment of records it computes with
-numpy the cycle at which each record would check for refresh if nothing
-waited, and steps in Python only to the records where a refresh boundary
-falls due or the record's bank is busy. Between two such records no event
-fires and no record waits, so the counters an event reads (DCR's valid
-lines per bank, RPV's valid lines per bank and last-touch phase) are
-brought up to date in bulk.
+The timing pass is one compiled loop (lru.c's edr_time), called once per
+segment of records. Per record it adds the gap's cycles, fires the refresh
+boundaries due by then, waits out a burst on the record's bank, updates the
+counters an event reads (DCR's valid lines per bank; RPV's valid lines per
+bank and last-touch phase) and adds the hit or miss latency. Its clock,
+bank timers and counters carry from one segment to the next. `run` keeps
+what happens between segments: warm-up, interval closes, the controller's
+decisions and each interval's hit and miss counts.
 """
 
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -198,9 +200,12 @@ def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
             f"cycles, which does not fit in the {period}-cycle retention period")
 
 
-# the most records one step of the timing pass turns into numpy columns;
-# at 8192 they add about 0.4 MB to the run's memory
+# the most records in one segment of the timing pass; numpy sums their
+# instructions and counts their outcomes a segment at a time
 _BLOCK = 1 << 13
+# slots of edr_time's clock (lru.c): the cycle, the next refresh boundary,
+# the boundary length, the current phase and the refreshed lines
+_NOW, _NEXT_BOUNDARY, _REFRESHED = 0, 1, 4
 
 
 def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
@@ -224,11 +229,15 @@ def last_touch(replay: Replay, addrs: np.ndarray) -> np.ndarray:
     set of a cache that never remaps or invalidates loses lines only to LRU
     evictions, and those take lines in the order of their last touch: the
     k-th eviction in a set takes the k-th touch in that set, in record
-    order, that is not followed by a hit to the same block.
+    order, that is not followed by a hit to the same block. The indices are
+    int32, the type the timing pass reads them in.
     """
     g = replay.geometry
     n = len(replay)
-    index = np.min_scalar_type(-n)
+    if n >= 1 << 31:
+        raise ValueError(f"last_touch indexes at most 2**31 - 1 records with "
+                         f"int32, not {n}")
+    index = np.int32
     codes = np.frombuffer(replay.codes, dtype=np.uint8)
     hit = (codes & HIT) != 0
     blocks = addrs >> (g.block_bytes.bit_length() - 1)
@@ -275,35 +284,41 @@ def _segments(gaps: np.ndarray, warmup: int, interval: int
     (lo, hi, closes, instructions through record hi - 1) segments, at most
     _BLOCK records long; `closes` says an interval closes after record
     hi - 1. A close on the last record adds an empty final segment, which
-    holds what the last decision carries over.
+    holds what the last decision carries over. The instruction counts are
+    summed one block of _BLOCK records at a time, so that a long trace
+    needs no column of them.
     """
-    cum = np.cumsum(gaps, dtype=np.int64)
-    n = len(cum)
+    n = len(gaps)
     warm_at = None
-    base = 0
-    ends = {n: False}
-    if warmup:
-        warm_at = int(np.searchsorted(cum, warmup))  # first cum >= warmup
-        base = int(cum[warm_at])
-        if warm_at:
-            ends[warm_at] = False
-    warm_base = base
-    while True:
-        j = int(np.searchsorted(cum, base + interval))
-        if j >= n:
-            break
-        ends[j + 1] = True
-        base = int(cum[j])
+    # instructions through the last interval close or the warm-up end;
+    # None until warm-up ends
+    base = warm_base = None if warmup else 0
     segments = []
-    lo = 0
-    for end in sorted(ends):
-        for hi in range(lo + _BLOCK, end, _BLOCK):
-            segments.append((lo, hi, False, int(cum[hi - 1])))
+    before = 0  # instructions before the block
+    for first in range(0, n, _BLOCK):
+        cum = np.cumsum(gaps[first:first + _BLOCK], dtype=np.int64)
+        cum += before
+        cuts = {}  # record index -> an interval closes before it
+        if base is None and cum[-1] >= warmup:
+            k = int(np.searchsorted(cum, warmup))  # first cum >= warmup
+            warm_at = first + k
+            base = warm_base = int(cum[k])
+            cuts[warm_at] = False
+        while base is not None:
+            k = int(np.searchsorted(cum, base + interval))
+            if k == len(cum):
+                break
+            cuts[first + k + 1] = True
+            base = int(cum[k])
+        cuts.setdefault(first + len(cum), False)
+        lo = first
+        for hi in sorted(cuts):
+            if hi > lo:
+                segments.append((lo, hi, cuts[hi], int(cum[hi - 1 - first])))
             lo = hi
-        segments.append((lo, end, ends[end], int(cum[end - 1])))
-        lo = end
-    if ends[n]:
-        segments.append((n, n, False, int(cum[-1])))
+        before = int(cum[-1])
+    if segments[-1][2]:
+        segments.append((n, n, False, before))
     return warm_at, warm_base, segments
 
 
@@ -394,10 +409,6 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     codes = np.frombuffer(replay.codes, dtype=np.uint8)
 
     num_banks = geometry.num_banks
-    identity = list(range(m_total))  # the mapping of a fixed replay
-    bank_busy = [0] * num_banks
-    busy_max = 0  # no bank is busy at or after this cycle
-    event_cycles: list[int] | None = [] if collect_refresh_events else None
     if refresh_cfg is None:
         boundary_len = 0
         next_boundary = 1 << 62  # never
@@ -405,29 +416,43 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         boundary_len = (refresh_cfg.phase_cycles if is_rpv
                         else refresh_cfg.retention_cycles)
         next_boundary = boundary_len
-    # the lines a refresh event covers in each bank: every line for the
-    # baseline, DCR's running valid counts, RPV's count for the due phase
-    per_bank = [geometry.total_lines // num_banks] * num_banks
-    phase = 0  # RPV: the phase of the current cycle
+    clock = np.array([0, next_boundary, boundary_len, 0, 0], dtype=np.int64)
+    bank_busy = np.zeros(num_banks, dtype=np.int64)
+    # the lines a refresh event covers in each bank, at bank * phases +
+    # phase: every line for the baseline, DCR's running valid counts, RPV's
+    # valid lines by last-touch phase
+    k_phases = refresh_cfg.phases if is_rpv else 1
+    counts = np.zeros(num_banks * k_phases, dtype=np.int64)
+    if kind is SchemeKind.BASELINE_EDRAM:
+        counts += geometry.total_lines // num_banks
+    rpv_columns = (None, False, None)
     if is_rpv:
-        k_phases = refresh_cfg.phases
-        # valid lines by bank and last-touch phase, at bank * k_phases +
-        # phase, and the phase each record touches its line in
-        phase_counts = np.zeros(num_banks * k_phases, dtype=np.int64)
-        record_phase = np.zeros(n, dtype=np.min_scalar_type(k_phases - 1))
+        # the phase each record touches its line in
+        record_phase = np.zeros(n, dtype=np.uint8 if k_phases <= 256
+                                else np.uint32)
         if replay.last_touch is None:
             replay.last_touch = last_touch(replay, trace.addrs)
-        touched_by = replay.last_touch
+        touched_by = np.ascontiguousarray(replay.last_touch, dtype=np.int32)
+        rpv_columns = (record_phase.ctypes.data, record_phase.itemsize > 1,
+                       touched_by.ctypes.data)
 
     hit_cycles = timing.l2_hit_cycles
     miss_cost = hit_cycles + timing.dram_latency_cycles
     base_cpi = timing.base_cpi
-    scale_gaps = abs(base_cpi - 1.0) >= 1e-12
+    cpi = base_cpi if abs(base_cpi - 1.0) >= 1e-12 else 1.0
+    gaps = np.ascontiguousarray(trace.gaps, dtype=np.uint32)
+    addrs = np.ascontiguousarray(trace.addrs, dtype=np.uint64)
+    time_records = partial(
+        _cache.kernel("edr_time"), gaps.ctypes.data, codes.ctypes.data,
+        addrs.ctypes.data, cpi, hit_cycles, miss_cost, clock.ctypes.data,
+        bank_busy.ctypes.data, num_banks, counts.ctypes.data, k_phases,
+        is_rpv or is_dcr, *rpv_columns)
+    where = _cache.layout(geometry)
     warm_at, warm_base, segments = _segments(
         trace.gaps, warmup_instructions, interval_instructions)
 
     now = 0
-    hits = misses = load_misses = writebacks = refreshed = 0
+    hits = misses = load_misses = writebacks = 0
     carry_writebacks = carry_switched = 0
     interval_start = 0
     interval_base = 0  # instructions before the interval's first record
@@ -437,104 +462,31 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
 
     for lo, hi, closes, instructions in segments:
         if hi > lo:
-            gaps = trace.gaps[lo:hi]
-            if scale_gaps:
-                cycles = np.rint(gaps * base_cpi).astype(np.int64)
-            else:
-                cycles = gaps.astype(np.int64)
             if lo == warm_at:  # metrics start with this record
-                hits = misses = load_misses = writebacks = refreshed = 0
-                interval_start = now + int(cycles[0])
+                hits = misses = load_misses = writebacks = 0
+                clock[_REFRESHED] = 0
+                # the record's gap in cycles, rounded half to even as the
+                # kernel rounds it
+                interval_start = now + round(int(gaps[lo]) * cpi)
                 interval_base = warm_base
                 if units is not None:
                     reset_interval(units)
-            banks = _cache.banks(trace.addrs[lo:hi], geometry,
-                                 state.mapping if is_dcr else identity)
             if is_dcr:
-                per_bank = state.valid_by_bank.tolist()
-                _cache.replay(state, trace.addrs, writes, lo, hi, replay, units,
+                counts[:] = state.valid_by_bank  # before this segment's fills
+                _cache.replay(state, addrs, writes, lo, hi, replay, units,
                               scheme.profiler_ratio)
+                where = _cache.layout(geometry, state.mapping)
+            time_records(where.ctypes.data, lo, hi)
+            now = int(clock[_NOW])
             code = codes[lo:hi]
-            hit = (code & HIT) != 0
-            touched = (code & (HIT | EVICTED)) != 0  # else a fill of a free way
-            count = hi - lo
-            n_hits = int(np.count_nonzero(hit))
+            n_hits = int(np.count_nonzero(code & HIT))
             hits += n_hits
-            misses += count - n_hits
+            misses += hi - lo - n_hits
             writebacks += int(np.count_nonzero(code & DIRTY_VICTIM))
             load_misses += int(np.count_nonzero((code & (HIT | WRITE)) == 0))
 
-            # each record's cycle before its refresh check, if none waits:
-            # the gaps so far plus the costs of the records before it
-            cost = np.where(hit, hit_cycles, miss_cost)
-            cycles[1:] += cost[:-1]
-            ready = np.cumsum(cycles)
-            ready += now
-            # a record gates if a refresh boundary is due by its cycle or its
-            # bank is busy then; between gates nothing fires and none waits,
-            # and a gate's wait delays every later record of the segment
-            delay = 0
-            scan = done = 0
-            while True:
-                rest = ready[scan:]
-                gate = scan + int(np.searchsorted(rest, next_boundary - delay))
-                if scan < gate and ready[scan] + delay < busy_max:
-                    end = scan + int(np.searchsorted(rest, busy_max - delay))
-                    end = min(end, gate)
-                    busy = (np.array(bank_busy)[banks[scan:end]]
-                            > ready[scan:end] + delay)
-                    first = int(busy.argmax())
-                    if busy[first]:
-                        gate = scan + first
-                # bring the counters an event reads up to date before the
-                # gate; records [done, gate) touch their lines in this phase
-                if is_rpv and gate > done:
-                    record_phase[lo + done:lo + gate] = phase
-                    chunk = banks[done:gate]
-                    phase_counts[phase::k_phases] += np.bincount(
-                        chunk, minlength=num_banks)
-                    # a hit or an eviction takes a line from the phase of
-                    # the record that last touched it
-                    old = touched[done:gate]
-                    lost = (chunk[old] * k_phases
-                            + record_phase[touched_by[lo + done:lo + gate][old]])
-                    phase_counts -= np.bincount(lost,
-                                                minlength=len(phase_counts))
-                elif is_dcr and gate > done:
-                    fills = np.bincount(banks[done:gate][~touched[done:gate]],
-                                        minlength=num_banks)
-                    per_bank = [v + f for v, f in zip(per_bank, fills.tolist())]
-                if gate == count:
-                    break
-                done = gate
-                now = int(ready[gate]) + delay
-                bank = int(banks[gate])
-                # fire due refresh events, then wait out any burst on our
-                # bank; a wait can cross the next boundary, so settle both
-                while True:
-                    while next_boundary <= now:
-                        at = next_boundary
-                        next_boundary += boundary_len
-                        if is_rpv:
-                            phase = (at // boundary_len) % k_phases
-                            per_bank = phase_counts[phase::k_phases].tolist()
-                        for b, lines in enumerate(per_bank):
-                            if lines:
-                                start = bank_busy[b]
-                                bank_busy[b] = (start if start > at else at) + lines
-                                refreshed += lines
-                        busy_max = max(bank_busy)
-                        if event_cycles is not None:
-                            event_cycles.append(at)
-                    if bank_busy[bank] > now:
-                        now = bank_busy[bank]
-                    else:
-                        break
-                delay = now - int(ready[gate])
-                scan = gate + 1
-            now = int(ready[-1]) + delay + int(cost[-1])
-
         if closes or hi == n:
+            refreshed = int(clock[_REFRESHED])
             stats = IntervalStats(
                 instructions=instructions - interval_base,
                 l2_hits=hits, l2_misses=misses, load_misses=load_misses,
@@ -551,12 +503,18 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                 carry_writebacks, carry_switched = _close_interval(
                     intervals, decisions, stats, colors, scheme, params, state,
                     units, run_controller=is_dcr and closes)
-            hits = misses = load_misses = writebacks = refreshed = 0
+            hits = misses = load_misses = writebacks = 0
+            clock[_REFRESHED] = 0
             interval_start = now
             interval_base = instructions
             if is_dcr:
                 active_fraction = state.active_count / m_total
 
+    event_cycles = None
+    if collect_refresh_events:
+        # boundaries fire strictly in order, one boundary length apart
+        event_cycles = (list(range(boundary_len, int(clock[_NEXT_BOUNDARY]),
+                                   boundary_len)) if boundary_len else [])
     return RunReport.from_intervals(scheme, warmup_instructions, intervals,
                                     decisions, event_cycles)
 

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from oracles import (RpvPhases, access_block, all_sets, dirty_tags,
                      full_profile, replay_codes, trace_of, validate_state)
+from edrsim import cache
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, GeometryError, ReconfigError, lines_at,
-                          reconfigure)
+                          CacheState, GeometryError, ReconfigError,
+                          ReconfigReport, lines_at, reconfigure)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -302,3 +304,78 @@ def test_random_reconfigure_sequences_keep_invariants(small_geometry):
         reconfigure(state, colors)
         verdict = validate_state(state)
         assert verdict.ok, f"step {step}: {verdict.first_divergence}"
+
+
+def _reconfigure_one_region_at_a_time(state, new_colors) -> ReconfigReport:
+    """`reconfigure` with each pulled region flushed from its donor as soon
+    as it is pulled, one `_flush` call per region."""
+    g = state.geometry
+    m = g.color_count
+    new = sorted(set(new_colors))
+    deactivated = state.active_colors - set(new)
+    activated = set(new) - state.active_colors
+    flushed = writebacks = 0
+    for color in sorted(deactivated):
+        f, w = cache._flush(state, color)
+        flushed, writebacks = flushed + f, writebacks + w
+    orphans = [r for r in range(m) if state.mapping[r] in deactivated]
+    for rr, region in enumerate(orphans):
+        state.mapping[region] = new[rr % len(new)]
+    counts = {c: state.mapping.count(c) for c in new}
+    regions_of = {c: [r for r in range(m) if state.mapping[r] == c]
+                  for c in new}
+    for color in sorted(activated):
+        while counts[color] < m // len(new):
+            donor = max(counts, key=lambda c: (counts[c], -c))
+            if counts[donor] <= counts[color]:
+                break
+            region = regions_of[donor].pop()
+            f, w = cache._flush(state, donor, [region])
+            flushed, writebacks = flushed + f, writebacks + w
+            state.mapping[region] = color
+            regions_of[color].append(region)
+            counts[donor] -= 1
+            counts[color] += 1
+    state.active_colors = set(new)
+    return ReconfigReport(flushed, writebacks,
+                          (len(deactivated) + len(activated))
+                          * g.lines_per_color)
+
+
+@pytest.mark.parametrize("page_bytes", [1024, 256])
+def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
+                                                           monkeypatch):
+    # 8 or 32 colors; growing from a few colors makes each donor give up
+    # several regions, which reconfigure flushes in one call
+    g = CacheGeometry(size_bytes=64 * 1024, associativity=8,
+                      page_bytes=page_bytes, bank_bytes=16 * 1024)
+    m = g.color_count
+    spec = SyntheticTraceSpec(phases=[PhaseSpec(60_000, 96 * 1024, 0.5, 0.3)],
+                              rng_seed=page_bytes, accesses_per_kilo_instr=100)
+    arrays = generate_synthetic(spec)
+    batched, single = CacheState(g), CacheState(g)
+    most = []  # the most regions one flush of the batched state covered
+    real_flush = cache._flush
+
+    def flush(state, color, regions=None):
+        if state is batched and regions is not None:
+            most.append(len(regions))
+        return real_flush(state, color, regions)
+    monkeypatch.setattr(cache, "_flush", flush)
+    rng = random.Random(page_bytes)
+    for step in range(30):
+        for state in (batched, single):
+            replay_codes(state, arrays, step * 200, step * 200 + 200)
+        colors = rng.sample(range(m), rng.choice([1, 2, rng.randint(1, m), m]))
+        assert reconfigure(batched, colors) == \
+            _reconfigure_one_region_at_a_time(single, colors), step
+        # the resident tags in order; the slots past a set's fill hold
+        # leftovers that no lookup reads
+        assert all_sets(batched) == all_sets(single), step
+        for name in ("dirty", "fill", "valid_by_bank"):
+            assert np.array_equal(getattr(batched, name),
+                                  getattr(single, name)), (step, name)
+        assert batched.mapping == single.mapping
+        assert batched.n_valid == single.n_valid
+    assert max(most) > 1
+    assert validate_state(batched).ok

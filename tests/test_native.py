@@ -27,7 +27,7 @@ def _codes(geometry, step=replay) -> bytes:
 def cold_cache(tmp_path, monkeypatch):
     """An empty build cache, and a kernel that is not loaded yet."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(cache, "_kernel", None)
+    monkeypatch.setattr(cache, "_lib", None)
     return tmp_path / "edrsim"
 
 
@@ -59,5 +59,29 @@ def test_missing_compiler_is_an_error_naming_it(cold_cache, small_geometry,
     monkeypatch.setattr(native, "_find_compiler", lambda: None)
     with pytest.raises(native.BuildError, match=f"'{native.CC}'"):
         _codes(small_geometry)
-    assert cache._kernel is None
+    assert cache._lib is None
     assert not cold_cache.exists()
+
+
+def test_changed_compiler_or_flags_build_another_library(cold_cache,
+                                                         monkeypatch):
+    first = native.library_path(KERNEL)
+    native.load(KERNEL)
+    compiler = native.CC
+    monkeypatch.setattr(native, "CC", "cc")
+    assert native.library_path(KERNEL) != first
+    monkeypatch.setattr(native, "CC", compiler)
+    monkeypatch.setattr(native, "CFLAGS", (*native.CFLAGS, "-DNDEBUG"))
+    second = native.library_path(KERNEL)
+    assert second != first
+    built = []
+    real_build = native._build
+
+    def build(source_path, target):
+        built.append(target)
+        real_build(source_path, target)
+    monkeypatch.setattr(native, "_build", build)
+    native.load(KERNEL)
+    assert built == [second]
+    assert sorted(os.listdir(cold_cache)) == sorted(
+        os.path.basename(p) for p in (first, second))

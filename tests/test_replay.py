@@ -126,6 +126,79 @@ def test_run_matches_reference_run(case, monkeypatch):
         assert max(bursts) >= scheme.refresh.phase_cycles
 
 
+_TINY_SCHEMES = [(SchemeKind.BASELINE_EDRAM, 1), (SchemeKind.SRAM, 1),
+                 (SchemeKind.DCR, 1)] + [(SchemeKind.RPV, k) for k in range(1, 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ways=st.sampled_from([2, 4]), banks=st.sampled_from([1, 2, 4]),
+       scheme=st.sampled_from(_TINY_SCHEMES),
+       cpi=st.sampled_from([0.7, 1.0, 1.5]),
+       retention=st.sampled_from([120, 240]),
+       block=st.sampled_from([1, 3, 7, 1 << 13]), data=st.data(),
+       records=st.lists(st.tuples(st.integers(1, 40), st.booleans(),
+                                  st.integers(0, 95), st.booleans()),
+                        min_size=2, max_size=150))
+def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
+                                                   retention, block, data,
+                                                   records):
+    # 128 B pages of two 64 B blocks on 8 colors: 16 sets, 32-64 lines, so
+    # DCR's X/16 unit has one set; every timing-pass segment is `block`
+    # records long at most
+    kind, phases = scheme
+    geometry = CacheGeometry(size_bytes=16 * 64 * ways, associativity=ways,
+                             page_bytes=128,
+                             bank_bytes=16 * 64 * ways // banks)
+    gaps, writes, blocks, long = zip(*records)
+    # a long gap adds 2-5 retention periods of instructions, so that one
+    # record fires several events
+    gaps = [g + (data.draw(st.integers(2, 5)) * retention if far else 0)
+            for g, far in zip(gaps, long)]
+    trace = TraceArrays(gaps=np.array(gaps, dtype=np.uint32),
+                        ops=np.array(writes, dtype=np.uint8),
+                        addrs=np.array(blocks, dtype=np.uint64) * 64)
+    total = trace.instructions
+    warmup = data.draw(st.sampled_from([0, None, gaps[0],
+                                        total - gaps[-1] - 1]))
+    interval = max(1, total // data.draw(st.integers(2, 8)))
+    refresh = RefreshConfig(retention / 2000, 2.0, phases)
+    if kind is SchemeKind.SRAM:
+        spec = SchemeSpec(kind=kind, energy=SRAM)
+    elif kind is SchemeKind.DCR:
+        spec = SchemeSpec(kind=kind, refresh=refresh, profiler_ratio=1,
+                          controller=default_config(
+                              geometry, granularity=1,
+                              delta=data.draw(st.integers(1, 8)),
+                              interval_instructions=interval))
+    else:
+        spec = SchemeSpec(kind=kind, refresh=refresh)
+    timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
+    kwargs = dict(warmup_instructions=warmup, interval_instructions=interval,
+                  collect_refresh_events=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("edrsim.sim._BLOCK", block)
+        got = run(trace, spec, geometry, timing, EDRAM, **kwargs)
+    want = reference_run(trace, spec, geometry, timing, EDRAM, **kwargs)
+    assert got.to_dict() == want.to_dict()
+    assert got.refresh_event_cycles == want.refresh_event_cycles
+
+
+def test_rpv_with_more_phases_than_a_byte_holds():
+    # 300 phases of 10 cycles: the timing pass keeps each record's phase in
+    # 32 bits instead of a byte
+    geometry = _geometry(2)
+    trace = _trace(seed=9)
+    scheme = SchemeSpec(kind=SchemeKind.RPV,
+                        refresh=RefreshConfig(1.5, 2.0, 300))
+    timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
+    kwargs = dict(interval_instructions=50_000, collect_refresh_events=True)
+    got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
+    want = reference_run(trace, scheme, geometry, timing, EDRAM, **kwargs)
+    assert got.to_dict() == want.to_dict()
+    assert got.refresh_event_cycles == want.refresh_event_cycles
+    assert got.total_refreshed_lines > 0
+
+
 def test_decision_on_the_last_record_opens_a_trailing_interval():
     # 240k instructions close the last 4000-instruction interval on the last
     # record; that decision switches colors and flushes dirty lines, which
