@@ -12,7 +12,7 @@ The sets live in flat numpy arrays: set s owns the tag slots
 [s * ways, (s + 1) * ways), of which its first `fill[s]` hold the resident
 tags, least recent first: the same LRU stack the profiling units keep
 (Mattson et al., 1970). A tag is a full block number, so a block sits in at
-most one set; each slot has a dirty byte.
+most one set; each slot has a dirty byte and a last-touch record index.
 
 `replay` is the functional pass of a simulation: it applies a run of trace
 records to those arrays and writes each record's outcome into a code byte
@@ -132,9 +132,11 @@ class CacheState:
         # balanced initial mapping: region i -> i-th active color, cycling
         self.mapping: list[int] = [active[i % len(active)] for i in range(m_total)]
         # set s: tag slots [s * ways, (s + 1) * ways), the first fill[s]
-        # resident, least recent first, with a dirty byte per slot
+        # resident, least recent first, with a dirty byte and a last-touch
+        # index per slot (the latter kept only for a last-touch column)
         self.tags = np.zeros(geometry.total_lines, dtype=np.uint64)
         self.dirty = np.zeros(geometry.total_lines, dtype=np.uint8)
+        self.touch = np.zeros(geometry.total_lines, dtype=np.int32)
         self.fill = np.zeros(geometry.total_sets, dtype=np.int32)
         self.n_valid = 0
         self.valid_by_bank = np.zeros(geometry.num_banks, dtype=np.int64)
@@ -155,9 +157,9 @@ class Replay:
     """Outcome columns of a functional replay, one entry per trace record.
 
     `codes` holds the HIT/EVICTED/DIRTY_VICTIM/WRITE bits, one byte per
-    record. `last_touch` is left for the timing pass to fill once (see
-    `sim.last_touch`): RPV's per-record index of the record that last touched
-    the line a hit or an eviction takes.
+    record. `last_touch`, if given an int32 array (`sim.fixed_replay` does),
+    gets the index of the record that last touched the line each record hits
+    or evicts, -1 for a fill of a free way: RPV's input.
     """
 
     def __init__(self, geometry: CacheGeometry, records: int):
@@ -181,12 +183,13 @@ def kernel(name: str):
         ptr, i64, u64, c_int = (ctypes.c_void_p, ctypes.c_int64,
                                 ctypes.c_uint64, ctypes.c_int)
         lib.edr_replay.restype = i64
-        lib.edr_replay.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
-                                   ptr, c_int, c_int, u64, ptr, ptr, ptr, ptr]
+        lib.edr_replay.argtypes = [ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
+                                   ptr, ptr, ptr, ptr, c_int, c_int, u64, ptr,
+                                   ptr, ptr, ptr]
         lib.edr_time.restype = None
         lib.edr_time.argtypes = [ptr, ptr, ptr, ctypes.c_double, i64, i64,
-                                 ptr, ptr, i64, ptr, i64, c_int, ptr, c_int,
-                                 ptr, ptr, i64, i64]
+                                 ptr, ptr, i64, ptr, i64, c_int, ptr, ptr,
+                                 i64, i64]
         _lib = lib
     return getattr(_lib, name)
 
@@ -214,7 +217,8 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     color through the mapping, which is fixed for the call, and its page
     offset picks the set inside that color. A hit moves the tag to the end
     of its set's row; a miss into a full set evicts the first. The dirty
-    bytes and the valid counters (total and per bank) follow. With `units`,
+    bytes and the valid counters (total and per bank) follow, and so do the
+    last-touch indices when `out` has a last-touch column. With `units`,
     every block whose number is a multiple of `ratio` is looked up in each
     profiling unit, which counts its accesses, misses and load misses.
     """
@@ -228,10 +232,14 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
                                    for u in units)):
         raise ValueError("profiling units need a sampling ratio >= 1 and the "
                          "cache's associativity")
-    addrs = np.ascontiguousarray(addrs[lo:hi], dtype=np.uint64)
-    writes = np.ascontiguousarray(writes[lo:hi], dtype=np.bool_)
-    codes = np.frombuffer(out.codes, dtype=np.uint8)[lo:hi]
-    if not len(addrs) == len(writes) == len(codes):  # the kernel trusts them
+    addrs = np.ascontiguousarray(addrs, dtype=np.uint64)
+    writes = np.ascontiguousarray(writes, dtype=np.bool_)
+    codes = np.frombuffer(out.codes, dtype=np.uint8)
+    column = out.last_touch
+    lo, hi, _ = slice(lo, hi).indices(len(codes))  # as a slice of them
+    # the kernel trusts them
+    if not (len(addrs) == len(writes) == len(codes)
+            and (column is None or len(column) == len(codes))):
         raise ValueError(f"records [{lo}, {hi}) of the trace do not fit its "
                          "write flags or the replay")
     shape = np.array([(u.num_sets, u.sample_ratio_denom) for u in units],
@@ -240,10 +248,11 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     ptrs = ctypes.c_void_p * len(units)
     where = layout(g, state.mapping)
     fills = kernel("edr_replay")(
-        addrs.ctypes.data, writes.ctypes.data, len(codes), codes.ctypes.data,
+        addrs.ctypes.data, writes.ctypes.data, lo, hi, codes.ctypes.data,
+        None if column is None else column.ctypes.data,
         state.tags.ctypes.data, state.dirty.ctypes.data,
-        state.fill.ctypes.data, state.valid_by_bank.ctypes.data,
-        where.ctypes.data, g.associativity, len(units), ratio,
+        state.touch.ctypes.data, state.fill.ctypes.data,
+        state.valid_by_bank.ctypes.data, where.ctypes.data, g.associativity, len(units), ratio,
         ptrs(*[u.tags.ctypes.data for u in units]),
         ptrs(*[u.fill.ctypes.data for u in units]), shape.ctypes.data,
         counts.ctypes.data)

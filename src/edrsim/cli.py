@@ -12,10 +12,9 @@ from dataclasses import fields, replace
 from . import trace as trace_mod
 from .config import ConfigError, RunConfig, check_c_min, load_config
 from .controller import default_config
-from .energy import SchemeKind
 from .profiler import make_units
 from .sim import (ComparisonRow, RunReport, check_refresh_fits, compare,
-                  comparison_row, fixed_replay, run)
+                  comparison_row, fixed_replay, run_schemes)
 from .trace import TraceArrays, TraceHeader
 
 
@@ -121,17 +120,11 @@ def cmd_run(args) -> int:
     _require_schemes(cfg, 1)
     arrays = _load_trace_for(cfg, args.seed)
     warmup = _warmup_for(cfg, arrays)
-    # the schemes that never remap share one functional replay
-    shared = (fixed_replay(arrays, cfg.geometry)
-              if any(s.kind is not SchemeKind.DCR for s in cfg.schemes)
-              else None)
     # every scheme runs before the first write, so a late failure leaves no
     # partial output
-    reports = [run(arrays, spec, cfg.geometry, cfg.timing, cfg.energy,
-                   warmup_instructions=warmup,
-                   interval_instructions=cfg.interval_instructions,
-                   replay=None if spec.kind is SchemeKind.DCR else shared)
-               for spec in cfg.schemes]
+    reports = run_schemes(arrays, cfg.schemes, cfg.geometry, cfg.timing,
+                          cfg.energy, warmup_instructions=warmup,
+                          interval_instructions=cfg.interval_instructions)
     os.makedirs(args.out, exist_ok=True)
     for report in reports:
         base = os.path.join(args.out, f"report-{report.scheme_name}")

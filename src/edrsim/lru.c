@@ -4,7 +4,8 @@
  * edr_replay is the functional pass (see cache.py): a tag-only LRU step
  * over flat arrays, applied to the main cache and to DCR's profiling units.
  * A set is a row of `ways` tag slots; its first `fill` slots hold the
- * resident tags, least recent first.
+ * resident tags, least recent first, and for RPV the record that last
+ * touched each.
  *
  * edr_time is the timing pass (see sim.py): it turns the functional pass's
  * code bytes into cycles, fires refresh events at their boundaries and
@@ -32,12 +33,13 @@ static int64_t set_of(const int64_t *layout, uint64_t addr)
 }
 
 /* One access to a set: a hit moves the tag to the end of the row, a miss
- * appends it and, in a full row, pushes out the first. `dirty`, if not
- * NULL, is the row's dirty byte per slot and moves with the tags. Returns
- * the HIT, EVICTED and DIRTY_VICTIM bits; the accessed tag ends in slot
- * *fill - 1. */
-static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *fill, int ways,
-                    uint64_t tag)
+ * appends it and, in a full row, pushes out the first. `dirty` and `touch`,
+ * if not NULL, are the row's dirty byte and last-touch index per slot and
+ * move with the tags. Returns the HIT, EVICTED and DIRTY_VICTIM bits; the
+ * accessed tag ends in slot *fill - 1, with the touch index of the line it
+ * hit or evicted (-1 in a free way). */
+static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *touch,
+                    int32_t *fill, int ways, uint64_t tag)
 {
     int last = *fill - 1, i = last, code = HIT;
     uint8_t d = 0;
@@ -51,6 +53,8 @@ static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *fill, int ways,
         row[++last] = tag;
         if (dirty)
             dirty[last] = 0;
+        if (touch)
+            touch[last] = -1;
         *fill = last + 1;
         return 0;
     } else {
@@ -63,18 +67,25 @@ static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *fill, int ways,
         memmove(dirty + i, dirty + i + 1, (size_t)(last - i));
         dirty[last] = d;
     }
+    if (touch) {
+        int32_t t = touch[i];
+
+        memmove(touch + i, touch + i + 1, (size_t)(last - i) * sizeof *touch);
+        touch[last] = t;
+    }
     return code;
 }
 
-/* Apply n records to the main cache, writing one code byte each, and return
- * the fills of free ways. With units, every block whose number is a
- * multiple of `ratio` is looked up in each unit u: in set (block % sets) /
- * denom when that set is sampled (block % sets % denom == 0), where
- * unit_shape[2u] is its set count and unit_shape[2u + 1] its sampling
- * denominator. The unit counts misses, load misses and accesses at
- * unit_counts[3u..3u + 2]. */
-int64_t edr_replay(const uint64_t *addrs, const uint8_t *writes, int64_t n,
-                   uint8_t *codes, uint64_t *tags, uint8_t *dirty,
+/* Apply records [lo, hi) to the main cache, writing one code byte each
+ * and, with last_touch, the touch index that lru_step leaves; return the
+ * fills of free ways. With units, every block whose number is a multiple
+ * of `ratio` is looked up in each unit u: in set (block % sets) / denom
+ * when that set is sampled (block % sets % denom == 0), where unit_shape[2u]
+ * is its set count and unit_shape[2u + 1] its sampling denominator. The
+ * unit counts misses, load misses and accesses at unit_counts[3u..3u + 2]. */
+int64_t edr_replay(const uint64_t *addrs, const uint8_t *writes, int64_t lo,
+                   int64_t hi, uint8_t *codes, int32_t *last_touch,
+                   uint64_t *tags, uint8_t *dirty, int32_t *touch,
                    int32_t *fill, int64_t *valid_by_bank,
                    const int64_t *layout, int ways, int n_units,
                    uint64_t ratio, uint64_t *const *unit_tags,
@@ -83,11 +94,12 @@ int64_t edr_replay(const uint64_t *addrs, const uint8_t *writes, int64_t n,
 {
     int64_t fills = 0;
 
-    for (int64_t r = 0; r < n; r++) {
+    for (int64_t r = lo; r < hi; r++) {
         uint64_t tag = addrs[r] >> layout[BLOCK_SHIFT];
         int64_t set = set_of(layout, addrs[r]);
         int is_write = writes[r] != 0;
-        int code = lru_step(tags + set * ways, dirty + set * ways, fill + set,
+        int code = lru_step(tags + set * ways, dirty + set * ways,
+                            last_touch ? touch + set * ways : NULL, fill + set,
                             ways, tag);
 
         if (!(code & (HIT | EVICTED))) {
@@ -97,6 +109,12 @@ int64_t edr_replay(const uint64_t *addrs, const uint8_t *writes, int64_t n,
         if (is_write) {
             dirty[set * ways + fill[set] - 1] = 1;
             code |= WRITE;
+        }
+        if (last_touch) {
+            int32_t *t = touch + set * ways + fill[set] - 1;
+
+            last_touch[r] = *t;
+            *t = (int32_t)r;
         }
         codes[r] = (uint8_t)code;
         if (!n_units || tag % ratio)
@@ -110,20 +128,14 @@ int64_t edr_replay(const uint64_t *addrs, const uint8_t *writes, int64_t n,
                 continue;
             s /= denom;
             count[2]++;
-            if (!(lru_step(unit_tags[u] + s * ways, NULL, unit_fill[u] + s,
-                           ways, tag) & HIT)) {
+            if (!(lru_step(unit_tags[u] + s * ways, NULL, NULL,
+                           unit_fill[u] + s, ways, tag) & HIT)) {
                 count[0]++;
                 count[1] += !is_write;
             }
         }
     }
     return fills;
-}
-
-static int64_t phase_of(const void *record_phase, int wide, int64_t r)
-{
-    return wide ? ((const uint32_t *)record_phase)[r]
-                : ((const uint8_t *)record_phase)[r];
 }
 
 /* Time records [lo, hi). Each record adds rint(gap * cpi) cycles, fires
@@ -135,17 +147,16 @@ static int64_t phase_of(const void *record_phase, int wide, int64_t r)
  *
  * A boundary refreshes, in each bank b, counts[b * phases + phase] lines
  * at the phase it opens, and holds the bank one cycle per line. With
- * `track`, counts are valid lines kept up to date: a fill of a free way adds
- * one at the current phase, and with last_touch (RPV) a hit or an eviction
- * moves the line it takes from the phase of the record that last touched
- * it, record_phase[last_touch[r]], to the current one. record_phase, if not
- * NULL, gets each record's phase: uint32 if `wide`, else a byte. */
+ * `track` (DCR), a fill of a free way adds one at the current phase. With
+ * touch (RPV), a copy of the last-touch column, a record adds one at the
+ * current phase and a hit or an eviction takes one from touch[touch[r]],
+ * the phase that the record last touching the line wrote over its index,
+ * as touch[r] gets r's own. */
 void edr_time(const uint32_t *gaps, const uint8_t *codes,
               const uint64_t *addrs, double cpi, int64_t hit_cycles,
               int64_t miss_cycles, int64_t *clock, int64_t *bank_busy,
               int64_t n_banks, int64_t *counts, int64_t phases, int track,
-              void *record_phase, int wide, const int32_t *last_touch,
-              const int64_t *layout, int64_t lo, int64_t hi)
+              int32_t *touch, const int64_t *layout, int64_t lo, int64_t hi)
 {
     int64_t now = clock[NOW], next = clock[NEXT_BOUNDARY];
     int64_t len = clock[BOUNDARY_LEN], phase = clock[PHASE];
@@ -173,18 +184,13 @@ void edr_time(const uint32_t *gaps, const uint8_t *codes,
                 break;
             now = bank_busy[bank];
         }
-        if (track && !(code & (HIT | EVICTED))) {
+        if (touch) {
+            if (touch[r] >= 0)
+                counts[bank * phases + touch[touch[r]]]--;
             counts[bank * phases + phase]++;
-        } else if (last_touch) {
+            touch[r] = (int32_t)phase;
+        } else if (track && !(code & (HIT | EVICTED))) {
             counts[bank * phases + phase]++;
-            counts[bank * phases
-                   + phase_of(record_phase, wide, last_touch[r])]--;
-        }
-        if (record_phase) {
-            if (wide)
-                ((uint32_t *)record_phase)[r] = (uint32_t)phase;
-            else
-                ((uint8_t *)record_phase)[r] = (uint8_t)phase;
         }
         now += code & HIT ? hit_cycles : miss_cycles;
     }

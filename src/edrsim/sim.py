@@ -12,8 +12,8 @@ pass (`cache.replay`) decides each record's hit, eviction and dirty victim
 and writes them to a code byte per record; the timing pass in `run` turns
 the codes into cycles, refresh bursts and bank waits. The functional pass
 does not depend on time, so baseline, RPV and SRAM share one
-(`fixed_replay`); DCR replays each interval only after the controller has
-acted on the previous one.
+(`fixed_replay`, which also keeps RPV's last-touch column); DCR replays
+each interval only after the controller has acted on the previous one.
 
 The timing pass is one compiled loop (lru.c's edr_time), called once per
 segment of records. Per record it adds the gap's cycles, fires the refresh
@@ -31,8 +31,8 @@ from functools import partial
 import numpy as np
 
 from . import cache as _cache
-from .cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                    CacheState, Replay)
+from .cache import (DIRTY_VICTIM, HIT, WRITE, CacheGeometry, CacheState,
+                    Replay)
 from .controller import Candidate, ControllerConfig, apply as apply_decision, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
 from .profiler import IntervalStats, make_units, reset_interval
@@ -212,65 +212,17 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     """The functional pass of a scheme that never remaps the cache.
 
     Baseline, RPV and SRAM see the same hits, misses and evictions, so they
-    can share this one replay of the trace on a full-size cache.
+    can share this one replay of the trace on a full-size cache, with RPV's
+    last-touch column (int32, so at most 2**31 - 1 records).
     """
     n = len(trace)
+    if n >= 1 << 31:
+        raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
+                         f"records with int32, not {n}")
     out = Replay(geometry, n)
+    out.last_touch = np.empty(n, dtype=np.int32)
     _cache.replay(CacheState(geometry), trace.addrs, trace.ops == Op.WRITE,
                   0, n, out)
-    return out
-
-
-def last_touch(replay: Replay, addrs: np.ndarray) -> np.ndarray:
-    """For each record of a fixed replay, the index of the record that last
-    touched the line it hits or evicts; -1 for a fill of a free way.
-
-    A hit's line was last touched by the previous access to its block. A
-    set of a cache that never remaps or invalidates loses lines only to LRU
-    evictions, and those take lines in the order of their last touch: the
-    k-th eviction in a set takes the k-th touch in that set, in record
-    order, that is not followed by a hit to the same block. The indices are
-    int32, the type the timing pass reads them in.
-    """
-    g = replay.geometry
-    n = len(replay)
-    if n >= 1 << 31:
-        raise ValueError(f"last_touch indexes at most 2**31 - 1 records with "
-                         f"int32, not {n}")
-    index = np.int32
-    codes = np.frombuffer(replay.codes, dtype=np.uint8)
-    hit = (codes & HIT) != 0
-    blocks = addrs >> (g.block_bytes.bit_length() - 1)
-    # the narrowest key that also holds a set index sorts in the least memory
-    blocks = blocks.astype(np.min_scalar_type(max(int(blocks.max()),
-                                                  g.total_sets)))
-    order = np.argsort(blocks, kind="stable").astype(index)
-    sorted_blocks = blocks[order]
-    same = sorted_blocks[1:] == sorted_blocks[:-1]
-    del sorted_blocks
-    # under the identity mapping a block's set is its number modulo the sets
-    blocks &= g.total_sets - 1
-    sets = blocks.astype(np.min_scalar_type(g.total_sets - 1))
-    del blocks
-    earlier, later = order[:-1][same], order[1:][same]
-    del order, same
-    hit_later = hit[later]
-    out = np.full(n, -1, dtype=index)
-    out[later[hit_later]] = earlier[hit_later]
-    final = np.ones(n, dtype=bool)  # no hit to the block follows
-    final[earlier] = ~hit_later
-    del earlier, later, hit_later
-
-    finals = np.flatnonzero(final)
-    finals = finals[np.argsort(sets[finals], kind="stable")]
-    evictions = np.flatnonzero(codes & EVICTED)
-    evictions = evictions[np.argsort(sets[evictions], kind="stable")]
-    final_sets, eviction_sets = sets[finals], sets[evictions]
-    # an eviction's rank among its set's evictions picks the final touch of
-    # the same rank in that set
-    rank = np.arange(len(evictions)) - np.searchsorted(eviction_sets,
-                                                       eviction_sets)
-    out[evictions] = finals[np.searchsorted(final_sets, eviction_sets) + rank]
     return out
 
 
@@ -406,6 +358,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
             raise ValueError(
                 f"replay of {len(replay)} records on {replay.geometry} does "
                 f"not match this trace of {n} records on {geometry}")
+        if is_rpv and replay.last_touch is None:
+            raise ValueError("RPV needs the replay's last_touch column")
     codes = np.frombuffer(replay.codes, dtype=np.uint8)
 
     num_banks = geometry.num_banks
@@ -425,16 +379,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     counts = np.zeros(num_banks * k_phases, dtype=np.int64)
     if kind is SchemeKind.BASELINE_EDRAM:
         counts += geometry.total_lines // num_banks
-    rpv_columns = (None, False, None)
-    if is_rpv:
-        # the phase each record touches its line in
-        record_phase = np.zeros(n, dtype=np.uint8 if k_phases <= 256
-                                else np.uint32)
-        if replay.last_touch is None:
-            replay.last_touch = last_touch(replay, trace.addrs)
-        touched_by = np.ascontiguousarray(replay.last_touch, dtype=np.int32)
-        rpv_columns = (record_phase.ctypes.data, record_phase.itemsize > 1,
-                       touched_by.ctypes.data)
+    # RPV's copy of the column, which edr_time overwrites with phases
+    touch = replay.last_touch.copy() if is_rpv else None
 
     hit_cycles = timing.l2_hit_cycles
     miss_cost = hit_cycles + timing.dram_latency_cycles
@@ -446,7 +392,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         _cache.kernel("edr_time"), gaps.ctypes.data, codes.ctypes.data,
         addrs.ctypes.data, cpi, hit_cycles, miss_cost, clock.ctypes.data,
         bank_busy.ctypes.data, num_banks, counts.ctypes.data, k_phases,
-        is_rpv or is_dcr, *rpv_columns)
+        is_dcr, None if touch is None else touch.ctypes.data)
     where = _cache.layout(geometry)
     warm_at, warm_base, segments = _segments(
         trace.gaps, warmup_instructions, interval_instructions)
@@ -519,6 +465,22 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                                     decisions, event_cycles)
 
 
+def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
+                geometry: CacheGeometry, timing: TimingParams,
+                params: EnergyParams, warmup_instructions: int | None = None,
+                interval_instructions: int | None = None,
+                replay: Replay | None = None) -> list[RunReport]:
+    """`run` each scheme on the trace. Those that never remap share
+    `replay`, or a `fixed_replay` built here if any of them is present."""
+    if replay is None and any(s.kind is not SchemeKind.DCR for s in schemes):
+        replay = fixed_replay(trace, geometry)
+    return [run(trace, spec, geometry, timing, params,
+                warmup_instructions=warmup_instructions,
+                interval_instructions=interval_instructions,
+                replay=None if spec.kind is SchemeKind.DCR else replay)
+            for spec in schemes]
+
+
 @dataclass
 class ComparisonRow:
     """One scheme against the baseline; the fields after `kind` are in the
@@ -583,8 +545,8 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
     """Run every scheme on the same trace and report metrics vs the baseline.
 
     The first scheme with the baseline-eDRAM kind is the reference; every
-    other scheme gets a comparison row. The schemes that never remap share
-    one functional replay: `replay` if given, else one built here.
+    other scheme gets a comparison row. The schemes run as in
+    `run_schemes`, sharing `replay` if given.
     """
     names = [s.name for s in schemes]
     if len(set(names)) != len(names):
@@ -594,14 +556,8 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
     if baseline_idx is None or len(schemes) < 2:
         raise SchemeConfigError("compare needs >= 2 schemes including the baseline")
 
-    if replay is None:
-        replay = fixed_replay(trace, geometry)
-    reports = [run(trace, spec, geometry, timing, params,
-                   warmup_instructions=warmup_instructions,
-                   interval_instructions=interval_instructions,
-                   replay=None if spec.kind is SchemeKind.DCR else replay)
-               for spec in schemes]
-
+    reports = run_schemes(trace, schemes, geometry, timing, params,
+                          warmup_instructions, interval_instructions, replay)
     base = reports[baseline_idx]
     rows = [comparison_row(base, rep) for i, rep in enumerate(reports)
             if i != baseline_idx]

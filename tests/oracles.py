@@ -485,9 +485,10 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
 
 
 def last_touch_mirror(trace, geometry: CacheGeometry) -> list[int]:
-    """`sim.last_touch` record by record: a per-set list of record indices
-    kept in the order of `access_block`'s tag list, so a hit or an eviction
-    reads the index of the record that last touched its line."""
+    """The last-touch column of `sim.fixed_replay`, record by record: a
+    per-set list of record indices kept in the order of `access_block`'s tag
+    list, so a hit or an eviction reads the index of the record that last
+    touched its line."""
     state = CacheState(geometry)
     mirror: list[list[int]] = [[] for _ in range(geometry.total_sets)]
     out = []

@@ -20,8 +20,7 @@ from edrsim.energy import SchemeKind, builtin_params
 from edrsim.profiler import PROFILED_FRACTIONS, ProfilingUnit
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams,
-                        check_refresh_fits, compare, fixed_replay, last_touch,
-                        run)
+                        check_refresh_fits, compare, fixed_replay, run)
 from edrsim.trace import (PhaseSpec, SyntheticTraceSpec, TraceArrays,
                           generate_synthetic)
 
@@ -63,7 +62,8 @@ _CASES = [(i, kind, phases, warmup, "") for i, ((kind, phases), warmup)
           in enumerate(itertools.product(_KINDS, _WARMUPS))]
 # and the timing pass's corner cases: gaps that span several refresh periods,
 # so one record fires several events; RPV bursts on one bank that last a
-# whole phase; segments of a few records
+# whole phase; segments of a few records; gaps whose cycles at CPI 1.5 end
+# in a half, which rounds to even
 _CASES += [(18 + j, kind, phases, warmup, variant)
            for j, (kind, phases, warmup, variant) in enumerate([
                (SchemeKind.BASELINE_EDRAM, 1, "default", "sparse"),
@@ -71,7 +71,8 @@ _CASES += [(18 + j, kind, phases, warmup, variant)
                (SchemeKind.DCR, 1, "default", "sparse"),
                (SchemeKind.RPV, 4, "default", "long burst"),
                (SchemeKind.RPV, 2, "first record", "tiny block"),
-               (SchemeKind.DCR, 1, "none", "tiny block")])]
+               (SchemeKind.DCR, 1, "none", "tiny block"),
+               (SchemeKind.RPV, 4, "default", "odd gaps")])]
 
 
 def _case_id(case):
@@ -96,6 +97,10 @@ def test_run_matches_reference_run(case, monkeypatch):
     trace = _trace(seed=100 + i)
     if variant == "sparse":  # every 97th gap spans 3-7 refresh periods
         trace.gaps[::97] += 9_000
+    elif variant == "odd gaps":  # 61.5 cycles round to 62, 64.5 to 64
+        assert cpi == 1.5
+        trace.gaps[1::4] += 1
+        trace.gaps[3::4] += 3
     warmup_instructions = {"none": 0, "default": None,
                            "first record": int(trace.gaps[0])}[warmup]
     scheme = _scheme(kind, phases, geometry, interval)
@@ -184,8 +189,8 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
 
 
 def test_rpv_with_more_phases_than_a_byte_holds():
-    # 300 phases of 10 cycles: the timing pass keeps each record's phase in
-    # 32 bits instead of a byte
+    # 300 phases of 10 cycles: more phases than a byte could number, which
+    # each record's int32 entry of the last-touch column holds
     geometry = _geometry(2)
     trace = _trace(seed=9)
     scheme = SchemeSpec(kind=SchemeKind.RPV,
@@ -364,7 +369,7 @@ def test_last_touch_matches_a_per_set_mirror(span, small_geometry,
         trace = TraceArrays(gaps=np.ones(n, dtype=np.uint32),
                             ops=(rng.random(n) < 0.3).astype(np.uint8),
                             addrs=rng.choice(pool, n).astype(np.uint64) * 64)
-    got = last_touch(fixed_replay(trace, geometry), trace.addrs)
+    got = fixed_replay(trace, geometry).last_touch
     assert got.tolist() == last_touch_mirror(trace, geometry)
     assert (got >= 0).sum() > len(trace) // 2  # mostly hits and evictions
 
@@ -382,7 +387,7 @@ def test_last_touch_property_on_tiny_caches(ways, colors, banks, accesses):
     trace = TraceArrays(gaps=np.ones(len(blocks), dtype=np.uint32),
                         ops=np.array(writes, dtype=np.uint8),
                         addrs=np.array(blocks, dtype=np.uint64) * 64)
-    got = last_touch(fixed_replay(trace, geometry), trace.addrs)
+    got = fixed_replay(trace, geometry).last_touch
     assert got.tolist() == last_touch_mirror(trace, geometry)
 
 
@@ -401,6 +406,10 @@ def test_run_rejects_a_replay_of_another_trace_or_geometry():
     with pytest.raises(ValueError, match="replays the trace itself"):
         run(trace, dcr, geometry, timing, EDRAM,
             replay=fixed_replay(trace, geometry))
+    rpv = _scheme(SchemeKind.RPV, 2, geometry, 10_000)
+    with pytest.raises(ValueError, match="last_touch column"):
+        run(trace, rpv, geometry, timing, EDRAM,
+            replay=Replay(geometry, len(trace)))
 
 
 def test_refresh_burst_must_fit_in_the_retention_period():
