@@ -18,8 +18,10 @@ most one set; each slot has a dirty byte and a last-touch record index.
 records to those arrays and writes each record's outcome into a code byte
 (a `Replay`), which the timing pass in `sim.run` then reads. Hits,
 misses and evictions do not depend on time, so one replay serves every
-scheme that never remaps the cache. The per-record work is a C routine
-(lru.c's edr_replay), built at first use; see native.py.
+scheme that never remaps the cache. The per-record work, like the flush
+of a reconfiguration, is C (lru.c), built at first use (see native.py);
+`Passes` binds a run's arguments to it once, so that DCR, which replays
+between the controller's decisions, pays one call per segment.
 """
 
 import ctypes
@@ -111,6 +113,16 @@ class ReconfigReport:
     switched_blocks: int
 
 
+class _Cache(ctypes.Structure):
+    """lru.c's struct cache: a CacheState's arrays and shape."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "tags", "dirty", "touch", "fill", "valid_by_bank")] + [
+        (name, ctypes.c_int64) for name in (
+            "ways", "sets_per_color", "sets_per_bank", "page_shift",
+            "region_mask")]
+
+
 class CacheState:
     """Mutable cache state owned by a single simulation instance."""
 
@@ -140,6 +152,13 @@ class CacheState:
         self.fill = np.zeros(geometry.total_sets, dtype=np.int32)
         self.n_valid = 0
         self.valid_by_bank = np.zeros(geometry.num_banks, dtype=np.int64)
+        # the same, as the compiled routines take it
+        self.arrays = _Cache(
+            self.tags.ctypes.data, self.dirty.ctypes.data,
+            self.touch.ctypes.data, self.fill.ctypes.data,
+            self.valid_by_bank.ctypes.data, geometry.associativity,
+            geometry.sets_per_color, geometry.sets_per_bank,
+            geometry.sets_per_color.bit_length() - 1, m_total - 1)
 
     @property
     def active_count(self) -> int:
@@ -180,16 +199,11 @@ def kernel(name: str):
     if _lib is None:
         from . import native  # the compiler is needed only from here on
         lib = native.load(os.path.join(os.path.dirname(__file__), "lru.c"))
-        ptr, i64, u64, c_int = (ctypes.c_void_p, ctypes.c_int64,
-                                ctypes.c_uint64, ctypes.c_int)
-        lib.edr_replay.restype = i64
-        lib.edr_replay.argtypes = [ptr, ptr, i64, i64, ptr, ptr, ptr, ptr,
-                                   ptr, ptr, ptr, ptr, c_int, c_int, u64, ptr,
-                                   ptr, ptr, ptr]
-        lib.edr_time.restype = None
-        lib.edr_time.argtypes = [ptr, ptr, ptr, ctypes.c_double, i64, i64,
-                                 ptr, ptr, i64, ptr, i64, c_int, ptr, ptr,
-                                 i64, i64]
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.edr_run.restype = i64
+        lib.edr_run.argtypes = [ptr, i64, i64]
+        lib.edr_flush.restype = i64
+        lib.edr_flush.argtypes = [ptr, i64, ptr, ptr]
         _lib = lib
     return getattr(_lib, name)
 
@@ -208,59 +222,150 @@ def layout(geometry: CacheGeometry, mapping=None) -> np.ndarray:
     return out
 
 
+class _Run(ctypes.Structure):
+    """lru.c's struct run."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "layout", "addrs", "codes", "cache", "writes", "last_touch")] + [
+        ("n_units", ctypes.c_int64), ("ratio", ctypes.c_uint64)] + [
+        (name, ctypes.c_void_p) for name in (
+            "unit_tags", "unit_fill", "unit_shape", "unit_counts", "clock",
+            "gaps")] + [
+        ("cpi", ctypes.c_double), ("hit_cycles", ctypes.c_int64),
+        ("miss_cycles", ctypes.c_int64), ("bank_busy", ctypes.c_void_p),
+        ("n_banks", ctypes.c_int64), ("counts", ctypes.c_void_p),
+        ("phases", ctypes.c_int64), ("track", ctypes.c_int64),
+        ("phase_touch", ctypes.c_void_p)]
+
+
+class Passes:
+    """A run's arguments to lru.c's edr_run, bound once.
+
+    The trace's byte addresses and the code bytes of `out` are bound here,
+    the functional pass by `bind_cache` and the timing pass by
+    `bind_timing` (see `sim.run`). Calling it with [lo, hi) takes those
+    records through the bound passes: it replays them, then times them.
+    """
+
+    def __init__(self, geometry: CacheGeometry, addrs, out: Replay):
+        self.geometry = geometry
+        self.out = out
+        self.addrs = np.ascontiguousarray(addrs, dtype=np.uint64)
+        self.codes = np.frombuffer(out.codes, dtype=np.uint8)
+        if len(self.addrs) != len(out):
+            raise ValueError(f"a trace of {len(self.addrs)} records does not "
+                             f"fit a replay of {len(out)}")
+        self.layout = layout(geometry)
+        self.state = None
+        self.units = []
+        self._bound = []  # the arrays the pointers below point into
+        self.args = _Run(layout=self.layout.ctypes.data,
+                         addrs=self.addrs.ctypes.data,
+                         codes=self.codes.ctypes.data)
+        self._byref = ctypes.byref(self.args)
+        self._run = kernel("edr_run")
+
+    def _bind(self, **arrays) -> None:
+        for name, array in arrays.items():
+            self._bound.append(array)
+            setattr(self.args, name,
+                    None if array is None else array.ctypes.data)
+
+    def bind_cache(self, state: CacheState, writes, units=(),
+                   ratio: int = 64) -> None:
+        """Replay into `state`, with the write flags `writes`, and feed
+        `units` as `replay` does. The layout follows the state's mapping
+        as it is now; `relayout` follows a later change."""
+        g = self.geometry
+        if state.geometry != g:
+            raise ValueError("the cache and the replay differ in geometry")
+        stray = set(state.mapping) - state.active_colors
+        if stray:
+            raise AssertionError(
+                f"mapping routes regions to inactive colors {sorted(stray)}")
+        if units and (ratio < 1 or any(u.associativity != g.associativity
+                                       for u in units)):
+            raise ValueError("profiling units need a sampling ratio >= 1 and "
+                             "the cache's associativity")
+        writes = np.ascontiguousarray(writes, dtype=np.bool_)
+        column = self.out.last_touch
+        # the kernel trusts them
+        if len(writes) != len(self.out) or (column is not None
+                                            and len(column) != len(writes)):
+            raise ValueError("the trace's write flags or the replay's "
+                             "last-touch column do not fit its records")
+        self.state = state
+        self.units = list(units)
+        ptrs = ctypes.c_void_p * len(units)
+        unit_tags = ptrs(*[u.tags.ctypes.data for u in units])
+        unit_fill = ptrs(*[u.fill.ctypes.data for u in units])
+        self.unit_counts = np.zeros((len(units), 3), dtype=np.int64)
+        self._bound += [state, unit_tags, unit_fill]
+        self._bind(writes=writes, last_touch=column,
+                   unit_counts=self.unit_counts,
+                   unit_shape=np.array([(u.num_sets, u.sample_ratio_denom)
+                                        for u in units], dtype=np.int64))
+        a = self.args
+        a.cache = ctypes.addressof(state.arrays)
+        a.n_units, a.ratio = len(units), ratio
+        a.unit_tags = ctypes.addressof(unit_tags)
+        a.unit_fill = ctypes.addressof(unit_fill)
+        self.relayout()
+
+    def relayout(self) -> None:
+        """Route the regions as the bound state's mapping now does."""
+        self.layout[:] = layout(self.geometry, self.state.mapping)
+
+    def bind_timing(self, gaps, clock, bank_busy, counts, phase_touch,
+                    cpi: float, hit_cycles: int, miss_cycles: int,
+                    phases: int, track: bool) -> None:
+        """Time the records: the kernel's arguments of the same names (see
+        lru.c's time_records)."""
+        self._bind(gaps=np.ascontiguousarray(gaps, dtype=np.uint32),
+                   clock=clock, bank_busy=bank_busy, counts=counts,
+                   phase_touch=phase_touch)
+        a = self.args
+        a.cpi, a.hit_cycles, a.miss_cycles = cpi, hit_cycles, miss_cycles
+        a.n_banks, a.phases, a.track = len(bank_busy), phases, track
+
+    def __call__(self, lo: int, hi: int) -> None:
+        if not 0 <= lo <= hi <= len(self.codes):
+            raise ValueError(f"records [{lo}, {hi}) are not all in the "
+                             f"trace's {len(self.codes)}")
+        got = self._run(self._byref, lo, hi)
+        if got < 0:
+            raise ValueError(
+                f"record {-1 - got}: its last-touch entry names no earlier "
+                "record, or a phase out of range")
+        if self.state is not None:
+            self.state.n_valid += got
+        if self.units:
+            for unit, (misses, load_misses, accesses) in zip(
+                    self.units, self.unit_counts.tolist()):
+                unit.misses += misses
+                unit.load_misses += load_misses
+                unit.accesses += accesses
+            self.unit_counts[:] = 0
+
+
 def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
            units=None, ratio: int = 64) -> None:
     """Apply records [lo, hi) to the cache and write their outcomes to `out`.
 
     `addrs` and `writes` are the trace's columns: byte addresses and write
-    flags (numpy arrays). A record's region (page number mod M) picks a
-    color through the mapping, which is fixed for the call, and its page
-    offset picks the set inside that color. A hit moves the tag to the end
-    of its set's row; a miss into a full set evicts the first. The dirty
-    bytes and the valid counters (total and per bank) follow, and so do the
-    last-touch indices when `out` has a last-touch column. With `units`,
-    every block whose number is a multiple of `ratio` is looked up in each
-    profiling unit, which counts its accesses, misses and load misses.
+    flags (numpy arrays); [lo, hi) must lie inside them. A record's region
+    (page number mod M) picks a color through the mapping, which is fixed
+    for the call, and its page offset picks the set inside that color. A
+    hit moves the tag to the end of its set's row; a miss into a full set
+    evicts the first. The dirty bytes and the valid counters (total and per
+    bank) follow, and so do the last-touch indices when `out` has a
+    last-touch column. With `units`, every block whose number is a
+    multiple of `ratio` is looked up in each profiling unit, which counts
+    its accesses, misses and load misses.
     """
-    g = state.geometry
-    stray = set(state.mapping) - state.active_colors
-    if stray:
-        raise AssertionError(
-            f"mapping routes regions to inactive colors {sorted(stray)}")
-    units = units or []
-    if units and (ratio < 1 or any(u.associativity != g.associativity
-                                   for u in units)):
-        raise ValueError("profiling units need a sampling ratio >= 1 and the "
-                         "cache's associativity")
-    addrs = np.ascontiguousarray(addrs, dtype=np.uint64)
-    writes = np.ascontiguousarray(writes, dtype=np.bool_)
-    codes = np.frombuffer(out.codes, dtype=np.uint8)
-    column = out.last_touch
-    lo, hi, _ = slice(lo, hi).indices(len(codes))  # as a slice of them
-    # the kernel trusts them
-    if not (len(addrs) == len(writes) == len(codes)
-            and (column is None or len(column) == len(codes))):
-        raise ValueError(f"records [{lo}, {hi}) of the trace do not fit its "
-                         "write flags or the replay")
-    shape = np.array([(u.num_sets, u.sample_ratio_denom) for u in units],
-                     dtype=np.int64)
-    counts = np.zeros((len(units), 3), dtype=np.int64)
-    ptrs = ctypes.c_void_p * len(units)
-    where = layout(g, state.mapping)
-    fills = kernel("edr_replay")(
-        addrs.ctypes.data, writes.ctypes.data, lo, hi, codes.ctypes.data,
-        None if column is None else column.ctypes.data,
-        state.tags.ctypes.data, state.dirty.ctypes.data,
-        state.touch.ctypes.data, state.fill.ctypes.data,
-        state.valid_by_bank.ctypes.data, where.ctypes.data, g.associativity, len(units), ratio,
-        ptrs(*[u.tags.ctypes.data for u in units]),
-        ptrs(*[u.fill.ctypes.data for u in units]), shape.ctypes.data,
-        counts.ctypes.data)
-    state.n_valid += fills
-    for unit, (misses, load_misses, accesses) in zip(units, counts.tolist()):
-        unit.misses += misses
-        unit.load_misses += load_misses
-        unit.accesses += accesses
+    passes = Passes(state.geometry, addrs, out)
+    passes.bind_cache(state, writes, units or [], ratio)
+    passes(lo, hi)
 
 
 def _flush(state: CacheState, color: int, regions=None) -> tuple[int, int]:
@@ -269,36 +374,17 @@ def _flush(state: CacheState, color: int, regions=None) -> tuple[int, int]:
     The surviving tags of each set move to the front of its row in their
     order. Returns (flushed lines, writebacks of dirty ones).
     """
-    g = state.geometry
-    ways = g.associativity
-    first = color * g.sets_per_color
-    rows = slice(first, first + g.sets_per_color)
-    tags = state.tags.reshape(-1, ways)[rows]  # views into the state
-    dirty = state.dirty.reshape(-1, ways)[rows]
-    fill = state.fill[rows]
-    gone = np.arange(ways) < fill[:, None]  # the resident slots ...
-    if regions is not None:  # ... of the regions' pages
-        page_shift = g.sets_per_color.bit_length() - 1  # tag >> it = page
-        pulled = np.zeros(g.color_count, dtype=bool)
-        pulled[regions] = True
-        gone &= pulled[(tags >> page_shift) & np.uint64(g.color_count - 1)]
-    lost = gone.sum(axis=1)
-    flushed = int(lost.sum())
-    if not flushed:
-        return 0, 0
-    writebacks = int(np.count_nonzero(dirty[gone]))
-    dirty[gone] = 0
+    pulled = None
     if regions is not None:
-        # a stable sort on "gone" moves the survivors to the front in order
-        order = np.argsort(gone, axis=1, kind="stable")
-        tags[:] = np.take_along_axis(tags, order, axis=1)
-        dirty[:] = np.take_along_axis(dirty, order, axis=1)
-    fill -= lost.astype(np.int32)
+        pulled = bytearray(state.geometry.color_count)
+        for region in regions:
+            pulled[region] = 1
+        pulled = bytes(pulled)
+    writebacks = ctypes.c_int64()
+    flushed = kernel("edr_flush")(ctypes.byref(state.arrays), color, pulled,
+                                  ctypes.byref(writebacks))
     state.n_valid -= flushed
-    np.subtract.at(state.valid_by_bank,
-                   np.arange(first, first + g.sets_per_color) // g.sets_per_bank,
-                   lost)
-    return flushed, writebacks
+    return flushed, writebacks.value
 
 
 def reconfigure(state: CacheState, new_colors) -> ReconfigReport:

@@ -15,24 +15,24 @@ does not depend on time, so baseline, RPV and SRAM share one
 (`fixed_replay`, which also keeps RPV's last-touch column); DCR replays
 each interval only after the controller has acted on the previous one.
 
-The timing pass is one compiled loop (lru.c's edr_time), called once per
-segment of records. Per record it adds the gap's cycles, fires the refresh
-boundaries due by then, waits out a burst on the record's bank, updates the
-counters an event reads (DCR's valid lines per bank; RPV's valid lines per
-bank and last-touch phase) and adds the hit or miss latency. Its clock,
-bank timers and counters carry from one segment to the next. `run` keeps
-what happens between segments: warm-up, interval closes, the controller's
-decisions and each interval's hit and miss counts.
+The timing pass is one compiled loop (lru.c's time_records), which `run`
+binds once (`cache.Passes`) and calls once per segment of records; a
+segment ends where warm-up ends or an interval closes. Per record it adds
+the gap's cycles, fires the refresh boundaries due by then, waits out a
+burst on the record's bank, updates the counters an event reads (DCR's
+valid lines per bank; RPV's valid lines per bank and last-touch phase),
+adds the hit or miss latency and tallies the outcome. Its clock, bank
+timers and counters carry from one segment to the next. For DCR the same
+call replays the segment first. `run` keeps what happens between
+segments: warm-up, interval closes and the controller's decisions.
 """
 
-from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import cache as _cache
-from .cache import (DIRTY_VICTIM, HIT, WRITE, CacheGeometry, CacheState,
-                    Replay)
+from .cache import CacheGeometry, CacheState, Replay
 from .controller import Candidate, ControllerConfig, apply as apply_decision, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
 from .profiler import IntervalStats, make_units, reset_interval
@@ -106,10 +106,22 @@ class DecisionRecord:
     candidates: list[Candidate]
 
 
+def _plain(obj):
+    """A dataclass as a dict of its fields, recursively through dataclasses,
+    lists and dicts. Unlike dataclasses.asdict, it copies no leaf value."""
+    if isinstance(obj, list):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if hasattr(obj, "__dataclass_fields__"):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
 def _report_dict(report) -> dict:
-    """asdict() with the report spellings: `scheme` for scheme_name and the
+    """_plain() with the report spellings: `scheme` for scheme_name and the
     kind's value for the kind."""
-    doc = asdict(report)
+    doc = _plain(report)
     doc["scheme"] = doc.pop("scheme_name")
     doc["kind"] = report.kind.value
     return doc
@@ -200,11 +212,12 @@ def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
             f"cycles, which does not fit in the {period}-cycle retention period")
 
 
-# the most records in one segment of the timing pass; numpy sums their
-# instructions and counts their outcomes a segment at a time
+# the records whose instructions `_segments` sums at a time
 _BLOCK = 1 << 13
-# slots of edr_time's clock (lru.c): the cycle, the next refresh boundary,
-# the boundary length, the current phase and the refreshed lines
+# slots of the timing pass's clock (lru.c): the cycle, the next refresh
+# boundary, the boundary length and the current phase, then the tallies
+# since the last reset: refreshed lines, hits, misses, dirty victims and
+# load misses
 _NOW, _NEXT_BOUNDARY, _REFRESHED = 0, 1, 4
 
 
@@ -233,42 +246,40 @@ def _segments(gaps: np.ndarray, warmup: int, interval: int
     Both points depend only on instruction counts. Returns the index of the
     record at which warm-up ends (None without warm-up; that record's own
     gap is not counted), the instructions through that record, and the
-    (lo, hi, closes, instructions through record hi - 1) segments, at most
-    _BLOCK records long; `closes` says an interval closes after record
-    hi - 1. A close on the last record adds an empty final segment, which
-    holds what the last decision carries over. The instruction counts are
-    summed one block of _BLOCK records at a time, so that a long trace
-    needs no column of them.
+    (lo, hi, closes, instructions through record hi - 1) segments;
+    `closes` says an interval closes after record hi - 1. A close on the
+    last record adds an empty final segment, which holds what the last
+    decision carries over. The instruction counts are summed one block of
+    _BLOCK records at a time, so that a long trace needs no column of them.
     """
     n = len(gaps)
     warm_at = None
     # instructions through the last interval close or the warm-up end;
     # None until warm-up ends
     base = warm_base = None if warmup else 0
-    segments = []
+    cuts = []  # (record index, an interval closes before it, instructions)
     before = 0  # instructions before the block
     for first in range(0, n, _BLOCK):
         cum = np.cumsum(gaps[first:first + _BLOCK], dtype=np.int64)
         cum += before
-        cuts = {}  # record index -> an interval closes before it
         if base is None and cum[-1] >= warmup:
             k = int(np.searchsorted(cum, warmup))  # first cum >= warmup
             warm_at = first + k
             base = warm_base = int(cum[k])
-            cuts[warm_at] = False
+            cuts.append((warm_at, False, base - int(gaps[warm_at])))
         while base is not None:
             k = int(np.searchsorted(cum, base + interval))
             if k == len(cum):
                 break
-            cuts[first + k + 1] = True
             base = int(cum[k])
-        cuts.setdefault(first + len(cum), False)
-        lo = first
-        for hi in sorted(cuts):
-            if hi > lo:
-                segments.append((lo, hi, cuts[hi], int(cum[hi - 1 - first])))
-            lo = hi
+            cuts.append((first + k + 1, True, base))
         before = int(cum[-1])
+    segments = []
+    lo = 0
+    for hi, closes, instructions in cuts + [(n, False, before)]:
+        if hi > lo:
+            segments.append((lo, hi, closes, instructions))
+        lo = hi
     if segments[-1][2]:
         segments.append((n, n, False, before))
     return warm_at, warm_base, segments
@@ -349,7 +360,6 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
         units = make_units(geometry, scheme.profiler_ratio)
         replay = Replay(geometry, n)
-        writes = trace.ops == Op.WRITE
     else:
         state = units = None
         if replay is None:
@@ -360,7 +370,6 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                 f"not match this trace of {n} records on {geometry}")
         if is_rpv and replay.last_touch is None:
             raise ValueError("RPV needs the replay's last_touch column")
-    codes = np.frombuffer(replay.codes, dtype=np.uint8)
 
     num_banks = geometry.num_banks
     if refresh_cfg is None:
@@ -370,7 +379,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         boundary_len = (refresh_cfg.phase_cycles if is_rpv
                         else refresh_cfg.retention_cycles)
         next_boundary = boundary_len
-    clock = np.array([0, next_boundary, boundary_len, 0, 0], dtype=np.int64)
+    clock = np.array([0, next_boundary, boundary_len, 0, 0, 0, 0, 0, 0],
+                     dtype=np.int64)
     bank_busy = np.zeros(num_banks, dtype=np.int64)
     # the lines a refresh event covers in each bank, at bank * phases +
     # phase: every line for the baseline, DCR's running valid counts, RPV's
@@ -379,26 +389,23 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     counts = np.zeros(num_banks * k_phases, dtype=np.int64)
     if kind is SchemeKind.BASELINE_EDRAM:
         counts += geometry.total_lines // num_banks
-    # RPV's copy of the column, which edr_time overwrites with phases
-    touch = replay.last_touch.copy() if is_rpv else None
 
     hit_cycles = timing.l2_hit_cycles
     miss_cost = hit_cycles + timing.dram_latency_cycles
     base_cpi = timing.base_cpi
     cpi = base_cpi if abs(base_cpi - 1.0) >= 1e-12 else 1.0
-    gaps = np.ascontiguousarray(trace.gaps, dtype=np.uint32)
-    addrs = np.ascontiguousarray(trace.addrs, dtype=np.uint64)
-    time_records = partial(
-        _cache.kernel("edr_time"), gaps.ctypes.data, codes.ctypes.data,
-        addrs.ctypes.data, cpi, hit_cycles, miss_cost, clock.ctypes.data,
-        bank_busy.ctypes.data, num_banks, counts.ctypes.data, k_phases,
-        is_dcr, None if touch is None else touch.ctypes.data)
-    where = _cache.layout(geometry)
+    passes = _cache.Passes(geometry, trace.addrs, replay)
+    if is_dcr:
+        passes.bind_cache(state, trace.ops == Op.WRITE, units,
+                          scheme.profiler_ratio)
+    # RPV times a copy of the last-touch column, which the pass overwrites
+    # with phases
+    passes.bind_timing(trace.gaps, clock, bank_busy, counts,
+                       replay.last_touch.copy() if is_rpv else None, cpi,
+                       hit_cycles, miss_cost, k_phases, is_dcr)
     warm_at, warm_base, segments = _segments(
         trace.gaps, warmup_instructions, interval_instructions)
 
-    now = 0
-    hits = misses = load_misses = writebacks = 0
     carry_writebacks = carry_switched = 0
     interval_start = 0
     interval_base = 0  # instructions before the interval's first record
@@ -409,30 +416,21 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     for lo, hi, closes, instructions in segments:
         if hi > lo:
             if lo == warm_at:  # metrics start with this record
-                hits = misses = load_misses = writebacks = 0
-                clock[_REFRESHED] = 0
+                clock[_REFRESHED:] = 0
                 # the record's gap in cycles, rounded half to even as the
                 # kernel rounds it
-                interval_start = now + round(int(gaps[lo]) * cpi)
+                interval_start = int(clock[_NOW]) + round(
+                    int(trace.gaps[lo]) * cpi)
                 interval_base = warm_base
                 if units is not None:
                     reset_interval(units)
-            if is_dcr:
-                counts[:] = state.valid_by_bank  # before this segment's fills
-                _cache.replay(state, addrs, writes, lo, hi, replay, units,
-                              scheme.profiler_ratio)
-                where = _cache.layout(geometry, state.mapping)
-            time_records(where.ctypes.data, lo, hi)
-            now = int(clock[_NOW])
-            code = codes[lo:hi]
-            n_hits = int(np.count_nonzero(code & HIT))
-            hits += n_hits
-            misses += hi - lo - n_hits
-            writebacks += int(np.count_nonzero(code & DIRTY_VICTIM))
-            load_misses += int(np.count_nonzero((code & (HIT | WRITE)) == 0))
+            passes(lo, hi)
 
         if closes or hi == n:
-            refreshed = int(clock[_REFRESHED])
+            now = int(clock[_NOW])
+            refreshed, hits, misses, writebacks, load_misses = \
+                clock[_REFRESHED:].tolist()
+            clock[_REFRESHED:] = 0
             stats = IntervalStats(
                 instructions=instructions - interval_base,
                 l2_hits=hits, l2_misses=misses, load_misses=load_misses,
@@ -449,8 +447,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                 carry_writebacks, carry_switched = _close_interval(
                     intervals, decisions, stats, colors, scheme, params, state,
                     units, run_controller=is_dcr and closes)
-            hits = misses = load_misses = writebacks = 0
-            clock[_REFRESHED] = 0
+                if carry_switched:  # the decision remapped the cache
+                    passes.relayout()
             interval_start = now
             interval_base = instructions
             if is_dcr:

@@ -9,6 +9,7 @@ one access to a plain `CacheState` and returns the code byte
 `cache.replay` writes, `probe` looks one block up in a profiling unit, and
 `replay_reference` is `cache.replay` built from the two, record by record
 in Python: the reference the compiled kernel is diffed against.
+`flush_reference` is the compiled flush of a reconfiguration in numpy.
 `RpvPhases` keeps RPV's last-touch phases and per-bank-per-phase valid
 counts beside the state. `set_tags` and `set_dirty` read one set of the
 flat arrays back as lists. The charge-timeline
@@ -199,6 +200,44 @@ def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
         if units and not block % ratio:
             for unit in units:
                 probe(unit, block, bool(is_write))
+
+
+def flush_reference(state: CacheState, color: int,
+                    regions=None) -> tuple[int, int]:
+    """`cache._flush` in numpy: invalidate the resident lines of a color, or
+    only those whose page's region is in `regions`. A stable sort moves the
+    survivors of each set to the front of its row in their order, and the
+    flushed lines' dirty bytes are cleared. Returns (flushed lines,
+    writebacks of dirty ones)."""
+    g = state.geometry
+    ways = g.associativity
+    first = color * g.sets_per_color
+    rows = slice(first, first + g.sets_per_color)
+    tags = state.tags.reshape(-1, ways)[rows]  # views into the state
+    dirty = state.dirty.reshape(-1, ways)[rows]
+    fill = state.fill[rows]
+    gone = np.arange(ways) < fill[:, None]  # the resident slots ...
+    if regions is not None:  # ... of the regions' pages
+        page_shift = g.sets_per_color.bit_length() - 1  # tag >> it = page
+        pulled = np.zeros(g.color_count, dtype=bool)
+        pulled[regions] = True
+        gone &= pulled[(tags >> page_shift) & np.uint64(g.color_count - 1)]
+    lost = gone.sum(axis=1)
+    flushed = int(lost.sum())
+    if not flushed:
+        return 0, 0
+    writebacks = int(np.count_nonzero(dirty[gone]))
+    dirty[gone] = 0
+    if regions is not None:
+        order = np.argsort(gone, axis=1, kind="stable")
+        tags[:] = np.take_along_axis(tags, order, axis=1)
+        dirty[:] = np.take_along_axis(dirty, order, axis=1)
+    fill -= lost.astype(np.int32)
+    state.n_valid -= flushed
+    np.subtract.at(state.valid_by_bank,
+                   np.arange(first, first + g.sets_per_color) // g.sets_per_bank,
+                   lost)
+    return flushed, writebacks
 
 
 def observe_arrays(units, trace, geometry: CacheGeometry) -> None:

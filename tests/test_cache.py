@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (RpvPhases, access_block, all_sets, dirty_tags,
-                     full_profile, replay_codes, trace_of, validate_state)
+                     flush_reference, full_profile, replay_codes, trace_of,
+                     validate_state)
 from edrsim import cache
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
                           CacheState, GeometryError, ReconfigError,
@@ -279,15 +282,67 @@ def test_growth_rebalances_and_stays_consistent(small_geometry):
     spec = SyntheticTraceSpec(phases=[PhaseSpec(20_000, 48 * 1024, 0.3, 0.0)],
                               rng_seed=8, accesses_per_kilo_instr=200)
     arrays = generate_synthetic(spec)
+    assert len(arrays) == 4000
     replay_codes(state, arrays)
     reconfigure(state, [0, 1])
-    replay_codes(state, arrays, 0, 5000)
+    replay_codes(state, arrays)
     report = reconfigure(state, list(range(6)))
     assert report.switched_blocks == 4 * small_geometry.lines_per_color
     verdict = validate_state(state)
     assert verdict.ok, verdict.first_divergence
     # every active color serves at least one region
     assert set(state.mapping) == state.active_colors
+
+
+def test_replay_rejects_records_outside_the_trace(small_geometry):
+    arrays = trace_of([(1, 0, 64 * i) for i in range(10)])
+    for lo, hi in [(0, 11), (-1, 3), (5, 4)]:
+        with pytest.raises(ValueError, match=f"records \\[{lo}, {hi}\\)"):
+            replay_codes(CacheState(small_geometry), arrays, lo, hi)
+    assert len(replay_codes(CacheState(small_geometry), arrays, 10, 10)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(page_bytes=st.sampled_from([256, 1024]),
+       banks=st.sampled_from([1, 2, 4]), ways=st.sampled_from([2, 4, 8]),
+       colors=st.sampled_from([4, 8, 16]), seed=st.integers(0, 2**32 - 1),
+       full=st.sampled_from([0.0, 0.5, 1.0]),
+       dirty=st.sampled_from([0.0, 0.3, 1.0]),
+       flushes=st.lists(st.tuples(st.integers(0, 15), st.none() | st.lists(
+           st.integers(0, 15), min_size=1, max_size=8)), min_size=1,
+           max_size=4))
+def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
+                                               colors, seed, full, dirty,
+                                               flushes):
+    # random rows: some sets full, the rest filled part way, a share of
+    # the resident lines dirty, tags of any region (half at or above 2^63)
+    g = CacheGeometry(size_bytes=colors * page_bytes * ways,
+                      associativity=ways, page_bytes=page_bytes,
+                      bank_bytes=colors * page_bytes * ways // banks)
+    rng = np.random.default_rng(seed)
+    fill = np.where(rng.random(g.total_sets) < full, ways,
+                    rng.integers(0, ways + 1, g.total_sets)).astype(np.int32)
+    tags = rng.integers(0, 1 << 63, g.total_lines, dtype=np.uint64)
+    tags[rng.random(g.total_lines) < 0.5] |= np.uint64(1 << 63)
+    resident = (np.arange(ways) < fill[:, None]).ravel()
+    dirt = ((rng.random(g.total_lines) < dirty) & resident).astype(np.uint8)
+    states = [CacheState(g), CacheState(g)]
+    for state in states:
+        state.tags[:], state.dirty[:], state.fill[:] = tags, dirt, fill
+        np.add.at(state.valid_by_bank,
+                  np.arange(g.total_sets) // g.sets_per_bank, fill)
+        state.n_valid = int(fill.sum())
+    for color, regions in flushes:
+        color %= colors
+        if regions is not None:  # pulled regions, several at a time
+            regions = sorted({r % colors for r in regions})
+        got = cache._flush(states[0], color, regions)
+        assert got == flush_reference(states[1], color, regions)
+        assert all_sets(states[0]) == all_sets(states[1])
+        for name in ("dirty", "fill", "valid_by_bank"):
+            assert np.array_equal(getattr(states[0], name),
+                                  getattr(states[1], name)), name
+        assert states[0].n_valid == states[1].n_valid
 
 
 def test_random_reconfigure_sequences_keep_invariants(small_geometry):

@@ -62,8 +62,9 @@ _CASES = [(i, kind, phases, warmup, "") for i, ((kind, phases), warmup)
           in enumerate(itertools.product(_KINDS, _WARMUPS))]
 # and the timing pass's corner cases: gaps that span several refresh periods,
 # so one record fires several events; RPV bursts on one bank that last a
-# whole phase; segments of a few records; gaps whose cycles at CPI 1.5 end
-# in a half, which rounds to even
+# whole phase; instructions summed a few records at a time, so that warm-up
+# ends and intervals close across the edges of those blocks; gaps whose
+# cycles at CPI 1.5 end in a half, which rounds to even
 _CASES += [(18 + j, kind, phases, warmup, variant)
            for j, (kind, phases, warmup, variant) in enumerate([
                (SchemeKind.BASELINE_EDRAM, 1, "default", "sparse"),
@@ -87,7 +88,7 @@ def test_run_matches_reference_run(case, monkeypatch):
     i, kind, phases, warmup, variant = case
     if variant == "tiny block":
         monkeypatch.setattr("edrsim.sim._BLOCK", 5)
-    elif i % 2:  # replay and time in steps of a few hundred records
+    elif i % 2:  # sum instructions a few hundred records at a time
         monkeypatch.setattr("edrsim.sim._BLOCK", 331)
     k, w = divmod(i, len(_WARMUPS))
     cpi = (1.0, 0.7, 1.5)[(k + w) % 3]
@@ -148,8 +149,8 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
                                                    retention, block, data,
                                                    records):
     # 128 B pages of two 64 B blocks on 8 colors: 16 sets, 32-64 lines, so
-    # DCR's X/16 unit has one set; every timing-pass segment is `block`
-    # records long at most
+    # DCR's X/16 unit has one set; `_segments` sums instructions `block`
+    # records at a time
     kind, phases = scheme
     geometry = CacheGeometry(size_bytes=16 * 64 * ways, associativity=ways,
                              page_bytes=128,
@@ -410,6 +411,22 @@ def test_run_rejects_a_replay_of_another_trace_or_geometry():
     with pytest.raises(ValueError, match="last_touch column"):
         run(trace, rpv, geometry, timing, EDRAM,
             replay=Replay(geometry, len(trace)))
+
+
+@pytest.mark.parametrize("where", ["next", "last", "past the end"])
+def test_rpv_rejects_a_last_touch_entry_that_points_forward(where):
+    # a corrupt column would make the timing pass read a record index as a
+    # phase, or read past the column; it stops at the record instead
+    geometry = _geometry(2)
+    trace = _trace(seed=4)
+    replay = fixed_replay(trace, geometry)
+    r = int(np.flatnonzero(replay.last_touch >= 0)[100])
+    replay.last_touch[r] = {"next": r + 1, "last": len(trace) - 1,
+                            "past the end": 2**31 - 1}[where]
+    rpv = _scheme(SchemeKind.RPV, 4, geometry, 10_000)
+    with pytest.raises(ValueError, match=f"record {r}: its last-touch"):
+        run(trace, rpv, geometry, TimingParams(clock_ghz=2.0), EDRAM,
+            replay=replay)
 
 
 def test_refresh_burst_must_fit_in_the_retention_period():
