@@ -14,14 +14,15 @@ tags, least recent first: the same LRU stack the profiling units keep
 (Mattson et al., 1970). A tag is a full block number, so a block sits in at
 most one set; each slot has a dirty byte and a last-touch record index.
 
-`replay` is the functional pass of a simulation: it applies a run of trace
-records to those arrays and writes each record's outcome into a code byte
-(a `Replay`), which the timing pass in `sim.run` then reads. Hits,
-misses and evictions do not depend on time, so one replay serves every
-scheme that never remaps the cache. The per-record work, like the flush
-of a reconfiguration, is C (lru.c), built at first use (see native.py);
-`Passes` binds a run's arguments to it once, so that DCR, which replays
-between the controller's decisions, pays one call per segment.
+The functional pass of a simulation applies trace records to those arrays
+and writes each record's outcome into a code byte (a `Replay`), which the
+timing pass then reads. Hits, misses and evictions do not depend on time,
+so one replay serves every scheme that never remaps the cache
+(`sim.fixed_replay`). The per-record work, like the flush of a
+reconfiguration, is C (lru.c), built at first use (see native.py);
+`Passes` binds a run's arguments to it once. DCR binds the functional and
+the timing pass together, so that one loop replays, times and stops at the
+end of each interval for the controller.
 """
 
 import ctypes
@@ -234,8 +235,7 @@ class _Run(ctypes.Structure):
         ("cpi", ctypes.c_double), ("hit_cycles", ctypes.c_int64),
         ("miss_cycles", ctypes.c_int64), ("bank_busy", ctypes.c_void_p),
         ("n_banks", ctypes.c_int64), ("counts", ctypes.c_void_p),
-        ("phases", ctypes.c_int64), ("track", ctypes.c_int64),
-        ("phase_touch", ctypes.c_void_p)]
+        ("phases", ctypes.c_int64), ("phase_touch", ctypes.c_void_p)]
 
 
 class Passes:
@@ -244,7 +244,9 @@ class Passes:
     The trace's byte addresses and the code bytes of `out` are bound here,
     the functional pass by `bind_cache` and the timing pass by
     `bind_timing` (see `sim.run`). Calling it with [lo, hi) takes those
-    records through the bound passes: it replays them, then times them.
+    records through the bound passes, one record at a time, and returns
+    the record after the last one taken: `hi`, or earlier where the timing
+    pass closed an interval.
     """
 
     def __init__(self, geometry: CacheGeometry, addrs, out: Replay):
@@ -273,9 +275,11 @@ class Passes:
 
     def bind_cache(self, state: CacheState, writes, units=(),
                    ratio: int = 64) -> None:
-        """Replay into `state`, with the write flags `writes`, and feed
-        `units` as `replay` does. The layout follows the state's mapping
-        as it is now; `relayout` follows a later change."""
+        """Replay into `state`, with the write flags `writes`; with `units`,
+        every block whose number is a multiple of `ratio` is also looked up
+        in each profiling unit, which counts its accesses, misses and load
+        misses. The layout follows the state's mapping as it is now;
+        `relayout` follows a later change."""
         g = self.geometry
         if state.geometry != g:
             raise ValueError("the cache and the replay differ in geometry")
@@ -318,17 +322,17 @@ class Passes:
 
     def bind_timing(self, gaps, clock, bank_busy, counts, phase_touch,
                     cpi: float, hit_cycles: int, miss_cycles: int,
-                    phases: int, track: bool) -> None:
+                    phases: int) -> None:
         """Time the records: the kernel's arguments of the same names (see
-        lru.c's time_records)."""
+        lru.c's edr_run)."""
         self._bind(gaps=np.ascontiguousarray(gaps, dtype=np.uint32),
                    clock=clock, bank_busy=bank_busy, counts=counts,
                    phase_touch=phase_touch)
         a = self.args
         a.cpi, a.hit_cycles, a.miss_cycles = cpi, hit_cycles, miss_cycles
-        a.n_banks, a.phases, a.track = len(bank_busy), phases, track
+        a.n_banks, a.phases = len(bank_busy), phases
 
-    def __call__(self, lo: int, hi: int) -> None:
+    def __call__(self, lo: int, hi: int) -> int:
         if not 0 <= lo <= hi <= len(self.codes):
             raise ValueError(f"records [{lo}, {hi}) are not all in the "
                              f"trace's {len(self.codes)}")
@@ -338,7 +342,7 @@ class Passes:
                 f"record {-1 - got}: its last-touch entry names no earlier "
                 "record, or a phase out of range")
         if self.state is not None:
-            self.state.n_valid += got
+            self.state.n_valid = int(self.state.valid_by_bank.sum())
         if self.units:
             for unit, (misses, load_misses, accesses) in zip(
                     self.units, self.unit_counts.tolist()):
@@ -346,26 +350,7 @@ class Passes:
                 unit.load_misses += load_misses
                 unit.accesses += accesses
             self.unit_counts[:] = 0
-
-
-def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
-           units=None, ratio: int = 64) -> None:
-    """Apply records [lo, hi) to the cache and write their outcomes to `out`.
-
-    `addrs` and `writes` are the trace's columns: byte addresses and write
-    flags (numpy arrays); [lo, hi) must lie inside them. A record's region
-    (page number mod M) picks a color through the mapping, which is fixed
-    for the call, and its page offset picks the set inside that color. A
-    hit moves the tag to the end of its set's row; a miss into a full set
-    evicts the first. The dirty bytes and the valid counters (total and per
-    bank) follow, and so do the last-touch indices when `out` has a
-    last-touch column. With `units`, every block whose number is a
-    multiple of `ratio` is looked up in each profiling unit, which counts
-    its accesses, misses and load misses.
-    """
-    passes = Passes(state.geometry, addrs, out)
-    passes.bind_cache(state, writes, units or [], ratio)
-    passes(lo, hi)
+        return got
 
 
 def _flush(state: CacheState, color: int, regions=None) -> tuple[int, int]:

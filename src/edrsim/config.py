@@ -23,8 +23,9 @@ class ConfigError(ValueError):
 
 _GEOMETRY_KEYS = {"l2_size_kb", "associativity", "block_bytes", "page_kb", "bank_kb"}
 _TIMING_KEYS = {"l2_hit_cycles", "dram_latency_cycles", "base_cpi", "clock_ghz"}
+# the clock is [timing]'s, for the overrides as for a builtin
 _ENERGY_FIELDS = {"e_dyn_l2", "p_leak_l2", "e_dyn_dram", "p_leak_dram",
-                  "e_transition", "e_dyn_prof", "p_leak_prof", "clock_ghz"}
+                  "e_transition", "e_dyn_prof", "p_leak_prof"}
 _ENERGY_KEYS = {"builtin"} | _ENERGY_FIELDS
 _TRACE_KEYS = {"path", "synthetic"}
 _SYNTH_KEYS = {"seed", "accesses_per_kilo_instr", "block_bytes", "phases",
@@ -123,9 +124,10 @@ def _parse_energy(sec, clock_ghz: float) -> EnergyParams:
     missing = _ENERGY_FIELDS - set(sec.keys())
     if missing:
         raise ConfigError(
-            f"[{sec.name}] overrides must set all eight fields; missing: "
+            f"[{sec.name}] overrides must set all seven fields; missing: "
             f"{', '.join(sorted(missing))}")
-    return EnergyParams(**{k: float(sec[k]) for k in _ENERGY_FIELDS})
+    return EnergyParams(**{k: float(sec[k]) for k in _ENERGY_FIELDS},
+                        clock_ghz=clock_ghz)
 
 
 def _parse_scheme(sec, name: str, geometry: CacheGeometry, clock_ghz: float,
@@ -254,6 +256,8 @@ def _load_config(path: str) -> RunConfig:
         warmup_instructions = _get(rsec, "warmup_instructions", int)
         warmup_fraction = _get(rsec, "warmup_fraction", float, default=0.1)
         interval_instructions = _get(rsec, "interval_instructions", int)
+        if interval_instructions is not None and interval_instructions < 1:
+            raise ConfigError("[run] interval_instructions must be >= 1")
 
     trace_path = None
     synthetic = None

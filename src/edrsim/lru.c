@@ -2,21 +2,25 @@
  * compiler and called through ctypes.
  *
  * A run binds its arguments once, in a struct run (cache.Passes), and
- * edr_run then takes records [lo, hi) through the passes it binds:
+ * edr_run then takes records [lo, hi) through one loop that does, per
+ * record, what the run binds:
  *
- * - the functional pass (see cache.py), a tag-only LRU step over flat
- *   arrays, applied to the main cache and to DCR's profiling units. A set
- *   is a row of `ways` tag slots; its first `fill` slots hold the resident
- *   tags, least recent first, and for RPV the record that last touched
- *   each;
- * - the timing pass (see sim.py), which turns the functional pass's code
- *   bytes into cycles, fires refresh events at their boundaries, makes an
- *   access wait out a burst on its bank and tallies the outcomes.
+ * - the timing pass (see sim.py), with a clock: count the record's
+ *   instructions, turn its gap into cycles, fire the refresh events due by
+ *   then and wait out a burst on its bank;
+ * - the functional pass (see cache.py), with a cache: a tag-only LRU step
+ *   over flat arrays, applied to the main cache and to DCR's profiling
+ *   units. A set is a row of `ways` tag slots; its first `fill` slots hold
+ *   the resident tags, least recent first, and for RPV the record that
+ *   last touched each. Without a cache the loop reads the record's code
+ *   byte, which an earlier functional pass wrote;
+ * - the timing pass again: the hit or miss latency and the tallies. The
+ *   loop stops after a record that closes an interval.
  *
- * DCR binds both, so one call replays, times and tallies a segment. Both
- * find a record's set through a layout, built by cache.layout:
- * layout[FIRST_SET + region] is the first set of the color the region maps
- * to, and the block's offset in its page picks the set inside that color.
+ * DCR binds both. Both passes find a record's set through a layout, built
+ * by cache.layout: layout[FIRST_SET + region] is the first set of the
+ * color the region maps to, and the block's offset in its page picks the
+ * set inside that color.
  *
  * edr_flush invalidates a color's lines when DCR reconfigures the cache. */
 #include <math.h>
@@ -26,10 +30,19 @@
 enum { HIT = 1, EVICTED = 2, DIRTY_VICTIM = 4, WRITE = 8 };
 enum { BLOCK_SHIFT, PAGE_SHIFT, REGION_MASK, WITHIN_MASK, SETS_PER_BANK,
        FIRST_SET };
-/* the timing pass's clock, carried across calls, then its tallies since
- * the caller last cleared them */
-enum { NOW, NEXT_BOUNDARY, BOUNDARY_LEN, PHASE, REFRESHED, HITS, MISSES,
-       DIRTY_VICTIMS, LOAD_MISSES };
+
+/* The timing pass's clock, an int64 array of sim.run's, carried across
+ * calls: the cycle, the next refresh boundary, the boundary length and the
+ * current phase; the instructions that end warm-up (0 once warm-up has
+ * ended, or without one) and those that close an interval; then the
+ * tallies since warm-up ended or the caller last cleared them:
+ * instructions, cycles, refreshed lines, hits, misses, dirty victims and
+ * load misses. */
+struct clock {
+    int64_t now, next_boundary, boundary_len, phase, warm_at, close_at;
+    int64_t instructions, cycles, refreshed, hits, misses, dirty_victims,
+        load_misses;
+};
 
 /* A cache.CacheState: its arrays and shape. */
 struct cache {
@@ -60,7 +73,7 @@ struct run {
     const int64_t *unit_shape;
     int64_t *unit_counts;
     /* the timing pass */
-    int64_t *clock;
+    struct clock *clock;
     const uint32_t *gaps;
     double cpi;
     int64_t hit_cycles, miss_cycles;
@@ -68,7 +81,6 @@ struct run {
     int64_t n_banks;
     int64_t *counts;
     int64_t phases;
-    int64_t track;
     int32_t *phase_touch;
 };
 
@@ -124,182 +136,163 @@ static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *touch,
     return code;
 }
 
-/* Apply records [lo, hi) to the main cache, writing one code byte each
- * and, with last_touch, the touch index that lru_step leaves; return the
- * fills of free ways. With units, every block whose number is a multiple
- * of `ratio` is looked up in each unit u: in set (block % sets) / denom
- * when that set is sampled (block % sets % denom == 0), where unit_shape[2u]
- * is its set count and unit_shape[2u + 1] its sampling denominator. The
- * unit counts misses, load misses and accesses at unit_counts[3u..3u + 2]. */
-static int64_t replay(const struct run *run, int64_t lo, int64_t hi)
+/* The functional pass of record r, whose block sits in `set` of `bank`:
+ * the LRU step on the main cache, the dirty byte of a write, a fill of a
+ * free way counted in valid_by_bank and, with last_touch, the touch index
+ * that lru_step leaves. With units, a block whose number is a multiple of
+ * `ratio` is then looked up in each unit u: in set (block % sets) / denom
+ * when that set is sampled (block % sets % denom == 0), where
+ * unit_shape[2u] is its set count and unit_shape[2u + 1] its sampling
+ * denominator. The unit counts misses, load misses and accesses at
+ * unit_counts[3u..3u + 2]. Returns the record's code byte, also stored. */
+static int replay(const struct run *run, int64_t r, int64_t set,
+                  int64_t bank)
 {
     const struct cache *c = run->cache;
-    const int64_t *layout = run->layout;
-    const uint64_t *addrs = run->addrs;
-    const uint8_t *writes = run->writes;
-    uint8_t *codes = run->codes, *dirty = c->dirty;
-    int32_t *last_touch = run->last_touch, *fill = c->fill;
-    int32_t *touch = last_touch ? c->touch : NULL;
-    int64_t *valid_by_bank = c->valid_by_bank, *unit_counts = run->unit_counts;
-    uint64_t *tags = c->tags, ratio = run->ratio;
-    uint64_t *const *unit_tags = run->unit_tags;
-    int32_t *const *unit_fill = run->unit_fill;
-    const int64_t *unit_shape = run->unit_shape;
-    int ways = (int)c->ways, n_units = (int)run->n_units;
-    int64_t fills = 0;
+    uint64_t tag = run->addrs[r] >> run->layout[BLOCK_SHIFT];
+    int ways = (int)c->ways, is_write = run->writes[r] != 0;
+    int32_t *touch = run->last_touch ? c->touch + set * ways : NULL;
+    int code = lru_step(c->tags + set * ways, c->dirty + set * ways, touch,
+                        c->fill + set, ways, tag);
+    int32_t last = c->fill[set] - 1;
 
-    for (int64_t r = lo; r < hi; r++) {
-        uint64_t tag = addrs[r] >> layout[BLOCK_SHIFT];
-        int64_t set = set_of(layout, addrs[r]);
-        int is_write = writes[r] != 0;
-        int code = lru_step(tags + set * ways, dirty + set * ways,
-                            touch ? touch + set * ways : NULL, fill + set,
-                            ways, tag);
+    if (!(code & (HIT | EVICTED)))
+        c->valid_by_bank[bank]++;
+    if (is_write) {
+        c->dirty[set * ways + last] = 1;
+        code |= WRITE;
+    }
+    if (touch) {
+        run->last_touch[r] = touch[last];
+        touch[last] = (int32_t)r;
+    }
+    run->codes[r] = (uint8_t)code;
+    if (!run->n_units || tag % run->ratio)
+        return code;
+    for (int64_t u = 0; u < run->n_units; u++) {
+        uint64_t s = tag % (uint64_t)run->unit_shape[2 * u];
+        uint64_t denom = (uint64_t)run->unit_shape[2 * u + 1];
+        int64_t *count = run->unit_counts + 3 * u;
 
-        if (!(code & (HIT | EVICTED))) {
-            valid_by_bank[set / layout[SETS_PER_BANK]]++;
-            fills++;
-        }
-        if (is_write) {
-            dirty[set * ways + fill[set] - 1] = 1;
-            code |= WRITE;
-        }
-        if (last_touch) {
-            int32_t *t = touch + set * ways + fill[set] - 1;
-
-            last_touch[r] = *t;
-            *t = (int32_t)r;
-        }
-        codes[r] = (uint8_t)code;
-        if (!n_units || tag % ratio)
+        if (s % denom)
             continue;
-        for (int u = 0; u < n_units; u++) {
-            uint64_t s = tag % (uint64_t)unit_shape[2 * u];
-            uint64_t denom = (uint64_t)unit_shape[2 * u + 1];
-            int64_t *count = unit_counts + 3 * u;
-
-            if (s % denom)
-                continue;
-            s /= denom;
-            count[2]++;
-            if (!(lru_step(unit_tags[u] + s * ways, NULL, NULL,
-                           unit_fill[u] + s, ways, tag) & HIT)) {
-                count[0]++;
-                count[1] += !is_write;
-            }
+        s /= denom;
+        count[2]++;
+        if (!(lru_step(run->unit_tags[u] + s * ways, NULL, NULL,
+                       run->unit_fill[u] + s, ways, tag) & HIT)) {
+            count[0]++;
+            count[1] += !is_write;
         }
     }
-    return fills;
+    return code;
 }
 
-/* Time records [lo, hi). Each record adds rint(gap * cpi) cycles, fires
- * every refresh boundary due by then, waits while its bank is busy with a
- * burst (firing the boundaries that fall due meanwhile), then costs
- * hit_cycles or miss_cycles and adds to the hit or miss tally (a miss also
- * to those of dirty victims and, unless a write, of load misses).
+/* Take records [lo, hi) through the passes the run binds (see above) and
+ * return the record after the last one taken: hi, or earlier after a
+ * record that closes an interval.
+ *
+ * With a clock, each record adds its gap to the instruction tally and
+ * rint(gap * cpi) cycles to the clock. The first record whose
+ * instructions since the start of the trace reach warm_at ends warm-up
+ * after its gap: every tally, the units' counts included, restarts there.
+ * The record then fires every refresh boundary due by then, waits while
+ * its bank is busy with a burst (firing the boundaries that fall due
+ * meanwhile), takes the functional pass or reads its code, and costs
+ * hit_cycles or miss_cycles, adding to the hit or miss tally (a miss also
+ * to those of dirty victims and, unless a write, of load misses). After
+ * warm-up, a record that brings the instruction tally to close_at closes
+ * an interval, and the loop stops after it.
  *
  * A boundary refreshes, in each bank b, counts[b * phases + phase] lines
- * at the phase it opens, and holds the bank one cycle per line. With
- * `track` (DCR), a fill of a free way adds one at the current phase. With
- * phase_touch (RPV), a copy of the last-touch column, a record adds one at
- * the current phase and a hit or an eviction takes one from
+ * at the phase it opens, and holds the bank one cycle per line. DCR binds
+ * the cache's valid_by_bank as counts, so that a refresh covers the valid
+ * lines. With phase_touch (RPV), a copy of the last-touch column, a record
+ * adds one at the current phase and a hit or an eviction takes one from
  * phase_touch[phase_touch[r]], the phase that the record last touching
- * the line wrote over its index, as phase_touch[r] gets r's own. Returns
- * -1, or the first record whose entry names no earlier record or whose
- * phase is out of range, at which the pass stops. */
-static int64_t time_records(const struct run *run, int64_t lo, int64_t hi)
+ * the line wrote over its index, as phase_touch[r] gets r's own. A record
+ * whose entry names no earlier record, or whose phase is out of range,
+ * stops the loop at once, which returns -1 - r. */
+int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
 {
     const int64_t *layout = run->layout;
-    const uint64_t *addrs = run->addrs;
-    const uint32_t *gaps = run->gaps;
-    const uint8_t *codes = run->codes;
-    int64_t *clock = run->clock, *counts = run->counts;
-    int64_t *bank_busy = run->bank_busy;
+    int64_t *counts = run->counts, *bank_busy = run->bank_busy;
     int32_t *touch = run->phase_touch;
-    double cpi = run->cpi;
-    int64_t hit_cycles = run->hit_cycles, miss_cycles = run->miss_cycles;
-    int64_t n_banks = run->n_banks, phases = run->phases, track = run->track;
-    int64_t now = clock[NOW], next = clock[NEXT_BOUNDARY];
-    int64_t len = clock[BOUNDARY_LEN], phase = clock[PHASE];
-    int64_t refreshed = clock[REFRESHED], hits = clock[HITS];
-    int64_t misses = clock[MISSES], dirty_victims = clock[DIRTY_VICTIMS];
-    int64_t load_misses = clock[LOAD_MISSES], bad = -1;
+    int64_t phases = run->phases, r;
+    struct clock k = {0};
+    int64_t since; /* the cycle from which this call counts cycles */
 
-    for (int64_t r = lo; r < hi; r++) {
-        int64_t bank = set_of(layout, addrs[r]) / layout[SETS_PER_BANK];
-        int code = codes[r];
+    if (run->clock)
+        k = *run->clock;
+    since = k.now;
+    for (r = lo; r < hi; r++) {
+        int64_t set = set_of(layout, run->addrs[r]);
+        int64_t bank = set / layout[SETS_PER_BANK];
+        int code;
 
-        now += (int64_t)rint(gaps[r] * cpi);
-        for (;;) {
-            for (; next <= now; next += len) {
-                phase = next / len % phases;
-                for (int64_t b = 0; b < n_banks; b++) {
-                    int64_t lines = counts[b * phases + phase];
+        if (run->clock) {
+            k.now += (int64_t)rint(run->gaps[r] * run->cpi);
+            k.instructions += run->gaps[r];
+            if (k.warm_at && k.instructions >= k.warm_at) {
+                k.warm_at = k.instructions = k.cycles = k.refreshed = 0;
+                k.hits = k.misses = k.dirty_victims = k.load_misses = 0;
+                since = k.now;
+                if (run->n_units)
+                    memset(run->unit_counts, 0, (size_t)run->n_units * 3
+                                                * sizeof *run->unit_counts);
+            }
+            for (;;) {
+                for (; k.next_boundary <= k.now;
+                     k.next_boundary += k.boundary_len) {
+                    k.phase = k.next_boundary / k.boundary_len % phases;
+                    for (int64_t b = 0; b < run->n_banks; b++) {
+                        int64_t lines = counts[b * phases + k.phase];
 
-                    if (lines) {
-                        bank_busy[b] = (bank_busy[b] > next ? bank_busy[b]
-                                                            : next) + lines;
-                        refreshed += lines;
+                        if (lines) {
+                            bank_busy[b] = (bank_busy[b] > k.next_boundary
+                                            ? bank_busy[b] : k.next_boundary)
+                                           + lines;
+                            k.refreshed += lines;
+                        }
                     }
                 }
+                if (bank_busy[bank] <= k.now)
+                    break;
+                k.now = bank_busy[bank];
             }
-            if (bank_busy[bank] <= now)
-                break;
-            now = bank_busy[bank];
         }
+        code = run->cache ? replay(run, r, set, bank) : run->codes[r];
+        if (!run->clock)
+            continue;
         if (touch) {
             int32_t t = touch[r];
 
             if (t >= 0) {
-                if (t >= r || touch[t] < 0 || touch[t] >= phases) {
-                    bad = r;
-                    break;
-                }
+                if (t >= r || touch[t] < 0 || touch[t] >= phases)
+                    return -1 - r;
                 counts[bank * phases + touch[t]]--;
             }
-            counts[bank * phases + phase]++;
-            touch[r] = (int32_t)phase;
-        } else if (track && !(code & (HIT | EVICTED))) {
-            counts[bank * phases + phase]++;
+            counts[bank * phases + k.phase]++;
+            touch[r] = (int32_t)k.phase;
         }
         if (code & HIT) {
-            now += hit_cycles;
-            hits++;
+            k.now += run->hit_cycles;
+            k.hits++;
         } else {
-            now += miss_cycles;
-            misses++;
-            dirty_victims += (code & DIRTY_VICTIM) != 0;
-            load_misses += !(code & WRITE);
+            k.now += run->miss_cycles;
+            k.misses++;
+            k.dirty_victims += (code & DIRTY_VICTIM) != 0;
+            k.load_misses += !(code & WRITE);
+        }
+        if (!k.warm_at && k.instructions >= k.close_at) {
+            r++;
+            break;
         }
     }
-    clock[NOW] = now;
-    clock[NEXT_BOUNDARY] = next;
-    clock[PHASE] = phase;
-    clock[REFRESHED] = refreshed;
-    clock[HITS] = hits;
-    clock[MISSES] = misses;
-    clock[DIRTY_VICTIMS] = dirty_victims;
-    clock[LOAD_MISSES] = load_misses;
-    return bad;
-}
-
-/* Take records [lo, hi) through the passes the run binds: replay them,
- * then time them. With track, a refresh covers the valid lines the
- * segment starts with, so they are copied into counts first. Returns the
- * fills of free ways, or -1 - r when the timing pass stopped at record r. */
-int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
-{
-    int64_t fills = 0, bad = -1;
-
-    if (run->cache) {
-        if (run->track)
-            memcpy(run->counts, run->cache->valid_by_bank,
-                   (size_t)run->n_banks * sizeof *run->counts);
-        fills = replay(run, lo, hi);
+    if (run->clock) {
+        k.cycles += k.now - since;
+        *run->clock = k;
     }
-    if (run->clock)
-        bad = time_records(run, lo, hi);
-    return bad < 0 ? fills : -1 - bad;
+    return r;
 }
 
 /* Invalidate the resident lines of a color's sets, or with `pulled` (a

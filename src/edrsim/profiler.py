@@ -4,8 +4,8 @@ Five tag-only LRU units emulate conventional caches of size X, X/2, X/4, X/8
 and X/16 (X = the main cache size) and count misses and load misses on a
 sampled subset of sets. All units sample the same set residues so the LRU
 stacks stay comparable across sizes. A unit's sampled sets are laid out as
-the main cache's (see cache.py), without dirty bytes, and `cache.replay`
-steps them with the same LRU routine. Estimates for intermediate sizes are
+the main cache's (see cache.py), without dirty bytes, and the functional
+pass steps them with the same LRU routine. Estimates for intermediate sizes are
 interpolated log-linearly between the profiled points.
 """
 

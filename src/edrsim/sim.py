@@ -8,23 +8,24 @@ for one cycle per refreshed line; an access to a busy bank waits for the
 burst to finish. Metrics accumulate only after the warm-up window.
 
 A run has two stages, as in gem5's atomic and timing CPUs. The functional
-pass (`cache.replay`) decides each record's hit, eviction and dirty victim
-and writes them to a code byte per record; the timing pass in `run` turns
-the codes into cycles, refresh bursts and bank waits. The functional pass
-does not depend on time, so baseline, RPV and SRAM share one
-(`fixed_replay`, which also keeps RPV's last-touch column); DCR replays
-each interval only after the controller has acted on the previous one.
+pass decides each record's hit, eviction and dirty victim and writes them
+to a code byte per record; the timing pass turns the codes into cycles,
+refresh bursts and bank waits. The functional pass does not depend on
+time, so baseline, RPV and SRAM share one (`fixed_replay`, which also
+keeps RPV's last-touch column); DCR replays each interval only after the
+controller has acted on the previous one.
 
-The timing pass is one compiled loop (lru.c's time_records), which `run`
-binds once (`cache.Passes`) and calls once per segment of records; a
-segment ends where warm-up ends or an interval closes. Per record it adds
-the gap's cycles, fires the refresh boundaries due by then, waits out a
-burst on the record's bank, updates the counters an event reads (DCR's
-valid lines per bank; RPV's valid lines per bank and last-touch phase),
-adds the hit or miss latency and tallies the outcome. Its clock, bank
-timers and counters carry from one segment to the next. For DCR the same
-call replays the segment first. `run` keeps what happens between
-segments: warm-up, interval closes and the controller's decisions.
+Both passes are one compiled record loop (lru.c's edr_run), which `run`
+binds once (`cache.Passes`), DCR with the functional pass and the others
+with the codes of their fixed replay. Per record it counts the gap's
+instructions and cycles, fires the refresh boundaries due by then, waits
+out a burst on the record's bank, takes the functional pass or reads the
+code, updates the counters an event reads (DCR's valid lines per bank;
+RPV's valid lines per bank and last-touch phase), adds the hit or miss
+latency and tallies the outcome. The loop itself finds where warm-up ends,
+restarting its tallies there, and stops after a record that closes an
+interval. Its clock, bank timers and counters carry from one call to the
+next; `run` reads each interval's tallies and lets DCR's controller act.
 """
 
 from dataclasses import dataclass, field, fields
@@ -212,13 +213,12 @@ def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
             f"cycles, which does not fit in the {period}-cycle retention period")
 
 
-# the records whose instructions `_segments` sums at a time
-_BLOCK = 1 << 13
-# slots of the timing pass's clock (lru.c): the cycle, the next refresh
-# boundary, the boundary length and the current phase, then the tallies
-# since the last reset: refreshed lines, hits, misses, dirty victims and
-# load misses
-_NOW, _NEXT_BOUNDARY, _REFRESHED = 0, 1, 4
+# slots of the timing pass's clock (lru.c's struct clock): the cycle, the
+# next refresh boundary, the boundary length, the current phase, the
+# instructions that end warm-up and those that close an interval, then the
+# tallies: instructions, cycles, refreshed lines, hits, misses, dirty
+# victims and load misses
+_NEXT_BOUNDARY, _INSTRUCTIONS = 1, 6
 
 
 def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
@@ -234,55 +234,10 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
                          f"records with int32, not {n}")
     out = Replay(geometry, n)
     out.last_touch = np.empty(n, dtype=np.int32)
-    _cache.replay(CacheState(geometry), trace.addrs, trace.ops == Op.WRITE,
-                  0, n, out)
+    passes = _cache.Passes(geometry, trace.addrs, out)
+    passes.bind_cache(CacheState(geometry), trace.ops == Op.WRITE)
+    passes(0, n)
     return out
-
-
-def _segments(gaps: np.ndarray, warmup: int, interval: int
-              ) -> tuple[int | None, int, list[tuple[int, int, bool, int]]]:
-    """Cut the records where warm-up ends and after each interval close.
-
-    Both points depend only on instruction counts. Returns the index of the
-    record at which warm-up ends (None without warm-up; that record's own
-    gap is not counted), the instructions through that record, and the
-    (lo, hi, closes, instructions through record hi - 1) segments;
-    `closes` says an interval closes after record hi - 1. A close on the
-    last record adds an empty final segment, which holds what the last
-    decision carries over. The instruction counts are summed one block of
-    _BLOCK records at a time, so that a long trace needs no column of them.
-    """
-    n = len(gaps)
-    warm_at = None
-    # instructions through the last interval close or the warm-up end;
-    # None until warm-up ends
-    base = warm_base = None if warmup else 0
-    cuts = []  # (record index, an interval closes before it, instructions)
-    before = 0  # instructions before the block
-    for first in range(0, n, _BLOCK):
-        cum = np.cumsum(gaps[first:first + _BLOCK], dtype=np.int64)
-        cum += before
-        if base is None and cum[-1] >= warmup:
-            k = int(np.searchsorted(cum, warmup))  # first cum >= warmup
-            warm_at = first + k
-            base = warm_base = int(cum[k])
-            cuts.append((warm_at, False, base - int(gaps[warm_at])))
-        while base is not None:
-            k = int(np.searchsorted(cum, base + interval))
-            if k == len(cum):
-                break
-            base = int(cum[k])
-            cuts.append((first + k + 1, True, base))
-        before = int(cum[-1])
-    segments = []
-    lo = 0
-    for hi, closes, instructions in cuts + [(n, False, before)]:
-        if hi > lo:
-            segments.append((lo, hi, closes, instructions))
-        lo = hi
-    if segments[-1][2]:
-        segments.append((n, n, False, before))
-    return warm_at, warm_base, segments
 
 
 def _close_interval(intervals, decisions, stats, colors, scheme, params,
@@ -324,9 +279,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
 
     A scheme that never remaps (baseline, RPV, SRAM) times the columns of
     `replay`, a `fixed_replay` of this trace and geometry, built here when
-    not given. DCR replays the trace itself, one segment between controller
-    decisions at a time, so each segment sees the mapping the controller
-    left.
+    not given. DCR replays the trace itself, one interval at a time, so
+    each interval sees the mapping the controller left.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
@@ -350,6 +304,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     if interval_instructions is None:
         interval_instructions = (ctrl_cfg.interval_instructions
                                  if is_dcr else 10_000_000)
+    if interval_instructions < 1:
+        raise ValueError("interval_instructions must be >= 1")
 
     n = len(trace)
     m_total = geometry.color_count
@@ -379,14 +335,18 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         boundary_len = (refresh_cfg.phase_cycles if is_rpv
                         else refresh_cfg.retention_cycles)
         next_boundary = boundary_len
-    clock = np.array([0, next_boundary, boundary_len, 0, 0, 0, 0, 0, 0],
+    clock = np.array([0, next_boundary, boundary_len, 0, warmup_instructions,
+                      interval_instructions, 0, 0, 0, 0, 0, 0, 0],
                      dtype=np.int64)
     bank_busy = np.zeros(num_banks, dtype=np.int64)
     # the lines a refresh event covers in each bank, at bank * phases +
-    # phase: every line for the baseline, DCR's running valid counts, RPV's
-    # valid lines by last-touch phase
+    # phase: every line for the baseline, DCR's valid lines, RPV's valid
+    # lines by last-touch phase
     k_phases = refresh_cfg.phases if is_rpv else 1
-    counts = np.zeros(num_banks * k_phases, dtype=np.int64)
+    if is_dcr:
+        counts = state.valid_by_bank
+    else:
+        counts = np.zeros(num_banks * k_phases, dtype=np.int64)
     if kind is SchemeKind.BASELINE_EDRAM:
         counts += geometry.total_lines // num_banks
 
@@ -402,57 +362,44 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     # with phases
     passes.bind_timing(trace.gaps, clock, bank_busy, counts,
                        replay.last_touch.copy() if is_rpv else None, cpi,
-                       hit_cycles, miss_cost, k_phases, is_dcr)
-    warm_at, warm_base, segments = _segments(
-        trace.gaps, warmup_instructions, interval_instructions)
+                       hit_cycles, miss_cost, k_phases)
 
     carry_writebacks = carry_switched = 0
-    interval_start = 0
-    interval_base = 0  # instructions before the interval's first record
     active_fraction = 1.0
     intervals: list[IntervalRecord] = []
     decisions: list[DecisionRecord] = []
-
-    for lo, hi, closes, instructions in segments:
-        if hi > lo:
-            if lo == warm_at:  # metrics start with this record
-                clock[_REFRESHED:] = 0
-                # the record's gap in cycles, rounded half to even as the
-                # kernel rounds it
-                interval_start = int(clock[_NOW]) + round(
-                    int(trace.gaps[lo]) * cpi)
-                interval_base = warm_base
-                if units is not None:
-                    reset_interval(units)
-            passes(lo, hi)
-
-        if closes or hi == n:
-            now = int(clock[_NOW])
-            refreshed, hits, misses, writebacks, load_misses = \
-                clock[_REFRESHED:].tolist()
-            clock[_REFRESHED:] = 0
-            stats = IntervalStats(
-                instructions=instructions - interval_base,
-                l2_hits=hits, l2_misses=misses, load_misses=load_misses,
-                memory_stall_cycles=load_misses * miss_cost,
-                refreshed_lines=refreshed,
-                dram_accesses=carry_writebacks + misses + writebacks,
-                active_fraction=active_fraction,
-                elapsed_cycles=now - interval_start,
-                switched_blocks=carry_switched)
-            # the last interval is kept if anything happened in it
-            if closes or (stats.instructions or hits or misses or refreshed
-                          or stats.dram_accesses or carry_switched):
-                colors = state.active_count if is_dcr else m_total
-                carry_writebacks, carry_switched = _close_interval(
-                    intervals, decisions, stats, colors, scheme, params, state,
-                    units, run_controller=is_dcr and closes)
-                if carry_switched:  # the decision remapped the cache
-                    passes.relayout()
-            interval_start = now
-            interval_base = instructions
-            if is_dcr:
-                active_fraction = state.active_count / m_total
+    lo = 0
+    while True:
+        # up to the record that closes an interval, or to the end
+        lo = passes(lo, n)
+        instructions, cycles, refreshed, hits, misses, writebacks, \
+            load_misses = clock[_INSTRUCTIONS:].tolist()
+        clock[_INSTRUCTIONS:] = 0
+        closes = instructions >= interval_instructions
+        stats = IntervalStats(
+            instructions=instructions,
+            l2_hits=hits, l2_misses=misses, load_misses=load_misses,
+            memory_stall_cycles=load_misses * miss_cost,
+            refreshed_lines=refreshed,
+            dram_accesses=carry_writebacks + misses + writebacks,
+            active_fraction=active_fraction,
+            elapsed_cycles=cycles,
+            switched_blocks=carry_switched)
+        # the interval after the last close is kept if anything happened
+        # in it: a close on the last record leaves one of no instructions,
+        # which pays for what that decision switched and flushed
+        if closes or (instructions or hits or misses or refreshed
+                      or stats.dram_accesses or carry_switched):
+            colors = state.active_count if is_dcr else m_total
+            carry_writebacks, carry_switched = _close_interval(
+                intervals, decisions, stats, colors, scheme, params, state,
+                units, run_controller=is_dcr and closes)
+            if carry_switched:  # the decision remapped the cache
+                passes.relayout()
+        if is_dcr:
+            active_fraction = state.active_count / m_total
+        if lo == n and not closes:
+            break
 
     event_cycles = None
     if collect_refresh_events:

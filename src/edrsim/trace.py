@@ -88,6 +88,11 @@ class PhaseSpec:
             raise TraceError("reuse_locality must be in [0, 1]")
 
 
+# phases live 2^26 blocks (4 GiB at 64 B blocks) apart, and no working set
+# is wider, so their footprints never overlap
+_PHASE_STRIDE_BLOCKS = 1 << 26
+
+
 @dataclass
 class SyntheticTraceSpec:
     phases: list[PhaseSpec] = field(default_factory=list)
@@ -103,6 +108,12 @@ class SyntheticTraceSpec:
         b = self.block_bytes
         if b <= 0 or b & (b - 1):
             raise TraceError("block_bytes must be a power of two")
+        for phase in self.phases:
+            if -(-phase.working_set_bytes // b) > _PHASE_STRIDE_BLOCKS:
+                raise TraceError(
+                    f"phase working_set_bytes {phase.working_set_bytes} is "
+                    f"wider than {_PHASE_STRIDE_BLOCKS} blocks of {b} B, the "
+                    "distance between two phases' footprints")
 
 
 def _pack_header(header: TraceHeader) -> bytes:
@@ -159,9 +170,6 @@ def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
 
 
 _REUSE_WINDOW = 32
-# phases live 2^26 blocks (4 GiB at 64 B blocks) apart so their footprints
-# never overlap
-_PHASE_STRIDE_BLOCKS = 1 << 26
 
 
 def _reuse_sources(reuse: np.ndarray, widx: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ These are deliberately plain: full scans and straight-line formula
 re-evaluation, O(lines) or O(trace), no shared code with the paths they
 check beyond the parameter objects.
 
-They include a record-at-a-time model of the cache: `access_block` applies
-one access to a plain `CacheState` and returns the code byte
-`cache.replay` writes, `probe` looks one block up in a profiling unit, and
-`replay_reference` is `cache.replay` built from the two, record by record
+`replay` drives the compiled functional pass (`cache.Passes`) over a run
+of records. The module also holds a record-at-a-time model of the cache:
+`access_block` applies one access to a plain `CacheState` and returns the
+code byte `replay` writes, `probe` looks one block up in a profiling unit,
+and `replay_reference` is `replay` built from the two, record by record
 in Python: the reference the compiled kernel is diffed against.
 `flush_reference` is the compiled flush of a reconfiguration in numpy.
 `RpvPhases` keeps RPV's last-touch phases and per-bank-per-phase valid
@@ -29,7 +30,7 @@ import numpy as np
 
 from edrsim import native
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, Replay, replay)
+                          CacheState, Passes, Replay)
 from edrsim.controller import apply, select
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
@@ -48,9 +49,29 @@ def trace_of(records) -> TraceArrays:
         addrs=np.array([r[2] for r in records], dtype=np.uint64))
 
 
+def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
+           units=None, ratio: int = 64) -> None:
+    """Apply records [lo, hi) to the cache and write their outcomes to `out`.
+
+    `addrs` and `writes` are the trace's columns: byte addresses and write
+    flags (numpy arrays); [lo, hi) must lie inside them. A record's region
+    (page number mod M) picks a color through the mapping, which is fixed
+    for the call, and its page offset picks the set inside that color. A
+    hit moves the tag to the end of its set's row; a miss into a full set
+    evicts the first. The dirty bytes and the valid counters (total and per
+    bank) follow, and so do the last-touch indices when `out` has a
+    last-touch column. With `units`, every block whose number is a
+    multiple of `ratio` is looked up in each profiling unit, which counts
+    its accesses, misses and load misses.
+    """
+    passes = Passes(state.geometry, addrs, out)
+    passes.bind_cache(state, writes, units or [], ratio)
+    passes(lo, hi)
+
+
 def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
                  hi: int | None = None) -> bytes:
-    """Apply records [lo, hi) of a trace to `state` with `cache.replay`;
+    """Apply records [lo, hi) of a trace to `state` with `replay`;
     their code bytes."""
     hi = len(trace) if hi is None else hi
     out = Replay(state.geometry, len(trace))
@@ -188,7 +209,7 @@ def probe(unit, block: int, is_write: bool) -> None:
 
 def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
                      out: Replay, units=None, ratio: int = 64) -> None:
-    """`cache.replay` record by record: `access_block`, then `probe` in
+    """`replay` record by record: `access_block`, then `probe` in
     every unit for a block whose number is a multiple of `ratio`."""
     stray = set(state.mapping) - state.active_colors
     assert not stray, f"mapping routes regions to inactive colors {stray}"
@@ -241,7 +262,7 @@ def flush_reference(state: CacheState, color: int,
 
 
 def observe_arrays(units, trace, geometry: CacheGeometry) -> None:
-    """Feed a whole trace to the profiling units through `cache.replay`,
+    """Feed a whole trace to the profiling units through `replay`,
     on a scratch main cache of `geometry`: each record whose block number
     is a multiple of the units' sampling denominator is looked up in every
     unit."""

@@ -17,7 +17,7 @@ from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
 
 def _access(state, is_write, addr) -> int:
-    """One access through `cache.replay`; its code byte."""
+    """One access through `oracles.replay`; its code byte."""
     return replay_codes(state, trace_of([(0, is_write, addr)]))[0]
 
 

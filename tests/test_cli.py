@@ -89,27 +89,30 @@ def test_unknown_section_rejected(tmp_path):
         load_config(str(path))
 
 
-def test_energy_overrides_need_all_eight(tmp_path):
+def test_energy_overrides_need_all_seven(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE_CONFIG.replace("builtin = EDRAM_2MB",
                                         "e_dyn_l2 = 0.648"))
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(ConfigError, match="all seven fields; missing"):
         load_config(str(path))
 
 
-def test_energy_override_block(tmp_path):
-    overrides = """e_dyn_l2 = 0.648
+_ENERGY_OVERRIDES = """e_dyn_l2 = 0.648
 p_leak_l2 = 0.162
 e_dyn_dram = 70
 p_leak_dram = 0.18
 e_transition = 2
 e_dyn_prof = 0.0031
-p_leak_prof = 0.005
-clock_ghz = 2.0"""
+p_leak_prof = 0.005"""
+
+
+def test_energy_override_block(tmp_path):
     path = tmp_path / "ok.cfg"
-    path.write_text(BASE_CONFIG.replace("builtin = EDRAM_2MB", overrides))
+    path.write_text(BASE_CONFIG.replace("builtin = EDRAM_2MB",
+                                        _ENERGY_OVERRIDES))
     cfg = load_config(str(path))
     assert cfg.energy.p_leak_l2 == 0.162
+    assert cfg.energy.clock_ghz == cfg.timing.clock_ghz == 2.0
 
 
 def test_gen_trace_and_determinism(config_file, tmp_path):
@@ -195,6 +198,28 @@ def test_domain_validation_failures_are_config_errors(tmp_path):
     assert not os.path.exists(out)
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("old, new, error", [
+    # the clock is [timing]'s; a second one in [energy] could only disagree
+    ("builtin = EDRAM_2MB", _ENERGY_OVERRIDES + "\nclock_ghz = 3.0",
+     "unknown key.*clock_ghz"),
+    # 2**26 blocks of 64 B, plus one: the phase would overlap the next one
+    ("400000:24576:0.3:0.2", f"400000:{(2**26 + 1) * 64}:0.3:0.2",
+     "wider than 67108864 blocks"),
+    # an interval of 0 instructions would close after every record, and
+    # the run would never end
+    ("interval_instructions = 100000", "interval_instructions = 0",
+     "interval_instructions must be >= 1"),
+], ids=["energy clock", "phase past the stride", "empty interval"])
+def test_config_error_writes_no_output(tmp_path, old, new, error):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG.replace(old, new))
+    with pytest.raises(ConfigError, match=error):
+        load_config(str(path))
+    out = str(tmp_path / "outdir")
+    assert main(["compare", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_sweep_command(config_file, tmp_path):

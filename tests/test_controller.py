@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from oracles import validate_state
-from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay, replay
+from oracles import replay, validate_state
+from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                apply as apply_decision, candidate_space,
                                default_config, delta_pct, select)

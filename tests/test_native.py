@@ -2,15 +2,17 @@
 loudly without a compiler."""
 
 import os
+import subprocess
 
 import pytest
 
-from oracles import replay_reference
+from oracles import replay, replay_reference
 from edrsim import cache, native
-from edrsim.cache import CacheState, Replay, replay
+from edrsim.cache import CacheState, Replay
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
 KERNEL = os.path.join(os.path.dirname(cache.__file__), "lru.c")
+ORACLE = os.path.join(os.path.dirname(__file__), "lru_oracle.c")
 
 
 def _codes(geometry, step=replay) -> bytes:
@@ -85,3 +87,12 @@ def test_changed_compiler_or_flags_build_another_library(cold_cache,
     assert built == [second]
     assert sorted(os.listdir(cold_cache)) == sorted(
         os.path.basename(p) for p in (first, second))
+
+
+@pytest.mark.parametrize("source", [KERNEL, ORACLE],
+                         ids=os.path.basename)
+def test_c_sources_compile_without_warnings(source):
+    proc = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", source],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

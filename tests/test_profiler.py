@@ -3,8 +3,8 @@ import math
 import pytest
 
 from oracles import (compiled_full_profile, full_profile, observe_arrays,
-                     observe_reference, probe, trace_of)
-from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay, replay
+                     observe_reference, probe, replay, trace_of)
+from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay
 from edrsim.profiler import (IntervalStats, estimate_misses,
                              estimate_refreshes, estimate_time, make_units,
                              profiler_overhead_bytes, reset_interval)

@@ -8,13 +8,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import (access_block, all_sets, dirty_tags, last_touch_mirror,
-                     reference_run, replay_reference, validate_state)
-from edrsim.cache import CacheGeometry, CacheState, Replay, reconfigure, replay
+                     reference_run, replay, replay_reference,
+                     validate_state)
+from edrsim.cache import CacheGeometry, CacheState, Replay, reconfigure
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim.profiler import PROFILED_FRACTIONS, ProfilingUnit
@@ -62,17 +63,16 @@ _CASES = [(i, kind, phases, warmup, "") for i, ((kind, phases), warmup)
           in enumerate(itertools.product(_KINDS, _WARMUPS))]
 # and the timing pass's corner cases: gaps that span several refresh periods,
 # so one record fires several events; RPV bursts on one bank that last a
-# whole phase; instructions summed a few records at a time, so that warm-up
-# ends and intervals close across the edges of those blocks; gaps whose
-# cycles at CPI 1.5 end in a half, which rounds to even
+# whole phase; two warm-ups again on other CPIs, traces and intervals; gaps
+# whose cycles at CPI 1.5 end in a half, which rounds to even
 _CASES += [(18 + j, kind, phases, warmup, variant)
            for j, (kind, phases, warmup, variant) in enumerate([
                (SchemeKind.BASELINE_EDRAM, 1, "default", "sparse"),
                (SchemeKind.RPV, 4, "none", "sparse"),
                (SchemeKind.DCR, 1, "default", "sparse"),
                (SchemeKind.RPV, 4, "default", "long burst"),
-               (SchemeKind.RPV, 2, "first record", "tiny block"),
-               (SchemeKind.DCR, 1, "none", "tiny block"),
+               (SchemeKind.RPV, 2, "first record", ""),
+               (SchemeKind.DCR, 1, "none", ""),
                (SchemeKind.RPV, 4, "default", "odd gaps")])]
 
 
@@ -86,10 +86,6 @@ def _case_id(case):
 @pytest.mark.parametrize("case", _CASES, ids=_case_id)
 def test_run_matches_reference_run(case, monkeypatch):
     i, kind, phases, warmup, variant = case
-    if variant == "tiny block":
-        monkeypatch.setattr("edrsim.sim._BLOCK", 5)
-    elif i % 2:  # sum instructions a few hundred records at a time
-        monkeypatch.setattr("edrsim.sim._BLOCK", 331)
     k, w = divmod(i, len(_WARMUPS))
     cpi = (1.0, 0.7, 1.5)[(k + w) % 3]
     banks = 1 if variant == "long burst" else (1, 2, 4)[(k + 2 * w) % 3]
@@ -140,17 +136,16 @@ _TINY_SCHEMES = [(SchemeKind.BASELINE_EDRAM, 1), (SchemeKind.SRAM, 1),
 @given(ways=st.sampled_from([2, 4]), banks=st.sampled_from([1, 2, 4]),
        scheme=st.sampled_from(_TINY_SCHEMES),
        cpi=st.sampled_from([0.7, 1.0, 1.5]),
-       retention=st.sampled_from([120, 240]),
-       block=st.sampled_from([1, 3, 7, 1 << 13]), data=st.data(),
-       records=st.lists(st.tuples(st.integers(1, 40), st.booleans(),
+       retention=st.sampled_from([120, 240]), data=st.data(),
+       records=st.lists(st.tuples(st.integers(0, 40), st.booleans(),
                                   st.integers(0, 95), st.booleans()),
                         min_size=2, max_size=150))
 def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
-                                                   retention, block, data,
-                                                   records):
+                                                   retention, data, records):
     # 128 B pages of two 64 B blocks on 8 colors: 16 sets, 32-64 lines, so
-    # DCR's X/16 unit has one set; `_segments` sums instructions `block`
-    # records at a time
+    # DCR's X/16 unit has one set. Gaps of 0 put several records on one
+    # instruction count, so that warm-up can end and an interval close on
+    # a record that adds no instructions.
     kind, phases = scheme
     geometry = CacheGeometry(size_bytes=16 * 64 * ways, associativity=ways,
                              page_bytes=128,
@@ -164,8 +159,10 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
                         ops=np.array(writes, dtype=np.uint8),
                         addrs=np.array(blocks, dtype=np.uint64) * 64)
     total = trace.instructions
-    warmup = data.draw(st.sampled_from([0, None, gaps[0],
-                                        total - gaps[-1] - 1]))
+    assume(total > 0)
+    warmup = data.draw(st.sampled_from(
+        [None] + [w for w in (0, gaps[0], total - gaps[-1] - 1)
+                  if 0 <= w < total]))
     interval = max(1, total // data.draw(st.integers(2, 8)))
     refresh = RefreshConfig(retention / 2000, 2.0, phases)
     if kind is SchemeKind.SRAM:
@@ -181,9 +178,7 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
     timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
     kwargs = dict(warmup_instructions=warmup, interval_instructions=interval,
                   collect_refresh_events=True)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("edrsim.sim._BLOCK", block)
-        got = run(trace, spec, geometry, timing, EDRAM, **kwargs)
+    got = run(trace, spec, geometry, timing, EDRAM, **kwargs)
     want = reference_run(trace, spec, geometry, timing, EDRAM, **kwargs)
     assert got.to_dict() == want.to_dict()
     assert got.refresh_event_cycles == want.refresh_event_cycles
@@ -411,6 +406,14 @@ def test_run_rejects_a_replay_of_another_trace_or_geometry():
     with pytest.raises(ValueError, match="last_touch column"):
         run(trace, rpv, geometry, timing, EDRAM,
             replay=Replay(geometry, len(trace)))
+
+
+def test_run_rejects_an_empty_interval():
+    geometry = _geometry(2)
+    scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry, 10_000)
+    with pytest.raises(ValueError, match="interval_instructions must be"):
+        run(_trace(seed=1), scheme, geometry, TimingParams(clock_ghz=2.0),
+            EDRAM, interval_instructions=0)
 
 
 @pytest.mark.parametrize("where", ["next", "last", "past the end"])

@@ -8,7 +8,8 @@ from oracles import replay_codes, reuse_window, trace_of
 from edrsim.cache import HIT, CacheGeometry, CacheState
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec,
                           TraceArrays, TraceError, TraceHeader,
-                          _reuse_sources, generate_synthetic,
+                          _PHASE_STRIDE_BLOCKS, _reuse_sources,
+                          generate_synthetic,
                           read_trace_arrays, write_trace_arrays)
 
 
@@ -145,6 +146,23 @@ def test_phases_have_distinct_footprints():
     f1 = set((arrays.addrs[thirds:2 * thirds] // 64).tolist())
     f2 = set((arrays.addrs[2 * thirds:] // 64).tolist())
     assert not (f0 & f1) and not (f1 & f2) and not (f0 & f2)
+
+
+@pytest.mark.parametrize("block_bytes", [64, 256])
+def test_working_set_may_not_pass_the_phase_stride(block_bytes):
+    # a working set of exactly the stride fills its phase's footprint
+    stride = _PHASE_STRIDE_BLOCKS * block_bytes
+    spec = SyntheticTraceSpec(
+        phases=[PhaseSpec(10_000, stride), PhaseSpec(1_000, 8 * 1024)],
+        rng_seed=3, block_bytes=block_bytes)
+    blocks = generate_synthetic(spec).addrs // block_bytes
+    assert (blocks[:200] < _PHASE_STRIDE_BLOCKS).all()
+    assert (blocks[200:] >= _PHASE_STRIDE_BLOCKS).all()
+    # one block more would reach into the next phase's
+    with pytest.raises(TraceError, match="wider than"):
+        SyntheticTraceSpec(phases=[PhaseSpec(10_000, 8 * 1024),
+                                   PhaseSpec(10_000, stride + block_bytes)],
+                           block_bytes=block_bytes)
 
 
 def test_reuse_locality_biases_toward_recent_blocks():
