@@ -266,6 +266,28 @@ def test_reports_match_golden_digests(config_file, tmp_path):
     assert digests == _GOLDEN_SHA256
 
 
+# sweep.csv of each other sweepable parameter on BASE_CONFIG
+_SWEEP_SHA256 = {
+    ("l2_size_kb", "64,128,256"):
+        "99bbe7ea302364c1073cca85127a738ee414f9da9323f5c18e634ec00d21ed3b",
+    ("beta", "1,3,10"):
+        "1f07c97ee50c3d30fef50bd552ffdb5a64901550c698294936aaa9edba2ed7e9",
+    ("delta", "2,4,8"):
+        "b28a24c4a843acae97af8759a36a0291d4d96c97c6952f48a903c930a95c89b4",
+}
+
+
+@pytest.mark.parametrize("parameter, values", list(_SWEEP_SHA256),
+                         ids=[p for p, _ in _SWEEP_SHA256])
+def test_sweeps_match_golden_digests(config_file, tmp_path, parameter, values):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config_file, "--out", str(out),
+                 "--parameter", parameter, "--values", values]) == 0
+    data = (out / "sweep.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        _SWEEP_SHA256[parameter, values]
+
+
 # the interval CSVs `run` writes on BASE_CONFIG; its JSON reports are the
 # bytes `compare` writes
 _RUN_INTERVALS_SHA256 = {
