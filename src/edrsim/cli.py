@@ -10,11 +10,9 @@ import tempfile
 from dataclasses import fields, replace
 
 from . import trace as trace_mod
-from .config import ConfigError, RunConfig, check_c_min, load_config
-from .controller import default_config
-from .profiler import make_units
-from .sim import (ComparisonRow, RunReport, check_refresh_fits, compare,
-                  comparison_row, fixed_replay, run_schemes)
+from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
+from .sim import (ComparisonRow, RunReport, compare, comparison_row,
+                  fixed_replay, run_schemes)
 from .trace import TraceArrays, TraceHeader
 
 
@@ -46,12 +44,7 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
 
 
 def _with_seed(spec, seed: int | None):
-    if seed is None:
-        return spec
-    return trace_mod.SyntheticTraceSpec(
-        phases=spec.phases, rng_seed=seed,
-        accesses_per_kilo_instr=spec.accesses_per_kilo_instr,
-        block_bytes=spec.block_bytes)
+    return spec if seed is None else replace(spec, rng_seed=seed)
 
 
 def _load_trace_for(cfg: RunConfig, seed: int | None) -> TraceArrays:
@@ -162,64 +155,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_SWEEPABLE = ("refresh_period_us", "l2_size_kb", "beta", "delta")
-_INTEGRAL = ("l2_size_kb", "delta")
-
-
-def _replace_schemes(cfg: RunConfig, part: str, **changes) -> RunConfig:
-    """Copy cfg, applying `changes` to each scheme's `part` sub-config
-    (refresh or controller); schemes without that part are kept as is."""
-    schemes = [s if getattr(s, part) is None
-               else replace(s, **{part: replace(getattr(s, part), **changes)})
-               for s in cfg.schemes]
-    return replace(cfg, schemes=schemes)
-
-
-def _apply_sweep_value(cfg: RunConfig, parameter: str, value: float) -> RunConfig:
-    if parameter == "refresh_period_us":
-        swept = _replace_schemes(cfg, "refresh", retention_period_us=value)
-    elif parameter == "l2_size_kb":
-        geometry = replace(cfg.geometry, size_bytes=int(value) * 1024)
-        schemes = []
-        for spec in cfg.schemes:
-            if spec.controller is not None:
-                # an unset c_min is the default slice of the new color count
-                if spec.name not in cfg.fixed_c_min:
-                    spec = replace(spec, controller=replace(
-                        spec.controller, c_min=default_config(geometry).c_min))
-                make_units(geometry, spec.profiler_ratio)  # the ratio must fit
-            schemes.append(spec)
-        swept = replace(cfg, geometry=geometry, schemes=schemes)
-    elif parameter == "beta":
-        swept = _replace_schemes(cfg, "controller", beta=value)
-    elif parameter == "delta":
-        swept = _replace_schemes(cfg, "controller", delta=int(value))
-    else:
-        raise ConfigError(f"parameter must be one of {_SWEEPABLE}")
-    for spec in swept.schemes:
-        check_refresh_fits(spec, swept.geometry)
-        check_c_min(spec, swept.geometry)
-    return swept
-
-
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    _require_schemes(cfg, 2)
-    if args.parameter not in _SWEEPABLE:
-        raise ConfigError(f"parameter must be one of {_SWEEPABLE}")
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--values: {exc}") from None
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    if args.parameter in _INTEGRAL and not all(v.is_integer() for v in values):
-        raise ConfigError(f"{args.parameter} values must be integers")
-
-    try:
-        swept = [_apply_sweep_value(cfg, args.parameter, v) for v in values]
-    except ValueError as exc:  # a domain check, e.g. bank_kb > l2_size_kb
-        raise ConfigError(str(exc)) from None
+    configs = load_sweep(args.config, args.parameter, values)
+    cfg = configs[0]
+    _require_schemes(cfg, 2)
 
     # no sweepable parameter changes the trace or the warm-up, and only the
     # cache size changes the functional replay the fixed-size schemes share
@@ -228,14 +170,15 @@ def cmd_sweep(args) -> int:
     shared = (None if args.parameter == "l2_size_kb"
               else fixed_replay(arrays, cfg.geometry))
     rows = []
-    for value, vcfg in zip(values, swept):
+    for value, vcfg in zip(values, configs):
         report = compare(arrays, vcfg.schemes, vcfg.geometry, vcfg.timing,
                          vcfg.energy, warmup_instructions=warmup,
                          interval_instructions=vcfg.interval_instructions,
                          replay=shared)
         base = report.baseline
+        # the value column spells every value as a float: 1.0 for "1"
         for row in [comparison_row(base, base), *report.rows]:
-            rows.append([args.parameter, repr(value), *_row_cells(row)])
+            rows.append([args.parameter, repr(float(value)), *_row_cells(row)])
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "sweep.csv"),
                   _csv_bytes(["parameter", "value", *_ROW_COLUMNS], rows))
@@ -274,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="repeat compare over a parameter range")
     common(p)
     p.add_argument("--parameter", required=True,
-                   help=f"one of {', '.join(_SWEEPABLE)}")
+                   help=f"one of {', '.join(SWEEPABLE)}")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(func=cmd_sweep)
     return parser

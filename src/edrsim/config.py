@@ -3,9 +3,15 @@
 The file format is INI-style with `#` comments. Every key carries its unit in
 its name (retention_period_us, l2_size_kb, ...). Unknown sections or keys are
 rejected before any simulation or output file is produced.
+
+A file is read once into plain section dicts, and one function builds and
+checks a `RunConfig` from them. `load_config` builds the file as written;
+`load_sweep` builds it once per value of a swept key, so every sweep value
+passes the same checks as a value written in the file.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .cache import CacheGeometry
@@ -22,7 +28,8 @@ class ConfigError(ValueError):
 
 
 _GEOMETRY_KEYS = {"l2_size_kb", "associativity", "block_bytes", "page_kb", "bank_kb"}
-_TIMING_KEYS = {"l2_hit_cycles", "dram_latency_cycles", "base_cpi", "clock_ghz"}
+_TIMING_KEYS = {"l2_hit_cycles": int, "dram_latency_cycles": int,
+                "base_cpi": float, "clock_ghz": float}
 # the clock is [timing]'s, for the overrides as for a builtin
 _ENERGY_FIELDS = {"e_dyn_l2", "p_leak_l2", "e_dyn_dram", "p_leak_dram",
                   "e_transition", "e_dyn_prof", "p_leak_prof"}
@@ -31,28 +38,39 @@ _TRACE_KEYS = {"path", "synthetic"}
 _SYNTH_KEYS = {"seed", "accesses_per_kilo_instr", "block_bytes", "phases",
                "description"}
 _RUN_KEYS = {"warmup_instructions", "warmup_fraction", "interval_instructions"}
-_SCHEME_KEYS = {"kind", "retention_period_us", "phases", "c_min", "granularity",
-                "delta", "beta", "energy_builtin", "sampling_ratio_denom"}
+_DCR_KEYS = {"c_min": int, "granularity": int, "delta": int, "beta": float}
+_SCHEME_KEYS = {"kind", "retention_period_us", "phases", "energy_builtin",
+                "sampling_ratio_denom"} | set(_DCR_KEYS)
+_FIXED_SECTIONS = {"geometry", "timing", "energy", "trace", "synthetic", "run"}
 
 _KIND_NAMES = {k.value: k for k in SchemeKind}
 
+# `edrsim sweep` parameters; refresh_period_us sets retention_period_us
+SWEEPABLE = ("refresh_period_us", "l2_size_kb", "beta", "delta")
+
 
 def _check_keys(section: str, keys, allowed) -> None:
-    unknown = set(keys) - allowed
+    unknown = set(keys) - set(allowed)
     if unknown:
         raise ConfigError(
             f"[{section}] unknown key(s): {', '.join(sorted(unknown))}")
 
 
-def _get(sec, key, conv, default=None, required=False):
+def _get(sec: dict, section: str, key, conv, default=None, required=False):
     if key not in sec:
         if required:
-            raise ConfigError(f"missing required key '{key}' in [{sec.name}]")
+            raise ConfigError(f"missing required key '{key}' in [{section}]")
         return default
     try:
         return conv(sec[key])
     except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key}: {exc}") from None
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+def _given(sec: dict, section: str, convs: dict) -> dict:
+    """The keys of `convs` that the section sets, converted."""
+    return {key: _get(sec, section, key, conv)
+            for key, conv in convs.items() if key in sec}
 
 
 @dataclass
@@ -65,20 +83,7 @@ class RunConfig:
     synthetic: SyntheticTraceSpec | None
     warmup_instructions: int | None  # None: use warmup_fraction
     warmup_fraction: float
-    interval_instructions: int | None
-    # the DCR schemes whose c_min the config sets; an l2_size_kb sweep keeps
-    # theirs and gives the others the default slice of each size
-    fixed_c_min: frozenset[str] = frozenset()
-
-
-def check_c_min(spec: SchemeSpec, geometry: CacheGeometry) -> None:
-    """Reject a DCR minimum allocation above the cache's color count."""
-    if spec.controller is not None and \
-            spec.controller.c_min > geometry.color_count:
-        raise ConfigError(
-            f"{spec.name}: c_min {spec.controller.c_min} exceeds the "
-            f"{geometry.color_count} colors of a "
-            f"{geometry.size_bytes // 1024} KB cache")
+    interval_instructions: int | None  # None: sim.run's default
 
 
 def _parse_phases(value: str) -> list[PhaseSpec]:
@@ -101,87 +106,181 @@ def _parse_phases(value: str) -> list[PhaseSpec]:
     return phases
 
 
-def _parse_synthetic(sec) -> SyntheticTraceSpec:
-    _check_keys(sec.name, sec.keys(), _SYNTH_KEYS)
+def _parse_synthetic(sec: dict) -> SyntheticTraceSpec:
+    _check_keys("synthetic", sec, _SYNTH_KEYS)
     return SyntheticTraceSpec(
-        phases=_parse_phases(_get(sec, "phases", str, required=True)),
-        rng_seed=_get(sec, "seed", int, default=0),
-        accesses_per_kilo_instr=_get(sec, "accesses_per_kilo_instr", float,
+        phases=_parse_phases(_get(sec, "synthetic", "phases", str,
+                                  required=True)),
+        rng_seed=_get(sec, "synthetic", "seed", int, default=0),
+        accesses_per_kilo_instr=_get(sec, "synthetic",
+                                     "accesses_per_kilo_instr", float,
                                      default=20.0),
-        block_bytes=_get(sec, "block_bytes", int, default=64),
+        block_bytes=_get(sec, "synthetic", "block_bytes", int, default=64),
     )
 
 
-def _parse_energy(sec, clock_ghz: float) -> EnergyParams:
-    _check_keys(sec.name, sec.keys(), _ENERGY_KEYS)
+def _parse_energy(sec: dict) -> EnergyParams:
+    _check_keys("energy", sec, _ENERGY_KEYS)
     if "builtin" in sec:
-        extra = set(sec.keys()) - {"builtin"}
+        extra = set(sec) - {"builtin"}
         if extra:
             raise ConfigError(
-                f"[{sec.name}] builtin cannot be mixed with overrides: "
+                "[energy] builtin cannot be mixed with overrides: "
                 f"{', '.join(sorted(extra))}")
-        return builtin_params(sec["builtin"], clock_ghz=clock_ghz)
-    missing = _ENERGY_FIELDS - set(sec.keys())
+        return builtin_params(sec["builtin"])
+    missing = _ENERGY_FIELDS - set(sec)
     if missing:
         raise ConfigError(
-            f"[{sec.name}] overrides must set all seven fields; missing: "
+            "[energy] overrides must set all seven fields; missing: "
             f"{', '.join(sorted(missing))}")
-    return EnergyParams(**{k: float(sec[k]) for k in _ENERGY_FIELDS},
-                        clock_ghz=clock_ghz)
+    return EnergyParams(**{k: _get(sec, "energy", k, float)
+                           for k in _ENERGY_FIELDS})
 
 
-def _parse_scheme(sec, name: str, geometry: CacheGeometry, clock_ghz: float,
-                  interval_instructions: int | None) -> SchemeSpec:
-    _check_keys(sec.name, sec.keys(), _SCHEME_KEYS)
-    kind_name = _get(sec, "kind", str, required=True)
+def _retention_cycles(period_us: float, clock_ghz: float) -> int:
+    """A retention period in microseconds as a whole number of cycles."""
+    if period_us <= 0:
+        raise ConfigError("retention period must be > 0")
+    cycles = period_us * clock_ghz * 1000.0
+    if not math.isfinite(cycles):
+        raise ConfigError(f"retention_cycles must be finite, got {cycles}")
+    if abs(cycles - round(cycles)) > 1e-6:
+        raise ConfigError(
+            f"retention period must be a whole number of cycles, got {cycles}")
+    return round(cycles)
+
+
+def _parse_scheme(sec: dict, name: str, geometry: CacheGeometry,
+                  clock_ghz: float) -> SchemeSpec:
+    section = f"scheme.{name}"
+    _check_keys(section, sec, _SCHEME_KEYS)
+    kind_name = _get(sec, section, "kind", str, required=True)
     if kind_name not in _KIND_NAMES:
         raise ConfigError(
-            f"[{sec.name}] kind must be one of {sorted(_KIND_NAMES)}")
+            f"[{section}] kind must be one of {sorted(_KIND_NAMES)}")
     kind = _KIND_NAMES[kind_name]
 
     refresh = None
     if kind is not SchemeKind.SRAM:
-        period = _get(sec, "retention_period_us", float, required=True)
-        phases = _get(sec, "phases", int,
+        period = _get(sec, section, "retention_period_us", float,
+                      required=True)
+        phases = _get(sec, section, "phases", int,
                       default=4 if kind is SchemeKind.RPV else 1)
-        refresh = RefreshConfig(retention_period_us=period,
-                                clock_ghz=clock_ghz, phases=phases)
+        refresh = RefreshConfig(_retention_cycles(period, clock_ghz), phases)
     elif "retention_period_us" in sec or "phases" in sec:
-        raise ConfigError(f"[{sec.name}] SRAM scheme takes no refresh keys")
+        raise ConfigError(f"[{section}] SRAM scheme takes no refresh keys")
 
     controller = None
     if kind is SchemeKind.DCR:
-        kwargs = {}
-        if "c_min" in sec:
-            kwargs["c_min"] = int(sec["c_min"])
-        if "granularity" in sec:
-            kwargs["granularity"] = int(sec["granularity"])
-        if "delta" in sec:
-            kwargs["delta"] = int(sec["delta"])
-        if "beta" in sec:
-            kwargs["beta"] = float(sec["beta"])
-        if interval_instructions is not None:
-            kwargs["interval_instructions"] = interval_instructions
-        controller = default_config(geometry, **kwargs)
+        # an unset c_min is the default slice of this geometry's colors
+        controller = default_config(geometry, **_given(sec, section, _DCR_KEYS))
+        if controller.c_min > geometry.color_count:
+            raise ConfigError(
+                f"{name}: c_min {controller.c_min} exceeds the "
+                f"{geometry.color_count} colors of a "
+                f"{geometry.size_bytes // 1024} KB cache")
     else:
-        for key in ("c_min", "granularity", "delta", "beta",
-                    "sampling_ratio_denom"):
+        for key in (*_DCR_KEYS, "sampling_ratio_denom"):
             if key in sec:
                 raise ConfigError(
-                    f"[{sec.name}] key '{key}' is only valid for kind=dcr")
+                    f"[{section}] key '{key}' is only valid for kind=dcr")
 
-    energy = None
-    if "energy_builtin" in sec:
-        energy = builtin_params(sec["energy_builtin"], clock_ghz=clock_ghz)
-
-    profiler_ratio = _get(sec, "sampling_ratio_denom", int, default=64)
+    energy = _get(sec, section, "energy_builtin", builtin_params)
+    profiler_ratio = _get(sec, section, "sampling_ratio_denom", int,
+                          default=64)
     if kind is SchemeKind.DCR:
         make_units(geometry, profiler_ratio)  # raises if the ratio does not fit
     spec = SchemeSpec(kind=kind, refresh=refresh, controller=controller,
                       energy=energy, name=name, profiler_ratio=profiler_ratio)
     check_refresh_fits(spec, geometry)
-    check_c_min(spec, geometry)
     return spec
+
+
+def _read(path: str) -> dict[str, dict[str, str]]:
+    """The file's sections, in file order, as plain dicts."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.optionxform = str  # keys are case sensitive
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    if not read:
+        raise ConfigError(f"cannot read config file {path}")
+    return sections
+
+
+def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
+    """Build and validate a run configuration from its sections."""
+    scheme_names = []
+    for section in sections:
+        if section.startswith("scheme."):
+            scheme_names.append(section[len("scheme."):])
+        elif section not in _FIXED_SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+
+    if "geometry" not in sections:
+        raise ConfigError("missing [geometry] section")
+    gsec = sections["geometry"]
+    _check_keys("geometry", gsec, _GEOMETRY_KEYS)
+    geometry = CacheGeometry(
+        size_bytes=_get(gsec, "geometry", "l2_size_kb", int,
+                        required=True) * 1024,
+        associativity=_get(gsec, "geometry", "associativity", int, default=8),
+        block_bytes=_get(gsec, "geometry", "block_bytes", int, default=64),
+        page_bytes=_get(gsec, "geometry", "page_kb", int, default=4) * 1024,
+        bank_bytes=_get(gsec, "geometry", "bank_kb", int,
+                        default=1024) * 1024,
+    )
+
+    tsec = sections.get("timing", {})
+    _check_keys("timing", tsec, _TIMING_KEYS)
+    timing = TimingParams(**_given(tsec, "timing", _TIMING_KEYS))
+
+    if "energy" not in sections:
+        raise ConfigError("missing [energy] section")
+    energy = _parse_energy(sections["energy"])
+
+    rsec = sections.get("run", {})
+    _check_keys("run", rsec, _RUN_KEYS)
+    if "warmup_instructions" in rsec and "warmup_fraction" in rsec:
+        raise ConfigError("[run] set warmup_instructions or warmup_fraction, not both")
+    warmup_instructions = _get(rsec, "run", "warmup_instructions", int)
+    if warmup_instructions is not None and warmup_instructions < 0:
+        raise ConfigError("[run] warmup_instructions must be >= 0")
+    warmup_fraction = _get(rsec, "run", "warmup_fraction", float, default=0.1)
+    if not 0 <= warmup_fraction < 1:
+        raise ConfigError("[run] warmup_fraction must be in [0, 1)")
+    interval_instructions = _get(rsec, "run", "interval_instructions", int)
+    if interval_instructions is not None and interval_instructions < 1:
+        raise ConfigError("[run] interval_instructions must be >= 1")
+
+    trace_path = None
+    synthetic = None
+    if "trace" in sections:
+        tsec = sections["trace"]
+        _check_keys("trace", tsec, _TRACE_KEYS)
+        trace_path = _get(tsec, "trace", "path", str)
+        wants_synth = _get(tsec, "trace", "synthetic",
+                           lambda s: s.lower() == "true", default=False)
+        if trace_path and wants_synth:
+            raise ConfigError("[trace] set path or synthetic=true, not both")
+        if wants_synth:
+            if "synthetic" not in sections:
+                raise ConfigError("[trace] synthetic=true needs a [synthetic] section")
+            synthetic = _parse_synthetic(sections["synthetic"])
+    elif "synthetic" in sections:
+        synthetic = _parse_synthetic(sections["synthetic"])
+
+    schemes = [_parse_scheme(sections[f"scheme.{name}"], name, geometry,
+                             timing.clock_ghz)
+               for name in scheme_names]
+    return RunConfig(geometry=geometry, timing=timing, energy=energy,
+                     schemes=schemes, trace_path=trace_path,
+                     synthetic=synthetic,
+                     warmup_instructions=warmup_instructions,
+                     warmup_fraction=warmup_fraction,
+                     interval_instructions=interval_instructions)
 
 
 def load_config(path: str) -> RunConfig:
@@ -190,103 +289,42 @@ def load_config(path: str) -> RunConfig:
     Every validation failure, including ones raised by the domain
     constructors (geometry, refresh, scheme), surfaces as ConfigError.
     """
+    sections = _read(path)
     try:
-        return _load_config(path)
-    except ConfigError:
-        raise
+        return _build(sections)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _load_config(path: str) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.optionxform = str  # keys are case sensitive
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+def _swept(name: str, sec: dict, parameter: str) -> bool:
+    """Whether a sweep of `parameter` sets its key in this section."""
+    if parameter == "l2_size_kb":
+        return name == "geometry"
+    if not name.startswith("scheme."):
+        return False
+    if parameter == "refresh_period_us":
+        return sec.get("kind") != SchemeKind.SRAM.value
+    return sec.get("kind") == SchemeKind.DCR.value  # beta, delta
 
-    known_fixed = {"geometry", "timing", "energy", "trace", "synthetic", "run"}
-    scheme_names = []
-    for section in parser.sections():
-        if section in known_fixed:
-            continue
-        if section.startswith("scheme."):
-            scheme_names.append(section[len("scheme."):])
-        else:
-            raise ConfigError(f"unknown section [{section}]")
 
-    if "geometry" not in parser:
-        raise ConfigError("missing [geometry] section")
-    gsec = parser["geometry"]
-    _check_keys("geometry", gsec.keys(), _GEOMETRY_KEYS)
-    geometry = CacheGeometry(
-        size_bytes=_get(gsec, "l2_size_kb", int, required=True) * 1024,
-        associativity=_get(gsec, "associativity", int, default=8),
-        block_bytes=_get(gsec, "block_bytes", int, default=64),
-        page_bytes=_get(gsec, "page_kb", int, default=4) * 1024,
-        bank_bytes=_get(gsec, "bank_kb", int, default=1024) * 1024,
-    )
+def load_sweep(path: str, parameter: str, values: list[str]) -> list[RunConfig]:
+    """One RunConfig per value of a swept parameter, each validated as by
+    `load_config`.
 
-    timing_kwargs = {}
-    if "timing" in parser:
-        tsec = parser["timing"]
-        _check_keys("timing", tsec.keys(), _TIMING_KEYS)
-        if "l2_hit_cycles" in tsec:
-            timing_kwargs["l2_hit_cycles"] = int(tsec["l2_hit_cycles"])
-        if "dram_latency_cycles" in tsec:
-            timing_kwargs["dram_latency_cycles"] = int(tsec["dram_latency_cycles"])
-        if "base_cpi" in tsec:
-            timing_kwargs["base_cpi"] = float(tsec["base_cpi"])
-        if "clock_ghz" in tsec:
-            timing_kwargs["clock_ghz"] = float(tsec["clock_ghz"])
-    timing = TimingParams(**timing_kwargs)
-
-    if "energy" not in parser:
-        raise ConfigError("missing [energy] section")
-    energy = _parse_energy(parser["energy"], timing.clock_ghz)
-
-    warmup_instructions = None
-    warmup_fraction = 0.1
-    interval_instructions = None
-    if "run" in parser:
-        rsec = parser["run"]
-        _check_keys("run", rsec.keys(), _RUN_KEYS)
-        if "warmup_instructions" in rsec and "warmup_fraction" in rsec:
-            raise ConfigError("[run] set warmup_instructions or warmup_fraction, not both")
-        warmup_instructions = _get(rsec, "warmup_instructions", int)
-        warmup_fraction = _get(rsec, "warmup_fraction", float, default=0.1)
-        interval_instructions = _get(rsec, "interval_instructions", int)
-        if interval_instructions is not None and interval_instructions < 1:
-            raise ConfigError("[run] interval_instructions must be >= 1")
-
-    trace_path = None
-    synthetic = None
-    if "trace" in parser:
-        tsec = parser["trace"]
-        _check_keys("trace", tsec.keys(), _TRACE_KEYS)
-        trace_path = _get(tsec, "path", str)
-        wants_synth = _get(tsec, "synthetic", lambda s: s.lower() == "true",
-                           default=False)
-        if trace_path and wants_synth:
-            raise ConfigError("[trace] set path or synthetic=true, not both")
-        if wants_synth:
-            if "synthetic" not in parser:
-                raise ConfigError("[trace] synthetic=true needs a [synthetic] section")
-            synthetic = _parse_synthetic(parser["synthetic"])
-    elif "synthetic" in parser:
-        synthetic = _parse_synthetic(parser["synthetic"])
-
-    schemes = []
-    for name in scheme_names:
-        schemes.append(_parse_scheme(parser[f"scheme.{name}"], name, geometry,
-                                     timing.clock_ghz, interval_instructions))
-
-    return RunConfig(geometry=geometry, timing=timing, energy=energy,
-                     schemes=schemes, trace_path=trace_path,
-                     synthetic=synthetic,
-                     warmup_instructions=warmup_instructions,
-                     warmup_fraction=warmup_fraction,
-                     interval_instructions=interval_instructions,
-                     fixed_c_min=frozenset(
-                         name for name in scheme_names
-                         if "c_min" in parser[f"scheme.{name}"]))
+    The file is read once. Each value is set in a copy of its sections:
+    refresh_period_us as retention_period_us in every eDRAM scheme,
+    l2_size_kb in [geometry], beta and delta in every DCR scheme.
+    """
+    if parameter not in SWEEPABLE:
+        raise ConfigError(f"parameter must be one of {SWEEPABLE}")
+    key = "retention_period_us" if parameter == "refresh_period_us" else parameter
+    sections = _read(path)
+    configs = []
+    for value in values:
+        try:
+            configs.append(_build({
+                name: {**sec, key: value} if _swept(name, sec, parameter)
+                else sec for name, sec in sections.items()}))
+        except ValueError as exc:
+            raise ConfigError(f"{parameter} = {value}: {exc}") from None
+    return configs

@@ -23,7 +23,6 @@ class ControllerConfig:
     granularity: int = 2
     delta: int = 16
     beta: float = 3.0
-    interval_instructions: int = 10_000_000
 
     def __post_init__(self):
         if self.c_min < 1:
@@ -32,8 +31,6 @@ class ControllerConfig:
             raise ValueError("delta must be >= granularity")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be a finite number > 0, got {self.beta}")
-        if self.interval_instructions < 1:
-            raise ValueError("interval_instructions must be >= 1")
 
 
 def default_config(geometry: CacheGeometry, **overrides) -> ControllerConfig:
@@ -77,8 +74,9 @@ class Decision:
 
 def select(stats: IntervalStats, units: list[ProfilingUnit], state: CacheState,
            refresh_config: RefreshConfig, cfg: ControllerConfig,
-           params: EnergyParams) -> Decision:
-    """Pick the next interval's color count from the finished interval's stats."""
+           params: EnergyParams, ghz: float) -> Decision:
+    """Pick the next interval's color count from the finished interval's
+    stats; `ghz` is the core clock."""
     geometry = state.geometry
     m_total = geometry.color_count
     current = state.active_count
@@ -108,7 +106,7 @@ def select(stats: IntervalStats, units: list[ProfilingUnit], state: CacheState,
             b_blocks=abs(colors - current) * geometry.lines_per_color,
             est_a_prof=stats.prof_accesses,
         )
-        energy = predict_energy(colors, m_total, ests, params)
+        energy = predict_energy(colors, m_total, ests, params, ghz)
         candidates.append(Candidate(colors, t_i, d_i, energy,
                                     rejected_by_beta=d_i > cfg.beta))
 

@@ -5,8 +5,11 @@ L2 dynamic (a miss costs twice a hit), L2 refresh (one access-energy per
 refreshed line), DRAM leakage + dynamic, and the reconfiguration overhead
 (block power transitions plus the profiling units). All accumulation is in
 joules; nJ/pJ conversion happens once when parameters are constructed.
+Intervals are measured in core cycles; each function takes the run's core
+clock, `ghz`, to turn them into seconds.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,15 +40,14 @@ class EnergyParams:
     e_transition: float
     e_dyn_prof: float
     p_leak_prof: float
-    clock_ghz: float
 
     def __post_init__(self):
         for name in ("e_dyn_l2", "p_leak_l2", "e_dyn_dram", "p_leak_dram",
                      "e_transition", "e_dyn_prof", "p_leak_prof"):
-            if getattr(self, name) < 0:
-                raise EnergyParamsError(f"{name} must be >= 0")
-        if self.clock_ghz <= 0:
-            raise EnergyParamsError("clock_ghz must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise EnergyParamsError(
+                    f"{name} must be a finite number >= 0, got {value}")
         # joule-denominated copies, converted exactly once
         self.e_dyn_l2_j = self.e_dyn_l2 * NANO
         self.e_dyn_dram_j = self.e_dyn_dram * NANO
@@ -62,12 +64,12 @@ _COMMON = dict(e_dyn_dram=70.0, p_leak_dram=0.18, e_transition=2.0,
                e_dyn_prof=0.0031, p_leak_prof=0.0050)
 
 
-def builtin_params(technology: str, clock_ghz: float = 2.2) -> EnergyParams:
+def builtin_params(technology: str) -> EnergyParams:
     """Named parameter sets for the 2 MB SRAM and eDRAM configurations."""
     if technology not in _BUILTIN:
         raise EnergyParamsError(
             f"unknown technology {technology!r}; have {sorted(_BUILTIN)}")
-    return EnergyParams(**_BUILTIN[technology], **_COMMON, clock_ghz=clock_ghz)
+    return EnergyParams(**_BUILTIN[technology], **_COMMON)
 
 
 @dataclass
@@ -81,13 +83,14 @@ class EnergyBreakdown:
     total: float
 
 
-def interval_energy(stats, params: EnergyParams, scheme: SchemeKind) -> EnergyBreakdown:
+def interval_energy(stats, params: EnergyParams, scheme: SchemeKind,
+                    ghz: float) -> EnergyBreakdown:
     """Energy of one finished interval, in joules.
 
     The baseline eDRAM, SRAM and polyphase schemes run the whole cache with
     no algorithm overhead (F_A = 1, E_algo = 0); SRAM never refreshes.
     """
-    t = stats.elapsed_cycles / (params.clock_ghz * 1e9)
+    t = stats.elapsed_cycles / (ghz * 1e9)
     f_a = stats.active_fraction if scheme is SchemeKind.DCR else 1.0
     n_r = 0 if scheme is SchemeKind.SRAM else stats.refreshed_lines
 
@@ -119,11 +122,11 @@ class CandidateEstimates:
 
 
 def predict_energy(colors: int, total_colors: int, ests: CandidateEstimates,
-                   params: EnergyParams) -> float:
+                   params: EnergyParams, ghz: float) -> float:
     """Predicted next-interval energy for a candidate color count, in joules."""
     if not 1 <= colors <= total_colors:
         raise ValueError(f"colors must be in [1, {total_colors}]")
-    t = ests.t_cycles / (params.clock_ghz * 1e9)
+    t = ests.t_cycles / (ghz * 1e9)
     f_a = colors / total_colors
     le_l2 = params.p_leak_l2 * f_a * t
     de_l2 = params.e_dyn_l2_j * (2 * ests.est_m_l2 + ests.est_h_l2)

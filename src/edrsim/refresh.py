@@ -1,8 +1,9 @@
 """Refresh timing of the eDRAM cache.
 
-`RefreshConfig` holds the retention period and, for polyphase refresh, the
-number of phases it is split into. `sim.run` counts the lines each refresh
-event covers, per bank:
+`RefreshConfig` holds the retention period in core cycles and, for polyphase
+refresh, the number of phases it is split into. A config file gives the
+period in microseconds; `config` converts it once with the run's clock.
+`sim.run` counts the lines each refresh event covers, per bank:
   * baseline (refresh-all) -- every line, valid or not, at each retention
                               boundary
   * RPV (polyphase valid)  -- the valid lines last touched in the phase whose
@@ -11,7 +12,6 @@ event covers, per bank:
   * DCR (valid-only)       -- the valid lines, at each retention boundary
 """
 
-import math
 from dataclasses import dataclass
 
 
@@ -21,31 +21,18 @@ class RefreshConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RefreshConfig:
-    retention_period_us: float
-    clock_ghz: float
+    retention_cycles: int
     phases: int = 1
 
     def __post_init__(self):
-        if self.retention_period_us <= 0 or self.clock_ghz <= 0:
-            raise RefreshConfigError("retention period and clock must be > 0")
+        if self.retention_cycles <= 0:
+            raise RefreshConfigError("retention_cycles must be > 0")
         if self.phases < 1:
             raise RefreshConfigError("phases must be >= 1")
-        cycles = self.retention_period_us * self.clock_ghz * 1000.0
-        if not math.isfinite(cycles):
+        if self.retention_cycles % self.phases:
             raise RefreshConfigError(
-                f"retention_cycles must be finite, got {cycles}")
-        if abs(cycles - round(cycles)) > 1e-6:
-            raise RefreshConfigError(
-                f"retention period must be a whole number of cycles, got {cycles}")
-        if round(cycles) <= 0:
-            raise RefreshConfigError("retention_cycles must be > 0")
-        if round(cycles) % self.phases:
-            raise RefreshConfigError(
-                f"retention_cycles {round(cycles)} not divisible by {self.phases} phases")
-
-    @property
-    def retention_cycles(self) -> int:
-        return round(self.retention_period_us * self.clock_ghz * 1000.0)
+                f"retention_cycles {self.retention_cycles} not divisible by "
+                f"{self.phases} phases")
 
     @property
     def phase_cycles(self) -> int:

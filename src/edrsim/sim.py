@@ -28,6 +28,7 @@ interval. Its clock, bank timers and counters carry from one call to the
 next; `run` reads each interval's tallies and lets DCR's controller act.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -84,8 +85,11 @@ class TimingParams:
     def __post_init__(self):
         if min(self.l2_hit_cycles, self.dram_latency_cycles) <= 0:
             raise ValueError("latencies must be > 0")
-        if self.base_cpi <= 0 or self.clock_ghz <= 0:
-            raise ValueError("base_cpi and clock_ghz must be > 0")
+        for name in ("base_cpi", "clock_ghz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {value}")
 
 
 @dataclass
@@ -240,7 +244,7 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     return out
 
 
-def _close_interval(intervals, decisions, stats, colors, scheme, params,
+def _close_interval(intervals, decisions, stats, colors, scheme, params, ghz,
                     state, units, run_controller) -> tuple[int, int]:
     """Record a finished interval and, for DCR, let the controller act.
 
@@ -249,12 +253,12 @@ def _close_interval(intervals, decisions, stats, colors, scheme, params,
     index = len(intervals)
     if units is not None:
         stats.prof_accesses = sum(u.accesses for u in units)
-    intervals.append(IntervalRecord(index, colors, stats,
-                                    interval_energy(stats, params, scheme.kind)))
+    intervals.append(IntervalRecord(
+        index, colors, stats, interval_energy(stats, params, scheme.kind, ghz)))
     if not run_controller:
         return 0, 0
     decision = select(stats, units, state, scheme.refresh, scheme.controller,
-                      params)
+                      params, ghz)
     report = apply_decision(decision, state)
     decisions.append(DecisionRecord(
         interval=index,
@@ -280,21 +284,22 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     A scheme that never remaps (baseline, RPV, SRAM) times the columns of
     `replay`, a `fixed_replay` of this trace and geometry, built here when
     not given. DCR replays the trace itself, one interval at a time, so
-    each interval sees the mapping the controller left.
+    each interval sees the mapping the controller left. Unless given, the
+    warm-up is a tenth of the trace, and an interval is 10,000,000
+    instructions for every scheme.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
     if scheme.energy is not None:
         params = scheme.energy
-    if abs(params.clock_ghz - timing.clock_ghz) > 1e-12:
-        raise ValueError("energy params and timing disagree on the clock")
     check_refresh_fits(scheme, geometry)
 
     total_instr = trace.instructions
     if warmup_instructions is None:
         warmup_instructions = total_instr // 10
-    if warmup_instructions >= total_instr:
-        raise ValueError("warm-up must be shorter than the trace")
+    if not 0 <= warmup_instructions < total_instr:
+        raise ValueError(f"warm-up of {warmup_instructions} instructions must "
+                         f"be >= 0 and shorter than the trace")
 
     kind = scheme.kind
     is_dcr = kind is SchemeKind.DCR
@@ -302,8 +307,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     refresh_cfg = scheme.refresh
     ctrl_cfg = scheme.controller
     if interval_instructions is None:
-        interval_instructions = (ctrl_cfg.interval_instructions
-                                 if is_dcr else 10_000_000)
+        interval_instructions = 10_000_000
     if interval_instructions < 1:
         raise ValueError("interval_instructions must be >= 1")
 
@@ -352,8 +356,6 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
 
     hit_cycles = timing.l2_hit_cycles
     miss_cost = hit_cycles + timing.dram_latency_cycles
-    base_cpi = timing.base_cpi
-    cpi = base_cpi if abs(base_cpi - 1.0) >= 1e-12 else 1.0
     passes = _cache.Passes(geometry, trace.addrs, replay)
     if is_dcr:
         passes.bind_cache(state, trace.ops == Op.WRITE, units,
@@ -361,8 +363,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     # RPV times a copy of the last-touch column, which the pass overwrites
     # with phases
     passes.bind_timing(trace.gaps, clock, bank_busy, counts,
-                       replay.last_touch.copy() if is_rpv else None, cpi,
-                       hit_cycles, miss_cost, k_phases)
+                       replay.last_touch.copy() if is_rpv else None,
+                       timing.base_cpi, hit_cycles, miss_cost, k_phases)
 
     carry_writebacks = carry_switched = 0
     active_fraction = 1.0
@@ -392,8 +394,9 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                       or stats.dram_accesses or carry_switched):
             colors = state.active_count if is_dcr else m_total
             carry_writebacks, carry_switched = _close_interval(
-                intervals, decisions, stats, colors, scheme, params, state,
-                units, run_controller=is_dcr and closes)
+                intervals, decisions, stats, colors, scheme, params,
+                timing.clock_ghz, state, units,
+                run_controller=is_dcr and closes)
             if carry_switched:  # the decision remapped the cache
                 passes.relayout()
         if is_dcr:

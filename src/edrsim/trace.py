@@ -5,6 +5,7 @@ generator's accesses_per_kilo_instr knob stands in for L1 intensity).
 Instruction positions are stored as deltas so phases concatenate trivially.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -103,8 +104,10 @@ class SyntheticTraceSpec:
     def __post_init__(self):
         if not self.phases:
             raise TraceError("synthetic spec needs at least one phase")
-        if self.accesses_per_kilo_instr <= 0:
-            raise TraceError("accesses_per_kilo_instr must be > 0")
+        rate = self.accesses_per_kilo_instr
+        if not (math.isfinite(rate) and rate > 0):
+            raise TraceError(f"accesses_per_kilo_instr must be a finite "
+                             f"number > 0, got {rate}")
         b = self.block_bytes
         if b <= 0 or b & (b - 1):
             raise TraceError("block_bytes must be a power of two")

@@ -345,9 +345,9 @@ def compiled_full_profile(arrays, geometry: CacheGeometry, emulated_size: int):
 
 
 def recompute_energy(stats: IntervalStats, params: EnergyParams,
-                     scheme: SchemeKind) -> EnergyBreakdown:
+                     scheme: SchemeKind, ghz: float) -> EnergyBreakdown:
     """Straight-line re-evaluation of the interval energy equations."""
-    t = stats.elapsed_cycles / (params.clock_ghz * 1e9)
+    t = stats.elapsed_cycles / (ghz * 1e9)
     f_a = stats.active_fraction if scheme is SchemeKind.DCR else 1.0
     n_r = 0 if scheme is SchemeKind.SRAM else stats.refreshed_lines
     le_l2 = params.p_leak_l2 * f_a * t
@@ -599,15 +599,14 @@ def reference_run(trace, scheme, geometry, timing, params,
     total_instr = trace.instructions
     if warmup_instructions is None:
         warmup_instructions = total_instr // 10
-    assert warmup_instructions < total_instr
+    assert 0 <= warmup_instructions < total_instr
 
     kind = scheme.kind
     is_dcr = kind is SchemeKind.DCR
     refresh_cfg = scheme.refresh
     ctrl_cfg = scheme.controller
     if interval_instructions is None:
-        interval_instructions = (ctrl_cfg.interval_instructions
-                                 if is_dcr else 10_000_000)
+        interval_instructions = 10_000_000
 
     state = CacheState(geometry, min_colors=ctrl_cfg.c_min if is_dcr else 1)
     rpv = RpvPhases(geometry, refresh_cfg) if kind is SchemeKind.RPV else None
@@ -626,7 +625,6 @@ def reference_run(trace, scheme, geometry, timing, params,
     bank_busy = [0] * num_banks
     event_cycles = [] if collect_refresh_events else None
     miss_cost = timing.l2_hit_cycles + timing.dram_latency_cycles
-    unit_cpi = abs(timing.base_cpi - 1.0) < 1e-12
 
     now = 0
     cum_instr = 0
@@ -660,10 +658,12 @@ def reference_run(trace, scheme, geometry, timing, params,
             stats.prof_accesses = sum(u.accesses for u in units)
         index = len(intervals)
         intervals.append(IntervalRecord(index, state.active_count, stats,
-                                        interval_energy(stats, params, kind)))
+                                        interval_energy(stats, params, kind,
+                                                        timing.clock_ghz)))
         carry_writebacks = carry_switched = 0
         if run_controller:
-            decision = select(stats, units, state, refresh_cfg, ctrl_cfg, params)
+            decision = select(stats, units, state, refresh_cfg, ctrl_cfg,
+                              params, timing.clock_ghz)
             report = apply(decision, state)
             decisions.append(DecisionRecord(
                 interval=index, current=decision.current,
@@ -682,7 +682,7 @@ def reference_run(trace, scheme, geometry, timing, params,
 
     for gap, op, addr in zip(trace.gaps.tolist(), trace.ops.tolist(),
                              trace.addrs.tolist()):
-        now += gap if unit_cpi else round(gap * timing.base_cpi)
+        now += round(gap * timing.base_cpi)
         cum_instr += gap
         if warmed:
             interval_instr += gap

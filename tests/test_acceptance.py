@@ -46,15 +46,13 @@ def _phase_trace(seed=42):
 
 
 def _schemes(retention_us):
+    cycles = retention_us * 2200  # at 2.2 GHz
     return [
         SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                   refresh=RefreshConfig(retention_us, 2.2, 1)),
-        SchemeSpec(kind=SchemeKind.RPV,
-                   refresh=RefreshConfig(retention_us, 2.2, 4)),
-        SchemeSpec(kind=SchemeKind.DCR,
-                   refresh=RefreshConfig(retention_us, 2.2, 1),
-                   controller=default_config(GEOMETRY_2MB,
-                                             interval_instructions=500_000)),
+                   refresh=RefreshConfig(cycles)),
+        SchemeSpec(kind=SchemeKind.RPV, refresh=RefreshConfig(cycles, 4)),
+        SchemeSpec(kind=SchemeKind.DCR, refresh=RefreshConfig(cycles),
+                   controller=default_config(GEOMETRY_2MB)),
     ]
 
 
@@ -66,7 +64,8 @@ def ordering_runs():
     for retention in (40, 30):
         out[retention] = compare(trace, _schemes(retention), GEOMETRY_2MB,
                                  TIMING, builtin_params("EDRAM_2MB"),
-                                 warmup_instructions=3_000_000)
+                                 warmup_instructions=3_000_000,
+                                 interval_instructions=500_000)
     return out
 
 
@@ -75,8 +74,8 @@ def ordering_runs():
 def test_criterion_1_refresh_safety(tiny_geometry):
     started = time.monotonic()
     with criterion(1, "refresh safety"):
-        cfg_whole = RefreshConfig(1, 2.0, 1)   # 2000-cycle retention
-        cfg_rpv = RefreshConfig(1, 2.0, 4)
+        cfg_whole = RefreshConfig(2000)
+        cfg_rpv = RefreshConfig(2000, 4)
         for seed in range(1000):
             rng = random.Random(seed)
             records = trace_of((rng.randint(0, 30),
@@ -136,19 +135,20 @@ def test_criterion_3_energy_model_exactness():
                 switched_blocks=rng.randrange(10**5),
                 prof_accesses=rng.randrange(10**6))
             kind = rng.choice(kinds)
-            got = interval_energy(stats, params, kind)
-            want = recompute_energy(stats, params, kind)
+            got = interval_energy(stats, params, kind, TIMING.clock_ghz)
+            want = recompute_energy(stats, params, kind, TIMING.clock_ghz)
             assert (got.le_l2, got.de_l2, got.re_l2, got.e_dram, got.e_algo,
                     got.e_prof, got.total) == \
                    (want.le_l2, want.de_l2, want.re_l2, want.e_dram,
                     want.e_algo, want.e_prof, want.total)
         # worked values
         one_second = IntervalStats(elapsed_cycles=int(2.2e9))
-        b = interval_energy(one_second, params, SchemeKind.BASELINE_EDRAM)
+        b = interval_energy(one_second, params, SchemeKind.BASELINE_EDRAM,
+                            TIMING.clock_ghz)
         assert abs(b.le_l2 - 0.162) / 0.162 < 1e-12
         assert abs(b.e_dram - 0.18) / 0.18 < 1e-12
         d = interval_energy(IntervalStats(l2_hits=1000, l2_misses=500),
-                            params, SchemeKind.BASELINE_EDRAM)
+                            params, SchemeKind.BASELINE_EDRAM, TIMING.clock_ghz)
         assert abs(d.de_l2 - 1.296e-6) / 1.296e-6 < 1e-12
         elapsed = time.monotonic() - started
         assert elapsed < 5, f"took {elapsed:.1f}s"
@@ -217,7 +217,7 @@ def test_criterion_7_sram_crossover_direction():
         for retention in (40, 30, 20, 10):
             base_rep = run(trace, SchemeSpec(
                 kind=SchemeKind.BASELINE_EDRAM,
-                refresh=RefreshConfig(retention, 2.2, 1)),
+                refresh=RefreshConfig(retention * 2200)),
                 GEOMETRY_2MB, TIMING, edram)
             margins.append((sram_rep.total_energy_j - base_rep.total_energy_j)
                            / sram_rep.total_energy_j * 100.0)

@@ -151,7 +151,7 @@ def test_counter_matches_scan_after_random_replay(small_geometry):
     assert state.n_valid == int(state.fill.sum())
     # the test-side model, with RPV's phases: 500 cycles each, 4 of them
     model = CacheState(small_geometry)
-    rpv = RpvPhases(small_geometry, RefreshConfig(1, 2.0, 4))
+    rpv = RpvPhases(small_geometry, RefreshConfig(2000, 4))
     for i, (op, addr) in enumerate(zip(arrays.ops.tolist(),
                                        arrays.addrs.tolist())):
         access_block(model, op == Op.WRITE, addr, rpv, i * 7)

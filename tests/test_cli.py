@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from edrsim.cli import _apply_sweep_value, main
-from edrsim.config import ConfigError, load_config
+from edrsim.cli import main
+from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.sim import fixed_replay
 from edrsim.trace import read_trace_arrays
 
@@ -70,7 +70,7 @@ def test_load_config_round_trip(config_file):
     assert [s.name for s in cfg.schemes] == ["baseline", "rpv", "sram", "dcr"]
     assert cfg.schemes[1].refresh.phases == 4
     assert cfg.schemes[3].controller is not None
-    assert cfg.schemes[3].controller.interval_instructions == 100_000
+    assert cfg.interval_instructions == 100_000
     assert cfg.synthetic is not None and len(cfg.synthetic.phases) == 2
 
 
@@ -112,7 +112,6 @@ def test_energy_override_block(tmp_path):
                                         _ENERGY_OVERRIDES))
     cfg = load_config(str(path))
     assert cfg.energy.p_leak_l2 == 0.162
-    assert cfg.energy.clock_ghz == cfg.timing.clock_ghz == 2.0
 
 
 def test_gen_trace_and_determinism(config_file, tmp_path):
@@ -211,7 +210,38 @@ def test_domain_validation_failures_are_config_errors(tmp_path):
     # the run would never end
     ("interval_instructions = 100000", "interval_instructions = 0",
      "interval_instructions must be >= 1"),
-], ids=["energy clock", "phase past the stride", "empty interval"])
+    # a NaN CPI compared false with the unit-CPI snap and ran as CPI 1.0
+    ("clock_ghz = 2.0", "clock_ghz = 2.0\nbase_cpi = nan",
+     "base_cpi must be a finite number"),
+    ("clock_ghz = 2.0", "clock_ghz = 2.0\nbase_cpi = inf",
+     "base_cpi must be a finite number"),
+    ("clock_ghz = 2.0", "clock_ghz = nan", "clock_ghz must be a finite number"),
+    # NaN or infinite energy constants made NaN reports, which are not JSON
+    ("builtin = EDRAM_2MB", _ENERGY_OVERRIDES.replace("p_leak_l2 = 0.162",
+                                                      "p_leak_l2 = nan"),
+     "p_leak_l2 must be a finite number"),
+    ("builtin = EDRAM_2MB", _ENERGY_OVERRIDES.replace("e_dyn_dram = 70",
+                                                      "e_dyn_dram = inf"),
+     "e_dyn_dram must be a finite number"),
+    ("warmup_fraction = 0.1", "warmup_fraction = -0.5",
+     r"warmup_fraction must be in \[0, 1\)"),
+    ("warmup_fraction = 0.1", "warmup_fraction = nan",
+     r"warmup_fraction must be in \[0, 1\)"),
+    ("warmup_fraction = 0.1", "warmup_fraction = 1.5",
+     r"warmup_fraction must be in \[0, 1\)"),
+    ("warmup_fraction = 0.1", "warmup_instructions = -5",
+     "warmup_instructions must be >= 0"),
+    ("accesses_per_kilo_instr = 20", "accesses_per_kilo_instr = inf",
+     "accesses_per_kilo_instr must be a finite number"),
+    ("accesses_per_kilo_instr = 20", "accesses_per_kilo_instr = nan",
+     "accesses_per_kilo_instr must be a finite number"),
+    # configparser's own errors used to escape as a traceback
+    ("delta = 4", "delta = 4\ndelta = 8", "option 'delta'.*already exists"),
+], ids=["energy clock", "phase past the stride", "empty interval",
+        "nan cpi", "inf cpi", "nan clock", "nan leakage", "inf dram energy",
+        "negative warm-up fraction", "nan warm-up fraction",
+        "warm-up fraction above 1", "negative warm-up",
+        "inf access rate", "nan access rate", "duplicate key"])
 def test_config_error_writes_no_output(tmp_path, old, new, error):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE_CONFIG.replace(old, new))
@@ -443,13 +473,32 @@ def _config_with(tmp_path, extra):
 
 def test_size_sweep_keeps_a_configured_c_min(tmp_path):
     # 64 KB holds 8 colors, 128 KB 16 and 512 KB 64
-    cfg = load_config(_config_with(tmp_path, "\nc_min = 4"))
-    for kb in (64, 128, 512):
-        assert _dcr_c_min(_apply_sweep_value(cfg, "l2_size_kb", kb)) == 4
+    sizes = ["64", "128", "512"]
+    swept = load_sweep(_config_with(tmp_path, "\nc_min = 4"), "l2_size_kb",
+                       sizes)
+    assert [_dcr_c_min(cfg) for cfg in swept] == [4, 4, 4]
     # an unset c_min is the default slice, 1/16th of each size's colors
-    cfg = load_config(_config_with(tmp_path, ""))
-    assert [_dcr_c_min(_apply_sweep_value(cfg, "l2_size_kb", kb))
-            for kb in (64, 128, 512)] == [1, 1, 4]
+    swept = load_sweep(_config_with(tmp_path, ""), "l2_size_kb", sizes)
+    assert [_dcr_c_min(cfg) for cfg in swept] == [1, 1, 4]
+
+
+# a sweep value and the BASE_CONFIG edit that writes it into the file: every
+# eDRAM scheme's retention period, the cache size, the DCR scheme's beta
+# (which BASE_CONFIG leaves at its default) and delta
+@pytest.mark.parametrize("parameter, value, old, new", [
+    ("refresh_period_us", "2", "retention_period_us = 1",
+     "retention_period_us = 2"),
+    ("l2_size_kb", "128", "l2_size_kb = 64", "l2_size_kb = 128"),
+    ("beta", "5", "delta = 4", "delta = 4\nbeta = 5"),
+    ("delta", "8", "delta = 4", "delta = 8"),
+])
+def test_sweep_value_builds_the_edited_config(config_file, tmp_path,
+                                              parameter, value, old, new):
+    path = tmp_path / "edited.cfg"
+    path.write_text(BASE_CONFIG.replace(old, new))
+    (swept,) = load_sweep(config_file, parameter, [value])
+    assert swept == load_config(str(path))
+    assert swept != load_config(config_file)
 
 
 def test_c_min_above_the_color_count_is_config_error(tmp_path, monkeypatch):

@@ -12,6 +12,8 @@ from edrsim.profiler import IntervalStats, make_units
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
+GHZ = 2.0  # the core clock select() scores candidates at
+
 
 def brute_force_space(current, total, cfg):
     return [c for c in range(total + 1)
@@ -80,10 +82,10 @@ def _prepped_state_and_units(geometry, ws_kb, seed=3, records=40_000):
 
 def test_select_prefers_small_when_working_set_is_tiny(small_geometry):
     state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=4)
-    cfg = default_config(small_geometry, delta=8, interval_instructions=100_000)
-    refresh = RefreshConfig(1, 2.0, 1)
-    params = builtin_params("EDRAM_2MB", clock_ghz=2.0)
-    decision = select(stats, units, state, refresh, cfg, params)
+    cfg = default_config(small_geometry, delta=8)
+    refresh = RefreshConfig(2000)
+    params = builtin_params("EDRAM_2MB")
+    decision = select(stats, units, state, refresh, cfg, params, GHZ)
     assert decision.chosen == min(candidate_space(
         state.active_count, small_geometry.color_count, cfg))
     assert not decision.fail_safe
@@ -92,19 +94,19 @@ def test_select_prefers_small_when_working_set_is_tiny(small_geometry):
 def test_select_is_deterministic(small_geometry):
     state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=24)
     cfg = default_config(small_geometry, delta=8)
-    refresh = RefreshConfig(1, 2.0, 1)
-    params = builtin_params("EDRAM_2MB", clock_ghz=2.0)
-    one = select(stats, units, state, refresh, cfg, params)
-    two = select(stats, units, state, refresh, cfg, params)
+    refresh = RefreshConfig(2000)
+    params = builtin_params("EDRAM_2MB")
+    one = select(stats, units, state, refresh, cfg, params, GHZ)
+    two = select(stats, units, state, refresh, cfg, params, GHZ)
     assert one == two
 
 
 def test_select_chosen_is_in_space_and_beats_current(small_geometry):
     state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=24)
     cfg = default_config(small_geometry, delta=4)
-    refresh = RefreshConfig(1, 2.0, 1)
-    params = builtin_params("EDRAM_2MB", clock_ghz=2.0)
-    decision = select(stats, units, state, refresh, cfg, params)
+    refresh = RefreshConfig(2000)
+    params = builtin_params("EDRAM_2MB")
+    decision = select(stats, units, state, refresh, cfg, params, GHZ)
     space = candidate_space(state.active_count, small_geometry.color_count, cfg)
     assert decision.chosen in space
     current_cand = next(c for c in decision.candidates
@@ -121,9 +123,9 @@ def test_beta_filter_rejects_slow_candidates(small_geometry):
     stats.memory_stall_cycles = stats.load_misses * 800  # exaggerate stalls
     stats.elapsed_cycles = stats.memory_stall_cycles * 2
     cfg = default_config(small_geometry, beta=3.0, delta=8)
-    refresh = RefreshConfig(1, 2.0, 1)
-    params = builtin_params("EDRAM_2MB", clock_ghz=2.0)
-    decision = select(stats, units, state, refresh, cfg, params)
+    refresh = RefreshConfig(2000)
+    params = builtin_params("EDRAM_2MB")
+    decision = select(stats, units, state, refresh, cfg, params, GHZ)
     for cand in decision.candidates:
         if cand.rejected_by_beta:
             assert cand.delta_pct > cfg.beta
@@ -146,9 +148,9 @@ def test_fail_safe_when_everything_breaches_beta(small_geometry):
     stats.memory_stall_cycles = 8_000 * 166
     stats.elapsed_cycles = stats.memory_stall_cycles + 1_000_000
     cfg = ControllerConfig(c_min=1, delta=2, beta=3.0)
-    refresh = RefreshConfig(1, 2.0, 1)
-    params = builtin_params("EDRAM_2MB", clock_ghz=2.0)
-    decision = select(stats, units_small, state2, refresh, cfg, params)
+    refresh = RefreshConfig(2000)
+    params = builtin_params("EDRAM_2MB")
+    decision = select(stats, units_small, state2, refresh, cfg, params, GHZ)
     assert decision.fail_safe
     assert all(c.rejected_by_beta for c in decision.candidates)
     # least-bad candidate: minimal slowdown
@@ -169,9 +171,9 @@ def test_tie_break_toward_fewer_colors(small_geometry):
 def test_argmin_invariant_under_uniform_scaling(small_geometry):
     state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=24)
     cfg = default_config(small_geometry, delta=8)
-    refresh = RefreshConfig(1, 2.0, 1)
-    params = builtin_params("EDRAM_2MB", clock_ghz=2.0)
-    decision = select(stats, units, state, refresh, cfg, params)
+    refresh = RefreshConfig(2000)
+    params = builtin_params("EDRAM_2MB")
+    decision = select(stats, units, state, refresh, cfg, params, GHZ)
     survivors = [c for c in decision.candidates if not c.rejected_by_beta]
     scaled = [Candidate(c.colors, c.est_time_cycles, c.delta_pct,
                         c.est_energy_j * 7.5, c.rejected_by_beta)
@@ -203,11 +205,11 @@ def test_controller_converges_on_small_working_set():
     arrays = generate_synthetic(SyntheticTraceSpec(
         phases=[PhaseSpec(3_000_000, 64 * 1024, 0.3, 0.3)], rng_seed=10))
     scheme = SchemeSpec(
-        kind=SchemeKind.DCR, refresh=RefreshConfig(40, 2.2, 1),
-        controller=default_config(geometry, interval_instructions=400_000),
-        profiler_ratio=64)
+        kind=SchemeKind.DCR, refresh=RefreshConfig(88_000),
+        controller=default_config(geometry), profiler_ratio=64)
     report = run(arrays, scheme, geometry, TimingParams(),
-                 builtin_params("EDRAM_2MB"), warmup_instructions=200_000)
+                 builtin_params("EDRAM_2MB"), warmup_instructions=200_000,
+                 interval_instructions=400_000)
     chosen = [d.chosen for d in report.decisions]
     assert len(chosen) >= 5
     assert chosen[3] <= scheme.controller.c_min + scheme.controller.granularity
@@ -221,4 +223,3 @@ def test_default_config_c_min_is_sixteenth():
     assert default_config(g).delta == 16
     assert default_config(g).beta == 3.0
     assert default_config(g).granularity == 2
-    assert default_config(g).interval_instructions == 10_000_000

@@ -8,6 +8,8 @@ from edrsim.energy import (CandidateEstimates, EnergyParams, EnergyParamsError,
                            predict_energy)
 from edrsim.profiler import IntervalStats
 
+GHZ = 2.2  # the core clock the energy functions take
+
 
 def test_builtin_sram_values():
     p = builtin_params("SRAM_2MB")
@@ -30,14 +32,14 @@ def test_unknown_technology_rejected():
         builtin_params("EDRAM_8MB")
 
 
-def _one_second_stats(clock_ghz=2.2, **kw):
-    return IntervalStats(elapsed_cycles=int(clock_ghz * 1e9), **kw)
+def _one_second_stats(**kw):
+    return IntervalStats(elapsed_cycles=int(GHZ * 1e9), **kw)
 
 
 def test_leakage_only_interval():
     p = builtin_params("EDRAM_2MB")
     stats = _one_second_stats()
-    b = interval_energy(stats, p, SchemeKind.BASELINE_EDRAM)
+    b = interval_energy(stats, p, SchemeKind.BASELINE_EDRAM, GHZ)
     assert b.le_l2 == pytest.approx(0.162, rel=1e-12)
     assert b.e_dram == pytest.approx(0.18, rel=1e-12)
     assert b.de_l2 == 0 and b.re_l2 == 0 and b.e_algo == 0
@@ -46,21 +48,21 @@ def test_leakage_only_interval():
 def test_dynamic_energy_miss_costs_double():
     p = builtin_params("EDRAM_2MB")
     stats = IntervalStats(l2_hits=1000, l2_misses=500)
-    b = interval_energy(stats, p, SchemeKind.BASELINE_EDRAM)
+    b = interval_energy(stats, p, SchemeKind.BASELINE_EDRAM, GHZ)
     assert b.de_l2 == pytest.approx(1.296e-6, rel=1e-12)
 
 
 def test_refresh_energy_per_line():
     p = builtin_params("EDRAM_2MB")
     stats = IntervalStats(refreshed_lines=32768)
-    b = interval_energy(stats, p, SchemeKind.BASELINE_EDRAM)
+    b = interval_energy(stats, p, SchemeKind.BASELINE_EDRAM, GHZ)
     assert b.re_l2 == pytest.approx(32768 * 0.648e-9, rel=1e-12)
 
 
 def test_transition_energy():
     p = builtin_params("EDRAM_2MB")
     stats = IntervalStats(switched_blocks=16384)
-    b = interval_energy(stats, p, SchemeKind.DCR)
+    b = interval_energy(stats, p, SchemeKind.DCR, GHZ)
     assert b.e_algo == pytest.approx(16384 * 2e-12, rel=1e-12)
     assert b.e_algo == pytest.approx(32.768e-9, rel=1e-12)
 
@@ -68,7 +70,7 @@ def test_transition_energy():
 def test_sram_never_refreshes():
     p = builtin_params("SRAM_2MB")
     stats = IntervalStats(refreshed_lines=999)  # must be ignored
-    b = interval_energy(stats, p, SchemeKind.SRAM)
+    b = interval_energy(stats, p, SchemeKind.SRAM, GHZ)
     assert b.re_l2 == 0.0
 
 
@@ -79,7 +81,7 @@ def test_non_dcr_schemes_run_full_cache_with_no_algo_cost():
     stats.switched_blocks = 123
     stats.prof_accesses = 456
     for kind in (SchemeKind.BASELINE_EDRAM, SchemeKind.SRAM, SchemeKind.RPV):
-        b = interval_energy(stats, p, kind)
+        b = interval_energy(stats, p, kind, GHZ)
         assert b.e_algo == 0.0 and b.e_prof == 0.0
         assert b.le_l2 == pytest.approx(p.p_leak_l2 * 1.0, rel=1e-12)
 
@@ -88,7 +90,7 @@ def test_dcr_scales_leakage_by_active_fraction():
     p = builtin_params("EDRAM_2MB")
     stats = _one_second_stats()
     stats.active_fraction = 0.25
-    b = interval_energy(stats, p, SchemeKind.DCR)
+    b = interval_energy(stats, p, SchemeKind.DCR, GHZ)
     assert b.le_l2 == pytest.approx(0.162 * 0.25, rel=1e-12)
 
 
@@ -104,14 +106,15 @@ def test_composition_and_linearity():
             elapsed_cycles=rng.randrange(1, 10**10),
             switched_blocks=rng.randrange(10**5),
             prof_accesses=rng.randrange(10**5))
-        b = interval_energy(stats, p, SchemeKind.DCR)
+        b = interval_energy(stats, p, SchemeKind.DCR, GHZ)
         assert b.total == b.le_l2 + b.de_l2 + b.re_l2 + b.e_dram + b.e_algo
         assert min(b.le_l2, b.de_l2, b.re_l2, b.e_dram, b.e_algo) >= 0
     # linearity spot checks
     s1 = IntervalStats(refreshed_lines=1000)
     s2 = IntervalStats(refreshed_lines=3000)
-    assert interval_energy(s2, p, SchemeKind.DCR).re_l2 == pytest.approx(
-        3 * interval_energy(s1, p, SchemeKind.DCR).re_l2, rel=1e-12)
+    assert interval_energy(s2, p, SchemeKind.DCR, GHZ).re_l2 == \
+        pytest.approx(3 * interval_energy(s1, p, SchemeKind.DCR, GHZ).re_l2,
+                      rel=1e-12)
 
 
 def test_interval_energy_matches_oracle_bit_for_bit():
@@ -128,8 +131,8 @@ def test_interval_energy_matches_oracle_bit_for_bit():
             switched_blocks=rng.randrange(10**5),
             prof_accesses=rng.randrange(10**5))
         kind = rng.choice(kinds)
-        a = interval_energy(stats, p, kind)
-        b = recompute_energy(stats, p, kind)
+        a = interval_energy(stats, p, kind, GHZ)
+        b = recompute_energy(stats, p, kind, GHZ)
         assert (a.le_l2, a.de_l2, a.re_l2, a.e_dram, a.e_algo, a.e_prof,
                 a.total) == (b.le_l2, b.de_l2, b.re_l2, b.e_dram, b.e_algo,
                              b.e_prof, b.total)
@@ -141,13 +144,13 @@ def test_predict_matches_interval_energy_when_estimates_are_measured():
                           refreshed_lines=600_000, dram_accesses=5_200,
                           active_fraction=0.5, elapsed_cycles=7_000_000,
                           switched_blocks=0, prof_accesses=8_000)
-    measured = interval_energy(stats, p, SchemeKind.DCR)
+    measured = interval_energy(stats, p, SchemeKind.DCR, GHZ)
     ests = CandidateEstimates(
         est_m_l2=stats.l2_misses, est_h_l2=stats.l2_hits,
         est_n_r=stats.refreshed_lines, t_cycles=stats.elapsed_cycles,
         est_a_dram=stats.dram_accesses, b_blocks=0,
         est_a_prof=stats.prof_accesses)
-    predicted = predict_energy(32, 64, ests, p)  # 32/64 colors = F_A 0.5
+    predicted = predict_energy(32, 64, ests, p, GHZ)  # 32/64 colors = F_A 0.5
     assert predicted == pytest.approx(measured.total, rel=1e-12)
 
 
@@ -155,11 +158,21 @@ def test_predict_monotone_in_active_fraction():
     p = builtin_params("EDRAM_2MB")
     ests = CandidateEstimates(est_m_l2=1000, est_h_l2=50_000, est_n_r=10_000,
                               t_cycles=5_000_000, est_a_dram=1200, b_blocks=0)
-    energies = [predict_energy(m, 64, ests, p) for m in (8, 16, 32, 64)]
+    energies = [predict_energy(m, 64, ests, p, GHZ)
+                for m in (8, 16, 32, 64)]
     assert energies == sorted(energies)
 
 
 def test_negative_params_rejected():
     with pytest.raises(EnergyParamsError):
         EnergyParams(e_dyn_l2=-1, p_leak_l2=1, e_dyn_dram=1, p_leak_dram=1,
-                     e_transition=1, e_dyn_prof=1, p_leak_prof=1, clock_ghz=2.2)
+                     e_transition=1, e_dyn_prof=1, p_leak_prof=1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_params_rejected(value):
+    # a NaN leakage would make every report's energy NaN, which is not JSON
+    with pytest.raises(EnergyParamsError, match="finite"):
+        EnergyParams(e_dyn_l2=1, p_leak_l2=value, e_dyn_dram=1,
+                     p_leak_dram=1, e_transition=1, e_dyn_prof=1,
+                     p_leak_prof=1)

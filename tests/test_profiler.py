@@ -181,18 +181,18 @@ def test_estimate_time_is_linear():
 
 
 def test_estimate_refreshes_formula(geometry_2mb):
-    cfg = RefreshConfig(40, 2.2, 1)  # 88k cycles
+    cfg = RefreshConfig(88_000)
     assert estimate_refreshes(20_000, 64, geometry_2mb, 880_000, cfg) == 200_000
     assert estimate_refreshes(0, 64, geometry_2mb, 880_000, cfg) == 0
     # clamped by the capacity of the allocation
-    cfg1g = RefreshConfig(40, 1.0, 1)
+    cfg1g = RefreshConfig(40_000)
     small = CacheGeometry(64 * 1024, 8, page_bytes=1024, bank_bytes=32 * 1024)
     assert estimate_refreshes(1000, 4, small, 40_000, cfg1g) == \
         min(1000, 4 * small.lines_per_color)
 
 
 def test_estimate_refreshes_monotone(geometry_2mb):
-    cfg = RefreshConfig(40, 2.2, 1)
+    cfg = RefreshConfig(88_000)
     base = estimate_refreshes(5_000, 8, geometry_2mb, 1_000_000, cfg)
     assert estimate_refreshes(6_000, 8, geometry_2mb, 1_000_000, cfg) >= base
     assert estimate_refreshes(5_000, 8, geometry_2mb, 2_000_000, cfg) >= base

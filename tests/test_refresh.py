@@ -5,6 +5,7 @@ import pytest
 from oracles import (RpvPhases, access_block, replay_codes, timeline_oracle,
                      trace_of)
 from edrsim.cache import CacheGeometry, CacheState, reconfigure
+from edrsim.config import ConfigError, _retention_cycles
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim.refresh import RefreshConfig, RefreshConfigError
 from edrsim.sim import SchemeSpec, TimingParams, run
@@ -30,25 +31,28 @@ def _model(geometry, trace, rpv, cycle_step=1):
 
 
 def test_retention_cycles_arithmetic():
-    assert RefreshConfig(40, 1.0, 1).retention_cycles == 40_000
-    assert RefreshConfig(40, 2.2, 4).retention_cycles == 88_000
-    assert RefreshConfig(40, 2.2, 4).phase_cycles == 22_000
-    assert RefreshConfig(30, 2.2, 4).retention_cycles == 66_000
+    # a config's retention period in us becomes cycles of the run's clock
+    assert _retention_cycles(40, 1.0) == 40_000
+    assert _retention_cycles(40, 2.2) == 88_000
+    assert _retention_cycles(30, 2.2) == 66_000
+    assert RefreshConfig(88_000, 4).phase_cycles == 22_000
+    with pytest.raises(ConfigError, match="whole number of cycles"):
+        _retention_cycles(0.0001, 2.2)  # 0.22 cycles
 
 
 def test_retention_must_divide_phases():
     with pytest.raises(RefreshConfigError):
-        RefreshConfig(0.001, 1.0, 3)  # 1 cycle, 3 phases
+        RefreshConfig(1, 3)  # 1 cycle, 3 phases
 
 
 def test_refresh_all_counts_every_line():
     g = CacheGeometry(2 * 1024 * 1024, 8)
     scheme = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                        refresh=RefreshConfig(40, 1.0, 1))
+                        refresh=RefreshConfig(40_000))
     # events at 40k (an empty cache) and 80k cycles (one valid line)
     trace = trace_of([(40_000, Op.WRITE, 0x1234 * 64), (40_000, Op.READ, 0)])
     report = run(trace, scheme, g, TimingParams(clock_ghz=1.0),
-                 builtin_params("EDRAM_2MB", clock_ghz=1.0),
+                 builtin_params("EDRAM_2MB"),
                  warmup_instructions=0, collect_refresh_events=True)
     assert report.refresh_event_cycles == [40_000, 80_000]
     assert report.total_refreshed_lines == 2 * 32768
@@ -74,7 +78,7 @@ def test_valid_only_drops_by_flush_count(tiny_geometry):
 
 
 def test_rpv_refreshes_line_at_its_own_phase_boundary(tiny_geometry):
-    cfg = RefreshConfig(1, 2.0, 4)  # 2000 cycles, 500/phase
+    cfg = RefreshConfig(2000, 4)  # 500 cycles per phase
     state = CacheState(tiny_geometry)
     rpv = RpvPhases(tiny_geometry, cfg)
     # write one line in phase 2 of period 0 (cycle 1100); replay the
@@ -89,14 +93,14 @@ def test_rpv_refreshes_line_at_its_own_phase_boundary(tiny_geometry):
 
 
 def test_rpv_partition_over_one_period(tiny_geometry):
-    rpv = RpvPhases(tiny_geometry, RefreshConfig(1, 2.0, 4))
+    rpv = RpvPhases(tiny_geometry, RefreshConfig(2000, 4))
     state = _model(tiny_geometry, _fragment(17, n_records=1500), rpv)
     total = sum(sum(rpv.lines(phase)) for phase in range(4))
     assert total == state.n_valid
 
 
 def test_dominance_per_period(tiny_geometry):
-    rpv = RpvPhases(tiny_geometry, RefreshConfig(1, 2.0, 4))
+    rpv = RpvPhases(tiny_geometry, RefreshConfig(2000, 4))
     state = _model(tiny_geometry, _fragment(23, n_records=3000), rpv,
                    cycle_step=3)
     all_count = tiny_geometry.total_lines
@@ -108,7 +112,7 @@ def test_dominance_per_period(tiny_geometry):
 
 @pytest.mark.parametrize("policy", ["refresh_all", "rpv", "valid_only"])
 def test_timeline_oracle_ok_on_random_fragments(policy, tiny_geometry):
-    cfg = RefreshConfig(1, 2.0, 4 if policy == "rpv" else 1)  # 2000 cycles
+    cfg = RefreshConfig(2000, 4 if policy == "rpv" else 1)
     for seed in range(60):
         records = _fragment(seed, n_records=400, gap_hi=20)
         verdict = timeline_oracle(records, policy, cfg, tiny_geometry)
@@ -116,7 +120,7 @@ def test_timeline_oracle_ok_on_random_fragments(policy, tiny_geometry):
 
 
 def test_timeline_oracle_catches_skipped_phase(tiny_geometry):
-    cfg = RefreshConfig(1, 2.0, 4)
+    cfg = RefreshConfig(2000, 4)
     # write one block inside phase 3 (cycles 1500..1999), then idle long
     # enough that its refresh would be overdue
     records = trace_of([(1600, Op.WRITE, 0x80),
@@ -129,7 +133,7 @@ def test_timeline_oracle_catches_skipped_phase(tiny_geometry):
 
 
 def test_timeline_oracle_mutation_caught_on_random_fragments(tiny_geometry):
-    cfg = RefreshConfig(1, 2.0, 4)
+    cfg = RefreshConfig(2000, 4)
     caught = 0
     for seed in range(30):
         records = _fragment(seed, n_records=400, gap_hi=20)
@@ -142,5 +146,5 @@ def test_timeline_oracle_mutation_caught_on_random_fragments(tiny_geometry):
 def test_timeline_oracle_rejects_large_instances():
     g = CacheGeometry(2 * 1024 * 1024, 8)
     with pytest.raises(ValueError):
-        timeline_oracle(trace_of([]), "refresh_all", RefreshConfig(40, 1.0, 1),
+        timeline_oracle(trace_of([]), "refresh_all", RefreshConfig(40_000),
                         g)

@@ -25,8 +25,8 @@ from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams,
 from edrsim.trace import (PhaseSpec, SyntheticTraceSpec, TraceArrays,
                           generate_synthetic)
 
-EDRAM = builtin_params("EDRAM_2MB", clock_ghz=2.0)
-SRAM = builtin_params("SRAM_2MB", clock_ghz=2.0)
+EDRAM = builtin_params("EDRAM_2MB")
+SRAM = builtin_params("SRAM_2MB")
 
 
 def _geometry(banks):
@@ -43,14 +43,13 @@ def _trace(seed):
         rng_seed=seed, accesses_per_kilo_instr=25))
 
 
-def _scheme(kind, phases, geometry, interval):
-    refresh = RefreshConfig(1.0, 2.0, phases)  # 2000 cycles
+def _scheme(kind, phases, geometry):
+    refresh = RefreshConfig(2000, phases)
     if kind is SchemeKind.SRAM:
         return SchemeSpec(kind=kind, energy=SRAM)
     if kind is SchemeKind.DCR:
         return SchemeSpec(kind=kind, refresh=refresh, profiler_ratio=2,
-                          controller=default_config(
-                              geometry, delta=4, interval_instructions=interval))
+                          controller=default_config(geometry, delta=4))
     return SchemeSpec(kind=kind, refresh=refresh)
 
 
@@ -100,13 +99,13 @@ def test_run_matches_reference_run(case, monkeypatch):
         trace.gaps[3::4] += 3
     warmup_instructions = {"none": 0, "default": None,
                            "first record": int(trace.gaps[0])}[warmup]
-    scheme = _scheme(kind, phases, geometry, interval)
+    scheme = _scheme(kind, phases, geometry)
     bursts = []
     if variant == "long burst":
         # 1028 cycles for 1024 lines: a phase is 257 cycles, about the
         # lines one phase's burst refreshes, so a burst holds the bank up to
         # the next boundary and a wait on it runs into the next event
-        scheme.refresh = RefreshConfig(0.514, 2.0, phases)
+        scheme.refresh = RefreshConfig(1028, phases)
 
         def lines(rpv, phase):
             per_bank = real_lines(rpv, phase)
@@ -164,15 +163,14 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
         [None] + [w for w in (0, gaps[0], total - gaps[-1] - 1)
                   if 0 <= w < total]))
     interval = max(1, total // data.draw(st.integers(2, 8)))
-    refresh = RefreshConfig(retention / 2000, 2.0, phases)
+    refresh = RefreshConfig(retention, phases)
     if kind is SchemeKind.SRAM:
         spec = SchemeSpec(kind=kind, energy=SRAM)
     elif kind is SchemeKind.DCR:
         spec = SchemeSpec(kind=kind, refresh=refresh, profiler_ratio=1,
                           controller=default_config(
                               geometry, granularity=1,
-                              delta=data.draw(st.integers(1, 8)),
-                              interval_instructions=interval))
+                              delta=data.draw(st.integers(1, 8))))
     else:
         spec = SchemeSpec(kind=kind, refresh=refresh)
     timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
@@ -190,7 +188,7 @@ def test_rpv_with_more_phases_than_a_byte_holds():
     geometry = _geometry(2)
     trace = _trace(seed=9)
     scheme = SchemeSpec(kind=SchemeKind.RPV,
-                        refresh=RefreshConfig(1.5, 2.0, 300))
+                        refresh=RefreshConfig(3000, 300))
     timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
     kwargs = dict(interval_instructions=50_000, collect_refresh_events=True)
     got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
@@ -206,7 +204,7 @@ def test_decision_on_the_last_record_opens_a_trailing_interval():
     # an interval of no instructions pays for
     geometry = _geometry(2)
     trace = _trace(seed=100)
-    scheme = _scheme(SchemeKind.DCR, 1, geometry, 4_000)
+    scheme = _scheme(SchemeKind.DCR, 1, geometry)
     timing = TimingParams(clock_ghz=2.0)
     got = run(trace, scheme, geometry, timing, EDRAM, warmup_instructions=0,
               interval_instructions=4_000)
@@ -223,7 +221,7 @@ def test_compare_with_shared_replay_matches_reference_runs():
     geometry = _geometry(2)
     trace = _trace(seed=7)
     timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
-    schemes = [_scheme(kind, phases, geometry, 10_000)
+    schemes = [_scheme(kind, phases, geometry)
                for kind, phases in _KINDS if phases in (1, 4)]
     schemes[1].name = "rpv1"
     report = compare(trace, schemes, geometry, timing, EDRAM,
@@ -390,7 +388,7 @@ def test_last_touch_property_on_tiny_caches(ways, colors, banks, accesses):
 def test_run_rejects_a_replay_of_another_trace_or_geometry():
     geometry = _geometry(2)
     trace = _trace(seed=1)
-    scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry, 10_000)
+    scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry)
     timing = TimingParams(clock_ghz=2.0)
     with pytest.raises(ValueError, match="does not match"):
         run(trace, scheme, geometry, timing, EDRAM,
@@ -398,11 +396,11 @@ def test_run_rejects_a_replay_of_another_trace_or_geometry():
     with pytest.raises(ValueError, match="does not match"):
         run(trace, scheme, geometry, timing, EDRAM,
             replay=Replay(geometry, len(trace) - 1))
-    dcr = _scheme(SchemeKind.DCR, 1, geometry, 10_000)
+    dcr = _scheme(SchemeKind.DCR, 1, geometry)
     with pytest.raises(ValueError, match="replays the trace itself"):
         run(trace, dcr, geometry, timing, EDRAM,
             replay=fixed_replay(trace, geometry))
-    rpv = _scheme(SchemeKind.RPV, 2, geometry, 10_000)
+    rpv = _scheme(SchemeKind.RPV, 2, geometry)
     with pytest.raises(ValueError, match="last_touch column"):
         run(trace, rpv, geometry, timing, EDRAM,
             replay=Replay(geometry, len(trace)))
@@ -410,7 +408,7 @@ def test_run_rejects_a_replay_of_another_trace_or_geometry():
 
 def test_run_rejects_an_empty_interval():
     geometry = _geometry(2)
-    scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry, 10_000)
+    scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry)
     with pytest.raises(ValueError, match="interval_instructions must be"):
         run(_trace(seed=1), scheme, geometry, TimingParams(clock_ghz=2.0),
             EDRAM, interval_instructions=0)
@@ -426,7 +424,7 @@ def test_rpv_rejects_a_last_touch_entry_that_points_forward(where):
     r = int(np.flatnonzero(replay.last_touch >= 0)[100])
     replay.last_touch[r] = {"next": r + 1, "last": len(trace) - 1,
                             "past the end": 2**31 - 1}[where]
-    rpv = _scheme(SchemeKind.RPV, 4, geometry, 10_000)
+    rpv = _scheme(SchemeKind.RPV, 4, geometry)
     with pytest.raises(ValueError, match=f"record {r}: its last-touch"):
         run(trace, rpv, geometry, TimingParams(clock_ghz=2.0), EDRAM,
             replay=replay)
@@ -436,13 +434,13 @@ def test_refresh_burst_must_fit_in_the_retention_period():
     # one bank of 1024 lines: a 1024-cycle period never frees it
     geometry = _geometry(1)
     fits = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                      refresh=RefreshConfig(0.5125, 2.0, 1))  # 1025 cycles
+                      refresh=RefreshConfig(1025))
     check_refresh_fits(fits, geometry)
     for kind, phases in _KINDS:
         if kind is SchemeKind.SRAM:
             continue
-        tight = _scheme(kind, phases, geometry, 10_000)
-        tight.refresh = RefreshConfig(0.512, 2.0, phases)  # 1024 cycles
+        tight = _scheme(kind, phases, geometry)
+        tight.refresh = RefreshConfig(1024, phases)
         with pytest.raises(SchemeConfigError, match="1024-cycle"):
             check_refresh_fits(tight, geometry)
         with pytest.raises(SchemeConfigError):

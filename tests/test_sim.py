@@ -19,16 +19,15 @@ def _trace(seed=1, instr=2_000_000, ws_kb=24, writes=0.3, reuse=0.2, apki=20):
 
 
 TIMING_2GHZ = TimingParams(clock_ghz=2.0)
-EDRAM_2GHZ = builtin_params("EDRAM_2MB", clock_ghz=2.0)
-SRAM_2GHZ = builtin_params("SRAM_2MB", clock_ghz=2.0)
+EDRAM_2GHZ = builtin_params("EDRAM_2MB")
+SRAM_2GHZ = builtin_params("SRAM_2MB")
 
 
-def _small_schemes(retention_us=1.0):
+def _small_schemes():
     return {
         "baseline": SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                               refresh=RefreshConfig(retention_us, 2.0, 1)),
-        "rpv": SchemeSpec(kind=SchemeKind.RPV,
-                          refresh=RefreshConfig(retention_us, 2.0, 4)),
+                               refresh=RefreshConfig(2000)),
+        "rpv": SchemeSpec(kind=SchemeKind.RPV, refresh=RefreshConfig(2000, 4)),
         "sram": SchemeSpec(kind=SchemeKind.SRAM, energy=SRAM_2GHZ),
     }
 
@@ -65,7 +64,7 @@ def test_sram_never_fires_refresh(small_geometry):
 
 
 def test_refresh_events_fire_at_exact_multiples(small_geometry):
-    cfg = RefreshConfig(1, 2.0, 1)  # 2000 cycles
+    cfg = RefreshConfig(2000)
     report = run(_trace(instr=500_000),
                  SchemeSpec(kind=SchemeKind.BASELINE_EDRAM, refresh=cfg),
                  small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
@@ -80,7 +79,7 @@ def test_refresh_events_fire_at_exact_multiples(small_geometry):
 
 
 def test_rpv_events_at_phase_boundaries(small_geometry):
-    cfg = RefreshConfig(1, 2.0, 4)  # 2000 cycles, 500 per phase
+    cfg = RefreshConfig(2000, 4)  # 500 cycles per phase
     report = run(_trace(instr=500_000),
                  SchemeSpec(kind=SchemeKind.RPV, refresh=cfg),
                  small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
@@ -89,7 +88,7 @@ def test_rpv_events_at_phase_boundaries(small_geometry):
 
 
 def test_event_count_matches_cycle_arithmetic(small_geometry):
-    cfg = RefreshConfig(1, 2.0, 1)
+    cfg = RefreshConfig(2000)
     report = run(_trace(instr=300_000),
                  SchemeSpec(kind=SchemeKind.BASELINE_EDRAM, refresh=cfg),
                  small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
@@ -102,18 +101,19 @@ def test_event_count_matches_cycle_arithmetic(small_geometry):
 def test_determinism_bit_identical_reports(small_geometry):
     arrays = _trace(seed=9, instr=800_000)
     scheme = SchemeSpec(
-        kind=SchemeKind.DCR, refresh=RefreshConfig(1, 2.0, 1),
-        controller=default_config(small_geometry, interval_instructions=100_000),
-        profiler_ratio=2)
-    a = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ)
-    b = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ)
+        kind=SchemeKind.DCR, refresh=RefreshConfig(2000),
+        controller=default_config(small_geometry), profiler_ratio=2)
+    a = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
+            interval_instructions=100_000)
+    b = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
+            interval_instructions=100_000)
     assert a.to_dict() == b.to_dict()
 
 
 def test_conservation_across_intervals(small_geometry):
     arrays = _trace(seed=4, instr=1_500_000)
     scheme = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                        refresh=RefreshConfig(1, 2.0, 1))
+                        refresh=RefreshConfig(2000))
     report = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
                  warmup_instructions=150_000, interval_instructions=200_000)
     assert len(report.intervals) > 3
@@ -133,7 +133,7 @@ def test_conservation_across_intervals(small_geometry):
 def test_warmup_excluded_from_metrics(small_geometry):
     arrays = _trace(seed=6, instr=1_000_000)
     scheme = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                        refresh=RefreshConfig(1, 2.0, 1))
+                        refresh=RefreshConfig(2000))
     cold = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
                warmup_instructions=0)
     warm = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
@@ -153,23 +153,24 @@ def test_warmup_must_be_shorter_than_trace(small_geometry):
 
 def test_scheme_validation_rejects_conflicts():
     with pytest.raises(SchemeConfigError):
-        SchemeSpec(kind=SchemeKind.SRAM, refresh=RefreshConfig(1, 2.0, 1))
+        SchemeSpec(kind=SchemeKind.SRAM, refresh=RefreshConfig(2000))
     with pytest.raises(SchemeConfigError):
-        SchemeSpec(kind=SchemeKind.DCR, refresh=RefreshConfig(1, 2.0, 1))
+        SchemeSpec(kind=SchemeKind.DCR, refresh=RefreshConfig(2000))
     with pytest.raises(SchemeConfigError):
-        SchemeSpec(kind=SchemeKind.RPV, refresh=RefreshConfig(1, 2.0, 4),
+        SchemeSpec(kind=SchemeKind.RPV, refresh=RefreshConfig(2000, 4),
                    controller=default_config(CacheGeometry(2**21, 8)))
     with pytest.raises(SchemeConfigError):
         SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                   refresh=RefreshConfig(1, 2.0, 4))  # polyphase on baseline
+                   refresh=RefreshConfig(2000, 4))  # polyphase on baseline
 
 
 def test_dcr_active_ratio_within_bounds(small_geometry):
     arrays = _trace(seed=2, instr=2_000_000, ws_kb=4)
-    ctrl = default_config(small_geometry, interval_instructions=200_000)
-    scheme = SchemeSpec(kind=SchemeKind.DCR, refresh=RefreshConfig(1, 2.0, 1),
+    ctrl = default_config(small_geometry)
+    scheme = SchemeSpec(kind=SchemeKind.DCR, refresh=RefreshConfig(2000),
                         controller=ctrl, profiler_ratio=2)
-    report = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ)
+    report = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
+                 interval_instructions=200_000)
     lo = ctrl.c_min / small_geometry.color_count * 100
     assert lo <= report.active_ratio_pct <= 100.0
     assert report.active_ratio_pct < 100.0  # it did shrink
@@ -178,9 +179,9 @@ def test_dcr_active_ratio_within_bounds(small_geometry):
 def test_compare_baseline_against_itself(small_geometry):
     arrays = _trace(seed=3, instr=600_000)
     base = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                      refresh=RefreshConfig(1, 2.0, 1), name="base")
+                      refresh=RefreshConfig(2000), name="base")
     twin = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                      refresh=RefreshConfig(1, 2.0, 1), name="twin")
+                      refresh=RefreshConfig(2000), name="twin")
     report = compare(arrays, [base, twin], small_geometry, TIMING_2GHZ,
                      EDRAM_2GHZ)
     assert len(report.rows) == 1
@@ -194,7 +195,7 @@ def test_compare_baseline_against_itself(small_geometry):
 def test_compare_requires_baseline(small_geometry):
     arrays = _trace(instr=200_000)
     schemes = [SchemeSpec(kind=SchemeKind.SRAM),
-               SchemeSpec(kind=SchemeKind.RPV, refresh=RefreshConfig(1, 2.0, 4))]
+               SchemeSpec(kind=SchemeKind.RPV, refresh=RefreshConfig(2000, 4))]
     with pytest.raises(SchemeConfigError):
         compare(arrays, schemes, small_geometry, TIMING_2GHZ, EDRAM_2GHZ)
 
@@ -215,17 +216,10 @@ def test_compare_rpv_and_sram_exact_invariants(small_geometry):
 def test_compare_rejects_duplicate_names(small_geometry):
     arrays = _trace(instr=200_000)
     a = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
-                   refresh=RefreshConfig(1, 2.0, 1), name="x")
+                   refresh=RefreshConfig(2000), name="x")
     b = SchemeSpec(kind=SchemeKind.SRAM, name="x")
     with pytest.raises(SchemeConfigError):
         compare(arrays, [a, b], small_geometry, TIMING_2GHZ, EDRAM_2GHZ)
-
-
-def test_clock_mismatch_rejected(small_geometry):
-    arrays = _trace(instr=200_000)
-    with pytest.raises(ValueError):
-        run(arrays, SchemeSpec(kind=SchemeKind.SRAM), small_geometry,
-            TimingParams(clock_ghz=2.2), EDRAM_2GHZ)  # params are 2.0 GHz
 
 
 def test_empty_trace_rejected(small_geometry):
@@ -242,11 +236,10 @@ def test_dcr_flush_writebacks_charged_to_next_interval(small_geometry):
     # controller shrinks, flushing dirty lines from the dropped colors
     arrays = _trace(seed=14, instr=1_200_000, ws_kb=12, writes=0.5)
     scheme = SchemeSpec(
-        kind=SchemeKind.DCR, refresh=RefreshConfig(1, 2.0, 1),
-        controller=default_config(small_geometry, interval_instructions=150_000),
-        profiler_ratio=2)
+        kind=SchemeKind.DCR, refresh=RefreshConfig(2000),
+        controller=default_config(small_geometry), profiler_ratio=2)
     report = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
-                 warmup_instructions=0)
+                 warmup_instructions=0, interval_instructions=150_000)
     shrink = next((d for d in report.decisions
                    if d.chosen < d.current and d.flush_writebacks > 0), None)
     assert shrink is not None, "expected at least one shrinking decision"
