@@ -17,12 +17,12 @@ most one set; each slot has a dirty byte and a last-touch record index.
 The functional pass of a simulation applies trace records to those arrays
 and writes each record's outcome into a code byte (a `Replay`), which the
 timing pass then reads. Hits, misses and evictions do not depend on time,
-so one replay serves every scheme that never remaps the cache
-(`sim.fixed_replay`). The per-record work, like the flush of a
-reconfiguration, is C (lru.c), built at first use (see native.py);
-`Passes` binds a run's arguments to it once. DCR binds the functional and
-the timing pass together, so that one loop replays, times and stops at the
-end of each interval for the controller.
+so every scheme that never remaps the cache times the same replay, which
+`sim.fixed_replay` builds once per trace and geometry. The per-record
+work, like the flush of a reconfiguration, is C (lru.c), built at first
+use (see native.py); `Passes` binds a run's arguments to it once. DCR
+binds the functional and the timing pass together, so that one loop
+replays, times and stops at the end of each interval for the controller.
 """
 
 import ctypes
@@ -127,23 +127,13 @@ class _Cache(ctypes.Structure):
 class CacheState:
     """Mutable cache state owned by a single simulation instance."""
 
-    def __init__(self, geometry: CacheGeometry, active_colors=None,
-                 min_colors: int = 1):
+    def __init__(self, geometry: CacheGeometry, min_colors: int = 1):
         self.geometry = geometry
         self.min_colors = min_colors
         m_total = geometry.color_count
-        if active_colors is None:
-            active = list(range(m_total))
-        else:
-            active = sorted(set(active_colors))
-            if not active or active[0] < 0 or active[-1] >= m_total:
-                raise ReconfigError("active colors out of range")
-            if len(active) < min_colors:
-                raise ReconfigError(
-                    f"need at least {min_colors} active colors")
-        self.active_colors: set[int] = set(active)
-        # balanced initial mapping: region i -> i-th active color, cycling
-        self.mapping: list[int] = [active[i % len(active)] for i in range(m_total)]
+        # every color active, region i in color i
+        self.active_colors: set[int] = set(range(m_total))
+        self.mapping: list[int] = list(range(m_total))
         # set s: tag slots [s * ways, (s + 1) * ways), the first fill[s]
         # resident, least recent first, with a dirty byte and a last-touch
         # index per slot (the latter kept only for a last-touch column)

@@ -11,8 +11,7 @@ from dataclasses import fields, replace
 
 from . import trace as trace_mod
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
-from .sim import (ComparisonRow, RunReport, compare, comparison_row,
-                  fixed_replay, run_schemes)
+from .sim import ComparisonRow, RunReport, compare, comparison_row, run
 from .trace import TraceArrays, TraceHeader
 
 
@@ -49,6 +48,9 @@ def _with_seed(spec, seed: int | None):
 
 def _load_trace_for(cfg: RunConfig, seed: int | None) -> TraceArrays:
     if cfg.trace_path:
+        if seed is not None:
+            raise ConfigError(f"--seed does nothing: the config reads the "
+                              f"trace file {cfg.trace_path}")
         with open(cfg.trace_path, "rb") as fh:
             _, arrays = trace_mod.read_trace_arrays(fh)
         return arrays
@@ -115,9 +117,8 @@ def cmd_run(args) -> int:
     warmup = _warmup_for(cfg, arrays)
     # every scheme runs before the first write, so a late failure leaves no
     # partial output
-    reports = run_schemes(arrays, cfg.schemes, cfg.geometry, cfg.timing,
-                          cfg.energy, warmup_instructions=warmup,
-                          interval_instructions=cfg.interval_instructions)
+    reports = [run(arrays, spec, cfg.geometry, cfg.timing, cfg.energy, warmup,
+                   cfg.interval_instructions) for spec in cfg.schemes]
     os.makedirs(args.out, exist_ok=True)
     for report in reports:
         base = os.path.join(args.out, f"report-{report.scheme_name}")
@@ -163,18 +164,14 @@ def cmd_sweep(args) -> int:
     cfg = configs[0]
     _require_schemes(cfg, 2)
 
-    # no sweepable parameter changes the trace or the warm-up, and only the
-    # cache size changes the functional replay the fixed-size schemes share
+    # no sweepable parameter changes the trace or the warm-up
     arrays = _load_trace_for(cfg, args.seed)
     warmup = _warmup_for(cfg, arrays)
-    shared = (None if args.parameter == "l2_size_kb"
-              else fixed_replay(arrays, cfg.geometry))
     rows = []
     for value, vcfg in zip(values, configs):
         report = compare(arrays, vcfg.schemes, vcfg.geometry, vcfg.timing,
                          vcfg.energy, warmup_instructions=warmup,
-                         interval_instructions=vcfg.interval_instructions,
-                         replay=shared)
+                         interval_instructions=vcfg.interval_instructions)
         base = report.baseline
         # the value column spells every value as a float: 1.0 for "1"
         for row in [comparison_row(base, base), *report.rows]:

@@ -255,8 +255,11 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
     if interval_instructions is not None and interval_instructions < 1:
         raise ConfigError("[run] interval_instructions must be >= 1")
 
-    trace_path = None
+    # a [synthetic] section is checked even where [trace] does not use it
     synthetic = None
+    if "synthetic" in sections:
+        synthetic = _parse_synthetic(sections["synthetic"])
+    trace_path = None
     if "trace" in sections:
         tsec = sections["trace"]
         _check_keys("trace", tsec, _TRACE_KEYS)
@@ -265,12 +268,10 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
                            lambda s: s.lower() == "true", default=False)
         if trace_path and wants_synth:
             raise ConfigError("[trace] set path or synthetic=true, not both")
-        if wants_synth:
-            if "synthetic" not in sections:
-                raise ConfigError("[trace] synthetic=true needs a [synthetic] section")
-            synthetic = _parse_synthetic(sections["synthetic"])
-    elif "synthetic" in sections:
-        synthetic = _parse_synthetic(sections["synthetic"])
+        if wants_synth and synthetic is None:
+            raise ConfigError("[trace] synthetic=true needs a [synthetic] section")
+        if not wants_synth:
+            synthetic = None
 
     schemes = [_parse_scheme(sections[f"scheme.{name}"], name, geometry,
                              timing.clock_ghz)

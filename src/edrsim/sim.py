@@ -11,9 +11,10 @@ A run has two stages, as in gem5's atomic and timing CPUs. The functional
 pass decides each record's hit, eviction and dirty victim and writes them
 to a code byte per record; the timing pass turns the codes into cycles,
 refresh bursts and bank waits. The functional pass does not depend on
-time, so baseline, RPV and SRAM share one (`fixed_replay`, which also
-keeps RPV's last-touch column); DCR replays each interval only after the
-controller has acted on the previous one.
+time, so baseline, RPV and SRAM share one: `fixed_replay` builds it, with
+RPV's last-touch column, and keeps it for the next run on the same trace
+and geometry. DCR replays each interval only after the controller has
+acted on the previous one.
 
 Both passes are one compiled record loop (lru.c's edr_run), which `run`
 binds once (`cache.Passes`), DCR with the functional pass and the others
@@ -29,6 +30,7 @@ next; `run` reads each interval's tallies and lets DCR's controller act.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -147,13 +149,11 @@ class RunReport:
     total_refreshed_lines: int
     total_l2_hits: int
     total_l2_misses: int
-    refresh_event_cycles: list[int] | None
     intervals: list[IntervalRecord] = field(default_factory=list)
     decisions: list[DecisionRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         doc = _report_dict(self)
-        del doc["refresh_event_cycles"]
         for iv in doc["intervals"]:
             iv.update(iv.pop("stats"))
         return doc
@@ -161,8 +161,7 @@ class RunReport:
     @classmethod
     def from_intervals(cls, scheme: SchemeSpec, warmup_instructions: int,
                        intervals: list[IntervalRecord],
-                       decisions: list[DecisionRecord],
-                       refresh_event_cycles: list[int] | None) -> "RunReport":
+                       decisions: list[DecisionRecord]) -> "RunReport":
         """The run totals of a scheme's interval records."""
         instructions = sum(iv.stats.instructions for iv in intervals)
         total_cycles = sum(iv.stats.elapsed_cycles for iv in intervals)
@@ -194,7 +193,6 @@ class RunReport:
             total_refreshed_lines=total_refreshed,
             total_l2_hits=total_hits,
             total_l2_misses=total_misses,
-            refresh_event_cycles=refresh_event_cycles,
             intervals=intervals,
             decisions=decisions,
         )
@@ -222,16 +220,34 @@ def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
 # instructions that end warm-up and those that close an interval, then the
 # tallies: instructions, cycles, refreshed lines, hits, misses, dirty
 # victims and load misses
-_NEXT_BOUNDARY, _INSTRUCTIONS = 1, 6
+_INSTRUCTIONS = 6
+
+# the last fixed replay built: (a weak reference to its trace, its
+# geometry, the replay)
+_kept = None
+
+
+def _drop_kept(trace_ref) -> None:
+    global _kept
+    if _kept is not None and _kept[0] is trace_ref:
+        _kept = None
 
 
 def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     """The functional pass of a scheme that never remaps the cache.
 
     Baseline, RPV and SRAM see the same hits, misses and evictions, so they
-    can share this one replay of the trace on a full-size cache, with RPV's
-    last-touch column (int32, so at most 2**31 - 1 records).
+    share one replay of the trace on a full-size cache, with RPV's
+    last-touch column (int32, so at most 2**31 - 1 records). The last
+    replay built is kept and returned again for the same trace object and
+    an equal geometry, until that trace is freed; any other call drops it
+    before building a new one, so at most one is alive. A trace's columns
+    must not change once it has been replayed.
     """
+    global _kept
+    if _kept is not None and _kept[0]() is trace and _kept[1] == geometry:
+        return _kept[2]
+    _kept = None
     n = len(trace)
     if n >= 1 << 31:
         raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
@@ -241,6 +257,7 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     passes = _cache.Passes(geometry, trace.addrs, out)
     passes.bind_cache(CacheState(geometry), trace.ops == Op.WRITE)
     passes(0, n)
+    _kept = (weakref.ref(trace, _drop_kept), geometry, out)
     return out
 
 
@@ -276,14 +293,12 @@ def _close_interval(intervals, decisions, stats, colors, scheme, params, ghz,
 def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         timing: TimingParams, params: EnergyParams,
         warmup_instructions: int | None = None,
-        interval_instructions: int | None = None,
-        collect_refresh_events: bool = False,
-        replay: Replay | None = None) -> RunReport:
+        interval_instructions: int | None = None) -> RunReport:
     """Replay a trace under one scheme and return the full report.
 
     A scheme that never remaps (baseline, RPV, SRAM) times the columns of
-    `replay`, a `fixed_replay` of this trace and geometry, built here when
-    not given. DCR replays the trace itself, one interval at a time, so
+    the `fixed_replay` of this trace and geometry, which successive runs on
+    them share. DCR replays the trace itself, one interval at a time, so
     each interval sees the mapping the controller left. Unless given, the
     warm-up is a tenth of the trace, and an interval is 10,000,000
     instructions for every scheme.
@@ -314,22 +329,12 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     n = len(trace)
     m_total = geometry.color_count
     if is_dcr:
-        if replay is not None:
-            raise ValueError("a DCR scheme remaps the cache, so it replays "
-                             "the trace itself")
         state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
         units = make_units(geometry, scheme.profiler_ratio)
         replay = Replay(geometry, n)
     else:
         state = units = None
-        if replay is None:
-            replay = fixed_replay(trace, geometry)
-        elif replay.geometry != geometry or len(replay) != n:
-            raise ValueError(
-                f"replay of {len(replay)} records on {replay.geometry} does "
-                f"not match this trace of {n} records on {geometry}")
-        if is_rpv and replay.last_touch is None:
-            raise ValueError("RPV needs the replay's last_touch column")
+        replay = fixed_replay(trace, geometry)
 
     num_banks = geometry.num_banks
     if refresh_cfg is None:
@@ -404,29 +409,8 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         if lo == n and not closes:
             break
 
-    event_cycles = None
-    if collect_refresh_events:
-        # boundaries fire strictly in order, one boundary length apart
-        event_cycles = (list(range(boundary_len, int(clock[_NEXT_BOUNDARY]),
-                                   boundary_len)) if boundary_len else [])
     return RunReport.from_intervals(scheme, warmup_instructions, intervals,
-                                    decisions, event_cycles)
-
-
-def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
-                geometry: CacheGeometry, timing: TimingParams,
-                params: EnergyParams, warmup_instructions: int | None = None,
-                interval_instructions: int | None = None,
-                replay: Replay | None = None) -> list[RunReport]:
-    """`run` each scheme on the trace. Those that never remap share
-    `replay`, or a `fixed_replay` built here if any of them is present."""
-    if replay is None and any(s.kind is not SchemeKind.DCR for s in schemes):
-        replay = fixed_replay(trace, geometry)
-    return [run(trace, spec, geometry, timing, params,
-                warmup_instructions=warmup_instructions,
-                interval_instructions=interval_instructions,
-                replay=None if spec.kind is SchemeKind.DCR else replay)
-            for spec in schemes]
+                                    decisions)
 
 
 @dataclass
@@ -488,13 +472,12 @@ class ComparisonReport:
 def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeometry,
             timing: TimingParams, params: EnergyParams,
             warmup_instructions: int | None = None,
-            interval_instructions: int | None = None,
-            replay: Replay | None = None) -> ComparisonReport:
-    """Run every scheme on the same trace and report metrics vs the baseline.
+            interval_instructions: int | None = None) -> ComparisonReport:
+    """`run` every scheme on the same trace and report metrics vs the
+    baseline.
 
     The first scheme with the baseline-eDRAM kind is the reference; every
-    other scheme gets a comparison row. The schemes run as in
-    `run_schemes`, sharing `replay` if given.
+    other scheme gets a comparison row.
     """
     names = [s.name for s in schemes]
     if len(set(names)) != len(names):
@@ -504,8 +487,8 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
     if baseline_idx is None or len(schemes) < 2:
         raise SchemeConfigError("compare needs >= 2 schemes including the baseline")
 
-    reports = run_schemes(trace, schemes, geometry, timing, params,
-                          warmup_instructions, interval_instructions, replay)
+    reports = [run(trace, spec, geometry, timing, params, warmup_instructions,
+                   interval_instructions) for spec in schemes]
     base = reports[baseline_idx]
     rows = [comparison_row(base, rep) for i, rep in enumerate(reports)
             if i != baseline_idx]

@@ -152,6 +152,9 @@ def _read_header(source) -> TraceHeader:
     magic, version, count, page, desc_len = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise TraceError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise TraceError(f"trace format version {version}, expected "
+                         f"{FORMAT_VERSION}")
     desc = source.read(desc_len)
     if len(desc) < desc_len:
         raise TraceError("truncated trace description")
@@ -168,7 +171,12 @@ def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
         got = len(body) // _RECORD_DTYPE.itemsize
         raise TraceError(f"truncated record at index {got}")
     raw = np.frombuffer(body, dtype=_RECORD_DTYPE, count=header.record_count)
-    return header, TraceArrays(gaps=raw["gap"].copy(), ops=raw["op"].copy(),
+    ops = raw["op"].copy()
+    bad = np.flatnonzero(ops > Op.WRITE)
+    if len(bad):
+        raise TraceError(f"record {bad[0]}: op {ops[bad[0]]} is neither "
+                         f"READ ({Op.READ:d}) nor WRITE ({Op.WRITE:d})")
+    return header, TraceArrays(gaps=raw["gap"].copy(), ops=ops,
                                addrs=raw["addr"].copy())
 
 

@@ -587,8 +587,8 @@ def reuse_window(uniform, reuse, widx):
 
 
 def reference_run(trace, scheme, geometry, timing, params,
-                  warmup_instructions=None, interval_instructions=None,
-                  collect_refresh_events=False) -> RunReport:
+                  warmup_instructions=None, interval_instructions=None
+                  ) -> RunReport:
     """`sim.run` one record at a time: access_block, then the profiling
     units, with due refresh events fired before each access. An event
     refreshes, per bank, every line (baseline), the valid lines (DCR) or the
@@ -623,7 +623,6 @@ def reference_run(trace, scheme, geometry, timing, params,
 
     num_banks = geometry.num_banks
     bank_busy = [0] * num_banks
-    event_cycles = [] if collect_refresh_events else None
     miss_cost = timing.l2_hit_cycles + timing.dram_latency_cycles
 
     now = 0
@@ -647,8 +646,6 @@ def reference_run(trace, scheme, geometry, timing, params,
                 bank_busy[b] = max(bank_busy[b], at) + lines
         if warmed:
             stats.refreshed_lines += sum(per_bank)
-        if event_cycles is not None:
-            event_cycles.append(at)
 
     def close_interval(run_controller):
         nonlocal stats, interval_start_cycle, interval_instr
@@ -731,4 +728,4 @@ def reference_run(trace, scheme, geometry, timing, params,
         close_interval(run_controller=False)
 
     return RunReport.from_intervals(scheme, warmup_instructions, intervals,
-                                    decisions, event_cycles)
+                                    decisions)

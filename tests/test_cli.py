@@ -6,7 +6,7 @@ import pytest
 
 from edrsim.cli import main
 from edrsim.config import ConfigError, load_config, load_sweep
-from edrsim.sim import fixed_replay
+from edrsim.cache import Replay
 from edrsim.trace import read_trace_arrays
 
 BASE_CONFIG = """
@@ -237,11 +237,16 @@ def test_domain_validation_failures_are_config_errors(tmp_path):
      "accesses_per_kilo_instr must be a finite number"),
     # configparser's own errors used to escape as a traceback
     ("delta = 4", "delta = 4\ndelta = 8", "option 'delta'.*already exists"),
+    # a [synthetic] section is checked even where [trace] reads a file
+    ("synthetic = true\n\n[synthetic]\nseed = 5",
+     "path = never.trace\n\n[synthetic]\nseed = 5\nbogus_key = 1",
+     r"\[synthetic\] unknown key\(s\): bogus_key"),
 ], ids=["energy clock", "phase past the stride", "empty interval",
         "nan cpi", "inf cpi", "nan clock", "nan leakage", "inf dram energy",
         "negative warm-up fraction", "nan warm-up fraction",
         "warm-up fraction above 1", "negative warm-up",
-        "inf access rate", "nan access rate", "duplicate key"])
+        "inf access rate", "nan access rate", "duplicate key",
+        "unused synthetic section"])
 def test_config_error_writes_no_output(tmp_path, old, new, error):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE_CONFIG.replace(old, new))
@@ -328,23 +333,51 @@ _RUN_INTERVALS_SHA256 = {
 }
 
 
-def test_run_shares_one_fixed_replay(config_file, tmp_path, monkeypatch):
-    calls = []
+@pytest.fixture
+def replays_built(monkeypatch):
+    """Every Replay the simulator builds, as (fixed replays, DCR's own): a
+    fixed replay has a last-touch column, DCR's replay has none."""
+    built = []
 
-    def counted(*args):
-        calls.append(args)
-        return fixed_replay(*args)
-    monkeypatch.setattr("edrsim.cli.fixed_replay", counted)
-    monkeypatch.setattr("edrsim.sim.fixed_replay", counted)
+    class Counted(Replay):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+    monkeypatch.setattr("edrsim.sim.Replay", Counted)
+
+    def counts():
+        fixed = sum(r.last_touch is not None for r in built)
+        return fixed, len(built) - fixed
+    return counts
+
+
+def test_run_shares_one_fixed_replay(config_file, tmp_path, replays_built):
     out = tmp_path / "run"
     assert main(["run", "--config", config_file, "--out", str(out)]) == 0
-    assert len(calls) == 1  # baseline, RPV and SRAM share it; DCR needs none
+    # baseline, RPV and SRAM share one fixed replay; DCR builds its own
+    assert replays_built() == (1, 1)
     for name, digest in _RUN_INTERVALS_SHA256.items():
         data = (out / f"report-{name}.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == \
             _GOLDEN_SHA256[f"cmp/report-{name}.json"]
         data = (out / f"report-{name}.intervals.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, builds", [
+    (["compare"], (1, 1)),
+    (["sweep", "--parameter", "refresh_period_us", "--values", "1,2,3,4"],
+     (1, 4)),
+    (["sweep", "--parameter", "l2_size_kb", "--values", "64,128,256"],
+     (3, 3)),
+], ids=["compare", "sweep refresh_period_us", "sweep l2_size_kb"])
+def test_one_fixed_replay_per_trace_and_geometry(config_file, tmp_path,
+                                                  replays_built, command,
+                                                  builds):
+    # only a cache size changes the fixed replay; DCR builds one per run
+    assert main([command[0], "--config", config_file,
+                 "--out", str(tmp_path / "out"), *command[1:]]) == 0
+    assert replays_built() == builds
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])
@@ -426,6 +459,21 @@ def test_seed_flag_overrides_config(config_file, tmp_path):
     with open(b, "rb") as fh:
         bb = fh.read()
     assert ba != bb
+
+
+def test_seed_with_a_trace_file_is_config_error(config_file, tmp_path):
+    # --seed only seeds the synthetic generator; a trace file has no seed
+    trace_path = str(tmp_path / "t.trace")
+    assert main(["gen-trace", "--config", config_file, "--out", trace_path]) == 0
+    path = tmp_path / "file.cfg"
+    path.write_text(BASE_CONFIG.replace("[trace]\nsynthetic = true",
+                                        f"[trace]\npath = {trace_path}"))
+    for command in (["run"], ["compare"],
+                    ["sweep", "--parameter", "beta", "--values", "1,3"]):
+        out = tmp_path / command[0]
+        assert main([command[0], "--config", str(path), "--out", str(out),
+                     "--seed", "7", *command[1:]]) == 2
+        assert not out.exists()
 
 
 def test_refresh_burst_longer_than_retention_is_config_error(tmp_path):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from oracles import replay, validate_state
-from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay
+from edrsim.cache import (HIT, WRITE, CacheGeometry, CacheState, Replay,
+                          reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                apply as apply_decision, candidate_space,
                                default_config, delta_pct, select)
@@ -134,7 +135,8 @@ def test_beta_filter_rejects_slow_candidates(small_geometry):
 
 def test_fail_safe_when_everything_breaches_beta(small_geometry):
     state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=48)
-    state2 = CacheState(small_geometry, active_colors=[0], min_colors=1)
+    state2 = CacheState(small_geometry)
+    reconfigure(state2, [0])  # one active color, every region in it
     # fake a situation where even the largest reachable candidate is slow:
     # current = 1 color, delta = 2, and stalls dominate
     units_small = make_units(small_geometry, sample_ratio_denom=2)

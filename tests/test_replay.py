@@ -5,6 +5,7 @@ oracles.replay_reference."""
 
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -115,12 +116,11 @@ def test_run_matches_reference_run(case, monkeypatch):
         monkeypatch.setattr(oracles.RpvPhases, "lines", lines)
     timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
     kwargs = dict(warmup_instructions=warmup_instructions,
-                  interval_instructions=interval, collect_refresh_events=True)
+                  interval_instructions=interval)
 
     got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
     want = reference_run(trace, scheme, geometry, timing, EDRAM, **kwargs)
     assert got.to_dict() == want.to_dict()
-    assert got.refresh_event_cycles == want.refresh_event_cycles
     if kind is SchemeKind.DCR:
         assert len(got.decisions) > 5  # the controller acted many times
     if variant == "long burst":
@@ -174,12 +174,10 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
     else:
         spec = SchemeSpec(kind=kind, refresh=refresh)
     timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
-    kwargs = dict(warmup_instructions=warmup, interval_instructions=interval,
-                  collect_refresh_events=True)
+    kwargs = dict(warmup_instructions=warmup, interval_instructions=interval)
     got = run(trace, spec, geometry, timing, EDRAM, **kwargs)
     want = reference_run(trace, spec, geometry, timing, EDRAM, **kwargs)
     assert got.to_dict() == want.to_dict()
-    assert got.refresh_event_cycles == want.refresh_event_cycles
 
 
 def test_rpv_with_more_phases_than_a_byte_holds():
@@ -190,11 +188,10 @@ def test_rpv_with_more_phases_than_a_byte_holds():
     scheme = SchemeSpec(kind=SchemeKind.RPV,
                         refresh=RefreshConfig(3000, 300))
     timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
-    kwargs = dict(interval_instructions=50_000, collect_refresh_events=True)
+    kwargs = dict(interval_instructions=50_000)
     got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
     want = reference_run(trace, scheme, geometry, timing, EDRAM, **kwargs)
     assert got.to_dict() == want.to_dict()
-    assert got.refresh_event_cycles == want.refresh_event_cycles
     assert got.total_refreshed_lines > 0
 
 
@@ -385,25 +382,19 @@ def test_last_touch_property_on_tiny_caches(ways, colors, banks, accesses):
     assert got.tolist() == last_touch_mirror(trace, geometry)
 
 
-def test_run_rejects_a_replay_of_another_trace_or_geometry():
+def test_fixed_replay_is_kept_for_one_trace_and_geometry():
     geometry = _geometry(2)
     trace = _trace(seed=1)
-    scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry)
-    timing = TimingParams(clock_ghz=2.0)
-    with pytest.raises(ValueError, match="does not match"):
-        run(trace, scheme, geometry, timing, EDRAM,
-            replay=fixed_replay(trace, _geometry(4)))
-    with pytest.raises(ValueError, match="does not match"):
-        run(trace, scheme, geometry, timing, EDRAM,
-            replay=Replay(geometry, len(trace) - 1))
-    dcr = _scheme(SchemeKind.DCR, 1, geometry)
-    with pytest.raises(ValueError, match="replays the trace itself"):
-        run(trace, dcr, geometry, timing, EDRAM,
-            replay=fixed_replay(trace, geometry))
-    rpv = _scheme(SchemeKind.RPV, 2, geometry)
-    with pytest.raises(ValueError, match="last_touch column"):
-        run(trace, rpv, geometry, timing, EDRAM,
-            replay=Replay(geometry, len(trace)))
+    first = fixed_replay(trace, geometry)
+    assert fixed_replay(trace, geometry) is first
+    # another geometry, or an equal trace in another object, replaces it
+    assert fixed_replay(trace, _geometry(4)) is not first
+    copy = TraceArrays(trace.gaps, trace.ops, trace.addrs)
+    assert fixed_replay(copy, geometry).codes == first.codes
+    assert fixed_replay(trace, geometry) is not first
+    kept = weakref.ref(fixed_replay(trace, geometry))
+    del trace
+    assert kept() is None  # freed with its trace
 
 
 def test_run_rejects_an_empty_interval():
@@ -417,7 +408,8 @@ def test_run_rejects_an_empty_interval():
 @pytest.mark.parametrize("where", ["next", "last", "past the end"])
 def test_rpv_rejects_a_last_touch_entry_that_points_forward(where):
     # a corrupt column would make the timing pass read a record index as a
-    # phase, or read past the column; it stops at the record instead
+    # phase, or read past the column; it stops at the record instead. `run`
+    # times the replay that fixed_replay keeps for this trace and geometry.
     geometry = _geometry(2)
     trace = _trace(seed=4)
     replay = fixed_replay(trace, geometry)
@@ -426,8 +418,7 @@ def test_rpv_rejects_a_last_touch_entry_that_points_forward(where):
                             "past the end": 2**31 - 1}[where]
     rpv = _scheme(SchemeKind.RPV, 4, geometry)
     with pytest.raises(ValueError, match=f"record {r}: its last-touch"):
-        run(trace, rpv, geometry, TimingParams(clock_ghz=2.0), EDRAM,
-            replay=replay)
+        run(trace, rpv, geometry, TimingParams(clock_ghz=2.0), EDRAM)
 
 
 def test_refresh_burst_must_fit_in_the_retention_period():

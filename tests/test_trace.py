@@ -87,6 +87,26 @@ def test_truncated_record_reports_index():
         read_trace_arrays(io.BytesIO(data))
 
 
+def test_other_format_version_rejected():
+    buf = io.BytesIO()
+    write_trace_arrays(trace_of([(1, Op.READ, 0)]),
+                       TraceHeader(version=99, record_count=1), buf)
+    with pytest.raises(TraceError, match="version 99, expected 1"):
+        read_trace_arrays(io.BytesIO(buf.getvalue()))
+
+
+def test_op_other_than_read_or_write_rejected():
+    # the replay would take any op but WRITE as a read
+    buf = io.BytesIO()
+    write_trace_arrays(trace_of((1, Op.READ, i * 64) for i in range(4)),
+                       TraceHeader(record_count=4), buf)
+    data = bytearray(buf.getvalue())
+    data[-16 * 2 + 4] = 7  # the op byte of record 2
+    data[-16 + 4] = 9
+    with pytest.raises(TraceError, match="record 2: op 7 is neither"):
+        read_trace_arrays(io.BytesIO(bytes(data)))
+
+
 def test_header_record_count_enforced():
     with pytest.raises(TraceError):
         write_trace_arrays(trace_of([(0, Op.READ, 0)]),
