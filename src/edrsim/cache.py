@@ -8,11 +8,12 @@ reachable through the current mapping: whenever a region is remapped, its
 resident lines are flushed (dirty ones counted as writebacks), which keeps
 lookups consistent and the per-bank valid counters exact.
 
-The sets live in flat numpy arrays: set s owns the tag slots
-[s * ways, (s + 1) * ways), of which its first `fill[s]` hold the resident
-tags, least recent first: the same LRU stack the profiling units keep
-(Mattson et al., 1970). A tag is a full block number, so a block sits in at
-most one set; each slot has a dirty byte and a last-touch record index.
+The sets live in flat arrays (`array.array`, and a `bytearray` for the
+dirty bytes): set s owns the tag slots [s * ways, (s + 1) * ways), of
+which its first `fill[s]` hold the resident tags, least recent first: the
+same LRU stack the profiling units keep (Mattson et al., 1970). A tag is a
+full block number, so a block sits in at most one set; each slot has a
+dirty byte and a last-touch record index.
 
 The functional pass of a simulation applies trace records to those arrays
 and writes each record's outcome into a code byte (a `Replay`), which the
@@ -27,9 +28,8 @@ replays, times and stops at the end of each interval for the controller.
 
 import ctypes
 import os
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class GeometryError(ValueError):
@@ -137,19 +137,21 @@ class CacheState:
         # set s: tag slots [s * ways, (s + 1) * ways), the first fill[s]
         # resident, least recent first, with a dirty byte and a last-touch
         # index per slot (the latter kept only for a last-touch column)
-        self.tags = np.zeros(geometry.total_lines, dtype=np.uint64)
-        self.dirty = np.zeros(geometry.total_lines, dtype=np.uint8)
-        self.touch = np.zeros(geometry.total_lines, dtype=np.int32)
-        self.fill = np.zeros(geometry.total_sets, dtype=np.int32)
+        lines, sets = geometry.total_lines, geometry.total_sets
+        self.tags = zeros("Q", lines)
+        self.dirty = bytearray(lines)
+        self.touch = zeros("i", lines)
+        self.fill = zeros("i", sets)
         self.n_valid = 0
-        self.valid_by_bank = np.zeros(geometry.num_banks, dtype=np.int64)
+        self.valid_by_bank = zeros("q", geometry.num_banks)
         # the same, as the compiled routines take it
         self.arrays = _Cache(
-            self.tags.ctypes.data, self.dirty.ctypes.data,
-            self.touch.ctypes.data, self.fill.ctypes.data,
-            self.valid_by_bank.ctypes.data, geometry.associativity,
-            geometry.sets_per_color, geometry.sets_per_bank,
-            geometry.sets_per_color.bit_length() - 1, m_total - 1)
+            address(self.tags, 8, lines), address(self.dirty, 1, lines),
+            address(self.touch, 4, lines), address(self.fill, 4, sets),
+            address(self.valid_by_bank, 8, geometry.num_banks),
+            geometry.associativity, geometry.sets_per_color,
+            geometry.sets_per_bank, geometry.sets_per_color.bit_length() - 1,
+            m_total - 1)
 
     @property
     def active_count(self) -> int:
@@ -167,7 +169,7 @@ class Replay:
     """Outcome columns of a functional replay, one entry per trace record.
 
     `codes` holds the HIT/EVICTED/DIRTY_VICTIM/WRITE bits, one byte per
-    record. `last_touch`, if given an int32 array (`sim.fixed_replay` does),
+    record. `last_touch`, if given an int32 column (`sim.fixed_replay` does),
     gets the index of the record that last touched the line each record hits
     or evicts, -1 for a fill of a free way: RPV's input.
     """
@@ -190,27 +192,48 @@ def kernel(name: str):
     if _lib is None:
         from . import native  # the compiler is needed only from here on
         lib = native.load(os.path.join(os.path.dirname(__file__), "lru.c"))
-        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-        lib.edr_run.restype = i64
-        lib.edr_run.argtypes = [ptr, i64, i64]
-        lib.edr_flush.restype = i64
-        lib.edr_flush.argtypes = [ptr, i64, ptr, ptr]
+        ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+        for routine, restype, argtypes in (
+                (lib.edr_run, i64, [ptr, i64, i64]),
+                (lib.edr_flush, i64, [ptr, i64, ptr, ptr]),
+                (lib.edr_generate, u64, [ptr, i64, u64, u64, u64, u64,
+                                         ctypes.c_double, ctypes.c_double,
+                                         ptr, ptr, ptr]),
+                (lib.edr_unpack, i64, [ptr, i64, ptr, ptr, ptr, ptr]),
+                (lib.edr_pack, i64, [ptr, i64, ptr, ptr, ptr])):
+            routine.restype, routine.argtypes = restype, argtypes
         _lib = lib
     return getattr(_lib, name)
 
 
-def layout(geometry: CacheGeometry, mapping=None) -> np.ndarray:
+def zeros(typecode: str, n: int) -> array:
+    """An `array.array` of n zeros."""
+    return array(typecode, bytes(array(typecode).itemsize * n))
+
+
+def address(buffer, itemsize: int, n: int) -> int:
+    """The address of a writable C-contiguous buffer of n items of
+    `itemsize` bytes: an `array.array`, a `bytearray` or a numpy array; 0
+    for an empty one. A kernel reads and writes it there, so the caller
+    keeps the buffer alive and never resizes it."""
+    view = memoryview(buffer)
+    if view.nbytes != itemsize * n:
+        raise ValueError(f"a buffer of {view.nbytes} bytes does not hold "
+                         f"{n} items of {itemsize} bytes")
+    return ctypes.addressof(ctypes.c_char.from_buffer(view)) if n else 0
+
+
+def layout(geometry: CacheGeometry, mapping=None) -> array:
     """How the kernels find a byte address's set under `mapping` (region ->
     color; the identity if None): the block shift, the page shift, the
     region mask, the mask of a block's set inside its color, the sets per
     bank, then the first set of each region's color."""
     g = geometry
-    out = np.empty(5 + g.color_count, dtype=np.int64)
-    out[:5] = (g.block_bytes.bit_length() - 1, g.page_bytes.bit_length() - 1,
-               g.color_count - 1, g.sets_per_color - 1, g.sets_per_bank)
-    out[5:] = range(g.color_count) if mapping is None else mapping
-    out[5:] *= g.sets_per_color
-    return out
+    regions = range(g.color_count) if mapping is None else mapping
+    return array("q", [g.block_bytes.bit_length() - 1,
+                       g.page_bytes.bit_length() - 1, g.color_count - 1,
+                       g.sets_per_color - 1, g.sets_per_bank,
+                       *(color * g.sets_per_color for color in regions)])
 
 
 class _Run(ctypes.Structure):
@@ -240,36 +263,38 @@ class Passes:
     """
 
     def __init__(self, geometry: CacheGeometry, addrs, out: Replay):
+        n = len(out)
+        if len(addrs) != n:
+            raise ValueError(f"a trace of {len(addrs)} records does not "
+                             f"fit a replay of {n}")
         self.geometry = geometry
         self.out = out
-        self.addrs = np.ascontiguousarray(addrs, dtype=np.uint64)
-        self.codes = np.frombuffer(out.codes, dtype=np.uint8)
-        if len(self.addrs) != len(out):
-            raise ValueError(f"a trace of {len(self.addrs)} records does not "
-                             f"fit a replay of {len(out)}")
         self.layout = layout(geometry)
         self.state = None
         self.units = []
-        self._bound = []  # the arrays the pointers below point into
-        self.args = _Run(layout=self.layout.ctypes.data,
-                         addrs=self.addrs.ctypes.data,
-                         codes=self.codes.ctypes.data)
+        # the buffers the pointers below point into
+        self._bound = [addrs, out.codes, self.layout]
+        self.args = _Run(layout=address(self.layout, 8, len(self.layout)),
+                         addrs=address(addrs, 8, n),
+                         codes=address(out.codes, 1, n))
         self._byref = ctypes.byref(self.args)
         self._run = kernel("edr_run")
 
-    def _bind(self, **arrays) -> None:
-        for name, array in arrays.items():
-            self._bound.append(array)
-            setattr(self.args, name,
-                    None if array is None else array.ctypes.data)
+    def _bind(self, name: str, buffer, itemsize: int, n: int) -> None:
+        """Point the kernel's argument `name` at a buffer of n items of
+        `itemsize` bytes, or at nothing for None."""
+        self._bound.append(buffer)
+        setattr(self.args, name,
+                None if buffer is None else address(buffer, itemsize, n))
 
     def bind_cache(self, state: CacheState, writes, units=(),
                    ratio: int = 64) -> None:
-        """Replay into `state`, with the write flags `writes`; with `units`,
-        every block whose number is a multiple of `ratio` is also looked up
-        in each profiling unit, which counts its accesses, misses and load
-        misses. The layout follows the state's mapping as it is now;
-        `relayout` follows a later change."""
+        """Replay into `state`, with the write flags `writes`, one byte per
+        record (a trace's ops are); with `units`, every block whose number is
+        a multiple of `ratio` is also looked up in each profiling unit,
+        which counts its accesses, misses and load misses. The layout
+        follows the state's mapping as it is now; `relayout` follows a
+        later change."""
         g = self.geometry
         if state.geometry != g:
             raise ValueError("the cache and the replay differ in geometry")
@@ -281,24 +306,25 @@ class Passes:
                                        for u in units)):
             raise ValueError("profiling units need a sampling ratio >= 1 and "
                              "the cache's associativity")
-        writes = np.ascontiguousarray(writes, dtype=np.bool_)
+        n = len(self.out)
         column = self.out.last_touch
         # the kernel trusts them
-        if len(writes) != len(self.out) or (column is not None
-                                            and len(column) != len(writes)):
+        if len(writes) != n or (column is not None and len(column) != n):
             raise ValueError("the trace's write flags or the replay's "
                              "last-touch column do not fit its records")
         self.state = state
         self.units = list(units)
         ptrs = ctypes.c_void_p * len(units)
-        unit_tags = ptrs(*[u.tags.ctypes.data for u in units])
-        unit_fill = ptrs(*[u.fill.ctypes.data for u in units])
-        self.unit_counts = np.zeros((len(units), 3), dtype=np.int64)
-        self._bound += [state, unit_tags, unit_fill]
-        self._bind(writes=writes, last_touch=column,
-                   unit_counts=self.unit_counts,
-                   unit_shape=np.array([(u.num_sets, u.sample_ratio_denom)
-                                        for u in units], dtype=np.int64))
+        unit_tags = ptrs(*[address(u.tags, 8, len(u.tags)) for u in units])
+        unit_fill = ptrs(*[address(u.fill, 4, len(u.fill)) for u in units])
+        self.unit_counts = zeros("q", 3 * len(units))
+        self._bound += [state, units, unit_tags, unit_fill]
+        self._bind("writes", writes, 1, n)
+        self._bind("last_touch", column, 4, n)
+        self._bind("unit_counts", self.unit_counts, 8, 3 * len(units))
+        self._bind("unit_shape", array("q", [
+            x for u in units for x in (u.num_sets, u.sample_ratio_denom)]),
+            8, 2 * len(units))
         a = self.args
         a.cache = ctypes.addressof(state.arrays)
         a.n_units, a.ratio = len(units), ratio
@@ -315,31 +341,36 @@ class Passes:
                     phases: int) -> None:
         """Time the records: the kernel's arguments of the same names (see
         lru.c's edr_run)."""
-        self._bind(gaps=np.ascontiguousarray(gaps, dtype=np.uint32),
-                   clock=clock, bank_busy=bank_busy, counts=counts,
-                   phase_touch=phase_touch)
+        n, banks = len(self.out), len(bank_busy)
+        self._bind("gaps", gaps, 4, n)
+        self._bind("clock", clock, 8, len(clock))
+        self._bind("bank_busy", bank_busy, 8, banks)
+        self._bind("counts", counts, 8, banks * phases)
+        self._bind("phase_touch", phase_touch, 4, n)
         a = self.args
         a.cpi, a.hit_cycles, a.miss_cycles = cpi, hit_cycles, miss_cycles
-        a.n_banks, a.phases = len(bank_busy), phases
+        a.n_banks, a.phases = banks, phases
 
     def __call__(self, lo: int, hi: int) -> int:
-        if not 0 <= lo <= hi <= len(self.codes):
+        n = len(self.out)
+        if not 0 <= lo <= hi <= n:
             raise ValueError(f"records [{lo}, {hi}) are not all in the "
-                             f"trace's {len(self.codes)}")
+                             f"trace's {n}")
         got = self._run(self._byref, lo, hi)
         if got < 0:
             raise ValueError(
                 f"record {-1 - got}: its last-touch entry names no earlier "
                 "record, or a phase out of range")
         if self.state is not None:
-            self.state.n_valid = int(self.state.valid_by_bank.sum())
+            self.state.n_valid = sum(self.state.valid_by_bank)
         if self.units:
-            for unit, (misses, load_misses, accesses) in zip(
-                    self.units, self.unit_counts.tolist()):
+            counts = self.unit_counts.tolist()
+            for i, unit in enumerate(self.units):
+                misses, load_misses, accesses = counts[3 * i:3 * i + 3]
                 unit.misses += misses
                 unit.load_misses += load_misses
                 unit.accesses += accesses
-            self.unit_counts[:] = 0
+            self.unit_counts[:] = zeros("q", len(counts))
         return got
 
 

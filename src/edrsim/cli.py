@@ -43,7 +43,12 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
 
 
 def _with_seed(spec, seed: int | None):
-    return spec if seed is None else replace(spec, rng_seed=seed)
+    if seed is None:
+        return spec
+    try:
+        return replace(spec, rng_seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed {seed}: {exc}") from None
 
 
 def _load_trace_for(cfg: RunConfig, seed: int | None) -> TraceArrays:

@@ -22,7 +22,10 @@
  * color the region maps to, and the block's offset in its page picks the
  * set inside that color.
  *
- * edr_flush invalidates a color's lines when DCR reconfigures the cache. */
+ * edr_flush invalidates a color's lines when DCR reconfigures the cache.
+ * edr_generate writes one phase of a synthetic trace, and edr_pack and
+ * edr_unpack convert a trace's columns to and from the file's records
+ * (see trace.py). */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -328,4 +331,189 @@ int64_t edr_flush(const struct cache *c, int64_t color,
     }
     *writebacks = dirty_lost;
     return flushed;
+}
+
+/* PCG64 as numpy's default_rng runs it (O'Neill, 2014): a 128-bit LCG
+ * whose output is the XSL-RR permutation of the new state. A 32-bit draw
+ * takes the low half of a 64-bit one and keeps the high half for the next
+ * 32-bit draw; a double takes a 64-bit draw of its own. */
+typedef unsigned __int128 u128;
+
+struct pcg {
+    u128 state, inc;
+    int has_spare;
+    uint32_t spare;
+};
+
+static uint64_t next64(struct pcg *g)
+{
+    const u128 mult = ((u128)0x2360ed051fc65da4ULL << 64)
+                      | 0x4385df649fccf645ULL;
+    uint64_t x;
+    unsigned rot;
+
+    g->state = g->state * mult + g->inc;
+    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << (-rot & 63));
+}
+
+static uint32_t next32(struct pcg *g)
+{
+    uint64_t x;
+
+    if (g->has_spare) {
+        g->has_spare = 0;
+        return g->spare;
+    }
+    x = next64(g);
+    g->has_spare = 1;
+    g->spare = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
+
+/* A draw in [0, top], by Lemire's multiply-and-reject on 32-bit draws, as
+ * numpy's integers() makes it for a range below 2**32 - 1. */
+static uint32_t below(struct pcg *g, uint32_t top)
+{
+    uint32_t span = top + 1;
+    uint64_t m = (uint64_t)next32(g) * span;
+
+    if ((uint32_t)m < span) {
+        uint32_t threshold = (UINT32_MAX - top) % span;
+
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next32(g) * span;
+    }
+    return (uint32_t)(m >> 32);
+}
+
+static double uniform(struct pcg *g)
+{
+    return (double)(next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+enum { REUSE_WINDOW = 32, REUSED = 32 };
+
+/* One phase of trace.generate_synthetic: n records that spread
+ * `instructions` evenly, record j ending at (j + 1) * instructions / n,
+ * and touch blocks of a working set of ws_blocks blocks (at most 2**26)
+ * that starts at base_block. Draws, in this order and as numpy's
+ * Generator makes them: n blocks, integers(0, ws_blocks), of which a
+ * working set of one block draws none; n reuse draws, random() <
+ * reuse; n ring slots, integers(0, 32); n write draws, random() < write.
+ *
+ * A reused record re-touches the block at slot `slot % filled` of a ring
+ * of the phase's last 32 blocks: record slot % j while the ring is
+ * filling (j <= 32), else the most recent record before j that is
+ * congruent to slot modulo the ring size. That record is earlier, so one
+ * pass in record order resolves every reuse. The first record has nothing
+ * to re-touch.
+ *
+ * `rng` holds the generator between phases: the state and the increment,
+ * high word first, whether a spare 32-bit half is held, and that half.
+ * Returns the sum of the gaps. */
+uint64_t edr_generate(uint64_t *rng, int64_t n, uint64_t instructions,
+                      uint64_t ws_blocks, uint64_t base_block,
+                      uint64_t block_bytes, double reuse, double write,
+                      uint32_t *gaps, uint8_t *ops, uint64_t *addrs)
+{
+    struct pcg g = {((u128)rng[0] << 64) | rng[1],
+                    ((u128)rng[2] << 64) | rng[3], rng[4] != 0,
+                    (uint32_t)rng[5]};
+    uint64_t edge = 0, sum = 0;
+    int64_t j;
+
+    for (j = 0; j < n; j++) {
+        uint64_t next = (uint64_t)(j + 1) * instructions / (uint64_t)n;
+
+        gaps[j] = (uint32_t)(next - edge);
+        sum += gaps[j];
+        edge = next;
+    }
+    for (j = 0; j < n; j++)
+        addrs[j] = ws_blocks > 1 ? below(&g, (uint32_t)(ws_blocks - 1)) : 0;
+    /* the ops hold each record's reuse bit and ring slot until the writes
+     * are drawn */
+    for (j = 0; j < n; j++)
+        ops[j] = uniform(&g) < reuse ? REUSED : 0;
+    for (j = 0; j < n; j++)
+        ops[j] |= (uint8_t)below(&g, REUSE_WINDOW - 1);
+    for (j = 0; j < n; j++) {
+        uint64_t slot = ops[j] & (REUSE_WINDOW - 1);
+
+        if (j && ops[j] & REUSED)
+            addrs[j] = addrs[j <= REUSE_WINDOW ? slot % (uint64_t)j
+                             : (uint64_t)j - 1 - ((uint64_t)j - 1 - slot)
+                                                 % REUSE_WINDOW];
+        else
+            addrs[j] = (addrs[j] + base_block) * block_bytes;
+    }
+    for (j = 0; j < n; j++)
+        ops[j] = uniform(&g) < write;
+    rng[0] = (uint64_t)(g.state >> 64);
+    rng[1] = (uint64_t)g.state;
+    rng[4] = (uint64_t)g.has_spare;
+    rng[5] = g.spare;
+    return sum;
+}
+
+/* A trace file's record: the instruction gap (u32), the op (u8), 3 pad
+ * bytes and the byte address (u64), little endian. */
+enum { RECORD_BYTES = 16 };
+
+static uint64_t get_le(const uint8_t *p, int bytes)
+{
+    uint64_t v = 0;
+
+    for (int i = bytes - 1; i >= 0; i--)
+        v = v << 8 | p[i];
+    return v;
+}
+
+static void put_le(uint8_t *p, uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; i++, v >>= 8)
+        p[i] = (uint8_t)v;
+}
+
+/* The n records of a trace file into its columns, storing the sum of the
+ * gaps. Returns n, or the index of the first record whose op is neither
+ * READ (0) nor WRITE (1); its fields are unpacked. */
+int64_t edr_unpack(const uint8_t *records, int64_t n, uint32_t *gaps,
+                   uint8_t *ops, uint64_t *addrs, uint64_t *gap_sum)
+{
+    uint64_t sum = 0;
+    int64_t j;
+
+    for (j = 0; j < n; j++) {
+        const uint8_t *p = records + j * RECORD_BYTES;
+
+        gaps[j] = (uint32_t)get_le(p, 4);
+        ops[j] = p[4];
+        addrs[j] = get_le(p + 8, 8);
+        sum += gaps[j];
+        if (ops[j] > 1)
+            break;
+    }
+    *gap_sum = sum;
+    return j;
+}
+
+/* A trace's columns into n records of a zeroed buffer. Returns n, or the
+ * index of the first record whose op is neither READ nor WRITE, which
+ * stops the packing. */
+int64_t edr_pack(uint8_t *records, int64_t n, const uint32_t *gaps,
+                 const uint8_t *ops, const uint64_t *addrs)
+{
+    int64_t j;
+
+    for (j = 0; j < n && ops[j] <= 1; j++) {
+        uint8_t *p = records + j * RECORD_BYTES;
+
+        put_le(p, gaps[j], 4);
+        p[4] = ops[j];
+        put_le(p + 8, addrs[j], 8);
+    }
+    return j;
 }

@@ -12,9 +12,7 @@ interpolated log-linearly between the profiled points.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cache import CacheGeometry, lines_at
+from .cache import CacheGeometry, lines_at, zeros
 from .refresh import RefreshConfig
 
 PROFILED_FRACTIONS = (1, 2, 4, 8, 16)  # size = X / fraction
@@ -58,8 +56,8 @@ class ProfilingUnit:
         # the sampled sets are the residue-0 ones: set s is row
         # s // sample_ratio_denom, its tags least recent first
         rows = self.num_sets // sample_ratio_denom
-        self.tags = np.zeros(rows * self.associativity, dtype=np.uint64)
-        self.fill = np.zeros(rows, dtype=np.int32)
+        self.tags = zeros("Q", rows * self.associativity)
+        self.fill = zeros("i", rows)
         self.misses = 0
         self.load_misses = 0
         self.accesses = 0

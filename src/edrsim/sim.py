@@ -31,17 +31,16 @@ next; `run` reads each interval's tallies and lets DCR's controller act.
 
 import math
 import weakref
+from array import array
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import cache as _cache
-from .cache import CacheGeometry, CacheState, Replay
+from .cache import CacheGeometry, CacheState, Replay, zeros
 from .controller import Candidate, ControllerConfig, apply as apply_decision, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
 from .profiler import IntervalStats, make_units, reset_interval
 from .refresh import RefreshConfig
-from .trace import Op, TraceArrays
+from .trace import TraceArrays
 
 
 class SchemeConfigError(ValueError):
@@ -221,6 +220,7 @@ def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
 # tallies: instructions, cycles, refreshed lines, hits, misses, dirty
 # victims and load misses
 _INSTRUCTIONS = 6
+_NO_TALLIES = zeros("q", 7)
 
 # the last fixed replay built: (a weak reference to its trace, its
 # geometry, the replay)
@@ -253,9 +253,9 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
         raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
                          f"records with int32, not {n}")
     out = Replay(geometry, n)
-    out.last_touch = np.empty(n, dtype=np.int32)
+    out.last_touch = zeros("i", n)
     passes = _cache.Passes(geometry, trace.addrs, out)
-    passes.bind_cache(CacheState(geometry), trace.ops == Op.WRITE)
+    passes.bind_cache(CacheState(geometry), trace.ops)
     passes(0, n)
     _kept = (weakref.ref(trace, _drop_kept), geometry, out)
     return out
@@ -344,31 +344,30 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         boundary_len = (refresh_cfg.phase_cycles if is_rpv
                         else refresh_cfg.retention_cycles)
         next_boundary = boundary_len
-    clock = np.array([0, next_boundary, boundary_len, 0, warmup_instructions,
-                      interval_instructions, 0, 0, 0, 0, 0, 0, 0],
-                     dtype=np.int64)
-    bank_busy = np.zeros(num_banks, dtype=np.int64)
+    clock = array("q", [0, next_boundary, boundary_len, 0,
+                        warmup_instructions, interval_instructions,
+                        0, 0, 0, 0, 0, 0, 0])
+    bank_busy = zeros("q", num_banks)
     # the lines a refresh event covers in each bank, at bank * phases +
     # phase: every line for the baseline, DCR's valid lines, RPV's valid
     # lines by last-touch phase
     k_phases = refresh_cfg.phases if is_rpv else 1
     if is_dcr:
         counts = state.valid_by_bank
+    elif kind is SchemeKind.BASELINE_EDRAM:
+        counts = array("q", [geometry.total_lines // num_banks]) * num_banks
     else:
-        counts = np.zeros(num_banks * k_phases, dtype=np.int64)
-    if kind is SchemeKind.BASELINE_EDRAM:
-        counts += geometry.total_lines // num_banks
+        counts = zeros("q", num_banks * k_phases)
 
     hit_cycles = timing.l2_hit_cycles
     miss_cost = hit_cycles + timing.dram_latency_cycles
     passes = _cache.Passes(geometry, trace.addrs, replay)
     if is_dcr:
-        passes.bind_cache(state, trace.ops == Op.WRITE, units,
-                          scheme.profiler_ratio)
+        passes.bind_cache(state, trace.ops, units, scheme.profiler_ratio)
     # RPV times a copy of the last-touch column, which the pass overwrites
     # with phases
     passes.bind_timing(trace.gaps, clock, bank_busy, counts,
-                       replay.last_touch.copy() if is_rpv else None,
+                       replay.last_touch[:] if is_rpv else None,
                        timing.base_cpi, hit_cycles, miss_cost, k_phases)
 
     carry_writebacks = carry_switched = 0
@@ -381,7 +380,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         lo = passes(lo, n)
         instructions, cycles, refreshed, hits, misses, writebacks, \
             load_misses = clock[_INSTRUCTIONS:].tolist()
-        clock[_INSTRUCTIONS:] = 0
+        clock[_INSTRUCTIONS:] = _NO_TALLIES
         closes = instructions >= interval_instructions
         stats = IntervalStats(
             instructions=instructions,

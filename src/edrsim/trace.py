@@ -3,14 +3,21 @@
 Traces carry raw LLC-level accesses (no L1 filtering is simulated; the
 generator's accesses_per_kilo_instr knob stands in for L1 intensity).
 Instruction positions are stored as deltas so phases concatenate trivially.
+
+The generator draws from numpy's default_rng stream, reimplemented here
+(`seed_words`) and in lru.c (`edr_generate`), so a seed gives the same trace
+whatever numpy version is installed, or none. lru.c also packs and unpacks
+the file's records.
 """
 
+import ctypes
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-import numpy as np
+from .cache import address, kernel, zeros
 
 MAGIC = b"EDRTRACE"
 FORMAT_VERSION = 1
@@ -18,7 +25,7 @@ FORMAT_VERSION = 1
 # magic, version: u32, record_count: u64, page_size_bytes: u32, desc_len: u32
 _HEADER = struct.Struct("<8sIQII")
 # instr_gap: u32, op: u8, 3 pad bytes, address: u64 -- 16 bytes, little endian
-_RECORD_DTYPE = np.dtype([("gap", "<u4"), ("op", "u1"), ("pad", "V3"), ("addr", "<u8")])
+_RECORD_BYTES = 16
 
 
 class TraceError(ValueError):
@@ -48,25 +55,44 @@ class TraceArrays:
     """Column-wise in-memory trace; the representation the simulator replays.
 
     Record i is one memory access: `gaps[i]` instructions elapsed since the
-    previous record, a read or write (`ops[i]`, an `Op` value) and a full
-    byte address (`addrs[i]`).
+    previous record, a read or write (`ops[i]`, an `Op` value, so also the
+    write flag) and a full byte address (`addrs[i]`). The columns are
+    buffers of u32, u8 and u64 items: `array("I")`, `bytearray` and
+    `array("Q")` here, numpy arrays in the tests. `instructions`, the sum of
+    the gaps, is counted from them unless given; the columns must not change
+    afterwards.
     """
 
-    gaps: np.ndarray  # u32
-    ops: np.ndarray  # u8 (Op values)
-    addrs: np.ndarray  # u64
+    gaps: array
+    ops: bytearray
+    addrs: array
+    instructions: int | None = None
 
     def __post_init__(self):
         n = len(self.gaps)
         if len(self.ops) != n or len(self.addrs) != n:
             raise TraceError("trace columns must have equal length")
+        if self.instructions is None:
+            self.instructions = sum(self.gaps.tolist())
 
     def __len__(self):
         return len(self.gaps)
 
-    @property
-    def instructions(self) -> int:
-        return int(self.gaps.sum())
+
+def _columns(n: int) -> TraceArrays:
+    """Zeroed columns for n records, 0 instructions."""
+    return TraceArrays(zeros("I", n), bytearray(n), zeros("Q", n), 0)
+
+
+def _column_addresses(arrays: TraceArrays) -> tuple:
+    n = len(arrays)
+    return (address(arrays.gaps, 4, n), address(arrays.ops, 1, n),
+            address(arrays.addrs, 8, n))
+
+
+def _bad_op(index: int, op: int) -> TraceError:
+    return TraceError(f"record {index}: op {op} is neither READ "
+                      f"({Op.READ:d}) nor WRITE ({Op.WRITE:d})")
 
 
 @dataclass
@@ -104,6 +130,8 @@ class SyntheticTraceSpec:
     def __post_init__(self):
         if not self.phases:
             raise TraceError("synthetic spec needs at least one phase")
+        if self.rng_seed < 0:
+            raise TraceError(f"seed must be >= 0, got {self.rng_seed}")
         rate = self.accesses_per_kilo_instr
         if not (math.isfinite(rate) and rate > 0):
             raise TraceError(f"accesses_per_kilo_instr must be a finite "
@@ -128,21 +156,30 @@ def _pack_header(header: TraceHeader) -> bytes:
 def write_trace_arrays(arrays: TraceArrays, header: TraceHeader, sink) -> int:
     """Write header + fixed-width records to a binary stream.
 
-    Returns the number of bytes written. header.record_count must match the
-    number of records.
+    Returns the number of bytes written. The header must have this format's
+    version and header.record_count the number of records, and every op must
+    be READ or WRITE: the writer refuses what `read_trace_arrays` rejects.
     """
-    if header.record_count != len(arrays):
+    _check_version(header.version)
+    n = len(arrays)
+    if header.record_count != n:
         raise TraceError(
-            f"header says {header.record_count} records, have {len(arrays)}")
+            f"header says {header.record_count} records, have {n}")
     hdr = _pack_header(header)
-    out = np.zeros(len(arrays), dtype=_RECORD_DTYPE)
-    out["gap"] = arrays.gaps
-    out["op"] = arrays.ops
-    out["addr"] = arrays.addrs
-    body = out.tobytes()
+    body = bytearray(n * _RECORD_BYTES)
+    got = kernel("edr_pack")(address(body, 1, len(body)), n,
+                             *_column_addresses(arrays))
+    if got < n:
+        raise _bad_op(got, arrays.ops[got])
     sink.write(hdr)
     sink.write(body)
     return len(hdr) + len(body)
+
+
+def _check_version(version: int) -> None:
+    if version != FORMAT_VERSION:
+        raise TraceError(f"trace format version {version}, expected "
+                         f"{FORMAT_VERSION}")
 
 
 def _read_header(source) -> TraceHeader:
@@ -152,9 +189,7 @@ def _read_header(source) -> TraceHeader:
     magic, version, count, page, desc_len = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise TraceError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise TraceError(f"trace format version {version}, expected "
-                         f"{FORMAT_VERSION}")
+    _check_version(version)
     desc = source.read(desc_len)
     if len(desc) < desc_len:
         raise TraceError("truncated trace description")
@@ -165,43 +200,79 @@ def _read_header(source) -> TraceHeader:
 def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
     """Read a binary trace into columns. Returns (header, arrays)."""
     header = _read_header(source)
-    size = header.record_count * _RECORD_DTYPE.itemsize
+    n = header.record_count
+    size = n * _RECORD_BYTES
     body = source.read(size)
     if len(body) < size:
-        got = len(body) // _RECORD_DTYPE.itemsize
-        raise TraceError(f"truncated record at index {got}")
-    raw = np.frombuffer(body, dtype=_RECORD_DTYPE, count=header.record_count)
-    ops = raw["op"].copy()
-    bad = np.flatnonzero(ops > Op.WRITE)
-    if len(bad):
-        raise TraceError(f"record {bad[0]}: op {ops[bad[0]]} is neither "
-                         f"READ ({Op.READ:d}) nor WRITE ({Op.WRITE:d})")
-    return header, TraceArrays(gaps=raw["gap"].copy(), ops=ops,
-                               addrs=raw["addr"].copy())
+        raise TraceError(
+            f"truncated record at index {len(body) // _RECORD_BYTES}")
+    arrays = _columns(n)
+    gap_sum = ctypes.c_uint64()
+    got = kernel("edr_unpack")(body, n, *_column_addresses(arrays),
+                               ctypes.byref(gap_sum))
+    if got < n:
+        raise _bad_op(got, arrays.ops[got])
+    arrays.instructions = gap_sum.value
+    return header, arrays
 
 
-_REUSE_WINDOW = 32
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 
-def _reuse_sources(reuse: np.ndarray, widx: np.ndarray) -> np.ndarray:
-    """The record whose fresh block each record ends up touching.
+def seed_words(seed: int) -> list[int]:
+    """numpy's `SeedSequence(seed).generate_state(4, np.uint64)`: the
+    seed's 32-bit words, least significant first, are hashed into a pool
+    of four words, and the pool is hashed out again into eight, which pair
+    up little end first."""
+    if seed < 0:
+        raise TraceError(f"seed must be >= 0, got {seed}")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_a = 0x43B0D7E5
 
-    A reused record re-touches the block at slot `widx % filled` of a ring
-    of the last _REUSE_WINDOW blocks: record w % j while the ring is
-    filling (j <= _REUSE_WINDOW), else the most recent record before j that
-    is congruent to w modulo the ring size. Following those links until
-    they stop changing (pointer jumping) reaches a record that drew its own
-    block. The first record has nothing to re-touch.
-    """
-    j = np.arange(len(reuse), dtype=np.int64)
-    src = np.where(j <= _REUSE_WINDOW, widx % np.maximum(j, 1),
-                   j - 1 - (j - 1 - widx) % _REUSE_WINDOW)
-    src = np.where(reuse & (j > 0), src, j)
-    while True:
-        nxt = src[src]
-        if np.array_equal(nxt, src):
-            return src
-        src = nxt
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg64(seed: int) -> array:
+    """The PCG64 generator numpy's `default_rng(seed)` starts with, as
+    lru.c's edr_generate holds it: the 128-bit state and increment, high
+    word first, and no spare 32-bit half."""
+    s0, s1, s2, s3 = seed_words(seed)
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645
+             + inc) & _MASK128
+    return array("Q", [state >> 64, state & _MASK64, inc >> 64,
+                       inc & _MASK64, 0, 0])
 
 
 def generate_synthetic(spec: SyntheticTraceSpec) -> TraceArrays:
@@ -209,33 +280,25 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> TraceArrays:
 
     Each phase draws block addresses from its own working set; with
     probability reuse_locality a recently touched block is re-touched.
-    Identical spec + seed reproduce the trace exactly.
+    Identical spec + seed reproduce the trace exactly: the records that
+    numpy's `default_rng(seed)` draws for them (see lru.c's edr_generate).
     """
-    rng = np.random.default_rng(spec.rng_seed)
+    counts = [max(1, round(phase.instructions
+                           * spec.accesses_per_kilo_instr / 1000.0))
+              for phase in spec.phases]
+    arrays = _columns(sum(counts))
+    rng = _pcg64(spec.rng_seed)
+    state = address(rng, 8, len(rng))
+    gaps, ops, addrs = _column_addresses(arrays)
+    generate = kernel("edr_generate")
     block = spec.block_bytes
-    gap_chunks = []
-    op_chunks = []
-    addr_chunks = []
-
-    for phase_idx, phase in enumerate(spec.phases):
-        n = max(1, round(phase.instructions * spec.accesses_per_kilo_instr / 1000.0))
-        # spread the phase's instructions evenly over its records
-        edges = (np.arange(1, n + 1, dtype=np.uint64) * phase.instructions) // n
-        gaps = np.diff(edges, prepend=np.uint64(0)).astype(np.uint32)
-
-        ws_blocks = -(-phase.working_set_bytes // block)  # ceil
-        base_block = phase_idx * _PHASE_STRIDE_BLOCKS
-        uniform = rng.integers(0, ws_blocks, size=n, dtype=np.int64)
-        reuse = rng.random(n) < phase.reuse_locality
-        widx = rng.integers(0, _REUSE_WINDOW, size=n, dtype=np.int64)
-        writes = rng.random(n) < phase.write_fraction
-
-        blocks = uniform[_reuse_sources(reuse, widx)]
-        addrs = (blocks.astype(np.uint64) + np.uint64(base_block)) * np.uint64(block)
-        gap_chunks.append(gaps)
-        op_chunks.append(writes.astype(np.uint8))
-        addr_chunks.append(addrs)
-
-    return TraceArrays(gaps=np.concatenate(gap_chunks),
-                       ops=np.concatenate(op_chunks),
-                       addrs=np.concatenate(addr_chunks))
+    for phase_idx, (phase, n) in enumerate(zip(spec.phases, counts)):
+        arrays.instructions += generate(
+            state, n, phase.instructions,
+            -(-phase.working_set_bytes // block),  # ceil
+            phase_idx * _PHASE_STRIDE_BLOCKS, block, phase.reuse_locality,
+            phase.write_fraction, gaps, ops, addrs)
+        gaps += 4 * n
+        ops += n
+        addrs += 8 * n
+    return arrays

@@ -6,15 +6,18 @@ check beyond the parameter objects.
 
 `replay` drives the compiled functional pass (`cache.Passes`) over a run
 of records. The module also holds a record-at-a-time model of the cache:
-`access_block` applies one access to a plain `CacheState` and returns the
-code byte `replay` writes, `probe` looks one block up in a profiling unit,
-and `replay_reference` is `replay` built from the two, record by record
-in Python: the reference the compiled kernel is diffed against.
-`flush_reference` is the compiled flush of a reconfiguration in numpy.
-`RpvPhases` keeps RPV's last-touch phases and per-bank-per-phase valid
-counts beside the state. `set_tags` and `set_dirty` read one set of the
-flat arrays back as lists. The charge-timeline
-oracle checks the refresh counts against its own per-line charges, and
+`access_block` applies one access to a `CacheState`'s sets held as plain
+Python lists (`SetLists`) and returns the code byte `replay` writes,
+`probe` looks one block up in a profiling unit, and `replay_reference` is
+`replay` built from the two, record by record in Python: the reference
+the compiled kernel is diffed against. `flush_reference` is the compiled
+flush of a reconfiguration in numpy, on `view`s of the state's columns.
+`generate_reference` is the synthetic trace generator in numpy, drawing
+from numpy's own generator. `RpvPhases` keeps RPV's last-touch phases
+and per-bank-per-phase valid counts beside the state. `set_tags` and
+`set_dirty` read one set of the flat arrays back as lists. The
+charge-timeline oracle checks the refresh counts against its own per-line
+charges, and
 `reference_run`, the record-at-a-time replay that `sim.run`'s two-stage
 replay must match, counts refreshed lines from the same model.
 
@@ -24,6 +27,7 @@ functional pass, for tests that check the cache itself.
 
 import ctypes
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +41,27 @@ from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
 from edrsim.profiler import IntervalStats, make_units, reset_interval
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import DecisionRecord, IntervalRecord, RunReport
-from edrsim.trace import Op, TraceArrays
+from edrsim.trace import (_PHASE_STRIDE_BLOCKS, Op, SyntheticTraceSpec,
+                          TraceArrays)
 
 
 def trace_of(records) -> TraceArrays:
     """A trace from (instruction gap, op, byte address) tuples."""
     records = list(records)
-    return TraceArrays(
-        gaps=np.array([r[0] for r in records], dtype=np.uint32),
-        ops=np.array([r[1] for r in records], dtype=np.uint8),
-        addrs=np.array([r[2] for r in records], dtype=np.uint64))
+    return TraceArrays(gaps=array("I", [r[0] for r in records]),
+                       ops=bytearray(r[1] for r in records),
+                       addrs=array("Q", [r[2] for r in records]))
+
+
+def view(column) -> np.ndarray:
+    """A numpy array over a column's memory (an `array.array`, a
+    `bytearray` or a numpy array): writing one writes the other."""
+    return np.asarray(column)
+
+
+def ints(column) -> list[int]:
+    """A column's items as Python ints."""
+    return memoryview(column).tolist()
 
 
 def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
@@ -54,7 +69,7 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     """Apply records [lo, hi) to the cache and write their outcomes to `out`.
 
     `addrs` and `writes` are the trace's columns: byte addresses and write
-    flags (numpy arrays); [lo, hi) must lie inside them. A record's region
+    flags (a trace's ops, or numpy arrays); [lo, hi) must lie inside them. A record's region
     (page number mod M) picks a color through the mapping, which is fixed
     for the call, and its page offset picks the set inside that color. A
     hit moves the tag to the end of its set's row; a miss into a full set
@@ -75,7 +90,7 @@ def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
     their code bytes."""
     hi = len(trace) if hi is None else hi
     out = Replay(state.geometry, len(trace))
-    replay(state, trace.addrs, trace.ops == Op.WRITE, lo, hi, out)
+    replay(state, trace.addrs, trace.ops, lo, hi, out)
     return bytes(out.codes[lo:hi])
 
 
@@ -89,19 +104,21 @@ def set_tags(state, row: int) -> list[int]:
 def set_dirty(state: CacheState, row: int) -> list[int]:
     """The dirty bytes of a set's resident tags, in `set_tags` order."""
     start = row * state.geometry.associativity
-    return state.dirty[start:start + state.fill[row]].tolist()
+    return list(state.dirty[start:start + state.fill[row]])
 
 
 def _store_set(state, row: int, tags: list[int]) -> None:
     start = row * (len(state.tags) // len(state.fill))
-    state.tags[start:start + len(tags)] = tags
+    state.tags[start:start + len(tags)] = array("Q", tags)
     state.fill[row] = len(tags)
 
 
 def all_sets(state) -> list[list[int]]:
     """`set_tags` of every set (or sampled set)."""
-    rows = state.tags.reshape(len(state.fill), -1).tolist()
-    return [tags[:n] for tags, n in zip(rows, state.fill.tolist())]
+    ways = len(state.tags) // len(state.fill)
+    tags = state.tags.tolist()
+    return [tags[row * ways:row * ways + n]
+            for row, n in enumerate(state.fill)]
 
 
 def dirty_tags(state: CacheState) -> set[int]:
@@ -109,14 +126,6 @@ def dirty_tags(state: CacheState) -> set[int]:
     return {tag for row in range(len(state.fill))
             for tag, d in zip(set_tags(state, row), set_dirty(state, row))
             if d}
-
-
-def set_of(state: CacheState, address: int) -> int:
-    """The set of a byte address: its region (page number mod M) picks a
-    color through the mapping, its page offset the set inside the color."""
-    g = state.geometry
-    color = state.mapping[address // g.page_bytes % g.color_count]
-    return color * g.sets_per_color + address % g.page_bytes // g.block_bytes
 
 
 class RpvPhases:
@@ -138,44 +147,81 @@ class RpvPhases:
         return [bank[phase] for bank in self.by_bank]
 
 
-def access_block(state: CacheState, is_write: bool, address: int,
+class SetLists:
+    """A `CacheState`'s sets as plain Python lists, the record-at-a-time
+    model's cache: per set, the resident tags least recent first and their
+    dirty flags, and the valid lines in all and per bank, read from the
+    state's arrays. `store` writes them back; until then the state's
+    arrays are stale. The mapping is the state's own list."""
+
+    def __init__(self, state: CacheState):
+        g = state.geometry
+        self.state = state
+        self.mapping = state.mapping
+        self.ways, self.block_bytes, self.page_bytes = (
+            g.associativity, g.block_bytes, g.page_bytes)
+        self.colors, self.sets_per_color, self.sets_per_bank = (
+            g.color_count, g.sets_per_color, g.sets_per_bank)
+        self.tags = all_sets(state)
+        self.dirty = [set_dirty(state, row) for row in range(len(self.tags))]
+        self.n_valid = state.n_valid
+        self.valid_by_bank = state.valid_by_bank.tolist()
+
+    def set_of(self, address: int) -> int:
+        """The set of a byte address: its region (page number mod M) picks
+        a color through the mapping, its page offset the set inside the
+        color."""
+        color = self.mapping[address // self.page_bytes % self.colors]
+        return (color * self.sets_per_color
+                + address % self.page_bytes // self.block_bytes)
+
+    def store(self) -> CacheState:
+        """Write the sets and counters into the state's arrays; the state.
+        A set's slots past its tags keep what they held."""
+        state = self.state
+        for row, (tags, dirty) in enumerate(zip(self.tags, self.dirty)):
+            start = row * self.ways
+            state.tags[start:start + len(tags)] = array("Q", tags)
+            state.dirty[start:start + len(tags)] = bytes(dirty)
+            state.fill[row] = len(tags)
+        state.n_valid = self.n_valid
+        state.valid_by_bank[:] = array("q", self.valid_by_bank)
+        return state
+
+
+def access_block(model: SetLists, is_write: bool, address: int,
                  rpv: RpvPhases | None = None, now: int = 0) -> int:
     """Apply one access (LRU probe and fill, dirty and valid bookkeeping,
     and with `rpv` the line's last-touch phase at cycle `now`); returns the
     HIT/EVICTED/DIRTY_VICTIM/WRITE code byte."""
-    g = state.geometry
-    set_index = set_of(state, address)
-    assert set_index // g.sets_per_color in state.active_colors
-    tag = address // g.block_bytes
-    start = set_index * g.associativity
-    stop = start + state.fill[set_index]
-    tags = state.tags[start:stop].tolist()
-    dirty = state.dirty[start:stop].tolist()
-    bank = set_index // g.sets_per_bank
+    set_index = model.set_of(address)
+    assert set_index // model.sets_per_color in model.state.active_colors
+    tag = address // model.block_bytes
+    tags = model.tags[set_index]
+    dirty = model.dirty[set_index]
+    bank = set_index // model.sets_per_bank
     if tag in tags:
-        was_dirty = dirty.pop(tags.index(tag))
-        tags.remove(tag)
+        i = tags.index(tag)
+        del tags[i]
+        was_dirty = dirty.pop(i)
         code = HIT
     else:
         code = was_dirty = 0
-        if len(tags) == g.associativity:  # full: evict least recent
+        if len(tags) == model.ways:  # full: evict least recent
             victim = tags.pop(0)
             code = EVICTED
             if dirty.pop(0):
                 code |= DIRTY_VICTIM
-            state.n_valid -= 1
-            state.valid_by_bank[bank] -= 1
+            model.n_valid -= 1
+            model.valid_by_bank[bank] -= 1
             if rpv is not None:
                 rpv.by_bank[bank][rpv.of_tag.pop(victim)] -= 1
-        state.n_valid += 1
-        state.valid_by_bank[bank] += 1
+        model.n_valid += 1
+        model.valid_by_bank[bank] += 1
     tags.append(tag)
     dirty.append(1 if is_write else was_dirty)
     if is_write:
         code |= WRITE
-    state.tags[start:start + len(tags)] = tags
-    state.dirty[start:start + len(tags)] = dirty
-    state.fill[set_index] = len(tags)
     if rpv is not None:
         if code & HIT:
             rpv.by_bank[bank][rpv.of_tag[tag]] -= 1
@@ -213,14 +259,16 @@ def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
     every unit for a block whose number is a multiple of `ratio`."""
     stray = set(state.mapping) - state.active_colors
     assert not stray, f"mapping routes regions to inactive colors {stray}"
+    model = SetLists(state)
     block_bytes = state.geometry.block_bytes
-    for i, addr, is_write in zip(range(lo, hi), addrs[lo:hi].tolist(),
-                                 writes[lo:hi].tolist()):
-        out.codes[i] = access_block(state, bool(is_write), addr)
+    for i, addr, is_write in zip(range(lo, hi), ints(addrs)[lo:hi],
+                                 ints(writes)[lo:hi]):
+        out.codes[i] = access_block(model, bool(is_write), addr)
         block = addr // block_bytes
         if units and not block % ratio:
             for unit in units:
                 probe(unit, block, bool(is_write))
+    model.store()
 
 
 def flush_reference(state: CacheState, color: int,
@@ -234,9 +282,9 @@ def flush_reference(state: CacheState, color: int,
     ways = g.associativity
     first = color * g.sets_per_color
     rows = slice(first, first + g.sets_per_color)
-    tags = state.tags.reshape(-1, ways)[rows]  # views into the state
-    dirty = state.dirty.reshape(-1, ways)[rows]
-    fill = state.fill[rows]
+    tags = view(state.tags).reshape(-1, ways)[rows]  # views into the state
+    dirty = view(state.dirty).reshape(-1, ways)[rows]
+    fill = view(state.fill)[rows]
     gone = np.arange(ways) < fill[:, None]  # the resident slots ...
     if regions is not None:  # ... of the regions' pages
         page_shift = g.sets_per_color.bit_length() - 1  # tag >> it = page
@@ -255,7 +303,7 @@ def flush_reference(state: CacheState, color: int,
         dirty[:] = np.take_along_axis(dirty, order, axis=1)
     fill -= lost.astype(np.int32)
     state.n_valid -= flushed
-    np.subtract.at(state.valid_by_bank,
+    np.subtract.at(view(state.valid_by_bank),
                    np.arange(first, first + g.sets_per_color) // g.sets_per_bank,
                    lost)
     return flushed, writebacks
@@ -267,16 +315,17 @@ def observe_arrays(units, trace, geometry: CacheGeometry) -> None:
     is a multiple of the units' sampling denominator is looked up in every
     unit."""
     out = Replay(geometry, len(trace))
-    replay(CacheState(geometry), trace.addrs, trace.ops == Op.WRITE, 0,
-           len(trace), out, units, units[0].sample_ratio_denom)
+    replay(CacheState(geometry), trace.addrs, trace.ops, 0, len(trace), out,
+           units, units[0].sample_ratio_denom)
 
 
 def observe_reference(units, trace) -> None:
     """`observe_arrays` one sampled record at a time, with `probe`."""
     denom = units[0].sample_ratio_denom
-    blocks = trace.addrs // np.uint64(units[0].block_bytes)
+    blocks = view(trace.addrs) // np.uint64(units[0].block_bytes)
     sampled = blocks % np.uint64(denom) == 0
-    for block, op in zip(blocks[sampled].tolist(), trace.ops[sampled].tolist()):
+    for block, op in zip(blocks[sampled].tolist(),
+                         view(trace.ops)[sampled].tolist()):
         for unit in units:
             probe(unit, block, op == Op.WRITE)
 
@@ -297,8 +346,8 @@ def full_profile(arrays, geometry: CacheGeometry, emulated_size: int):
     misses = 0
     load_misses = 0
     block_bytes = geometry.block_bytes
-    ops = arrays.ops.tolist()
-    blocks = (arrays.addrs // block_bytes).tolist()
+    ops = ints(arrays.ops)
+    blocks = (view(arrays.addrs) // block_bytes).tolist()
     for i in range(len(blocks)):
         b = blocks[i]
         lst = sets[b % num_sets]
@@ -333,8 +382,8 @@ def compiled_full_profile(arrays, geometry: CacheGeometry, emulated_size: int):
     ways = geometry.associativity
     num_sets = emulated_size // (geometry.block_bytes * ways)
     assert num_sets >= 1
-    addrs = np.ascontiguousarray(arrays.addrs, dtype=np.uint64)
-    ops = np.ascontiguousarray(arrays.ops, dtype=np.uint8)
+    addrs = np.ascontiguousarray(view(arrays.addrs), dtype=np.uint64)
+    ops = np.ascontiguousarray(view(arrays.ops), dtype=np.uint8)
     out = np.zeros(2, dtype=np.int64)
     if _profile(addrs.ctypes.data, ops.ctypes.data, len(addrs),
                 geometry.block_bytes.bit_length() - 1, num_sets, ways,
@@ -398,12 +447,12 @@ def validate_state(state: CacheState,
     if len(state.fill) != g.total_sets or len(state.tags) != g.total_lines \
             or len(state.dirty) != g.total_lines:
         return OracleVerdict(False, "arrays do not match the geometry")
-    if state.fill.min() < 0 or state.fill.max() > g.associativity:
+    if min(state.fill) < 0 or max(state.fill) > g.associativity:
         return OracleVerdict(False, f"a set's fill count is outside [0, "
-                             f"{g.associativity}]: {state.fill.min()} "
-                             f"to {state.fill.max()}")
-    slots = np.arange(g.associativity) < state.fill[:, None]
-    stale = state.dirty.reshape(-1, g.associativity)[~slots]
+                             f"{g.associativity}]: {min(state.fill)} "
+                             f"to {max(state.fill)}")
+    slots = np.arange(g.associativity) < view(state.fill)[:, None]
+    stale = view(state.dirty).reshape(-1, g.associativity)[~slots]
     if stale.any():
         return OracleVerdict(False, f"{np.count_nonzero(stale)} dirty bytes "
                              "set on empty slots")
@@ -476,7 +525,7 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
     if geometry.total_sets > 64:
         raise ValueError("timeline oracle is for small instances (<= 64 sets)")
 
-    state = CacheState(geometry)
+    model = SetLists(CacheState(geometry))
     rpv = RpvPhases(geometry, config) if policy == "rpv" else None
     retention = config.retention_cycles
     boundary_len = config.phase_cycles if policy == "rpv" else retention
@@ -491,14 +540,14 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
         return None
 
     def resident(phase=None):
-        return [(set_index, tag) for set_index, tags in enumerate(all_sets(state))
+        return [(set_index, tag) for set_index, tags in enumerate(model.tags)
                 for tag in tags
                 if phase is None or rpv.of_tag[tag] == phase]
 
     now = 0
     next_boundary = boundary_len
-    for gap, op, addr in zip(trace.gaps.tolist(), trace.ops.tolist(),
-                             trace.addrs.tolist()):
+    for gap, op, addr in zip(ints(trace.gaps), ints(trace.ops),
+                             ints(trace.addrs)):
         now += gap
         while next_boundary <= now:
             at = next_boundary
@@ -507,7 +556,7 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
                 lines = resident()
             elif policy == "valid_only":
                 lines = resident()
-                assert len(lines) == sum(state.valid_by_bank)
+                assert len(lines) == sum(model.valid_by_bank)
             else:
                 phase = rpv.phase_of(at)
                 if phase in skip_phases:
@@ -520,15 +569,15 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
                     return bad
                 charge[key] = at
 
-        set_index = set_of(state, addr)
-        before = set(set_tags(state, set_index))
-        access_block(state, op == Op.WRITE, addr, rpv, now)
-        # a line the fill pushed out must not have outlived its charge
-        for tag in before - set(set_tags(state, set_index)):
-            bad = over_age((set_index, tag), now)
+        set_index = model.set_of(addr)
+        tags = model.tags[set_index]
+        oldest = tags[0] if tags else None
+        if access_block(model, op == Op.WRITE, addr, rpv, now) & EVICTED:
+            # the line the fill pushed out must not have outlived its charge
+            bad = over_age((set_index, oldest), now)
             if bad:
                 return bad
-            del charge[(set_index, tag)]
+            del charge[(set_index, oldest)]
         key = (set_index, addr // geometry.block_bytes)
         bad = over_age(key, now)
         if bad:
@@ -549,15 +598,14 @@ def last_touch_mirror(trace, geometry: CacheGeometry) -> list[int]:
     per-set list of record indices kept in the order of `access_block`'s tag
     list, so a hit or an eviction reads the index of the record that last
     touched its line."""
-    state = CacheState(geometry)
+    model = SetLists(CacheState(geometry))
     mirror: list[list[int]] = [[] for _ in range(geometry.total_sets)]
     out = []
-    for i, (op, addr) in enumerate(zip(trace.ops.tolist(),
-                                       trace.addrs.tolist())):
-        set_index = set_of(state, addr)
-        before = set_tags(state, set_index)
+    for i, (op, addr) in enumerate(zip(ints(trace.ops), ints(trace.addrs))):
+        set_index = model.set_of(addr)
+        before = list(model.tags[set_index])
         indices = mirror[set_index]
-        code = access_block(state, op == Op.WRITE, addr)
+        code = access_block(model, op == Op.WRITE, addr)
         if code & HIT:
             out.append(indices.pop(before.index(addr // geometry.block_bytes)))
         elif code & EVICTED:
@@ -568,10 +616,62 @@ def last_touch_mirror(trace, geometry: CacheGeometry) -> list[int]:
     return out
 
 
+def reuse_sources(reuse: np.ndarray, widx: np.ndarray) -> np.ndarray:
+    """The record whose fresh block each record ends up touching.
+
+    A reused record re-touches the block at slot `widx % filled` of a ring
+    of the last 32 blocks: record w % j while the ring is filling
+    (j <= 32), else the most recent record before j that is congruent to w
+    modulo the ring size. Following those links until they stop changing
+    (pointer jumping) reaches a record that drew its own block. The first
+    record has nothing to re-touch.
+    """
+    j = np.arange(len(reuse), dtype=np.int64)
+    src = np.where(j <= 32, widx % np.maximum(j, 1), j - 1 - (j - 1 - widx) % 32)
+    src = np.where(reuse & (j > 0), src, j)
+    while True:
+        nxt = src[src]
+        if np.array_equal(nxt, src):
+            return src
+        src = nxt
+
+
+def generate_reference(spec: SyntheticTraceSpec) -> TraceArrays:
+    """`trace.generate_synthetic` in numpy, drawing from numpy's own
+    `default_rng`: per phase, the block of every record, then its reuse
+    flag, its ring slot and its write flag, each a vector of draws."""
+    rng = np.random.default_rng(spec.rng_seed)
+    block = spec.block_bytes
+    gap_chunks = []
+    op_chunks = []
+    addr_chunks = []
+    for phase_idx, phase in enumerate(spec.phases):
+        n = max(1, round(phase.instructions * spec.accesses_per_kilo_instr / 1000.0))
+        # spread the phase's instructions evenly over its records
+        edges = (np.arange(1, n + 1, dtype=np.uint64) * phase.instructions) // n
+        gaps = np.diff(edges, prepend=np.uint64(0)).astype(np.uint32)
+
+        ws_blocks = -(-phase.working_set_bytes // block)  # ceil
+        base_block = phase_idx * _PHASE_STRIDE_BLOCKS
+        uniform = rng.integers(0, ws_blocks, size=n, dtype=np.int64)
+        reuse = rng.random(n) < phase.reuse_locality
+        widx = rng.integers(0, 32, size=n, dtype=np.int64)
+        writes = rng.random(n) < phase.write_fraction
+
+        blocks = uniform[reuse_sources(reuse, widx)]
+        addrs = (blocks.astype(np.uint64) + np.uint64(base_block)) * np.uint64(block)
+        gap_chunks.append(gaps)
+        op_chunks.append(writes.astype(np.uint8))
+        addr_chunks.append(addrs)
+    return TraceArrays(gaps=np.concatenate(gap_chunks),
+                       ops=np.concatenate(op_chunks),
+                       addrs=np.concatenate(addr_chunks))
+
+
 def reuse_window(uniform, reuse, widx):
-    """`trace.generate_synthetic`'s reuse window, one record at a time: a
-    reused record re-touches the block at slot widx % filled of a ring of
-    the last 32 blocks."""
+    """`generate_reference`'s reuse ring, one record at a time: a reused
+    record re-touches the block at slot widx % filled of a ring of the last
+    32 blocks."""
     window = [0] * 32
     filled = 0
     wpos = 0
@@ -609,6 +709,7 @@ def reference_run(trace, scheme, geometry, timing, params,
         interval_instructions = 10_000_000
 
     state = CacheState(geometry, min_colors=ctrl_cfg.c_min if is_dcr else 1)
+    model = SetLists(state)
     rpv = RpvPhases(geometry, refresh_cfg) if kind is SchemeKind.RPV else None
     units = make_units(geometry, scheme.profiler_ratio) if is_dcr else None
     m_total = geometry.color_count
@@ -640,7 +741,7 @@ def reference_run(trace, scheme, geometry, timing, params,
         elif kind is SchemeKind.RPV:
             per_bank = rpv.lines(rpv.phase_of(at))
         else:
-            per_bank = state.valid_by_bank.tolist()
+            per_bank = list(model.valid_by_bank)
         for b, lines in enumerate(per_bank):
             if lines:
                 bank_busy[b] = max(bank_busy[b], at) + lines
@@ -648,7 +749,7 @@ def reference_run(trace, scheme, geometry, timing, params,
             stats.refreshed_lines += sum(per_bank)
 
     def close_interval(run_controller):
-        nonlocal stats, interval_start_cycle, interval_instr
+        nonlocal model, stats, interval_start_cycle, interval_instr
         stats.instructions = interval_instr
         stats.elapsed_cycles = now - interval_start_cycle
         if units is not None:
@@ -659,9 +760,11 @@ def reference_run(trace, scheme, geometry, timing, params,
                                                         timing.clock_ghz)))
         carry_writebacks = carry_switched = 0
         if run_controller:
+            model.store()  # the controller reads and remaps the state
             decision = select(stats, units, state, refresh_cfg, ctrl_cfg,
                               params, timing.clock_ghz)
             report = apply(decision, state)
+            model = SetLists(state)
             decisions.append(DecisionRecord(
                 interval=index, current=decision.current,
                 chosen=decision.chosen, fail_safe=decision.fail_safe,
@@ -677,8 +780,8 @@ def reference_run(trace, scheme, geometry, timing, params,
                               dram_accesses=carry_writebacks,
                               switched_blocks=carry_switched)
 
-    for gap, op, addr in zip(trace.gaps.tolist(), trace.ops.tolist(),
-                             trace.addrs.tolist()):
+    for gap, op, addr in zip(ints(trace.gaps), ints(trace.ops),
+                             ints(trace.addrs)):
         now += round(gap * timing.base_cpi)
         cum_instr += gap
         if warmed:
@@ -691,7 +794,7 @@ def reference_run(trace, scheme, geometry, timing, params,
                 reset_interval(units)
 
         is_write = op == Op.WRITE
-        bank = set_of(state, addr) // geometry.sets_per_bank
+        bank = model.set_of(addr) // model.sets_per_bank
         while True:
             while next_boundary is not None and next_boundary <= now:
                 fire(next_boundary)
@@ -701,7 +804,7 @@ def reference_run(trace, scheme, geometry, timing, params,
                 continue
             break
 
-        code = access_block(state, is_write, addr, rpv, now)
+        code = access_block(model, is_write, addr, rpv, now)
         if code & HIT:
             now += timing.l2_hit_cycles
             if warmed:

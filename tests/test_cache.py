@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (RpvPhases, access_block, all_sets, dirty_tags,
+from oracles import (RpvPhases, SetLists, access_block, all_sets, dirty_tags,
                      flush_reference, full_profile, replay_codes, trace_of,
-                     validate_state)
+                     validate_state, view)
 from edrsim import cache
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
                           CacheState, GeometryError, ReconfigError,
@@ -148,13 +148,13 @@ def test_counter_matches_scan_after_random_replay(small_geometry):
     replay_codes(state, arrays)
     verdict = validate_state(state)
     assert verdict.ok, verdict.first_divergence
-    assert state.n_valid == int(state.fill.sum())
+    assert state.n_valid == sum(state.fill)
     # the test-side model, with RPV's phases: 500 cycles each, 4 of them
-    model = CacheState(small_geometry)
+    lists = SetLists(CacheState(small_geometry))
     rpv = RpvPhases(small_geometry, RefreshConfig(2000, 4))
-    for i, (op, addr) in enumerate(zip(arrays.ops.tolist(),
-                                       arrays.addrs.tolist())):
-        access_block(model, op == Op.WRITE, addr, rpv, i * 7)
+    for i, (op, addr) in enumerate(zip(arrays.ops, arrays.addrs)):
+        access_block(lists, op == Op.WRITE, addr, rpv, i * 7)
+    model = lists.store()
     verdict = validate_state(model, rpv)
     assert verdict.ok, verdict.first_divergence
     assert all_sets(model) == all_sets(state)
@@ -328,8 +328,9 @@ def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
     dirt = ((rng.random(g.total_lines) < dirty) & resident).astype(np.uint8)
     states = [CacheState(g), CacheState(g)]
     for state in states:
-        state.tags[:], state.dirty[:], state.fill[:] = tags, dirt, fill
-        np.add.at(state.valid_by_bank,
+        view(state.tags)[:], view(state.dirty)[:], view(state.fill)[:] = \
+            tags, dirt, fill
+        np.add.at(view(state.valid_by_bank),
                   np.arange(g.total_sets) // g.sets_per_bank, fill)
         state.n_valid = int(fill.sum())
     for color, regions in flushes:

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import edrsim
 from edrsim.cli import main
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.cache import Replay
@@ -241,20 +245,31 @@ def test_domain_validation_failures_are_config_errors(tmp_path):
     ("synthetic = true\n\n[synthetic]\nseed = 5",
      "path = never.trace\n\n[synthetic]\nseed = 5\nbogus_key = 1",
      r"\[synthetic\] unknown key\(s\): bogus_key"),
+    # a negative seed failed only when the trace was drawn, with exit 1
+    ("seed = 5", "seed = -3", "seed must be >= 0, got -3"),
+    # an option, on the config as it is
+    ("--seed", "-5", "--seed -5: seed must be >= 0, got -5"),
 ], ids=["energy clock", "phase past the stride", "empty interval",
         "nan cpi", "inf cpi", "nan clock", "nan leakage", "inf dram energy",
         "negative warm-up fraction", "nan warm-up fraction",
         "warm-up fraction above 1", "negative warm-up",
         "inf access rate", "nan access rate", "duplicate key",
-        "unused synthetic section"])
-def test_config_error_writes_no_output(tmp_path, old, new, error):
+        "unused synthetic section", "negative seed", "negative --seed"])
+def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
     path = tmp_path / "bad.cfg"
-    path.write_text(BASE_CONFIG.replace(old, new))
-    with pytest.raises(ConfigError, match=error):
-        load_config(str(path))
+    options = []
+    if old.startswith("--"):
+        path.write_text(BASE_CONFIG)
+        options = [old, new]
+    else:
+        path.write_text(BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=error):
+            load_config(str(path))
     out = str(tmp_path / "outdir")
-    assert main(["compare", "--config", str(path), "--out", out]) == 2
+    assert main(["compare", "--config", str(path), "--out", out,
+                 *options]) == 2
     assert not os.path.exists(out)
+    assert re.search(error, capsys.readouterr().err)
 
 
 def test_sweep_command(config_file, tmp_path):
@@ -565,3 +580,22 @@ def test_c_min_above_the_color_count_is_config_error(tmp_path, monkeypatch):
         load_config(path)
     assert main(["run", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_compare_runs_without_numpy(config_file, tmp_path):
+    # numpy is a test dependency only: the simulator never imports it
+    script = ("import sys\n"
+              "import edrsim.cli\n"
+              "assert 'numpy' not in sys.modules, 'after the import'\n"
+              "rc = edrsim.cli.main(sys.argv[1:])\n"
+              "assert 'numpy' not in sys.modules, 'after the command'\n"
+              "sys.exit(rc)\n")
+    src = os.path.dirname(os.path.dirname(edrsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", script, "compare", "--config",
+                           config_file, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "comparison.json").exists()

@@ -11,7 +11,7 @@ from edrsim.controller import (Candidate, ControllerConfig, Decision,
 from edrsim.energy import builtin_params
 from edrsim.profiler import IntervalStats, make_units
 from edrsim.refresh import RefreshConfig
-from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
+from edrsim.trace import PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
 GHZ = 2.0  # the core clock select() scores candidates at
 
@@ -67,7 +67,7 @@ def _prepped_state_and_units(geometry, ws_kb, seed=3, records=40_000):
     state = CacheState(geometry)
     units = make_units(geometry, sample_ratio_denom=2)
     out = Replay(geometry, len(arrays))
-    replay(state, arrays.addrs, arrays.ops == Op.WRITE, 0, len(arrays), out,
+    replay(state, arrays.addrs, arrays.ops, 0, len(arrays), out,
            units, 2)
     hits = sum(bool(code & HIT) for code in out.codes)
     misses = len(arrays) - hits

@@ -9,7 +9,7 @@ import pytest
 from oracles import replay, replay_reference
 from edrsim import cache, native
 from edrsim.cache import CacheState, Replay
-from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
+from edrsim.trace import PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
 KERNEL = os.path.join(os.path.dirname(cache.__file__), "lru.c")
 ORACLE = os.path.join(os.path.dirname(__file__), "lru_oracle.c")
@@ -20,7 +20,7 @@ def _codes(geometry, step=replay) -> bytes:
         phases=[PhaseSpec(100_000, 96 * 1024, 0.4, 0.2)], rng_seed=3,
         accesses_per_kilo_instr=100))
     out = Replay(geometry, len(trace))
-    step(CacheState(geometry), trace.addrs, trace.ops == Op.WRITE, 0,
+    step(CacheState(geometry), trace.addrs, trace.ops, 0,
          len(trace), out)
     return bytes(out.codes)
 

@@ -25,7 +25,7 @@ def test_full_sampling_matches_main_cache(small_geometry):
     arrays = _trace(5, ws_kb=96)
     units = make_units(small_geometry, sample_ratio_denom=1)
     out = Replay(small_geometry, len(arrays))
-    replay(CacheState(small_geometry), arrays.addrs, arrays.ops == Op.WRITE,
+    replay(CacheState(small_geometry), arrays.addrs, arrays.ops,
            0, len(arrays), out, units, 1)
     misses = sum(not code & HIT for code in out.codes)
     load_misses = sum(not code & (HIT | WRITE) for code in out.codes)
@@ -52,10 +52,10 @@ def test_unsampled_record_leaves_counters_alone(small_geometry):
     arrays = trace_of([(1, Op.READ, 64), (1, Op.READ, 128)])
     state = CacheState(small_geometry)
     out = Replay(small_geometry, 2)
-    replay(state, arrays.addrs, arrays.ops == Op.WRITE, 0, 1, out, units, 1)
+    replay(state, arrays.addrs, arrays.ops, 0, 1, out, units, 1)
     assert all(u.accesses == 0 and u.misses == 0 for u in units)
-    assert all(not u.fill.any() for u in units)
-    replay(state, arrays.addrs, arrays.ops == Op.WRITE, 1, 2, out, units, 1)
+    assert not any(any(u.fill) for u in units)
+    replay(state, arrays.addrs, arrays.ops, 1, 2, out, units, 1)
     assert all(u.accesses == 1 and u.misses == 1 for u in units)
     # set 2 is the second sampled set
     assert all(u.tags[u.associativity] == 2 and u.fill.tolist() == [0, 1] + [
@@ -74,14 +74,14 @@ def test_replay_feeds_units_like_the_python_reference(small_geometry):
     # sim.run fills the units inside the functional pass; they must end as
     # the units probed record by record from the trace alone
     arrays = _trace(7, ws_kb=64, records=5_000)
-    writes = arrays.ops == Op.WRITE
     for ratio in (1, 2):
         fed = make_units(small_geometry, sample_ratio_denom=ratio)
         out = Replay(small_geometry, len(arrays))
         state = CacheState(small_geometry)
         half = len(arrays) // 2  # two calls, as sim.run's segments make
-        replay(state, arrays.addrs, writes, 0, half, out, fed, ratio)
-        replay(state, arrays.addrs, writes, half, len(arrays), out, fed, ratio)
+        replay(state, arrays.addrs, arrays.ops, 0, half, out, fed, ratio)
+        replay(state, arrays.addrs, arrays.ops, half, len(arrays), out, fed,
+               ratio)
         want = make_units(small_geometry, sample_ratio_denom=ratio)
         observe_reference(want, arrays)
         for a, b in zip(fed, want):

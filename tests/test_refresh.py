@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from oracles import (RpvPhases, access_block, replay_codes, timeline_oracle,
-                     trace_of)
+from oracles import (RpvPhases, SetLists, access_block, replay_codes,
+                     timeline_oracle, trace_of)
 from edrsim.cache import CacheGeometry, CacheState, reconfigure
 from edrsim.config import ConfigError, _retention_cycles
 from edrsim.energy import SchemeKind, builtin_params
@@ -23,11 +23,10 @@ def _fragment(seed, n_records=400, gap_hi=12, ws_bytes=24 * 1024):
 
 def _model(geometry, trace, rpv, cycle_step=1):
     """The test-side cache after the trace, record i at cycle i * cycle_step."""
-    state = CacheState(geometry)
-    for i, (op, addr) in enumerate(zip(trace.ops.tolist(),
-                                       trace.addrs.tolist())):
-        access_block(state, op == Op.WRITE, addr, rpv, i * cycle_step)
-    return state
+    lists = SetLists(CacheState(geometry))
+    for i, (op, addr) in enumerate(zip(trace.ops, trace.addrs)):
+        access_block(lists, op == Op.WRITE, addr, rpv, i * cycle_step)
+    return lists.store()
 
 
 def test_retention_cycles_arithmetic():
@@ -78,11 +77,10 @@ def test_valid_only_drops_by_flush_count(tiny_geometry):
 
 def test_rpv_refreshes_line_at_its_own_phase_boundary(tiny_geometry):
     cfg = RefreshConfig(2000, 4)  # 500 cycles per phase
-    state = CacheState(tiny_geometry)
     rpv = RpvPhases(tiny_geometry, cfg)
     # write one line in phase 2 of period 0 (cycle 1100); replay the
     # boundaries that follow it through the end of period 1
-    access_block(state, True, 0x40, rpv, 1100)
+    access_block(SetLists(CacheState(tiny_geometry)), True, 0x40, rpv, 1100)
     counts = {}
     for boundary in range(1500, 4001, 500):
         counts[boundary] = sum(rpv.lines(rpv.phase_of(boundary)))

@@ -3,19 +3,23 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import replay_codes, reuse_window, trace_of
+from oracles import (generate_reference, replay_codes, reuse_sources,
+                     reuse_window, trace_of, view)
 from edrsim.cache import HIT, CacheGeometry, CacheState
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec,
                           TraceArrays, TraceError, TraceHeader,
-                          _PHASE_STRIDE_BLOCKS, _reuse_sources,
-                          generate_synthetic,
-                          read_trace_arrays, write_trace_arrays)
+                          _PHASE_STRIDE_BLOCKS, generate_synthetic,
+                          read_trace_arrays, seed_words, write_trace_arrays)
 
 
 def _same(a: TraceArrays, b: TraceArrays) -> bool:
-    return (np.array_equal(a.gaps, b.gaps) and np.array_equal(a.ops, b.ops)
-            and np.array_equal(a.addrs, b.addrs))
+    return (np.array_equal(view(a.gaps), view(b.gaps))
+            and np.array_equal(view(a.ops), view(b.ops))
+            and np.array_equal(view(a.addrs), view(b.addrs))
+            and a.instructions == b.instructions)
 
 
 def test_empty_trace_round_trip():
@@ -65,8 +69,7 @@ def test_bulk_and_record_paths_produce_identical_bytes():
     body = buf.getvalue()[len(header_only.getvalue()):]
     assert body == b"".join(
         struct.pack("<IB3xQ", gap, op, addr)
-        for gap, op, addr in zip(arrays.gaps.tolist(), arrays.ops.tolist(),
-                                 arrays.addrs.tolist()))
+        for gap, op, addr in zip(arrays.gaps, arrays.ops, arrays.addrs))
     buf.seek(0)
     rheader, rarrays = read_trace_arrays(buf)
     assert rheader.record_count == len(arrays)
@@ -90,9 +93,11 @@ def test_truncated_record_reports_index():
 def test_other_format_version_rejected():
     buf = io.BytesIO()
     write_trace_arrays(trace_of([(1, Op.READ, 0)]),
-                       TraceHeader(version=99, record_count=1), buf)
+                       TraceHeader(record_count=1), buf)
+    data = bytearray(buf.getvalue())
+    data[8:12] = struct.pack("<I", 99)  # the version, after the magic
     with pytest.raises(TraceError, match="version 99, expected 1"):
-        read_trace_arrays(io.BytesIO(buf.getvalue()))
+        read_trace_arrays(io.BytesIO(bytes(data)))
 
 
 def test_op_other_than_read_or_write_rejected():
@@ -105,6 +110,19 @@ def test_op_other_than_read_or_write_rejected():
     data[-16 + 4] = 9
     with pytest.raises(TraceError, match="record 2: op 7 is neither"):
         read_trace_arrays(io.BytesIO(bytes(data)))
+
+
+def test_writer_rejects_what_the_reader_rejects():
+    sink = io.BytesIO()
+    with pytest.raises(TraceError, match="version 99, expected 1"):
+        write_trace_arrays(trace_of([(1, Op.READ, 0)]),
+                           TraceHeader(version=99, record_count=1), sink)
+    records = [(1, Op.READ, i * 64) for i in range(4)]
+    records[2] = (1, 7, 128)
+    with pytest.raises(TraceError, match="record 2: op 7 is neither"):
+        write_trace_arrays(trace_of(records), TraceHeader(record_count=4),
+                           sink)
+    assert not sink.getvalue()  # nothing written
 
 
 def test_header_record_count_enforced():
@@ -126,16 +144,16 @@ def test_generator_is_deterministic_and_seed_sensitive():
     one = generate_synthetic(spec_a)
     two = generate_synthetic(spec_a)
     other = generate_synthetic(spec_b)
-    assert np.array_equal(one.addrs, two.addrs)
-    assert np.array_equal(one.ops, two.ops)
-    assert not np.array_equal(one.addrs, other.addrs)
+    assert one.addrs == two.addrs
+    assert one.ops == two.ops
+    assert one.addrs != other.addrs
 
 
 def test_zero_write_fraction_has_no_writes():
     spec = SyntheticTraceSpec(phases=[PhaseSpec(10_000, 64 * 1024, 0.0, 0.3)],
                               rng_seed=9)
     arrays = generate_synthetic(spec)
-    assert not arrays.ops.any()
+    assert not any(arrays.ops)
 
 
 def test_zero_phases_rejected():
@@ -143,16 +161,69 @@ def test_zero_phases_rejected():
         SyntheticTraceSpec(phases=[], rng_seed=0)
 
 
+def test_negative_seed_rejected():
+    # numpy's SeedSequence refuses one too, but only once a trace is drawn
+    with pytest.raises(TraceError, match="seed must be >= 0, got -1"):
+        SyntheticTraceSpec(phases=[PhaseSpec(1000, 4096)], rng_seed=-1)
+    with pytest.raises(TraceError, match="seed must be >= 0"):
+        seed_words(-1)
+
+
+# seeds of one, two, three and five 32-bit words; the pool holds four
+_SEEDS = [0, 2**32, 2**64 + 1, 2**130 + 5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.sampled_from(_SEEDS) | st.integers(0, 2**200))
+def test_seed_words_match_numpy_seed_sequence(seed):
+    want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    assert seed_words(seed) == want.tolist()
+
+
+# a phase: instructions, working-set blocks, bytes short of the last block,
+# write fraction, reuse locality
+_PHASE = st.tuples(
+    st.integers(1, 40_000),
+    st.sampled_from([1, 2, 33, _PHASE_STRIDE_BLOCKS])
+    | st.integers(1, _PHASE_STRIDE_BLOCKS),
+    st.integers(0, 63),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.sampled_from(_SEEDS) | st.integers(0, 2**140),
+       phases=st.lists(_PHASE, min_size=1, max_size=4),
+       rate=st.sampled_from([20.0, 1000.0, 7.5]))
+# single-record phases, a one-block working set (which draws nothing)
+# between two that draw, and working sets of exactly 2**26 blocks
+@example(seed=0, phases=[(1, 1, 0, 0.0, 0.0)], rate=1000.0)
+@example(seed=2**32, phases=[(1, 2**26, 0, 1.0, 1.0), (40, 1, 63, 0.5, 0.5),
+                             (300, 5, 0, 0.0, 1.0)], rate=1000.0)
+@example(seed=2**64 + 1, phases=[(20_000, 2**26, 0, 0.3, 0.5)] * 4, rate=20.0)
+@example(seed=2**130 + 5, phases=[(3, 7, 1, 1.0, 0.0), (9000, 3, 0, 0.0, 1.0)],
+         rate=7.5)
+def test_generator_matches_numpy_reference(seed, phases, rate):
+    spec = SyntheticTraceSpec(
+        phases=[PhaseSpec(instructions, blocks * 64 - short, writes, reuse)
+                for instructions, blocks, short, writes, reuse in phases],
+        rng_seed=seed, accesses_per_kilo_instr=rate)
+    got, want = generate_synthetic(spec), generate_reference(spec)
+    assert view(got.gaps).tolist() == want.gaps.tolist()
+    assert view(got.ops).tolist() == want.ops.tolist()
+    assert view(got.addrs).tolist() == want.addrs.tolist()
+    assert got.instructions == int(want.gaps.sum(dtype=np.uint64))
+
+
 def test_working_set_bounds_blocks_per_phase():
     ws = 4 * 1024
     spec = SyntheticTraceSpec(phases=[PhaseSpec(50_000, ws, 0.5, 0.7)],
                               rng_seed=4, block_bytes=64)
     arrays = generate_synthetic(spec)
-    blocks = set((arrays.addrs // 64).tolist())
+    blocks = {addr // 64 for addr in arrays.addrs}
     assert len(blocks) <= ws // 64
-    # cumulative instruction positions are non-decreasing and sum exactly
-    assert arrays.instructions == 50_000
-    assert (arrays.gaps >= 0).all()
+    # the gaps sum exactly to the phase's instructions
+    assert arrays.instructions == sum(arrays.gaps) == 50_000
 
 
 def test_phases_have_distinct_footprints():
@@ -162,9 +233,9 @@ def test_phases_have_distinct_footprints():
         rng_seed=21)
     arrays = generate_synthetic(spec)
     thirds = len(arrays) // 3
-    f0 = set((arrays.addrs[:thirds] // 64).tolist())
-    f1 = set((arrays.addrs[thirds:2 * thirds] // 64).tolist())
-    f2 = set((arrays.addrs[2 * thirds:] // 64).tolist())
+    f0 = {addr // 64 for addr in arrays.addrs[:thirds]}
+    f1 = {addr // 64 for addr in arrays.addrs[thirds:2 * thirds]}
+    f2 = {addr // 64 for addr in arrays.addrs[2 * thirds:]}
     assert not (f0 & f1) and not (f1 & f2) and not (f0 & f2)
 
 
@@ -175,7 +246,7 @@ def test_working_set_may_not_pass_the_phase_stride(block_bytes):
     spec = SyntheticTraceSpec(
         phases=[PhaseSpec(10_000, stride), PhaseSpec(1_000, 8 * 1024)],
         rng_seed=3, block_bytes=block_bytes)
-    blocks = generate_synthetic(spec).addrs // block_bytes
+    blocks = view(generate_synthetic(spec).addrs) // block_bytes
     assert (blocks[:200] < _PHASE_STRIDE_BLOCKS).all()
     assert (blocks[200:] >= _PHASE_STRIDE_BLOCKS).all()
     # one block more would reach into the next phase's
@@ -190,18 +261,18 @@ def test_reuse_locality_biases_toward_recent_blocks():
         phases=[PhaseSpec(200_000, 1024 * 1024, 0.0, 0.9)], rng_seed=6))
     cold = generate_synthetic(SyntheticTraceSpec(
         phases=[PhaseSpec(200_000, 1024 * 1024, 0.0, 0.0)], rng_seed=6))
-    assert len(set(hot.addrs.tolist())) < len(set(cold.addrs.tolist()))
+    assert len(set(hot.addrs)) < len(set(cold.addrs))
 
 
 @pytest.mark.parametrize("reuse", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("n", [1, 7, 31, 32, 33, 4000])
 def test_reuse_window_matches_the_record_loop(reuse, n):
-    # draws as generate_synthetic makes them for a phase of n records
+    # draws as generate_reference makes them for a phase of n records
     rng = np.random.default_rng(n)
     uniform = rng.integers(0, 1000, size=n, dtype=np.int64)
     reused = rng.random(n) < reuse
     widx = rng.integers(0, 32, size=n, dtype=np.int64)
-    got = uniform[_reuse_sources(reused, widx)]
+    got = uniform[reuse_sources(reused, widx)]
     assert np.array_equal(got, reuse_window(uniform, reused, widx))
 
 
