@@ -24,6 +24,8 @@ work, like the flush of a reconfiguration, is C (lru.c), built at first
 use (see native.py); `Passes` binds a run's arguments to it once. DCR
 binds the functional and the timing pass together, so that one loop
 replays, times and stops at the end of each interval for the controller.
+The kernels route regions through the state's own `layout`, which
+`reconfigure` rewrites, so a bound run follows every reconfiguration.
 """
 
 import ctypes
@@ -115,13 +117,11 @@ class ReconfigReport:
 
 
 class _Cache(ctypes.Structure):
-    """lru.c's struct cache: a CacheState's arrays and shape."""
+    """lru.c's struct cache: a CacheState's arrays, ways and layout."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "tags", "dirty", "touch", "fill", "valid_by_bank")] + [
-        (name, ctypes.c_int64) for name in (
-            "ways", "sets_per_color", "sets_per_bank", "page_shift",
-            "region_mask")]
+        ("ways", ctypes.c_int64), ("layout", ctypes.c_void_p)]
 
 
 class CacheState:
@@ -144,14 +144,15 @@ class CacheState:
         self.fill = zeros("i", sets)
         self.n_valid = 0
         self.valid_by_bank = zeros("q", geometry.num_banks)
+        # how the kernels find a set under the mapping; reconfigure
+        # rewrites it in place
+        self.layout = layout(geometry)
         # the same, as the compiled routines take it
         self.arrays = _Cache(
             address(self.tags, 8, lines), address(self.dirty, 1, lines),
             address(self.touch, 4, lines), address(self.fill, 4, sets),
             address(self.valid_by_bank, 8, geometry.num_banks),
-            geometry.associativity, geometry.sets_per_color,
-            geometry.sets_per_bank, geometry.sets_per_color.bit_length() - 1,
-            m_total - 1)
+            geometry.associativity, address(self.layout, 8, len(self.layout)))
 
     @property
     def active_count(self) -> int:
@@ -228,12 +229,12 @@ def layout(geometry: CacheGeometry, mapping=None) -> array:
     color; the identity if None): the block shift, the page shift, the
     region mask, the mask of a block's set inside its color, the sets per
     bank, then the first set of each region's color."""
-    g = geometry
+    g, per_color = geometry, geometry.sets_per_color
     regions = range(g.color_count) if mapping is None else mapping
     return array("q", [g.block_bytes.bit_length() - 1,
                        g.page_bytes.bit_length() - 1, g.color_count - 1,
-                       g.sets_per_color - 1, g.sets_per_bank,
-                       *(color * g.sets_per_color for color in regions)])
+                       per_color - 1, g.sets_per_bank,
+                       *[color * per_color for color in regions]])
 
 
 class _Run(ctypes.Structure):
@@ -243,7 +244,7 @@ class _Run(ctypes.Structure):
         "layout", "addrs", "codes", "cache", "writes", "last_touch")] + [
         ("n_units", ctypes.c_int64), ("ratio", ctypes.c_uint64)] + [
         (name, ctypes.c_void_p) for name in (
-            "unit_tags", "unit_fill", "unit_shape", "unit_counts", "clock",
+            "unit_tags", "unit_fill", "unit_rows", "unit_counts", "clock",
             "gaps")] + [
         ("cpi", ctypes.c_double), ("hit_cycles", ctypes.c_int64),
         ("miss_cycles", ctypes.c_int64), ("bank_busy", ctypes.c_void_p),
@@ -269,14 +270,15 @@ class Passes:
                              f"fit a replay of {n}")
         self.geometry = geometry
         self.out = out
-        self.layout = layout(geometry)
         self.state = None
         self.units = []
         # the buffers the pointers below point into
-        self._bound = [addrs, out.codes, self.layout]
-        self.args = _Run(layout=address(self.layout, 8, len(self.layout)),
-                         addrs=address(addrs, 8, n),
+        self._bound = [addrs, out.codes]
+        self.args = _Run(addrs=address(addrs, 8, n),
                          codes=address(out.codes, 1, n))
+        # without a cache, records find their banks by the identity mapping
+        identity = layout(geometry)
+        self._bind("layout", identity, 8, len(identity))
         self._byref = ctypes.byref(self.args)
         self._run = kernel("edr_run")
 
@@ -287,14 +289,13 @@ class Passes:
         setattr(self.args, name,
                 None if buffer is None else address(buffer, itemsize, n))
 
-    def bind_cache(self, state: CacheState, writes, units=(),
-                   ratio: int = 64) -> None:
+    def bind_cache(self, state: CacheState, writes, units=()) -> None:
         """Replay into `state`, with the write flags `writes`, one byte per
-        record (a trace's ops are); with `units`, every block whose number is
-        a multiple of `ratio` is also looked up in each profiling unit,
-        which counts its accesses, misses and load misses. The layout
-        follows the state's mapping as it is now; `relayout` follows a
-        later change."""
+        record (a trace's ops are), finding sets through the state's layout,
+        which `reconfigure` keeps current. With `units`, every block whose
+        number is a multiple of their sampling ratio is also looked up in
+        each profiling unit, which counts its accesses, misses and load
+        misses."""
         g = self.geometry
         if state.geometry != g:
             raise ValueError("the cache and the replay differ in geometry")
@@ -302,9 +303,10 @@ class Passes:
         if stray:
             raise AssertionError(
                 f"mapping routes regions to inactive colors {sorted(stray)}")
-        if units and (ratio < 1 or any(u.associativity != g.associativity
-                                       for u in units)):
-            raise ValueError("profiling units need a sampling ratio >= 1 and "
+        ratios = {u.sample_ratio_denom for u in units}
+        if len(ratios) > 1 or any(u.associativity != g.associativity
+                                  for u in units):
+            raise ValueError("profiling units need one sampling ratio and "
                              "the cache's associativity")
         n = len(self.out)
         column = self.out.last_touch
@@ -322,19 +324,14 @@ class Passes:
         self._bind("writes", writes, 1, n)
         self._bind("last_touch", column, 4, n)
         self._bind("unit_counts", self.unit_counts, 8, 3 * len(units))
-        self._bind("unit_shape", array("q", [
-            x for u in units for x in (u.num_sets, u.sample_ratio_denom)]),
-            8, 2 * len(units))
+        self._bind("unit_rows", array("q", [len(u.fill) for u in units]), 8,
+                   len(units))
+        self._bind("layout", state.layout, 8, len(state.layout))
         a = self.args
         a.cache = ctypes.addressof(state.arrays)
-        a.n_units, a.ratio = len(units), ratio
+        a.n_units, a.ratio = len(units), min(ratios, default=1)
         a.unit_tags = ctypes.addressof(unit_tags)
         a.unit_fill = ctypes.addressof(unit_fill)
-        self.relayout()
-
-    def relayout(self) -> None:
-        """Route the regions as the bound state's mapping now does."""
-        self.layout[:] = layout(self.geometry, self.state.mapping)
 
     def bind_timing(self, gaps, clock, bank_busy, counts, phase_touch,
                     cpi: float, hit_cycles: int, miss_cycles: int,
@@ -459,5 +456,6 @@ def reconfigure(state: CacheState, new_colors) -> ReconfigReport:
 
     switched = (len(deactivated) + len(activated)) * g.lines_per_color
     state.active_colors = new_set
+    state.layout[:] = layout(g, state.mapping)
     return ReconfigReport(flushed_lines=flushed, writebacks=writebacks,
                           switched_blocks=switched)

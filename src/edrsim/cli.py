@@ -195,12 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trace-driven energy simulator for eDRAM last-level caches")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out_dir=True):
+    def common(p):
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the synthetic trace seed")
-        if needs_out_dir:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-trace", help="write a synthetic binary trace")
     p.add_argument("--config", required=True)

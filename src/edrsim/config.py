@@ -35,8 +35,7 @@ _ENERGY_FIELDS = {"e_dyn_l2", "p_leak_l2", "e_dyn_dram", "p_leak_dram",
                   "e_transition", "e_dyn_prof", "p_leak_prof"}
 _ENERGY_KEYS = {"builtin"} | _ENERGY_FIELDS
 _TRACE_KEYS = {"path", "synthetic"}
-_SYNTH_KEYS = {"seed", "accesses_per_kilo_instr", "block_bytes", "phases",
-               "description"}
+_SYNTH_KEYS = {"seed", "accesses_per_kilo_instr", "phases"}
 _RUN_KEYS = {"warmup_instructions", "warmup_fraction", "interval_instructions"}
 _DCR_KEYS = {"c_min": int, "granularity": int, "delta": int, "beta": float}
 _SCHEME_KEYS = {"kind", "retention_period_us", "phases", "energy_builtin",
@@ -106,7 +105,7 @@ def _parse_phases(value: str) -> list[PhaseSpec]:
     return phases
 
 
-def _parse_synthetic(sec: dict) -> SyntheticTraceSpec:
+def _parse_synthetic(sec: dict, block_bytes: int) -> SyntheticTraceSpec:
     _check_keys("synthetic", sec, _SYNTH_KEYS)
     return SyntheticTraceSpec(
         phases=_parse_phases(_get(sec, "synthetic", "phases", str,
@@ -115,7 +114,7 @@ def _parse_synthetic(sec: dict) -> SyntheticTraceSpec:
         accesses_per_kilo_instr=_get(sec, "synthetic",
                                      "accesses_per_kilo_instr", float,
                                      default=20.0),
-        block_bytes=_get(sec, "synthetic", "block_bytes", int, default=64),
+        block_bytes=block_bytes,
     )
 
 
@@ -185,13 +184,13 @@ def _parse_scheme(sec: dict, name: str, geometry: CacheGeometry,
                 raise ConfigError(
                     f"[{section}] key '{key}' is only valid for kind=dcr")
 
-    energy = _get(sec, section, "energy_builtin", builtin_params)
-    profiler_ratio = _get(sec, section, "sampling_ratio_denom", int,
-                          default=64)
-    if kind is SchemeKind.DCR:
-        make_units(geometry, profiler_ratio)  # raises if the ratio does not fit
     spec = SchemeSpec(kind=kind, refresh=refresh, controller=controller,
-                      energy=energy, name=name, profiler_ratio=profiler_ratio)
+                      energy=_get(sec, section, "energy_builtin",
+                                  builtin_params), name=name)
+    if "sampling_ratio_denom" in sec:
+        spec.profiler_ratio = _get(sec, section, "sampling_ratio_denom", int)
+    if kind is SchemeKind.DCR:
+        make_units(geometry, spec.profiler_ratio)  # raises if it does not fit
     check_refresh_fits(spec, geometry)
     return spec
 
@@ -258,7 +257,8 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
     # a [synthetic] section is checked even where [trace] does not use it
     synthetic = None
     if "synthetic" in sections:
-        synthetic = _parse_synthetic(sections["synthetic"])
+        synthetic = _parse_synthetic(sections["synthetic"],
+                                     geometry.block_bytes)
     trace_path = None
     if "trace" in sections:
         tsec = sections["trace"]

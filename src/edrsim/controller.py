@@ -1,17 +1,17 @@
 """Interval-driven cache allocation controller.
 
 At each interval boundary the controller enumerates candidate color counts
-around the current allocation, estimates each candidate's execution time and
-energy from the profiling units, drops candidates whose slowdown versus the
-full-size cache exceeds the tolerance, and reconfigures to the energy
-minimum among the survivors.
+around the current allocation, predicts each candidate's interval from the
+profiling units and prices it with the run's own `interval_energy`, drops
+candidates whose slowdown versus the full-size cache exceeds the tolerance,
+and reconfigures to the energy minimum among the survivors.
 """
 
 import math
 from dataclasses import dataclass, field
 
 from .cache import CacheGeometry, CacheState, ReconfigReport, reconfigure
-from .energy import CandidateEstimates, EnergyParams, predict_energy
+from .energy import EnergyParams, SchemeKind, interval_energy
 from .profiler import (IntervalStats, ProfilingUnit, estimate_misses,
                        estimate_refreshes, estimate_time)
 from .refresh import RefreshConfig
@@ -96,17 +96,20 @@ def select(stats: IntervalStats, units: list[ProfilingUnit], state: CacheState,
         est_m, est_load = estimate_misses(units, colors, geometry)
         t_i = estimate_time(stats, est_load)
         d_i = delta_pct(t_i, t_0)
-        ests = CandidateEstimates(
-            est_m_l2=est_m,
-            est_h_l2=max(accesses - est_m, 0.0),
-            est_n_r=estimate_refreshes(state.n_valid, colors, geometry,
-                                       t_i, refresh_config) if t_i > 0 else 0,
-            t_cycles=t_i,
-            est_a_dram=est_m * (1.0 + wb_ratio),
-            b_blocks=abs(colors - current) * geometry.lines_per_color,
-            est_a_prof=stats.prof_accesses,
+        # the stats the candidate predicts for the next interval
+        expected = IntervalStats(
+            l2_hits=max(accesses - est_m, 0.0),
+            l2_misses=est_m,
+            refreshed_lines=estimate_refreshes(
+                state.n_valid, colors, geometry, t_i,
+                refresh_config) if t_i > 0 else 0,
+            dram_accesses=est_m * (1.0 + wb_ratio),
+            active_fraction=colors / m_total,
+            elapsed_cycles=t_i,
+            switched_blocks=abs(colors - current) * geometry.lines_per_color,
+            prof_accesses=stats.prof_accesses,
         )
-        energy = predict_energy(colors, m_total, ests, params, ghz)
+        energy = interval_energy(expected, params, SchemeKind.DCR, ghz).total
         candidates.append(Candidate(colors, t_i, d_i, energy,
                                     rejected_by_beta=d_i > cfg.beta))
 

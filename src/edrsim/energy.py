@@ -85,7 +85,8 @@ class EnergyBreakdown:
 
 def interval_energy(stats, params: EnergyParams, scheme: SchemeKind,
                     ghz: float) -> EnergyBreakdown:
-    """Energy of one finished interval, in joules.
+    """Energy of one finished interval, in joules; DCR's controller also
+    scores each candidate allocation with it, on the stats it predicts.
 
     The baseline eDRAM, SRAM and polyphase schemes run the whole cache with
     no algorithm overhead (F_A = 1, E_algo = 0); SRAM never refreshes.
@@ -107,31 +108,3 @@ def interval_energy(stats, params: EnergyParams, scheme: SchemeKind,
     total = le_l2 + de_l2 + re_l2 + e_dram + e_algo
     return EnergyBreakdown(le_l2, de_l2, re_l2, e_dram, e_algo, e_prof, total)
 
-
-@dataclass
-class CandidateEstimates:
-    """Profiler-derived inputs for scoring one candidate allocation."""
-
-    est_m_l2: float
-    est_h_l2: float
-    est_n_r: float
-    t_cycles: float
-    est_a_dram: float
-    b_blocks: int
-    est_a_prof: float = 0.0
-
-
-def predict_energy(colors: int, total_colors: int, ests: CandidateEstimates,
-                   params: EnergyParams, ghz: float) -> float:
-    """Predicted next-interval energy for a candidate color count, in joules."""
-    if not 1 <= colors <= total_colors:
-        raise ValueError(f"colors must be in [1, {total_colors}]")
-    t = ests.t_cycles / (ghz * 1e9)
-    f_a = colors / total_colors
-    le_l2 = params.p_leak_l2 * f_a * t
-    de_l2 = params.e_dyn_l2_j * (2 * ests.est_m_l2 + ests.est_h_l2)
-    re_l2 = ests.est_n_r * params.e_dyn_l2_j
-    e_dram = params.p_leak_dram * t + params.e_dyn_dram_j * ests.est_a_dram
-    e_prof = params.p_leak_prof * t + params.e_dyn_prof_j * ests.est_a_prof
-    e_algo = params.e_transition_j * ests.b_blocks + e_prof
-    return le_l2 + de_l2 + re_l2 + e_dram + e_algo

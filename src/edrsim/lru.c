@@ -20,7 +20,9 @@
  * DCR binds both. Both passes find a record's set through a layout, built
  * by cache.layout: layout[FIRST_SET + region] is the first set of the
  * color the region maps to, and the block's offset in its page picks the
- * set inside that color.
+ * set inside that color. A cache owns its layout, which follows its
+ * mapping (cache.reconfigure rewrites it); a run without a cache uses the
+ * identity mapping's.
  *
  * edr_flush invalidates a color's lines when DCR reconfigures the cache.
  * edr_generate writes one phase of a synthetic trace, and edr_pack and
@@ -47,16 +49,16 @@ struct clock {
         load_misses;
 };
 
-/* A cache.CacheState: its arrays and shape. */
+/* A cache.CacheState: its arrays, its ways and its layout, which also
+ * gives its shape. */
 struct cache {
     uint64_t *tags;
     uint8_t *dirty;
     int32_t *touch;
     int32_t *fill;
     int64_t *valid_by_bank;
-    int64_t ways, sets_per_color, sets_per_bank;
-    int64_t page_shift; /* a tag's page is tag >> page_shift */
-    int64_t region_mask;
+    int64_t ways;
+    const int64_t *layout;
 };
 
 /* What a run's passes read and write; a NULL cache skips the functional
@@ -70,10 +72,10 @@ struct run {
     const uint8_t *writes;
     int32_t *last_touch;
     int64_t n_units;
-    uint64_t ratio;
+    uint64_t ratio; /* the units' sampling ratio */
     uint64_t *const *unit_tags;
     int32_t *const *unit_fill;
-    const int64_t *unit_shape;
+    const int64_t *unit_rows;
     int64_t *unit_counts;
     /* the timing pass */
     struct clock *clock;
@@ -143,11 +145,11 @@ static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *touch,
  * the LRU step on the main cache, the dirty byte of a write, a fill of a
  * free way counted in valid_by_bank and, with last_touch, the touch index
  * that lru_step leaves. With units, a block whose number is a multiple of
- * `ratio` is then looked up in each unit u: in set (block % sets) / denom
- * when that set is sampled (block % sets % denom == 0), where
- * unit_shape[2u] is its set count and unit_shape[2u + 1] its sampling
- * denominator. The unit counts misses, load misses and accesses at
- * unit_counts[3u..3u + 2]. Returns the record's code byte, also stored. */
+ * `ratio` is then looked up in each unit u. A unit samples every ratio-th
+ * of its sets, a multiple of ratio, so the block's set, block % sets, is
+ * sampled: row block / ratio % unit_rows[u]. The unit counts misses, load
+ * misses and accesses at unit_counts[3u..3u + 2]. Returns the record's
+ * code byte, also stored. */
 static int replay(const struct run *run, int64_t r, int64_t set,
                   int64_t bank)
 {
@@ -173,16 +175,12 @@ static int replay(const struct run *run, int64_t r, int64_t set,
     if (!run->n_units || tag % run->ratio)
         return code;
     for (int64_t u = 0; u < run->n_units; u++) {
-        uint64_t s = tag % (uint64_t)run->unit_shape[2 * u];
-        uint64_t denom = (uint64_t)run->unit_shape[2 * u + 1];
+        uint64_t row = tag / run->ratio % (uint64_t)run->unit_rows[u];
         int64_t *count = run->unit_counts + 3 * u;
 
-        if (s % denom)
-            continue;
-        s /= denom;
         count[2]++;
-        if (!(lru_step(run->unit_tags[u] + s * ways, NULL, NULL,
-                       run->unit_fill[u] + s, ways, tag) & HIT)) {
+        if (!(lru_step(run->unit_tags[u] + row * ways, NULL, NULL,
+                       run->unit_fill[u] + row, ways, tag) & HIT)) {
             count[0]++;
             count[1] += !is_write;
         }
@@ -308,16 +306,20 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
 int64_t edr_flush(const struct cache *c, int64_t color,
                   const uint8_t *pulled, int64_t *writebacks)
 {
-    int64_t first = color * c->sets_per_color, flushed = 0, dirty_lost = 0;
+    const int64_t *layout = c->layout;
+    int64_t sets = layout[WITHIN_MASK] + 1, first = color * sets;
+    /* a tag is a block number, so its page is tag >> page_shift */
+    int64_t page_shift = layout[PAGE_SHIFT] - layout[BLOCK_SHIFT];
+    int64_t flushed = 0, dirty_lost = 0;
 
-    for (int64_t s = first; s < first + c->sets_per_color; s++) {
+    for (int64_t s = first; s < first + sets; s++) {
         uint64_t *row = c->tags + s * c->ways;
         uint8_t *dirty = c->dirty + s * c->ways;
         int32_t n = c->fill[s], kept = 0;
 
         for (int32_t i = 0; i < n; i++) {
-            if (pulled && !pulled[(row[i] >> c->page_shift)
-                                  & (uint64_t)c->region_mask]) {
+            if (pulled && !pulled[(row[i] >> page_shift)
+                                  & (uint64_t)layout[REGION_MASK]]) {
                 row[kept] = row[i];
                 dirty[kept++] = dirty[i];
             } else {
@@ -326,7 +328,7 @@ int64_t edr_flush(const struct cache *c, int64_t color,
         }
         memset(dirty + kept, 0, (size_t)(n - kept));
         c->fill[s] = kept;
-        c->valid_by_bank[s / c->sets_per_bank] -= n - kept;
+        c->valid_by_bank[s / layout[SETS_PER_BANK]] -= n - kept;
         flushed += n - kept;
     }
     *writebacks = dirty_lost;

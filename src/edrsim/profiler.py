@@ -2,11 +2,12 @@
 
 Five tag-only LRU units emulate conventional caches of size X, X/2, X/4, X/8
 and X/16 (X = the main cache size) and count misses and load misses on a
-sampled subset of sets. All units sample the same set residues so the LRU
-stacks stay comparable across sizes. A unit's sampled sets are laid out as
-the main cache's (see cache.py), without dirty bytes, and the functional
-pass steps them with the same LRU routine. Estimates for intermediate sizes are
-interpolated log-linearly between the profiled points.
+sampled subset of sets. All units sample the same set residues, one set in
+`sample_ratio_denom`, so the LRU stacks stay comparable across sizes. A
+unit's sampled sets are laid out as the main cache's (see cache.py),
+without dirty bytes, and the functional pass steps them with the same LRU
+routine. Estimates for intermediate sizes are interpolated log-linearly
+between the profiled points.
 """
 
 import math
@@ -39,7 +40,7 @@ class ProfilingUnit:
     """Tag-only LRU emulation of one cache size on sampled sets."""
 
     def __init__(self, emulated_size: int, geometry: CacheGeometry,
-                 sample_ratio_denom: int = 64):
+                 sample_ratio_denom: int):
         self.emulated_size = emulated_size
         self.associativity = geometry.associativity
         self.num_sets = emulated_size // (geometry.block_bytes * geometry.associativity)
@@ -52,27 +53,15 @@ class ProfilingUnit:
             raise ValueError(
                 f"sampling 1/{sample_ratio_denom} must divide {self.num_sets} sets")
         self.sample_ratio_denom = sample_ratio_denom
-        self.block_bytes = geometry.block_bytes
         # the sampled sets are the residue-0 ones: set s is row
         # s // sample_ratio_denom, its tags least recent first
         rows = self.num_sets // sample_ratio_denom
         self.tags = zeros("Q", rows * self.associativity)
         self.fill = zeros("i", rows)
-        self.misses = 0
-        self.load_misses = 0
-        self.accesses = 0
-
-    @property
-    def sampled_set_count(self) -> int:
-        return len(self.fill)
-
-    def reset_counters(self) -> None:
-        self.misses = 0
-        self.load_misses = 0
-        self.accesses = 0
+        self.misses = self.load_misses = self.accesses = 0
 
 
-def make_units(geometry: CacheGeometry, sample_ratio_denom: int = 64) -> list[ProfilingUnit]:
+def make_units(geometry: CacheGeometry, sample_ratio_denom: int) -> list[ProfilingUnit]:
     """Build the five standard units (X down to X/16)."""
     return [ProfilingUnit(geometry.size_bytes // f, geometry, sample_ratio_denom)
             for f in PROFILED_FRACTIONS]
@@ -81,12 +70,12 @@ def make_units(geometry: CacheGeometry, sample_ratio_denom: int = 64) -> list[Pr
 def reset_interval(units: list[ProfilingUnit]) -> None:
     """Zero the interval counters; tag arrays persist (warm profiler)."""
     for unit in units:
-        unit.reset_counters()
+        unit.misses = unit.load_misses = unit.accesses = 0
 
 
 def profiler_overhead_bytes(units: list[ProfilingUnit], tag_bits: int = 30) -> float:
     """Storage footprint of all units (tags only; no data is stored)."""
-    total_bits = sum(u.sampled_set_count * u.associativity * tag_bits for u in units)
+    total_bits = sum(len(u.fill) * u.associativity * tag_bits for u in units)
     return total_bits / 8.0
 
 

@@ -27,6 +27,8 @@ latency and tallies the outcome. The loop itself finds where warm-up ends,
 restarting its tallies there, and stops after a record that closes an
 interval. Its clock, bank timers and counters carry from one call to the
 next; `run` reads each interval's tallies and lets DCR's controller act.
+DCR's records find their sets through the cache's own layout, which a
+reconfiguration rewrites, so the next call follows the new mapping.
 """
 
 import math
@@ -53,7 +55,7 @@ class SchemeSpec:
     refresh: RefreshConfig | None = None
     controller: ControllerConfig | None = None
     energy: EnergyParams | None = None  # falls back to the run's shared params
-    profiler_ratio: int = 64
+    profiler_ratio: int = 64  # DCR's profiling units sample 1 set in this many
     name: str = ""
 
     def __post_init__(self):
@@ -363,7 +365,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     miss_cost = hit_cycles + timing.dram_latency_cycles
     passes = _cache.Passes(geometry, trace.addrs, replay)
     if is_dcr:
-        passes.bind_cache(state, trace.ops, units, scheme.profiler_ratio)
+        passes.bind_cache(state, trace.ops, units)
     # RPV times a copy of the last-touch column, which the pass overwrites
     # with phases
     passes.bind_timing(trace.gaps, clock, bank_busy, counts,
@@ -401,8 +403,6 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                 intervals, decisions, stats, colors, scheme, params,
                 timing.clock_ghz, state, units,
                 run_controller=is_dcr and closes)
-            if carry_switched:  # the decision remapped the cache
-                passes.relayout()
         if is_dcr:
             active_fraction = state.active_count / m_total
         if lo == n and not closes:

@@ -125,7 +125,7 @@ class SyntheticTraceSpec:
     phases: list[PhaseSpec] = field(default_factory=list)
     rng_seed: int = 0
     accesses_per_kilo_instr: float = 20.0
-    block_bytes: int = 64
+    block_bytes: int = 64  # a config's is its [geometry] block_bytes
 
     def __post_init__(self):
         if not self.phases:
@@ -145,6 +145,21 @@ class SyntheticTraceSpec:
                     f"phase working_set_bytes {phase.working_set_bytes} is "
                     f"wider than {_PHASE_STRIDE_BLOCKS} blocks of {b} B, the "
                     "distance between two phases' footprints")
+            try:
+                n = self.records(phase)
+            except OverflowError:  # past a float, or infinitely many
+                n = 0
+            # gaps are u32; record j ends at (j + 1) * i // n, in u64
+            i = phase.instructions
+            if i > n * _MASK32 or n * i > _MASK64:
+                raise TraceError(f"a phase of {i} instructions at {rate} "
+                                 "accesses per kilo-instruction does not "
+                                 "fit the generator")
+
+    def records(self, phase: PhaseSpec) -> int:
+        """The records a phase draws at the access rate, at least one."""
+        return max(1, round(phase.instructions
+                            * self.accesses_per_kilo_instr / 1000.0))
 
 
 def _pack_header(header: TraceHeader) -> bytes:
@@ -283,9 +298,7 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> TraceArrays:
     Identical spec + seed reproduce the trace exactly: the records that
     numpy's `default_rng(seed)` draws for them (see lru.c's edr_generate).
     """
-    counts = [max(1, round(phase.instructions
-                           * spec.accesses_per_kilo_instr / 1000.0))
-              for phase in spec.phases]
+    counts = [spec.records(phase) for phase in spec.phases]
     arrays = _columns(sum(counts))
     rng = _pcg64(spec.rng_seed)
     state = address(rng, 8, len(rng))

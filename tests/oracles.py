@@ -34,7 +34,7 @@ import numpy as np
 
 from edrsim import native
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, Passes, Replay)
+                          CacheState, Passes, Replay, layout)
 from edrsim.controller import apply, select
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
@@ -65,7 +65,7 @@ def ints(column) -> list[int]:
 
 
 def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
-           units=None, ratio: int = 64) -> None:
+           units=None) -> None:
     """Apply records [lo, hi) to the cache and write their outcomes to `out`.
 
     `addrs` and `writes` are the trace's columns: byte addresses and write
@@ -76,11 +76,11 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     evicts the first. The dirty bytes and the valid counters (total and per
     bank) follow, and so do the last-touch indices when `out` has a
     last-touch column. With `units`, every block whose number is a
-    multiple of `ratio` is looked up in each profiling unit, which counts
-    its accesses, misses and load misses.
+    multiple of their sampling ratio is looked up in each profiling unit,
+    which counts its accesses, misses and load misses.
     """
     passes = Passes(state.geometry, addrs, out)
-    passes.bind_cache(state, writes, units or [], ratio)
+    passes.bind_cache(state, writes, units or [])
     passes(lo, hi)
 
 
@@ -254,9 +254,10 @@ def probe(unit, block: int, is_write: bool) -> None:
 
 
 def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
-                     out: Replay, units=None, ratio: int = 64) -> None:
-    """`replay` record by record: `access_block`, then `probe` in
-    every unit for a block whose number is a multiple of `ratio`."""
+                     out: Replay, units=None) -> None:
+    """`replay` record by record: `access_block`, then `probe` in every
+    unit for a block whose number is a multiple of the first unit's
+    sampling ratio."""
     stray = set(state.mapping) - state.active_colors
     assert not stray, f"mapping routes regions to inactive colors {stray}"
     model = SetLists(state)
@@ -265,7 +266,7 @@ def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
                                  ints(writes)[lo:hi]):
         out.codes[i] = access_block(model, bool(is_write), addr)
         block = addr // block_bytes
-        if units and not block % ratio:
+        if units and not block % units[0].sample_ratio_denom:
             for unit in units:
                 probe(unit, block, bool(is_write))
     model.store()
@@ -316,13 +317,13 @@ def observe_arrays(units, trace, geometry: CacheGeometry) -> None:
     unit."""
     out = Replay(geometry, len(trace))
     replay(CacheState(geometry), trace.addrs, trace.ops, 0, len(trace), out,
-           units, units[0].sample_ratio_denom)
+           units)
 
 
-def observe_reference(units, trace) -> None:
+def observe_reference(units, trace, geometry: CacheGeometry) -> None:
     """`observe_arrays` one sampled record at a time, with `probe`."""
     denom = units[0].sample_ratio_denom
-    blocks = view(trace.addrs) // np.uint64(units[0].block_bytes)
+    blocks = view(trace.addrs) // np.uint64(geometry.block_bytes)
     sampled = blocks % np.uint64(denom) == 0
     for block, op in zip(blocks[sampled].tolist(),
                          view(trace.ops)[sampled].tolist()):
@@ -420,8 +421,9 @@ def validate_state(state: CacheState,
     Verifies set occupancy (at most `associativity` distinct tags per set, no
     block in two sets), the n_valid counter (total and per bank), that no
     dirty byte is set on an empty slot, containment (no valid line in an
-    inactive color), mapping totality and codomain, and reachability (each
-    valid line's region still maps to the color holding it). With `rpv`, it
+    inactive color), mapping totality and codomain, the layout the kernels
+    route by (it must follow the mapping), and reachability (each valid
+    line's region still maps to the color holding it). With `rpv`, it
     also checks that every resident tag, and only those, has a phase, and
     the per-bank-per-phase counts.
     """
@@ -438,6 +440,9 @@ def validate_state(state: CacheState,
     if codomain != state.active_colors:
         return OracleVerdict(False, "active colors without any region: "
                              f"{sorted(state.active_colors - codomain)}")
+    if state.layout != layout(g, state.mapping):
+        return OracleVerdict(False, "the kernels' layout does not follow "
+                             "the mapping")
 
     n_valid = 0
     resident: set[int] = set()

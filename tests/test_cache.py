@@ -393,6 +393,7 @@ def _reconfigure_one_region_at_a_time(state, new_colors) -> ReconfigReport:
             counts[donor] -= 1
             counts[color] += 1
     state.active_colors = set(new)
+    state.layout[:] = cache.layout(g, state.mapping)
     return ReconfigReport(flushed, writebacks,
                           (len(deactivated) + len(activated))
                           * g.lines_per_color)
@@ -428,7 +429,7 @@ def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
         # the resident tags in order; the slots past a set's fill hold
         # leftovers that no lookup reads
         assert all_sets(batched) == all_sets(single), step
-        for name in ("dirty", "fill", "valid_by_bank"):
+        for name in ("dirty", "fill", "valid_by_bank", "layout"):
             assert np.array_equal(getattr(batched, name),
                                   getattr(single, name)), (step, name)
         assert batched.mapping == single.mapping

@@ -203,6 +203,10 @@ def test_domain_validation_failures_are_config_errors(tmp_path):
         load_config(str(path))
 
 
+_SYNTH_RATE_AND_PHASES = """accesses_per_kilo_instr = 20
+phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
+
+
 @pytest.mark.parametrize("old, new, error", [
     # the clock is [timing]'s; a second one in [energy] could only disagree
     ("builtin = EDRAM_2MB", _ENERGY_OVERRIDES + "\nclock_ghz = 3.0",
@@ -247,6 +251,21 @@ def test_domain_validation_failures_are_config_errors(tmp_path):
      r"\[synthetic\] unknown key\(s\): bogus_key"),
     # a negative seed failed only when the trace was drawn, with exit 1
     ("seed = 5", "seed = -3", "seed must be >= 0, got -3"),
+    # blocks are [geometry]'s, and a description was never read
+    ("seed = 5", "seed = 5\nblock_bytes = 64",
+     r"\[synthetic\] unknown key\(s\): block_bytes"),
+    ("seed = 5", "seed = 5\ndescription = demo",
+     r"\[synthetic\] unknown key\(s\): description"),
+    # phases the generator cannot draw used to run silently wrong
+    (_SYNTH_RATE_AND_PHASES, "accesses_per_kilo_instr = 1e-7\n"
+     "phases = 10000000000:4096:0:0", "does not fit the generator"),
+    (_SYNTH_RATE_AND_PHASES, "accesses_per_kilo_instr = 1e-3\n"
+     "phases = 10000000000000:4096:0:0", "does not fit the generator"),
+    (_SYNTH_RATE_AND_PHASES, "accesses_per_kilo_instr = 1e-10\n"
+     f"phases = {2**64 + 5}:4096:0:0", "does not fit the generator"),
+    # its record count used to escape as an OverflowError traceback
+    (_SYNTH_RATE_AND_PHASES, "accesses_per_kilo_instr = 20\n"
+     f"phases = {10**400}:4096:0:0", "does not fit the generator"),
     # an option, on the config as it is
     ("--seed", "-5", "--seed -5: seed must be >= 0, got -5"),
 ], ids=["energy clock", "phase past the stride", "empty interval",
@@ -254,7 +273,10 @@ def test_domain_validation_failures_are_config_errors(tmp_path):
         "negative warm-up fraction", "nan warm-up fraction",
         "warm-up fraction above 1", "negative warm-up",
         "inf access rate", "nan access rate", "duplicate key",
-        "unused synthetic section", "negative seed", "negative --seed"])
+        "unused synthetic section", "negative seed", "synthetic block size",
+        "synthetic description", "gap past u32", "edge past u64",
+        "instructions past u64", "instructions past a float",
+        "negative --seed"])
 def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
     path = tmp_path / "bad.cfg"
     options = []

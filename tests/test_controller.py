@@ -67,8 +67,7 @@ def _prepped_state_and_units(geometry, ws_kb, seed=3, records=40_000):
     state = CacheState(geometry)
     units = make_units(geometry, sample_ratio_denom=2)
     out = Replay(geometry, len(arrays))
-    replay(state, arrays.addrs, arrays.ops, 0, len(arrays), out,
-           units, 2)
+    replay(state, arrays.addrs, arrays.ops, 0, len(arrays), out, units)
     hits = sum(bool(code & HIT) for code in out.codes)
     misses = len(arrays) - hits
     load_misses = sum(not code & (HIT | WRITE) for code in out.codes)

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from oracles import recompute_energy
-from edrsim.energy import (CandidateEstimates, EnergyParams, EnergyParamsError,
-                           SchemeKind, builtin_params, interval_energy,
-                           predict_energy)
+from edrsim.energy import (EnergyParams, EnergyParamsError, SchemeKind,
+                           builtin_params, interval_energy)
 from edrsim.profiler import IntervalStats
 
 GHZ = 2.2  # the core clock the energy functions take
@@ -138,29 +137,17 @@ def test_interval_energy_matches_oracle_bit_for_bit():
                              b.e_prof, b.total)
 
 
-def test_predict_matches_interval_energy_when_estimates_are_measured():
-    p = builtin_params("EDRAM_2MB")
-    stats = IntervalStats(l2_hits=90_000, l2_misses=4_000, load_misses=2_600,
-                          refreshed_lines=600_000, dram_accesses=5_200,
-                          active_fraction=0.5, elapsed_cycles=7_000_000,
-                          switched_blocks=0, prof_accesses=8_000)
-    measured = interval_energy(stats, p, SchemeKind.DCR, GHZ)
-    ests = CandidateEstimates(
-        est_m_l2=stats.l2_misses, est_h_l2=stats.l2_hits,
-        est_n_r=stats.refreshed_lines, t_cycles=stats.elapsed_cycles,
-        est_a_dram=stats.dram_accesses, b_blocks=0,
-        est_a_prof=stats.prof_accesses)
-    predicted = predict_energy(32, 64, ests, p, GHZ)  # 32/64 colors = F_A 0.5
-    assert predicted == pytest.approx(measured.total, rel=1e-12)
-
-
 def test_predict_monotone_in_active_fraction():
+    # the controller prices a candidate's predicted interval with
+    # interval_energy: the same interval on more colors costs more
     p = builtin_params("EDRAM_2MB")
-    ests = CandidateEstimates(est_m_l2=1000, est_h_l2=50_000, est_n_r=10_000,
-                              t_cycles=5_000_000, est_a_dram=1200, b_blocks=0)
-    energies = [predict_energy(m, 64, ests, p, GHZ)
-                for m in (8, 16, 32, 64)]
+    energies = [interval_energy(
+        IntervalStats(l2_hits=50_000, l2_misses=1000, refreshed_lines=10_000,
+                      dram_accesses=1200, active_fraction=m / 64,
+                      elapsed_cycles=5_000_000), p, SchemeKind.DCR, GHZ).total
+        for m in (8, 16, 32, 64)]
     assert energies == sorted(energies)
+    assert len(set(energies)) == 4
 
 
 def test_negative_params_rejected():

@@ -1,10 +1,11 @@
 import math
+from array import array
 
 import pytest
 
 from oracles import (compiled_full_profile, full_profile, observe_arrays,
                      observe_reference, probe, replay, trace_of)
-from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay
+from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Passes, Replay
 from edrsim.profiler import (IntervalStats, estimate_misses,
                              estimate_refreshes, estimate_time, make_units,
                              profiler_overhead_bytes, reset_interval)
@@ -26,7 +27,7 @@ def test_full_sampling_matches_main_cache(small_geometry):
     units = make_units(small_geometry, sample_ratio_denom=1)
     out = Replay(small_geometry, len(arrays))
     replay(CacheState(small_geometry), arrays.addrs, arrays.ops,
-           0, len(arrays), out, units, 1)
+           0, len(arrays), out, units)
     misses = sum(not code & HIT for code in out.codes)
     load_misses = sum(not code & (HIT | WRITE) for code in out.codes)
     one_x = max(units, key=lambda u: u.emulated_size)
@@ -47,15 +48,15 @@ def test_full_sampling_matches_full_profile_oracle(small_geometry):
 
 def test_unsampled_record_leaves_counters_alone(small_geometry):
     units = make_units(small_geometry, sample_ratio_denom=2)
-    # block 1 maps to set 1 in every unit: sampled sets are the even ones;
-    # replay's own ratio 1 offers every block to the units
+    # block 1 maps to set 1 in every unit: sampled sets are the even ones,
+    # and the units take only the even blocks
     arrays = trace_of([(1, Op.READ, 64), (1, Op.READ, 128)])
     state = CacheState(small_geometry)
     out = Replay(small_geometry, 2)
-    replay(state, arrays.addrs, arrays.ops, 0, 1, out, units, 1)
+    replay(state, arrays.addrs, arrays.ops, 0, 1, out, units)
     assert all(u.accesses == 0 and u.misses == 0 for u in units)
     assert not any(any(u.fill) for u in units)
-    replay(state, arrays.addrs, arrays.ops, 1, 2, out, units, 1)
+    replay(state, arrays.addrs, arrays.ops, 1, 2, out, units)
     assert all(u.accesses == 1 and u.misses == 1 for u in units)
     # set 2 is the second sampled set
     assert all(u.tags[u.associativity] == 2 and u.fill.tolist() == [0, 1] + [
@@ -79,11 +80,10 @@ def test_replay_feeds_units_like_the_python_reference(small_geometry):
         out = Replay(small_geometry, len(arrays))
         state = CacheState(small_geometry)
         half = len(arrays) // 2  # two calls, as sim.run's segments make
-        replay(state, arrays.addrs, arrays.ops, 0, half, out, fed, ratio)
-        replay(state, arrays.addrs, arrays.ops, half, len(arrays), out, fed,
-               ratio)
+        replay(state, arrays.addrs, arrays.ops, 0, half, out, fed)
+        replay(state, arrays.addrs, arrays.ops, half, len(arrays), out, fed)
         want = make_units(small_geometry, sample_ratio_denom=ratio)
-        observe_reference(want, arrays)
+        observe_reference(want, arrays, small_geometry)
         for a, b in zip(fed, want):
             assert a.tags.tolist() == b.tags.tolist()
             assert a.fill.tolist() == b.fill.tolist()
@@ -220,3 +220,13 @@ def test_units_reject_non_dividing_ratio(small_geometry):
     # smallest unit of the 64 KB cache has 8 sets; 1/64 cannot divide it
     with pytest.raises(ValueError):
         make_units(small_geometry, sample_ratio_denom=64)
+
+
+def test_replay_rejects_units_with_two_sampling_ratios(small_geometry):
+    # the units' one ratio picks the blocks they see: with two, a block
+    # offered at one ratio could fall in a set the other does not sample
+    units = make_units(small_geometry, sample_ratio_denom=1)
+    units[1:] = make_units(small_geometry, sample_ratio_denom=2)[1:]
+    passes = Passes(small_geometry, array("Q", [0]), Replay(small_geometry, 1))
+    with pytest.raises(ValueError, match="one sampling ratio"):
+        passes.bind_cache(CacheState(small_geometry), bytearray(1), units)

@@ -282,7 +282,7 @@ def _kernel_against_reference(geometry, trace, cuts, colors, ratio=None,
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         for step, state, us, out in zip((replay, replay_reference), states,
                                         units, outs):
-            step(state, trace.addrs, writes, lo, hi, out, us, ratio or 64)
+            step(state, trace.addrs, writes, lo, hi, out, us)
         assert outs[0].codes[lo:hi] == outs[1].codes[lo:hi], k
         _assert_same_state(states[0], states[1], units[0], units[1])
         if k < len(colors):

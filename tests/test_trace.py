@@ -169,6 +169,33 @@ def test_negative_seed_rejected():
         seed_words(-1)
 
 
+@pytest.mark.parametrize("instructions, rate", [
+    # one record of 10**10 instructions: its gap would wrap in a u32
+    (10**10, 1e-7),
+    # 10**7 records: (j + 1) * instructions would wrap in a u64
+    (10**13, 1e-3),
+    # ctypes would pass 2**64 + 5 instructions as 5
+    (2**64 + 5, 1e-10),
+    # one instruction past the widest gap
+    (2**32, 1e-7),
+    # the record count overflowed a float and escaped as OverflowError
+    (10**400, 20.0), (1000, 1e308),
+], ids=["gap past u32", "edge past u64", "instructions past u64",
+        "gap of 2**32", "instructions past a float", "infinite records"])
+def test_phase_the_generator_cannot_draw_rejected(instructions, rate):
+    with pytest.raises(TraceError, match="does not fit the generator"):
+        SyntheticTraceSpec(phases=[PhaseSpec(instructions, 4096)],
+                           accesses_per_kilo_instr=rate)
+
+
+def test_widest_gap_drawn_whole():
+    spec = SyntheticTraceSpec(phases=[PhaseSpec(2**32 - 1, 4096)],
+                              accesses_per_kilo_instr=1e-7)
+    arrays = generate_synthetic(spec)
+    assert list(arrays.gaps) == [2**32 - 1]
+    assert arrays.instructions == 2**32 - 1
+
+
 # seeds of one, two, three and five 32-bit words; the pool holds four
 _SEEDS = [0, 2**32, 2**64 + 1, 2**130 + 5]
 
