@@ -11,9 +11,10 @@ lookups consistent and the per-bank valid counters exact.
 The sets live in flat arrays (`array.array`, and a `bytearray` for the
 dirty bytes): set s owns the tag slots [s * ways, (s + 1) * ways), of
 which its first `fill[s]` hold the resident tags, least recent first: the
-same LRU stack the profiling units keep (Mattson et al., 1970). A tag is a
-full block number, so a block sits in at most one set; each slot has a
-dirty byte and a last-touch record index.
+same LRU stack DCR's profiling unit keeps at each of its sizes (Mattson et
+al., 1970). A tag is a full block number, so a block sits in at most one
+set; each slot has a dirty byte and a last-touch record index. Each bank
+counts its valid lines, and `n_valid` is their sum.
 
 The functional pass of a simulation applies trace records to those arrays
 and writes each record's outcome into a code byte (a `Replay`), which the
@@ -142,7 +143,6 @@ class CacheState:
         self.dirty = bytearray(lines)
         self.touch = zeros("i", lines)
         self.fill = zeros("i", sets)
-        self.n_valid = 0
         self.valid_by_bank = zeros("q", geometry.num_banks)
         # how the kernels find a set under the mapping; reconfigure
         # rewrites it in place
@@ -157,6 +157,10 @@ class CacheState:
     @property
     def active_count(self) -> int:
         return len(self.active_colors)
+
+    @property
+    def n_valid(self) -> int:
+        return sum(self.valid_by_bank)
 
 
 # outcome bits of a Replay code byte
@@ -242,7 +246,7 @@ class _Run(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "layout", "addrs", "codes", "cache", "writes", "last_touch")] + [
-        ("n_units", ctypes.c_int64), ("ratio", ctypes.c_uint64)] + [
+        ("n_sizes", ctypes.c_int64), ("ratio", ctypes.c_uint64)] + [
         (name, ctypes.c_void_p) for name in (
             "unit_tags", "unit_fill", "unit_rows", "unit_counts", "clock",
             "gaps")] + [
@@ -260,7 +264,8 @@ class Passes:
     `bind_timing` (see `sim.run`). Calling it with [lo, hi) takes those
     records through the bound passes, one record at a time, and returns
     the record after the last one taken: `hi`, or earlier where the timing
-    pass closed an interval.
+    pass closed an interval. The kernel counts in the bound buffers, the
+    cache's and the profiling unit's, so a call copies nothing back.
     """
 
     def __init__(self, geometry: CacheGeometry, addrs, out: Replay):
@@ -270,8 +275,6 @@ class Passes:
                              f"fit a replay of {n}")
         self.geometry = geometry
         self.out = out
-        self.state = None
-        self.units = []
         # the buffers the pointers below point into
         self._bound = [addrs, out.codes]
         self.args = _Run(addrs=address(addrs, 8, n),
@@ -289,49 +292,38 @@ class Passes:
         setattr(self.args, name,
                 None if buffer is None else address(buffer, itemsize, n))
 
-    def bind_cache(self, state: CacheState, writes, units=()) -> None:
+    def bind_cache(self, state: CacheState, writes, unit=None) -> None:
         """Replay into `state`, with the write flags `writes`, one byte per
         record (a trace's ops are), finding sets through the state's layout,
-        which `reconfigure` keeps current. With `units`, every block whose
-        number is a multiple of their sampling ratio is also looked up in
-        each profiling unit, which counts its accesses, misses and load
-        misses."""
+        which `reconfigure` keeps current. With a `profiler.ProfilingUnit`,
+        every block whose number is a multiple of its sampling ratio is also
+        looked up at each of its sizes, which adds to its counts."""
         g = self.geometry
-        if state.geometry != g:
-            raise ValueError("the cache and the replay differ in geometry")
+        if state.geometry != g or (unit is not None
+                                   and unit.ways != g.associativity):
+            raise ValueError("the cache, the profiling unit and the replay "
+                             "differ in geometry")
         stray = set(state.mapping) - state.active_colors
         if stray:
             raise AssertionError(
                 f"mapping routes regions to inactive colors {sorted(stray)}")
-        ratios = {u.sample_ratio_denom for u in units}
-        if len(ratios) > 1 or any(u.associativity != g.associativity
-                                  for u in units):
-            raise ValueError("profiling units need one sampling ratio and "
-                             "the cache's associativity")
         n = len(self.out)
         column = self.out.last_touch
         # the kernel trusts them
         if len(writes) != n or (column is not None and len(column) != n):
             raise ValueError("the trace's write flags or the replay's "
                              "last-touch column do not fit its records")
-        self.state = state
-        self.units = list(units)
-        ptrs = ctypes.c_void_p * len(units)
-        unit_tags = ptrs(*[address(u.tags, 8, len(u.tags)) for u in units])
-        unit_fill = ptrs(*[address(u.fill, 4, len(u.fill)) for u in units])
-        self.unit_counts = zeros("q", 3 * len(units))
-        self._bound += [state, units, unit_tags, unit_fill]
+        self._bound.append(state)
         self._bind("writes", writes, 1, n)
         self._bind("last_touch", column, 4, n)
-        self._bind("unit_counts", self.unit_counts, 8, 3 * len(units))
-        self._bind("unit_rows", array("q", [len(u.fill) for u in units]), 8,
-                   len(units))
         self._bind("layout", state.layout, 8, len(state.layout))
-        a = self.args
-        a.cache = ctypes.addressof(state.arrays)
-        a.n_units, a.ratio = len(units), min(ratios, default=1)
-        a.unit_tags = ctypes.addressof(unit_tags)
-        a.unit_fill = ctypes.addressof(unit_fill)
+        self.args.cache = ctypes.addressof(state.arrays)
+        if unit is not None:
+            self._bind("unit_tags", unit.tags, 8, len(unit.tags))
+            self._bind("unit_fill", unit.fill, 4, len(unit.fill))
+            self._bind("unit_rows", unit.rows, 8, len(unit.rows))
+            self._bind("unit_counts", unit.counts, 8, len(unit.counts))
+            self.args.n_sizes, self.args.ratio = len(unit.sizes), unit.ratio
 
     def bind_timing(self, gaps, clock, bank_busy, counts, phase_touch,
                     cpi: float, hit_cycles: int, miss_cycles: int,
@@ -358,16 +350,6 @@ class Passes:
             raise ValueError(
                 f"record {-1 - got}: its last-touch entry names no earlier "
                 "record, or a phase out of range")
-        if self.state is not None:
-            self.state.n_valid = sum(self.state.valid_by_bank)
-        if self.units:
-            counts = self.unit_counts.tolist()
-            for i, unit in enumerate(self.units):
-                misses, load_misses, accesses = counts[3 * i:3 * i + 3]
-                unit.misses += misses
-                unit.load_misses += load_misses
-                unit.accesses += accesses
-            self.unit_counts[:] = zeros("q", len(counts))
         return got
 
 
@@ -386,7 +368,6 @@ def _flush(state: CacheState, color: int, regions=None) -> tuple[int, int]:
     writebacks = ctypes.c_int64()
     flushed = kernel("edr_flush")(ctypes.byref(state.arrays), color, pulled,
                                   ctypes.byref(writebacks))
-    state.n_valid -= flushed
     return flushed, writebacks.value
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cache import CacheGeometry
 from .controller import default_config
 from .energy import EnergyParams, SchemeKind, builtin_params
-from .profiler import make_units
+from .profiler import ProfilingUnit
 from .refresh import RefreshConfig
 from .sim import SchemeSpec, TimingParams, check_refresh_fits
 from .trace import PhaseSpec, SyntheticTraceSpec
@@ -64,6 +64,15 @@ def _get(sec: dict, section: str, key, conv, default=None, required=False):
         return conv(sec[key])
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+def _int64(sec: dict, section: str, key: str, low: int) -> int | None:
+    """An integer key that the compiled passes hold in an int64, if set."""
+    value = _get(sec, section, key, int)
+    if value is not None and not low <= value < 1 << 63:
+        raise ConfigError(f"[{section}] {key} must be >= {low} and below "
+                          f"2**63, got {value}")
+    return value
 
 
 def _given(sec: dict, section: str, convs: dict) -> dict:
@@ -190,7 +199,7 @@ def _parse_scheme(sec: dict, name: str, geometry: CacheGeometry,
     if "sampling_ratio_denom" in sec:
         spec.profiler_ratio = _get(sec, section, "sampling_ratio_denom", int)
     if kind is SchemeKind.DCR:
-        make_units(geometry, spec.profiler_ratio)  # raises if it does not fit
+        ProfilingUnit(geometry, spec.profiler_ratio)  # raises if it does not fit
     check_refresh_fits(spec, geometry)
     return spec
 
@@ -244,15 +253,11 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
     _check_keys("run", rsec, _RUN_KEYS)
     if "warmup_instructions" in rsec and "warmup_fraction" in rsec:
         raise ConfigError("[run] set warmup_instructions or warmup_fraction, not both")
-    warmup_instructions = _get(rsec, "run", "warmup_instructions", int)
-    if warmup_instructions is not None and warmup_instructions < 0:
-        raise ConfigError("[run] warmup_instructions must be >= 0")
+    warmup_instructions = _int64(rsec, "run", "warmup_instructions", 0)
     warmup_fraction = _get(rsec, "run", "warmup_fraction", float, default=0.1)
     if not 0 <= warmup_fraction < 1:
         raise ConfigError("[run] warmup_fraction must be in [0, 1)")
-    interval_instructions = _get(rsec, "run", "interval_instructions", int)
-    if interval_instructions is not None and interval_instructions < 1:
-        raise ConfigError("[run] interval_instructions must be >= 1")
+    interval_instructions = _int64(rsec, "run", "interval_instructions", 1)
 
     # a [synthetic] section is checked even where [trace] does not use it
     synthetic = None

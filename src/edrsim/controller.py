@@ -2,7 +2,7 @@
 
 At each interval boundary the controller enumerates candidate color counts
 around the current allocation, predicts each candidate's interval from the
-profiling units and prices it with the run's own `interval_energy`, drops
+profiling unit and prices it with the run's own `interval_energy`, drops
 candidates whose slowdown versus the full-size cache exceeds the tolerance,
 and reconfigures to the energy minimum among the survivors.
 """
@@ -72,7 +72,7 @@ class Decision:
     fail_safe: bool = False
 
 
-def select(stats: IntervalStats, units: list[ProfilingUnit], state: CacheState,
+def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
            refresh_config: RefreshConfig, cfg: ControllerConfig,
            params: EnergyParams, ghz: float) -> Decision:
     """Pick the next interval's color count from the finished interval's
@@ -82,7 +82,7 @@ def select(stats: IntervalStats, units: list[ProfilingUnit], state: CacheState,
     current = state.active_count
     space = candidate_space(current, m_total, cfg)
 
-    _, full_load = estimate_misses(units, m_total, geometry)
+    _, full_load = estimate_misses(unit, m_total, geometry)
     t_0 = estimate_time(stats, full_load)
 
     accesses = stats.l2_hits + stats.l2_misses
@@ -93,7 +93,7 @@ def select(stats: IntervalStats, units: list[ProfilingUnit], state: CacheState,
 
     candidates = []
     for colors in space:
-        est_m, est_load = estimate_misses(units, colors, geometry)
+        est_m, est_load = estimate_misses(unit, colors, geometry)
         t_i = estimate_time(stats, est_load)
         d_i = delta_pct(t_i, t_0)
         # the stats the candidate predicts for the next interval

@@ -9,11 +9,11 @@
  *   instructions, turn its gap into cycles, fire the refresh events due by
  *   then and wait out a burst on its bank;
  * - the functional pass (see cache.py), with a cache: a tag-only LRU step
- *   over flat arrays, applied to the main cache and to DCR's profiling
- *   units. A set is a row of `ways` tag slots; its first `fill` slots hold
- *   the resident tags, least recent first, and for RPV the record that
- *   last touched each. Without a cache the loop reads the record's code
- *   byte, which an earlier functional pass wrote;
+ *   over flat arrays, applied to the main cache and to each size of DCR's
+ *   profiling unit. A set is a row of `ways` tag slots; its first `fill`
+ *   slots hold the resident tags, least recent first, and for RPV the
+ *   record that last touched each. Without a cache the loop reads the
+ *   record's code byte, which an earlier functional pass wrote;
  * - the timing pass again: the hit or miss latency and the tallies. The
  *   loop stops after a record that closes an interval.
  *
@@ -71,10 +71,10 @@ struct run {
     struct cache *cache;
     const uint8_t *writes;
     int32_t *last_touch;
-    int64_t n_units;
-    uint64_t ratio; /* the units' sampling ratio */
-    uint64_t *const *unit_tags;
-    int32_t *const *unit_fill;
+    int64_t n_sizes; /* the profiling unit's, sampled one set in ratio */
+    uint64_t ratio;
+    uint64_t *unit_tags;
+    int32_t *unit_fill;
     const int64_t *unit_rows;
     int64_t *unit_counts;
     /* the timing pass */
@@ -144,12 +144,13 @@ static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *touch,
 /* The functional pass of record r, whose block sits in `set` of `bank`:
  * the LRU step on the main cache, the dirty byte of a write, a fill of a
  * free way counted in valid_by_bank and, with last_touch, the touch index
- * that lru_step leaves. With units, a block whose number is a multiple of
- * `ratio` is then looked up in each unit u. A unit samples every ratio-th
- * of its sets, a multiple of ratio, so the block's set, block % sets, is
- * sampled: row block / ratio % unit_rows[u]. The unit counts misses, load
- * misses and accesses at unit_counts[3u..3u + 2]. Returns the record's
- * code byte, also stored. */
+ * that lru_step leaves. With a profiling unit, a block whose number is a
+ * multiple of `ratio` is then looked up at each size u. A size samples
+ * every ratio-th of its sets, a multiple of ratio, so the block's set,
+ * block % sets, is sampled: the size's row block / ratio % unit_rows[u],
+ * counted from the rows of the sizes before it. Size u counts misses,
+ * load misses and accesses at unit_counts[3u..3u + 2]. Returns the
+ * record's code byte, also stored. */
 static int replay(const struct run *run, int64_t r, int64_t set,
                   int64_t bank)
 {
@@ -172,15 +173,17 @@ static int replay(const struct run *run, int64_t r, int64_t set,
         touch[last] = (int32_t)r;
     }
     run->codes[r] = (uint8_t)code;
-    if (!run->n_units || tag % run->ratio)
+    if (!run->n_sizes || tag % run->ratio)
         return code;
-    for (int64_t u = 0; u < run->n_units; u++) {
-        uint64_t row = tag / run->ratio % (uint64_t)run->unit_rows[u];
+    for (int64_t u = 0, first = 0; u < run->n_sizes;
+         first += run->unit_rows[u++]) {
+        int64_t row = first + (int64_t)(tag / run->ratio
+                                        % (uint64_t)run->unit_rows[u]);
         int64_t *count = run->unit_counts + 3 * u;
 
         count[2]++;
-        if (!(lru_step(run->unit_tags[u] + row * ways, NULL, NULL,
-                       run->unit_fill[u] + row, ways, tag) & HIT)) {
+        if (!(lru_step(run->unit_tags + row * ways, NULL, NULL,
+                       run->unit_fill + row, ways, tag) & HIT)) {
             count[0]++;
             count[1] += !is_write;
         }
@@ -195,7 +198,7 @@ static int replay(const struct run *run, int64_t r, int64_t set,
  * With a clock, each record adds its gap to the instruction tally and
  * rint(gap * cpi) cycles to the clock. The first record whose
  * instructions since the start of the trace reach warm_at ends warm-up
- * after its gap: every tally, the units' counts included, restarts there.
+ * after its gap: every tally, the unit's counts included, restarts there.
  * The record then fires every refresh boundary due by then, waits while
  * its bank is busy with a burst (firing the boundaries that fall due
  * meanwhile), takes the functional pass or reads its code, and costs
@@ -237,8 +240,8 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
                 k.warm_at = k.instructions = k.cycles = k.refreshed = 0;
                 k.hits = k.misses = k.dirty_victims = k.load_misses = 0;
                 since = k.now;
-                if (run->n_units)
-                    memset(run->unit_counts, 0, (size_t)run->n_units * 3
+                if (run->n_sizes)
+                    memset(run->unit_counts, 0, (size_t)run->n_sizes * 3
                                                 * sizeof *run->unit_counts);
             }
             for (;;) {

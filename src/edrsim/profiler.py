@@ -1,16 +1,18 @@
-"""Set-sampled profiling units and per-interval statistics.
+"""DCR's set-sampled profiling unit and per-interval statistics.
 
-Five tag-only LRU units emulate conventional caches of size X, X/2, X/4, X/8
-and X/16 (X = the main cache size) and count misses and load misses on a
-sampled subset of sets. All units sample the same set residues, one set in
-`sample_ratio_denom`, so the LRU stacks stay comparable across sizes. A
-unit's sampled sets are laid out as the main cache's (see cache.py),
-without dirty bytes, and the functional pass steps them with the same LRU
-routine. Estimates for intermediate sizes are interpolated log-linearly
-between the profiled points.
+One `ProfilingUnit` emulates conventional caches of size X, X/2, X/4, X/8
+and X/16 (X = the main cache size), as UMON-style set sampling does
+(Qureshi & Patt, MICRO 2006), and counts misses, load misses and accesses
+on one set in `ratio` of each size. Every size samples the same set
+residues, so the LRU stacks stay comparable across sizes. The sampled
+sets are laid out as the main cache's (see cache.py), without dirty
+bytes, and the functional pass steps them with the same LRU routine,
+adding to the unit's counts in place. Estimates for intermediate sizes
+are interpolated log-linearly between the profiled points.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .cache import CacheGeometry, lines_at, zeros
@@ -37,81 +39,70 @@ class IntervalStats:
 
 
 class ProfilingUnit:
-    """Tag-only LRU emulation of one cache size on sampled sets."""
+    """DCR's profiling unit: tag-only LRU emulations of the cache at each
+    size X / f, f in PROFILED_FRACTIONS, on one set in `ratio` of each.
 
-    def __init__(self, emulated_size: int, geometry: CacheGeometry,
-                 sample_ratio_denom: int):
-        self.emulated_size = emulated_size
-        self.associativity = geometry.associativity
-        self.num_sets = emulated_size // (geometry.block_bytes * geometry.associativity)
-        if self.num_sets < 1:
-            raise ValueError(f"emulated size {emulated_size} too small")
-        if sample_ratio_denom < 1:
-            raise ValueError(
-                f"sampling_ratio_denom must be >= 1, got {sample_ratio_denom}")
-        if self.num_sets % sample_ratio_denom:
-            raise ValueError(
-                f"sampling 1/{sample_ratio_denom} must divide {self.num_sets} sets")
-        self.sample_ratio_denom = sample_ratio_denom
-        # the sampled sets are the residue-0 ones: set s is row
-        # s // sample_ratio_denom, its tags least recent first
-        rows = self.num_sets // sample_ratio_denom
-        self.tags = zeros("Q", rows * self.associativity)
-        self.fill = zeros("i", rows)
-        self.misses = self.load_misses = self.accesses = 0
+    `sizes` lists the emulated sizes in that order. Their sampled sets
+    share one flat `tags` array, of `ways` slots per row, and one `fill`
+    array, size after size: size u owns the next `rows[u]` rows, and its
+    set s is the (s // ratio)-th of them. `counts` holds the misses, load
+    misses and accesses of size u at 3u, 3u + 1 and 3u + 2, where the
+    compiled pass adds to them in place.
+    """
 
+    def __init__(self, geometry: CacheGeometry, ratio: int):
+        if ratio < 1:
+            raise ValueError(f"sampling_ratio_denom must be >= 1, got {ratio}")
+        self.ratio = ratio
+        self.ways = geometry.associativity
+        self.sizes = [geometry.size_bytes // f for f in PROFILED_FRACTIONS]
+        self.rows = array("q")
+        for size in self.sizes:
+            sets = size // (geometry.block_bytes * self.ways)
+            if sets < 1:
+                raise ValueError(f"emulated size {size} too small")
+            if sets % ratio:
+                raise ValueError(f"sampling 1/{ratio} must divide {sets} sets")
+            self.rows.append(sets // ratio)
+        self.tags = zeros("Q", sum(self.rows) * self.ways)
+        self.fill = zeros("i", sum(self.rows))
+        self.counts = zeros("q", 3 * len(self.sizes))
 
-def make_units(geometry: CacheGeometry, sample_ratio_denom: int) -> list[ProfilingUnit]:
-    """Build the five standard units (X down to X/16)."""
-    return [ProfilingUnit(geometry.size_bytes // f, geometry, sample_ratio_denom)
-            for f in PROFILED_FRACTIONS]
-
-
-def reset_interval(units: list[ProfilingUnit]) -> None:
-    """Zero the interval counters; tag arrays persist (warm profiler)."""
-    for unit in units:
-        unit.misses = unit.load_misses = unit.accesses = 0
+    def reset(self) -> None:
+        """Zero the counts; the tags persist (a warm profiler)."""
+        self.counts[:] = zeros("q", len(self.counts))
 
 
-def profiler_overhead_bytes(units: list[ProfilingUnit], tag_bits: int = 30) -> float:
-    """Storage footprint of all units (tags only; no data is stored)."""
-    total_bits = sum(len(u.fill) * u.associativity * tag_bits for u in units)
-    return total_bits / 8.0
-
-
-def estimate_misses(units: list[ProfilingUnit], colors: int,
+def estimate_misses(unit: ProfilingUnit, colors: int,
                     geometry: CacheGeometry) -> tuple[float, float]:
     """Estimated (misses, load misses) for a cache of `colors` colors.
 
-    Exact at the five profiled sizes; log-linear in size between them; sizes
-    below the smallest unit clamp to its estimate. Counts are scaled by the
+    Exact at the profiled sizes; log-linear in size between them; sizes
+    below the smallest clamp to its estimate. Counts are scaled by the
     sampling ratio.
     """
     m_total = geometry.color_count
     if not 1 <= colors <= m_total:
         raise ValueError(f"colors must be in [1, {m_total}]")
     size = colors * geometry.size_bytes / m_total
-    points = sorted(units, key=lambda u: u.emulated_size)
-    scale = points[0].sample_ratio_denom
+    sizes, counts, scale = unit.sizes, unit.counts, unit.ratio
 
     def scaled(u):
-        return u.misses * scale, u.load_misses * scale
+        return counts[3 * u] * scale, counts[3 * u + 1] * scale
 
-    if size <= points[0].emulated_size:
-        return scaled(points[0])
-    for unit in points:
-        if size == unit.emulated_size:
-            return scaled(unit)
-    if size >= points[-1].emulated_size:
-        return scaled(points[-1])
-    for lo, hi in zip(points, points[1:]):
-        if lo.emulated_size < size < hi.emulated_size:
-            t = ((math.log2(size) - math.log2(lo.emulated_size))
-                 / (math.log2(hi.emulated_size) - math.log2(lo.emulated_size)))
-            lo_m, lo_l = scaled(lo)
-            hi_m, hi_l = scaled(hi)
-            return lo_m + t * (hi_m - lo_m), lo_l + t * (hi_l - lo_l)
-    raise AssertionError("unreachable")
+    # the sizes descend from X: walk up from the smallest to the first one
+    # at or above `size`
+    hi = len(sizes) - 1
+    while sizes[hi] < size:
+        hi -= 1
+    if sizes[hi] == size or hi == len(sizes) - 1:
+        return scaled(hi)
+    lo = hi + 1
+    t = ((math.log2(size) - math.log2(sizes[lo]))
+         / (math.log2(sizes[hi]) - math.log2(sizes[lo])))
+    lo_m, lo_l = scaled(lo)
+    hi_m, hi_l = scaled(hi)
+    return lo_m + t * (hi_m - lo_m), lo_l + t * (hi_l - lo_l)
 
 
 def estimate_time(stats: IntervalStats, est_load_misses: float) -> float:

@@ -25,8 +25,10 @@ class RefreshConfig:
     phases: int = 1
 
     def __post_init__(self):
-        if self.retention_cycles <= 0:
-            raise RefreshConfigError("retention_cycles must be > 0")
+        # the compiled timing pass holds it in an int64
+        if not 0 < self.retention_cycles < 1 << 63:
+            raise RefreshConfigError(f"retention_cycles must be > 0 and below "
+                                     f"2**63, got {self.retention_cycles}")
         if self.phases < 1:
             raise RefreshConfigError("phases must be >= 1")
         if self.retention_cycles % self.phases:

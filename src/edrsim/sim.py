@@ -40,7 +40,7 @@ from . import cache as _cache
 from .cache import CacheGeometry, CacheState, Replay, zeros
 from .controller import Candidate, ControllerConfig, apply as apply_decision, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
-from .profiler import IntervalStats, make_units, reset_interval
+from .profiler import IntervalStats, ProfilingUnit
 from .refresh import RefreshConfig
 from .trace import TraceArrays
 
@@ -55,7 +55,7 @@ class SchemeSpec:
     refresh: RefreshConfig | None = None
     controller: ControllerConfig | None = None
     energy: EnergyParams | None = None  # falls back to the run's shared params
-    profiler_ratio: int = 64  # DCR's profiling units sample 1 set in this many
+    profiler_ratio: int = 64  # DCR's profiling unit samples 1 set in this many
     name: str = ""
 
     def __post_init__(self):
@@ -86,8 +86,10 @@ class TimingParams:
     clock_ghz: float = 2.2
 
     def __post_init__(self):
-        if min(self.l2_hit_cycles, self.dram_latency_cycles) <= 0:
-            raise ValueError("latencies must be > 0")
+        hit, dram = self.l2_hit_cycles, self.dram_latency_cycles
+        if not 0 < min(hit, dram) <= max(hit, dram) < 1 << 63:  # int64s
+            raise ValueError(f"latencies must be > 0 and below 2**63, got "
+                             f"{hit} and {dram}")
         for name in ("base_cpi", "clock_ghz"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -264,31 +266,25 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
 
 
 def _close_interval(intervals, decisions, stats, colors, scheme, params, ghz,
-                    state, units, run_controller) -> tuple[int, int]:
+                    state, unit, run_controller) -> tuple[int, int]:
     """Record a finished interval and, for DCR, let the controller act.
 
     Returns the flush writebacks and switched blocks the next interval pays.
     """
     index = len(intervals)
-    if units is not None:
-        stats.prof_accesses = sum(u.accesses for u in units)
+    if unit is not None:
+        stats.prof_accesses = sum(unit.counts[2::3])  # every size's accesses
     intervals.append(IntervalRecord(
         index, colors, stats, interval_energy(stats, params, scheme.kind, ghz)))
     if not run_controller:
         return 0, 0
-    decision = select(stats, units, state, scheme.refresh, scheme.controller,
+    decision = select(stats, unit, state, scheme.refresh, scheme.controller,
                       params, ghz)
     report = apply_decision(decision, state)
     decisions.append(DecisionRecord(
-        interval=index,
-        current=decision.current,
-        chosen=decision.chosen,
-        fail_safe=decision.fail_safe,
-        switched_blocks=report.switched_blocks,
-        flush_writebacks=report.writebacks,
-        candidates=decision.candidates,
-    ))
-    reset_interval(units)
+        index, decision.current, decision.chosen, decision.fail_safe,
+        report.switched_blocks, report.writebacks, decision.candidates))
+    unit.reset()
     return report.writebacks, report.switched_blocks
 
 
@@ -325,17 +321,26 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     ctrl_cfg = scheme.controller
     if interval_instructions is None:
         interval_instructions = 10_000_000
-    if interval_instructions < 1:
-        raise ValueError("interval_instructions must be >= 1")
+    if not 1 <= interval_instructions < 1 << 63:
+        raise ValueError("interval_instructions must be >= 1 and below 2**63")
 
     n = len(trace)
+    # the kernel's int64 clock stays below 2**62, a run's boundary without
+    # refresh: per record, it gains the gap in cycles (rounded), a latency
+    # and a wait on a refresh burst, which holds a bank for at most its lines
+    wait = geometry.total_lines // geometry.num_banks if refresh_cfg else 0
+    if total_instr * timing.base_cpi + n * (1 + timing.l2_hit_cycles
+                                            + timing.dram_latency_cycles
+                                            + wait) >= 1 << 62:
+        raise ValueError(f"{total_instr} instructions at base_cpi "
+                         f"{timing.base_cpi} could take 2**62 cycles or more")
     m_total = geometry.color_count
     if is_dcr:
         state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
-        units = make_units(geometry, scheme.profiler_ratio)
+        unit = ProfilingUnit(geometry, scheme.profiler_ratio)
         replay = Replay(geometry, n)
     else:
-        state = units = None
+        state = unit = None
         replay = fixed_replay(trace, geometry)
 
     num_banks = geometry.num_banks
@@ -365,7 +370,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     miss_cost = hit_cycles + timing.dram_latency_cycles
     passes = _cache.Passes(geometry, trace.addrs, replay)
     if is_dcr:
-        passes.bind_cache(state, trace.ops, units)
+        passes.bind_cache(state, trace.ops, unit)
     # RPV times a copy of the last-touch column, which the pass overwrites
     # with phases
     passes.bind_timing(trace.gaps, clock, bank_busy, counts,
@@ -401,7 +406,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
             colors = state.active_count if is_dcr else m_total
             carry_writebacks, carry_switched = _close_interval(
                 intervals, decisions, stats, colors, scheme, params,
-                timing.clock_ghz, state, units,
+                timing.clock_ghz, state, unit,
                 run_controller=is_dcr and closes)
         if is_dcr:
             active_fraction = state.active_count / m_total

@@ -11,6 +11,7 @@ the file's records.
 """
 
 import ctypes
+import io
 import math
 import struct
 from array import array
@@ -213,12 +214,20 @@ def _read_header(source) -> TraceHeader:
 
 
 def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
-    """Read a binary trace into columns. Returns (header, arrays)."""
+    """Read a binary trace from a stream into columns. Returns
+    (header, arrays)."""
     header = _read_header(source)
     n = header.record_count
-    size = n * _RECORD_BYTES
-    body = source.read(size)
-    if len(body) < size:
+    # read no more than the stream holds, whatever count the header claims
+    want = n * _RECORD_BYTES
+    if source.seekable():
+        here = source.tell()
+        want = min(want, source.seek(0, io.SEEK_END) - here)
+        source.seek(here)
+        body = source.read(want)
+    else:  # a pipe, a bounded chunk at a time up to its end
+        body = b"".join(iter(lambda: source.read(1 << 24), b""))[:want]
+    if len(body) < n * _RECORD_BYTES:
         raise TraceError(
             f"truncated record at index {len(body) // _RECORD_BYTES}")
     arrays = _columns(n)

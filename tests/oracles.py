@@ -8,7 +8,8 @@ check beyond the parameter objects.
 of records. The module also holds a record-at-a-time model of the cache:
 `access_block` applies one access to a `CacheState`'s sets held as plain
 Python lists (`SetLists`) and returns the code byte `replay` writes,
-`probe` looks one block up in a profiling unit, and `replay_reference` is
+`probe` looks one block up at each size of a profiling unit, and
+`replay_reference` is
 `replay` built from the two, record by record in Python: the reference
 the compiled kernel is diffed against. `flush_reference` is the compiled
 flush of a reconfiguration in numpy, on `view`s of the state's columns.
@@ -38,7 +39,7 @@ from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
 from edrsim.controller import apply, select
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
-from edrsim.profiler import IntervalStats, make_units, reset_interval
+from edrsim.profiler import IntervalStats, ProfilingUnit
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import DecisionRecord, IntervalRecord, RunReport
 from edrsim.trace import (_PHASE_STRIDE_BLOCKS, Op, SyntheticTraceSpec,
@@ -65,7 +66,7 @@ def ints(column) -> list[int]:
 
 
 def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
-           units=None) -> None:
+           unit=None) -> None:
     """Apply records [lo, hi) to the cache and write their outcomes to `out`.
 
     `addrs` and `writes` are the trace's columns: byte addresses and write
@@ -75,12 +76,12 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     hit moves the tag to the end of its set's row; a miss into a full set
     evicts the first. The dirty bytes and the valid counters (total and per
     bank) follow, and so do the last-touch indices when `out` has a
-    last-touch column. With `units`, every block whose number is a
-    multiple of their sampling ratio is looked up in each profiling unit,
-    which counts its accesses, misses and load misses.
+    last-touch column. With a profiling `unit`, every block whose number
+    is a multiple of its sampling ratio is looked up at each of its sizes,
+    which count its accesses, misses and load misses.
     """
     passes = Passes(state.geometry, addrs, out)
-    passes.bind_cache(state, writes, units or [])
+    passes.bind_cache(state, writes, unit)
     passes(lo, hi)
 
 
@@ -95,8 +96,8 @@ def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
 
 
 def set_tags(state, row: int) -> list[int]:
-    """The resident tags of a set of a `CacheState`, or of a sampled set of
-    a `ProfilingUnit`, least recent first."""
+    """The resident tags of a set of a `CacheState`, or of a row (a sampled
+    set) of a `ProfilingUnit`, least recent first."""
     start = row * (len(state.tags) // len(state.fill))
     return state.tags[start:start + state.fill[row]].tolist()
 
@@ -150,8 +151,8 @@ class RpvPhases:
 class SetLists:
     """A `CacheState`'s sets as plain Python lists, the record-at-a-time
     model's cache: per set, the resident tags least recent first and their
-    dirty flags, and the valid lines in all and per bank, read from the
-    state's arrays. `store` writes them back; until then the state's
+    dirty flags, and the valid lines per bank, read from the state's
+    arrays. `store` writes them back; until then the state's
     arrays are stale. The mapping is the state's own list."""
 
     def __init__(self, state: CacheState):
@@ -164,7 +165,6 @@ class SetLists:
             g.color_count, g.sets_per_color, g.sets_per_bank)
         self.tags = all_sets(state)
         self.dirty = [set_dirty(state, row) for row in range(len(self.tags))]
-        self.n_valid = state.n_valid
         self.valid_by_bank = state.valid_by_bank.tolist()
 
     def set_of(self, address: int) -> int:
@@ -184,7 +184,6 @@ class SetLists:
             state.tags[start:start + len(tags)] = array("Q", tags)
             state.dirty[start:start + len(tags)] = bytes(dirty)
             state.fill[row] = len(tags)
-        state.n_valid = self.n_valid
         state.valid_by_bank[:] = array("q", self.valid_by_bank)
         return state
 
@@ -212,11 +211,9 @@ def access_block(model: SetLists, is_write: bool, address: int,
             code = EVICTED
             if dirty.pop(0):
                 code |= DIRTY_VICTIM
-            model.n_valid -= 1
             model.valid_by_bank[bank] -= 1
             if rpv is not None:
                 rpv.by_bank[bank][rpv.of_tag.pop(victim)] -= 1
-        model.n_valid += 1
         model.valid_by_bank[bank] += 1
     tags.append(tag)
     dirty.append(1 if is_write else was_dirty)
@@ -230,34 +227,49 @@ def access_block(model: SetLists, is_write: bool, address: int,
     return code
 
 
-def probe(unit, block: int, is_write: bool) -> None:
-    """Look one block up in a profiling unit: a sampled set counts an
-    access, and a miss (and a load miss) when the block is not resident; a
-    hit moves the block to the end of the set, a miss appends it and drops
-    the first tag of a full set."""
-    set_index = block % unit.num_sets
-    if set_index % unit.sample_ratio_denom:
-        return
-    row = set_index // unit.sample_ratio_denom
-    tags = set_tags(unit, row)
-    unit.accesses += 1
-    if block in tags:
-        tags.remove(block)
-    else:
-        unit.misses += 1
-        if not is_write:
-            unit.load_misses += 1
-        if len(tags) == unit.associativity:
-            tags.pop(0)
-    tags.append(block)
-    _store_set(unit, row, tags)
+def probe(unit: ProfilingUnit, block: int, is_write: bool) -> None:
+    """Look one block up at each size of a profiling unit: where its set
+    is sampled, the size counts an access, and a miss (and a load miss)
+    when the block is not resident; a hit moves the block to the end of
+    the set, a miss appends it and drops the first tag of a full set. Size
+    u's sets are the rows after those of the sizes before it."""
+    first = 0
+    for u, rows in enumerate(unit.rows.tolist()):
+        set_index = block % (rows * unit.ratio)
+        if not set_index % unit.ratio:
+            row = first + set_index // unit.ratio
+            tags = set_tags(unit, row)
+            unit.counts[3 * u + 2] += 1
+            if block in tags:
+                tags.remove(block)
+            else:
+                unit.counts[3 * u] += 1
+                unit.counts[3 * u + 1] += not is_write
+                if len(tags) == unit.ways:
+                    tags.pop(0)
+            tags.append(block)
+            _store_set(unit, row, tags)
+        first += rows
+
+
+def size_counts(unit: ProfilingUnit) -> list[tuple[int, int, int]]:
+    """Per size of a profiling unit, X first: its (misses, load misses,
+    accesses)."""
+    counts = unit.counts.tolist()
+    return [tuple(counts[i:i + 3]) for i in range(0, len(counts), 3)]
+
+
+def profiler_overhead_bytes(unit: ProfilingUnit, tag_bits: int = 30) -> float:
+    """Storage footprint of a profiling unit: its tags (it stores no
+    data)."""
+    return len(unit.tags) * tag_bits / 8
 
 
 def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
-                     out: Replay, units=None) -> None:
-    """`replay` record by record: `access_block`, then `probe` in every
-    unit for a block whose number is a multiple of the first unit's
-    sampling ratio."""
+                     out: Replay, unit=None) -> None:
+    """`replay` record by record: `access_block`, then `probe` in the
+    profiling unit for a block whose number is a multiple of its sampling
+    ratio."""
     stray = set(state.mapping) - state.active_colors
     assert not stray, f"mapping routes regions to inactive colors {stray}"
     model = SetLists(state)
@@ -266,9 +278,8 @@ def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
                                  ints(writes)[lo:hi]):
         out.codes[i] = access_block(model, bool(is_write), addr)
         block = addr // block_bytes
-        if units and not block % units[0].sample_ratio_denom:
-            for unit in units:
-                probe(unit, block, bool(is_write))
+        if unit is not None and not block % unit.ratio:
+            probe(unit, block, bool(is_write))
     model.store()
 
 
@@ -303,32 +314,30 @@ def flush_reference(state: CacheState, color: int,
         tags[:] = np.take_along_axis(tags, order, axis=1)
         dirty[:] = np.take_along_axis(dirty, order, axis=1)
     fill -= lost.astype(np.int32)
-    state.n_valid -= flushed
     np.subtract.at(view(state.valid_by_bank),
                    np.arange(first, first + g.sets_per_color) // g.sets_per_bank,
                    lost)
     return flushed, writebacks
 
 
-def observe_arrays(units, trace, geometry: CacheGeometry) -> None:
-    """Feed a whole trace to the profiling units through `replay`,
-    on a scratch main cache of `geometry`: each record whose block number
-    is a multiple of the units' sampling denominator is looked up in every
-    unit."""
+def observe_arrays(unit: ProfilingUnit, trace,
+                   geometry: CacheGeometry) -> None:
+    """Feed a whole trace to a profiling unit through `replay`, on a
+    scratch main cache of `geometry`: each record whose block number is a
+    multiple of the unit's sampling ratio is looked up at every size."""
     out = Replay(geometry, len(trace))
     replay(CacheState(geometry), trace.addrs, trace.ops, 0, len(trace), out,
-           units)
+           unit)
 
 
-def observe_reference(units, trace, geometry: CacheGeometry) -> None:
+def observe_reference(unit: ProfilingUnit, trace,
+                      geometry: CacheGeometry) -> None:
     """`observe_arrays` one sampled record at a time, with `probe`."""
-    denom = units[0].sample_ratio_denom
     blocks = view(trace.addrs) // np.uint64(geometry.block_bytes)
-    sampled = blocks % np.uint64(denom) == 0
+    sampled = blocks % np.uint64(unit.ratio) == 0
     for block, op in zip(blocks[sampled].tolist(),
                          view(trace.ops)[sampled].tolist()):
-        for unit in units:
-            probe(unit, block, op == Op.WRITE)
+        probe(unit, block, op == Op.WRITE)
 
 
 @dataclass
@@ -695,7 +704,7 @@ def reference_run(trace, scheme, geometry, timing, params,
                   warmup_instructions=None, interval_instructions=None
                   ) -> RunReport:
     """`sim.run` one record at a time: access_block, then the profiling
-    units, with due refresh events fired before each access. An event
+    unit, with due refresh events fired before each access. An event
     refreshes, per bank, every line (baseline), the valid lines (DCR) or the
     valid lines last touched in the due phase (RPV). Same arguments and
     report as `sim.run`."""
@@ -716,7 +725,7 @@ def reference_run(trace, scheme, geometry, timing, params,
     state = CacheState(geometry, min_colors=ctrl_cfg.c_min if is_dcr else 1)
     model = SetLists(state)
     rpv = RpvPhases(geometry, refresh_cfg) if kind is SchemeKind.RPV else None
-    units = make_units(geometry, scheme.profiler_ratio) if is_dcr else None
+    unit = ProfilingUnit(geometry, scheme.profiler_ratio) if is_dcr else None
     m_total = geometry.color_count
 
     if refresh_cfg is None:
@@ -757,8 +766,8 @@ def reference_run(trace, scheme, geometry, timing, params,
         nonlocal model, stats, interval_start_cycle, interval_instr
         stats.instructions = interval_instr
         stats.elapsed_cycles = now - interval_start_cycle
-        if units is not None:
-            stats.prof_accesses = sum(u.accesses for u in units)
+        if unit is not None:
+            stats.prof_accesses = sum(a for _, _, a in size_counts(unit))
         index = len(intervals)
         intervals.append(IntervalRecord(index, state.active_count, stats,
                                         interval_energy(stats, params, kind,
@@ -766,7 +775,7 @@ def reference_run(trace, scheme, geometry, timing, params,
         carry_writebacks = carry_switched = 0
         if run_controller:
             model.store()  # the controller reads and remaps the state
-            decision = select(stats, units, state, refresh_cfg, ctrl_cfg,
+            decision = select(stats, unit, state, refresh_cfg, ctrl_cfg,
                               params, timing.clock_ghz)
             report = apply(decision, state)
             model = SetLists(state)
@@ -778,7 +787,7 @@ def reference_run(trace, scheme, geometry, timing, params,
                 candidates=decision.candidates))
             carry_writebacks = report.writebacks
             carry_switched = report.switched_blocks
-            reset_interval(units)
+            unit.reset()
         interval_instr = 0
         interval_start_cycle = now
         stats = IntervalStats(active_fraction=state.active_count / m_total,
@@ -795,8 +804,8 @@ def reference_run(trace, scheme, geometry, timing, params,
             warmed = True
             interval_start_cycle = now
             stats = IntervalStats(active_fraction=state.active_count / m_total)
-            if units is not None:
-                reset_interval(units)
+            if unit is not None:
+                unit.reset()
 
         is_write = op == Op.WRITE
         bank = model.set_of(addr) // model.sets_per_bank
@@ -823,9 +832,8 @@ def reference_run(trace, scheme, geometry, timing, params,
                     stats.load_misses += 1
                     stats.memory_stall_cycles += miss_cost
         block = addr // geometry.block_bytes
-        if units is not None and block % scheme.profiler_ratio == 0:
-            for unit in units:
-                probe(unit, block, is_write)
+        if unit is not None and block % scheme.profiler_ratio == 0:
+            probe(unit, block, is_write)
 
         if warmed and interval_instr >= interval_instructions:
             close_interval(run_controller=is_dcr)

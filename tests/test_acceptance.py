@@ -9,13 +9,13 @@ import time
 import pytest
 
 from oracles import (compiled_full_profile, full_profile, observe_arrays,
-                     recompute_energy,
-                     replay_codes, timeline_oracle, trace_of, validate_state)
+                     profiler_overhead_bytes, recompute_energy, replay_codes,
+                     size_counts, timeline_oracle, trace_of, validate_state)
 from edrsim.cache import CacheGeometry, CacheState, reconfigure
 from edrsim.cli import main as cli_main
 from edrsim.controller import ControllerConfig, candidate_space, default_config
 from edrsim.energy import SchemeKind, builtin_params, interval_energy
-from edrsim.profiler import IntervalStats, make_units, profiler_overhead_bytes
+from edrsim.profiler import IntervalStats, ProfilingUnit
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import SchemeSpec, TimingParams, compare
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
@@ -247,31 +247,33 @@ def test_criterion_9_profiler_fidelity():
                 phases=[PhaseSpec(500_000_000, 512 * 1024, 0.3, 0.0)],
                 rng_seed=300 + seed, accesses_per_kilo_instr=20))
             assert len(trace) == 10_000_000
-            units = make_units(GEOMETRY_2MB, sample_ratio_denom=64)
-            observe_arrays(units, trace, GEOMETRY_2MB)
-            for unit in units:
+            unit = ProfilingUnit(GEOMETRY_2MB, 64)
+            observe_arrays(unit, trace, GEOMETRY_2MB)
+            for size, (misses, load_misses, _) in zip(unit.sizes,
+                                                      size_counts(unit)):
                 exact, exact_loads = compiled_full_profile(
-                    trace, GEOMETRY_2MB, unit.emulated_size)
-                est = unit.misses * 64
-                est_loads = unit.load_misses * 64
+                    trace, GEOMETRY_2MB, size)
+                est = misses * 64
+                est_loads = load_misses * 64
                 assert abs(est - exact) <= 0.15 * max(exact, 1), \
-                    (seed, unit.emulated_size, est, exact)
+                    (seed, size, est, exact)
                 assert abs(est_loads - exact_loads) <= 0.15 * max(exact_loads, 1)
         # at sampling ratio 1: exact equality with both oracles
         for seed in (77, 78):
             trace = generate_synthetic(SyntheticTraceSpec(
                 phases=[PhaseSpec(50_000_000, 256 * 1024, 0.3, 0.0)],
                 rng_seed=seed, accesses_per_kilo_instr=20))
-            units = make_units(GEOMETRY_2MB, sample_ratio_denom=1)
-            observe_arrays(units, trace, GEOMETRY_2MB)
-            for unit in units:
-                exact = full_profile(trace, GEOMETRY_2MB, unit.emulated_size)
-                assert (unit.misses, unit.load_misses) == exact
+            unit = ProfilingUnit(GEOMETRY_2MB, 1)
+            observe_arrays(unit, trace, GEOMETRY_2MB)
+            for size, (misses, load_misses, _) in zip(unit.sizes,
+                                                      size_counts(unit)):
+                exact = full_profile(trace, GEOMETRY_2MB, size)
+                assert (misses, load_misses) == exact
                 assert compiled_full_profile(trace, GEOMETRY_2MB,
-                                             unit.emulated_size) == exact
+                                             size) == exact
         # tag-only storage bound at 1/64 with 30-bit tags
-        units = make_units(GEOMETRY_2MB, sample_ratio_denom=64)
-        assert profiler_overhead_bytes(units, tag_bits=30) \
+        unit = ProfilingUnit(GEOMETRY_2MB, 64)
+        assert profiler_overhead_bytes(unit, tag_bits=30) \
             <= 0.002 * GEOMETRY_2MB.size_bytes
 
 

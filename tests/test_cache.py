@@ -332,7 +332,6 @@ def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
             tags, dirt, fill
         np.add.at(view(state.valid_by_bank),
                   np.arange(g.total_sets) // g.sets_per_bank, fill)
-        state.n_valid = int(fill.sum())
     for color, regions in flushes:
         color %= colors
         if regions is not None:  # pulled regions, several at a time

@@ -266,6 +266,18 @@ phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
     # its record count used to escape as an OverflowError traceback
     (_SYNTH_RATE_AND_PHASES, "accesses_per_kilo_instr = 20\n"
      f"phases = {10**400}:4096:0:0", "does not fit the generator"),
+    # values past the compiled timing pass's int64s: ctypes cut the latency
+    # to 12 without a word, and the others escaped as OverflowError
+    # tracebacks after the trace was drawn
+    ("clock_ghz = 2.0", f"clock_ghz = 2.0\nl2_hit_cycles = {2**64 + 12}",
+     r"latencies must be > 0 and below 2\*\*63"),
+    ("interval_instructions = 100000",
+     "interval_instructions = 10000000000000000000",
+     r"interval_instructions must be >= 1 and below 2\*\*63"),
+    ("warmup_fraction = 0.1", f"warmup_instructions = {2**63}",
+     r"warmup_instructions must be >= 0 and below 2\*\*63"),
+    ("retention_period_us = 1", "retention_period_us = 100000000000000000",
+     r"retention_cycles must be > 0 and below 2\*\*63"),
     # an option, on the config as it is
     ("--seed", "-5", "--seed -5: seed must be >= 0, got -5"),
 ], ids=["energy clock", "phase past the stride", "empty interval",
@@ -276,7 +288,8 @@ phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
         "unused synthetic section", "negative seed", "synthetic block size",
         "synthetic description", "gap past u32", "edge past u64",
         "instructions past u64", "instructions past a float",
-        "negative --seed"])
+        "hit latency past int64", "interval past int64", "warm-up past int64",
+        "retention past int64", "negative --seed"])
 def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
     path = tmp_path / "bad.cfg"
     options = []
@@ -292,6 +305,20 @@ def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
                  *options]) == 2
     assert not os.path.exists(out)
     assert re.search(error, capsys.readouterr().err)
+
+
+def test_clock_past_int64_writes_no_output(tmp_path, capsys):
+    # every value is in range, but at 1e300 cycles per instruction the
+    # baseline used to report -9223372036854775808 cycles and exit 0
+    path = tmp_path / "slow.cfg"
+    baseline_only = BASE_CONFIG[:BASE_CONFIG.index("[scheme.rpv]")]
+    path.write_text(baseline_only.replace(
+        "clock_ghz = 2.0", "clock_ghz = 2.0\nbase_cpi = 1e300"))
+    load_config(str(path))
+    out = str(tmp_path / "outdir")
+    assert main(["run", "--config", str(path), "--out", out]) == 1
+    assert not os.path.exists(out)
+    assert "could take 2**62 cycles or more" in capsys.readouterr().err
 
 
 def test_sweep_command(config_file, tmp_path):

@@ -1,15 +1,16 @@
 import random
+from array import array
 
 import pytest
 
-from oracles import replay, validate_state
+from oracles import replay, size_counts, validate_state
 from edrsim.cache import (HIT, WRITE, CacheGeometry, CacheState, Replay,
                           reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                apply as apply_decision, candidate_space,
                                default_config, delta_pct, select)
 from edrsim.energy import builtin_params
-from edrsim.profiler import IntervalStats, make_units
+from edrsim.profiler import PROFILED_FRACTIONS, IntervalStats, ProfilingUnit
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -60,14 +61,14 @@ def test_delta_pct():
         delta_pct(1.0, 0.0)
 
 
-def _prepped_state_and_units(geometry, ws_kb, seed=3, records=40_000):
+def _prepped_state_and_unit(geometry, ws_kb, seed=3, records=40_000):
     arrays = generate_synthetic(SyntheticTraceSpec(
         phases=[PhaseSpec(records * 50, ws_kb * 1024, 0.3, 0.0)],
         rng_seed=seed, accesses_per_kilo_instr=20))
     state = CacheState(geometry)
-    units = make_units(geometry, sample_ratio_denom=2)
+    unit = ProfilingUnit(geometry, 2)
     out = Replay(geometry, len(arrays))
-    replay(state, arrays.addrs, arrays.ops, 0, len(arrays), out, units)
+    replay(state, arrays.addrs, arrays.ops, 0, len(arrays), out, unit)
     hits = sum(bool(code & HIT) for code in out.codes)
     misses = len(arrays) - hits
     load_misses = sum(not code & (HIT | WRITE) for code in out.codes)
@@ -76,37 +77,38 @@ def _prepped_state_and_units(geometry, ws_kb, seed=3, records=40_000):
         load_misses=load_misses, memory_stall_cycles=load_misses * 166,
         dram_accesses=misses, elapsed_cycles=arrays.instructions
         + (hits + misses) * 12 + misses * 154,
-        active_fraction=1.0, prof_accesses=sum(u.accesses for u in units))
-    return state, units, stats
+        active_fraction=1.0,
+        prof_accesses=sum(a for _, _, a in size_counts(unit)))
+    return state, unit, stats
 
 
 def test_select_prefers_small_when_working_set_is_tiny(small_geometry):
-    state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=4)
+    state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=4)
     cfg = default_config(small_geometry, delta=8)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, units, state, refresh, cfg, params, GHZ)
+    decision = select(stats, unit, state, refresh, cfg, params, GHZ)
     assert decision.chosen == min(candidate_space(
         state.active_count, small_geometry.color_count, cfg))
     assert not decision.fail_safe
 
 
 def test_select_is_deterministic(small_geometry):
-    state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=24)
+    state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=24)
     cfg = default_config(small_geometry, delta=8)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    one = select(stats, units, state, refresh, cfg, params, GHZ)
-    two = select(stats, units, state, refresh, cfg, params, GHZ)
+    one = select(stats, unit, state, refresh, cfg, params, GHZ)
+    two = select(stats, unit, state, refresh, cfg, params, GHZ)
     assert one == two
 
 
 def test_select_chosen_is_in_space_and_beats_current(small_geometry):
-    state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=24)
+    state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=24)
     cfg = default_config(small_geometry, delta=4)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, units, state, refresh, cfg, params, GHZ)
+    decision = select(stats, unit, state, refresh, cfg, params, GHZ)
     space = candidate_space(state.active_count, small_geometry.color_count, cfg)
     assert decision.chosen in space
     current_cand = next(c for c in decision.candidates
@@ -119,13 +121,13 @@ def test_select_chosen_is_in_space_and_beats_current(small_geometry):
 
 def test_beta_filter_rejects_slow_candidates(small_geometry):
     # hand-built scenario: the small candidate is cheapest but too slow
-    state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=48)
+    state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=48)
     stats.memory_stall_cycles = stats.load_misses * 800  # exaggerate stalls
     stats.elapsed_cycles = stats.memory_stall_cycles * 2
     cfg = default_config(small_geometry, beta=3.0, delta=8)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, units, state, refresh, cfg, params, GHZ)
+    decision = select(stats, unit, state, refresh, cfg, params, GHZ)
     for cand in decision.candidates:
         if cand.rejected_by_beta:
             assert cand.delta_pct > cfg.beta
@@ -133,25 +135,21 @@ def test_beta_filter_rejects_slow_candidates(small_geometry):
 
 
 def test_fail_safe_when_everything_breaches_beta(small_geometry):
-    state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=48)
+    state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=48)
     state2 = CacheState(small_geometry)
     reconfigure(state2, [0])  # one active color, every region in it
     # fake a situation where even the largest reachable candidate is slow:
-    # current = 1 color, delta = 2, and stalls dominate
-    units_small = make_units(small_geometry, sample_ratio_denom=2)
-    for u in units_small:
-        u.misses = 10_000
-        u.load_misses = 8_000
-    big = max(units_small, key=lambda u: u.emulated_size)
-    big.misses = 0
-    big.load_misses = 0
+    # current = 1 color, delta = 2, and stalls dominate; no miss at X
+    planted = ProfilingUnit(small_geometry, 2)
+    planted.counts[:] = array("q", [0, 0, 0] + [10_000, 8_000, 0] * (
+        len(PROFILED_FRACTIONS) - 1))
     stats.load_misses = 8_000
     stats.memory_stall_cycles = 8_000 * 166
     stats.elapsed_cycles = stats.memory_stall_cycles + 1_000_000
     cfg = ControllerConfig(c_min=1, delta=2, beta=3.0)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, units_small, state2, refresh, cfg, params, GHZ)
+    decision = select(stats, planted, state2, refresh, cfg, params, GHZ)
     assert decision.fail_safe
     assert all(c.rejected_by_beta for c in decision.candidates)
     # least-bad candidate: minimal slowdown
@@ -170,11 +168,11 @@ def test_tie_break_toward_fewer_colors(small_geometry):
 
 
 def test_argmin_invariant_under_uniform_scaling(small_geometry):
-    state, units, stats = _prepped_state_and_units(small_geometry, ws_kb=24)
+    state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=24)
     cfg = default_config(small_geometry, delta=8)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, units, state, refresh, cfg, params, GHZ)
+    decision = select(stats, unit, state, refresh, cfg, params, GHZ)
     survivors = [c for c in decision.candidates if not c.rejected_by_beta]
     scaled = [Candidate(c.colors, c.est_time_cycles, c.delta_pct,
                         c.est_energy_j * 7.5, c.rejected_by_beta)

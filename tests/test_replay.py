@@ -6,6 +6,7 @@ oracles.replay_reference."""
 import itertools
 import random
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from oracles import (SetLists, access_block, all_sets, dirty_tags,
 from edrsim.cache import CacheGeometry, CacheState, Replay, reconfigure
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
-from edrsim.profiler import PROFILED_FRACTIONS, ProfilingUnit
+from edrsim import profiler
+from edrsim.profiler import ProfilingUnit
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams,
                         check_refresh_fits, compare, fixed_replay, run)
@@ -253,36 +255,34 @@ def test_functional_replay_matches_access_block(small_geometry):
     assert validate_state(fast).ok
 
 
-def _assert_same_state(fast, slow, fast_units=(), slow_units=()):
-    """Every array and counter of two states (and their units) is equal,
-    the empty slots included."""
+def _assert_same_state(fast, slow, fast_unit=None, slow_unit=None):
+    """Every array and counter of two states (and their profiling units)
+    is equal, the empty slots included."""
     for name in ("tags", "dirty", "fill", "valid_by_bank"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
     assert fast.n_valid == slow.n_valid
     assert fast.mapping == slow.mapping
-    for a, b in zip(fast_units, slow_units, strict=True):
-        assert np.array_equal(a.tags, b.tags), a.emulated_size
-        assert np.array_equal(a.fill, b.fill), a.emulated_size
-        assert (a.misses, a.load_misses, a.accesses) == \
-            (b.misses, b.load_misses, b.accesses), a.emulated_size
+    if fast_unit is not None:
+        for name in ("tags", "fill", "counts"):
+            assert getattr(fast_unit, name) == getattr(slow_unit, name), name
 
 
 def _kernel_against_reference(geometry, trace, cuts, colors, ratio=None,
-                              min_colors=1, fractions=PROFILED_FRACTIONS):
+                              min_colors=1):
     """Replay the segments between `cuts` with the kernel and with the
     Python reference, reconfiguring both to colors[k] after segment k;
-    with `ratio`, both also feed profiling units of 1/fraction the cache
-    size (DCR's five by default). Compare everything after each step."""
+    with `ratio`, both also feed a profiling unit of that ratio. Compare
+    everything after each step."""
     writes = trace.ops
     states = [CacheState(geometry, min_colors=min_colors) for _ in range(2)]
-    units = [[ProfilingUnit(geometry.size_bytes // f, geometry, ratio)
-              for f in fractions] if ratio else [] for _ in range(2)]
+    units = [ProfilingUnit(geometry, ratio) if ratio else None
+             for _ in range(2)]
     outs = [Replay(geometry, len(trace)) for _ in range(2)]
     bounds = [0, *cuts, len(trace)]
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        for step, state, us, out in zip((replay, replay_reference), states,
-                                        units, outs):
-            step(state, trace.addrs, writes, lo, hi, out, us)
+        for step, state, unit, out in zip((replay, replay_reference), states,
+                                          units, outs):
+            step(state, trace.addrs, writes, lo, hi, out, unit)
         assert outs[0].codes[lo:hi] == outs[1].codes[lo:hi], k
         _assert_same_state(states[0], states[1], units[0], units[1])
         if k < len(colors):
@@ -305,7 +305,8 @@ def test_kernel_matches_reference_on_a_fixed_replay(banks):
 
 def test_kernel_matches_reference_across_reconfigurations():
     # DCR's shape: short segments, the controller shrinking and growing the
-    # allocation between them, and the five units fed for sampled blocks
+    # allocation between them, and the unit's five sizes fed for sampled
+    # blocks
     geometry = _geometry(2)
     trace = _trace(seed=61)
     rng = random.Random(61)
@@ -313,9 +314,10 @@ def test_kernel_matches_reference_across_reconfigurations():
     m = geometry.color_count
     colors = [sorted(rng.sample(range(m), rng.randint(2, m)))
               for _ in cuts]
-    _, units = _kernel_against_reference(geometry, trace, cuts, colors,
-                                         ratio=2, min_colors=2)
-    assert all(u.misses and u.accesses for u in units)
+    _, unit = _kernel_against_reference(geometry, trace, cuts, colors,
+                                        ratio=2, min_colors=2)
+    assert all(misses and accesses for misses, _, accesses in
+               oracles.size_counts(unit))
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,8 +329,8 @@ def test_kernel_matches_reference_across_reconfigurations():
 def test_kernel_matches_reference_on_tiny_caches(ways, colors, data,
                                                  accesses):
     # 128 B pages of two 64 B blocks: 2 sets per color, 4-8 sets in all;
-    # half the blocks sit at or above 2^63 bytes. Units of X, X/2 and X/4
-    # (1-8 sets) stand in for DCR's five, whose X/16 has no set here.
+    # half the blocks sit at or above 2^63 bytes. A unit of X, X/2 and X/4
+    # (1-8 sets) stands in for DCR's five sizes, whose X/16 has no set here.
     geometry = CacheGeometry(size_bytes=colors * 128 * ways,
                              associativity=ways, page_bytes=128,
                              bank_bytes=colors * 128 * ways // 2)
@@ -342,8 +344,9 @@ def test_kernel_matches_reference_on_tiny_caches(ways, colors, data,
     allocations = [data.draw(st.lists(st.integers(0, colors - 1), min_size=1,
                                       unique=True)) for _ in cuts]
     ratio = data.draw(st.sampled_from([1, 2]))
-    _kernel_against_reference(geometry, trace, cuts, allocations, ratio,
-                              fractions=(1, 2) if ratio == 2 else (1, 2, 4))
+    with mock.patch.object(profiler, "PROFILED_FRACTIONS",
+                           (1, 2) if ratio == 2 else (1, 2, 4)):
+        _kernel_against_reference(geometry, trace, cuts, allocations, ratio)
 
 
 @pytest.mark.parametrize("span", [None, 10, 1 << 34])

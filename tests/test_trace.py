@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 
 import numpy as np
@@ -88,6 +89,44 @@ def test_truncated_record_reports_index():
     data = buf.getvalue()[:-20]  # chop the last record and a bit more
     with pytest.raises(TraceError, match="index 2"):
         read_trace_arrays(io.BytesIO(data))
+
+
+def _pipe(data: bytes):
+    """A read stream over `data` that cannot seek, as a FIFO or a process
+    substitution named as `[trace] path` gives."""
+    r, w = os.pipe()
+    os.write(w, data)  # a few records: fits the pipe's buffer
+    os.close(w)
+    return os.fdopen(r, "rb")
+
+
+def test_trace_read_from_a_pipe():
+    buf = io.BytesIO()
+    arrays = trace_of((i, Op.WRITE if i % 2 else Op.READ, i * 64)
+                      for i in range(5))
+    write_trace_arrays(arrays, TraceHeader(record_count=5), buf)
+    with _pipe(buf.getvalue()) as fh:
+        assert not fh.seekable()
+        _, back = read_trace_arrays(fh)
+    assert _same(back, arrays)
+
+
+@pytest.mark.parametrize("stream", ["file", "pipe"])
+@pytest.mark.parametrize("count", [2**40, 2**62])
+def test_record_count_past_the_file_reports_index(count, stream, tmp_path):
+    # a count the file does not hold used to size the read: 2**40 records
+    # raised a MemoryError, 2**62 an OverflowError
+    buf = io.BytesIO()
+    write_trace_arrays(trace_of((1, Op.READ, i * 64) for i in range(2)),
+                       TraceHeader(record_count=2), buf)
+    data = bytearray(buf.getvalue())
+    data[12:20] = struct.pack("<Q", count)  # after the magic and version
+    path = tmp_path / "claims-more.trace"
+    path.write_bytes(data)
+    opened = open(path, "rb") if stream == "file" else _pipe(bytes(data))
+    with opened as fh, \
+            pytest.raises(TraceError, match="truncated record at index 2$"):
+        read_trace_arrays(fh)
 
 
 def test_other_format_version_rejected():
