@@ -1,10 +1,10 @@
 """Set-associative colored LLC model.
 
-The cache is split into M equally sized colors; memory regions (page number
-mod M) map onto the currently active colors through a mapping table.
-Shrinking the active set flushes the dropped colors and remaps their regions;
-growing rebalances regions onto the new colors. A valid line is always
-reachable through the current mapping: whenever a region is remapped, its
+The cache is split into M equally sized colors, of which the colors [0, c)
+are on; memory regions (page number mod M) map onto them through a mapping
+table. Shrinking c flushes the colors turned off and remaps their regions;
+growing it rebalances regions onto the colors turned on. A valid line is
+always reachable through the current mapping: whenever a region is remapped, its
 resident lines are flushed (dirty ones counted as writebacks), which keeps
 lookups consistent and the per-bank valid counters exact.
 
@@ -132,8 +132,9 @@ class CacheState:
         self.geometry = geometry
         self.min_colors = min_colors
         m_total = geometry.color_count
-        # every color active, region i in color i
-        self.active_colors: set[int] = set(range(m_total))
+        # the colors [0, active_count) are on: at first every color, with
+        # region i in color i
+        self.active_count = m_total
         self.mapping: list[int] = list(range(m_total))
         # set s: tag slots [s * ways, (s + 1) * ways), the first fill[s]
         # resident, least recent first, with a dirty byte and a last-touch
@@ -153,10 +154,6 @@ class CacheState:
             address(self.touch, 4, lines), address(self.fill, 4, sets),
             address(self.valid_by_bank, 8, geometry.num_banks),
             geometry.associativity, address(self.layout, 8, len(self.layout)))
-
-    @property
-    def active_count(self) -> int:
-        return len(self.active_colors)
 
     @property
     def n_valid(self) -> int:
@@ -179,8 +176,7 @@ class Replay:
     or evicts, -1 for a fill of a free way: RPV's input.
     """
 
-    def __init__(self, geometry: CacheGeometry, records: int):
-        self.geometry = geometry
+    def __init__(self, records: int):
         self.codes = bytearray(records)
         self.last_touch = None
 
@@ -303,10 +299,9 @@ class Passes:
                                    and unit.ways != g.associativity):
             raise ValueError("the cache, the profiling unit and the replay "
                              "differ in geometry")
-        stray = set(state.mapping) - state.active_colors
-        if stray:
-            raise AssertionError(
-                f"mapping routes regions to inactive colors {sorted(stray)}")
+        if max(state.mapping) >= state.active_count:
+            raise AssertionError("mapping routes regions to inactive color "
+                                 f"{max(state.mapping)}")
         n = len(self.out)
         column = self.out.last_touch
         # the kernel trusts them
@@ -371,72 +366,65 @@ def _flush(state: CacheState, color: int, regions=None) -> tuple[int, int]:
     return flushed, writebacks.value
 
 
-def reconfigure(state: CacheState, new_colors) -> ReconfigReport:
-    """Switch the active color set; flush and remap as needed.
+def reconfigure(state: CacheState, colors: int) -> ReconfigReport:
+    """Keep the colors [0, colors) on; flush and remap as needed.
 
-    Deactivated colors are flushed wholesale and their regions re-spread
-    round-robin over the surviving colors (ascending). Newly activated colors
-    pull regions from the most loaded colors until they reach the balanced
-    share; pulled regions are flushed from their old color so no stale line
+    Colors turned off are flushed wholesale and their regions re-spread
+    round-robin over [0, colors). Each color turned on, in ascending order,
+    pulls regions from the color holding the most (the lowest index on a
+    tie, its highest region first) until it reaches the balanced share;
+    pulled regions are flushed from their old color so no stale line
     outlives its mapping entry. Which color gives up which region depends
     only on the region counts, so every pull is planned first and each
     donor is then flushed once, over all the regions it gave up.
     """
     g = state.geometry
     m_total = g.color_count
-    new = sorted(set(new_colors))
-    if not new or new[0] < 0 or new[-1] >= m_total:
-        raise ReconfigError("new colors out of range")
-    if len(new) < state.min_colors:
+    if not 1 <= colors <= m_total:
+        raise ReconfigError(f"colors must be in [1, {m_total}], got {colors}")
+    if colors < state.min_colors:
         raise ReconfigError(
-            f"cannot go below {state.min_colors} colors (asked {len(new)})")
-    new_set = set(new)
-    deactivated = state.active_colors - new_set
-    activated = new_set - state.active_colors
+            f"cannot go below {state.min_colors} colors (asked {colors})")
+    old = state.active_count
 
     flushed = writebacks = 0
 
     # 1. flush everything in colors being turned off
-    for color in sorted(deactivated):
+    for color in range(colors, old):
         f, w = _flush(state, color)
         flushed += f
         writebacks += w
 
-    # 2. orphaned regions go round-robin over the new active set
+    # 2. orphaned regions go round-robin over the colors left on
     rr = 0
     for region in range(m_total):
-        if state.mapping[region] in deactivated:
-            state.mapping[region] = new[rr % len(new)]
+        if state.mapping[region] >= colors:
+            state.mapping[region] = rr % colors
             rr += 1
 
-    # 3. rebalance onto newly activated colors
-    pulled: dict[int, list[int]] = {}
-    if activated:
-        counts = {c: 0 for c in new}
-        for region in range(m_total):
-            counts[state.mapping[region]] += 1
-        target = m_total // len(new)
-        regions_of = {c: [] for c in new}
-        for region in range(m_total):
-            regions_of[state.mapping[region]].append(region)
-        for color in sorted(activated):
-            while counts[color] < target:
-                donor = max(counts, key=lambda c: (counts[c], -c))
-                if counts[donor] <= counts[color]:
-                    break
-                region = regions_of[donor].pop()  # highest region index
-                pulled.setdefault(donor, []).append(region)
-                state.mapping[region] = color
-                regions_of[color].append(region)
-                counts[donor] -= 1
-                counts[color] += 1
-    for donor, regions in sorted(pulled.items()):
-        f, w = _flush(state, donor, regions)
-        flushed += f
-        writebacks += w
+    # 3. rebalance onto the colors turned on; per color, its regions
+    # ascending and, as a donor, the regions it gave up
+    regions_of = [[] for _ in range(colors)]
+    for region in range(m_total):
+        regions_of[state.mapping[region]].append(region)
+    pulled = [[] for _ in range(colors)]
+    for color in range(old, colors):
+        while len(regions_of[color]) < m_total // colors:
+            donor = max(range(colors), key=lambda c: (len(regions_of[c]), -c))
+            if len(regions_of[donor]) <= len(regions_of[color]):
+                break
+            region = regions_of[donor].pop()  # highest region index
+            pulled[donor].append(region)
+            state.mapping[region] = color
+            regions_of[color].append(region)
+    for donor, regions in enumerate(pulled):
+        if regions:
+            f, w = _flush(state, donor, regions)
+            flushed += f
+            writebacks += w
 
-    switched = (len(deactivated) + len(activated)) * g.lines_per_color
-    state.active_colors = new_set
+    switched = abs(colors - old) * g.lines_per_color
+    state.active_count = colors
     state.layout[:] = layout(g, state.mapping)
     return ReconfigReport(flushed_lines=flushed, writebacks=writebacks,
                           switched_blocks=switched)

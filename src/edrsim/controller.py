@@ -4,13 +4,14 @@ At each interval boundary the controller enumerates candidate color counts
 around the current allocation, predicts each candidate's interval from the
 profiling unit and prices it with the run's own `interval_energy`, drops
 candidates whose slowdown versus the full-size cache exceeds the tolerance,
-and reconfigures to the energy minimum among the survivors.
+and picks the energy minimum among the survivors: a color count c, which
+`cache.reconfigure` realizes by keeping the colors [0, c) on.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .cache import CacheGeometry, CacheState, ReconfigReport, reconfigure
+from .cache import CacheGeometry, CacheState
 from .energy import EnergyParams, SchemeKind, interval_energy
 from .profiler import (IntervalStats, ProfilingUnit, estimate_misses,
                        estimate_refreshes, estimate_time)
@@ -27,6 +28,9 @@ class ControllerConfig:
     def __post_init__(self):
         if self.c_min < 1:
             raise ValueError("c_min must be >= 1")
+        if self.granularity < 1:
+            raise ValueError(
+                f"granularity must be >= 1, got {self.granularity}")
         if self.delta < self.granularity:
             raise ValueError("delta must be >= granularity")
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -84,6 +88,10 @@ def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
 
     _, full_load = estimate_misses(unit, m_total, geometry)
     t_0 = estimate_time(stats, full_load)
+    if t_0 <= 0:
+        # an interval of no compute whose full size sampled no load miss:
+        # no time to weigh a candidate's slowdown against, so stay put
+        return Decision(current, current, [], fail_safe=False)
 
     accesses = stats.l2_hits + stats.l2_misses
     if stats.l2_misses > 0:
@@ -121,16 +129,3 @@ def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
     # working-set shift); take the least-bad one instead of stalling
     best = min(candidates, key=lambda c: (c.delta_pct, c.colors))
     return Decision(best.colors, current, candidates, fail_safe=True)
-
-
-def apply(decision: Decision, state: CacheState) -> ReconfigReport:
-    """Realize a decision: drop highest-index active colors when shrinking,
-    re-enable lowest-index inactive colors when growing."""
-    active = sorted(state.active_colors)
-    target = decision.chosen
-    if target <= len(active):
-        new = active[:target]
-    else:
-        inactive = sorted(set(range(state.geometry.color_count)) - state.active_colors)
-        new = active + inactive[:target - len(active)]
-    return reconfigure(state, new)

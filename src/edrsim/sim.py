@@ -37,8 +37,8 @@ from array import array
 from dataclasses import dataclass, field, fields
 
 from . import cache as _cache
-from .cache import CacheGeometry, CacheState, Replay, zeros
-from .controller import Candidate, ControllerConfig, apply as apply_decision, select
+from .cache import CacheGeometry, CacheState, Replay, reconfigure, zeros
+from .controller import Candidate, ControllerConfig, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
 from .profiler import IntervalStats, ProfilingUnit
 from .refresh import RefreshConfig
@@ -256,7 +256,7 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     if n >= 1 << 31:
         raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
                          f"records with int32, not {n}")
-    out = Replay(geometry, n)
+    out = Replay(n)
     out.last_touch = zeros("i", n)
     passes = _cache.Passes(geometry, trace.addrs, out)
     passes.bind_cache(CacheState(geometry), trace.ops)
@@ -280,7 +280,7 @@ def _close_interval(intervals, decisions, stats, colors, scheme, params, ghz,
         return 0, 0
     decision = select(stats, unit, state, scheme.refresh, scheme.controller,
                       params, ghz)
-    report = apply_decision(decision, state)
+    report = reconfigure(state, decision.chosen)
     decisions.append(DecisionRecord(
         index, decision.current, decision.chosen, decision.fail_safe,
         report.switched_blocks, report.writebacks, decision.candidates))
@@ -338,7 +338,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     if is_dcr:
         state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
         unit = ProfilingUnit(geometry, scheme.profiler_ratio)
-        replay = Replay(geometry, n)
+        replay = Replay(n)
     else:
         state = unit = None
         replay = fixed_replay(trace, geometry)

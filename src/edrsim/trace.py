@@ -11,7 +11,6 @@ the file's records.
 """
 
 import ctypes
-import io
 import math
 import struct
 from array import array
@@ -218,16 +217,18 @@ def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
     (header, arrays)."""
     header = _read_header(source)
     n = header.record_count
-    # read no more than the stream holds, whatever count the header claims
-    want = n * _RECORD_BYTES
-    if source.seekable():
-        here = source.tell()
-        want = min(want, source.seek(0, io.SEEK_END) - here)
-        source.seek(here)
-        body = source.read(want)
-    else:  # a pipe, a bounded chunk at a time up to its end
-        body = b"".join(iter(lambda: source.read(1 << 24), b""))[:want]
-    if len(body) < n * _RECORD_BYTES:
+    # a bounded chunk at a time, up to the records the header claims or the
+    # stream's end, whichever comes first: a count past the end sizes no
+    # read, and a pipe is left holding whatever follows the records
+    want, chunks, got = n * _RECORD_BYTES, [], 0
+    while got < want:
+        chunk = source.read(min(want - got, 1 << 24))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        got += len(chunk)
+    body = b"".join(chunks)
+    if len(body) < want:
         raise TraceError(
             f"truncated record at index {len(body) // _RECORD_BYTES}")
     arrays = _columns(n)

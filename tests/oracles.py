@@ -35,8 +35,8 @@ import numpy as np
 
 from edrsim import native
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, Passes, Replay, layout)
-from edrsim.controller import apply, select
+                          CacheState, Passes, Replay, layout, reconfigure)
+from edrsim.controller import select
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
 from edrsim.profiler import IntervalStats, ProfilingUnit
@@ -90,7 +90,7 @@ def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
     """Apply records [lo, hi) of a trace to `state` with `replay`;
     their code bytes."""
     hi = len(trace) if hi is None else hi
-    out = Replay(state.geometry, len(trace))
+    out = Replay(len(trace))
     replay(state, trace.addrs, trace.ops, lo, hi, out)
     return bytes(out.codes[lo:hi])
 
@@ -194,7 +194,7 @@ def access_block(model: SetLists, is_write: bool, address: int,
     and with `rpv` the line's last-touch phase at cycle `now`); returns the
     HIT/EVICTED/DIRTY_VICTIM/WRITE code byte."""
     set_index = model.set_of(address)
-    assert set_index // model.sets_per_color in model.state.active_colors
+    assert set_index // model.sets_per_color < model.state.active_count
     tag = address // model.block_bytes
     tags = model.tags[set_index]
     dirty = model.dirty[set_index]
@@ -270,8 +270,8 @@ def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
     """`replay` record by record: `access_block`, then `probe` in the
     profiling unit for a block whose number is a multiple of its sampling
     ratio."""
-    stray = set(state.mapping) - state.active_colors
-    assert not stray, f"mapping routes regions to inactive colors {stray}"
+    assert max(state.mapping) < state.active_count, \
+        f"mapping routes regions to inactive color {max(state.mapping)}"
     model = SetLists(state)
     block_bytes = state.geometry.block_bytes
     for i, addr, is_write in zip(range(lo, hi), ints(addrs)[lo:hi],
@@ -325,7 +325,7 @@ def observe_arrays(unit: ProfilingUnit, trace,
     """Feed a whole trace to a profiling unit through `replay`, on a
     scratch main cache of `geometry`: each record whose block number is a
     multiple of the unit's sampling ratio is looked up at every size."""
-    out = Replay(geometry, len(trace))
+    out = Replay(len(trace))
     replay(CacheState(geometry), trace.addrs, trace.ops, 0, len(trace), out,
            unit)
 
@@ -442,13 +442,13 @@ def validate_state(state: CacheState,
     if len(state.mapping) != m_total:
         return OracleVerdict(False, f"mapping has {len(state.mapping)} entries, "
                              f"expected {m_total}")
-    codomain = set(state.mapping)
-    if not codomain <= state.active_colors:
+    codomain, active = set(state.mapping), set(range(state.active_count))
+    if not codomain <= active:
         return OracleVerdict(False, "mapping targets inactive colors "
-                             f"{sorted(codomain - state.active_colors)}")
-    if codomain != state.active_colors:
+                             f"{sorted(codomain - active)}")
+    if codomain != active:
         return OracleVerdict(False, "active colors without any region: "
-                             f"{sorted(state.active_colors - codomain)}")
+                             f"{sorted(active - codomain)}")
     if state.layout != layout(g, state.mapping):
         return OracleVerdict(False, "the kernels' layout does not follow "
                              "the mapping")
@@ -485,7 +485,7 @@ def validate_state(state: CacheState,
                     return OracleVerdict(False, f"tag {tag:#x} in set "
                                          f"{set_index} has no phase")
                 by_bank_phase[bank][rpv.of_tag[tag]] += 1
-            if color not in state.active_colors:
+            if color >= state.active_count:
                 return OracleVerdict(False, f"valid line in inactive color "
                                      f"{color} (set {set_index} tag {tag:#x})")
             # tags are full block numbers, so the region is recoverable
@@ -777,7 +777,7 @@ def reference_run(trace, scheme, geometry, timing, params,
             model.store()  # the controller reads and remaps the state
             decision = select(stats, unit, state, refresh_cfg, ctrl_cfg,
                               params, timing.clock_ghz)
-            report = apply(decision, state)
+            report = reconfigure(state, decision.chosen)
             model = SetLists(state)
             decisions.append(DecisionRecord(
                 interval=index, current=decision.current,

@@ -110,8 +110,7 @@ def test_criterion_2_counter_scan_equivalence(small_geometry):
             for lo in range(0, 10_000, 1000):
                 replay_codes(state, arrays, lo, lo + 1000)
                 # forced reconfiguration
-                count = rng.randint(1, m)
-                reconfigure(state, rng.sample(range(m), count))
+                reconfigure(state, rng.randint(1, m))
             verdict = validate_state(state)
             assert verdict.ok, f"seed {seed}: {verdict.first_divergence}"
         elapsed = time.monotonic() - started

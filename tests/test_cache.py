@@ -80,13 +80,12 @@ def test_locate_follows_remap(small_geometry):
     per_color = small_geometry.sets_per_color
     _access(state, False, addr)
     before = _set_holding(state, addr) // per_color
-    # drop the color currently holding region 3
-    new_colors = sorted(state.active_colors - {before})
-    reconfigure(state, new_colors)
+    # turn off the color currently holding region 3, and those above it
+    reconfigure(state, before)
     assert _access(state, False, addr) == 0  # flushed with its color
     after = _set_holding(state, addr) // per_color
     assert after != before
-    assert after in state.active_colors
+    assert after < state.active_count
     assert after == state.mapping[3]
 
 
@@ -180,7 +179,7 @@ def test_identity_reconfigure_is_free(small_geometry):
     state = CacheState(small_geometry)
     replay_codes(state, trace_of((0, i % 3 == 0, i * small_geometry.block_bytes)
                                  for i in range(200)))
-    report = reconfigure(state, sorted(state.active_colors))
+    report = reconfigure(state, state.active_count)
     assert report.flushed_lines == 0
     assert report.writebacks == 0
     assert report.switched_blocks == 0
@@ -205,7 +204,8 @@ def test_reconfigure_counts_flushes_and_writebacks(small_geometry):
             valid += 1
             dirty += tag in stale
     assert (valid, dirty) == (12, 3)
-    report = reconfigure(state, sorted(state.active_colors - {victim_color}))
+    assert victim_color == m - 1  # the last color: turned off alone
+    report = reconfigure(state, victim_color)
     assert report.flushed_lines == 12
     assert report.writebacks == 3
     verdict = validate_state(state)
@@ -215,7 +215,7 @@ def test_reconfigure_counts_flushes_and_writebacks(small_geometry):
 def test_region_pull_keeps_survivors_in_lru_order(small_geometry):
     g = small_geometry
     state = CacheState(g)
-    reconfigure(state, range(g.color_count // 2))  # two regions per color
+    reconfigure(state, g.color_count // 2)  # two regions per color
     rng = random.Random(4)
     replay_codes(state, trace_of(
         (0, rng.random() < 0.4, rng.randrange(4 * g.total_lines) * g.block_bytes)
@@ -223,7 +223,7 @@ def test_region_pull_keeps_survivors_in_lru_order(small_geometry):
     before = all_sets(state)
     dirty = dirty_tags(state)
     # each new color pulls a region out of an old one
-    report = reconfigure(state, range(g.color_count))
+    report = reconfigure(state, g.color_count)
     after = all_sets(state)
     flushed = writebacks = 0
     for set_index, tags in enumerate(before):
@@ -243,7 +243,7 @@ def test_region_pull_keeps_survivors_in_lru_order(small_geometry):
 def test_switched_blocks_64_to_32_colors():
     g = CacheGeometry(2 * 1024 * 1024, 8)
     state = CacheState(g)
-    report = reconfigure(state, list(range(32)))
+    report = reconfigure(state, 32)
     assert report.switched_blocks == 32 * 512
 
 
@@ -251,7 +251,7 @@ def test_reconfigure_is_idempotent(small_geometry):
     state = CacheState(small_geometry)
     replay_codes(state, trace_of((0, i % 2 == 0, i * 64 * 13)
                                  for i in range(500)))
-    colors = list(range(small_geometry.color_count // 2))
+    colors = small_geometry.color_count // 2
     reconfigure(state, colors)
     second = reconfigure(state, colors)
     assert second.flushed_lines == 0
@@ -259,9 +259,31 @@ def test_reconfigure_is_idempotent(small_geometry):
 
 
 def test_reconfigure_below_min_colors_rejected(small_geometry):
+    # and any other count outside [min_colors, color count]
+    m = small_geometry.color_count
     state = CacheState(small_geometry, min_colors=2)
-    with pytest.raises(ReconfigError):
-        reconfigure(state, [0])
+    for colors in (1, 0, m + 1):
+        with pytest.raises(ReconfigError):
+            reconfigure(state, colors)
+    assert state.active_count == m
+    assert validate_state(state).ok
+
+
+def test_reconfigure_shrinks_then_grows_by_count(small_geometry):
+    # the colors [0, c) are on after each call, every one serving a region
+    g = small_geometry
+    m = g.color_count
+    state = CacheState(g)
+    report = reconfigure(state, m // 2)
+    assert state.active_count == m // 2
+    assert set(state.mapping) == set(range(m // 2))
+    assert report.switched_blocks == (m - m // 2) * g.lines_per_color
+    report = reconfigure(state, m // 2 + 2)
+    assert state.active_count == m // 2 + 2
+    assert set(state.mapping) == set(range(m // 2 + 2))
+    assert report.switched_blocks == 2 * g.lines_per_color
+    verdict = validate_state(state)
+    assert verdict.ok, verdict.first_divergence
 
 
 def test_n_valid_drops_by_flushed_count(small_geometry):
@@ -270,8 +292,7 @@ def test_n_valid_drops_by_flushed_count(small_geometry):
                               rng_seed=2, accesses_per_kilo_instr=200)
     replay_codes(state, generate_synthetic(spec))
     before = state.n_valid
-    half = sorted(state.active_colors)[:small_geometry.color_count // 2]
-    report = reconfigure(state, half)
+    report = reconfigure(state, small_geometry.color_count // 2)
     assert state.n_valid == before - report.flushed_lines
     verdict = validate_state(state)
     assert verdict.ok, verdict.first_divergence
@@ -284,14 +305,14 @@ def test_growth_rebalances_and_stays_consistent(small_geometry):
     arrays = generate_synthetic(spec)
     assert len(arrays) == 4000
     replay_codes(state, arrays)
-    reconfigure(state, [0, 1])
+    reconfigure(state, 2)
     replay_codes(state, arrays)
-    report = reconfigure(state, list(range(6)))
+    report = reconfigure(state, 6)
     assert report.switched_blocks == 4 * small_geometry.lines_per_color
     verdict = validate_state(state)
     assert verdict.ok, verdict.first_divergence
     # every active color serves at least one region
-    assert set(state.mapping) == state.active_colors
+    assert set(state.mapping) == set(range(state.active_count))
 
 
 def test_replay_rejects_records_outside_the_trace(small_geometry):
@@ -354,48 +375,39 @@ def test_random_reconfigure_sequences_keep_invariants(small_geometry):
     state = CacheState(small_geometry)
     for step in range(20):
         replay_codes(state, arrays, step * 200, step * 200 + 200)
-        count = rng.randint(1, m)
-        colors = rng.sample(range(m), count)
-        reconfigure(state, colors)
+        reconfigure(state, rng.randint(1, m))
         verdict = validate_state(state)
         assert verdict.ok, f"step {step}: {verdict.first_divergence}"
 
 
-def _reconfigure_one_region_at_a_time(state, new_colors) -> ReconfigReport:
+def _reconfigure_one_region_at_a_time(state, colors) -> ReconfigReport:
     """`reconfigure` with each pulled region flushed from its donor as soon
     as it is pulled, one `_flush` call per region."""
     g = state.geometry
-    m = g.color_count
-    new = sorted(set(new_colors))
-    deactivated = state.active_colors - set(new)
-    activated = set(new) - state.active_colors
+    m, old = g.color_count, state.active_count
     flushed = writebacks = 0
-    for color in sorted(deactivated):
+    for color in range(colors, old):
         f, w = cache._flush(state, color)
         flushed, writebacks = flushed + f, writebacks + w
-    orphans = [r for r in range(m) if state.mapping[r] in deactivated]
+    orphans = [r for r in range(m) if state.mapping[r] >= colors]
     for rr, region in enumerate(orphans):
-        state.mapping[region] = new[rr % len(new)]
-    counts = {c: state.mapping.count(c) for c in new}
-    regions_of = {c: [r for r in range(m) if state.mapping[r] == c]
-                  for c in new}
-    for color in sorted(activated):
-        while counts[color] < m // len(new):
-            donor = max(counts, key=lambda c: (counts[c], -c))
-            if counts[donor] <= counts[color]:
+        state.mapping[region] = rr % colors
+    regions_of = [[r for r in range(m) if state.mapping[r] == c]
+                  for c in range(colors)]
+    for color in range(old, colors):
+        while len(regions_of[color]) < m // colors:
+            donor = max(range(colors), key=lambda c: (len(regions_of[c]), -c))
+            if len(regions_of[donor]) <= len(regions_of[color]):
                 break
             region = regions_of[donor].pop()
             f, w = cache._flush(state, donor, [region])
             flushed, writebacks = flushed + f, writebacks + w
             state.mapping[region] = color
             regions_of[color].append(region)
-            counts[donor] -= 1
-            counts[color] += 1
-    state.active_colors = set(new)
+    state.active_count = colors
     state.layout[:] = cache.layout(g, state.mapping)
     return ReconfigReport(flushed, writebacks,
-                          (len(deactivated) + len(activated))
-                          * g.lines_per_color)
+                          abs(colors - old) * g.lines_per_color)
 
 
 @pytest.mark.parametrize("page_bytes", [1024, 256])
@@ -422,7 +434,7 @@ def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
     for step in range(30):
         for state in (batched, single):
             replay_codes(state, arrays, step * 200, step * 200 + 200)
-        colors = rng.sample(range(m), rng.choice([1, 2, rng.randint(1, m), m]))
+        colors = rng.choice([1, 2, rng.randint(1, m), m])
         assert reconfigure(batched, colors) == \
             _reconfigure_one_region_at_a_time(single, colors), step
         # the resident tags in order; the slots past a set's fill hold

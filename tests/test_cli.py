@@ -280,6 +280,12 @@ phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
      r"retention_cycles must be > 0 and below 2\*\*63"),
     # an option, on the config as it is
     ("--seed", "-5", "--seed -5: seed must be >= 0, got -5"),
+    # candidate_space divided by it, or drew no candidate, after the
+    # simulation had started
+    ("delta = 4", "delta = 4\ngranularity = 0",
+     "granularity must be >= 1, got 0"),
+    ("delta = 4", "delta = 4\ngranularity = -2",
+     "granularity must be >= 1, got -2"),
 ], ids=["energy clock", "phase past the stride", "empty interval",
         "nan cpi", "inf cpi", "nan clock", "nan leakage", "inf dram energy",
         "negative warm-up fraction", "nan warm-up fraction",
@@ -289,7 +295,8 @@ phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
         "synthetic description", "gap past u32", "edge past u64",
         "instructions past u64", "instructions past a float",
         "hit latency past int64", "interval past int64", "warm-up past int64",
-        "retention past int64", "negative --seed"])
+        "retention past int64", "negative --seed", "zero granularity",
+        "negative granularity"])
 def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
     path = tmp_path / "bad.cfg"
     options = []
@@ -570,6 +577,30 @@ def test_sweep_rejects_non_numeric_values(config_file, tmp_path):
     assert rc == 2
     assert not out.exists()
 
+
+
+def test_compare_with_a_zero_full_size_time_estimate(tmp_path):
+    # the demo at one record per 50-instruction interval and almost no
+    # compute: an interval whose full size sampled no load miss estimates
+    # the full size at 0 cycles, and the controller keeps its allocation
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "demo.cfg")) as fh:
+        text = fh.read()
+    for old, new in [("base_cpi = 1.0", "base_cpi = 0.001"),
+                     ("interval_instructions = 500000",
+                      "interval_instructions = 50"),
+                     ("phases = 10000000:65536:0.3:0.5; "
+                      "10000000:1048576:0.3:0.5; 10000000:131072:0.3:0.5",
+                      "phases = 200000:67108864:0:0")]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "zero.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report-dcr.json").read_text())
+    assert any(d["candidates"] == [] and d["chosen"] == d["current"]
+               for d in report["decisions"])
 
 
 def _dcr_c_min(cfg):

@@ -3,12 +3,12 @@ from array import array
 
 import pytest
 
-from oracles import replay, size_counts, validate_state
+from oracles import replay, size_counts
 from edrsim.cache import (HIT, WRITE, CacheGeometry, CacheState, Replay,
                           reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
-                               apply as apply_decision, candidate_space,
-                               default_config, delta_pct, select)
+                               candidate_space, default_config, delta_pct,
+                               select)
 from edrsim.energy import builtin_params
 from edrsim.profiler import PROFILED_FRACTIONS, IntervalStats, ProfilingUnit
 from edrsim.refresh import RefreshConfig
@@ -67,7 +67,7 @@ def _prepped_state_and_unit(geometry, ws_kb, seed=3, records=40_000):
         rng_seed=seed, accesses_per_kilo_instr=20))
     state = CacheState(geometry)
     unit = ProfilingUnit(geometry, 2)
-    out = Replay(geometry, len(arrays))
+    out = Replay(len(arrays))
     replay(state, arrays.addrs, arrays.ops, 0, len(arrays), out, unit)
     hits = sum(bool(code & HIT) for code in out.codes)
     misses = len(arrays) - hits
@@ -137,7 +137,7 @@ def test_beta_filter_rejects_slow_candidates(small_geometry):
 def test_fail_safe_when_everything_breaches_beta(small_geometry):
     state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=48)
     state2 = CacheState(small_geometry)
-    reconfigure(state2, [0])  # one active color, every region in it
+    reconfigure(state2, 1)  # one active color, every region in it
     # fake a situation where even the largest reachable candidate is slow:
     # current = 1 color, delta = 2, and stalls dominate; no miss at X
     planted = ProfilingUnit(small_geometry, 2)
@@ -156,6 +156,23 @@ def test_fail_safe_when_everything_breaches_beta(small_geometry):
     min_delta = min(c.delta_pct for c in decision.candidates)
     chosen = next(c for c in decision.candidates if c.colors == decision.chosen)
     assert chosen.delta_pct == min_delta
+
+
+def test_select_keeps_the_allocation_without_a_full_size_time(small_geometry):
+    # no compute, and no load miss sampled at the full size: the full-size
+    # estimate is 0 cycles, so no slowdown can be weighed against it
+    state = CacheState(small_geometry)
+    reconfigure(state, 4)
+    planted = ProfilingUnit(small_geometry, 2)
+    planted.counts[:] = array("q", [0, 0, 0] + [10_000, 8_000, 0] * (
+        len(PROFILED_FRACTIONS) - 1))
+    stats = IntervalStats(l2_misses=8_000, load_misses=8_000,
+                          memory_stall_cycles=8_000 * 166,
+                          elapsed_cycles=8_000 * 166, dram_accesses=8_000)
+    decision = select(stats, planted, state, RefreshConfig(2000),
+                      ControllerConfig(c_min=1, delta=8),
+                      builtin_params("EDRAM_2MB"), GHZ)
+    assert decision == Decision(4, 4, [], fail_safe=False)
 
 
 def test_tie_break_toward_fewer_colors(small_geometry):
@@ -179,18 +196,6 @@ def test_argmin_invariant_under_uniform_scaling(small_geometry):
               for c in survivors]
     best_scaled = min(scaled, key=lambda c: (c.est_energy_j, c.colors))
     assert best_scaled.colors == decision.chosen
-
-
-def test_apply_prefix_policy(small_geometry):
-    state = CacheState(small_geometry)
-    m = small_geometry.color_count
-    report = apply_decision(Decision(chosen=m // 2, current=m), state)
-    assert sorted(state.active_colors) == list(range(m // 2))
-    assert report.switched_blocks == (m - m // 2) * small_geometry.lines_per_color
-    apply_decision(Decision(chosen=m // 2 + 2, current=m // 2), state)
-    assert sorted(state.active_colors) == list(range(m // 2 + 2))
-    verdict = validate_state(state)
-    assert verdict.ok, verdict.first_divergence
 
 
 def test_controller_converges_on_small_working_set():

@@ -19,7 +19,7 @@ def _codes(geometry, step=replay) -> bytes:
     trace = generate_synthetic(SyntheticTraceSpec(
         phases=[PhaseSpec(100_000, 96 * 1024, 0.4, 0.2)], rng_seed=3,
         accesses_per_kilo_instr=100))
-    out = Replay(geometry, len(trace))
+    out = Replay(len(trace))
     step(CacheState(geometry), trace.addrs, trace.ops, 0,
          len(trace), out)
     return bytes(out.codes)

@@ -26,7 +26,7 @@ def test_full_sampling_matches_main_cache(small_geometry):
     # placement, so the 1X size at full sampling tracks the cache exactly
     arrays = _trace(5, ws_kb=96)
     unit = ProfilingUnit(small_geometry, 1)
-    out = Replay(small_geometry, len(arrays))
+    out = Replay(len(arrays))
     replay(CacheState(small_geometry), arrays.addrs, arrays.ops,
            0, len(arrays), out, unit)
     misses = sum(not code & HIT for code in out.codes)
@@ -54,7 +54,7 @@ def test_unsampled_record_leaves_counters_alone(small_geometry):
     # and the unit takes only the even blocks
     arrays = trace_of([(1, Op.READ, 64), (1, Op.READ, 128)])
     state = CacheState(small_geometry)
-    out = Replay(small_geometry, 2)
+    out = Replay(2)
     replay(state, arrays.addrs, arrays.ops, 0, 1, out, unit)
     assert not any(unit.counts)
     assert not any(unit.fill)
@@ -81,7 +81,7 @@ def test_replay_feeds_units_like_the_python_reference(small_geometry):
     arrays = _trace(7, ws_kb=64, records=5_000)
     for ratio in (1, 2):
         fed = ProfilingUnit(small_geometry, ratio)
-        out = Replay(small_geometry, len(arrays))
+        out = Replay(len(arrays))
         state = CacheState(small_geometry)
         half = len(arrays) // 2  # two calls, as sim.run's segments make
         replay(state, arrays.addrs, arrays.ops, 0, half, out, fed)
@@ -222,7 +222,7 @@ def test_replay_rejects_a_unit_of_other_associativity(small_geometry):
     # the kernel steps the unit's rows with the cache's ways
     four_way = CacheGeometry(64 * 1024, 4, page_bytes=1024,
                              bank_bytes=32 * 1024)
-    passes = Passes(small_geometry, array("Q", [0]), Replay(small_geometry, 1))
+    passes = Passes(small_geometry, array("Q", [0]), Replay(1))
     with pytest.raises(ValueError, match="differ in geometry"):
         passes.bind_cache(CacheState(small_geometry), bytearray(1),
                           ProfilingUnit(four_way, 1))

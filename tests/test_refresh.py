@@ -70,7 +70,7 @@ def test_valid_only_drops_by_flush_count(tiny_geometry):
     state = CacheState(tiny_geometry)
     replay_codes(state, _fragment(3, n_records=2000, ws_bytes=16 * 1024))
     before = sum(state.valid_by_bank)
-    report = reconfigure(state, sorted(state.active_colors)[:2])
+    report = reconfigure(state, 2)
     after = sum(state.valid_by_bank)
     assert after == before - report.flushed_lines
 

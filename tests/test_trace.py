@@ -111,6 +111,19 @@ def test_trace_read_from_a_pipe():
     assert _same(back, arrays)
 
 
+def test_pipe_is_read_only_up_to_the_header_count():
+    # a header that claims 2 of the 3 records: the third stays in the pipe
+    buf = io.BytesIO()
+    write_trace_arrays(trace_of((1, Op.READ, i * 64) for i in range(3)),
+                       TraceHeader(record_count=3), buf)
+    data = bytearray(buf.getvalue())
+    data[12:20] = struct.pack("<Q", 2)  # after the magic and version
+    with _pipe(bytes(data)) as fh:
+        _, back = read_trace_arrays(fh)
+        assert view(back.addrs).tolist() == [0, 64]
+        assert fh.read() == data[-16:]
+
+
 @pytest.mark.parametrize("stream", ["file", "pipe"])
 @pytest.mark.parametrize("count", [2**40, 2**62])
 def test_record_count_past_the_file_reports_index(count, stream, tmp_path):
