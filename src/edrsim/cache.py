@@ -103,13 +103,6 @@ class CacheGeometry:
         return self.total_sets // self.num_banks
 
 
-def lines_at(geometry: CacheGeometry, colors: int) -> int:
-    """Total cache lines available when `colors` colors are active."""
-    if not 1 <= colors <= geometry.color_count:
-        raise GeometryError(f"colors must be in [1, {geometry.color_count}]")
-    return colors * geometry.lines_per_color
-
-
 @dataclass
 class ReconfigReport:
     flushed_lines: int

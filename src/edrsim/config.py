@@ -12,14 +12,13 @@ passes the same checks as a value written in the file.
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cache import CacheGeometry
-from .controller import default_config
+from .controller import ControllerConfig, default_config
 from .energy import EnergyParams, SchemeKind, builtin_params
-from .profiler import ProfilingUnit
 from .refresh import RefreshConfig
-from .sim import SchemeSpec, TimingParams, check_refresh_fits
+from .sim import SchemeSpec, TimingParams, check_scheme
 from .trace import PhaseSpec, SyntheticTraceSpec
 
 
@@ -28,18 +27,17 @@ class ConfigError(ValueError):
 
 
 _GEOMETRY_KEYS = {"l2_size_kb", "associativity", "block_bytes", "page_kb", "bank_kb"}
-_TIMING_KEYS = {"l2_hit_cycles": int, "dram_latency_cycles": int,
-                "base_cpi": float, "clock_ghz": float}
+# [timing] and [scheme.*]'s DCR keys: each field's name and type
+_TIMING_KEYS = {f.name: f.type for f in fields(TimingParams)}
+_DCR_KEYS = {f.name: f.type for f in fields(ControllerConfig)}
 # the clock is [timing]'s, for the overrides as for a builtin
-_ENERGY_FIELDS = {"e_dyn_l2", "p_leak_l2", "e_dyn_dram", "p_leak_dram",
-                  "e_transition", "e_dyn_prof", "p_leak_prof"}
+_ENERGY_FIELDS = {f.name for f in fields(EnergyParams)}
 _ENERGY_KEYS = {"builtin"} | _ENERGY_FIELDS
 _TRACE_KEYS = {"path", "synthetic"}
 _SYNTH_KEYS = {"seed", "accesses_per_kilo_instr", "phases"}
 _RUN_KEYS = {"warmup_instructions", "warmup_fraction", "interval_instructions"}
-_DCR_KEYS = {"c_min": int, "granularity": int, "delta": int, "beta": float}
-_SCHEME_KEYS = {"kind", "retention_period_us", "phases", "energy_builtin",
-                "sampling_ratio_denom"} | set(_DCR_KEYS)
+_SCHEME_KEYS = {"kind", "retention_period_us", "phases",
+                "energy_builtin"} | set(_DCR_KEYS)
 _FIXED_SECTIONS = {"geometry", "timing", "energy", "trace", "synthetic", "run"}
 
 _KIND_NAMES = {k.value: k for k in SchemeKind}
@@ -182,13 +180,8 @@ def _parse_scheme(sec: dict, name: str, geometry: CacheGeometry,
     if kind is SchemeKind.DCR:
         # an unset c_min is the default slice of this geometry's colors
         controller = default_config(geometry, **_given(sec, section, _DCR_KEYS))
-        if controller.c_min > geometry.color_count:
-            raise ConfigError(
-                f"{name}: c_min {controller.c_min} exceeds the "
-                f"{geometry.color_count} colors of a "
-                f"{geometry.size_bytes // 1024} KB cache")
     else:
-        for key in (*_DCR_KEYS, "sampling_ratio_denom"):
+        for key in _DCR_KEYS:
             if key in sec:
                 raise ConfigError(
                     f"[{section}] key '{key}' is only valid for kind=dcr")
@@ -196,11 +189,7 @@ def _parse_scheme(sec: dict, name: str, geometry: CacheGeometry,
     spec = SchemeSpec(kind=kind, refresh=refresh, controller=controller,
                       energy=_get(sec, section, "energy_builtin",
                                   builtin_params), name=name)
-    if "sampling_ratio_denom" in sec:
-        spec.profiler_ratio = _get(sec, section, "sampling_ratio_denom", int)
-    if kind is SchemeKind.DCR:
-        ProfilingUnit(geometry, spec.profiler_ratio)  # raises if it does not fit
-    check_refresh_fits(spec, geometry)
+    check_scheme(spec, geometry)
     return spec
 
 

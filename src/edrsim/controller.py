@@ -6,15 +6,17 @@ profiling unit and prices it with the run's own `interval_energy`, drops
 candidates whose slowdown versus the full-size cache exceeds the tolerance,
 and picks the energy minimum among the survivors: a color count c, which
 `cache.reconfigure` realizes by keeping the colors [0, c) on.
+`ControllerConfig` holds its knobs, the profiling unit's sampling ratio
+among them, and a DCR report lists each `Decision`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import CacheGeometry, CacheState
 from .energy import EnergyParams, SchemeKind, interval_energy
-from .profiler import (IntervalStats, ProfilingUnit, estimate_misses,
-                       estimate_refreshes, estimate_time)
+from .profiler import (IntervalStats, ProfilingUnit, TimingParams,
+                       estimate_misses, estimate_refreshes, estimate_time)
 from .refresh import RefreshConfig
 
 
@@ -24,6 +26,7 @@ class ControllerConfig:
     granularity: int = 2
     delta: int = 16
     beta: float = 3.0
+    sampling_ratio_denom: int = 64  # the profiler samples 1 set in this many
 
     def __post_init__(self):
         if self.c_min < 1:
@@ -35,6 +38,9 @@ class ControllerConfig:
             raise ValueError("delta must be >= granularity")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be a finite number > 0, got {self.beta}")
+        if self.sampling_ratio_denom < 1:
+            raise ValueError(f"sampling_ratio_denom must be >= 1, "
+                             f"got {self.sampling_ratio_denom}")
 
 
 def default_config(geometry: CacheGeometry, **overrides) -> ControllerConfig:
@@ -52,13 +58,6 @@ def candidate_space(current: int, total_colors: int, cfg: ControllerConfig) -> l
     return list(range(first, hi + 1, cfg.granularity))
 
 
-def delta_pct(t_i: float, t_0: float) -> float:
-    """Percentage extra time of a candidate over the full-size estimate."""
-    if t_0 <= 0:
-        raise ValueError("full-size time estimate must be > 0")
-    return (t_i - t_0) / t_0 * 100.0
-
-
 @dataclass
 class Candidate:
     colors: int
@@ -70,28 +69,34 @@ class Candidate:
 
 @dataclass
 class Decision:
-    chosen: int
+    """`select` fills in all but the closed interval's index and what
+    `reconfigure` then switched and flushed, which the run sets."""
+
     current: int
-    candidates: list[Candidate] = field(default_factory=list)
-    fail_safe: bool = False
+    chosen: int
+    fail_safe: bool
+    candidates: list[Candidate]
+    interval: int = 0
+    switched_blocks: int = 0
+    flush_writebacks: int = 0
 
 
 def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
            refresh_config: RefreshConfig, cfg: ControllerConfig,
-           params: EnergyParams, ghz: float) -> Decision:
+           params: EnergyParams, timing: TimingParams) -> Decision:
     """Pick the next interval's color count from the finished interval's
-    stats; `ghz` is the core clock."""
+    stats."""
     geometry = state.geometry
     m_total = geometry.color_count
     current = state.active_count
     space = candidate_space(current, m_total, cfg)
 
     _, full_load = estimate_misses(unit, m_total, geometry)
-    t_0 = estimate_time(stats, full_load)
+    t_0 = estimate_time(stats, full_load, timing)
     if t_0 <= 0:
         # an interval of no compute whose full size sampled no load miss:
         # no time to weigh a candidate's slowdown against, so stay put
-        return Decision(current, current, [], fail_safe=False)
+        return Decision(current, current, False, [])
 
     accesses = stats.l2_hits + stats.l2_misses
     if stats.l2_misses > 0:
@@ -102,30 +107,30 @@ def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
     candidates = []
     for colors in space:
         est_m, est_load = estimate_misses(unit, colors, geometry)
-        t_i = estimate_time(stats, est_load)
-        d_i = delta_pct(t_i, t_0)
+        t_i = estimate_time(stats, est_load, timing)
+        d_i = (t_i - t_0) / t_0 * 100.0  # % slower than the full size
         # the stats the candidate predicts for the next interval
         expected = IntervalStats(
             l2_hits=max(accesses - est_m, 0.0),
             l2_misses=est_m,
             refreshed_lines=estimate_refreshes(
-                state.n_valid, colors, geometry, t_i,
-                refresh_config) if t_i > 0 else 0,
+                state.n_valid, colors, geometry, t_i, refresh_config),
             dram_accesses=est_m * (1.0 + wb_ratio),
             active_fraction=colors / m_total,
             elapsed_cycles=t_i,
             switched_blocks=abs(colors - current) * geometry.lines_per_color,
             prof_accesses=stats.prof_accesses,
         )
-        energy = interval_energy(expected, params, SchemeKind.DCR, ghz).total
+        energy = interval_energy(expected, params, SchemeKind.DCR,
+                                 timing.clock_ghz).total
         candidates.append(Candidate(colors, t_i, d_i, energy,
                                     rejected_by_beta=d_i > cfg.beta))
 
     survivors = [c for c in candidates if not c.rejected_by_beta]
     if survivors:
         best = min(survivors, key=lambda c: (c.est_energy_j, c.colors))
-        return Decision(best.colors, current, candidates, fail_safe=False)
+        return Decision(current, best.colors, False, candidates)
     # every candidate breaches the slowdown bound (possible right after a
     # working-set shift); take the least-bad one instead of stalling
     best = min(candidates, key=lambda c: (c.delta_pct, c.colors))
-    return Decision(best.colors, current, candidates, fail_safe=True)
+    return Decision(current, best.colors, True, candidates)

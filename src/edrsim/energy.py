@@ -10,7 +10,7 @@ clock, `ghz`, to turn them into seconds.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 NANO = 1e-9
@@ -42,12 +42,11 @@ class EnergyParams:
     p_leak_prof: float
 
     def __post_init__(self):
-        for name in ("e_dyn_l2", "p_leak_l2", "e_dyn_dram", "p_leak_dram",
-                     "e_transition", "e_dyn_prof", "p_leak_prof"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0):
                 raise EnergyParamsError(
-                    f"{name} must be a finite number >= 0, got {value}")
+                    f"{f.name} must be a finite number >= 0, got {value}")
         # joule-denominated copies, converted exactly once
         self.e_dyn_l2_j = self.e_dyn_l2 * NANO
         self.e_dyn_dram_j = self.e_dyn_dram * NANO

@@ -1,4 +1,5 @@
-"""DCR's set-sampled profiling unit and per-interval statistics.
+"""DCR's set-sampled profiling unit, per-interval statistics and the
+timing parameters that its time estimate charges.
 
 One `ProfilingUnit` emulates conventional caches of size X, X/2, X/4, X/8
 and X/16 (X = the main cache size), as UMON-style set sampling does
@@ -15,10 +16,29 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .cache import CacheGeometry, lines_at, zeros
+from .cache import CacheGeometry, zeros
 from .refresh import RefreshConfig
 
 PROFILED_FRACTIONS = (1, 2, 4, 8, 16)  # size = X / fraction
+
+
+@dataclass
+class TimingParams:
+    l2_hit_cycles: int = 12
+    dram_latency_cycles: int = 154
+    base_cpi: float = 1.0
+    clock_ghz: float = 2.2
+
+    def __post_init__(self):
+        hit, dram = self.l2_hit_cycles, self.dram_latency_cycles
+        if not 0 < min(hit, dram) <= max(hit, dram) < 1 << 63:  # int64s
+            raise ValueError(f"latencies must be > 0 and below 2**63, got "
+                             f"{hit} and {dram}")
+        for name in ("base_cpi", "clock_ghz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {value}")
 
 
 @dataclass
@@ -51,19 +71,10 @@ class ProfilingUnit:
     """
 
     def __init__(self, geometry: CacheGeometry, ratio: int):
-        if ratio < 1:
-            raise ValueError(f"sampling_ratio_denom must be >= 1, got {ratio}")
         self.ratio = ratio
         self.ways = geometry.associativity
         self.sizes = [geometry.size_bytes // f for f in PROFILED_FRACTIONS]
-        self.rows = array("q")
-        for size in self.sizes:
-            sets = size // (geometry.block_bytes * self.ways)
-            if sets < 1:
-                raise ValueError(f"emulated size {size} too small")
-            if sets % ratio:
-                raise ValueError(f"sampling 1/{ratio} must divide {sets} sets")
-            self.rows.append(sets // ratio)
+        self.rows = array("q", sampled_rows(geometry, ratio))
         self.tags = zeros("Q", sum(self.rows) * self.ways)
         self.fill = zeros("i", sum(self.rows))
         self.counts = zeros("q", 3 * len(self.sizes))
@@ -71,6 +82,21 @@ class ProfilingUnit:
     def reset(self) -> None:
         """Zero the counts; the tags persist (a warm profiler)."""
         self.counts[:] = zeros("q", len(self.counts))
+
+
+def sampled_rows(geometry: CacheGeometry, ratio: int) -> list[int]:
+    """The sets that 1-in-`ratio` sampling keeps of each emulated size;
+    ValueError if a size has no set or `ratio` does not divide its sets."""
+    rows = []
+    for f in PROFILED_FRACTIONS:
+        sets = geometry.total_sets // f
+        if sets < 1:
+            raise ValueError(f"emulated size {geometry.size_bytes // f} "
+                             f"too small")
+        if sets % ratio:
+            raise ValueError(f"sampling 1/{ratio} must divide {sets} sets")
+        rows.append(sets // ratio)
+    return rows
 
 
 def estimate_misses(unit: ProfilingUnit, colors: int,
@@ -105,21 +131,19 @@ def estimate_misses(unit: ProfilingUnit, colors: int,
     return lo_m + t * (hi_m - lo_m), lo_l + t * (hi_l - lo_l)
 
 
-def estimate_time(stats: IntervalStats, est_load_misses: float) -> float:
-    """Interval-time estimate: memory stall cycles scale linearly with load misses."""
-    if stats.load_misses > 0:
-        stall_per_load_miss = stats.memory_stall_cycles / stats.load_misses
-    else:
-        stall_per_load_miss = 0.0
+def estimate_time(stats: IntervalStats, est_load_misses: float,
+                  timing: TimingParams) -> float:
+    """Interval-time estimate: the finished interval's cycles outside load
+    misses, plus the hit and DRAM latency per estimated load miss."""
     compute = stats.elapsed_cycles - stats.memory_stall_cycles
-    return compute + stall_per_load_miss * est_load_misses
+    # a float, as the report writes it, even for a whole number of misses
+    per_miss = float(timing.l2_hit_cycles + timing.dram_latency_cycles)
+    return compute + per_miss * est_load_misses
 
 
 def estimate_refreshes(n_valid: int, colors: int, geometry: CacheGeometry,
                        t_cycles: float, config: RefreshConfig) -> int:
     """Lines refreshed over an interval of t_cycles at the given allocation."""
-    if t_cycles <= 0:
-        raise ValueError("t_cycles must be > 0")
-    per_period = min(n_valid, lines_at(geometry, colors))
+    per_period = min(n_valid, colors * geometry.lines_per_color)
     periods = int(t_cycles // config.retention_cycles)
     return per_period * periods

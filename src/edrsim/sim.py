@@ -31,16 +31,15 @@ DCR's records find their sets through the cache's own layout, which a
 reconfiguration rewrites, so the next call follows the new mapping.
 """
 
-import math
 import weakref
 from array import array
 from dataclasses import dataclass, field, fields
 
 from . import cache as _cache
 from .cache import CacheGeometry, CacheState, Replay, reconfigure, zeros
-from .controller import Candidate, ControllerConfig, select
+from .controller import ControllerConfig, Decision, candidate_space, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
-from .profiler import IntervalStats, ProfilingUnit
+from .profiler import IntervalStats, ProfilingUnit, TimingParams, sampled_rows
 from .refresh import RefreshConfig
 from .trace import TraceArrays
 
@@ -55,7 +54,6 @@ class SchemeSpec:
     refresh: RefreshConfig | None = None
     controller: ControllerConfig | None = None
     energy: EnergyParams | None = None  # falls back to the run's shared params
-    profiler_ratio: int = 64  # DCR's profiling unit samples 1 set in this many
     name: str = ""
 
     def __post_init__(self):
@@ -79,41 +77,11 @@ class SchemeSpec:
 
 
 @dataclass
-class TimingParams:
-    l2_hit_cycles: int = 12
-    dram_latency_cycles: int = 154
-    base_cpi: float = 1.0
-    clock_ghz: float = 2.2
-
-    def __post_init__(self):
-        hit, dram = self.l2_hit_cycles, self.dram_latency_cycles
-        if not 0 < min(hit, dram) <= max(hit, dram) < 1 << 63:  # int64s
-            raise ValueError(f"latencies must be > 0 and below 2**63, got "
-                             f"{hit} and {dram}")
-        for name in ("base_cpi", "clock_ghz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, "
-                                 f"got {value}")
-
-
-@dataclass
 class IntervalRecord:
     index: int
     colors: int
     stats: IntervalStats
     energy: EnergyBreakdown
-
-
-@dataclass
-class DecisionRecord:
-    interval: int
-    current: int
-    chosen: int
-    fail_safe: bool
-    switched_blocks: int
-    flush_writebacks: int
-    candidates: list[Candidate]
 
 
 def _plain(obj):
@@ -153,7 +121,7 @@ class RunReport:
     total_l2_hits: int
     total_l2_misses: int
     intervals: list[IntervalRecord] = field(default_factory=list)
-    decisions: list[DecisionRecord] = field(default_factory=list)
+    decisions: list[Decision] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         doc = _report_dict(self)
@@ -164,7 +132,7 @@ class RunReport:
     @classmethod
     def from_intervals(cls, scheme: SchemeSpec, warmup_instructions: int,
                        intervals: list[IntervalRecord],
-                       decisions: list[DecisionRecord]) -> "RunReport":
+                       decisions: list[Decision]) -> "RunReport":
         """The run totals of a scheme's interval records."""
         instructions = sum(iv.stats.instructions for iv in intervals)
         total_cycles = sum(iv.stats.elapsed_cycles for iv in intervals)
@@ -201,21 +169,37 @@ class RunReport:
         )
 
 
-def check_refresh_fits(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
-    """Reject a refresh period no longer than a bank's refresh burst.
-
-    A burst holds a bank for one cycle per line; if a bank's lines do not fit
-    in one retention period, the bank is never free again and the replay
-    waits forever.
-    """
-    if scheme.refresh is None:
+def check_scheme(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
+    """Reject a scheme that cannot run on this geometry, before any record:
+    a refresh burst longer than the retention period, which would hold its
+    bank forever; a DCR c_min above the colors; no candidate at the first
+    decision, from the full size (each later allocation is a candidate); a
+    profiling unit that cannot sample 1 set in sampling_ratio_denom."""
+    if scheme.refresh is not None:
+        lines = geometry.total_lines // geometry.num_banks
+        period = scheme.refresh.retention_cycles
+        if lines >= period:
+            raise SchemeConfigError(
+                f"{scheme.name}: refreshing a bank of {lines} lines takes "
+                f"{lines} cycles, which does not fit in the {period}-cycle "
+                f"retention period")
+    cfg = scheme.controller
+    if cfg is None:
         return
-    lines = geometry.total_lines // geometry.num_banks
-    period = scheme.refresh.retention_cycles
-    if lines >= period:
+    m_total = geometry.color_count
+    if cfg.c_min > m_total:
         raise SchemeConfigError(
-            f"{scheme.name}: refreshing a bank of {lines} lines takes {lines} "
-            f"cycles, which does not fit in the {period}-cycle retention period")
+            f"{scheme.name}: c_min {cfg.c_min} exceeds the {m_total} colors "
+            f"of a {geometry.size_bytes // 1024} KB cache")
+    if not candidate_space(m_total, m_total, cfg):
+        raise SchemeConfigError(
+            f"{scheme.name}: no multiple of granularity {cfg.granularity} "
+            f"lies in [{max(cfg.c_min, m_total - cfg.delta)}, {m_total}], "
+            f"the candidates of the full-size cache")
+    try:
+        sampled_rows(geometry, cfg.sampling_ratio_denom)
+    except ValueError as exc:
+        raise SchemeConfigError(f"{scheme.name}: {exc}") from None
 
 
 # slots of the timing pass's clock (lru.c's struct clock): the cycle, the
@@ -265,8 +249,8 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     return out
 
 
-def _close_interval(intervals, decisions, stats, colors, scheme, params, ghz,
-                    state, unit, run_controller) -> tuple[int, int]:
+def _close_interval(intervals, decisions, stats, colors, scheme, params,
+                    timing, state, unit, run_controller) -> tuple[int, int]:
     """Record a finished interval and, for DCR, let the controller act.
 
     Returns the flush writebacks and switched blocks the next interval pays.
@@ -275,15 +259,17 @@ def _close_interval(intervals, decisions, stats, colors, scheme, params, ghz,
     if unit is not None:
         stats.prof_accesses = sum(unit.counts[2::3])  # every size's accesses
     intervals.append(IntervalRecord(
-        index, colors, stats, interval_energy(stats, params, scheme.kind, ghz)))
+        index, colors, stats,
+        interval_energy(stats, params, scheme.kind, timing.clock_ghz)))
     if not run_controller:
         return 0, 0
     decision = select(stats, unit, state, scheme.refresh, scheme.controller,
-                      params, ghz)
+                      params, timing)
     report = reconfigure(state, decision.chosen)
-    decisions.append(DecisionRecord(
-        index, decision.current, decision.chosen, decision.fail_safe,
-        report.switched_blocks, report.writebacks, decision.candidates))
+    decision.interval = index
+    decision.switched_blocks = report.switched_blocks
+    decision.flush_writebacks = report.writebacks
+    decisions.append(decision)
     unit.reset()
     return report.writebacks, report.switched_blocks
 
@@ -305,7 +291,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         raise ValueError("trace is empty")
     if scheme.energy is not None:
         params = scheme.energy
-    check_refresh_fits(scheme, geometry)
+    check_scheme(scheme, geometry)
 
     total_instr = trace.instructions
     if warmup_instructions is None:
@@ -337,7 +323,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     m_total = geometry.color_count
     if is_dcr:
         state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
-        unit = ProfilingUnit(geometry, scheme.profiler_ratio)
+        unit = ProfilingUnit(geometry, ctrl_cfg.sampling_ratio_denom)
         replay = Replay(n)
     else:
         state = unit = None
@@ -380,7 +366,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     carry_writebacks = carry_switched = 0
     active_fraction = 1.0
     intervals: list[IntervalRecord] = []
-    decisions: list[DecisionRecord] = []
+    decisions: list[Decision] = []
     lo = 0
     while True:
         # up to the record that closes an interval, or to the end
@@ -406,7 +392,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
             colors = state.active_count if is_dcr else m_total
             carry_writebacks, carry_switched = _close_interval(
                 intervals, decisions, stats, colors, scheme, params,
-                timing.clock_ghz, state, unit,
+                timing, state, unit,
                 run_controller=is_dcr and closes)
         if is_dcr:
             active_fraction = state.active_count / m_total

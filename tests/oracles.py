@@ -41,7 +41,7 @@ from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
 from edrsim.profiler import IntervalStats, ProfilingUnit
 from edrsim.refresh import RefreshConfig
-from edrsim.sim import DecisionRecord, IntervalRecord, RunReport
+from edrsim.sim import IntervalRecord, RunReport
 from edrsim.trace import (_PHASE_STRIDE_BLOCKS, Op, SyntheticTraceSpec,
                           TraceArrays)
 
@@ -725,7 +725,8 @@ def reference_run(trace, scheme, geometry, timing, params,
     state = CacheState(geometry, min_colors=ctrl_cfg.c_min if is_dcr else 1)
     model = SetLists(state)
     rpv = RpvPhases(geometry, refresh_cfg) if kind is SchemeKind.RPV else None
-    unit = ProfilingUnit(geometry, scheme.profiler_ratio) if is_dcr else None
+    unit = (ProfilingUnit(geometry, ctrl_cfg.sampling_ratio_denom)
+            if is_dcr else None)
     m_total = geometry.color_count
 
     if refresh_cfg is None:
@@ -776,15 +777,13 @@ def reference_run(trace, scheme, geometry, timing, params,
         if run_controller:
             model.store()  # the controller reads and remaps the state
             decision = select(stats, unit, state, refresh_cfg, ctrl_cfg,
-                              params, timing.clock_ghz)
+                              params, timing)
             report = reconfigure(state, decision.chosen)
             model = SetLists(state)
-            decisions.append(DecisionRecord(
-                interval=index, current=decision.current,
-                chosen=decision.chosen, fail_safe=decision.fail_safe,
-                switched_blocks=report.switched_blocks,
-                flush_writebacks=report.writebacks,
-                candidates=decision.candidates))
+            decision.interval = index
+            decision.switched_blocks = report.switched_blocks
+            decision.flush_writebacks = report.writebacks
+            decisions.append(decision)
             carry_writebacks = report.writebacks
             carry_switched = report.switched_blocks
             unit.reset()
@@ -832,7 +831,7 @@ def reference_run(trace, scheme, geometry, timing, params,
                     stats.load_misses += 1
                     stats.memory_stall_cycles += miss_cost
         block = addr // geometry.block_bytes
-        if unit is not None and block % scheme.profiler_ratio == 0:
+        if unit is not None and block % unit.ratio == 0:
             probe(unit, block, is_write)
 
         if warmed and interval_instr >= interval_instructions:

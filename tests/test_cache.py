@@ -11,7 +11,7 @@ from oracles import (RpvPhases, SetLists, access_block, all_sets, dirty_tags,
 from edrsim import cache
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
                           CacheState, GeometryError, ReconfigError,
-                          ReconfigReport, lines_at, reconfigure)
+                          ReconfigReport, reconfigure)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -46,10 +46,13 @@ def test_non_power_of_two_rejected():
 
 
 def test_lines_at_proportional():
+    # an allocation of c colors holds c * lines_per_color lines: turning
+    # off all but c of the 64 colors switches off the rest
     g = CacheGeometry(2 * 1024 * 1024, 8)
-    assert lines_at(g, 64) == 32768
-    assert lines_at(g, 32) == 16384
-    assert lines_at(g, 4) == 2048
+    assert g.color_count * g.lines_per_color == 32768
+    for colors, lines in ((64, 32768), (32, 16384), (4, 2048)):
+        report = reconfigure(CacheState(g), colors)
+        assert report.switched_blocks == 32768 - lines
 
 
 def test_locate_same_page_same_color(small_geometry):

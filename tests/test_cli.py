@@ -4,8 +4,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import edrsim
 from edrsim.cli import main
@@ -286,6 +289,12 @@ phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
      "granularity must be >= 1, got 0"),
     ("delta = 4", "delta = 4\ngranularity = -2",
      "granularity must be >= 1, got -2"),
+    # no candidate at the first decision: the whole trace ran before it
+    # failed with exit 1 and "min() arg is an empty sequence"
+    ("delta = 4", "delta = 16\ngranularity = 16",
+     r"no multiple of granularity 16 lies in \[1, 8\]"),
+    ("delta = 4", "delta = 5\nc_min = 7\ngranularity = 5",
+     r"no multiple of granularity 5 lies in \[7, 8\]"),
 ], ids=["energy clock", "phase past the stride", "empty interval",
         "nan cpi", "inf cpi", "nan clock", "nan leakage", "inf dram energy",
         "negative warm-up fraction", "nan warm-up fraction",
@@ -296,7 +305,8 @@ phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
         "instructions past u64", "instructions past a float",
         "hit latency past int64", "interval past int64", "warm-up past int64",
         "retention past int64", "negative --seed", "zero granularity",
-        "negative granularity"])
+        "negative granularity", "granularity above the colors",
+        "no multiple from c_min"])
 def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
     path = tmp_path / "bad.cfg"
     options = []
@@ -511,6 +521,52 @@ def test_run_checks_every_scheme_before_writing(tmp_path, ratio):
     out = tmp_path / "outdir"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# baseline and DCR on 1,600 records, with six DCR decisions; 8 KB pages
+# make 8 colors of a 512 KB cache, whose X/16 profiling unit has 64 sets
+_TINY_CONFIG = BASE_CONFIG[:BASE_CONFIG.index("[scheme.rpv]")].replace(
+    "page_kb = 1", "page_kb = 8").replace(
+    "phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2",
+    "phases = 40000:24576:0.3:0.2; 40000:8192:0.3:0.2").replace(
+    "interval_instructions = 100000", "interval_instructions = 12000") + """
+[scheme.dcr]
+kind = dcr
+retention_period_us = 1
+"""
+
+
+def _maybe(in_range, wild):
+    """Unset (None), a value in range or, less often, a wild one."""
+    return st.none() | in_range | in_range | wild
+
+
+@settings(max_examples=50, deadline=None)
+@given(l2_size_kb=_maybe(st.sampled_from([256, 1024]), st.integers(-64, 2048)),
+       c_min=_maybe(st.integers(1, 4), st.integers(-2, 40)),
+       granularity=_maybe(st.integers(1, 4), st.integers(-2, 40)),
+       delta=_maybe(st.integers(4, 16), st.integers(-2, 40)),
+       beta=_maybe(st.sampled_from([0.5, 3.0, 50.0]), st.floats()),
+       sampling_ratio_denom=_maybe(st.sampled_from([8, 16, 64]),
+                                   st.integers(-2, 300)))
+# no candidate at the first decision: this ran the whole trace, then
+# failed with exit 1
+@example(l2_size_kb=512, c_min=None, granularity=16, delta=16, beta=None,
+         sampling_ratio_denom=None)
+def test_any_dcr_config_runs_or_fails_before_output(**keys):
+    size = keys.pop("l2_size_kb")
+    size = 512 if size is None else size
+    text = _TINY_CONFIG.replace("l2_size_kb = 64", f"l2_size_kb = {size}")
+    text += "".join(f"{key} = {value!r}\n" for key, value in keys.items()
+                    if value is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        rc = main(["compare", "--config", path, "--out", out])
+        assert rc in (0, 2), text
+        assert os.path.exists(out) == (rc == 0), text
 
 
 def test_sweep_rejects_unknown_parameter(config_file, tmp_path):

@@ -7,14 +7,16 @@ from oracles import replay, size_counts
 from edrsim.cache import (HIT, WRITE, CacheGeometry, CacheState, Replay,
                           reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
-                               candidate_space, default_config, delta_pct,
-                               select)
+                               candidate_space, default_config, select)
 from edrsim.energy import builtin_params
-from edrsim.profiler import PROFILED_FRACTIONS, IntervalStats, ProfilingUnit
+from edrsim.profiler import (PROFILED_FRACTIONS, IntervalStats, ProfilingUnit,
+                             TimingParams)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
-GHZ = 2.0  # the core clock select() scores candidates at
+# select() charges 12 + 154 cycles per load miss and scores candidates at
+# a 2 GHz clock
+TIMING = TimingParams(clock_ghz=2.0)
 
 
 def brute_force_space(current, total, cfg):
@@ -53,12 +55,21 @@ def test_space_matches_brute_force():
                 brute_force_space(current, total, cfg)
 
 
-def test_delta_pct():
-    assert delta_pct(100.0, 100.0) == 0.0
-    assert delta_pct(103.0, 100.0) == pytest.approx(3.0)
-    assert delta_pct(97.0, 100.0) == pytest.approx(-3.0)
-    with pytest.raises(ValueError):
-        delta_pct(1.0, 0.0)
+def test_delta_pct(small_geometry):
+    # a candidate's slowdown is its time estimate over the full size's, in
+    # percent; with no full-size time select() keeps the allocation instead
+    # (test_select_keeps_the_allocation_without_a_full_size_time)
+    state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=24)
+    decision = select(stats, unit, state, RefreshConfig(2000),
+                      default_config(small_geometry, delta=8),
+                      builtin_params("EDRAM_2MB"), TIMING)
+    full = next(c for c in decision.candidates
+                if c.colors == small_geometry.color_count)
+    assert full.delta_pct == 0.0
+    for cand in decision.candidates:
+        assert cand.delta_pct == pytest.approx(
+            (cand.est_time_cycles - full.est_time_cycles)
+            / full.est_time_cycles * 100.0)
 
 
 def _prepped_state_and_unit(geometry, ws_kb, seed=3, records=40_000):
@@ -87,7 +98,7 @@ def test_select_prefers_small_when_working_set_is_tiny(small_geometry):
     cfg = default_config(small_geometry, delta=8)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, unit, state, refresh, cfg, params, GHZ)
+    decision = select(stats, unit, state, refresh, cfg, params, TIMING)
     assert decision.chosen == min(candidate_space(
         state.active_count, small_geometry.color_count, cfg))
     assert not decision.fail_safe
@@ -98,8 +109,8 @@ def test_select_is_deterministic(small_geometry):
     cfg = default_config(small_geometry, delta=8)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    one = select(stats, unit, state, refresh, cfg, params, GHZ)
-    two = select(stats, unit, state, refresh, cfg, params, GHZ)
+    one = select(stats, unit, state, refresh, cfg, params, TIMING)
+    two = select(stats, unit, state, refresh, cfg, params, TIMING)
     assert one == two
 
 
@@ -108,7 +119,7 @@ def test_select_chosen_is_in_space_and_beats_current(small_geometry):
     cfg = default_config(small_geometry, delta=4)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, unit, state, refresh, cfg, params, GHZ)
+    decision = select(stats, unit, state, refresh, cfg, params, TIMING)
     space = candidate_space(state.active_count, small_geometry.color_count, cfg)
     assert decision.chosen in space
     current_cand = next(c for c in decision.candidates
@@ -122,12 +133,13 @@ def test_select_chosen_is_in_space_and_beats_current(small_geometry):
 def test_beta_filter_rejects_slow_candidates(small_geometry):
     # hand-built scenario: the small candidate is cheapest but too slow
     state, unit, stats = _prepped_state_and_unit(small_geometry, ws_kb=48)
-    stats.memory_stall_cycles = stats.load_misses * 800  # exaggerate stalls
+    slow = TimingParams(dram_latency_cycles=788, clock_ghz=2.0)  # exaggerate
+    stats.memory_stall_cycles = stats.load_misses * 800  # 12 + 788 per miss
     stats.elapsed_cycles = stats.memory_stall_cycles * 2
     cfg = default_config(small_geometry, beta=3.0, delta=8)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, unit, state, refresh, cfg, params, GHZ)
+    decision = select(stats, unit, state, refresh, cfg, params, slow)
     for cand in decision.candidates:
         if cand.rejected_by_beta:
             assert cand.delta_pct > cfg.beta
@@ -149,7 +161,7 @@ def test_fail_safe_when_everything_breaches_beta(small_geometry):
     cfg = ControllerConfig(c_min=1, delta=2, beta=3.0)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, planted, state2, refresh, cfg, params, GHZ)
+    decision = select(stats, planted, state2, refresh, cfg, params, TIMING)
     assert decision.fail_safe
     assert all(c.rejected_by_beta for c in decision.candidates)
     # least-bad candidate: minimal slowdown
@@ -171,8 +183,8 @@ def test_select_keeps_the_allocation_without_a_full_size_time(small_geometry):
                           elapsed_cycles=8_000 * 166, dram_accesses=8_000)
     decision = select(stats, planted, state, RefreshConfig(2000),
                       ControllerConfig(c_min=1, delta=8),
-                      builtin_params("EDRAM_2MB"), GHZ)
-    assert decision == Decision(4, 4, [], fail_safe=False)
+                      builtin_params("EDRAM_2MB"), TIMING)
+    assert decision == Decision(4, 4, False, [])
 
 
 def test_tie_break_toward_fewer_colors(small_geometry):
@@ -189,7 +201,7 @@ def test_argmin_invariant_under_uniform_scaling(small_geometry):
     cfg = default_config(small_geometry, delta=8)
     refresh = RefreshConfig(2000)
     params = builtin_params("EDRAM_2MB")
-    decision = select(stats, unit, state, refresh, cfg, params, GHZ)
+    decision = select(stats, unit, state, refresh, cfg, params, TIMING)
     survivors = [c for c in decision.candidates if not c.rejected_by_beta]
     scaled = [Candidate(c.colors, c.est_time_cycles, c.delta_pct,
                         c.est_energy_j * 7.5, c.rejected_by_beta)
@@ -210,7 +222,7 @@ def test_controller_converges_on_small_working_set():
         phases=[PhaseSpec(3_000_000, 64 * 1024, 0.3, 0.3)], rng_seed=10))
     scheme = SchemeSpec(
         kind=SchemeKind.DCR, refresh=RefreshConfig(88_000),
-        controller=default_config(geometry), profiler_ratio=64)
+        controller=default_config(geometry, sampling_ratio_denom=64))
     report = run(arrays, scheme, geometry, TimingParams(),
                  builtin_params("EDRAM_2MB"), warmup_instructions=200_000,
                  interval_instructions=400_000)

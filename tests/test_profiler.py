@@ -8,8 +8,8 @@ from oracles import (compiled_full_profile, full_profile, observe_arrays,
                      replay, size_counts, trace_of)
 from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Passes, Replay
 from edrsim.profiler import (PROFILED_FRACTIONS, IntervalStats, ProfilingUnit,
-                             estimate_misses, estimate_refreshes,
-                             estimate_time)
+                             TimingParams, estimate_misses,
+                             estimate_refreshes, estimate_time)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -154,25 +154,30 @@ def test_monotone_profiled_points_on_random_traces(small_geometry):
 
 
 def test_estimate_time_self_consistency():
+    # 200 cycles per load miss, as the run charged them
+    timing = TimingParams(l2_hit_cycles=12, dram_latency_cycles=188)
     stats = IntervalStats(load_misses=20_000, memory_stall_cycles=4_000_000,
                           elapsed_cycles=10_000_000)
-    assert estimate_time(stats, 20_000) == 10_000_000
-    assert estimate_time(stats, 0) == 6_000_000
-    assert estimate_time(stats, 30_000) == 12_000_000  # 6M + 200 * 30k
+    assert estimate_time(stats, 20_000, timing) == 10_000_000
+    assert estimate_time(stats, 0, timing) == 6_000_000
+    assert estimate_time(stats, 30_000, timing) == 12_000_000  # 6M + 200 * 30k
 
 
 def test_estimate_time_zero_load_misses():
+    # an interval without a load miss still prices each estimated one at
+    # the hit plus DRAM latency: 12 + 154 cycles
     stats = IntervalStats(load_misses=0, memory_stall_cycles=0,
                           elapsed_cycles=5_000)
-    assert estimate_time(stats, 1_000) == 5_000
+    assert estimate_time(stats, 1_000, TimingParams()) == 5_000 + 166 * 1_000
+    assert estimate_time(stats, 0, TimingParams()) == 5_000
 
 
 def test_estimate_time_is_linear():
     stats = IntervalStats(load_misses=100, memory_stall_cycles=50_000,
                           elapsed_cycles=300_000)
-    t0 = estimate_time(stats, 0)
-    t1 = estimate_time(stats, 1)
-    t500 = estimate_time(stats, 500)
+    t0 = estimate_time(stats, 0, TimingParams())
+    t1 = estimate_time(stats, 1, TimingParams())
+    t500 = estimate_time(stats, 500, TimingParams())
     assert t500 == pytest.approx(t0 + 500 * (t1 - t0), rel=1e-12)
 
 
@@ -185,6 +190,10 @@ def test_estimate_refreshes_formula(geometry_2mb):
     small = CacheGeometry(64 * 1024, 8, page_bytes=1024, bank_bytes=32 * 1024)
     assert estimate_refreshes(1000, 4, small, 40_000, cfg1g) == \
         min(1000, 4 * small.lines_per_color)
+    # an allocation's lines are proportional to its colors
+    for colors, lines in ((64, 32768), (32, 16384), (4, 2048)):
+        assert estimate_refreshes(10**6, colors, geometry_2mb, 88_000,
+                                  cfg) == lines
 
 
 def test_estimate_refreshes_monotone(geometry_2mb):

@@ -24,7 +24,7 @@ from edrsim import profiler
 from edrsim.profiler import ProfilingUnit
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams,
-                        check_refresh_fits, compare, fixed_replay, run)
+                        check_scheme, compare, fixed_replay, run)
 from edrsim.trace import (PhaseSpec, SyntheticTraceSpec, TraceArrays,
                           generate_synthetic)
 
@@ -51,8 +51,9 @@ def _scheme(kind, phases, geometry):
     if kind is SchemeKind.SRAM:
         return SchemeSpec(kind=kind, energy=SRAM)
     if kind is SchemeKind.DCR:
-        return SchemeSpec(kind=kind, refresh=refresh, profiler_ratio=2,
-                          controller=default_config(geometry, delta=4))
+        return SchemeSpec(kind=kind, refresh=refresh,
+                          controller=default_config(
+                              geometry, delta=4, sampling_ratio_denom=2))
     return SchemeSpec(kind=kind, refresh=refresh)
 
 
@@ -171,10 +172,11 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
     if kind is SchemeKind.SRAM:
         spec = SchemeSpec(kind=kind, energy=SRAM)
     elif kind is SchemeKind.DCR:
-        spec = SchemeSpec(kind=kind, refresh=refresh, profiler_ratio=1,
+        spec = SchemeSpec(kind=kind, refresh=refresh,
                           controller=default_config(
                               geometry, granularity=1,
-                              delta=data.draw(st.integers(1, 8))))
+                              delta=data.draw(st.integers(1, 8)),
+                              sampling_ratio_denom=1))
     else:
         spec = SchemeSpec(kind=kind, refresh=refresh)
     timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
@@ -429,14 +431,14 @@ def test_refresh_burst_must_fit_in_the_retention_period():
     geometry = _geometry(1)
     fits = SchemeSpec(kind=SchemeKind.BASELINE_EDRAM,
                       refresh=RefreshConfig(1025))
-    check_refresh_fits(fits, geometry)
+    check_scheme(fits, geometry)
     for kind, phases in _KINDS:
         if kind is SchemeKind.SRAM:
             continue
         tight = _scheme(kind, phases, geometry)
         tight.refresh = RefreshConfig(1024, phases)
         with pytest.raises(SchemeConfigError, match="1024-cycle"):
-            check_refresh_fits(tight, geometry)
+            check_scheme(tight, geometry)
         with pytest.raises(SchemeConfigError):
             run(_trace(seed=1), tight, geometry, TimingParams(clock_ghz=2.0),
                 EDRAM)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import trace_of
-from edrsim.cache import CacheGeometry
+from edrsim.cache import CacheGeometry, Passes
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim.refresh import RefreshConfig
@@ -78,7 +78,7 @@ def test_determinism_bit_identical_reports(small_geometry):
     arrays = _trace(seed=9, instr=800_000)
     scheme = SchemeSpec(
         kind=SchemeKind.DCR, refresh=RefreshConfig(2000),
-        controller=default_config(small_geometry), profiler_ratio=2)
+        controller=default_config(small_geometry, sampling_ratio_denom=2))
     a = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
             interval_instructions=100_000)
     b = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
@@ -142,9 +142,9 @@ def test_scheme_validation_rejects_conflicts():
 
 def test_dcr_active_ratio_within_bounds(small_geometry):
     arrays = _trace(seed=2, instr=2_000_000, ws_kb=4)
-    ctrl = default_config(small_geometry)
+    ctrl = default_config(small_geometry, sampling_ratio_denom=2)
     scheme = SchemeSpec(kind=SchemeKind.DCR, refresh=RefreshConfig(2000),
-                        controller=ctrl, profiler_ratio=2)
+                        controller=ctrl)
     report = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
                  interval_instructions=200_000)
     lo = ctrl.c_min / small_geometry.color_count * 100
@@ -213,7 +213,7 @@ def test_dcr_flush_writebacks_charged_to_next_interval(small_geometry):
     arrays = _trace(seed=14, instr=1_200_000, ws_kb=12, writes=0.5)
     scheme = SchemeSpec(
         kind=SchemeKind.DCR, refresh=RefreshConfig(2000),
-        controller=default_config(small_geometry), profiler_ratio=2)
+        controller=default_config(small_geometry, sampling_ratio_denom=2))
     report = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
                  warmup_instructions=0, interval_instructions=150_000)
     shrink = next((d for d in report.decisions
@@ -223,3 +223,22 @@ def test_dcr_flush_writebacks_charged_to_next_interval(small_geometry):
     assert nxt.switched_blocks == shrink.switched_blocks
     # the following interval paid for the flush writebacks
     assert nxt.dram_accesses >= shrink.flush_writebacks
+
+
+# a 2-color cache: both used to replay every record up to the first
+# decision and fail there with "min() arg is an empty sequence"
+@pytest.mark.parametrize("overrides, error", [
+    (dict(c_min=3), "c_min 3 exceeds the 2 colors"),
+    (dict(granularity=4, delta=4),
+     r"no multiple of granularity 4 lies in \[1, 2\]"),
+], ids=["c_min above the colors", "no candidate"])
+def test_run_checks_the_controller_before_any_record(monkeypatch, overrides,
+                                                     error):
+    geometry = CacheGeometry(64 * 1024, 8, bank_bytes=32 * 1024)
+    scheme = SchemeSpec(kind=SchemeKind.DCR, refresh=RefreshConfig(2000),
+                        controller=default_config(
+                            geometry, sampling_ratio_denom=1, **overrides))
+    monkeypatch.setattr(Passes, "__call__",
+                        lambda *args: pytest.fail("a record was replayed"))
+    with pytest.raises(SchemeConfigError, match=error):
+        run(_trace(), scheme, geometry, TIMING_2GHZ, EDRAM_2GHZ)
