@@ -33,6 +33,7 @@ import ctypes
 import os
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GeometryError(ValueError):
@@ -73,32 +74,32 @@ class CacheGeometry:
             raise GeometryError(
                 f"need at least 2 colors, got {self.size_bytes // denom}")
 
-    @property
+    @cached_property
     def color_count(self) -> int:
         return self.size_bytes // (self.page_bytes * self.associativity)
 
-    @property
+    @cached_property
     def total_lines(self) -> int:
         return self.size_bytes // self.block_bytes
 
-    @property
+    @cached_property
     def total_sets(self) -> int:
         return self.total_lines // self.associativity
 
-    @property
+    @cached_property
     def sets_per_color(self) -> int:
         # equals blocks-per-page: the page offset selects the set inside a color
         return self.page_bytes // self.block_bytes
 
-    @property
+    @cached_property
     def lines_per_color(self) -> int:
         return self.total_lines // self.color_count
 
-    @property
+    @cached_property
     def num_banks(self) -> int:
         return self.size_bytes // self.bank_bytes
 
-    @property
+    @cached_property
     def sets_per_bank(self) -> int:
         return self.total_sets // self.num_banks
 
@@ -202,7 +203,7 @@ def kernel(name: str):
 
 def zeros(typecode: str, n: int) -> array:
     """An `array.array` of n zeros."""
-    return array(typecode, bytes(array(typecode).itemsize * n))
+    return array(typecode, [0]) * n
 
 
 def address(buffer, itemsize: int, n: int) -> int:
@@ -396,16 +397,18 @@ def reconfigure(state: CacheState, colors: int) -> ReconfigReport:
             rr += 1
 
     # 3. rebalance onto the colors turned on; per color, its regions
-    # ascending and, as a donor, the regions it gave up
+    # ascending, how many it holds and, as a donor, the regions it gave up
     regions_of = [[] for _ in range(colors)]
-    for region in range(m_total):
-        regions_of[state.mapping[region]].append(region)
+    for region, color in enumerate(state.mapping):
+        regions_of[color].append(region)
+    count = [len(regions) for regions in regions_of]
     pulled = [[] for _ in range(colors)]
     for color in range(old, colors):
-        while len(regions_of[color]) < m_total // colors:
-            donor = max(range(colors), key=lambda c: (len(regions_of[c]), -c))
-            if len(regions_of[donor]) <= len(regions_of[color]):
+        while count[color] < m_total // colors:
+            donor = count.index(max(count))  # the lowest index on a tie
+            if count[donor] <= count[color]:
                 break
+            count[donor], count[color] = count[donor] - 1, count[color] + 1
             region = regions_of[donor].pop()  # highest region index
             pulled[donor].append(region)
             state.mapping[region] = color

@@ -8,6 +8,7 @@ import os
 import sys
 import tempfile
 from dataclasses import fields, replace
+from itertools import repeat
 
 from . import trace as trace_mod
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
@@ -30,8 +31,51 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+_INF = float("inf")
+_quote = json.encoder.encode_basestring_ascii
+# how json.dumps spells a scalar of each of these exact types; any other
+# leaf (a subclass of one, or no JSON type) goes to json.dumps itself
+_SCALARS = {str: _quote, int: int.__repr__, type(None): lambda _: "null",
+            bool: lambda value: "true" if value else "false",
+            float: lambda value: float.__repr__(value)
+            if -_INF < value < _INF else json.dumps(value)}
+
+
+def _write(obj, out: list, newline: str) -> None:
+    """Append `obj` to `out` as json.dumps(indent=2, sort_keys=True) writes
+    it at the depth whose lines start with `newline`."""
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        prefixes = [f"{_quote(key)}: " for key in keys]
+        values, brackets = [obj[key] for key in keys], "{}"
+    elif isinstance(obj, (list, tuple)):
+        prefixes, values, brackets = repeat(""), obj, "[]"
+    else:
+        out.append(_SCALARS.get(type(obj), json.dumps)(obj))
+        return
+    if not values:
+        out.append(brackets)
+        return
+    inner = newline + "  "
+    separator = brackets[0] + inner
+    for prefix, value in zip(prefixes, values):
+        spell = _SCALARS.get(type(value))
+        if spell is None:
+            out.append(separator + prefix)
+            _write(value, out, inner)
+        else:
+            out.append(separator + prefix + spell(value))
+        separator = "," + inner
+    out.append(newline + brackets[1])
+
+
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """The UTF-8 bytes of `json.dumps(obj, indent=2, sort_keys=True)` and a
+    newline, written in one pass; dict keys must be strings."""
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:

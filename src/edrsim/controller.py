@@ -2,7 +2,7 @@
 
 At each interval boundary the controller enumerates candidate color counts
 around the current allocation, predicts each candidate's interval from the
-profiling unit and prices it with the run's own `interval_energy`, drops
+profiling unit and prices it with the run's own energy formula, drops
 candidates whose slowdown versus the full-size cache exceeds the tolerance,
 and picks the energy minimum among the survivors: a color count c, which
 `cache.reconfigure` realizes by keeping the colors [0, c) on.
@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .cache import CacheGeometry, CacheState
-from .energy import EnergyParams, SchemeKind, interval_energy
+from .energy import EnergyParams, SchemeKind, energy_terms
 from .profiler import (IntervalStats, ProfilingUnit, TimingParams,
-                       estimate_misses, estimate_refreshes, estimate_time)
+                       estimate_refreshes, estimate_time, interpolate,
+                       profiled_points)
 from .refresh import RefreshConfig
 
 
@@ -91,7 +92,8 @@ def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
     current = state.active_count
     space = candidate_space(current, m_total, cfg)
 
-    _, full_load = estimate_misses(unit, m_total, geometry)
+    points = profiled_points(unit)
+    _, full_load = interpolate(points, geometry.size_bytes)
     t_0 = estimate_time(stats, full_load, timing)
     if t_0 <= 0:
         # an interval of no compute whose full size sampled no load miss:
@@ -104,27 +106,21 @@ def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
     else:
         wb_ratio = 0.0
 
+    size_bytes, lines_per_color = geometry.size_bytes, geometry.lines_per_color
+    n_valid, ghz = state.n_valid, timing.clock_ghz
     candidates = []
     for colors in space:
-        est_m, est_load = estimate_misses(unit, colors, geometry)
+        est_m, est_load = interpolate(points, colors * size_bytes / m_total)
         t_i = estimate_time(stats, est_load, timing)
         d_i = (t_i - t_0) / t_0 * 100.0  # % slower than the full size
-        # the stats the candidate predicts for the next interval
-        expected = IntervalStats(
-            l2_hits=max(accesses - est_m, 0.0),
-            l2_misses=est_m,
-            refreshed_lines=estimate_refreshes(
-                state.n_valid, colors, geometry, t_i, refresh_config),
-            dram_accesses=est_m * (1.0 + wb_ratio),
-            active_fraction=colors / m_total,
-            elapsed_cycles=t_i,
-            switched_blocks=abs(colors - current) * geometry.lines_per_color,
-            prof_accesses=stats.prof_accesses,
-        )
-        energy = interval_energy(expected, params, SchemeKind.DCR,
-                                 timing.clock_ghz).total
-        candidates.append(Candidate(colors, t_i, d_i, energy,
-                                    rejected_by_beta=d_i > cfg.beta))
+        # priced on the counts the candidate predicts for the next interval
+        energy = energy_terms(
+            params, SchemeKind.DCR, ghz, t_i, colors / m_total,
+            max(accesses - est_m, 0.0), est_m,
+            estimate_refreshes(n_valid, colors, geometry, t_i, refresh_config),
+            est_m * (1.0 + wb_ratio), abs(colors - current) * lines_per_color,
+            stats.prof_accesses)[-1]
+        candidates.append(Candidate(colors, t_i, d_i, energy, d_i > cfg.beta))
 
     survivors = [c for c in candidates if not c.rejected_by_beta]
     if survivors:

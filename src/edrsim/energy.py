@@ -84,26 +84,35 @@ class EnergyBreakdown:
 
 def interval_energy(stats, params: EnergyParams, scheme: SchemeKind,
                     ghz: float) -> EnergyBreakdown:
-    """Energy of one finished interval, in joules; DCR's controller also
-    scores each candidate allocation with it, on the stats it predicts.
+    """Energy of one finished interval, in joules (see `energy_terms`)."""
+    return EnergyBreakdown(*energy_terms(
+        params, scheme, ghz, stats.elapsed_cycles, stats.active_fraction,
+        stats.l2_hits, stats.l2_misses, stats.refreshed_lines,
+        stats.dram_accesses, stats.switched_blocks, stats.prof_accesses))
+
+
+def energy_terms(params: EnergyParams, scheme: SchemeKind, ghz: float, cycles,
+                 f_a, hits, misses, refreshed, dram_accesses, switched,
+                 prof_accesses) -> tuple:
+    """`EnergyBreakdown`'s fields, in joules, for an interval of `cycles`
+    with these counts: the formula of `interval_energy`, with which DCR's
+    controller also prices each candidate on the counts it predicts.
 
     The baseline eDRAM, SRAM and polyphase schemes run the whole cache with
     no algorithm overhead (F_A = 1, E_algo = 0); SRAM never refreshes.
     """
-    t = stats.elapsed_cycles / (ghz * 1e9)
-    f_a = stats.active_fraction if scheme is SchemeKind.DCR else 1.0
-    n_r = 0 if scheme is SchemeKind.SRAM else stats.refreshed_lines
-
+    t = cycles / (ghz * 1e9)
+    dcr = scheme is SchemeKind.DCR
+    f_a = f_a if dcr else 1.0
+    n_r = 0 if scheme is SchemeKind.SRAM else refreshed
     le_l2 = params.p_leak_l2 * f_a * t
-    de_l2 = params.e_dyn_l2_j * (2 * stats.l2_misses + stats.l2_hits)
+    de_l2 = params.e_dyn_l2_j * (2 * misses + hits)
     re_l2 = n_r * params.e_dyn_l2_j
-    e_dram = params.p_leak_dram * t + params.e_dyn_dram_j * stats.dram_accesses
-    if scheme is SchemeKind.DCR:
-        e_prof = params.p_leak_prof * t + params.e_dyn_prof_j * stats.prof_accesses
-        e_algo = params.e_transition_j * stats.switched_blocks + e_prof
+    e_dram = params.p_leak_dram * t + params.e_dyn_dram_j * dram_accesses
+    if dcr:
+        e_prof = params.p_leak_prof * t + params.e_dyn_prof_j * prof_accesses
+        e_algo = params.e_transition_j * switched + e_prof
     else:
-        e_prof = 0.0
-        e_algo = 0.0
+        e_prof = e_algo = 0.0
     total = le_l2 + de_l2 + re_l2 + e_dram + e_algo
-    return EnergyBreakdown(le_l2, de_l2, re_l2, e_dram, e_algo, e_prof, total)
-
+    return le_l2, de_l2, re_l2, e_dram, e_algo, e_prof, total

@@ -99,35 +99,27 @@ def sampled_rows(geometry: CacheGeometry, ratio: int) -> list[int]:
     return rows
 
 
-def estimate_misses(unit: ProfilingUnit, colors: int,
-                    geometry: CacheGeometry) -> tuple[float, float]:
-    """Estimated (misses, load misses) for a cache of `colors` colors.
+def profiled_points(unit: ProfilingUnit) -> list[tuple]:
+    """(size, log2 of it, misses, load misses) of each emulated size, from
+    X down, with the counts scaled by the sampling ratio."""
+    counts, scale = unit.counts, unit.ratio
+    return [(size, math.log2(size), counts[3 * u] * scale,
+             counts[3 * u + 1] * scale) for u, size in enumerate(unit.sizes)]
 
-    Exact at the profiled sizes; log-linear in size between them; sizes
-    below the smallest clamp to its estimate. Counts are scaled by the
-    sampling ratio.
-    """
-    m_total = geometry.color_count
-    if not 1 <= colors <= m_total:
-        raise ValueError(f"colors must be in [1, {m_total}]")
-    size = colors * geometry.size_bytes / m_total
-    sizes, counts, scale = unit.sizes, unit.counts, unit.ratio
 
-    def scaled(u):
-        return counts[3 * u] * scale, counts[3 * u + 1] * scale
-
-    # the sizes descend from X: walk up from the smallest to the first one
-    # at or above `size`
-    hi = len(sizes) - 1
-    while sizes[hi] < size:
+def interpolate(points: list[tuple], size: float) -> tuple[float, float]:
+    """Estimated (misses, load misses) of a cache of `size` bytes, at most
+    X, from `profiled_points`: exact at the profiled sizes; log-linear in
+    size between them; sizes below the smallest clamp to its estimate."""
+    # walk up from the smallest size to the first one at or above `size`
+    hi = len(points) - 1
+    while points[hi][0] < size:
         hi -= 1
-    if sizes[hi] == size or hi == len(sizes) - 1:
-        return scaled(hi)
-    lo = hi + 1
-    t = ((math.log2(size) - math.log2(sizes[lo]))
-         / (math.log2(sizes[hi]) - math.log2(sizes[lo])))
-    lo_m, lo_l = scaled(lo)
-    hi_m, hi_l = scaled(hi)
+    hi_size, hi_log, hi_m, hi_l = points[hi]
+    if hi_size == size or hi == len(points) - 1:
+        return hi_m, hi_l
+    _, lo_log, lo_m, lo_l = points[hi + 1]
+    t = (math.log2(size) - lo_log) / (hi_log - lo_log)
     return lo_m + t * (hi_m - lo_m), lo_l + t * (hi_l - lo_l)
 
 

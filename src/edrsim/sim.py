@@ -31,9 +31,10 @@ DCR's records find their sets through the cache's own layout, which a
 reconfiguration rewrites, so the next call follows the new mapping.
 """
 
+import functools
 import weakref
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from . import cache as _cache
 from .cache import CacheGeometry, CacheState, Replay, reconfigure, zeros
@@ -84,16 +85,29 @@ class IntervalRecord:
     energy: EnergyBreakdown
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...] | None:
+    """A dataclass's field names, in order; None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+_LEAVES = frozenset({int, float, str, bool, type(None)})
+
+
 def _plain(obj):
     """A dataclass as a dict of its fields, recursively through dataclasses,
-    lists and dicts. Unlike dataclasses.asdict, it copies no leaf value."""
+    lists and dicts. Unlike dataclasses.asdict, it copies no leaf value, and
+    it keeps a value of a type in _LEAVES without a call."""
     if isinstance(obj, list):
-        return [_plain(v) for v in obj]
+        return [v if type(v) in _LEAVES else _plain(v) for v in obj]
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-    return obj
+        return {k: v if type(v) in _LEAVES else _plain(v)
+                for k, v in obj.items()}
+    names = _field_names(type(obj))
+    if names is None:
+        return obj
+    return {name: v if type(v := getattr(obj, name)) in _LEAVES else _plain(v)
+            for name in names}
 
 
 def _report_dict(report) -> dict:

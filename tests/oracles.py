@@ -13,6 +13,10 @@ Python lists (`SetLists`) and returns the code byte `replay` writes,
 `replay` built from the two, record by record in Python: the reference
 the compiled kernel is diffed against. `flush_reference` is the compiled
 flush of a reconfiguration in numpy, on `view`s of the state's columns.
+`reconfigure_reference` plans each pulled region of a reconfiguration by
+a `max` over every color, and `select_reference` prices each candidate
+through the `IntervalStats` it predicts and `interval_energy`: the
+one-at-a-time forms of `reconfigure` and `select`.
 `generate_reference` is the synthetic trace generator in numpy, drawing
 from numpy's own generator. `RpvPhases` keeps RPV's last-touch phases
 and per-bank-per-phase valid counts beside the state. `set_tags` and
@@ -33,13 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from edrsim import native
+from edrsim import cache, native
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, Passes, Replay, layout, reconfigure)
-from edrsim.controller import select
+                          CacheState, Passes, ReconfigReport, Replay, layout,
+                          reconfigure)
+from edrsim.controller import (Candidate, ControllerConfig, Decision,
+                               candidate_space, select)
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
-from edrsim.profiler import IntervalStats, ProfilingUnit
+from edrsim.profiler import (IntervalStats, ProfilingUnit, TimingParams,
+                             estimate_refreshes, estimate_time, interpolate,
+                             profiled_points)
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import IntervalRecord, RunReport
 from edrsim.trace import (_PHASE_STRIDE_BLOCKS, Op, SyntheticTraceSpec,
@@ -318,6 +326,113 @@ def flush_reference(state: CacheState, color: int,
                    np.arange(first, first + g.sets_per_color) // g.sets_per_bank,
                    lost)
     return flushed, writebacks
+
+
+def estimate_misses(unit: ProfilingUnit, colors: int,
+                    geometry: CacheGeometry) -> tuple[float, float]:
+    """The profiling unit's estimated (misses, load misses) for a cache of
+    `colors` colors, as `controller.select` interpolates them."""
+    m_total = geometry.color_count
+    if not 1 <= colors <= m_total:
+        raise ValueError(f"colors must be in [1, {m_total}]")
+    return interpolate(profiled_points(unit),
+                       colors * geometry.size_bytes / m_total)
+
+
+def reconfigure_reference(state: CacheState, colors: int,
+                          batched: bool = True) -> ReconfigReport:
+    """`cache.reconfigure`, planning each pull on its own: the donor is the
+    color with the most regions, the lowest index on a tie, found by a
+    `max` over every color for each pulled region. `batched` flushes each
+    donor once, over all the regions it gave up, as `reconfigure` does;
+    otherwise each region is flushed from its donor as soon as it is
+    pulled. `reconfigure`'s range checks are left out."""
+    g = state.geometry
+    m, old = g.color_count, state.active_count
+    flushed = writebacks = 0
+    for color in range(colors, old):
+        f, w = cache._flush(state, color)
+        flushed, writebacks = flushed + f, writebacks + w
+    orphans = [r for r in range(m) if state.mapping[r] >= colors]
+    for rr, region in enumerate(orphans):
+        state.mapping[region] = rr % colors
+    regions_of = [[r for r in range(m) if state.mapping[r] == c]
+                  for c in range(colors)]
+    pulled = [[] for _ in range(colors)]
+    for color in range(old, colors):
+        while len(regions_of[color]) < m // colors:
+            donor = max(range(colors), key=lambda c: (len(regions_of[c]), -c))
+            if len(regions_of[donor]) <= len(regions_of[color]):
+                break
+            region = regions_of[donor].pop()  # highest region index
+            if batched:
+                pulled[donor].append(region)
+            else:
+                f, w = cache._flush(state, donor, [region])
+                flushed, writebacks = flushed + f, writebacks + w
+            state.mapping[region] = color
+            regions_of[color].append(region)
+    for donor, regions in enumerate(pulled):
+        if regions:
+            f, w = cache._flush(state, donor, regions)
+            flushed, writebacks = flushed + f, writebacks + w
+    state.active_count = colors
+    state.layout[:] = layout(g, state.mapping)
+    return ReconfigReport(flushed, writebacks,
+                          abs(colors - old) * g.lines_per_color)
+
+
+def select_reference(stats: IntervalStats, unit: ProfilingUnit,
+                     state: CacheState, refresh_config: RefreshConfig,
+                     cfg: ControllerConfig, params: EnergyParams,
+                     timing: TimingParams) -> Decision:
+    """`controller.select`, one candidate at a time: `estimate_misses` at
+    its size, the `IntervalStats` it predicts and their `interval_energy`
+    as a DCR interval."""
+    geometry = state.geometry
+    m_total = geometry.color_count
+    current = state.active_count
+    space = candidate_space(current, m_total, cfg)
+
+    _, full_load = estimate_misses(unit, m_total, geometry)
+    t_0 = estimate_time(stats, full_load, timing)
+    if t_0 <= 0:
+        return Decision(current, current, False, [])
+
+    accesses = stats.l2_hits + stats.l2_misses
+    if stats.l2_misses > 0:
+        wb_ratio = max(0.0, (stats.dram_accesses - stats.l2_misses)
+                       / stats.l2_misses)
+    else:
+        wb_ratio = 0.0
+
+    candidates = []
+    for colors in space:
+        est_m, est_load = estimate_misses(unit, colors, geometry)
+        t_i = estimate_time(stats, est_load, timing)
+        d_i = (t_i - t_0) / t_0 * 100.0
+        expected = IntervalStats(
+            l2_hits=max(accesses - est_m, 0.0),
+            l2_misses=est_m,
+            refreshed_lines=estimate_refreshes(
+                state.n_valid, colors, geometry, t_i, refresh_config),
+            dram_accesses=est_m * (1.0 + wb_ratio),
+            active_fraction=colors / m_total,
+            elapsed_cycles=t_i,
+            switched_blocks=abs(colors - current) * geometry.lines_per_color,
+            prof_accesses=stats.prof_accesses,
+        )
+        energy = interval_energy(expected, params, SchemeKind.DCR,
+                                 timing.clock_ghz).total
+        candidates.append(Candidate(colors, t_i, d_i, energy,
+                                    rejected_by_beta=d_i > cfg.beta))
+
+    survivors = [c for c in candidates if not c.rejected_by_beta]
+    if survivors:
+        best = min(survivors, key=lambda c: (c.est_energy_j, c.colors))
+        return Decision(current, best.colors, False, candidates)
+    best = min(candidates, key=lambda c: (c.delta_pct, c.colors))
+    return Decision(current, best.colors, True, candidates)
 
 
 def observe_arrays(unit: ProfilingUnit, trace,

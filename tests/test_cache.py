@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -6,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (RpvPhases, SetLists, access_block, all_sets, dirty_tags,
-                     flush_reference, full_profile, replay_codes, trace_of,
-                     validate_state, view)
+                     flush_reference, full_profile, reconfigure_reference,
+                     replay_codes, trace_of, validate_state, view)
 from edrsim import cache
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
                           CacheState, GeometryError, ReconfigError,
-                          ReconfigReport, reconfigure)
+                          reconfigure, zeros)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -383,36 +384,6 @@ def test_random_reconfigure_sequences_keep_invariants(small_geometry):
         assert verdict.ok, f"step {step}: {verdict.first_divergence}"
 
 
-def _reconfigure_one_region_at_a_time(state, colors) -> ReconfigReport:
-    """`reconfigure` with each pulled region flushed from its donor as soon
-    as it is pulled, one `_flush` call per region."""
-    g = state.geometry
-    m, old = g.color_count, state.active_count
-    flushed = writebacks = 0
-    for color in range(colors, old):
-        f, w = cache._flush(state, color)
-        flushed, writebacks = flushed + f, writebacks + w
-    orphans = [r for r in range(m) if state.mapping[r] >= colors]
-    for rr, region in enumerate(orphans):
-        state.mapping[region] = rr % colors
-    regions_of = [[r for r in range(m) if state.mapping[r] == c]
-                  for c in range(colors)]
-    for color in range(old, colors):
-        while len(regions_of[color]) < m // colors:
-            donor = max(range(colors), key=lambda c: (len(regions_of[c]), -c))
-            if len(regions_of[donor]) <= len(regions_of[color]):
-                break
-            region = regions_of[donor].pop()
-            f, w = cache._flush(state, donor, [region])
-            flushed, writebacks = flushed + f, writebacks + w
-            state.mapping[region] = color
-            regions_of[color].append(region)
-    state.active_count = colors
-    state.layout[:] = cache.layout(g, state.mapping)
-    return ReconfigReport(flushed, writebacks,
-                          abs(colors - old) * g.lines_per_color)
-
-
 @pytest.mark.parametrize("page_bytes", [1024, 256])
 def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
                                                            monkeypatch):
@@ -439,7 +410,7 @@ def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
             replay_codes(state, arrays, step * 200, step * 200 + 200)
         colors = rng.choice([1, 2, rng.randint(1, m), m])
         assert reconfigure(batched, colors) == \
-            _reconfigure_one_region_at_a_time(single, colors), step
+            reconfigure_reference(single, colors, batched=False), step
         # the resident tags in order; the slots past a set's fill hold
         # leftovers that no lookup reads
         assert all_sets(batched) == all_sets(single), step
@@ -450,3 +421,40 @@ def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
         assert batched.n_valid == single.n_valid
     assert max(most) > 1
     assert validate_state(batched).ok
+
+
+@functools.cache
+def _reconfig_trace(page_bytes: int):
+    spec = SyntheticTraceSpec(phases=[PhaseSpec(60_000, 96 * 1024, 0.5, 0.3)],
+                              rng_seed=page_bytes, accesses_per_kilo_instr=100)
+    return generate_synthetic(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(page_bytes=st.sampled_from([1024, 256, 128]), data=st.data())
+def test_reconfigure_matches_the_reference_planner(page_bytes, data):
+    # 8, 32 or 64 colors; each step replays 200 records, so that pulls and
+    # turned-off colors flush resident lines, then moves to a drawn count
+    g = CacheGeometry(size_bytes=64 * 1024, associativity=8,
+                      page_bytes=page_bytes, bank_bytes=16 * 1024)
+    m = g.color_count
+    steps = data.draw(st.lists(st.integers(1, m), min_size=1, max_size=15))
+    arrays = _reconfig_trace(page_bytes)
+    fast, reference = CacheState(g), CacheState(g)
+    for step, colors in enumerate(steps):
+        for state in (fast, reference):
+            replay_codes(state, arrays, step * 200, step * 200 + 200)
+        assert reconfigure(fast, colors) == \
+            reconfigure_reference(reference, colors), step
+        assert fast.mapping == reference.mapping, step
+        assert fast.layout == reference.layout, step
+        assert all_sets(fast) == all_sets(reference), step
+
+
+@pytest.mark.parametrize("typecode", ["Q", "q", "i"])
+@pytest.mark.parametrize("n", [0, 1, 3_000_017])
+def test_zeros(typecode, n):
+    column = zeros(typecode, n)
+    assert column.typecode == typecode
+    assert len(column) == n
+    assert not any(column)

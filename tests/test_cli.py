@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import edrsim
-from edrsim.cli import main
+from edrsim.cli import _json_bytes, main
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.cache import Replay
 from edrsim.trace import read_trace_arrays
@@ -380,6 +380,32 @@ def test_reports_match_golden_digests(config_file, tmp_path):
             data = (tmp_path / sub / name).read_bytes()
             digests[f"{sub}/{name}"] = hashlib.sha256(data).hexdigest()
     assert digests == _GOLDEN_SHA256
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-(1 << 200), 1 << 200),
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300,
+                     -1e-300, 1e16, 0.1]),
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f\n\t\r", "e\u0301 \u00e9",
+                     "\u2603 \U0001d11e", "\ud800"]))
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text() | st.sampled_from(['"', "\\", "\u00e9", ""]),
+                      inner, max_size=6),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+@example({"a": [True, False, 1, 0, None, [], {}], "b": {"": -0.0},
+          "\u00e9": [float("nan"), float("inf"), -float("inf"), 5e-324]})
+def test_json_bytes_are_the_bytes_of_json_dumps(doc):
+    assert _json_bytes(doc) == \
+        (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 # sweep.csv of each other sweepable parameter on BASE_CONFIG

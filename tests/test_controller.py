@@ -2,13 +2,15 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import replay, size_counts
+from oracles import replay, select_reference, size_counts
 from edrsim.cache import (HIT, WRITE, CacheGeometry, CacheState, Replay,
                           reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                candidate_space, default_config, select)
-from edrsim.energy import builtin_params
+from edrsim.energy import EnergyParams, builtin_params
 from edrsim.profiler import (PROFILED_FRACTIONS, IntervalStats, ProfilingUnit,
                              TimingParams)
 from edrsim.refresh import RefreshConfig
@@ -239,3 +241,67 @@ def test_default_config_c_min_is_sixteenth():
     assert default_config(g).delta == 16
     assert default_config(g).beta == 3.0
     assert default_config(g).granularity == 2
+
+
+# 8, 32 and 64 colors; every sampling ratio drawn below divides the sets
+# of each emulated size
+_GEOMETRIES = (
+    CacheGeometry(size_bytes=64 * 1024, associativity=8, page_bytes=1024,
+                  bank_bytes=32 * 1024),
+    CacheGeometry(size_bytes=64 * 1024, associativity=8, page_bytes=256,
+                  bank_bytes=16 * 1024),
+    CacheGeometry(size_bytes=2 * 1024 * 1024, associativity=8),
+)
+_COUNTS = st.integers(0, 10**9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_select_matches_select_reference(data):
+    # the scalar candidate pricing against IntervalStats + interval_energy
+    # per candidate, on drawn profiling counts, stats and allocations:
+    # equal Decisions, every float bit for bit
+    g = data.draw(st.sampled_from(_GEOMETRIES))
+    m = g.color_count
+    granularity = data.draw(st.integers(1, 8))
+    cfg = ControllerConfig(
+        c_min=data.draw(st.integers(1, m)), granularity=granularity,
+        delta=data.draw(st.integers(granularity, m)),
+        beta=data.draw(st.floats(0.01, 100.0)))
+    current = data.draw(st.integers(cfg.c_min, m))
+    if not candidate_space(current, m, cfg):
+        return
+    unit = ProfilingUnit(g, data.draw(st.sampled_from([1, 2, 8])))
+    unit.counts[:] = array("q", data.draw(
+        st.lists(_COUNTS, min_size=15, max_size=15)))
+    state = CacheState(g, min_colors=cfg.c_min)
+    reconfigure(state, current)
+    lines = g.total_lines // g.num_banks
+    state.valid_by_bank[:] = array("q", data.draw(st.lists(
+        st.integers(0, lines), min_size=g.num_banks, max_size=g.num_banks)))
+    load_misses = data.draw(_COUNTS)
+    misses = load_misses + data.draw(_COUNTS)
+    stall = load_misses * 166
+    stats = IntervalStats(
+        instructions=data.draw(_COUNTS),
+        l2_hits=data.draw(_COUNTS), l2_misses=misses,
+        load_misses=load_misses, memory_stall_cycles=stall,
+        refreshed_lines=data.draw(_COUNTS),
+        dram_accesses=data.draw(st.integers(0, 2 * misses + 1)),
+        active_fraction=current / m,
+        elapsed_cycles=stall + data.draw(st.integers(0, 10**10)),
+        switched_blocks=data.draw(_COUNTS),
+        prof_accesses=data.draw(_COUNTS))
+    refresh = RefreshConfig(data.draw(st.integers(1, 10**7)))
+    params = data.draw(st.one_of(
+        st.just(builtin_params("EDRAM_2MB")),
+        st.lists(st.floats(0.0, 1e3), min_size=7, max_size=7).map(
+            lambda values: EnergyParams(*values))))
+    timing = TimingParams(
+        l2_hit_cycles=data.draw(st.integers(1, 50)),
+        dram_latency_cycles=data.draw(st.integers(50, 500)),
+        clock_ghz=data.draw(st.floats(0.1, 10.0)))
+    got = select(stats, unit, state, refresh, cfg, params, timing)
+    want = select_reference(stats, unit, state, refresh, cfg, params, timing)
+    assert got == want
+    assert repr(got) == repr(want)  # -0.0 against 0.0 too

@@ -3,13 +3,12 @@ from array import array
 
 import pytest
 
-from oracles import (compiled_full_profile, full_profile, observe_arrays,
-                     observe_reference, probe, profiler_overhead_bytes,
-                     replay, size_counts, trace_of)
+from oracles import (compiled_full_profile, estimate_misses, full_profile,
+                     observe_arrays, observe_reference, probe,
+                     profiler_overhead_bytes, replay, size_counts, trace_of)
 from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Passes, Replay
 from edrsim.profiler import (PROFILED_FRACTIONS, IntervalStats, ProfilingUnit,
-                             TimingParams, estimate_misses,
-                             estimate_refreshes, estimate_time)
+                             TimingParams, estimate_refreshes, estimate_time)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
