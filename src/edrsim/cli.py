@@ -2,16 +2,18 @@
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from itertools import repeat
 
 from . import trace as trace_mod
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
+from .energy import SchemeKind
 from .sim import ComparisonRow, RunReport, compare, comparison_row, run
 from .trace import TraceArrays, TraceHeader
 
@@ -33,23 +35,39 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 _INF = float("inf")
 _quote = json.encoder.encode_basestring_ascii
-# how json.dumps spells a scalar of each of these exact types; any other
-# leaf (a subclass of one, or no JSON type) goes to json.dumps itself
+# how json.dumps spells a scalar of each of these exact types, and a
+# report's scheme kind as its value; any other leaf (a subclass of one, or
+# no JSON type) goes to json.dumps itself
 _SCALARS = {str: _quote, int: int.__repr__, type(None): lambda _: "null",
             bool: lambda value: "true" if value else "false",
             float: lambda value: float.__repr__(value)
-            if -_INF < value < _INF else json.dumps(value)}
+            if -_INF < value < _INF else json.dumps(value),
+            SchemeKind: lambda kind: _quote(kind.value)}
+
+
+@functools.cache
+def _field_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """A dataclass's field names, sorted, and their `"name": ` prefixes;
+    None for any other type."""
+    if not is_dataclass(cls):
+        return None
+    names = tuple(sorted(f.name for f in fields(cls)))
+    return names, tuple(f"{_quote(name)}: " for name in names)
 
 
 def _write(obj, out: list, newline: str) -> None:
     """Append `obj` to `out` as json.dumps(indent=2, sort_keys=True) writes
-    it at the depth whose lines start with `newline`."""
+    it at the depth whose lines start with `newline`; a dataclass is
+    written as the dict of its fields."""
     if isinstance(obj, dict):
         keys = sorted(obj)
         prefixes = [f"{_quote(key)}: " for key in keys]
         values, brackets = [obj[key] for key in keys], "{}"
     elif isinstance(obj, (list, tuple)):
         prefixes, values, brackets = repeat(""), obj, "[]"
+    elif (keys := _field_keys(type(obj))) is not None:
+        names, prefixes = keys
+        values, brackets = [getattr(obj, name) for name in names], "{}"
     else:
         out.append(_SCALARS.get(type(obj), json.dumps)(obj))
         return
@@ -71,7 +89,8 @@ def _write(obj, out: list, newline: str) -> None:
 
 def _json_bytes(obj) -> bytes:
     """The UTF-8 bytes of `json.dumps(obj, indent=2, sort_keys=True)` and a
-    newline, written in one pass; dict keys must be strings."""
+    newline, written in one pass, with each dataclass in `obj` as the dict
+    of its fields; dict keys must be strings."""
     out = []
     _write(obj, out, "\n")
     out.append("\n")
@@ -118,11 +137,10 @@ def _interval_csv(report: RunReport) -> bytes:
     rows = []
     for iv in report.intervals:
         e = iv.energy
-        rows.append([iv.index, iv.colors, repr(iv.stats.active_fraction),
-                     iv.stats.l2_hits, iv.stats.l2_misses,
-                     iv.stats.refreshed_lines, repr(e.le_l2), repr(e.de_l2),
-                     repr(e.re_l2), repr(e.e_dram), repr(e.e_algo),
-                     repr(e.total)])
+        rows.append([iv.index, iv.colors, repr(iv.active_fraction),
+                     iv.l2_hits, iv.l2_misses, iv.refreshed_lines,
+                     repr(e.le_l2), repr(e.de_l2), repr(e.re_l2),
+                     repr(e.e_dram), repr(e.e_algo), repr(e.total)])
     return _csv_bytes(
         ["interval", "colors", "f_a", "h_l2", "m_l2", "n_r", "le_l2",
          "de_l2", "re_l2", "e_dram", "e_algo", "total"], rows)
@@ -131,12 +149,12 @@ def _interval_csv(report: RunReport) -> bytes:
 # comparison.csv and sweep.csv columns: the scheme, then ComparisonRow's
 # metrics in field order
 _ROW_METRICS = [f.name for f in fields(ComparisonRow)
-                if f.name not in ("scheme_name", "kind")]
+                if f.name not in ("scheme", "kind")]
 _ROW_COLUMNS = ["scheme", *_ROW_METRICS]
 
 
 def _row_cells(row: ComparisonRow) -> list[str]:
-    return [row.scheme_name, *(repr(getattr(row, m)) for m in _ROW_METRICS)]
+    return [row.scheme, *(repr(getattr(row, m)) for m in _ROW_METRICS)]
 
 
 def cmd_gen_trace(args) -> int:
@@ -170,10 +188,10 @@ def cmd_run(args) -> int:
                    cfg.interval_instructions) for spec in cfg.schemes]
     os.makedirs(args.out, exist_ok=True)
     for report in reports:
-        base = os.path.join(args.out, f"report-{report.scheme_name}")
-        _atomic_write(base + ".json", _json_bytes(report.to_dict()))
+        base = os.path.join(args.out, f"report-{report.scheme}")
+        _atomic_write(base + ".json", _json_bytes(report))
         _atomic_write(base + ".intervals.csv", _interval_csv(report))
-        print(f"{report.scheme_name}: {report.total_energy_j:.6e} J, "
+        print(f"{report.scheme}: {report.total_energy_j:.6e} J, "
               f"{report.total_cycles} cycles, RPKI {report.rpki:.2f}, "
               f"MPKI {report.mpki:.3f}")
     return 0
@@ -194,11 +212,11 @@ def cmd_compare(args) -> int:
         _ROW_COLUMNS, [_row_cells(r) for r in report.rows]))
     for name, rep in report.reports.items():
         _atomic_write(os.path.join(args.out, f"report-{name}.json"),
-                      _json_bytes(rep.to_dict()))
+                      _json_bytes(rep))
     print(f"baseline {report.baseline_name}: "
           f"{report.baseline.total_energy_j:.6e} J")
     for row in report.rows:
-        print(f"{row.scheme_name}: saved {row.pct_energy_saved:.2f}%, "
+        print(f"{row.scheme}: saved {row.pct_energy_saved:.2f}%, "
               f"perf {row.pct_perf_improvement:+.2f}%, "
               f"dRPKI {row.delta_rpki:.2f}, dMPKI {row.delta_mpki:.4f}, "
               f"active {row.active_ratio_pct:.1f}%")

@@ -308,18 +308,24 @@ def load_sweep(path: str, parameter: str, values: list[str]) -> list[RunConfig]:
 
     The file is read once. Each value is set in a copy of its sections:
     refresh_period_us as retention_period_us in every eDRAM scheme,
-    l2_size_kb in [geometry], beta and delta in every DCR scheme.
+    l2_size_kb in [geometry], beta and delta in every DCR scheme. A sweep
+    that no section takes would repeat one comparison, so it is an error.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"parameter must be one of {SWEEPABLE}")
     key = "retention_period_us" if parameter == "refresh_period_us" else parameter
     sections = _read(path)
+    swept = {name for name, sec in sections.items()
+             if _swept(name, sec, parameter)}
+    if not swept:
+        raise ConfigError(f"sweeping {parameter} does nothing: no section "
+                          f"of {path} takes {key}")
     configs = []
     for value in values:
         try:
             configs.append(_build({
-                name: {**sec, key: value} if _swept(name, sec, parameter)
-                else sec for name, sec in sections.items()}))
+                name: {**sec, key: value} if name in swept else sec
+                for name, sec in sections.items()}))
         except ValueError as exc:
             raise ConfigError(f"{parameter} = {value}: {exc}") from None
     return configs

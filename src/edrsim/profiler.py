@@ -17,6 +17,7 @@ from array import array
 from dataclasses import dataclass
 
 from .cache import CacheGeometry, zeros
+from .energy import EnergyBreakdown
 from .refresh import RefreshConfig
 
 PROFILED_FRACTIONS = (1, 2, 4, 8, 16)  # size = X / fraction
@@ -43,7 +44,8 @@ class TimingParams:
 
 @dataclass
 class IntervalStats:
-    """Counters accumulated over one controller interval."""
+    """Counters accumulated over one controller interval; a run's report
+    adds the interval's index, its color count and its energy."""
 
     instructions: int = 0
     l2_hits: int = 0
@@ -56,6 +58,9 @@ class IntervalStats:
     elapsed_cycles: int = 0
     switched_blocks: int = 0
     prof_accesses: int = 0
+    index: int = 0
+    colors: int = 0
+    energy: EnergyBreakdown | None = None
 
 
 class ProfilingUnit:

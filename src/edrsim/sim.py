@@ -31,10 +31,9 @@ DCR's records find their sets through the cache's own layout, which a
 reconfiguration rewrites, so the next call follows the new mapping.
 """
 
-import functools
 import weakref
 from array import array
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 
 from . import cache as _cache
 from .cache import CacheGeometry, CacheState, Replay, reconfigure, zeros
@@ -78,50 +77,8 @@ class SchemeSpec:
 
 
 @dataclass
-class IntervalRecord:
-    index: int
-    colors: int
-    stats: IntervalStats
-    energy: EnergyBreakdown
-
-
-@functools.cache
-def _field_names(cls) -> tuple[str, ...] | None:
-    """A dataclass's field names, in order; None for any other type."""
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
-
-
-_LEAVES = frozenset({int, float, str, bool, type(None)})
-
-
-def _plain(obj):
-    """A dataclass as a dict of its fields, recursively through dataclasses,
-    lists and dicts. Unlike dataclasses.asdict, it copies no leaf value, and
-    it keeps a value of a type in _LEAVES without a call."""
-    if isinstance(obj, list):
-        return [v if type(v) in _LEAVES else _plain(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: v if type(v) in _LEAVES else _plain(v)
-                for k, v in obj.items()}
-    names = _field_names(type(obj))
-    if names is None:
-        return obj
-    return {name: v if type(v := getattr(obj, name)) in _LEAVES else _plain(v)
-            for name in names}
-
-
-def _report_dict(report) -> dict:
-    """_plain() with the report spellings: `scheme` for scheme_name and the
-    kind's value for the kind."""
-    doc = _plain(report)
-    doc["scheme"] = doc.pop("scheme_name")
-    doc["kind"] = report.kind.value
-    return doc
-
-
-@dataclass
 class RunReport:
-    scheme_name: str
+    scheme: str
     kind: SchemeKind
     warmup_instructions: int
     instructions: int
@@ -134,38 +91,32 @@ class RunReport:
     total_refreshed_lines: int
     total_l2_hits: int
     total_l2_misses: int
-    intervals: list[IntervalRecord] = field(default_factory=list)
+    intervals: list[IntervalStats] = field(default_factory=list)
     decisions: list[Decision] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        doc = _report_dict(self)
-        for iv in doc["intervals"]:
-            iv.update(iv.pop("stats"))
-        return doc
 
     @classmethod
     def from_intervals(cls, scheme: SchemeSpec, warmup_instructions: int,
-                       intervals: list[IntervalRecord],
+                       intervals: list[IntervalStats],
                        decisions: list[Decision]) -> "RunReport":
-        """The run totals of a scheme's interval records."""
-        instructions = sum(iv.stats.instructions for iv in intervals)
-        total_cycles = sum(iv.stats.elapsed_cycles for iv in intervals)
-        total_refreshed = sum(iv.stats.refreshed_lines for iv in intervals)
-        total_hits = sum(iv.stats.l2_hits for iv in intervals)
-        total_misses = sum(iv.stats.l2_misses for iv in intervals)
+        """The run totals of a scheme's closed intervals."""
+        instructions = sum(iv.instructions for iv in intervals)
+        total_cycles = sum(iv.elapsed_cycles for iv in intervals)
+        total_refreshed = sum(iv.refreshed_lines for iv in intervals)
+        total_hits = sum(iv.l2_hits for iv in intervals)
+        total_misses = sum(iv.l2_misses for iv in intervals)
         components = {f.name: sum(getattr(iv.energy, f.name) for iv in intervals)
                       for f in fields(EnergyBreakdown) if f.name != "total"}
         total_energy = sum(iv.energy.total for iv in intervals)
         kilo = instructions / 1000.0 if instructions else 1.0
         if total_cycles:
             active_ratio = 100.0 * sum(
-                iv.stats.active_fraction * iv.stats.elapsed_cycles
+                iv.active_fraction * iv.elapsed_cycles
                 for iv in intervals) / total_cycles
         else:
             active_ratio = 100.0
 
         return cls(
-            scheme_name=scheme.name,
+            scheme=scheme.name,
             kind=scheme.kind,
             warmup_instructions=warmup_instructions,
             instructions=instructions,
@@ -269,12 +220,13 @@ def _close_interval(intervals, decisions, stats, colors, scheme, params,
 
     Returns the flush writebacks and switched blocks the next interval pays.
     """
-    index = len(intervals)
+    stats.index = index = len(intervals)
+    stats.colors = colors
     if unit is not None:
         stats.prof_accesses = sum(unit.counts[2::3])  # every size's accesses
-    intervals.append(IntervalRecord(
-        index, colors, stats,
-        interval_energy(stats, params, scheme.kind, timing.clock_ghz)))
+    stats.energy = interval_energy(stats, params, scheme.kind,
+                                   timing.clock_ghz)
+    intervals.append(stats)
     if not run_controller:
         return 0, 0
     decision = select(stats, unit, state, scheme.refresh, scheme.controller,
@@ -379,7 +331,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
 
     carry_writebacks = carry_switched = 0
     active_fraction = 1.0
-    intervals: list[IntervalRecord] = []
+    intervals: list[IntervalStats] = []
     decisions: list[Decision] = []
     lo = 0
     while True:
@@ -422,7 +374,7 @@ class ComparisonRow:
     """One scheme against the baseline; the fields after `kind` are in the
     column order of comparison.csv and sweep.csv."""
 
-    scheme_name: str
+    scheme: str
     kind: SchemeKind
     pct_energy_saved: float
     pct_perf_improvement: float
@@ -433,14 +385,16 @@ class ComparisonRow:
     mpki: float
     total_energy_j: float
 
-    def to_dict(self) -> dict:
-        return _report_dict(self)
-
 
 def comparison_row(base: RunReport, rep: RunReport) -> ComparisonRow:
-    """rep's metrics relative to base; base against itself gives 0.0 deltas."""
+    """rep's metrics relative to base; base against itself gives 0.0 deltas.
+    A base of no energy has no saving to be a percentage of."""
+    if not base.total_energy_j > 0:
+        raise SchemeConfigError(
+            f"baseline {base.scheme} uses {base.total_energy_j} J; energy "
+            f"saved is a percentage of it, so it must be > 0")
     return ComparisonRow(
-        scheme_name=rep.scheme_name,
+        scheme=rep.scheme,
         kind=rep.kind,
         pct_energy_saved=(base.total_energy_j - rep.total_energy_j)
         / base.total_energy_j * 100.0,
@@ -469,7 +423,7 @@ class ComparisonReport:
             "baseline_total_cycles": self.baseline.total_cycles,
             "baseline_rpki": self.baseline.rpki,
             "baseline_mpki": self.baseline.mpki,
-            "rows": [r.to_dict() for r in self.rows],
+            "rows": self.rows,
         }
 
 
@@ -496,5 +450,5 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
     base = reports[baseline_idx]
     rows = [comparison_row(base, rep) for i, rep in enumerate(reports)
             if i != baseline_idx]
-    return ComparisonReport(base.scheme_name, base, rows,
-                            {r.scheme_name: r for r in reports})
+    return ComparisonReport(base.scheme, base, rows,
+                            {r.scheme: r for r in reports})

@@ -27,13 +27,15 @@ charges, and
 replay must match, counts refreshed lines from the same model.
 
 `trace_of` builds a trace from tuples and `replay_codes` drives the real
-functional pass, for tests that check the cache itself.
+functional pass, for tests that check the cache itself. `plain` is a report
+as the tree of dicts and lists whose `json.dumps` the CLI's writer must
+match byte for byte.
 """
 
 import ctypes
 import os
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from edrsim.profiler import (IntervalStats, ProfilingUnit, TimingParams,
                              estimate_refreshes, estimate_time, interpolate,
                              profiled_points)
 from edrsim.refresh import RefreshConfig
-from edrsim.sim import IntervalRecord, RunReport
+from edrsim.sim import RunReport
 from edrsim.trace import (_PHASE_STRIDE_BLOCKS, Op, SyntheticTraceSpec,
                           TraceArrays)
 
@@ -884,10 +886,10 @@ def reference_run(trace, scheme, geometry, timing, params,
         stats.elapsed_cycles = now - interval_start_cycle
         if unit is not None:
             stats.prof_accesses = sum(a for _, _, a in size_counts(unit))
-        index = len(intervals)
-        intervals.append(IntervalRecord(index, state.active_count, stats,
-                                        interval_energy(stats, params, kind,
-                                                        timing.clock_ghz)))
+        stats.index = index = len(intervals)
+        stats.colors = state.active_count
+        stats.energy = interval_energy(stats, params, kind, timing.clock_ghz)
+        intervals.append(stats)
         carry_writebacks = carry_switched = 0
         if run_controller:
             model.store()  # the controller reads and remaps the state
@@ -959,3 +961,18 @@ def reference_run(trace, scheme, geometry, timing, params,
 
     return RunReport.from_intervals(scheme, warmup_instructions, intervals,
                                     decisions)
+
+
+def plain(obj):
+    """A report as a tree of dicts, lists and JSON scalars: each dataclass
+    as the dict of its fields, recursively through lists and dicts, and a
+    scheme kind as its value."""
+    if isinstance(obj, SchemeKind):
+        return obj.value
+    if isinstance(obj, list):
+        return [plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
+    return obj

@@ -185,7 +185,7 @@ def test_criterion_5_scheme_ordering_at_40us(ordering_runs):
         energy = {name: rep.total_energy_j
                   for name, rep in report.reports.items()}
         assert energy["dcr"] < energy["rpv"] < energy["baseline_edram"]
-        rows = {r.scheme_name: r for r in report.rows}
+        rows = {r.scheme: r for r in report.rows}
         assert rows["dcr"].delta_rpki > rows["rpv"].delta_rpki > 0
         # fixture construction dominates; keep the stated ceiling anyway
         assert time.monotonic() - started < 300
@@ -193,9 +193,9 @@ def test_criterion_5_scheme_ordering_at_40us(ordering_runs):
 
 def test_criterion_6_smaller_retention_increases_savings(ordering_runs):
     with criterion(6, "retention-period direction"):
-        saved_40 = {r.scheme_name: r.pct_energy_saved
+        saved_40 = {r.scheme: r.pct_energy_saved
                     for r in ordering_runs[40].rows}
-        saved_30 = {r.scheme_name: r.pct_energy_saved
+        saved_30 = {r.scheme: r.pct_energy_saved
                     for r in ordering_runs[30].rows}
         assert saved_30["dcr"] > saved_40["dcr"]
         assert saved_30["rpv"] > saved_40["rpv"]
@@ -229,7 +229,7 @@ def test_criterion_7_sram_crossover_direction():
 def test_criterion_8_dcr_performance_bounds(ordering_runs):
     with criterion(8, "DCR performance-loss bound"):
         report = ordering_runs[40]
-        rows = {r.scheme_name: r for r in report.rows}
+        rows = {r.scheme: r for r in report.rows}
         assert rows["dcr"].delta_mpki <= 1.0
         dcr_cycles = report.reports["dcr"].total_cycles
         base_cycles = report.reports["baseline_edram"].total_cycles

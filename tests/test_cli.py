@@ -11,10 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import edrsim
+import oracles
 from edrsim.cli import _json_bytes, main
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.cache import Replay
-from edrsim.trace import read_trace_arrays
+from edrsim.energy import SchemeKind
+from edrsim.sim import compare
+from edrsim.trace import generate_synthetic, read_trace_arrays
 
 BASE_CONFIG = """
 [geometry]
@@ -408,6 +411,22 @@ def test_json_bytes_are_the_bytes_of_json_dumps(doc):
         (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
+def test_json_bytes_of_reports_are_the_bytes_of_their_plain_trees(
+        config_file):
+    # every report kind, decisions and comparison rows included, against
+    # json.dumps of the report as a tree of dicts and lists
+    cfg = load_config(config_file)
+    report = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
+                     cfg.geometry, cfg.timing, cfg.energy,
+                     interval_instructions=cfg.interval_instructions)
+    runs = list(report.reports.values())
+    assert {run.kind for run in runs} == set(SchemeKind)
+    assert report.reports["dcr"].decisions
+    for doc in [*runs, report.to_dict()]:
+        assert _json_bytes(doc) == (json.dumps(
+            oracles.plain(doc), indent=2, sort_keys=True) + "\n").encode()
+
+
 # sweep.csv of each other sweepable parameter on BASE_CONFIG
 _SWEEP_SHA256 = {
     ("l2_size_kb", "64,128,256"):
@@ -626,6 +645,37 @@ def test_seed_with_a_trace_file_is_config_error(config_file, tmp_path):
         out = tmp_path / command[0]
         assert main([command[0], "--config", str(path), "--out", str(out),
                      "--seed", "7", *command[1:]]) == 2
+        assert not out.exists()
+
+
+def test_sweep_no_section_takes_is_config_error(tmp_path, capsys):
+    # without a DCR scheme, beta and delta set nothing: every value would
+    # repeat one comparison
+    path = tmp_path / "no-dcr.cfg"
+    path.write_text(BASE_CONFIG[:BASE_CONFIG.index("[scheme.dcr]")])
+    for parameter in ("beta", "delta"):
+        out = tmp_path / parameter
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--parameter", parameter, "--values", "1,5"]) == 2
+        assert not out.exists()
+        assert f"sweeping {parameter} does nothing" in capsys.readouterr().err
+
+
+def test_zero_energy_baseline_is_an_error_before_output(tmp_path, capsys):
+    # every energy constant 0: no percentage of the baseline's energy
+    path = tmp_path / "free.cfg"
+    path.write_text(BASE_CONFIG.replace(
+        "builtin = EDRAM_2MB",
+        re.sub(r"= \S+", "= 0", _ENERGY_OVERRIDES)).replace(
+        "energy_builtin = SRAM_2MB\n", ""))
+    for command in (["compare"],
+                    ["sweep", "--parameter", "beta", "--values", "1,3"]):
+        out = tmp_path / command[0]
+        assert main([command[0], "--config", str(path), "--out", str(out),
+                     *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: baseline baseline uses 0.0 J")
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -125,7 +125,7 @@ def test_run_matches_reference_run(case, monkeypatch):
 
     got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
     want = reference_run(trace, scheme, geometry, timing, EDRAM, **kwargs)
-    assert got.to_dict() == want.to_dict()
+    assert got == want
     if kind is SchemeKind.DCR:
         assert len(got.decisions) > 5  # the controller acted many times
     if variant == "long burst":
@@ -183,7 +183,7 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
     kwargs = dict(warmup_instructions=warmup, interval_instructions=interval)
     got = run(trace, spec, geometry, timing, EDRAM, **kwargs)
     want = reference_run(trace, spec, geometry, timing, EDRAM, **kwargs)
-    assert got.to_dict() == want.to_dict()
+    assert got == want
 
 
 def test_rpv_with_more_phases_than_a_byte_holds():
@@ -197,7 +197,7 @@ def test_rpv_with_more_phases_than_a_byte_holds():
     kwargs = dict(interval_instructions=50_000)
     got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
     want = reference_run(trace, scheme, geometry, timing, EDRAM, **kwargs)
-    assert got.to_dict() == want.to_dict()
+    assert got == want
     assert got.total_refreshed_lines > 0
 
 
@@ -213,8 +213,8 @@ def test_decision_on_the_last_record_opens_a_trailing_interval():
               interval_instructions=4_000)
     want = reference_run(trace, scheme, geometry, timing, EDRAM,
                          warmup_instructions=0, interval_instructions=4_000)
-    assert got.to_dict() == want.to_dict()
-    last = got.intervals[-1].stats
+    assert got == want
+    last = got.intervals[-1]
     assert last.instructions == 0 and last.elapsed_cycles == 0
     assert last.switched_blocks == got.decisions[-1].switched_blocks > 0
     assert last.dram_accesses == got.decisions[-1].flush_writebacks
@@ -233,7 +233,7 @@ def test_compare_with_shared_replay_matches_reference_runs():
         want = reference_run(trace, spec, geometry, timing, EDRAM,
                              warmup_instructions=20_000,
                              interval_instructions=10_000)
-        assert report.reports[spec.name].to_dict() == want.to_dict(), spec.name
+        assert report.reports[spec.name] == want, spec.name
 
 
 def test_functional_replay_matches_access_block(small_geometry):

@@ -45,7 +45,7 @@ def test_exact_timing_of_hand_built_trace(small_geometry):
                  warmup_instructions=0)
     # cycles: gaps (22) + miss (12+154) + hit (12) + hit (12) + miss (166)
     assert report.total_cycles == 22 + 166 + 12 + 12 + 166
-    iv = report.intervals[0].stats
+    iv = report.intervals[0]
     assert iv.l2_hits == 2 and iv.l2_misses == 2
     assert iv.load_misses == 1
     assert iv.memory_stall_cycles == 166  # only the load miss stalls
@@ -83,7 +83,7 @@ def test_determinism_bit_identical_reports(small_geometry):
             interval_instructions=100_000)
     b = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
             interval_instructions=100_000)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_conservation_across_intervals(small_geometry):
@@ -93,13 +93,13 @@ def test_conservation_across_intervals(small_geometry):
     report = run(arrays, scheme, small_geometry, TIMING_2GHZ, EDRAM_2GHZ,
                  warmup_instructions=150_000, interval_instructions=200_000)
     assert len(report.intervals) > 3
-    assert report.instructions == sum(iv.stats.instructions
+    assert report.instructions == sum(iv.instructions
                                       for iv in report.intervals)
-    assert report.total_cycles == sum(iv.stats.elapsed_cycles
+    assert report.total_cycles == sum(iv.elapsed_cycles
                                       for iv in report.intervals)
     assert report.total_energy_j == pytest.approx(
         sum(iv.energy.total for iv in report.intervals), rel=1e-12)
-    assert report.total_refreshed_lines == sum(iv.stats.refreshed_lines
+    assert report.total_refreshed_lines == sum(iv.refreshed_lines
                                                for iv in report.intervals)
     kilo = report.instructions / 1000
     assert report.rpki == pytest.approx(report.total_refreshed_lines / kilo)
@@ -180,7 +180,7 @@ def test_compare_rpv_and_sram_exact_invariants(small_geometry):
     arrays = _trace(seed=8, instr=1_000_000)
     schemes = list(_small_schemes().values())
     report = compare(arrays, schemes, small_geometry, TIMING_2GHZ, EDRAM_2GHZ)
-    by_name = {r.scheme_name: r for r in report.rows}
+    by_name = {r.scheme: r for r in report.rows}
     # non-reconfiguring schemes keep the whole cache on and miss identically
     assert by_name["rpv"].active_ratio_pct == 100.0
     assert by_name["rpv"].delta_mpki == 0.0
@@ -219,7 +219,7 @@ def test_dcr_flush_writebacks_charged_to_next_interval(small_geometry):
     shrink = next((d for d in report.decisions
                    if d.chosen < d.current and d.flush_writebacks > 0), None)
     assert shrink is not None, "expected at least one shrinking decision"
-    nxt = report.intervals[shrink.interval + 1].stats
+    nxt = report.intervals[shrink.interval + 1]
     assert nxt.switched_blocks == shrink.switched_blocks
     # the following interval paid for the flush writebacks
     assert nxt.dram_accesses >= shrink.flush_writebacks
