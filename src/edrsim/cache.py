@@ -32,8 +32,8 @@ The kernels route regions through the state's own `layout`, which
 import ctypes
 import os
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
+
+from .record import Record
 
 
 class GeometryError(ValueError):
@@ -48,67 +48,48 @@ def _is_pow2(x: int) -> bool:
     return x > 0 and x & (x - 1) == 0
 
 
-@dataclass(frozen=True)
-class CacheGeometry:
+class CacheGeometry(Record):
     """Cache shape: total size, ways, block size, page size, bank size."""
 
-    size_bytes: int
-    associativity: int
-    block_bytes: int = 64
-    page_bytes: int = 4096
-    bank_bytes: int = 1 << 20
-
-    def __post_init__(self):
-        for name in ("size_bytes", "associativity", "block_bytes", "page_bytes",
-                     "bank_bytes"):
+    def __init__(self, size_bytes: int, associativity: int,
+                 block_bytes: int = 64, page_bytes: int = 4096,
+                 bank_bytes: int = 1 << 20):
+        self.size_bytes = size_bytes
+        self.associativity = associativity
+        self.block_bytes = block_bytes
+        self.page_bytes = page_bytes
+        self.bank_bytes = bank_bytes
+        for name in self._fields:
             if not _is_pow2(getattr(self, name)):
                 raise GeometryError(f"{name} must be a power of two")
-        if not self.size_bytes >= self.bank_bytes >= self.block_bytes:
+        if not size_bytes >= bank_bytes >= block_bytes:
             raise GeometryError("need size_bytes >= bank_bytes >= block_bytes")
-        if self.page_bytes < self.block_bytes:
+        if page_bytes < block_bytes:
             raise GeometryError("page_bytes must be >= block_bytes")
-        denom = self.page_bytes * self.associativity
-        if self.size_bytes % denom:
+        if size_bytes % (page_bytes * associativity):
             raise GeometryError("color count is not integral")
-        if self.size_bytes // denom < 2:
+        self.color_count = size_bytes // (page_bytes * associativity)
+        if self.color_count < 2:
             raise GeometryError(
-                f"need at least 2 colors, got {self.size_bytes // denom}")
-
-    @cached_property
-    def color_count(self) -> int:
-        return self.size_bytes // (self.page_bytes * self.associativity)
-
-    @cached_property
-    def total_lines(self) -> int:
-        return self.size_bytes // self.block_bytes
-
-    @cached_property
-    def total_sets(self) -> int:
-        return self.total_lines // self.associativity
-
-    @cached_property
-    def sets_per_color(self) -> int:
+                f"need at least 2 colors, got {self.color_count}")
+        self.total_lines = size_bytes // block_bytes
+        self.total_sets = self.total_lines // associativity
         # equals blocks-per-page: the page offset selects the set inside a color
-        return self.page_bytes // self.block_bytes
+        self.sets_per_color = page_bytes // block_bytes
+        self.lines_per_color = self.total_lines // self.color_count
+        self.num_banks = size_bytes // bank_bytes
+        self.sets_per_bank = self.total_sets // self.num_banks
 
-    @cached_property
-    def lines_per_color(self) -> int:
-        return self.total_lines // self.color_count
-
-    @cached_property
-    def num_banks(self) -> int:
-        return self.size_bytes // self.bank_bytes
-
-    @cached_property
-    def sets_per_bank(self) -> int:
-        return self.total_sets // self.num_banks
+    def __hash__(self):
+        return hash(self._values())
 
 
-@dataclass
-class ReconfigReport:
-    flushed_lines: int
-    writebacks: int
-    switched_blocks: int
+class ReconfigReport(Record):
+    def __init__(self, flushed_lines: int, writebacks: int,
+                 switched_blocks: int):
+        self.flushed_lines = flushed_lines
+        self.writebacks = writebacks
+        self.switched_blocks = switched_blocks
 
 
 class _Cache(ctypes.Structure):

@@ -8,14 +8,14 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields, is_dataclass, replace
 from itertools import repeat
 
 from . import trace as trace_mod
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
 from .energy import SchemeKind
+from .record import Record
 from .sim import ComparisonRow, RunReport, compare, comparison_row, run
-from .trace import TraceArrays, TraceHeader
+from .trace import SyntheticTraceSpec, TraceArrays, TraceHeader
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -47,18 +47,18 @@ _SCALARS = {str: _quote, int: int.__repr__, type(None): lambda _: "null",
 
 @functools.cache
 def _field_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """A dataclass's field names, sorted, and their `"name": ` prefixes;
+    """A record class's field names, sorted, and their `"name": ` prefixes;
     None for any other type."""
-    if not is_dataclass(cls):
+    if not issubclass(cls, Record):
         return None
-    names = tuple(sorted(f.name for f in fields(cls)))
+    names = tuple(sorted(cls._fields))
     return names, tuple(f"{_quote(name)}: " for name in names)
 
 
 def _write(obj, out: list, newline: str) -> None:
     """Append `obj` to `out` as json.dumps(indent=2, sort_keys=True) writes
-    it at the depth whose lines start with `newline`; a dataclass is
-    written as the dict of its fields."""
+    it at the depth whose lines start with `newline`; a record is written
+    as the dict of its fields."""
     if isinstance(obj, dict):
         keys = sorted(obj)
         prefixes = [f"{_quote(key)}: " for key in keys]
@@ -89,8 +89,8 @@ def _write(obj, out: list, newline: str) -> None:
 
 def _json_bytes(obj) -> bytes:
     """The UTF-8 bytes of `json.dumps(obj, indent=2, sort_keys=True)` and a
-    newline, written in one pass, with each dataclass in `obj` as the dict
-    of its fields; dict keys must be strings."""
+    newline, written in one pass, with each record in `obj` as the dict of
+    its fields; dict keys must be strings."""
     out = []
     _write(obj, out, "\n")
     out.append("\n")
@@ -105,11 +105,13 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _with_seed(spec, seed: int | None):
+def _with_seed(spec: SyntheticTraceSpec, seed: int | None):
     if seed is None:
         return spec
     try:
-        return replace(spec, rng_seed=seed)
+        return SyntheticTraceSpec(spec.phases, seed,
+                                  spec.accesses_per_kilo_instr,
+                                  spec.block_bytes)
     except ValueError as exc:
         raise ConfigError(f"--seed {seed}: {exc}") from None
 
@@ -148,8 +150,8 @@ def _interval_csv(report: RunReport) -> bytes:
 
 # comparison.csv and sweep.csv columns: the scheme, then ComparisonRow's
 # metrics in field order
-_ROW_METRICS = [f.name for f in fields(ComparisonRow)
-                if f.name not in ("scheme", "kind")]
+_ROW_METRICS = [name for name in ComparisonRow._fields
+                if name not in ("scheme", "kind")]
 _ROW_COLUMNS = ["scheme", *_ROW_METRICS]
 
 

@@ -12,11 +12,11 @@ passes the same checks as a value written in the file.
 
 import configparser
 import math
-from dataclasses import dataclass, fields
 
 from .cache import CacheGeometry
 from .controller import ControllerConfig, default_config
 from .energy import EnergyParams, SchemeKind, builtin_params
+from .record import Record
 from .refresh import RefreshConfig
 from .sim import SchemeSpec, TimingParams, check_scheme
 from .trace import PhaseSpec, SyntheticTraceSpec
@@ -27,12 +27,13 @@ class ConfigError(ValueError):
 
 
 _GEOMETRY_KEYS = {"l2_size_kb", "associativity", "block_bytes", "page_kb", "bank_kb"}
-# [timing] and [scheme.*]'s DCR keys: each field's name and type
-_TIMING_KEYS = {f.name: f.type for f in fields(TimingParams)}
-_DCR_KEYS = {f.name: f.type for f in fields(ControllerConfig)}
+# [timing] and [scheme.*]'s DCR keys: each field's name and the type that
+# its record's __init__ annotates it with
+_TIMING_KEYS = TimingParams.__init__.__annotations__
+_DCR_KEYS = ControllerConfig.__init__.__annotations__
 # the clock is [timing]'s, for the overrides as for a builtin
-_ENERGY_FIELDS = {f.name for f in fields(EnergyParams)}
-_ENERGY_KEYS = {"builtin"} | _ENERGY_FIELDS
+_ENERGY_FIELDS = EnergyParams._fields
+_ENERGY_KEYS = {"builtin", *_ENERGY_FIELDS}
 _TRACE_KEYS = {"path", "synthetic"}
 _SYNTH_KEYS = {"seed", "accesses_per_kilo_instr", "phases"}
 _RUN_KEYS = {"warmup_instructions", "warmup_fraction", "interval_instructions"}
@@ -79,17 +80,22 @@ def _given(sec: dict, section: str, convs: dict) -> dict:
             for key, conv in convs.items() if key in sec}
 
 
-@dataclass
-class RunConfig:
-    geometry: CacheGeometry
-    timing: TimingParams
-    energy: EnergyParams
-    schemes: list[SchemeSpec]
-    trace_path: str | None
-    synthetic: SyntheticTraceSpec | None
-    warmup_instructions: int | None  # None: use warmup_fraction
-    warmup_fraction: float
-    interval_instructions: int | None  # None: sim.run's default
+class RunConfig(Record):
+    def __init__(self, geometry: CacheGeometry, timing: TimingParams,
+                 energy: EnergyParams, schemes: list[SchemeSpec],
+                 trace_path: str | None, synthetic: SyntheticTraceSpec | None,
+                 warmup_instructions: int | None, warmup_fraction: float,
+                 interval_instructions: int | None):
+        self.geometry = geometry
+        self.timing = timing
+        self.energy = energy
+        self.schemes = schemes
+        self.trace_path = trace_path
+        self.synthetic = synthetic
+        # None: use warmup_fraction, and sim.run's default interval
+        self.warmup_instructions = warmup_instructions
+        self.warmup_fraction = warmup_fraction
+        self.interval_instructions = interval_instructions
 
 
 def _parse_phases(value: str) -> list[PhaseSpec]:
@@ -134,7 +140,7 @@ def _parse_energy(sec: dict) -> EnergyParams:
                 "[energy] builtin cannot be mixed with overrides: "
                 f"{', '.join(sorted(extra))}")
         return builtin_params(sec["builtin"])
-    missing = _ENERGY_FIELDS - set(sec)
+    missing = set(_ENERGY_FIELDS) - set(sec)
     if missing:
         raise ConfigError(
             "[energy] overrides must set all seven fields; missing: "

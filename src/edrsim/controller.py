@@ -11,37 +11,36 @@ among them, and a DCR report lists each `Decision`.
 """
 
 import math
-from dataclasses import dataclass
 
 from .cache import CacheGeometry, CacheState
 from .energy import EnergyParams, SchemeKind, energy_terms
 from .profiler import (IntervalStats, ProfilingUnit, TimingParams,
                        estimate_refreshes, estimate_time, interpolate,
                        profiled_points)
+from .record import Record
 from .refresh import RefreshConfig
 
 
-@dataclass
-class ControllerConfig:
-    c_min: int
-    granularity: int = 2
-    delta: int = 16
-    beta: float = 3.0
-    sampling_ratio_denom: int = 64  # the profiler samples 1 set in this many
-
-    def __post_init__(self):
-        if self.c_min < 1:
+class ControllerConfig(Record):
+    def __init__(self, c_min: int, granularity: int = 2, delta: int = 16,
+                 beta: float = 3.0, sampling_ratio_denom: int = 64):
+        self.c_min = c_min
+        self.granularity = granularity
+        self.delta = delta
+        self.beta = beta
+        # the profiler samples 1 set in this many
+        self.sampling_ratio_denom = sampling_ratio_denom
+        if c_min < 1:
             raise ValueError("c_min must be >= 1")
-        if self.granularity < 1:
-            raise ValueError(
-                f"granularity must be >= 1, got {self.granularity}")
-        if self.delta < self.granularity:
+        if granularity < 1:
+            raise ValueError(f"granularity must be >= 1, got {granularity}")
+        if delta < granularity:
             raise ValueError("delta must be >= granularity")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be a finite number > 0, got {self.beta}")
-        if self.sampling_ratio_denom < 1:
+        if not (math.isfinite(beta) and beta > 0):
+            raise ValueError(f"beta must be a finite number > 0, got {beta}")
+        if sampling_ratio_denom < 1:
             raise ValueError(f"sampling_ratio_denom must be >= 1, "
-                             f"got {self.sampling_ratio_denom}")
+                             f"got {sampling_ratio_denom}")
 
 
 def default_config(geometry: CacheGeometry, **overrides) -> ControllerConfig:
@@ -59,27 +58,30 @@ def candidate_space(current: int, total_colors: int, cfg: ControllerConfig) -> l
     return list(range(first, hi + 1, cfg.granularity))
 
 
-@dataclass
-class Candidate:
-    colors: int
-    est_time_cycles: float
-    delta_pct: float
-    est_energy_j: float
-    rejected_by_beta: bool
+class Candidate(Record):
+    def __init__(self, colors: int, est_time_cycles: float, delta_pct: float,
+                 est_energy_j: float, rejected_by_beta: bool):
+        self.colors = colors
+        self.est_time_cycles = est_time_cycles
+        self.delta_pct = delta_pct
+        self.est_energy_j = est_energy_j
+        self.rejected_by_beta = rejected_by_beta
 
 
-@dataclass
-class Decision:
+class Decision(Record):
     """`select` fills in all but the closed interval's index and what
     `reconfigure` then switched and flushed, which the run sets."""
 
-    current: int
-    chosen: int
-    fail_safe: bool
-    candidates: list[Candidate]
-    interval: int = 0
-    switched_blocks: int = 0
-    flush_writebacks: int = 0
+    def __init__(self, current: int, chosen: int, fail_safe: bool,
+                 candidates: list[Candidate], interval: int = 0,
+                 switched_blocks: int = 0, flush_writebacks: int = 0):
+        self.current = current
+        self.chosen = chosen
+        self.fail_safe = fail_safe
+        self.candidates = candidates
+        self.interval = interval
+        self.switched_blocks = switched_blocks
+        self.flush_writebacks = flush_writebacks
 
 
 def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,

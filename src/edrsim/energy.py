@@ -10,8 +10,9 @@ clock, `ghz`, to turn them into seconds.
 """
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
+
+from .record import Record
 
 NANO = 1e-9
 PICO = 1e-12
@@ -28,30 +29,29 @@ class EnergyParamsError(ValueError):
     pass
 
 
-@dataclass
-class EnergyParams:
+class EnergyParams(Record):
     """Technology constants. Energies are per access (nJ except e_transition,
     which is pJ per block power transition); leakages are watts."""
 
-    e_dyn_l2: float
-    p_leak_l2: float
-    e_dyn_dram: float
-    p_leak_dram: float
-    e_transition: float
-    e_dyn_prof: float
-    p_leak_prof: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(self, e_dyn_l2: float, p_leak_l2: float, e_dyn_dram: float,
+                 p_leak_dram: float, e_transition: float, e_dyn_prof: float,
+                 p_leak_prof: float):
+        self.e_dyn_l2 = e_dyn_l2
+        self.p_leak_l2 = p_leak_l2
+        self.e_dyn_dram = e_dyn_dram
+        self.p_leak_dram = p_leak_dram
+        self.e_transition = e_transition
+        self.e_dyn_prof = e_dyn_prof
+        self.p_leak_prof = p_leak_prof
+        for name, value in zip(self._fields, self._values()):
             if not (math.isfinite(value) and value >= 0):
                 raise EnergyParamsError(
-                    f"{f.name} must be a finite number >= 0, got {value}")
+                    f"{name} must be a finite number >= 0, got {value}")
         # joule-denominated copies, converted exactly once
-        self.e_dyn_l2_j = self.e_dyn_l2 * NANO
-        self.e_dyn_dram_j = self.e_dyn_dram * NANO
-        self.e_transition_j = self.e_transition * PICO
-        self.e_dyn_prof_j = self.e_dyn_prof * NANO
+        self.e_dyn_l2_j = e_dyn_l2 * NANO
+        self.e_dyn_dram_j = e_dyn_dram * NANO
+        self.e_transition_j = e_transition * PICO
+        self.e_dyn_prof_j = e_dyn_prof * NANO
 
 
 # 45 nm, 2 MB, 1 MB banks; eDRAM access energy matches SRAM, leakage is 1/8th
@@ -71,15 +71,16 @@ def builtin_params(technology: str) -> EnergyParams:
     return EnergyParams(**_BUILTIN[technology], **_COMMON)
 
 
-@dataclass
-class EnergyBreakdown:
-    le_l2: float
-    de_l2: float
-    re_l2: float
-    e_dram: float
-    e_algo: float
-    e_prof: float
-    total: float
+class EnergyBreakdown(Record):
+    def __init__(self, le_l2: float, de_l2: float, re_l2: float,
+                 e_dram: float, e_algo: float, e_prof: float, total: float):
+        self.le_l2 = le_l2
+        self.de_l2 = de_l2
+        self.re_l2 = re_l2
+        self.e_dram = e_dram
+        self.e_algo = e_algo
+        self.e_prof = e_prof
+        self.total = total
 
 
 def interval_energy(stats, params: EnergyParams, scheme: SchemeKind,

@@ -14,53 +14,57 @@ are interpolated log-linearly between the profiled points.
 
 import math
 from array import array
-from dataclasses import dataclass
 
 from .cache import CacheGeometry, zeros
 from .energy import EnergyBreakdown
+from .record import Record
 from .refresh import RefreshConfig
 
 PROFILED_FRACTIONS = (1, 2, 4, 8, 16)  # size = X / fraction
 
 
-@dataclass
-class TimingParams:
-    l2_hit_cycles: int = 12
-    dram_latency_cycles: int = 154
-    base_cpi: float = 1.0
-    clock_ghz: float = 2.2
-
-    def __post_init__(self):
-        hit, dram = self.l2_hit_cycles, self.dram_latency_cycles
+class TimingParams(Record):
+    def __init__(self, l2_hit_cycles: int = 12, dram_latency_cycles: int = 154,
+                 base_cpi: float = 1.0, clock_ghz: float = 2.2):
+        self.l2_hit_cycles = l2_hit_cycles
+        self.dram_latency_cycles = dram_latency_cycles
+        self.base_cpi = base_cpi
+        self.clock_ghz = clock_ghz
+        hit, dram = l2_hit_cycles, dram_latency_cycles
         if not 0 < min(hit, dram) <= max(hit, dram) < 1 << 63:  # int64s
             raise ValueError(f"latencies must be > 0 and below 2**63, got "
                              f"{hit} and {dram}")
-        for name in ("base_cpi", "clock_ghz"):
-            value = getattr(self, name)
+        for name, value in (("base_cpi", base_cpi), ("clock_ghz", clock_ghz)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, "
                                  f"got {value}")
 
 
-@dataclass
-class IntervalStats:
+class IntervalStats(Record):
     """Counters accumulated over one controller interval; a run's report
     adds the interval's index, its color count and its energy."""
 
-    instructions: int = 0
-    l2_hits: int = 0
-    l2_misses: int = 0
-    load_misses: int = 0
-    memory_stall_cycles: int = 0
-    refreshed_lines: int = 0
-    dram_accesses: int = 0
-    active_fraction: float = 1.0
-    elapsed_cycles: int = 0
-    switched_blocks: int = 0
-    prof_accesses: int = 0
-    index: int = 0
-    colors: int = 0
-    energy: EnergyBreakdown | None = None
+    def __init__(self, instructions: int = 0, l2_hits: int = 0,
+                 l2_misses: int = 0, load_misses: int = 0,
+                 memory_stall_cycles: int = 0, refreshed_lines: int = 0,
+                 dram_accesses: int = 0, active_fraction: float = 1.0,
+                 elapsed_cycles: int = 0, switched_blocks: int = 0,
+                 prof_accesses: int = 0, index: int = 0, colors: int = 0,
+                 energy: EnergyBreakdown | None = None):
+        self.instructions = instructions
+        self.l2_hits = l2_hits
+        self.l2_misses = l2_misses
+        self.load_misses = load_misses
+        self.memory_stall_cycles = memory_stall_cycles
+        self.refreshed_lines = refreshed_lines
+        self.dram_accesses = dram_accesses
+        self.active_fraction = active_fraction
+        self.elapsed_cycles = elapsed_cycles
+        self.switched_blocks = switched_blocks
+        self.prof_accesses = prof_accesses
+        self.index = index
+        self.colors = colors
+        self.energy = energy
 
 
 class ProfilingUnit:

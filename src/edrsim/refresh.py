@@ -12,30 +12,28 @@ period in microseconds; `config` converts it once with the run's clock.
   * DCR (valid-only)       -- the valid lines, at each retention boundary
 """
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class RefreshConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RefreshConfig:
-    retention_cycles: int
-    phases: int = 1
-
-    def __post_init__(self):
+class RefreshConfig(Record):
+    def __init__(self, retention_cycles: int, phases: int = 1):
+        self.retention_cycles = retention_cycles
+        self.phases = phases
         # the compiled timing pass holds it in an int64
-        if not 0 < self.retention_cycles < 1 << 63:
+        if not 0 < retention_cycles < 1 << 63:
             raise RefreshConfigError(f"retention_cycles must be > 0 and below "
-                                     f"2**63, got {self.retention_cycles}")
-        if self.phases < 1:
+                                     f"2**63, got {retention_cycles}")
+        if phases < 1:
             raise RefreshConfigError("phases must be >= 1")
-        if self.retention_cycles % self.phases:
+        if retention_cycles % phases:
             raise RefreshConfigError(
-                f"retention_cycles {self.retention_cycles} not divisible by "
-                f"{self.phases} phases")
+                f"retention_cycles {retention_cycles} not divisible by "
+                f"{phases} phases")
+        self.phase_cycles = retention_cycles // phases
 
-    @property
-    def phase_cycles(self) -> int:
-        return self.retention_cycles // self.phases
+    def __hash__(self):
+        return hash(self._values())

@@ -2,10 +2,11 @@
 
 The timing model is in-order single-issue: every record costs its instruction
 gap times the base CPI, plus the L2 hit latency, plus the DRAM latency on a
-miss. Load-miss latency is accounted as memory stall; store misses advance
-the clock but are hidden by the store buffer. Refresh bursts occupy each bank
-for one cycle per refreshed line; an access to a busy bank waits for the
-burst to finish. Metrics accumulate only after the warm-up window.
+miss, a load's or a store's alike: no store buffer hides a store miss. Only
+load misses are tallied as memory stall, the share of the time that DCR's
+controller re-estimates for each candidate size. Refresh bursts occupy each
+bank for one cycle per refreshed line; an access to a busy bank waits for
+the burst to finish. Metrics accumulate only after the warm-up window.
 
 A run has two stages, as in gem5's atomic and timing CPUs. The functional
 pass decides each record's hit, eviction and dirty victim and writes them
@@ -33,13 +34,13 @@ reconfiguration rewrites, so the next call follows the new mapping.
 
 import weakref
 from array import array
-from dataclasses import dataclass, field, fields
 
 from . import cache as _cache
 from .cache import CacheGeometry, CacheState, Replay, reconfigure, zeros
 from .controller import ControllerConfig, Decision, candidate_space, select
 from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
 from .profiler import IntervalStats, ProfilingUnit, TimingParams, sampled_rows
+from .record import Record
 from .refresh import RefreshConfig
 from .trace import TraceArrays
 
@@ -48,51 +49,54 @@ class SchemeConfigError(ValueError):
     pass
 
 
-@dataclass
-class SchemeSpec:
-    kind: SchemeKind
-    refresh: RefreshConfig | None = None
-    controller: ControllerConfig | None = None
-    energy: EnergyParams | None = None  # falls back to the run's shared params
-    name: str = ""
-
-    def __post_init__(self):
-        if not self.name:
-            self.name = self.kind.value
-        if self.kind is SchemeKind.SRAM:
-            if self.refresh is not None:
+class SchemeSpec(Record):
+    def __init__(self, kind: SchemeKind, refresh: RefreshConfig | None = None,
+                 controller: ControllerConfig | None = None,
+                 energy: EnergyParams | None = None, name: str = ""):
+        self.kind = kind
+        self.refresh = refresh
+        self.controller = controller
+        self.energy = energy  # falls back to the run's shared params
+        self.name = name or kind.value
+        if kind is SchemeKind.SRAM:
+            if refresh is not None:
                 raise SchemeConfigError("SRAM scheme takes no refresh config")
-        elif self.refresh is None:
-            raise SchemeConfigError(f"{self.kind.value} scheme needs a refresh config")
-        if self.kind is SchemeKind.DCR:
-            if self.controller is None:
+        elif refresh is None:
+            raise SchemeConfigError(f"{kind.value} scheme needs a refresh config")
+        if kind is SchemeKind.DCR:
+            if controller is None:
                 raise SchemeConfigError("DCR scheme needs a controller config")
-        elif self.controller is not None:
+        elif controller is not None:
             raise SchemeConfigError(
-                f"{self.kind.value} scheme must not carry a controller config")
-        if self.kind in (SchemeKind.BASELINE_EDRAM, SchemeKind.DCR):
-            if self.refresh.phases != 1:
+                f"{kind.value} scheme must not carry a controller config")
+        if kind in (SchemeKind.BASELINE_EDRAM, SchemeKind.DCR):
+            if refresh.phases != 1:
                 raise SchemeConfigError(
-                    f"{self.kind.value} scheme uses whole-period refresh (phases=1)")
+                    f"{kind.value} scheme uses whole-period refresh (phases=1)")
 
 
-@dataclass
-class RunReport:
-    scheme: str
-    kind: SchemeKind
-    warmup_instructions: int
-    instructions: int
-    total_cycles: int
-    total_energy_j: float
-    energy_components: dict
-    rpki: float
-    mpki: float
-    active_ratio_pct: float
-    total_refreshed_lines: int
-    total_l2_hits: int
-    total_l2_misses: int
-    intervals: list[IntervalStats] = field(default_factory=list)
-    decisions: list[Decision] = field(default_factory=list)
+class RunReport(Record):
+    def __init__(self, scheme: str, kind: SchemeKind, warmup_instructions: int,
+                 instructions: int, total_cycles: int, total_energy_j: float,
+                 energy_components: dict, rpki: float, mpki: float,
+                 active_ratio_pct: float, total_refreshed_lines: int,
+                 total_l2_hits: int, total_l2_misses: int,
+                 intervals: list[IntervalStats], decisions: list[Decision]):
+        self.scheme = scheme
+        self.kind = kind
+        self.warmup_instructions = warmup_instructions
+        self.instructions = instructions
+        self.total_cycles = total_cycles
+        self.total_energy_j = total_energy_j
+        self.energy_components = energy_components
+        self.rpki = rpki
+        self.mpki = mpki
+        self.active_ratio_pct = active_ratio_pct
+        self.total_refreshed_lines = total_refreshed_lines
+        self.total_l2_hits = total_l2_hits
+        self.total_l2_misses = total_l2_misses
+        self.intervals = intervals
+        self.decisions = decisions
 
     @classmethod
     def from_intervals(cls, scheme: SchemeSpec, warmup_instructions: int,
@@ -104,8 +108,8 @@ class RunReport:
         total_refreshed = sum(iv.refreshed_lines for iv in intervals)
         total_hits = sum(iv.l2_hits for iv in intervals)
         total_misses = sum(iv.l2_misses for iv in intervals)
-        components = {f.name: sum(getattr(iv.energy, f.name) for iv in intervals)
-                      for f in fields(EnergyBreakdown) if f.name != "total"}
+        components = {name: sum(getattr(iv.energy, name) for iv in intervals)
+                      for name in EnergyBreakdown._fields if name != "total"}
         total_energy = sum(iv.energy.total for iv in intervals)
         kilo = instructions / 1000.0 if instructions else 1.0
         if total_cycles:
@@ -369,21 +373,24 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                                     decisions)
 
 
-@dataclass
-class ComparisonRow:
+class ComparisonRow(Record):
     """One scheme against the baseline; the fields after `kind` are in the
     column order of comparison.csv and sweep.csv."""
 
-    scheme: str
-    kind: SchemeKind
-    pct_energy_saved: float
-    pct_perf_improvement: float
-    delta_rpki: float
-    delta_mpki: float
-    active_ratio_pct: float
-    rpki: float
-    mpki: float
-    total_energy_j: float
+    def __init__(self, scheme: str, kind: SchemeKind, pct_energy_saved: float,
+                 pct_perf_improvement: float, delta_rpki: float,
+                 delta_mpki: float, active_ratio_pct: float, rpki: float,
+                 mpki: float, total_energy_j: float):
+        self.scheme = scheme
+        self.kind = kind
+        self.pct_energy_saved = pct_energy_saved
+        self.pct_perf_improvement = pct_perf_improvement
+        self.delta_rpki = delta_rpki
+        self.delta_mpki = delta_mpki
+        self.active_ratio_pct = active_ratio_pct
+        self.rpki = rpki
+        self.mpki = mpki
+        self.total_energy_j = total_energy_j
 
 
 def comparison_row(base: RunReport, rep: RunReport) -> ComparisonRow:
@@ -409,12 +416,13 @@ def comparison_row(base: RunReport, rep: RunReport) -> ComparisonRow:
     )
 
 
-@dataclass
-class ComparisonReport:
-    baseline_name: str
-    baseline: RunReport
-    rows: list[ComparisonRow]
-    reports: dict[str, RunReport]
+class ComparisonReport(Record):
+    def __init__(self, baseline_name: str, baseline: RunReport,
+                 rows: list[ComparisonRow], reports: dict[str, RunReport]):
+        self.baseline_name = baseline_name
+        self.baseline = baseline
+        self.rows = rows
+        self.reports = reports
 
     def to_dict(self) -> dict:
         return {

@@ -14,10 +14,10 @@ import ctypes
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .cache import address, kernel, zeros
+from .record import Record
 
 MAGIC = b"EDRTRACE"
 FORMAT_VERSION = 1
@@ -37,21 +37,18 @@ class Op(IntEnum):
     WRITE = 1
 
 
-@dataclass
-class TraceHeader:
-    version: int = FORMAT_VERSION
-    record_count: int = 0
-    page_size_bytes: int = 4096
-    description: str = ""
-
-    def __post_init__(self):
-        p = self.page_size_bytes
+class TraceHeader(Record):
+    def __init__(self, version: int = FORMAT_VERSION, record_count: int = 0,
+                 page_size_bytes: int = 4096, description: str = ""):
+        self.version = version
+        self.record_count = record_count
+        self.page_size_bytes = p = page_size_bytes
+        self.description = description
         if p <= 0 or p & (p - 1):
             raise TraceError(f"page_size_bytes must be a power of two, got {p}")
 
 
-@dataclass
-class TraceArrays:
+class TraceArrays(Record):
     """Column-wise in-memory trace; the representation the simulator replays.
 
     Record i is one memory access: `gaps[i]` instructions elapsed since the
@@ -63,17 +60,16 @@ class TraceArrays:
     afterwards.
     """
 
-    gaps: array
-    ops: bytearray
-    addrs: array
-    instructions: int | None = None
-
-    def __post_init__(self):
-        n = len(self.gaps)
-        if len(self.ops) != n or len(self.addrs) != n:
+    def __init__(self, gaps: array, ops: bytearray, addrs: array,
+                 instructions: int | None = None):
+        self.gaps = gaps
+        self.ops = ops
+        self.addrs = addrs
+        n = len(gaps)
+        if len(ops) != n or len(addrs) != n:
             raise TraceError("trace columns must have equal length")
-        if self.instructions is None:
-            self.instructions = sum(self.gaps.tolist())
+        self.instructions = (sum(gaps.tolist()) if instructions is None
+                             else instructions)
 
     def __len__(self):
         return len(self.gaps)
@@ -95,23 +91,22 @@ def _bad_op(index: int, op: int) -> TraceError:
                       f"({Op.READ:d}) nor WRITE ({Op.WRITE:d})")
 
 
-@dataclass
-class PhaseSpec:
+class PhaseSpec(Record):
     """One program phase for the synthetic generator."""
 
-    instructions: int
-    working_set_bytes: int
-    write_fraction: float = 0.0
-    reuse_locality: float = 0.0
-
-    def __post_init__(self):
-        if self.instructions <= 0:
+    def __init__(self, instructions: int, working_set_bytes: int,
+                 write_fraction: float = 0.0, reuse_locality: float = 0.0):
+        self.instructions = instructions
+        self.working_set_bytes = working_set_bytes
+        self.write_fraction = write_fraction
+        self.reuse_locality = reuse_locality
+        if instructions <= 0:
             raise TraceError("phase instructions must be > 0")
-        if self.working_set_bytes <= 0:
+        if working_set_bytes <= 0:
             raise TraceError("phase working_set_bytes must be > 0")
-        if not 0.0 <= self.write_fraction <= 1.0:
+        if not 0.0 <= write_fraction <= 1.0:
             raise TraceError("write_fraction must be in [0, 1]")
-        if not 0.0 <= self.reuse_locality <= 1.0:
+        if not 0.0 <= reuse_locality <= 1.0:
             raise TraceError("reuse_locality must be in [0, 1]")
 
 
@@ -120,26 +115,24 @@ class PhaseSpec:
 _PHASE_STRIDE_BLOCKS = 1 << 26
 
 
-@dataclass
-class SyntheticTraceSpec:
-    phases: list[PhaseSpec] = field(default_factory=list)
-    rng_seed: int = 0
-    accesses_per_kilo_instr: float = 20.0
-    block_bytes: int = 64  # a config's is its [geometry] block_bytes
-
-    def __post_init__(self):
-        if not self.phases:
+class SyntheticTraceSpec(Record):
+    def __init__(self, phases: list[PhaseSpec], rng_seed: int = 0,
+                 accesses_per_kilo_instr: float = 20.0,
+                 block_bytes: int = 64):
+        self.phases = phases
+        self.rng_seed = rng_seed
+        self.accesses_per_kilo_instr = rate = accesses_per_kilo_instr
+        self.block_bytes = b = block_bytes  # [geometry]'s, in a config
+        if not phases:
             raise TraceError("synthetic spec needs at least one phase")
-        if self.rng_seed < 0:
-            raise TraceError(f"seed must be >= 0, got {self.rng_seed}")
-        rate = self.accesses_per_kilo_instr
+        if rng_seed < 0:
+            raise TraceError(f"seed must be >= 0, got {rng_seed}")
         if not (math.isfinite(rate) and rate > 0):
             raise TraceError(f"accesses_per_kilo_instr must be a finite "
                              f"number > 0, got {rate}")
-        b = self.block_bytes
         if b <= 0 or b & (b - 1):
             raise TraceError("block_bytes must be a power of two")
-        for phase in self.phases:
+        for phase in phases:
             if -(-phase.working_set_bytes // b) > _PHASE_STRIDE_BLOCKS:
                 raise TraceError(
                     f"phase working_set_bytes {phase.working_set_bytes} is "

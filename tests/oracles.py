@@ -35,7 +35,7 @@ match byte for byte.
 import ctypes
 import os
 from array import array
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
 from edrsim.profiler import (IntervalStats, ProfilingUnit, TimingParams,
                              estimate_refreshes, estimate_time, interpolate,
                              profiled_points)
+from edrsim.record import Record
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import RunReport
 from edrsim.trace import (_PHASE_STRIDE_BLOCKS, Op, SyntheticTraceSpec,
@@ -964,8 +965,8 @@ def reference_run(trace, scheme, geometry, timing, params,
 
 
 def plain(obj):
-    """A report as a tree of dicts, lists and JSON scalars: each dataclass
-    as the dict of its fields, recursively through lists and dicts, and a
+    """A report as a tree of dicts, lists and JSON scalars: each record as
+    the dict of its fields, recursively through lists and dicts, and a
     scheme kind as its value."""
     if isinstance(obj, SchemeKind):
         return obj.value
@@ -973,6 +974,6 @@ def plain(obj):
         return [plain(v) for v in obj]
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
-    if is_dataclass(obj):
-        return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Record):
+        return {name: plain(getattr(obj, name)) for name in obj._fields}
     return obj

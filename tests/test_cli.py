@@ -15,8 +15,10 @@ import oracles
 from edrsim.cli import _json_bytes, main
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.cache import Replay
-from edrsim.energy import SchemeKind
-from edrsim.sim import compare
+from edrsim.controller import Candidate, Decision
+from edrsim.energy import EnergyBreakdown, SchemeKind
+from edrsim.profiler import IntervalStats
+from edrsim.sim import ComparisonRow, RunReport, compare
 from edrsim.trace import generate_synthetic, read_trace_arrays
 
 BASE_CONFIG = """
@@ -427,6 +429,24 @@ def test_json_bytes_of_reports_are_the_bytes_of_their_plain_trees(
             oracles.plain(doc), indent=2, sort_keys=True) + "\n").encode()
 
 
+def test_json_keys_are_the_record_fields(config_file):
+    # a report, an interval, its energy, a decision, a candidate and a
+    # comparison row each have the keys of their record class's fields
+    cfg = load_config(config_file)
+    report = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
+                     cfg.geometry, cfg.timing, cfg.energy,
+                     interval_instructions=cfg.interval_instructions)
+    doc = json.loads(_json_bytes(report.reports["dcr"]))
+    decision = doc["decisions"][0]
+    row = json.loads(_json_bytes(report.rows[0]))
+    for keys, cls in [(doc, RunReport), (doc["intervals"][0], IntervalStats),
+                      (doc["intervals"][0]["energy"], EnergyBreakdown),
+                      (decision, Decision),
+                      (decision["candidates"][0], Candidate),
+                      (row, ComparisonRow)]:
+        assert list(keys) == sorted(cls._fields), cls.__name__
+
+
 # sweep.csv of each other sweepable parameter on BASE_CONFIG
 _SWEEP_SHA256 = {
     ("l2_size_kb", "64,128,256"):
@@ -602,8 +622,58 @@ def test_any_dcr_config_runs_or_fails_before_output(**keys):
     size = keys.pop("l2_size_kb")
     size = 512 if size is None else size
     text = _TINY_CONFIG.replace("l2_size_kb = 64", f"l2_size_kb = {size}")
-    text += "".join(f"{key} = {value!r}\n" for key, value in keys.items()
-                    if value is not None)
+    _assert_runs_or_fails_before_output(text + _lines(keys))
+
+
+def _lines(keys: dict) -> str:
+    return "".join(f"{key} = {value!r}\n" for key, value in keys.items()
+                   if value is not None)
+
+
+_LATENCY = _maybe(st.integers(1, 500), st.integers(-2, 0)
+                  | st.integers(2**63, 2**64))
+# all seven are set (a missing one is a plain config error), mostly in range
+_ENERGY = st.floats(0.0, 1e3) | st.floats(0.0, 1e3) | st.floats(0.0, 1e3) \
+    | st.floats()
+# at least 1e-3 W, so that the baseline's energy is > 0: a baseline of no
+# energy is an error after the runs (exit 1), which
+# test_zero_energy_baseline_is_an_error_before_output pins
+_BASELINE_LEAK = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(timing=st.fixed_dictionaries({
+           "l2_hit_cycles": _LATENCY, "dram_latency_cycles": _LATENCY,
+           # at most 1e3: the record loop fires refresh boundaries one at
+           # a time, so a run's host time grows with its simulated cycles
+           # (a CPI of 1e5 takes 0.2 s, so 1e9 half an hour); and a CPI
+           # that takes the clock past 2**62 cycles is an error once the
+           # trace is read (exit 1), which
+           # test_clock_past_int64_writes_no_output pins
+           "base_cpi": _maybe(st.floats(0.1, 10.0),
+                              st.floats(max_value=1e3)
+                              | st.just(float("nan"))),
+           "clock_ghz": _maybe(st.sampled_from([1.0, 2.0, 2.2]),
+                               st.floats())}),
+       energy=st.none() | st.fixed_dictionaries({
+           "e_dyn_l2": _ENERGY, "p_leak_l2": _BASELINE_LEAK,
+           "e_dyn_dram": _ENERGY, "p_leak_dram": _ENERGY,
+           "e_transition": _ENERGY, "e_dyn_prof": _ENERGY,
+           "p_leak_prof": _ENERGY}))
+def test_any_timing_and_energy_config_runs_or_fails_before_output(timing,
+                                                                  energy):
+    # the [timing] keys, each unset, in range or wild, and the [energy]
+    # builtin or its seven overrides
+    text = _TINY_CONFIG.replace("l2_size_kb = 64", "l2_size_kb = 512")
+    text = text.replace("[timing]\nclock_ghz = 2.0\n",
+                        "[timing]\n" + _lines(timing))
+    if energy is not None:
+        text = text.replace("builtin = EDRAM_2MB\n", _lines(energy))
+    _assert_runs_or_fails_before_output(text)
+
+
+def _assert_runs_or_fails_before_output(text: str) -> None:
+    """`compare` on this config exits 0, or 2 having written nothing."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w") as fh:

@@ -402,6 +402,14 @@ def test_fixed_replay_is_kept_for_one_trace_and_geometry():
     assert kept() is None  # freed with its trace
 
 
+def test_fixed_replay_is_kept_for_an_equal_geometry():
+    # a sweep parses a new but equal geometry for each value
+    trace = _trace(seed=1)
+    first, second = _geometry(2), _geometry(2)
+    assert first is not second
+    assert fixed_replay(trace, first) is fixed_replay(trace, second)
+
+
 def test_run_rejects_an_empty_interval():
     geometry = _geometry(2)
     scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry)
