@@ -24,7 +24,8 @@ so every scheme that never remaps the cache times the same replay, which
 work, like the flush of a reconfiguration, is C (lru.c), built at first
 use (see native.py); `Passes` binds a run's arguments to it once. DCR
 binds the functional and the timing pass together, so that one loop
-replays, times and stops at the end of each interval for the controller.
+replays, times and stops at the end of each interval for the controller;
+it stores no code bytes.
 The kernels route regions through the state's own `layout`, which
 `reconfigure` rewrites, so a bound run follows every reconfiguration.
 """
@@ -103,7 +104,8 @@ class _Cache(ctypes.Structure):
 class CacheState:
     """Mutable cache state owned by a single simulation instance."""
 
-    def __init__(self, geometry: CacheGeometry, min_colors: int = 1):
+    def __init__(self, geometry: CacheGeometry, min_colors: int = 1,
+                 touch: bool = False):
         self.geometry = geometry
         self.min_colors = min_colors
         m_total = geometry.color_count
@@ -112,12 +114,13 @@ class CacheState:
         self.active_count = m_total
         self.mapping: list[int] = list(range(m_total))
         # set s: tag slots [s * ways, (s + 1) * ways), the first fill[s]
-        # resident, least recent first, with a dirty byte and a last-touch
-        # index per slot (the latter kept only for a last-touch column)
+        # resident, least recent first, with a dirty byte and, with
+        # `touch`, a last-touch index per slot, which a replay's last-touch
+        # column needs
         lines, sets = geometry.total_lines, geometry.total_sets
         self.tags = zeros("Q", lines)
         self.dirty = bytearray(lines)
-        self.touch = zeros("i", lines)
+        self.touch = zeros("i", lines) if touch else None
         self.fill = zeros("i", sets)
         self.valid_by_bank = zeros("q", geometry.num_banks)
         # how the kernels find a set under the mapping; reconfigure
@@ -126,7 +129,8 @@ class CacheState:
         # the same, as the compiled routines take it
         self.arrays = _Cache(
             address(self.tags, 8, lines), address(self.dirty, 1, lines),
-            address(self.touch, 4, lines), address(self.fill, 4, sets),
+            None if self.touch is None else address(self.touch, 4, lines),
+            address(self.fill, 4, sets),
             address(self.valid_by_bank, 8, geometry.num_banks),
             geometry.associativity, address(self.layout, 8, len(self.layout)))
 
@@ -145,18 +149,21 @@ WRITE = 8
 class Replay:
     """Outcome columns of a functional replay, one entry per trace record.
 
-    `codes` holds the HIT/EVICTED/DIRTY_VICTIM/WRITE bits, one byte per
-    record. `last_touch`, if given an int32 column (`sim.fixed_replay` does),
-    gets the index of the record that last touched the line each record hits
-    or evicts, -1 for a fill of a free way: RPV's input.
+    `codes`, unless None (DCR reads no codes back), holds the
+    HIT/EVICTED/DIRTY_VICTIM/WRITE bits, one byte per record.
+    `last_touch`, an int32 column if asked for (`sim.fixed_replay` does),
+    gets the index of the record that last touched the line each record
+    hits or evicts, -1 for a fill of a free way: RPV's input.
     """
 
-    def __init__(self, records: int):
-        self.codes = bytearray(records)
-        self.last_touch = None
+    def __init__(self, records: int, codes: bool = True,
+                 last_touch: bool = False):
+        self.records = records
+        self.codes = bytearray(records) if codes else None
+        self.last_touch = zeros("i", records) if last_touch else None
 
     def __len__(self):
-        return len(self.codes)
+        return self.records
 
 
 _lib = None
@@ -224,7 +231,8 @@ class _Run(ctypes.Structure):
         ("cpi", ctypes.c_double), ("hit_cycles", ctypes.c_int64),
         ("miss_cycles", ctypes.c_int64), ("bank_busy", ctypes.c_void_p),
         ("n_banks", ctypes.c_int64), ("counts", ctypes.c_void_p),
-        ("phases", ctypes.c_int64), ("phase_touch", ctypes.c_void_p)]
+        ("phases", ctypes.c_int64), ("phase_of", ctypes.c_void_p),
+        ("phase_bytes", ctypes.c_int64)]
 
 
 class Passes:
@@ -247,9 +255,9 @@ class Passes:
         self.geometry = geometry
         self.out = out
         # the buffers the pointers below point into
-        self._bound = [addrs, out.codes]
-        self.args = _Run(addrs=address(addrs, 8, n),
-                         codes=address(out.codes, 1, n))
+        self._bound = [addrs]
+        self.args = _Run(addrs=address(addrs, 8, n))
+        self._bind("codes", out.codes, 1, n)
         # without a cache, records find their banks by the identity mapping
         identity = layout(geometry)
         self._bind("layout", identity, 8, len(identity))
@@ -283,6 +291,8 @@ class Passes:
         if len(writes) != n or (column is not None and len(column) != n):
             raise ValueError("the trace's write flags or the replay's "
                              "last-touch column do not fit its records")
+        if column is not None and state.touch is None:
+            raise ValueError("a last-touch column needs a cache with touch")
         self._bound.append(state)
         self._bind("writes", writes, 1, n)
         self._bind("last_touch", column, 4, n)
@@ -295,18 +305,28 @@ class Passes:
             self._bind("unit_counts", unit.counts, 8, len(unit.counts))
             self.args.n_sizes, self.args.ratio = len(unit.sizes), unit.ratio
 
-    def bind_timing(self, gaps, clock, bank_busy, counts, phase_touch,
-                    cpi: float, hit_cycles: int, miss_cycles: int,
-                    phases: int) -> None:
+    def bind_timing(self, gaps, clock, bank_busy, counts, cpi: float,
+                    hit_cycles: int, miss_cycles: int, phases: int,
+                    by_phase: bool = False) -> None:
         """Time the records: the kernel's arguments of the same names (see
-        lru.c's edr_run)."""
+        lru.c's edr_run). With `by_phase` (RPV), the replay's last-touch
+        column is read, and each record's phase is kept in a column bound
+        here: a byte per record for up to 256 phases, else 4."""
         n, banks = len(self.out), len(bank_busy)
         self._bind("gaps", gaps, 4, n)
         self._bind("clock", clock, 8, len(clock))
         self._bind("bank_busy", bank_busy, 8, banks)
         self._bind("counts", counts, 8, banks * phases)
-        self._bind("phase_touch", phase_touch, 4, n)
         a = self.args
+        if by_phase:
+            column = self.out.last_touch
+            if column is None or len(column) != n:
+                raise ValueError("the replay's last-touch column does not "
+                                 "fit its records")
+            a.phase_bytes = 1 if phases <= 256 else 4
+            self._bind("last_touch", column, 4, n)
+            self._bind("phase_of", zeros("B" if phases <= 256 else "i", n),
+                       a.phase_bytes, n)
         a.cpi, a.hit_cycles, a.miss_cycles = cpi, hit_cycles, miss_cycles
         a.n_banks, a.phases = banks, phases
 
@@ -315,11 +335,12 @@ class Passes:
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"records [{lo}, {hi}) are not all in the "
                              f"trace's {n}")
+        if not self.args.cache and self.out.codes is None:
+            raise ValueError("a replay without codes needs a cache bound")
         got = self._run(self._byref, lo, hi)
         if got < 0:
-            raise ValueError(
-                f"record {-1 - got}: its last-touch entry names no earlier "
-                "record, or a phase out of range")
+            raise ValueError(f"record {-1 - got}: its last-touch entry "
+                             "names no earlier record")
         return got
 
 

@@ -14,23 +14,34 @@ from . import trace as trace_mod
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
 from .energy import SchemeKind
 from .record import Record
-from .sim import ComparisonRow, RunReport, compare, comparison_row, run
+from .sim import ComparisonRow, RunReport, compare, comparison_row, run_schemes
 from .trace import SyntheticTraceSpec, TraceArrays, TraceHeader
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write-temp-then-rename so readers never see partial output."""
+def _replace(path: str, fill) -> None:
+    """Write-temp-then-rename so readers never see partial output: fill(fh)
+    writes the temporary file, open in binary mode."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-edrsim-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fill(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    _replace(path, lambda fh: fh.write(data))
+
+
+def _write_json(path: str, obj) -> None:
+    """`_json_bytes(obj)` into `path`, written a batch at a time."""
+    _replace(path, lambda fh: _json_batches(
+        obj, lambda text: fh.write(text.encode("utf-8"))))
 
 
 _INF = float("inf")
@@ -55,10 +66,16 @@ def _field_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     return names, tuple(f"{_quote(name)}: " for name in names)
 
 
-def _write(obj, out: list, newline: str) -> None:
+# pieces of JSON text that `_write` joins and hands on at a time, at most
+# this many plus those of one innermost container
+_BATCH = 1024
+
+
+def _write(obj, out: list, newline: str, sink) -> None:
     """Append `obj` to `out` as json.dumps(indent=2, sort_keys=True) writes
     it at the depth whose lines start with `newline`; a record is written
-    as the dict of its fields."""
+    as the dict of its fields. Whenever `out` holds _BATCH pieces after a
+    nested value, they go joined to sink(text) and `out` is cleared."""
     if isinstance(obj, dict):
         keys = sorted(obj)
         prefixes = [f"{_quote(key)}: " for key in keys]
@@ -80,21 +97,31 @@ def _write(obj, out: list, newline: str) -> None:
         spell = _SCALARS.get(type(value))
         if spell is None:
             out.append(separator + prefix)
-            _write(value, out, inner)
+            _write(value, out, inner, sink)
+            if len(out) >= _BATCH:
+                sink("".join(out))
+                out.clear()
         else:
             out.append(separator + prefix + spell(value))
         separator = "," + inner
     out.append(newline + brackets[1])
 
 
-def _json_bytes(obj) -> bytes:
-    """The UTF-8 bytes of `json.dumps(obj, indent=2, sort_keys=True)` and a
-    newline, written in one pass, with each record in `obj` as the dict of
-    its fields; dict keys must be strings."""
+def _json_batches(obj, sink) -> None:
+    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, written in
+    one pass, with each record in `obj` as the dict of its fields, into
+    sink(text) a batch at a time; dict keys must be strings."""
     out = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", sink)
     out.append("\n")
-    return "".join(out).encode("utf-8")
+    sink("".join(out))
+
+
+def _json_bytes(obj) -> bytes:
+    """The UTF-8 bytes of `_json_batches(obj)`, joined."""
+    batches = []
+    _json_batches(obj, batches.append)
+    return "".join(batches).encode("utf-8")
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -186,12 +213,12 @@ def cmd_run(args) -> int:
     warmup = _warmup_for(cfg, arrays)
     # every scheme runs before the first write, so a late failure leaves no
     # partial output
-    reports = [run(arrays, spec, cfg.geometry, cfg.timing, cfg.energy, warmup,
-                   cfg.interval_instructions) for spec in cfg.schemes]
+    reports = run_schemes(arrays, cfg.schemes, cfg.geometry, cfg.timing,
+                          cfg.energy, warmup, cfg.interval_instructions)
     os.makedirs(args.out, exist_ok=True)
     for report in reports:
         base = os.path.join(args.out, f"report-{report.scheme}")
-        _atomic_write(base + ".json", _json_bytes(report))
+        _write_json(base + ".json", report)
         _atomic_write(base + ".intervals.csv", _interval_csv(report))
         print(f"{report.scheme}: {report.total_energy_j:.6e} J, "
               f"{report.total_cycles} cycles, RPKI {report.rpki:.2f}, "
@@ -208,13 +235,11 @@ def cmd_compare(args) -> int:
                      warmup_instructions=warmup,
                      interval_instructions=cfg.interval_instructions)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "comparison.json"),
-                  _json_bytes(report.to_dict()))
+    _write_json(os.path.join(args.out, "comparison.json"), report.to_dict())
     _atomic_write(os.path.join(args.out, "comparison.csv"), _csv_bytes(
         _ROW_COLUMNS, [_row_cells(r) for r in report.rows]))
     for name, rep in report.reports.items():
-        _atomic_write(os.path.join(args.out, f"report-{name}.json"),
-                      _json_bytes(rep))
+        _write_json(os.path.join(args.out, f"report-{name}.json"), rep)
     print(f"baseline {report.baseline_name}: "
           f"{report.baseline.total_energy_j:.6e} J")
     for row in report.rows:

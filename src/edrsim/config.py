@@ -16,9 +16,10 @@ import math
 from .cache import CacheGeometry
 from .controller import ControllerConfig, default_config
 from .energy import EnergyParams, SchemeKind, builtin_params
+from .profiler import TimingParams
 from .record import Record
 from .refresh import RefreshConfig
-from .sim import SchemeSpec, TimingParams, check_scheme
+from .scheme import SchemeSpec, check_scheme
 from .trace import PhaseSpec, SyntheticTraceSpec
 
 

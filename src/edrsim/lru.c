@@ -11,9 +11,9 @@
  * - the functional pass (see cache.py), with a cache: a tag-only LRU step
  *   over flat arrays, applied to the main cache and to each size of DCR's
  *   profiling unit. A set is a row of `ways` tag slots; its first `fill`
- *   slots hold the resident tags, least recent first, and for RPV the
- *   record that last touched each. Without a cache the loop reads the
- *   record's code byte, which an earlier functional pass wrote;
+ *   slots hold the resident tags, least recent first, and for a fixed
+ *   replay the record that last touched each. Without a cache the loop
+ *   reads the record's code byte, which an earlier functional pass wrote;
  * - the timing pass again: the hit or miss latency and the tallies. The
  *   loop stops after a record that closes an interval.
  *
@@ -62,7 +62,8 @@ struct cache {
 };
 
 /* What a run's passes read and write; a NULL cache skips the functional
- * pass and a NULL clock the timing pass. */
+ * pass, a NULL clock the timing pass and NULL codes the store of the code
+ * bytes. */
 struct run {
     const int64_t *layout;
     const uint64_t *addrs;
@@ -70,7 +71,7 @@ struct run {
     /* the functional pass */
     struct cache *cache;
     const uint8_t *writes;
-    int32_t *last_touch;
+    int32_t *last_touch; /* which RPV's timing pass reads */
     int64_t n_sizes; /* the profiling unit's, sampled one set in ratio */
     uint64_t ratio;
     uint64_t *unit_tags;
@@ -86,7 +87,8 @@ struct run {
     int64_t n_banks;
     int64_t *counts;
     int64_t phases;
-    int32_t *phase_touch;
+    uint8_t *phase_of; /* RPV's, of phase_bytes (1 or 4) per record */
+    int64_t phase_bytes;
 };
 
 static int64_t set_of(const int64_t *layout, uint64_t addr)
@@ -150,7 +152,7 @@ static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *touch,
  * block % sets, is sampled: the size's row block / ratio % unit_rows[u],
  * counted from the rows of the sizes before it. Size u counts misses,
  * load misses and accesses at unit_counts[3u..3u + 2]. Returns the
- * record's code byte, also stored. */
+ * record's code byte, also stored if the run binds codes. */
 static int replay(const struct run *run, int64_t r, int64_t set,
                   int64_t bank)
 {
@@ -172,7 +174,8 @@ static int replay(const struct run *run, int64_t r, int64_t set,
         run->last_touch[r] = touch[last];
         touch[last] = (int32_t)r;
     }
-    run->codes[r] = (uint8_t)code;
+    if (run->codes)
+        run->codes[r] = (uint8_t)code;
     if (!run->n_sizes || tag % run->ratio)
         return code;
     for (int64_t u = 0, first = 0; u < run->n_sizes;
@@ -210,18 +213,18 @@ static int replay(const struct run *run, int64_t r, int64_t set,
  * A boundary refreshes, in each bank b, counts[b * phases + phase] lines
  * at the phase it opens, and holds the bank one cycle per line. DCR binds
  * the cache's valid_by_bank as counts, so that a refresh covers the valid
- * lines. With phase_touch (RPV), a copy of the last-touch column, a record
- * adds one at the current phase and a hit or an eviction takes one from
- * phase_touch[phase_touch[r]], the phase that the record last touching
- * the line wrote over its index, as phase_touch[r] gets r's own. A record
- * whose entry names no earlier record, or whose phase is out of range,
- * stops the loop at once, which returns -1 - r. */
+ * lines. With phase_of (RPV), the timing pass also reads a fixed
+ * replay's last-touch column: a record adds one at the current phase, and
+ * a hit or an eviction takes one from phase_of[last_touch[r]], the phase
+ * of the record that last touched the line, as phase_of[r] gets r's own.
+ * A record whose last-touch entry names no earlier record stops the loop
+ * at once, which returns -1 - r. */
 int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
 {
     const int64_t *layout = run->layout;
     int64_t *counts = run->counts, *bank_busy = run->bank_busy;
-    int32_t *touch = run->phase_touch;
-    int64_t phases = run->phases, r;
+    uint8_t *phase_of = run->phase_of;
+    int64_t phases = run->phases, wide = run->phase_bytes == 4, r;
     struct clock k = {0};
     int64_t since; /* the cycle from which this call counts cycles */
 
@@ -267,16 +270,20 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
         code = run->cache ? replay(run, r, set, bank) : run->codes[r];
         if (!run->clock)
             continue;
-        if (touch) {
-            int32_t t = touch[r];
+        if (phase_of) {
+            int32_t t = run->last_touch[r];
 
             if (t >= 0) {
-                if (t >= r || touch[t] < 0 || touch[t] >= phases)
+                if (t >= r)
                     return -1 - r;
-                counts[bank * phases + touch[t]]--;
+                counts[bank * phases
+                       + (wide ? ((int32_t *)phase_of)[t] : phase_of[t])]--;
             }
             counts[bank * phases + k.phase]++;
-            touch[r] = (int32_t)k.phase;
+            if (wide)
+                ((int32_t *)phase_of)[r] = (int32_t)k.phase;
+            else
+                phase_of[r] = (uint8_t)k.phase;
         }
         if (code & HIT) {
             k.now += run->hit_cycles;

@@ -15,7 +15,10 @@ refresh bursts and bank waits. The functional pass does not depend on
 time, so baseline, RPV and SRAM share one: `fixed_replay` builds it, with
 RPV's last-touch column, and keeps it for the next run on the same trace
 and geometry. DCR replays each interval only after the controller has
-acted on the previous one.
+acted on the previous one, and times each record as it replays it, so it
+stores no codes. `run_schemes` runs DCR on the calling thread while a
+helper thread takes the fixed replay's functional pass, when it has no
+kept one: the compiled loop releases the GIL.
 
 Both passes are one compiled record loop (lru.c's edr_run), which `run`
 binds once (`cache.Passes`), DCR with the functional pass and the others
@@ -24,7 +27,10 @@ instructions and cycles, fires the refresh boundaries due by then, waits
 out a burst on the record's bank, takes the functional pass or reads the
 code, updates the counters an event reads (DCR's valid lines per bank;
 RPV's valid lines per bank and last-touch phase), adds the hit or miss
-latency and tallies the outcome. The loop itself finds where warm-up ends,
+latency and tallies the outcome. RPV reads the fixed replay's last-touch
+column and keeps each record's phase in a column of its own, a byte per
+record for up to 256 phases and 4 above that, so the kept replay is never
+written. The loop itself finds where warm-up ends,
 restarting its tallies there, and stops after a record that closes an
 interval. Its clock, bank timers and counters carry from one call to the
 next; `run` reads each interval's tallies and lets DCR's controller act.
@@ -32,143 +38,18 @@ DCR's records find their sets through the cache's own layout, which a
 reconfiguration rewrites, so the next call follows the new mapping.
 """
 
+import threading
 import weakref
 from array import array
 
 from . import cache as _cache
 from .cache import CacheGeometry, CacheState, Replay, reconfigure, zeros
-from .controller import ControllerConfig, Decision, candidate_space, select
-from .energy import EnergyBreakdown, EnergyParams, SchemeKind, interval_energy
-from .profiler import IntervalStats, ProfilingUnit, TimingParams, sampled_rows
+from .controller import Decision, select
+from .energy import EnergyParams, SchemeKind, interval_energy
+from .profiler import IntervalStats, ProfilingUnit, TimingParams
 from .record import Record
-from .refresh import RefreshConfig
+from .scheme import RunReport, SchemeConfigError, SchemeSpec, check_run
 from .trace import TraceArrays
-
-
-class SchemeConfigError(ValueError):
-    pass
-
-
-class SchemeSpec(Record):
-    def __init__(self, kind: SchemeKind, refresh: RefreshConfig | None = None,
-                 controller: ControllerConfig | None = None,
-                 energy: EnergyParams | None = None, name: str = ""):
-        self.kind = kind
-        self.refresh = refresh
-        self.controller = controller
-        self.energy = energy  # falls back to the run's shared params
-        self.name = name or kind.value
-        if kind is SchemeKind.SRAM:
-            if refresh is not None:
-                raise SchemeConfigError("SRAM scheme takes no refresh config")
-        elif refresh is None:
-            raise SchemeConfigError(f"{kind.value} scheme needs a refresh config")
-        if kind is SchemeKind.DCR:
-            if controller is None:
-                raise SchemeConfigError("DCR scheme needs a controller config")
-        elif controller is not None:
-            raise SchemeConfigError(
-                f"{kind.value} scheme must not carry a controller config")
-        if kind in (SchemeKind.BASELINE_EDRAM, SchemeKind.DCR):
-            if refresh.phases != 1:
-                raise SchemeConfigError(
-                    f"{kind.value} scheme uses whole-period refresh (phases=1)")
-
-
-class RunReport(Record):
-    def __init__(self, scheme: str, kind: SchemeKind, warmup_instructions: int,
-                 instructions: int, total_cycles: int, total_energy_j: float,
-                 energy_components: dict, rpki: float, mpki: float,
-                 active_ratio_pct: float, total_refreshed_lines: int,
-                 total_l2_hits: int, total_l2_misses: int,
-                 intervals: list[IntervalStats], decisions: list[Decision]):
-        self.scheme = scheme
-        self.kind = kind
-        self.warmup_instructions = warmup_instructions
-        self.instructions = instructions
-        self.total_cycles = total_cycles
-        self.total_energy_j = total_energy_j
-        self.energy_components = energy_components
-        self.rpki = rpki
-        self.mpki = mpki
-        self.active_ratio_pct = active_ratio_pct
-        self.total_refreshed_lines = total_refreshed_lines
-        self.total_l2_hits = total_l2_hits
-        self.total_l2_misses = total_l2_misses
-        self.intervals = intervals
-        self.decisions = decisions
-
-    @classmethod
-    def from_intervals(cls, scheme: SchemeSpec, warmup_instructions: int,
-                       intervals: list[IntervalStats],
-                       decisions: list[Decision]) -> "RunReport":
-        """The run totals of a scheme's closed intervals."""
-        instructions = sum(iv.instructions for iv in intervals)
-        total_cycles = sum(iv.elapsed_cycles for iv in intervals)
-        total_refreshed = sum(iv.refreshed_lines for iv in intervals)
-        total_hits = sum(iv.l2_hits for iv in intervals)
-        total_misses = sum(iv.l2_misses for iv in intervals)
-        components = {name: sum(getattr(iv.energy, name) for iv in intervals)
-                      for name in EnergyBreakdown._fields if name != "total"}
-        total_energy = sum(iv.energy.total for iv in intervals)
-        kilo = instructions / 1000.0 if instructions else 1.0
-        if total_cycles:
-            active_ratio = 100.0 * sum(
-                iv.active_fraction * iv.elapsed_cycles
-                for iv in intervals) / total_cycles
-        else:
-            active_ratio = 100.0
-
-        return cls(
-            scheme=scheme.name,
-            kind=scheme.kind,
-            warmup_instructions=warmup_instructions,
-            instructions=instructions,
-            total_cycles=total_cycles,
-            total_energy_j=total_energy,
-            energy_components=components,
-            rpki=total_refreshed / kilo,
-            mpki=total_misses / kilo,
-            active_ratio_pct=active_ratio,
-            total_refreshed_lines=total_refreshed,
-            total_l2_hits=total_hits,
-            total_l2_misses=total_misses,
-            intervals=intervals,
-            decisions=decisions,
-        )
-
-
-def check_scheme(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
-    """Reject a scheme that cannot run on this geometry, before any record:
-    a refresh burst longer than the retention period, which would hold its
-    bank forever; a DCR c_min above the colors; no candidate at the first
-    decision, from the full size (each later allocation is a candidate); a
-    profiling unit that cannot sample 1 set in sampling_ratio_denom."""
-    if scheme.refresh is not None:
-        lines = geometry.total_lines // geometry.num_banks
-        period = scheme.refresh.retention_cycles
-        if lines >= period:
-            raise SchemeConfigError(
-                f"{scheme.name}: refreshing a bank of {lines} lines takes "
-                f"{lines} cycles, which does not fit in the {period}-cycle "
-                f"retention period")
-    cfg = scheme.controller
-    if cfg is None:
-        return
-    m_total = geometry.color_count
-    if cfg.c_min > m_total:
-        raise SchemeConfigError(
-            f"{scheme.name}: c_min {cfg.c_min} exceeds the {m_total} colors "
-            f"of a {geometry.size_bytes // 1024} KB cache")
-    if not candidate_space(m_total, m_total, cfg):
-        raise SchemeConfigError(
-            f"{scheme.name}: no multiple of granularity {cfg.granularity} "
-            f"lies in [{max(cfg.c_min, m_total - cfg.delta)}, {m_total}], "
-            f"the candidates of the full-size cache")
-    try:
-        sampled_rows(geometry, cfg.sampling_ratio_denom)
-    except ValueError as exc:
-        raise SchemeConfigError(f"{scheme.name}: {exc}") from None
 
 
 # slots of the timing pass's clock (lru.c's struct clock): the cycle, the
@@ -190,6 +71,32 @@ def _drop_kept(trace_ref) -> None:
         _kept = None
 
 
+def _kept_for(trace: TraceArrays, geometry: CacheGeometry) -> Replay | None:
+    if _kept is not None and _kept[0]() is trace and _kept[1] == geometry:
+        return _kept[2]
+    return None
+
+
+def _fixed_pass(trace: TraceArrays, geometry: CacheGeometry):
+    """A new fixed replay of the trace, and its functional pass, bound on a
+    cache of its own but not yet taken. Drops the kept replay first."""
+    global _kept
+    _kept = None
+    n = len(trace)
+    if n >= 1 << 31:
+        raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
+                         f"records with int32, not {n}")
+    out = Replay(n, last_touch=True)
+    passes = _cache.Passes(geometry, trace.addrs, out)
+    passes.bind_cache(CacheState(geometry, touch=True), trace.ops)
+    return out, passes
+
+
+def _keep(trace: TraceArrays, geometry: CacheGeometry, out: Replay) -> None:
+    global _kept
+    _kept = (weakref.ref(trace, _drop_kept), geometry, out)
+
+
 def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     """The functional pass of a scheme that never remaps the cache.
 
@@ -201,20 +108,11 @@ def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
     before building a new one, so at most one is alive. A trace's columns
     must not change once it has been replayed.
     """
-    global _kept
-    if _kept is not None and _kept[0]() is trace and _kept[1] == geometry:
-        return _kept[2]
-    _kept = None
-    n = len(trace)
-    if n >= 1 << 31:
-        raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
-                         f"records with int32, not {n}")
-    out = Replay(n)
-    out.last_touch = zeros("i", n)
-    passes = _cache.Passes(geometry, trace.addrs, out)
-    passes.bind_cache(CacheState(geometry), trace.ops)
-    passes(0, n)
-    _kept = (weakref.ref(trace, _drop_kept), geometry, out)
+    out = _kept_for(trace, geometry)
+    if out is None:
+        out, passes = _fixed_pass(trace, geometry)
+        passes(0, len(out))
+        _keep(trace, geometry, out)
     return out
 
 
@@ -257,44 +155,23 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     warm-up is a tenth of the trace, and an interval is 10,000,000
     instructions for every scheme.
     """
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
+    warmup_instructions, interval_instructions = check_run(
+        trace, scheme, geometry, timing, warmup_instructions,
+        interval_instructions)
     if scheme.energy is not None:
         params = scheme.energy
-    check_scheme(scheme, geometry)
-
-    total_instr = trace.instructions
-    if warmup_instructions is None:
-        warmup_instructions = total_instr // 10
-    if not 0 <= warmup_instructions < total_instr:
-        raise ValueError(f"warm-up of {warmup_instructions} instructions must "
-                         f"be >= 0 and shorter than the trace")
 
     kind = scheme.kind
     is_dcr = kind is SchemeKind.DCR
     is_rpv = kind is SchemeKind.RPV
     refresh_cfg = scheme.refresh
     ctrl_cfg = scheme.controller
-    if interval_instructions is None:
-        interval_instructions = 10_000_000
-    if not 1 <= interval_instructions < 1 << 63:
-        raise ValueError("interval_instructions must be >= 1 and below 2**63")
-
     n = len(trace)
-    # the kernel's int64 clock stays below 2**62, a run's boundary without
-    # refresh: per record, it gains the gap in cycles (rounded), a latency
-    # and a wait on a refresh burst, which holds a bank for at most its lines
-    wait = geometry.total_lines // geometry.num_banks if refresh_cfg else 0
-    if total_instr * timing.base_cpi + n * (1 + timing.l2_hit_cycles
-                                            + timing.dram_latency_cycles
-                                            + wait) >= 1 << 62:
-        raise ValueError(f"{total_instr} instructions at base_cpi "
-                         f"{timing.base_cpi} could take 2**62 cycles or more")
     m_total = geometry.color_count
     if is_dcr:
         state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
         unit = ProfilingUnit(geometry, ctrl_cfg.sampling_ratio_denom)
-        replay = Replay(n)
+        replay = Replay(n, codes=False)
     else:
         state = unit = None
         replay = fixed_replay(trace, geometry)
@@ -327,11 +204,9 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     passes = _cache.Passes(geometry, trace.addrs, replay)
     if is_dcr:
         passes.bind_cache(state, trace.ops, unit)
-    # RPV times a copy of the last-touch column, which the pass overwrites
-    # with phases
     passes.bind_timing(trace.gaps, clock, bank_busy, counts,
-                       replay.last_touch[:] if is_rpv else None,
-                       timing.base_cpi, hit_cycles, miss_cost, k_phases)
+                       timing.base_cpi, hit_cycles, miss_cost, k_phases,
+                       by_phase=is_rpv)
 
     carry_writebacks = carry_switched = 0
     active_fraction = 1.0
@@ -435,12 +310,59 @@ class ComparisonReport(Record):
         }
 
 
+def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
+                geometry: CacheGeometry, timing: TimingParams,
+                params: EnergyParams, warmup_instructions: int | None = None,
+                interval_instructions: int | None = None) -> list[RunReport]:
+    """`run` every scheme on the same trace; the reports in scheme order.
+
+    When DCR runs beside a scheme that never remaps and no fixed replay of
+    this trace and geometry is kept, a helper thread takes the fixed
+    replay's functional pass while this thread runs DCR: the compiled loop
+    releases the GIL, and the two passes share only the trace, which
+    neither writes. Before that, every scheme is checked in order, so the
+    first invalid one raises its own error before any record is replayed;
+    after it, the fixed schemes time the replay here.
+    """
+    args = (geometry, timing, params, warmup_instructions,
+            interval_instructions)
+    dcr = [i for i, s in enumerate(schemes) if s.kind is SchemeKind.DCR]
+    reports = {}
+    if 0 < len(dcr) < len(schemes) and _kept_for(trace, geometry) is None:
+        for scheme in schemes:
+            check_run(trace, scheme, geometry, timing, warmup_instructions,
+                      interval_instructions)
+        out, passes = _fixed_pass(trace, geometry)
+        # the helper holds the only reference to the pass, and with it to
+        # the pass's cache, which it frees as soon as the pass returns
+        job, failed = [passes], []
+        del passes
+
+        def take_fixed_pass():
+            try:
+                job.pop()(0, len(out))
+            except BaseException as exc:
+                failed.append(exc)
+
+        helper = threading.Thread(target=take_fixed_pass)
+        helper.start()
+        try:
+            for i in dcr:
+                reports[i] = run(trace, schemes[i], *args)
+        finally:
+            helper.join()
+        if failed:
+            raise failed[0]
+        _keep(trace, geometry, out)
+    return [reports[i] if i in reports else run(trace, scheme, *args)
+            for i, scheme in enumerate(schemes)]
+
+
 def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeometry,
             timing: TimingParams, params: EnergyParams,
             warmup_instructions: int | None = None,
             interval_instructions: int | None = None) -> ComparisonReport:
-    """`run` every scheme on the same trace and report metrics vs the
-    baseline.
+    """`run_schemes` on the same trace and report metrics vs the baseline.
 
     The first scheme with the baseline-eDRAM kind is the reference; every
     other scheme gets a comparison row.
@@ -453,8 +375,8 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
     if baseline_idx is None or len(schemes) < 2:
         raise SchemeConfigError("compare needs >= 2 schemes including the baseline")
 
-    reports = [run(trace, spec, geometry, timing, params, warmup_instructions,
-                   interval_instructions) for spec in schemes]
+    reports = run_schemes(trace, schemes, geometry, timing, params,
+                          warmup_instructions, interval_instructions)
     base = reports[baseline_idx]
     rows = [comparison_row(base, rep) for i, rep in enumerate(reports)
             if i != baseline_idx]

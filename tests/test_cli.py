@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,14 +13,17 @@ from hypothesis import strategies as st
 
 import edrsim
 import oracles
-from edrsim.cli import _json_bytes, main
+from edrsim import sim
+from edrsim.cli import _json_batches, _json_bytes, _write_json, main
 from edrsim.config import ConfigError, load_config, load_sweep
-from edrsim.cache import Replay
+from edrsim.cache import CacheState, Passes, Replay
 from edrsim.controller import Candidate, Decision
 from edrsim.energy import EnergyBreakdown, SchemeKind
 from edrsim.profiler import IntervalStats
-from edrsim.sim import ComparisonRow, RunReport, compare
-from edrsim.trace import generate_synthetic, read_trace_arrays
+from edrsim.refresh import RefreshConfig
+from edrsim.sim import (ComparisonRow, RunReport, SchemeConfigError, compare,
+                        run, run_schemes)
+from edrsim.trace import TraceArrays, generate_synthetic, read_trace_arrays
 
 BASE_CONFIG = """
 [geometry]
@@ -486,8 +490,8 @@ def replays_built(monkeypatch):
     built = []
 
     class Counted(Replay):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append(self)
     monkeypatch.setattr("edrsim.sim.Replay", Counted)
 
@@ -524,6 +528,177 @@ def test_one_fixed_replay_per_trace_and_geometry(config_file, tmp_path,
     assert main([command[0], "--config", config_file,
                  "--out", str(tmp_path / "out"), *command[1:]]) == 0
     assert replays_built() == builds
+
+
+@pytest.fixture
+def helpers_started(monkeypatch):
+    """The helper threads `run_schemes` starts, counted."""
+    started = []
+
+    class Counted(sim.threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(sim.threading, "Thread", Counted)
+    return started
+
+
+def _serial_runs(cfg, trace, warmup=None):
+    """Each scheme's `run`, one after another, on a copy of the trace (a
+    new object, so no fixed replay kept for `trace` is reused)."""
+    copy = TraceArrays(trace.gaps, trace.ops, trace.addrs)
+    return [run(copy, spec, cfg.geometry, cfg.timing, cfg.energy, warmup,
+                cfg.interval_instructions) for spec in cfg.schemes]
+
+
+def test_run_schemes_and_compare_equal_serial_runs(config_file,
+                                                   helpers_started):
+    cfg = load_config(config_file)
+    assert {s.kind for s in cfg.schemes} == set(SchemeKind)
+    trace = generate_synthetic(cfg.synthetic)
+    want = _serial_runs(cfg, trace, 40_000)
+    got = run_schemes(trace, cfg.schemes, cfg.geometry, cfg.timing,
+                      cfg.energy, 40_000, cfg.interval_instructions)
+    assert got == want
+    trace = generate_synthetic(cfg.synthetic)
+    report = compare(trace, cfg.schemes, cfg.geometry, cfg.timing,
+                     cfg.energy, 40_000, cfg.interval_instructions)
+    assert list(report.reports.values()) == want
+    # one helper each; a second call on the same trace reuses its replay
+    assert len(helpers_started) == 2
+    compare(trace, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
+            40_000, cfg.interval_instructions)
+    assert len(helpers_started) == 2
+
+
+@pytest.mark.parametrize("parameter, values, helpers", [
+    ("l2_size_kb", ["64", "128"], 2), ("beta", ["1", "3"], 1)])
+def test_sweep_values_equal_serial_runs(config_file, helpers_started,
+                                        parameter, values, helpers):
+    # as `edrsim sweep` runs them: one trace, one compare per value
+    configs = load_sweep(config_file, parameter, values)
+    trace = generate_synthetic(configs[0].synthetic)
+    reports = [compare(trace, cfg.schemes, cfg.geometry, cfg.timing,
+                       cfg.energy,
+                       interval_instructions=cfg.interval_instructions)
+               for cfg in configs]
+    # a new geometry per cache size; the beta values share one replay
+    assert len(helpers_started) == helpers
+    for cfg, report in zip(configs, reports, strict=True):
+        assert list(report.reports.values()) == _serial_runs(cfg, trace)
+
+
+def test_failures_beside_the_helper_leave_no_thread(config_file,
+                                                    monkeypatch):
+    cfg = load_config(config_file)
+    trace = generate_synthetic(cfg.synthetic)
+    threads = threading.active_count()
+    report = compare(trace, cfg.schemes, cfg.geometry, cfg.timing,
+                     cfg.energy,
+                     interval_instructions=cfg.interval_instructions)
+    assert report.reports["dcr"].decisions
+    assert threading.active_count() == threads
+
+    # DCR fails on this thread: its exception, once the helper is joined
+    error = RuntimeError("select failed")
+
+    def fail(*args):
+        raise error
+    monkeypatch.setattr(sim, "select", fail)
+    with pytest.raises(RuntimeError) as caught:
+        compare(generate_synthetic(cfg.synthetic), cfg.schemes, cfg.geometry,
+                cfg.timing, cfg.energy,
+                interval_instructions=cfg.interval_instructions)
+    assert caught.value is error
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+
+    # the fixed pass fails on the helper: its exception, and no replay kept
+    fixed_pass = sim._fixed_pass
+
+    def failing_pass(trace, geometry):
+        out, _ = fixed_pass(trace, geometry)
+
+        def take(lo, hi):
+            raise ValueError("fixed pass failed")
+        return out, take
+    monkeypatch.setattr(sim, "_fixed_pass", failing_pass)
+    trace = generate_synthetic(cfg.synthetic)
+    with pytest.raises(ValueError, match="fixed pass failed"):
+        compare(trace, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
+                interval_instructions=cfg.interval_instructions)
+    assert threading.active_count() == threads
+    assert sim._kept_for(trace, cfg.geometry) is None
+
+
+def test_first_invalid_scheme_in_order_fails_before_any_replay(
+        config_file, helpers_started, monkeypatch):
+    # a baseline whose refresh burst outlasts its retention period, listed
+    # before a DCR scheme whose c_min exceeds the colors
+    cfg = load_config(config_file)
+    baseline, rpv, sram, dcr = cfg.schemes
+    baseline.refresh = RefreshConfig(100)
+    dcr.controller.c_min = 99
+    built = []
+    monkeypatch.setattr(sim, "Replay",
+                        lambda *a, **k: built.append(a) or Replay(*a, **k))
+    trace = generate_synthetic(cfg.synthetic)
+    rest = (cfg.geometry, cfg.timing, cfg.energy)
+    for schemes, error in [([baseline, rpv, sram, dcr], "baseline: refreshing"),
+                           ([sram, dcr, rpv, baseline], "dcr: c_min 99")]:
+        with pytest.raises(SchemeConfigError, match=error):
+            compare(trace, schemes, *rest)
+        with pytest.raises(SchemeConfigError, match=error):
+            run_schemes(trace, schemes, *rest)
+    assert built == [] and helpers_started == []
+
+
+def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
+    # DCR times each record as it replays it, so it reads no code byte
+    # back, and without a last-touch column its cache needs no touch array
+    made = []
+
+    def record(cls):
+        return lambda *a, **k: made.append(cls(*a, **k)) or made[-1]
+    monkeypatch.setattr(sim, "Replay", record(Replay))
+    monkeypatch.setattr(sim, "CacheState", record(CacheState))
+    cfg = load_config(config_file)
+    trace = generate_synthetic(cfg.synthetic)
+    compare(trace, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
+            interval_instructions=cfg.interval_instructions)
+    # the fixed replay and its cache, then DCR's cache and replay
+    fixed_out, fixed_cache, dcr_cache, dcr_out = made
+    assert fixed_out.codes is not None and fixed_out.last_touch is not None
+    assert fixed_cache.touch is not None and dcr_cache.touch is None
+    assert dcr_out.codes is None and dcr_out.last_touch is None
+    with pytest.raises(ValueError, match="without codes needs a cache"):
+        Passes(cfg.geometry, trace.addrs, Replay(len(trace), codes=False))(
+            0, 1)
+
+
+@pytest.mark.parametrize("batch", [16, 1024])
+def test_json_is_written_in_bounded_batches(config_file, tmp_path,
+                                            monkeypatch, batch):
+    monkeypatch.setattr("edrsim.cli._BATCH", batch)
+    cfg = load_config(config_file)
+    report = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
+                     cfg.geometry, cfg.timing, cfg.energy,
+                     interval_instructions=cfg.interval_instructions)
+    dcr = report.reports["dcr"]
+    batches = []
+    _json_batches(dcr, batches.append)
+    text = "".join(batches)
+    assert len(batches) > len(text) // (200 * batch)
+    # a batch is at most `batch` pieces plus those of one innermost
+    # container (a candidate, an interval), each piece a line of < 100
+    # characters
+    assert max(len(b) for b in batches) < 200 * batch
+    assert text.encode() == _json_bytes(dcr)
+    out = tmp_path / "out"
+    for name, doc in [("dcr.json", dcr), ("cmp.json", report.to_dict())]:
+        _write_json(str(out / name), doc)
+        assert (out / name).read_bytes() == _json_bytes(doc)
+    assert sorted(os.listdir(out)) == ["cmp.json", "dcr.json"]
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])

@@ -23,8 +23,9 @@ from edrsim.energy import SchemeKind, builtin_params
 from edrsim import profiler
 from edrsim.profiler import ProfilingUnit
 from edrsim.refresh import RefreshConfig
-from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams,
-                        check_scheme, compare, fixed_replay, run)
+from edrsim.scheme import check_scheme
+from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams, compare,
+                        fixed_replay, run)
 from edrsim.trace import (PhaseSpec, SyntheticTraceSpec, TraceArrays,
                           generate_synthetic)
 
@@ -193,6 +194,21 @@ def test_rpv_with_more_phases_than_a_byte_holds():
     trace = _trace(seed=9)
     scheme = SchemeSpec(kind=SchemeKind.RPV,
                         refresh=RefreshConfig(3000, 300))
+    timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
+    kwargs = dict(interval_instructions=50_000)
+    got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
+    want = reference_run(trace, scheme, geometry, timing, EDRAM, **kwargs)
+    assert got == want
+    assert got.total_refreshed_lines > 0
+
+
+@pytest.mark.parametrize("phases", [256, 257])
+def test_rpv_phase_column_at_the_width_boundary(phases):
+    # 256 phases are the most a byte per record numbers; 257 take 4 bytes
+    geometry = _geometry(2)
+    trace = _trace(seed=11)
+    scheme = SchemeSpec(kind=SchemeKind.RPV,
+                        refresh=RefreshConfig(10 * phases, phases))
     timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
     kwargs = dict(interval_instructions=50_000)
     got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
