@@ -2,13 +2,11 @@
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
 import sys
 import tempfile
-from itertools import repeat
 
 from . import trace as trace_mod
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
@@ -38,90 +36,51 @@ def _atomic_write(path: str, data: bytes) -> None:
     _replace(path, lambda fh: fh.write(data))
 
 
-def _write_json(path: str, obj) -> None:
-    """`_json_bytes(obj)` into `path`, written a batch at a time."""
-    _replace(path, lambda fh: _json_batches(
-        obj, lambda text: fh.write(text.encode("utf-8"))))
+def _plain(obj):
+    """json's `default` hook: a record as the dict of its fields, a scheme
+    kind as its value."""
+    if isinstance(obj, Record):
+        return {name: getattr(obj, name) for name in obj._fields}
+    if isinstance(obj, SchemeKind):
+        return obj.value
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-_INF = float("inf")
-_quote = json.encoder.encode_basestring_ascii
-# how json.dumps spells a scalar of each of these exact types, and a
-# report's scheme kind as its value; any other leaf (a subclass of one, or
-# no JSON type) goes to json.dumps itself
-_SCALARS = {str: _quote, int: int.__repr__, type(None): lambda _: "null",
-            bool: lambda value: "true" if value else "false",
-            float: lambda value: float.__repr__(value)
-            if -_INF < value < _INF else json.dumps(value),
-            SchemeKind: lambda kind: _quote(kind.value)}
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           default=_plain).encode
 
 
-@functools.cache
-def _field_keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-    """A record class's field names, sorted, and their `"name": ` prefixes;
-    None for any other type."""
-    if not issubclass(cls, Record):
-        return None
-    names = tuple(sorted(cls._fields))
-    return names, tuple(f"{_quote(name)}: " for name in names)
-
-
-# pieces of JSON text that `_write` joins and hands on at a time, at most
-# this many plus those of one innermost container
-_BATCH = 1024
-
-
-def _write(obj, out: list, newline: str, sink) -> None:
-    """Append `obj` to `out` as json.dumps(indent=2, sort_keys=True) writes
-    it at the depth whose lines start with `newline`; a record is written
-    as the dict of its fields. Whenever `out` holds _BATCH pieces after a
-    nested value, they go joined to sink(text) and `out` is cleared."""
-    if isinstance(obj, dict):
-        keys = sorted(obj)
-        prefixes = [f"{_quote(key)}: " for key in keys]
-        values, brackets = [obj[key] for key in keys], "{}"
-    elif isinstance(obj, (list, tuple)):
-        prefixes, values, brackets = repeat(""), obj, "[]"
-    elif (keys := _field_keys(type(obj))) is not None:
-        names, prefixes = keys
-        values, brackets = [getattr(obj, name) for name in names], "{}"
-    else:
-        out.append(_SCALARS.get(type(obj), json.dumps)(obj))
+def _json_pieces(obj):
+    """`_encode(obj)` and a newline, in pieces: each element of a list under
+    a top-level key (a report's intervals and decisions, comparison rows) is
+    encoded on its own, so no piece holds more than one of them. Dict keys
+    must be strings."""
+    if isinstance(obj, Record):
+        obj = _plain(obj)
+    if not isinstance(obj, dict) or not obj:
+        yield _encode(obj) + "\n"
         return
-    if not values:
-        out.append(brackets)
-        return
-    inner = newline + "  "
-    separator = brackets[0] + inner
-    for prefix, value in zip(prefixes, values):
-        spell = _SCALARS.get(type(value))
-        if spell is None:
-            out.append(separator + prefix)
-            _write(value, out, inner, sink)
-            if len(out) >= _BATCH:
-                sink("".join(out))
-                out.clear()
+    head = "{"
+    for key in sorted(obj):
+        value = obj[key]
+        head += _encode(key) + ":"
+        if isinstance(value, list) and value:
+            head += "["
+            for item in value:
+                yield head + _encode(item)
+                head = ","
+            head = "],"
         else:
-            out.append(separator + prefix + spell(value))
-        separator = "," + inner
-    out.append(newline + brackets[1])
+            yield head + _encode(value)
+            head = ","
+    yield head[:-1] + "}\n"
 
 
-def _json_batches(obj, sink) -> None:
-    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, written in
-    one pass, with each record in `obj` as the dict of its fields, into
-    sink(text) a batch at a time; dict keys must be strings."""
-    out = []
-    _write(obj, out, "\n", sink)
-    out.append("\n")
-    sink("".join(out))
-
-
-def _json_bytes(obj) -> bytes:
-    """The UTF-8 bytes of `_json_batches(obj)`, joined."""
-    batches = []
-    _json_batches(obj, batches.append)
-    return "".join(batches).encode("utf-8")
+def _write_json(path: str, obj) -> None:
+    """`obj` as compact JSON with sorted keys into `path`, a piece at a
+    time."""
+    _replace(path, lambda fh: fh.writelines(
+        piece.encode() for piece in _json_pieces(obj)))
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -193,9 +152,8 @@ def cmd_gen_trace(args) -> int:
     arrays = trace_mod.generate_synthetic(_with_seed(cfg.synthetic, args.seed))
     header = TraceHeader(record_count=len(arrays),
                          page_size_bytes=cfg.geometry.page_bytes)
-    buf = io.BytesIO()
-    trace_mod.write_trace_arrays(arrays, header, buf)
-    _atomic_write(args.out, buf.getvalue())
+    _replace(args.out,
+             lambda fh: trace_mod.write_trace_arrays(arrays, header, fh))
     print(f"wrote {len(arrays)} records ({arrays.instructions} instructions) "
           f"to {args.out}")
     return 0

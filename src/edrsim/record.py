@@ -1,9 +1,10 @@
 """Base of edrsim's record classes: configs, interval stats, reports.
 
 A record's fields are its `__init__`'s parameters, in order and each
-annotated with its type; `_fields` names them, and `cli._json_bytes` writes
-a record as the dict of them. Records of one class with equal fields are
-equal; a record class that is hashed hashes them (`_values`).
+annotated with its type; `_fields` names them, and the CLI's JSON writer
+writes a record as the dict of them (`cli._plain`). Records of one class
+with equal fields are equal; a record class that is hashed hashes them
+(`_values`).
 """
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import edrsim
 import oracles
 from edrsim import sim
-from edrsim.cli import _json_batches, _json_bytes, _write_json, main
+from edrsim.cli import _json_pieces, _write_json, main
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.cache import CacheState, Passes, Replay
 from edrsim.controller import Candidate, Decision
@@ -144,6 +144,24 @@ def test_gen_trace_and_determinism(config_file, tmp_path):
         header, arrays = read_trace_arrays(fh)
     assert header.record_count == len(arrays) > 0
     assert arrays.instructions == 800_000
+    assert hashlib.sha256(bytes_a).hexdigest() == \
+        "59ca7a6299ea781f0006b03005a9e72679e979a74a3fc8bdc2f1c836212e923b"
+
+
+def test_gen_trace_refusing_an_op_writes_no_file(config_file, tmp_path,
+                                                  monkeypatch, capsys):
+    generate = edrsim.trace.generate_synthetic
+
+    def with_a_bad_op(spec):
+        arrays = generate(spec)
+        arrays.ops[len(arrays) // 2] = 7
+        return arrays
+    monkeypatch.setattr("edrsim.trace.generate_synthetic", with_a_bad_op)
+    out = tmp_path / "out"
+    assert main(["gen-trace", "--config", config_file,
+                 "--out", str(out / "a.trace")]) == 1
+    assert "op 7 is neither READ" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_run_command_writes_reports(config_file, tmp_path):
@@ -376,6 +394,19 @@ _GOLDEN_SHA256 = {
 }
 
 
+def _json_digest(path) -> str:
+    """The sha256 a JSON report's golden digest records: of its document
+    indented as `json.dumps(indent=2, sort_keys=True)` writes it, plus a
+    newline. The file itself must be that document's compact, key-sorted,
+    ASCII encoding plus a newline, so the two pin its bytes."""
+    data = path.read_bytes()
+    doc = json.loads(data)
+    assert data == (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+                    + "\n").encode()
+    return hashlib.sha256(
+        (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+
+
 def test_reports_match_golden_digests(config_file, tmp_path):
     # criterion 10 compares two runs of one build; these digests pin the
     # report bytes across changes to the serialization code
@@ -386,8 +417,10 @@ def test_reports_match_golden_digests(config_file, tmp_path):
     digests = {}
     for sub in ("cmp", "sweep"):
         for name in os.listdir(tmp_path / sub):
-            data = (tmp_path / sub / name).read_bytes()
-            digests[f"{sub}/{name}"] = hashlib.sha256(data).hexdigest()
+            path = tmp_path / sub / name
+            digests[f"{sub}/{name}"] = _json_digest(path) \
+                if name.endswith(".json") else \
+                hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == _GOLDEN_SHA256
 
 
@@ -412,15 +445,26 @@ _JSON_DOCS = st.recursive(
 @given(_JSON_DOCS)
 @example({"a": [True, False, 1, 0, None, [], {}], "b": {"": -0.0},
           "\u00e9": [float("nan"), float("inf"), -float("inf"), 5e-324]})
+@example({"intervals": [], "rows": [1], "z": {}})
+@example({"decisions": [Candidate(2, 1.5, -0.0, float("inf"), False),
+                        EnergyBreakdown(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 2.1)],
+          "kind": SchemeKind.DCR, "rows": [SchemeKind.RPV, None]})
+@example({"a": [[1, [2, []]], [], [[{"b": [[]]}]]], "c": [[]]})
+@example([{"a": [1, 2]}, [], "\u00e9"])
+@example("top")
+@example({})
+@example(Candidate(3, 2.0, 0.5, 1e-9, True))
 def test_json_bytes_are_the_bytes_of_json_dumps(doc):
-    assert _json_bytes(doc) == \
-        (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    # the joined pieces are json.dumps's one-shot compact encoding, each
+    # record as the dict of its fields and a scheme kind as its value
+    assert "".join(_json_pieces(doc)) == json.dumps(
+        oracles.plain(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_json_bytes_of_reports_are_the_bytes_of_their_plain_trees(
-        config_file):
-    # every report kind, decisions and comparison rows included, against
-    # json.dumps of the report as a tree of dicts and lists
+        config_file, tmp_path):
+    # every report kind, decisions and comparison rows included, written to
+    # a file, reads back as the report as a tree of dicts and lists
     cfg = load_config(config_file)
     report = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
                      cfg.geometry, cfg.timing, cfg.energy,
@@ -429,8 +473,12 @@ def test_json_bytes_of_reports_are_the_bytes_of_their_plain_trees(
     assert {run.kind for run in runs} == set(SchemeKind)
     assert report.reports["dcr"].decisions
     for doc in [*runs, report.to_dict()]:
-        assert _json_bytes(doc) == (json.dumps(
-            oracles.plain(doc), indent=2, sort_keys=True) + "\n").encode()
+        path = tmp_path / "doc.json"
+        _write_json(str(path), doc)
+        data = path.read_bytes()
+        assert json.loads(data) == oracles.plain(doc)
+        assert data == (json.dumps(oracles.plain(doc), sort_keys=True,
+                                   separators=(",", ":")) + "\n").encode()
 
 
 def test_json_keys_are_the_record_fields(config_file):
@@ -440,9 +488,9 @@ def test_json_keys_are_the_record_fields(config_file):
     report = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
                      cfg.geometry, cfg.timing, cfg.energy,
                      interval_instructions=cfg.interval_instructions)
-    doc = json.loads(_json_bytes(report.reports["dcr"]))
+    doc = json.loads("".join(_json_pieces(report.reports["dcr"])))
     decision = doc["decisions"][0]
-    row = json.loads(_json_bytes(report.rows[0]))
+    row = json.loads("".join(_json_pieces(report.rows[0])))
     for keys, cls in [(doc, RunReport), (doc["intervals"][0], IntervalStats),
                       (doc["intervals"][0]["energy"], EnergyBreakdown),
                       (decision, Decision),
@@ -507,8 +555,7 @@ def test_run_shares_one_fixed_replay(config_file, tmp_path, replays_built):
     # baseline, RPV and SRAM share one fixed replay; DCR builds its own
     assert replays_built() == (1, 1)
     for name, digest in _RUN_INTERVALS_SHA256.items():
-        data = (out / f"report-{name}.json").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == \
+        assert _json_digest(out / f"report-{name}.json") == \
             _GOLDEN_SHA256[f"cmp/report-{name}.json"]
         data = (out / f"report-{name}.intervals.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -676,29 +723,39 @@ def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
             0, 1)
 
 
-@pytest.mark.parametrize("batch", [16, 1024])
-def test_json_is_written_in_bounded_batches(config_file, tmp_path,
-                                            monkeypatch, batch):
-    monkeypatch.setattr("edrsim.cli._BATCH", batch)
+@pytest.mark.parametrize("elements", [16, 1024])
+def test_json_is_written_in_bounded_batches(config_file, tmp_path, elements):
     cfg = load_config(config_file)
     report = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
                      cfg.geometry, cfg.timing, cfg.energy,
                      interval_instructions=cfg.interval_instructions)
     dcr = report.reports["dcr"]
-    batches = []
-    _json_batches(dcr, batches.append)
-    text = "".join(batches)
-    assert len(batches) > len(text) // (200 * batch)
-    # a batch is at most `batch` pieces plus those of one innermost
-    # container (a candidate, an interval), each piece a line of < 100
-    # characters
-    assert max(len(b) for b in batches) < 200 * batch
-    assert text.encode() == _json_bytes(dcr)
+    # the DCR report with `elements` intervals and decisions: the longest
+    # piece must not grow with the length of a list
+    long = {name: getattr(dcr, name) for name in dcr._fields}
+    for key in ("intervals", "decisions"):
+        entries = long[key]
+        long[key] = [entries[i % len(entries)] for i in range(elements)]
     out = tmp_path / "out"
-    for name, doc in [("dcr.json", dcr), ("cmp.json", report.to_dict())]:
+    for name, doc in [("dcr.json", dcr), ("cmp.json", report.to_dict()),
+                      ("long.json", long)]:
+        tree = oracles.plain(doc)
+        items = [item for key in ("intervals", "decisions", "rows")
+                 for item in tree.get(key, [])]
+        pieces = list(_json_pieces(doc))
+        assert len(pieces) > len(items) > 0
+        # a piece is at most one list element, after its key's prefix
+        # `],"key":[`
+        longest = max(len(json.dumps(item, sort_keys=True,
+                                     separators=(",", ":")))
+                      for item in items)
+        prefix = max(len(json.dumps(key)) for key in tree) + 4
+        assert max(map(len, pieces)) <= prefix + longest
         _write_json(str(out / name), doc)
-        assert (out / name).read_bytes() == _json_bytes(doc)
-    assert sorted(os.listdir(out)) == ["cmp.json", "dcr.json"]
+        assert (out / name).read_bytes() == "".join(pieces).encode()
+        assert json.loads((out / name).read_bytes()) == tree
+    assert len(list(_json_pieces(long))) > 2 * elements
+    assert sorted(os.listdir(out)) == ["cmp.json", "dcr.json", "long.json"]
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])
