@@ -20,7 +20,7 @@ The functional pass of a simulation applies trace records to those arrays
 and writes each record's outcome into a code byte (a `Replay`), which the
 timing pass then reads. Hits, misses and evictions do not depend on time,
 so every scheme that never remaps the cache times the same replay, which
-`sim.fixed_replay` builds once per trace and geometry. The per-record
+`sim.run_schemes` builds once per trace and geometry. The per-record
 work, like the flush of a reconfiguration, is C (lru.c), built at first
 use (see native.py); `Passes` binds a run's arguments to it once. DCR
 binds the functional and the timing pass together, so that one loop
@@ -151,8 +151,8 @@ class Replay:
 
     `codes`, unless None (DCR reads no codes back), holds the
     HIT/EVICTED/DIRTY_VICTIM/WRITE bits, one byte per record.
-    `last_touch`, an int32 column if asked for (`sim.fixed_replay` does),
-    gets the index of the record that last touched the line each record
+    `last_touch`, an int32 column if asked for (a fixed replay for RPV
+    is), gets the index of the record that last touched the line each record
     hits or evicts, -1 for a fill of a free way: RPV's input.
     """
 

@@ -12,13 +12,15 @@ A run has two stages, as in gem5's atomic and timing CPUs. The functional
 pass decides each record's hit, eviction and dirty victim and writes them
 to a code byte per record; the timing pass turns the codes into cycles,
 refresh bursts and bank waits. The functional pass does not depend on
-time, so baseline, RPV and SRAM share one: `fixed_replay` builds it, with
-RPV's last-touch column, and keeps it for the next run on the same trace
-and geometry. DCR replays each interval only after the controller has
-acted on the previous one, and times each record as it replays it, so it
-stores no codes. `run_schemes` runs DCR on the calling thread while a
-helper thread takes the fixed replay's functional pass, when it has no
-kept one: the compiled loop releases the GIL.
+time, so baseline, RPV and SRAM share one, the fixed replay, with RPV's
+last-touch column only when RPV runs. `run_schemes` builds it and keeps
+it on the trace (`TraceArrays.fixed_replay`) for the next call with an
+equal geometry; `run`, called alone, builds one the same way. DCR
+replays each interval only after the controller has acted on the
+previous one, and times each record as it replays it, so it stores no
+codes. When DCR runs beside the fixed schemes, a helper thread takes the
+fixed replay's functional pass while DCR runs on the calling thread: the
+compiled loop releases the GIL.
 
 Both passes are one compiled record loop (lru.c's edr_run), which `run`
 binds once (`cache.Passes`), DCR with the functional pass and the others
@@ -39,7 +41,6 @@ reconfiguration rewrites, so the next call follows the new mapping.
 """
 
 import threading
-import weakref
 from array import array
 
 from . import cache as _cache
@@ -60,86 +61,27 @@ from .trace import TraceArrays
 _INSTRUCTIONS = 6
 _NO_TALLIES = zeros("q", 7)
 
-# the last fixed replay built: (a weak reference to its trace, its
-# geometry, the replay)
-_kept = None
 
-
-def _drop_kept(trace_ref) -> None:
-    global _kept
-    if _kept is not None and _kept[0] is trace_ref:
-        _kept = None
-
-
-def _kept_for(trace: TraceArrays, geometry: CacheGeometry) -> Replay | None:
-    if _kept is not None and _kept[0]() is trace and _kept[1] == geometry:
-        return _kept[2]
-    return None
-
-
-def _fixed_pass(trace: TraceArrays, geometry: CacheGeometry):
-    """A new fixed replay of the trace, and its functional pass, bound on a
-    cache of its own but not yet taken. Drops the kept replay first."""
-    global _kept
-    _kept = None
+def _fixed_pass(trace: TraceArrays, geometry: CacheGeometry, rpv: bool):
+    """The functional pass of a new fixed replay of the trace (its `out`),
+    bound on a full-size cache of its own but not yet taken; None if the
+    replay the trace keeps serves: one of an equal geometry with, for
+    `rpv`, RPV's last-touch column (int32, so at most 2**31 - 1 records).
+    The kept one is dropped first, so a trace holds at most one. A trace's
+    columns must not change once it has been replayed.
+    """
+    kept = trace.fixed_replay
+    if kept is not None and kept[0] == geometry and (
+            not rpv or kept[1].last_touch is not None):
+        return None
+    trace.fixed_replay = None
     n = len(trace)
-    if n >= 1 << 31:
+    if rpv and n >= 1 << 31:
         raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
                          f"records with int32, not {n}")
-    out = Replay(n, last_touch=True)
-    passes = _cache.Passes(geometry, trace.addrs, out)
-    passes.bind_cache(CacheState(geometry, touch=True), trace.ops)
-    return out, passes
-
-
-def _keep(trace: TraceArrays, geometry: CacheGeometry, out: Replay) -> None:
-    global _kept
-    _kept = (weakref.ref(trace, _drop_kept), geometry, out)
-
-
-def fixed_replay(trace: TraceArrays, geometry: CacheGeometry) -> Replay:
-    """The functional pass of a scheme that never remaps the cache.
-
-    Baseline, RPV and SRAM see the same hits, misses and evictions, so they
-    share one replay of the trace on a full-size cache, with RPV's
-    last-touch column (int32, so at most 2**31 - 1 records). The last
-    replay built is kept and returned again for the same trace object and
-    an equal geometry, until that trace is freed; any other call drops it
-    before building a new one, so at most one is alive. A trace's columns
-    must not change once it has been replayed.
-    """
-    out = _kept_for(trace, geometry)
-    if out is None:
-        out, passes = _fixed_pass(trace, geometry)
-        passes(0, len(out))
-        _keep(trace, geometry, out)
-    return out
-
-
-def _close_interval(intervals, decisions, stats, colors, scheme, params,
-                    timing, state, unit, run_controller) -> tuple[int, int]:
-    """Record a finished interval and, for DCR, let the controller act.
-
-    Returns the flush writebacks and switched blocks the next interval pays.
-    """
-    stats.index = index = len(intervals)
-    stats.colors = colors
-    if unit is not None:
-        stats.prof_accesses = sum(unit.counts[2::3])  # every size's accesses
-    stats.energy = interval_energy(stats, params, scheme.kind,
-                                   timing.clock_ghz)
-    intervals.append(stats)
-    if not run_controller:
-        return 0, 0
-    decision = select(stats, unit, state, scheme.refresh, scheme.controller,
-                      params, timing)
-    report = reconfigure(state, decision.chosen)
-    decision.interval = index
-    decision.switched_blocks = report.switched_blocks
-    decision.flush_writebacks = report.writebacks
-    decisions.append(decision)
-    unit.reset()
-    return report.writebacks, report.switched_blocks
+    passes = _cache.Passes(geometry, trace.addrs, Replay(n, last_touch=rpv))
+    passes.bind_cache(CacheState(geometry, touch=rpv), trace.ops)
+    return passes
 
 
 def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
@@ -148,9 +90,9 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         interval_instructions: int | None = None) -> RunReport:
     """Replay a trace under one scheme and return the full report.
 
-    A scheme that never remaps (baseline, RPV, SRAM) times the columns of
-    the `fixed_replay` of this trace and geometry, which successive runs on
-    them share. DCR replays the trace itself, one interval at a time, so
+    A scheme that never remaps (baseline, RPV, SRAM) times the fixed
+    replay the trace keeps (see `run_schemes`), which it builds here if
+    none serves. DCR replays the trace itself, one interval at a time, so
     each interval sees the mapping the controller left. Unless given, the
     warm-up is a tenth of the trace, and an interval is 10,000,000
     instructions for every scheme.
@@ -174,7 +116,12 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         replay = Replay(n, codes=False)
     else:
         state = unit = None
-        replay = fixed_replay(trace, geometry)
+        fixed = _fixed_pass(trace, geometry, is_rpv)
+        if fixed is not None:
+            fixed(0, n)
+            trace.fixed_replay = geometry, fixed.out
+            del fixed  # and with it the pass's cache
+        replay = trace.fixed_replay[1]
 
     num_banks = geometry.num_banks
     if refresh_cfg is None:
@@ -234,11 +181,27 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         # which pays for what that decision switched and flushed
         if closes or (instructions or hits or misses or refreshed
                       or stats.dram_accesses or carry_switched):
-            colors = state.active_count if is_dcr else m_total
-            carry_writebacks, carry_switched = _close_interval(
-                intervals, decisions, stats, colors, scheme, params,
-                timing, state, unit,
-                run_controller=is_dcr and closes)
+            stats.index = len(intervals)
+            stats.colors = state.active_count if is_dcr else m_total
+            if is_dcr:  # every size's accesses
+                stats.prof_accesses = sum(unit.counts[2::3])
+            stats.energy = interval_energy(stats, params, kind,
+                                           timing.clock_ghz)
+            intervals.append(stats)
+            carry_writebacks = carry_switched = 0
+            if is_dcr and closes:
+                # the controller acts; the next interval pays for what its
+                # decision flushed and switched
+                decision = select(stats, unit, state, refresh_cfg, ctrl_cfg,
+                                  params, timing)
+                report = reconfigure(state, decision.chosen)
+                decision.interval = stats.index
+                decision.switched_blocks = carry_switched = \
+                    report.switched_blocks
+                decision.flush_writebacks = carry_writebacks = \
+                    report.writebacks
+                decisions.append(decision)
+                unit.reset()
         if is_dcr:
             active_fraction = state.active_count / m_total
         if lo == n and not closes:
@@ -316,27 +279,31 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
                 interval_instructions: int | None = None) -> list[RunReport]:
     """`run` every scheme on the same trace; the reports in scheme order.
 
-    When DCR runs beside a scheme that never remaps and no fixed replay of
-    this trace and geometry is kept, a helper thread takes the fixed
-    replay's functional pass while this thread runs DCR: the compiled loop
-    releases the GIL, and the two passes share only the trace, which
-    neither writes. Before that, every scheme is checked in order, so the
-    first invalid one raises its own error before any record is replayed;
-    after it, the fixed schemes time the replay here.
+    Every scheme is checked first, in order, so the first invalid one
+    raises its own error before any record is replayed. Then, when a
+    scheme never remaps and the trace keeps no fixed replay that serves
+    them all (see `_fixed_pass`), its functional pass is taken and the
+    replay kept on the trace: on a helper thread while this thread runs
+    DCR, if DCR is among the schemes (the compiled loop releases the GIL,
+    and the two passes share only the trace, which neither writes), else
+    here. The fixed schemes then time that replay here.
     """
+    for scheme in schemes:
+        check_run(trace, scheme, geometry, timing, warmup_instructions,
+                  interval_instructions)
     args = (geometry, timing, params, warmup_instructions,
             interval_instructions)
-    dcr = [i for i, s in enumerate(schemes) if s.kind is SchemeKind.DCR]
+    kinds = [s.kind for s in schemes]
+    dcr = [i for i, kind in enumerate(kinds) if kind is SchemeKind.DCR]
     reports = {}
-    if 0 < len(dcr) < len(schemes) and _kept_for(trace, geometry) is None:
-        for scheme in schemes:
-            check_run(trace, scheme, geometry, timing, warmup_instructions,
-                      interval_instructions)
-        out, passes = _fixed_pass(trace, geometry)
-        # the helper holds the only reference to the pass, and with it to
-        # the pass's cache, which it frees as soon as the pass returns
-        job, failed = [passes], []
-        del passes
+    fixed = None
+    if len(dcr) < len(schemes):
+        fixed = _fixed_pass(trace, geometry, SchemeKind.RPV in kinds)
+    if fixed is not None:
+        # whoever takes the pass holds the only reference to it, and with
+        # it to the pass's cache, which is freed as soon as the pass returns
+        out, job, failed = fixed.out, [fixed], []
+        del fixed
 
         def take_fixed_pass():
             try:
@@ -344,16 +311,19 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
             except BaseException as exc:
                 failed.append(exc)
 
-        helper = threading.Thread(target=take_fixed_pass)
-        helper.start()
-        try:
-            for i in dcr:
-                reports[i] = run(trace, schemes[i], *args)
-        finally:
-            helper.join()
+        if dcr:
+            helper = threading.Thread(target=take_fixed_pass)
+            helper.start()
+            try:
+                for i in dcr:
+                    reports[i] = run(trace, schemes[i], *args)
+            finally:
+                helper.join()
+        else:
+            take_fixed_pass()
         if failed:
             raise failed[0]
-        _keep(trace, geometry, out)
+        trace.fixed_replay = geometry, out
     return [reports[i] if i in reports else run(trace, scheme, *args)
             for i, scheme in enumerate(schemes)]
 

@@ -60,6 +60,10 @@ class TraceArrays(Record):
     afterwards.
     """
 
+    # (geometry, `cache.Replay`): the fixed replay `sim.run_schemes` keeps
+    # for this trace; not a field, so equality, repr and reports ignore it
+    fixed_replay = None
+
     def __init__(self, gaps: array, ops: bytearray, addrs: array,
                  instructions: int | None = None):
         self.gaps = gaps

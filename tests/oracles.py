@@ -26,10 +26,10 @@ charges, and
 `reference_run`, the record-at-a-time replay that `sim.run`'s two-stage
 replay must match, counts refreshed lines from the same model.
 
-`trace_of` builds a trace from tuples and `replay_codes` drives the real
-functional pass, for tests that check the cache itself. `plain` is a report
-as the tree of dicts and lists whose `json.dumps` the CLI's writer must
-match byte for byte.
+`trace_of` builds a trace from tuples, and `replay_codes` and
+`last_touch_column` drive the real functional pass, for tests that check
+the cache itself. `plain` is a report as the tree of dicts and lists
+whose `json.dumps` the CLI's writer must match byte for byte.
 """
 
 import ctypes
@@ -725,11 +725,20 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
     return TimelineVerdict(True)
 
 
+def last_touch_column(trace, geometry: CacheGeometry) -> list[int]:
+    """The last-touch column of a fixed replay (RPV's input), as the
+    compiled functional pass writes it: `replay` of the whole trace on a
+    full-size cache with touch indices."""
+    out = Replay(len(trace), last_touch=True)
+    replay(CacheState(geometry, touch=True), trace.addrs, trace.ops, 0,
+           len(trace), out)
+    return out.last_touch.tolist()
+
+
 def last_touch_mirror(trace, geometry: CacheGeometry) -> list[int]:
-    """The last-touch column of `sim.fixed_replay`, record by record: a
-    per-set list of record indices kept in the order of `access_block`'s tag
-    list, so a hit or an eviction reads the index of the record that last
-    touched its line."""
+    """`last_touch_column`, record by record: a per-set list of record
+    indices kept in the order of `access_block`'s tag list, so a hit or an
+    eviction reads the index of the record that last touched its line."""
     model = SetLists(CacheState(geometry))
     mirror: list[list[int]] = [[] for _ in range(geometry.total_sets)]
     out = []

@@ -534,7 +534,7 @@ _RUN_INTERVALS_SHA256 = {
 @pytest.fixture
 def replays_built(monkeypatch):
     """Every Replay the simulator builds, as (fixed replays, DCR's own): a
-    fixed replay has a last-touch column, DCR's replay has none."""
+    fixed replay has codes, DCR's replay has none."""
     built = []
 
     class Counted(Replay):
@@ -544,7 +544,7 @@ def replays_built(monkeypatch):
     monkeypatch.setattr("edrsim.sim.Replay", Counted)
 
     def counts():
-        fixed = sum(r.last_touch is not None for r in built)
+        fixed = sum(r.codes is not None for r in built)
         return fixed, len(built) - fixed
     return counts
 
@@ -559,6 +559,22 @@ def test_run_shares_one_fixed_replay(config_file, tmp_path, replays_built):
             _GOLDEN_SHA256[f"cmp/report-{name}.json"]
         data = (out / f"report-{name}.intervals.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_compare_runs_each_scheme_through_sim_run(tmp_path, monkeypatch):
+    # perfbench's tracer times each scheme by wrapping the module attribute
+    # `edrsim.sim.run` (`sim.run_s.<kind>`): a scheme run around it would
+    # read 0 there
+    demo = os.path.join(os.path.dirname(__file__), "..", "configs", "demo.cfg")
+    real, ran = sim.run, []
+
+    def counted(trace, scheme, *args):
+        ran.append(scheme.name)
+        return real(trace, scheme, *args)
+    monkeypatch.setattr(sim, "run", counted)
+    assert main(["compare", "--config", demo,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sorted(ran) == sorted(s.name for s in load_config(demo).schemes)
 
 
 @pytest.mark.parametrize("command, builds", [
@@ -616,6 +632,11 @@ def test_run_schemes_and_compare_equal_serial_runs(config_file,
     compare(trace, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
             40_000, cfg.interval_instructions)
     assert len(helpers_started) == 2
+    # without DCR beside, the fixed pass is taken on this thread
+    got = run_schemes(generate_synthetic(cfg.synthetic), cfg.schemes[:3],
+                      cfg.geometry, cfg.timing, cfg.energy, 40_000,
+                      cfg.interval_instructions)
+    assert got == want[:3] and len(helpers_started) == 2
 
 
 @pytest.mark.parametrize("parameter, values, helpers", [
@@ -663,25 +684,26 @@ def test_failures_beside_the_helper_leave_no_thread(config_file,
     # the fixed pass fails on the helper: its exception, and no replay kept
     fixed_pass = sim._fixed_pass
 
-    def failing_pass(trace, geometry):
-        out, _ = fixed_pass(trace, geometry)
+    class FailingPass:
+        def __init__(self, *args):
+            self.out = fixed_pass(*args).out
 
-        def take(lo, hi):
+        def __call__(self, lo, hi):
             raise ValueError("fixed pass failed")
-        return out, take
-    monkeypatch.setattr(sim, "_fixed_pass", failing_pass)
+    monkeypatch.setattr(sim, "_fixed_pass", FailingPass)
     trace = generate_synthetic(cfg.synthetic)
     with pytest.raises(ValueError, match="fixed pass failed"):
         compare(trace, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
                 interval_instructions=cfg.interval_instructions)
     assert threading.active_count() == threads
-    assert sim._kept_for(trace, cfg.geometry) is None
+    assert trace.fixed_replay is None
 
 
 def test_first_invalid_scheme_in_order_fails_before_any_replay(
         config_file, helpers_started, monkeypatch):
     # a baseline whose refresh burst outlasts its retention period, listed
-    # before a DCR scheme whose c_min exceeds the colors
+    # before a DCR scheme whose c_min exceeds the colors; with DCR beside or
+    # not, nothing is replayed
     cfg = load_config(config_file)
     baseline, rpv, sram, dcr = cfg.schemes
     baseline.refresh = RefreshConfig(100)
@@ -692,7 +714,8 @@ def test_first_invalid_scheme_in_order_fails_before_any_replay(
     trace = generate_synthetic(cfg.synthetic)
     rest = (cfg.geometry, cfg.timing, cfg.energy)
     for schemes, error in [([baseline, rpv, sram, dcr], "baseline: refreshing"),
-                           ([sram, dcr, rpv, baseline], "dcr: c_min 99")]:
+                           ([sram, dcr, rpv, baseline], "dcr: c_min 99"),
+                           ([sram, baseline], "baseline: refreshing")]:
         with pytest.raises(SchemeConfigError, match=error):
             compare(trace, schemes, *rest)
         with pytest.raises(SchemeConfigError, match=error):
@@ -702,7 +725,9 @@ def test_first_invalid_scheme_in_order_fails_before_any_replay(
 
 def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
     # DCR times each record as it replays it, so it reads no code byte
-    # back, and without a last-touch column its cache needs no touch array
+    # back, and without a last-touch column its cache needs no touch array;
+    # the fixed replay has that column, and its cache touch indices, only
+    # when RPV runs
     made = []
 
     def record(cls):
@@ -710,14 +735,21 @@ def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
     monkeypatch.setattr(sim, "Replay", record(Replay))
     monkeypatch.setattr(sim, "CacheState", record(CacheState))
     cfg = load_config(config_file)
+    baseline, rpv, sram, dcr = cfg.schemes
+    for schemes, with_rpv in [([baseline, dcr], False),
+                              ([baseline, rpv, dcr], True)]:
+        made.clear()
+        compare(generate_synthetic(cfg.synthetic), schemes, cfg.geometry,
+                cfg.timing, cfg.energy,
+                interval_instructions=cfg.interval_instructions)
+        # the fixed replay and its cache, then DCR's cache and replay
+        fixed_out, fixed_cache, dcr_cache, dcr_out = made
+        assert fixed_out.codes is not None
+        assert (fixed_out.last_touch is not None) is with_rpv
+        assert (fixed_cache.touch is not None) is with_rpv
+        assert dcr_cache.touch is None
+        assert dcr_out.codes is None and dcr_out.last_touch is None
     trace = generate_synthetic(cfg.synthetic)
-    compare(trace, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
-            interval_instructions=cfg.interval_instructions)
-    # the fixed replay and its cache, then DCR's cache and replay
-    fixed_out, fixed_cache, dcr_cache, dcr_out = made
-    assert fixed_out.codes is not None and fixed_out.last_touch is not None
-    assert fixed_cache.touch is not None and dcr_cache.touch is None
-    assert dcr_out.codes is None and dcr_out.last_touch is None
     with pytest.raises(ValueError, match="without codes needs a cache"):
         Passes(cfg.geometry, trace.addrs, Replay(len(trace), codes=False))(
             0, 1)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (SetLists, access_block, all_sets, dirty_tags,
-                     last_touch_mirror, reference_run, replay,
-                     replay_reference, validate_state, view)
+                     last_touch_column, last_touch_mirror, reference_run,
+                     replay, replay_reference, validate_state, view)
 from edrsim.cache import CacheGeometry, CacheState, Replay, reconfigure
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
@@ -25,7 +25,7 @@ from edrsim.profiler import ProfilingUnit
 from edrsim.refresh import RefreshConfig
 from edrsim.scheme import check_scheme
 from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams, compare,
-                        fixed_replay, run)
+                        run, run_schemes)
 from edrsim.trace import (PhaseSpec, SyntheticTraceSpec, TraceArrays,
                           generate_synthetic)
 
@@ -381,8 +381,8 @@ def test_last_touch_matches_a_per_set_mirror(span, small_geometry,
         trace = TraceArrays(gaps=np.ones(n, dtype=np.uint32),
                             ops=(rng.random(n) < 0.3).astype(np.uint8),
                             addrs=rng.choice(pool, n).astype(np.uint64) * 64)
-    got = fixed_replay(trace, geometry).last_touch
-    assert got.tolist() == last_touch_mirror(trace, geometry)
+    got = last_touch_column(trace, geometry)
+    assert got == last_touch_mirror(trace, geometry)
     assert sum(t >= 0 for t in got) > len(trace) // 2  # mostly hits, evictions
 
 
@@ -399,22 +399,42 @@ def test_last_touch_property_on_tiny_caches(ways, colors, banks, accesses):
     trace = TraceArrays(gaps=np.ones(len(blocks), dtype=np.uint32),
                         ops=np.array(writes, dtype=np.uint8),
                         addrs=np.array(blocks, dtype=np.uint64) * 64)
-    got = fixed_replay(trace, geometry).last_touch
-    assert got.tolist() == last_touch_mirror(trace, geometry)
+    assert last_touch_column(trace, geometry) == \
+        last_touch_mirror(trace, geometry)
+
+
+def _fixed_schemes(geometry, kinds=(SchemeKind.BASELINE_EDRAM,
+                                     SchemeKind.RPV, SchemeKind.SRAM)):
+    return [_scheme(kind, 4 if kind is SchemeKind.RPV else 1, geometry)
+            for kind in kinds]
 
 
 def test_fixed_replay_is_kept_for_one_trace_and_geometry():
     geometry = _geometry(2)
     trace = _trace(seed=1)
-    first = fixed_replay(trace, geometry)
-    assert fixed_replay(trace, geometry) is first
-    # another geometry, or an equal trace in another object, replaces it
-    assert fixed_replay(trace, _geometry(4)) is not first
+    rest = (TimingParams(clock_ghz=2.0), EDRAM)
+    want = run_schemes(trace, _fixed_schemes(geometry), geometry, *rest)
+    kept, first = trace.fixed_replay
+    assert kept == geometry and first.last_touch is not None
+    # each scheme run alone, and all of them again, time the same replay
+    for scheme in _fixed_schemes(geometry):
+        run(trace, scheme, geometry, *rest)
+    assert run_schemes(trace, _fixed_schemes(geometry), geometry,
+                       *rest) == want
+    assert trace.fixed_replay[1] is first
+    # another geometry replaces it
+    other = _geometry(4)
+    run(trace, _scheme(SchemeKind.RPV, 4, other), other, *rest)
+    assert trace.fixed_replay[0] == other
+    assert trace.fixed_replay[1] is not first
+    # an equal trace in another object builds its own, with equal codes
     copy = TraceArrays(trace.gaps, trace.ops, trace.addrs)
-    assert fixed_replay(copy, geometry).codes == first.codes
-    assert fixed_replay(trace, geometry) is not first
-    kept = weakref.ref(fixed_replay(trace, geometry))
-    del trace
+    assert run_schemes(copy, _fixed_schemes(geometry), geometry,
+                       *rest) == want
+    assert copy.fixed_replay[1] is not first
+    assert copy.fixed_replay[1].codes == first.codes
+    kept = weakref.ref(copy.fixed_replay[1])
+    del copy
     assert kept() is None  # freed with its trace
 
 
@@ -423,7 +443,32 @@ def test_fixed_replay_is_kept_for_an_equal_geometry():
     trace = _trace(seed=1)
     first, second = _geometry(2), _geometry(2)
     assert first is not second
-    assert fixed_replay(trace, first) is fixed_replay(trace, second)
+    rest = (TimingParams(clock_ghz=2.0), EDRAM)
+    run_schemes(trace, _fixed_schemes(first), first, *rest)
+    kept = trace.fixed_replay[1]
+    run_schemes(trace, _fixed_schemes(second), second, *rest)
+    assert trace.fixed_replay[1] is kept
+
+
+def test_fixed_replay_has_a_last_touch_column_only_for_rpv():
+    geometry = _geometry(2)
+    trace = _trace(seed=1)
+    rest = (TimingParams(clock_ghz=2.0), EDRAM)
+    plain = _fixed_schemes(geometry, (SchemeKind.BASELINE_EDRAM,
+                                      SchemeKind.SRAM))
+    want = [run(TraceArrays(trace.gaps, trace.ops, trace.addrs), scheme,
+                geometry, *rest) for scheme in _fixed_schemes(geometry)]
+    assert run_schemes(trace, plain, geometry, *rest) == want[::2]
+    first = trace.fixed_replay[1]
+    assert first.last_touch is None
+    # RPV rebuilds it with the column, which serves the others too
+    rpv = _scheme(SchemeKind.RPV, 4, geometry)
+    assert run(trace, rpv, geometry, *rest) == want[1]
+    second = trace.fixed_replay[1]
+    assert second is not first and second.last_touch is not None
+    assert second.codes == first.codes
+    assert run_schemes(trace, plain, geometry, *rest) == want[::2]
+    assert trace.fixed_replay[1] is second
 
 
 def test_run_rejects_an_empty_interval():
@@ -438,16 +483,18 @@ def test_run_rejects_an_empty_interval():
 def test_rpv_rejects_a_last_touch_entry_that_points_forward(where):
     # a corrupt column would make the timing pass read a record index as a
     # phase, or read past the column; it stops at the record instead. `run`
-    # times the replay that fixed_replay keeps for this trace and geometry.
+    # times the replay that the trace keeps for this geometry.
     geometry = _geometry(2)
     trace = _trace(seed=4)
-    replay = fixed_replay(trace, geometry)
-    r = [i for i, t in enumerate(replay.last_touch) if t >= 0][100]
-    replay.last_touch[r] = {"next": r + 1, "last": len(trace) - 1,
-                            "past the end": 2**31 - 1}[where]
     rpv = _scheme(SchemeKind.RPV, 4, geometry)
+    rest = (TimingParams(clock_ghz=2.0), EDRAM)
+    run(trace, rpv, geometry, *rest)
+    column = trace.fixed_replay[1].last_touch
+    r = [i for i, t in enumerate(column) if t >= 0][100]
+    column[r] = {"next": r + 1, "last": len(trace) - 1,
+                 "past the end": 2**31 - 1}[where]
     with pytest.raises(ValueError, match=f"record {r}: its last-touch"):
-        run(trace, rpv, geometry, TimingParams(clock_ghz=2.0), EDRAM)
+        run(trace, rpv, geometry, *rest)
 
 
 def test_refresh_burst_must_fit_in_the_retention_period():
