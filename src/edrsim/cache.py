@@ -80,6 +80,7 @@ class CacheGeometry(Record):
         self.lines_per_color = self.total_lines // self.color_count
         self.num_banks = size_bytes // bank_bytes
         self.sets_per_bank = self.total_sets // self.num_banks
+        self.lines_per_bank = self.total_lines // self.num_banks
 
     def __hash__(self):
         return hash(self._values())
@@ -231,8 +232,7 @@ class _Run(ctypes.Structure):
         ("cpi", ctypes.c_double), ("hit_cycles", ctypes.c_int64),
         ("miss_cycles", ctypes.c_int64), ("bank_busy", ctypes.c_void_p),
         ("n_banks", ctypes.c_int64), ("counts", ctypes.c_void_p),
-        ("phases", ctypes.c_int64), ("phase_of", ctypes.c_void_p),
-        ("phase_bytes", ctypes.c_int64)]
+        ("phases", ctypes.c_int64), ("phase_of", ctypes.c_void_p)]
 
 
 class Passes:
@@ -311,7 +311,8 @@ class Passes:
         """Time the records: the kernel's arguments of the same names (see
         lru.c's edr_run). With `by_phase` (RPV), the replay's last-touch
         column is read, and each record's phase is kept in a column bound
-        here: a byte per record for up to 256 phases, else 4."""
+        here, a byte per record: `refresh.RefreshConfig` holds `phases` to
+        256."""
         n, banks = len(self.out), len(bank_busy)
         self._bind("gaps", gaps, 4, n)
         self._bind("clock", clock, 8, len(clock))
@@ -323,10 +324,8 @@ class Passes:
             if column is None or len(column) != n:
                 raise ValueError("the replay's last-touch column does not "
                                  "fit its records")
-            a.phase_bytes = 1 if phases <= 256 else 4
             self._bind("last_touch", column, 4, n)
-            self._bind("phase_of", zeros("B" if phases <= 256 else "i", n),
-                       a.phase_bytes, n)
+            self._bind("phase_of", bytearray(n), 1, n)
         a.cpi, a.hit_cycles, a.miss_cycles = cpi, hit_cycles, miss_cycles
         a.n_banks, a.phases = banks, phases
 

@@ -12,7 +12,8 @@ from . import trace as trace_mod
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
 from .energy import SchemeKind
 from .record import Record
-from .sim import ComparisonRow, RunReport, compare, comparison_row, run_schemes
+from .sim import (ComparisonRow, RunReport, SchemeConfigError, check_compare,
+                  compare, comparison_row, run_schemes)
 from .trace import SyntheticTraceSpec, TraceArrays, TraceHeader
 
 
@@ -159,14 +160,19 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
-def _require_schemes(cfg: RunConfig, least: int) -> None:
-    if len(cfg.schemes) < least:
-        raise ConfigError(f"config needs at least {least} [scheme.*] section(s)")
+def _check_compare(cfg: RunConfig) -> None:
+    """`sim.check_compare` on the config's schemes, before any trace is
+    built."""
+    try:
+        check_compare(cfg.schemes)
+    except SchemeConfigError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    _require_schemes(cfg, 1)
+    if not cfg.schemes:
+        raise ConfigError("config needs at least 1 [scheme.*] section")
     arrays = _load_trace_for(cfg, args.seed)
     warmup = _warmup_for(cfg, arrays)
     # every scheme runs before the first write, so a late failure leaves no
@@ -186,7 +192,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    _require_schemes(cfg, 2)
+    _check_compare(cfg)
     arrays = _load_trace_for(cfg, args.seed)
     warmup = _warmup_for(cfg, arrays)
     report = compare(arrays, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
@@ -214,7 +220,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one value")
     configs = load_sweep(args.config, args.parameter, values)
     cfg = configs[0]
-    _require_schemes(cfg, 2)
+    _check_compare(cfg)
 
     # no sweepable parameter changes the trace or the warm-up
     arrays = _load_trace_for(cfg, args.seed)

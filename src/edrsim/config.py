@@ -273,6 +273,13 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
             raise ConfigError("[trace] synthetic=true needs a [synthetic] section")
         if not wants_synth:
             synthetic = None
+    # a synthetic trace holds its phases' instructions, whatever its seed
+    if synthetic is not None and warmup_instructions is not None:
+        total = sum(phase.instructions for phase in synthetic.phases)
+        if warmup_instructions >= total:
+            raise ConfigError(f"[run] warmup_instructions {warmup_instructions} "
+                              f"must be shorter than the synthetic trace's "
+                              f"{total} instructions")
 
     schemes = [_parse_scheme(sections[f"scheme.{name}"], name, geometry,
                              timing.clock_ghz)

@@ -87,8 +87,7 @@ struct run {
     int64_t n_banks;
     int64_t *counts;
     int64_t phases;
-    uint8_t *phase_of; /* RPV's, of phase_bytes (1 or 4) per record */
-    int64_t phase_bytes;
+    uint8_t *phase_of; /* RPV's, a byte per record (at most 256 phases) */
 };
 
 static int64_t set_of(const int64_t *layout, uint64_t addr)
@@ -224,7 +223,7 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     const int64_t *layout = run->layout;
     int64_t *counts = run->counts, *bank_busy = run->bank_busy;
     uint8_t *phase_of = run->phase_of;
-    int64_t phases = run->phases, wide = run->phase_bytes == 4, r;
+    int64_t phases = run->phases, r;
     struct clock k = {0};
     int64_t since; /* the cycle from which this call counts cycles */
 
@@ -276,14 +275,10 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
             if (t >= 0) {
                 if (t >= r)
                     return -1 - r;
-                counts[bank * phases
-                       + (wide ? ((int32_t *)phase_of)[t] : phase_of[t])]--;
+                counts[bank * phases + phase_of[t]]--;
             }
             counts[bank * phases + k.phase]++;
-            if (wide)
-                ((int32_t *)phase_of)[r] = (int32_t)k.phase;
-            else
-                phase_of[r] = (uint8_t)k.phase;
+            phase_of[r] = (uint8_t)k.phase;
         }
         if (code & HIT) {
             k.now += run->hit_cycles;

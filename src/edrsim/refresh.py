@@ -1,15 +1,16 @@
 """Refresh timing of the eDRAM cache.
 
 `RefreshConfig` holds the retention period in core cycles and, for polyphase
-refresh, the number of phases it is split into. A config file gives the
-period in microseconds; `config` converts it once with the run's clock.
-`sim.run` counts the lines each refresh event covers, per bank:
-  * baseline (refresh-all) -- every line, valid or not, at each retention
-                              boundary
+refresh, the number of phases it is split into: 1 to 256, so that a byte
+numbers a record's phase. A config file gives the period in microseconds;
+`config` converts it once with the run's clock. `sim.run` fires a boundary
+every `phase_cycles` and counts the lines each covers, per bank:
+  * baseline (refresh-all) -- every line, valid or not (1 phase, so at each
+                              retention boundary)
   * RPV (polyphase valid)  -- the valid lines last touched in the phase whose
                               boundary is due (a touch recharges the cell,
                               so its next refresh is one full period later)
-  * DCR (valid-only)       -- the valid lines, at each retention boundary
+  * DCR (valid-only)       -- the valid lines (1 phase)
 """
 
 from .record import Record
@@ -27,8 +28,9 @@ class RefreshConfig(Record):
         if not 0 < retention_cycles < 1 << 63:
             raise RefreshConfigError(f"retention_cycles must be > 0 and below "
                                      f"2**63, got {retention_cycles}")
-        if phases < 1:
-            raise RefreshConfigError("phases must be >= 1")
+        if not 1 <= phases <= 256:  # a byte per record numbers them
+            raise RefreshConfigError(f"phases must be in [1, 256], got "
+                                     f"{phases}")
         if retention_cycles % phases:
             raise RefreshConfigError(
                 f"retention_cycles {retention_cycles} not divisible by "

@@ -110,7 +110,7 @@ def check_scheme(scheme: SchemeSpec, geometry: CacheGeometry) -> None:
     decision, from the full size (each later allocation is a candidate); a
     profiling unit that cannot sample 1 set in sampling_ratio_denom."""
     if scheme.refresh is not None:
-        lines = geometry.total_lines // geometry.num_banks
+        lines = geometry.lines_per_bank
         period = scheme.refresh.retention_cycles
         if lines >= period:
             raise SchemeConfigError(
@@ -159,8 +159,7 @@ def check_run(trace: TraceArrays, scheme: SchemeSpec,
     # the kernel's int64 clock stays below 2**62, a run's boundary without
     # refresh: per record, it gains the gap in cycles (rounded), a latency
     # and a wait on a refresh burst, which holds a bank for at most its lines
-    wait = (geometry.total_lines // geometry.num_banks
-            if scheme.refresh else 0)
+    wait = geometry.lines_per_bank if scheme.refresh else 0
     if total_instr * timing.base_cpi + len(trace) * (
             1 + timing.l2_hit_cycles + timing.dram_latency_cycles
             + wait) >= 1 << 62:

@@ -29,14 +29,16 @@ instructions and cycles, fires the refresh boundaries due by then, waits
 out a burst on the record's bank, takes the functional pass or reads the
 code, updates the counters an event reads (DCR's valid lines per bank;
 RPV's valid lines per bank and last-touch phase), adds the hit or miss
-latency and tallies the outcome. RPV reads the fixed replay's last-touch
+latency and tallies the outcome. A scheme with refresh has a boundary
+every `phase_cycles` of its `RefreshConfig` and `phases` counters per bank;
+baseline and DCR take one phase. RPV reads the fixed replay's last-touch
 column and keeps each record's phase in a column of its own, a byte per
-record for up to 256 phases and 4 above that, so the kept replay is never
-written. The loop itself finds where warm-up ends,
-restarting its tallies there, and stops after a record that closes an
-interval. Its clock, bank timers and counters carry from one call to the
-next; `run` reads each interval's tallies and lets DCR's controller act.
-DCR's records find their sets through the cache's own layout, which a
+record (`RefreshConfig` holds the phases to 256), so the kept replay is
+never written. The loop itself finds where warm-up ends, restarting its
+tallies there, and stops after a record that closes an interval. Its
+clock, bank timers and counters carry from one call to the next; `run`
+reads each interval's tallies and lets DCR's controller act. DCR's
+records find their sets through the cache's own layout, which a
 reconfiguration rewrites, so the next call follows the new mapping.
 """
 
@@ -123,14 +125,12 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
             del fixed  # and with it the pass's cache
         replay = trace.fixed_replay[1]
 
+    # a boundary every phase_cycles; without refresh (SRAM), never
     num_banks = geometry.num_banks
-    if refresh_cfg is None:
-        boundary_len = 0
-        next_boundary = 1 << 62  # never
-    else:
-        boundary_len = (refresh_cfg.phase_cycles if is_rpv
-                        else refresh_cfg.retention_cycles)
-        next_boundary = boundary_len
+    boundary_len, next_boundary, k_phases = 0, 1 << 62, 1
+    if refresh_cfg is not None:
+        boundary_len = next_boundary = refresh_cfg.phase_cycles
+        k_phases = refresh_cfg.phases
     clock = array("q", [0, next_boundary, boundary_len, 0,
                         warmup_instructions, interval_instructions,
                         0, 0, 0, 0, 0, 0, 0])
@@ -138,11 +138,10 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     # the lines a refresh event covers in each bank, at bank * phases +
     # phase: every line for the baseline, DCR's valid lines, RPV's valid
     # lines by last-touch phase
-    k_phases = refresh_cfg.phases if is_rpv else 1
     if is_dcr:
         counts = state.valid_by_bank
     elif kind is SchemeKind.BASELINE_EDRAM:
-        counts = array("q", [geometry.total_lines // num_banks]) * num_banks
+        counts = array("q", [geometry.lines_per_bank]) * num_banks
     else:
         counts = zeros("q", num_banks * k_phases)
 
@@ -328,15 +327,10 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
             for i, scheme in enumerate(schemes)]
 
 
-def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeometry,
-            timing: TimingParams, params: EnergyParams,
-            warmup_instructions: int | None = None,
-            interval_instructions: int | None = None) -> ComparisonReport:
-    """`run_schemes` on the same trace and report metrics vs the baseline.
-
-    The first scheme with the baseline-eDRAM kind is the reference; every
-    other scheme gets a comparison row.
-    """
+def check_compare(schemes: list[SchemeSpec]) -> int:
+    """The index of the schemes' reference in `compare`, the first of the
+    baseline-eDRAM kind. Raises SchemeConfigError unless there are at
+    least 2 schemes, uniquely named, and a baseline among them."""
     names = [s.name for s in schemes]
     if len(set(names)) != len(names):
         raise SchemeConfigError("scheme names must be unique")
@@ -344,7 +338,19 @@ def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeomet
                          if s.kind is SchemeKind.BASELINE_EDRAM), None)
     if baseline_idx is None or len(schemes) < 2:
         raise SchemeConfigError("compare needs >= 2 schemes including the baseline")
+    return baseline_idx
 
+
+def compare(trace: TraceArrays, schemes: list[SchemeSpec], geometry: CacheGeometry,
+            timing: TimingParams, params: EnergyParams,
+            warmup_instructions: int | None = None,
+            interval_instructions: int | None = None) -> ComparisonReport:
+    """`run_schemes` on the same trace and report metrics vs the baseline.
+
+    The first scheme with the baseline-eDRAM kind is the reference; every
+    other scheme gets a comparison row (see `check_compare`).
+    """
+    baseline_idx = check_compare(schemes)
     reports = run_schemes(trace, schemes, geometry, timing, params,
                           warmup_instructions, interval_instructions)
     base = reports[baseline_idx]

@@ -203,14 +203,23 @@ def test_compare_command(config_file, tmp_path):
     assert len(lines) == 4  # header + three non-baseline schemes
 
 
-def test_compare_missing_baseline_is_config_error(tmp_path):
+def test_compare_missing_baseline_is_config_error(tmp_path, monkeypatch,
+                                                  capsys):
+    # compare and sweep measure every scheme against the baseline; without
+    # one, they used to draw the trace and then fail with exit 1
     text = BASE_CONFIG.replace("[scheme.baseline]\nkind = baseline_edram\nretention_period_us = 1\n", "")
     path = tmp_path / "nobase.cfg"
     path.write_text(text)
-    out = str(tmp_path / "never")
-    rc = main(["compare", "--config", str(path), "--out", out])
-    assert rc != 0
-    assert not os.path.exists(os.path.join(out, "comparison.json"))
+    monkeypatch.setattr(edrsim.trace, "generate_synthetic",
+                        lambda spec: pytest.fail("the trace was drawn"))
+    for command in (["compare"],
+                    ["sweep", "--parameter", "beta", "--values", "1,3"]):
+        out = tmp_path / command[0]
+        rc = main([command[0], "--config", str(path), "--out", str(out),
+                   *command[1:]])
+        assert rc == 2
+        assert not out.exists()
+        assert "including the baseline" in capsys.readouterr().err
 
 
 def test_invalid_config_creates_no_output(tmp_path):
@@ -235,6 +244,8 @@ def test_domain_validation_failures_are_config_errors(tmp_path):
 
 _SYNTH_RATE_AND_PHASES = """accesses_per_kilo_instr = 20
 phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
+# RPV's refresh keys; `phases = 4` alone also starts [synthetic]'s phases
+_RPV_REFRESH = "retention_period_us = 1\nphases = 4"
 
 
 @pytest.mark.parametrize("old, new, error", [
@@ -322,6 +333,22 @@ phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
      r"no multiple of granularity 16 lies in \[1, 8\]"),
     ("delta = 4", "delta = 5\nc_min = 7\ngranularity = 5",
      r"no multiple of granularity 5 lies in \[7, 8\]"),
+    # a byte numbers RPV's phases: 400 phases divide the 2000-cycle
+    # retention and used to run on a four-byte phase column; 10**9 would
+    # have allocated 8 GB of refresh counters per bank
+    (_RPV_REFRESH, "retention_period_us = 1\nphases = 0",
+     r"phases must be in \[1, 256\], got 0"),
+    (_RPV_REFRESH, "retention_period_us = 1\nphases = 257",
+     r"phases must be in \[1, 256\], got 257"),
+    (_RPV_REFRESH, "retention_period_us = 1\nphases = 400",
+     r"phases must be in \[1, 256\], got 400"),
+    (_RPV_REFRESH, "retention_period_us = 1000000\nphases = 1000000000",
+     r"phases must be in \[1, 256\], got 1000000000"),
+    # the synthetic trace holds 800,000 instructions: this failed with
+    # exit 1 once the trace was drawn
+    ("warmup_fraction = 0.1", "warmup_instructions = 800000",
+     "warmup_instructions 800000 must be shorter than the synthetic "
+     "trace's 800000 instructions"),
 ], ids=["energy clock", "phase past the stride", "empty interval",
         "nan cpi", "inf cpi", "nan clock", "nan leakage", "inf dram energy",
         "negative warm-up fraction", "nan warm-up fraction",
@@ -333,7 +360,9 @@ phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2"""
         "hit latency past int64", "interval past int64", "warm-up past int64",
         "retention past int64", "negative --seed", "zero granularity",
         "negative granularity", "granularity above the colors",
-        "no multiple from c_min"])
+        "no multiple from c_min", "no phase", "phases past a byte",
+        "phases dividing the retention", "a billion phases",
+        "warm-up of the whole trace"])
 def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
     path = tmp_path / "bad.cfg"
     options = []
@@ -934,6 +963,31 @@ def test_any_timing_and_energy_config_runs_or_fails_before_output(timing,
     if energy is not None:
         text = text.replace("builtin = EDRAM_2MB\n", _lines(energy))
     _assert_runs_or_fails_before_output(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phases=_maybe(st.sampled_from([1, 2, 4, 8, 64, 256]),
+                     st.integers(-2, 10**4)),
+       # the warm-up in instructions or as a fraction: setting both is a
+       # plain config error
+       warmup=st.fixed_dictionaries({"warmup_instructions": _maybe(
+           st.integers(0, 79_999), st.integers(-2, 2**64))})
+       | st.fixed_dictionaries({"warmup_fraction": _maybe(
+           st.floats(0.0, 0.99), st.floats())}),
+       interval=_maybe(st.integers(1_000, 100_000), st.integers(-2, 2**64)))
+# the trace's 80,000 instructions: this drew the trace, then failed with
+# exit 1
+@example(phases=None, warmup={"warmup_instructions": 80_000}, interval=None)
+def test_any_rpv_phases_and_run_config_runs_or_fails_before_output(
+        phases, warmup, interval):
+    # RPV beside baseline and DCR on 80,000 instructions, with a retention
+    # period of 2048 cycles, which 256 phases divide
+    text = _TINY_CONFIG.replace("l2_size_kb = 64", "l2_size_kb = 512")
+    text = text.replace(
+        "[run]\nwarmup_fraction = 0.1\ninterval_instructions = 12000\n",
+        "[run]\n" + _lines({**warmup, "interval_instructions": interval}))
+    text += "\n[scheme.rpv]\nkind = rpv\nretention_period_us = 1.024\n"
+    _assert_runs_or_fails_before_output(text + _lines({"phases": phases}))
 
 
 def _assert_runs_or_fails_before_output(text: str) -> None:

@@ -22,7 +22,7 @@ from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim import profiler
 from edrsim.profiler import ProfilingUnit
-from edrsim.refresh import RefreshConfig
+from edrsim.refresh import RefreshConfig, RefreshConfigError
 from edrsim.scheme import check_scheme
 from edrsim.sim import (SchemeConfigError, SchemeSpec, TimingParams, compare,
                         run, run_schemes)
@@ -188,23 +188,20 @@ def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
 
 
 def test_rpv_with_more_phases_than_a_byte_holds():
-    # 300 phases of 10 cycles: more phases than a byte could number, which
-    # each record's int32 entry of the last-touch column holds
-    geometry = _geometry(2)
-    trace = _trace(seed=9)
-    scheme = SchemeSpec(kind=SchemeKind.RPV,
-                        refresh=RefreshConfig(3000, 300))
-    timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
-    kwargs = dict(interval_instructions=50_000)
-    got = run(trace, scheme, geometry, timing, EDRAM, **kwargs)
-    want = reference_run(trace, scheme, geometry, timing, EDRAM, **kwargs)
-    assert got == want
-    assert got.total_refreshed_lines > 0
+    # 300 phases of 10 cycles: a record's phase is a byte, so they are
+    # refused before any scheme holds them
+    with pytest.raises(RefreshConfigError, match=r"phases must be in "
+                                                 r"\[1, 256\], got 300"):
+        RefreshConfig(3000, 300)
 
 
 @pytest.mark.parametrize("phases", [256, 257])
 def test_rpv_phase_column_at_the_width_boundary(phases):
-    # 256 phases are the most a byte per record numbers; 257 take 4 bytes
+    # 256 phases are the most a byte per record numbers; 257 are refused
+    if phases > 256:
+        with pytest.raises(RefreshConfigError, match="got 257"):
+            RefreshConfig(10 * phases, phases)
+        return
     geometry = _geometry(2)
     trace = _trace(seed=11)
     scheme = SchemeSpec(kind=SchemeKind.RPV,
