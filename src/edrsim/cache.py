@@ -22,11 +22,8 @@ timing pass then reads. Hits, misses and evictions do not depend on time,
 so every scheme that never remaps the cache times the same replay, which
 `sim.run_schemes` builds once per trace and geometry. The per-record
 work, like the flush of a reconfiguration, is C (lru.c), built at first
-use (see native.py); `Passes` binds a run's arguments to it once. DCR
-binds the functional and the timing pass together, so that one loop
-replays, times and stops at the end of each interval for the controller;
-it stores no code bytes.
-The kernels route regions through the state's own `layout`, which
+use (see native.py); `passes.Passes` binds a run's arguments to it
+once. The kernels route regions through the state's own `layout`, which
 `reconfigure` rewrites, so a bound run follows every reconfiguration.
 """
 
@@ -65,6 +62,11 @@ class CacheGeometry(Record):
                 raise GeometryError(f"{name} must be a power of two")
         if not size_bytes >= bank_bytes >= block_bytes:
             raise GeometryError("need size_bytes >= bank_bytes >= block_bytes")
+        # so a bank holds a power of two of whole sets
+        if bank_bytes < block_bytes * associativity:
+            raise GeometryError(
+                f"a bank of {bank_bytes} bytes is smaller than one set of "
+                f"{associativity} {block_bytes}-byte blocks")
         if page_bytes < block_bytes:
             raise GeometryError("page_bytes must be >= block_bytes")
         if size_bytes % (page_bytes * associativity):
@@ -210,137 +212,14 @@ def address(buffer, itemsize: int, n: int) -> int:
 def layout(geometry: CacheGeometry, mapping=None) -> array:
     """How the kernels find a byte address's set under `mapping` (region ->
     color; the identity if None): the block shift, the page shift, the
-    region mask, the mask of a block's set inside its color, the sets per
-    bank, then the first set of each region's color."""
+    region mask, the mask of a block's set inside its color, the shift from
+    a set to its bank, then the first set of each region's color."""
     g, per_color = geometry, geometry.sets_per_color
     regions = range(g.color_count) if mapping is None else mapping
     return array("q", [g.block_bytes.bit_length() - 1,
                        g.page_bytes.bit_length() - 1, g.color_count - 1,
-                       per_color - 1, g.sets_per_bank,
+                       per_color - 1, g.sets_per_bank.bit_length() - 1,
                        *[color * per_color for color in regions]])
-
-
-class _Run(ctypes.Structure):
-    """lru.c's struct run."""
-
-    _fields_ = [(name, ctypes.c_void_p) for name in (
-        "layout", "addrs", "codes", "cache", "writes", "last_touch")] + [
-        ("n_sizes", ctypes.c_int64), ("ratio", ctypes.c_uint64)] + [
-        (name, ctypes.c_void_p) for name in (
-            "unit_tags", "unit_fill", "unit_rows", "unit_counts", "clock",
-            "gaps")] + [
-        ("cpi", ctypes.c_double), ("hit_cycles", ctypes.c_int64),
-        ("miss_cycles", ctypes.c_int64), ("bank_busy", ctypes.c_void_p),
-        ("n_banks", ctypes.c_int64), ("counts", ctypes.c_void_p),
-        ("phases", ctypes.c_int64), ("phase_of", ctypes.c_void_p)]
-
-
-class Passes:
-    """A run's arguments to lru.c's edr_run, bound once.
-
-    The trace's byte addresses and the code bytes of `out` are bound here,
-    the functional pass by `bind_cache` and the timing pass by
-    `bind_timing` (see `sim.run`). Calling it with [lo, hi) takes those
-    records through the bound passes, one record at a time, and returns
-    the record after the last one taken: `hi`, or earlier where the timing
-    pass closed an interval. The kernel counts in the bound buffers, the
-    cache's and the profiling unit's, so a call copies nothing back.
-    """
-
-    def __init__(self, geometry: CacheGeometry, addrs, out: Replay):
-        n = len(out)
-        if len(addrs) != n:
-            raise ValueError(f"a trace of {len(addrs)} records does not "
-                             f"fit a replay of {n}")
-        self.geometry = geometry
-        self.out = out
-        # the buffers the pointers below point into
-        self._bound = [addrs]
-        self.args = _Run(addrs=address(addrs, 8, n))
-        self._bind("codes", out.codes, 1, n)
-        # without a cache, records find their banks by the identity mapping
-        identity = layout(geometry)
-        self._bind("layout", identity, 8, len(identity))
-        self._byref = ctypes.byref(self.args)
-        self._run = kernel("edr_run")
-
-    def _bind(self, name: str, buffer, itemsize: int, n: int) -> None:
-        """Point the kernel's argument `name` at a buffer of n items of
-        `itemsize` bytes, or at nothing for None."""
-        self._bound.append(buffer)
-        setattr(self.args, name,
-                None if buffer is None else address(buffer, itemsize, n))
-
-    def bind_cache(self, state: CacheState, writes, unit=None) -> None:
-        """Replay into `state`, with the write flags `writes`, one byte per
-        record (a trace's ops are), finding sets through the state's layout,
-        which `reconfigure` keeps current. With a `profiler.ProfilingUnit`,
-        every block whose number is a multiple of its sampling ratio is also
-        looked up at each of its sizes, which adds to its counts."""
-        g = self.geometry
-        if state.geometry != g or (unit is not None
-                                   and unit.ways != g.associativity):
-            raise ValueError("the cache, the profiling unit and the replay "
-                             "differ in geometry")
-        if max(state.mapping) >= state.active_count:
-            raise AssertionError("mapping routes regions to inactive color "
-                                 f"{max(state.mapping)}")
-        n = len(self.out)
-        column = self.out.last_touch
-        # the kernel trusts them
-        if len(writes) != n or (column is not None and len(column) != n):
-            raise ValueError("the trace's write flags or the replay's "
-                             "last-touch column do not fit its records")
-        if column is not None and state.touch is None:
-            raise ValueError("a last-touch column needs a cache with touch")
-        self._bound.append(state)
-        self._bind("writes", writes, 1, n)
-        self._bind("last_touch", column, 4, n)
-        self._bind("layout", state.layout, 8, len(state.layout))
-        self.args.cache = ctypes.addressof(state.arrays)
-        if unit is not None:
-            self._bind("unit_tags", unit.tags, 8, len(unit.tags))
-            self._bind("unit_fill", unit.fill, 4, len(unit.fill))
-            self._bind("unit_rows", unit.rows, 8, len(unit.rows))
-            self._bind("unit_counts", unit.counts, 8, len(unit.counts))
-            self.args.n_sizes, self.args.ratio = len(unit.sizes), unit.ratio
-
-    def bind_timing(self, gaps, clock, bank_busy, counts, cpi: float,
-                    hit_cycles: int, miss_cycles: int, phases: int,
-                    by_phase: bool = False) -> None:
-        """Time the records: the kernel's arguments of the same names (see
-        lru.c's edr_run). With `by_phase` (RPV), the replay's last-touch
-        column is read, and each record's phase is kept in a column bound
-        here, a byte per record: `refresh.RefreshConfig` holds `phases` to
-        256."""
-        n, banks = len(self.out), len(bank_busy)
-        self._bind("gaps", gaps, 4, n)
-        self._bind("clock", clock, 8, len(clock))
-        self._bind("bank_busy", bank_busy, 8, banks)
-        self._bind("counts", counts, 8, banks * phases)
-        a = self.args
-        if by_phase:
-            column = self.out.last_touch
-            if column is None or len(column) != n:
-                raise ValueError("the replay's last-touch column does not "
-                                 "fit its records")
-            self._bind("last_touch", column, 4, n)
-            self._bind("phase_of", bytearray(n), 1, n)
-        a.cpi, a.hit_cycles, a.miss_cycles = cpi, hit_cycles, miss_cycles
-        a.n_banks, a.phases = banks, phases
-
-    def __call__(self, lo: int, hi: int) -> int:
-        n = len(self.out)
-        if not 0 <= lo <= hi <= n:
-            raise ValueError(f"records [{lo}, {hi}) are not all in the "
-                             f"trace's {n}")
-        if not self.args.cache and self.out.codes is None:
-            raise ValueError("a replay without codes needs a cache bound")
-        got = self._run(self._byref, lo, hi)
-        if got < 0:
-            raise ValueError(f"record {-1 - got}: its last-touch entry "
-                             "names no earlier record")
-        return got
 
 
 def _flush(state: CacheState, color: int, regions=None) -> tuple[int, int]:

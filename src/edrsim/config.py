@@ -163,6 +163,14 @@ def _retention_cycles(period_us: float, clock_ghz: float) -> int:
     return round(cycles)
 
 
+def _in_section(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), whose ValueError names the section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _parse_scheme(sec: dict, name: str, geometry: CacheGeometry,
                   clock_ghz: float) -> SchemeSpec:
     section = f"scheme.{name}"
@@ -179,7 +187,8 @@ def _parse_scheme(sec: dict, name: str, geometry: CacheGeometry,
                       required=True)
         phases = _get(sec, section, "phases", int,
                       default=4 if kind is SchemeKind.RPV else 1)
-        refresh = RefreshConfig(_retention_cycles(period, clock_ghz), phases)
+        refresh = _in_section(section, RefreshConfig,
+                              _retention_cycles(period, clock_ghz), phases)
     elif "retention_period_us" in sec or "phases" in sec:
         raise ConfigError(f"[{section}] SRAM scheme takes no refresh keys")
 
@@ -193,9 +202,10 @@ def _parse_scheme(sec: dict, name: str, geometry: CacheGeometry,
                 raise ConfigError(
                     f"[{section}] key '{key}' is only valid for kind=dcr")
 
-    spec = SchemeSpec(kind=kind, refresh=refresh, controller=controller,
-                      energy=_get(sec, section, "energy_builtin",
-                                  builtin_params), name=name)
+    spec = _in_section(section, SchemeSpec, kind=kind, refresh=refresh,
+                       controller=controller, name=name,
+                       energy=_get(sec, section, "energy_builtin",
+                                   builtin_params))
     check_scheme(spec, geometry)
     return spec
 

@@ -1,27 +1,33 @@
 /* The compiled passes of edrsim, built by native.py with the local C
  * compiler and called through ctypes.
  *
- * A run binds its arguments once, in a struct run (cache.Passes), and
+ * A run binds its arguments once, in a struct run (passes.Passes), and
  * edr_run then takes records [lo, hi) through one loop that does, per
  * record, what the run binds:
  *
- * - the timing pass (see sim.py), with a clock: count the record's
- *   instructions, turn its gap into cycles, fire the refresh events due by
- *   then and wait out a burst on its bank;
+ * - the timing pass (see sim.py), with a clock and its timers, one per
+ *   scheme: count the record's instructions, then on every timer turn its
+ *   gap into cycles, fire the refresh events due by then and wait out a
+ *   burst on its bank;
  * - the functional pass (see cache.py), with a cache: a tag-only LRU step
  *   over flat arrays, applied to the main cache and to each size of DCR's
  *   profiling unit. A set is a row of `ways` tag slots; its first `fill`
  *   slots hold the resident tags, least recent first, and for a fixed
  *   replay the record that last touched each. Without a cache the loop
  *   reads the record's code byte, which an earlier functional pass wrote;
- * - the timing pass again: the hit or miss latency and the tallies. The
- *   loop stops after a record that closes an interval.
+ * - the timing pass again: the tallies of the record's outcome, and on
+ *   every timer the hit or miss latency. The loop stops after a record
+ *   that closes an interval.
  *
- * DCR binds both. Both passes find a record's set through a layout, built
- * by cache.layout: layout[FIRST_SET + region] is the first set of the
- * color the region maps to, and the block's offset in its page picks the
- * set inside that color. A cache owns its layout, which follows its
- * mapping (cache.reconfigure rewrites it); a run without a cache uses the
+ * The record is decoded once for all of it: its set, its bank, its gap in
+ * cycles and its code. The schemes that never remap the cache (baseline,
+ * RPV and SRAM) bind one timer each to the codes of their shared fixed
+ * replay, so one trip times them all; DCR binds its cache and one timer.
+ * Both passes find a record's set through a layout, built by
+ * cache.layout: layout[FIRST_SET + region] is the first set of the color
+ * the region maps to, and the block's offset in its page picks the set
+ * inside that color. A cache owns its layout, which follows its mapping
+ * (cache.reconfigure rewrites it); a run without a cache uses the
  * identity mapping's.
  *
  * edr_flush invalidates a color's lines when DCR reconfigures the cache.
@@ -33,20 +39,31 @@
 #include <string.h>
 
 enum { HIT = 1, EVICTED = 2, DIRTY_VICTIM = 4, WRITE = 8 };
-enum { BLOCK_SHIFT, PAGE_SHIFT, REGION_MASK, WITHIN_MASK, SETS_PER_BANK,
+enum { BLOCK_SHIFT, PAGE_SHIFT, REGION_MASK, WITHIN_MASK, BANK_SHIFT,
        FIRST_SET };
 
-/* The timing pass's clock, an int64 array of sim.run's, carried across
- * calls: the cycle, the next refresh boundary, the boundary length and the
- * current phase; the instructions that end warm-up (0 once warm-up has
- * ended, or without one) and those that close an interval; then the
- * tallies since warm-up ended or the caller last cleared them:
- * instructions, cycles, refreshed lines, hits, misses, dirty victims and
- * load misses. */
+/* The timing pass's clock, carried across calls and shared by its
+ * timers, whose schemes see the same records and the same outcomes: the
+ * instructions that end warm-up (0 once warm-up has ended, or without
+ * one) and those that close an interval; then the tallies since warm-up
+ * ended or the caller last cleared them: instructions, hits, misses,
+ * dirty victims and load misses. */
 struct clock {
-    int64_t now, next_boundary, boundary_len, phase, warm_at, close_at;
-    int64_t instructions, cycles, refreshed, hits, misses, dirty_victims,
-        load_misses;
+    int64_t warm_at, close_at;
+    int64_t instructions, hits, misses, dirty_victims, load_misses;
+};
+
+/* A scheme's timer, carried across calls: its cycle, its next refresh
+ * boundary, the boundary length and the current phase; the tallies of
+ * cycles and refreshed lines, which restart with the clock's; each bank's
+ * busy-until cycle; the lines a boundary refreshes in bank b at a phase,
+ * counts[b * phases + phase]; and RPV's phase column. */
+struct timer {
+    int64_t now, next_boundary, boundary_len, phase, cycles, refreshed;
+    int64_t *bank_busy;
+    int64_t *counts;
+    int64_t phases;
+    uint8_t *phase_of; /* RPV's, a byte per record (at most 256 phases) */
 };
 
 /* A cache.CacheState: its arrays, its ways and its layout, which also
@@ -71,7 +88,7 @@ struct run {
     /* the functional pass */
     struct cache *cache;
     const uint8_t *writes;
-    int32_t *last_touch; /* which RPV's timing pass reads */
+    int32_t *last_touch; /* which RPV's timers read */
     int64_t n_sizes; /* the profiling unit's, sampled one set in ratio */
     uint64_t ratio;
     uint64_t *unit_tags;
@@ -83,11 +100,9 @@ struct run {
     const uint32_t *gaps;
     double cpi;
     int64_t hit_cycles, miss_cycles;
-    int64_t *bank_busy;
     int64_t n_banks;
-    int64_t *counts;
-    int64_t phases;
-    uint8_t *phase_of; /* RPV's, a byte per record (at most 256 phases) */
+    struct timer *const *timers;
+    int64_t n_timers;
 };
 
 static int64_t set_of(const int64_t *layout, uint64_t addr)
@@ -193,112 +208,182 @@ static int replay(const struct run *run, int64_t r, int64_t set,
     return code;
 }
 
+/* A timer after its next refresh boundary fires: in each bank b, the
+ * boundary refreshes counts[b * phases + phase] lines at the phase it
+ * opens, and holds the bank one cycle per line. Rare, so kept out of the
+ * record loop, whose timers need the registers; the timer goes by value,
+ * so that a local copy of it stays local. */
+static __attribute__((noinline, cold)) struct timer fire(struct timer t,
+                                                         int64_t n_banks)
+{
+    const int64_t next = t.next_boundary, phases = t.phases;
+    const int64_t phase = next / t.boundary_len % phases;
+
+    for (int64_t b = 0; b < n_banks; b++) {
+        int64_t lines = t.counts[b * phases + phase];
+
+        if (lines) {
+            t.bank_busy[b] = (t.bank_busy[b] > next ? t.bank_busy[b] : next)
+                             + lines;
+            t.refreshed += lines;
+        }
+    }
+    t.phase = phase;
+    t.next_boundary = next + t.boundary_len;
+    return t;
+}
+
+/* Bring a timer to the cycle at which a record reaches its bank: add the
+ * record's gap, in cycles, then fire every refresh boundary due by then
+ * and, while the bank is busy with a burst, wait for it, firing the
+ * boundaries that fall due meanwhile. */
+static void advance(struct timer *t, int64_t gap_cycles, int64_t bank,
+                    int64_t n_banks)
+{
+    int64_t now = t->now + gap_cycles;
+
+    while (t->next_boundary <= now || t->bank_busy[bank] > now) {
+        if (t->next_boundary <= now)
+            *t = fire(*t, n_banks);
+        else
+            now = t->bank_busy[bank];
+    }
+    t->now = now;
+}
+
+/* Charge a timer for record r once its outcome is known: with a phase
+ * column (RPV), the record's line leaves the phase of the record that
+ * last touched it, `touched` (none if negative), and enters the current
+ * phase, which the column keeps for r; then the latency. */
+static void settle(struct timer *t, int64_t r, int64_t bank,
+                   int32_t touched, int64_t latency)
+{
+    if (t->phase_of) {
+        int64_t *counts = t->counts + bank * t->phases;
+
+        if (touched >= 0)
+            counts[t->phase_of[touched]]--;
+        counts[t->phase]++;
+        t->phase_of[r] = (uint8_t)t->phase;
+    }
+    t->now += latency;
+}
+
 /* Take records [lo, hi) through the passes the run binds (see above) and
  * return the record after the last one taken: hi, or earlier after a
  * record that closes an interval.
  *
  * With a clock, each record adds its gap to the instruction tally and
- * rint(gap * cpi) cycles to the clock. The first record whose
+ * advances every timer by rint(gap * cpi) cycles. The first record whose
  * instructions since the start of the trace reach warm_at ends warm-up
- * after its gap: every tally, the unit's counts included, restarts there.
- * The record then fires every refresh boundary due by then, waits while
- * its bank is busy with a burst (firing the boundaries that fall due
- * meanwhile), takes the functional pass or reads its code, and costs
- * hit_cycles or miss_cycles, adding to the hit or miss tally (a miss also
- * to those of dirty victims and, unless a write, of load misses). After
- * warm-up, a record that brings the instruction tally to close_at closes
- * an interval, and the loop stops after it.
+ * after its gap: every tally, the timers' and the unit's counts included,
+ * restarts there. Each timer then fires the refresh boundaries due and
+ * waits for the record's bank (advance). The record takes the functional
+ * pass or reads its code, adds to the hit or miss tally (a miss also to
+ * those of dirty victims and, unless a write, of load misses), and each
+ * timer is charged hit_cycles or miss_cycles (settle). After warm-up, a
+ * record that brings the instruction tally to close_at closes an
+ * interval, and the loop stops after it.
  *
- * A boundary refreshes, in each bank b, counts[b * phases + phase] lines
- * at the phase it opens, and holds the bank one cycle per line. DCR binds
- * the cache's valid_by_bank as counts, so that a refresh covers the valid
- * lines. With phase_of (RPV), the timing pass also reads a fixed
- * replay's last-touch column: a record adds one at the current phase, and
- * a hit or an eviction takes one from phase_of[last_touch[r]], the phase
- * of the record that last touched the line, as phase_of[r] gets r's own.
- * A record whose last-touch entry names no earlier record stops the loop
- * at once, which returns -1 - r. */
+ * DCR binds the cache's valid_by_bank as its timer's counts, so that a
+ * refresh covers the valid lines. A timer with a phase column (RPV) also
+ * reads a fixed replay's last-touch column: a record adds one line at the
+ * current phase, and a hit or an eviction takes one from
+ * phase_of[last_touch[r]], the phase of the record that last touched the
+ * line, as phase_of[r] gets r's own. A record whose last-touch entry names
+ * no earlier record stops the loop at once, which returns -1 - r. */
 int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
 {
+    /* locals, which the byte stores of the loop cannot alias */
     const int64_t *layout = run->layout;
-    int64_t *counts = run->counts, *bank_busy = run->bank_busy;
-    uint8_t *phase_of = run->phase_of;
-    int64_t phases = run->phases, r;
+    const int64_t bank_shift = layout[BANK_SHIFT];
+    const uint64_t *addrs = run->addrs;
+    const uint32_t *gaps = run->gaps;
+    const uint8_t *codes = run->codes;
+    const struct cache *cache = run->cache;
+    const double cpi = run->cpi;
+    const int64_t hit_cycles = run->hit_cycles;
+    const int64_t miss_cycles = run->miss_cycles;
+    const int64_t n_banks = run->n_banks;
+    struct clock *clock = run->clock;
+    /* a lone timer (DCR's, or one fixed scheme's) is copied here for the
+     * call, where no store through a pointer can reach it */
+    struct timer one, *lone = &one;
+    struct timer *const *timers = run->n_timers == 1 ? &lone : run->timers;
+    const int64_t n_timers = run->n_timers;
+    const int32_t *touched_by = NULL; /* the column RPV's timers read */
     struct clock k = {0};
-    int64_t since; /* the cycle from which this call counts cycles */
+    int64_t r, stop = hi, i;
 
-    if (run->clock)
-        k = *run->clock;
-    since = k.now;
+    if (clock)
+        k = *clock;
+    if (n_timers == 1)
+        one = *run->timers[0];
+    /* a timer's cycles count from its cycle at the start of the call */
+    for (i = 0; i < n_timers; i++) {
+        timers[i]->cycles -= timers[i]->now;
+        if (timers[i]->phase_of)
+            touched_by = run->last_touch;
+    }
     for (r = lo; r < hi; r++) {
-        int64_t set = set_of(layout, run->addrs[r]);
-        int64_t bank = set / layout[SETS_PER_BANK];
+        int64_t set = set_of(layout, addrs[r]);
+        int64_t bank = set >> bank_shift;
+        int32_t touched = -1;
+        int64_t latency;
         int code;
 
-        if (run->clock) {
-            k.now += (int64_t)rint(run->gaps[r] * run->cpi);
-            k.instructions += run->gaps[r];
+        if (clock) {
+            int64_t gap_cycles = (int64_t)rint(gaps[r] * cpi);
+
+            k.instructions += gaps[r];
             if (k.warm_at && k.instructions >= k.warm_at) {
-                k.warm_at = k.instructions = k.cycles = k.refreshed = 0;
+                k.warm_at = k.instructions = 0;
                 k.hits = k.misses = k.dirty_victims = k.load_misses = 0;
-                since = k.now;
+                /* the timers' tallies restart at the end of this gap */
+                for (i = 0; i < n_timers; i++) {
+                    timers[i]->cycles = -(timers[i]->now + gap_cycles);
+                    timers[i]->refreshed = 0;
+                }
                 if (run->n_sizes)
                     memset(run->unit_counts, 0, (size_t)run->n_sizes * 3
                                                 * sizeof *run->unit_counts);
             }
-            for (;;) {
-                for (; k.next_boundary <= k.now;
-                     k.next_boundary += k.boundary_len) {
-                    k.phase = k.next_boundary / k.boundary_len % phases;
-                    for (int64_t b = 0; b < run->n_banks; b++) {
-                        int64_t lines = counts[b * phases + k.phase];
-
-                        if (lines) {
-                            bank_busy[b] = (bank_busy[b] > k.next_boundary
-                                            ? bank_busy[b] : k.next_boundary)
-                                           + lines;
-                            k.refreshed += lines;
-                        }
-                    }
-                }
-                if (bank_busy[bank] <= k.now)
-                    break;
-                k.now = bank_busy[bank];
-            }
+            for (i = 0; i < n_timers; i++)
+                advance(timers[i], gap_cycles, bank, n_banks);
         }
-        code = run->cache ? replay(run, r, set, bank) : run->codes[r];
-        if (!run->clock)
+        code = cache ? replay(run, r, set, bank) : codes[r];
+        if (!clock)
             continue;
-        if (phase_of) {
-            int32_t t = run->last_touch[r];
-
-            if (t >= 0) {
-                if (t >= r)
-                    return -1 - r;
-                counts[bank * phases + phase_of[t]]--;
+        if (touched_by) {
+            touched = touched_by[r];
+            if (touched >= r) {
+                stop = -1 - r;
+                break;
             }
-            counts[bank * phases + k.phase]++;
-            phase_of[r] = (uint8_t)k.phase;
         }
         if (code & HIT) {
-            k.now += run->hit_cycles;
+            latency = hit_cycles;
             k.hits++;
         } else {
-            k.now += run->miss_cycles;
+            latency = miss_cycles;
             k.misses++;
             k.dirty_victims += (code & DIRTY_VICTIM) != 0;
             k.load_misses += !(code & WRITE);
         }
+        for (i = 0; i < n_timers; i++)
+            settle(timers[i], r, bank, touched, latency);
         if (!k.warm_at && k.instructions >= k.close_at) {
-            r++;
+            stop = r + 1;
             break;
         }
     }
-    if (run->clock) {
-        k.cycles += k.now - since;
-        *run->clock = k;
-    }
-    return r;
+    for (i = 0; i < n_timers; i++)
+        timers[i]->cycles += timers[i]->now;
+    if (n_timers == 1)
+        *run->timers[0] = one;
+    if (clock)
+        *clock = k;
+    return stop;
 }
 
 /* Invalidate the resident lines of a color's sets, or with `pulled` (a
@@ -333,7 +418,7 @@ int64_t edr_flush(const struct cache *c, int64_t color,
         }
         memset(dirty + kept, 0, (size_t)(n - kept));
         c->fill[s] = kept;
-        c->valid_by_bank[s / layout[SETS_PER_BANK]] -= n - kept;
+        c->valid_by_bank[s >> layout[BANK_SHIFT]] -= n - kept;
         flushed += n - kept;
     }
     *writebacks = dirty_lost;

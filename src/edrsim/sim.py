@@ -15,53 +15,51 @@ refresh bursts and bank waits. The functional pass does not depend on
 time, so baseline, RPV and SRAM share one, the fixed replay, with RPV's
 last-touch column only when RPV runs. `run_schemes` builds it and keeps
 it on the trace (`TraceArrays.fixed_replay`) for the next call with an
-equal geometry; `run`, called alone, builds one the same way. DCR
-replays each interval only after the controller has acted on the
-previous one, and times each record as it replays it, so it stores no
-codes. When DCR runs beside the fixed schemes, a helper thread takes the
-fixed replay's functional pass while DCR runs on the calling thread: the
-compiled loop releases the GIL.
+equal geometry. DCR replays each interval only after the controller has
+acted on the previous one, and times each record as it replays it, so it
+stores no codes. When DCR runs beside the fixed schemes, a helper thread
+takes the fixed replay's functional pass while DCR runs on the calling
+thread: the compiled loop releases the GIL.
 
-Both passes are one compiled record loop (lru.c's edr_run), which `run`
-binds once (`cache.Passes`), DCR with the functional pass and the others
-with the codes of their fixed replay. Per record it counts the gap's
-instructions and cycles, fires the refresh boundaries due by then, waits
-out a burst on the record's bank, takes the functional pass or reads the
-code, updates the counters an event reads (DCR's valid lines per bank;
-RPV's valid lines per bank and last-touch phase), adds the hit or miss
-latency and tallies the outcome. A scheme with refresh has a boundary
-every `phase_cycles` of its `RefreshConfig` and `phases` counters per bank;
-baseline and DCR take one phase. RPV reads the fixed replay's last-touch
-column and keeps each record's phase in a column of its own, a byte per
-record (`RefreshConfig` holds the phases to 256), so the kept replay is
-never written. The loop itself finds where warm-up ends, restarting its
-tallies there, and stops after a record that closes an interval. Its
-clock, bank timers and counters carry from one call to the next; `run`
-reads each interval's tallies and lets DCR's controller act. DCR's
-records find their sets through the cache's own layout, which a
-reconfiguration rewrites, so the next call follows the new mapping.
+Both passes are one compiled record loop (lru.c's edr_run), which `_time`
+binds once (`passes.Passes`) with a timer per scheme: DCR alone, with the
+functional pass, and the fixed schemes of one `run_schemes` call
+together, on the codes of their fixed replay, so one trip times them all;
+`run` of one fixed scheme is that trip with one timer. Per record the
+loop counts the gap's instructions, then on every timer adds its cycles,
+fires the refresh boundaries due by then and waits out a burst on the
+record's bank; it takes the functional pass or reads the code, tallies
+the outcome, and on every timer updates the counters an event reads
+(DCR's valid lines per bank; RPV's valid lines per bank and last-touch
+phase) and adds the hit or miss latency. The schemes share the records,
+their outcomes, the warm-up and the interval closes, which depend on
+instructions only, so one clock holds those tallies for all of them; a
+timer holds its scheme's cycle, refresh boundaries, bank timers,
+counters and the tallies of cycles and refreshed lines. A scheme with
+refresh has a boundary every `phase_cycles` of its `RefreshConfig` and
+`phases` counters per bank; baseline and DCR take one phase. RPV reads
+the fixed replay's last-touch column and keeps each record's phase in a
+column of its own, a byte per record (`RefreshConfig` holds the phases to
+256), so the kept replay is never written. The loop itself finds where
+warm-up ends, restarting the tallies there, and stops after a record that
+closes an interval. The clock and the timers carry from one call to the
+next; `_time` reads each interval's tallies, builds each scheme's
+interval and lets DCR's controller act. DCR's records find their sets
+through the cache's own layout, which a reconfiguration rewrites, so the
+next call follows the new mapping.
 """
 
 import threading
 from array import array
 
-from . import cache as _cache
 from .cache import CacheGeometry, CacheState, Replay, reconfigure, zeros
 from .controller import Decision, select
 from .energy import EnergyParams, SchemeKind, interval_energy
+from .passes import Passes
 from .profiler import IntervalStats, ProfilingUnit, TimingParams
 from .record import Record
 from .scheme import RunReport, SchemeConfigError, SchemeSpec, check_run
 from .trace import TraceArrays
-
-
-# slots of the timing pass's clock (lru.c's struct clock): the cycle, the
-# next refresh boundary, the boundary length, the current phase, the
-# instructions that end warm-up and those that close an interval, then the
-# tallies: instructions, cycles, refreshed lines, hits, misses, dirty
-# victims and load misses
-_INSTRUCTIONS = 6
-_NO_TALLIES = zeros("q", 7)
 
 
 def _fixed_pass(trace: TraceArrays, geometry: CacheGeometry, rpv: bool):
@@ -81,7 +79,7 @@ def _fixed_pass(trace: TraceArrays, geometry: CacheGeometry, rpv: bool):
     if rpv and n >= 1 << 31:
         raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
                          f"records with int32, not {n}")
-    passes = _cache.Passes(geometry, trace.addrs, Replay(n, last_touch=rpv))
+    passes = Passes(geometry, trace.addrs, Replay(n, last_touch=rpv))
     passes.bind_cache(CacheState(geometry, touch=rpv), trace.ops)
     return passes
 
@@ -92,107 +90,113 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         interval_instructions: int | None = None) -> RunReport:
     """Replay a trace under one scheme and return the full report.
 
-    A scheme that never remaps (baseline, RPV, SRAM) times the fixed
-    replay the trace keeps (see `run_schemes`), which it builds here if
-    none serves. DCR replays the trace itself, one interval at a time, so
-    each interval sees the mapping the controller left. Unless given, the
-    warm-up is a tenth of the trace, and an interval is 10,000,000
-    instructions for every scheme.
+    A scheme that never remaps (baseline, RPV, SRAM) is `run_schemes` of
+    that scheme alone: it times the fixed replay the trace keeps, built
+    there if none serves. DCR replays the trace itself, one interval at a
+    time, so each interval sees the mapping the controller left. Unless
+    given, the warm-up is a tenth of the trace, and an interval is
+    10,000,000 instructions for every scheme.
     """
+    if scheme.kind is not SchemeKind.DCR:
+        return run_schemes(trace, [scheme], geometry, timing, params,
+                           warmup_instructions, interval_instructions)[0]
     warmup_instructions, interval_instructions = check_run(
         trace, scheme, geometry, timing, warmup_instructions,
         interval_instructions)
-    if scheme.energy is not None:
-        params = scheme.energy
+    return _time(trace, [scheme], geometry, timing, params,
+                 warmup_instructions, interval_instructions)[0]
 
-    kind = scheme.kind
-    is_dcr = kind is SchemeKind.DCR
-    is_rpv = kind is SchemeKind.RPV
-    refresh_cfg = scheme.refresh
-    ctrl_cfg = scheme.controller
+
+def _time(trace: TraceArrays, schemes: list[SchemeSpec],
+          geometry: CacheGeometry, timing: TimingParams,
+          params: EnergyParams, warmup_instructions: int,
+          interval_instructions: int,
+          replay: Replay | None = None) -> list[RunReport]:
+    """The reports of `schemes`, in order, timed on one trip through the
+    trace with a timer each: the schemes that never remap, on the codes of
+    their fixed `replay`, or one DCR scheme alone, which replays the trace
+    into a cache of its own, storing no codes, and lets its controller act
+    at each close. The checks of `check_run` have passed.
+    """
+    dcr = schemes[0] if schemes[0].kind is SchemeKind.DCR else None
     n = len(trace)
     m_total = geometry.color_count
-    if is_dcr:
+    hit_cycles = timing.l2_hit_cycles
+    miss_cost = hit_cycles + timing.dram_latency_cycles
+    state = unit = None
+    if dcr is not None:
+        ctrl_cfg = dcr.controller
         state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
         unit = ProfilingUnit(geometry, ctrl_cfg.sampling_ratio_denom)
         replay = Replay(n, codes=False)
-    else:
-        state = unit = None
-        fixed = _fixed_pass(trace, geometry, is_rpv)
-        if fixed is not None:
-            fixed(0, n)
-            trace.fixed_replay = geometry, fixed.out
-            del fixed  # and with it the pass's cache
-        replay = trace.fixed_replay[1]
-
-    # a boundary every phase_cycles; without refresh (SRAM), never
-    num_banks = geometry.num_banks
-    boundary_len, next_boundary, k_phases = 0, 1 << 62, 1
-    if refresh_cfg is not None:
-        boundary_len = next_boundary = refresh_cfg.phase_cycles
-        k_phases = refresh_cfg.phases
-    clock = array("q", [0, next_boundary, boundary_len, 0,
-                        warmup_instructions, interval_instructions,
-                        0, 0, 0, 0, 0, 0, 0])
-    bank_busy = zeros("q", num_banks)
-    # the lines a refresh event covers in each bank, at bank * phases +
-    # phase: every line for the baseline, DCR's valid lines, RPV's valid
-    # lines by last-touch phase
-    if is_dcr:
-        counts = state.valid_by_bank
-    elif kind is SchemeKind.BASELINE_EDRAM:
-        counts = array("q", [geometry.lines_per_bank]) * num_banks
-    else:
-        counts = zeros("q", num_banks * k_phases)
-
-    hit_cycles = timing.l2_hit_cycles
-    miss_cost = hit_cycles + timing.dram_latency_cycles
-    passes = _cache.Passes(geometry, trace.addrs, replay)
-    if is_dcr:
+    passes = Passes(geometry, trace.addrs, replay)
+    if dcr is not None:
         passes.bind_cache(state, trace.ops, unit)
-    passes.bind_timing(trace.gaps, clock, bank_busy, counts,
-                       timing.base_cpi, hit_cycles, miss_cost, k_phases,
-                       by_phase=is_rpv)
+    specs = []
+    for scheme in schemes:
+        # a boundary every phase_cycles, over the lines it covers in each
+        # bank, at bank * phases + phase: every line for the baseline,
+        # DCR's valid lines, RPV's valid lines by last-touch phase; without
+        # refresh (SRAM), never
+        refresh, kind = scheme.refresh, scheme.kind
+        if refresh is None:
+            specs.append((0, 1, None, False))
+            continue
+        if kind is SchemeKind.DCR:
+            counts = state.valid_by_bank
+        elif kind is SchemeKind.BASELINE_EDRAM:
+            counts = array("q", [geometry.lines_per_bank]) * geometry.num_banks
+        else:
+            counts = zeros("q", geometry.num_banks * refresh.phases)
+        specs.append((refresh.phase_cycles, refresh.phases, counts,
+                      kind is SchemeKind.RPV))
+    clock, timers = passes.bind_timing(
+        trace.gaps, timing.base_cpi, hit_cycles, miss_cost,
+        warmup_instructions, interval_instructions, specs)
 
     carry_writebacks = carry_switched = 0
     active_fraction = 1.0
-    intervals: list[IntervalStats] = []
+    intervals: list[list[IntervalStats]] = [[] for _ in schemes]
     decisions: list[Decision] = []
     lo = 0
     while True:
         # up to the record that closes an interval, or to the end
         lo = passes(lo, n)
-        instructions, cycles, refreshed, hits, misses, writebacks, \
-            load_misses = clock[_INSTRUCTIONS:].tolist()
-        clock[_INSTRUCTIONS:] = _NO_TALLIES
+        instructions, hits, misses, writebacks, load_misses = clock.take()
         closes = instructions >= interval_instructions
-        stats = IntervalStats(
-            instructions=instructions,
-            l2_hits=hits, l2_misses=misses, load_misses=load_misses,
-            memory_stall_cycles=load_misses * miss_cost,
-            refreshed_lines=refreshed,
-            dram_accesses=carry_writebacks + misses + writebacks,
-            active_fraction=active_fraction,
-            elapsed_cycles=cycles,
-            switched_blocks=carry_switched)
-        # the interval after the last close is kept if anything happened
-        # in it: a close on the last record leaves one of no instructions,
-        # which pays for what that decision switched and flushed
-        if closes or (instructions or hits or misses or refreshed
-                      or stats.dram_accesses or carry_switched):
-            stats.index = len(intervals)
-            stats.colors = state.active_count if is_dcr else m_total
-            if is_dcr:  # every size's accesses
+        for scheme, timer, kept in zip(schemes, timers, intervals):
+            cycles, refreshed = timer.take()
+            stats = IntervalStats(
+                instructions=instructions,
+                l2_hits=hits, l2_misses=misses, load_misses=load_misses,
+                memory_stall_cycles=load_misses * miss_cost,
+                refreshed_lines=refreshed,
+                dram_accesses=carry_writebacks + misses + writebacks,
+                active_fraction=active_fraction,
+                elapsed_cycles=cycles,
+                switched_blocks=carry_switched)
+            # the interval after the last close is kept if anything
+            # happened in it: a close on the last record leaves one of no
+            # instructions, which pays for what that decision switched and
+            # flushed
+            if not (closes or instructions or hits or misses or refreshed
+                    or stats.dram_accesses or carry_switched):
+                continue
+            stats.index = len(kept)
+            stats.colors = m_total if dcr is None else state.active_count
+            if dcr is not None:  # every size's accesses
                 stats.prof_accesses = sum(unit.counts[2::3])
-            stats.energy = interval_energy(stats, params, kind,
-                                           timing.clock_ghz)
-            intervals.append(stats)
-            carry_writebacks = carry_switched = 0
-            if is_dcr and closes:
-                # the controller acts; the next interval pays for what its
-                # decision flushed and switched
-                decision = select(stats, unit, state, refresh_cfg, ctrl_cfg,
-                                  params, timing)
+            stats.energy = interval_energy(stats, scheme.energy or params,
+                                           scheme.kind, timing.clock_ghz)
+            kept.append(stats)
+        carry_writebacks = carry_switched = 0
+        if dcr is not None:
+            if closes:
+                # the controller acts on DCR's interval, the only one; the
+                # next interval pays for what its decision flushed and
+                # switched
+                decision = select(stats, unit, state, dcr.refresh, ctrl_cfg,
+                                  dcr.energy or params, timing)
                 report = reconfigure(state, decision.chosen)
                 decision.interval = stats.index
                 decision.switched_blocks = carry_switched = \
@@ -201,13 +205,13 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
                     report.writebacks
                 decisions.append(decision)
                 unit.reset()
-        if is_dcr:
             active_fraction = state.active_count / m_total
         if lo == n and not closes:
             break
 
-    return RunReport.from_intervals(scheme, warmup_instructions, intervals,
-                                    decisions)
+    return [RunReport.from_intervals(scheme, warmup_instructions, kept,
+                                     decisions)
+            for scheme, kept in zip(schemes, intervals)]
 
 
 class ComparisonRow(Record):
@@ -285,24 +289,27 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
     replay kept on the trace: on a helper thread while this thread runs
     DCR, if DCR is among the schemes (the compiled loop releases the GIL,
     and the two passes share only the trace, which neither writes), else
-    here. The fixed schemes then time that replay here.
+    here. The fixed schemes are then timed together on that replay, in
+    one trip with a timer each.
     """
     for scheme in schemes:
-        check_run(trace, scheme, geometry, timing, warmup_instructions,
-                  interval_instructions)
+        # the warm-up and interval a run takes, the same for every scheme
+        taken = check_run(trace, scheme, geometry, timing,
+                          warmup_instructions, interval_instructions)
     args = (geometry, timing, params, warmup_instructions,
             interval_instructions)
     kinds = [s.kind for s in schemes]
     dcr = [i for i, kind in enumerate(kinds) if kind is SchemeKind.DCR]
+    fixed = [i for i, kind in enumerate(kinds) if kind is not SchemeKind.DCR]
     reports = {}
-    fixed = None
-    if len(dcr) < len(schemes):
-        fixed = _fixed_pass(trace, geometry, SchemeKind.RPV in kinds)
-    if fixed is not None:
+    functional = None
+    if fixed:
+        functional = _fixed_pass(trace, geometry, SchemeKind.RPV in kinds)
+    if functional is not None:
         # whoever takes the pass holds the only reference to it, and with
         # it to the pass's cache, which is freed as soon as the pass returns
-        out, job, failed = fixed.out, [fixed], []
-        del fixed
+        out, job, failed = functional.out, [functional], []
+        del functional
 
         def take_fixed_pass():
             try:
@@ -323,6 +330,10 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
         if failed:
             raise failed[0]
         trace.fixed_replay = geometry, out
+    if fixed:
+        reports.update(zip(fixed, _time(
+            trace, [schemes[i] for i in fixed], geometry, timing, params,
+            *taken, trace.fixed_replay[1])))
     return [reports[i] if i in reports else run(trace, scheme, *args)
             for i, scheme in enumerate(schemes)]
 

@@ -4,7 +4,7 @@ These are deliberately plain: full scans and straight-line formula
 re-evaluation, O(lines) or O(trace), no shared code with the paths they
 check beyond the parameter objects.
 
-`replay` drives the compiled functional pass (`cache.Passes`) over a run
+`replay` drives the compiled functional pass (`passes.Passes`) over a run
 of records. The module also holds a record-at-a-time model of the cache:
 `access_block` applies one access to a `CacheState`'s sets held as plain
 Python lists (`SetLists`) and returns the code byte `replay` writes,
@@ -41,12 +41,13 @@ import numpy as np
 
 from edrsim import cache, native
 from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, Passes, ReconfigReport, Replay, layout,
+                          CacheState, ReconfigReport, Replay, layout,
                           reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                candidate_space, select)
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
+from edrsim.passes import Passes
 from edrsim.profiler import (IntervalStats, ProfilingUnit, TimingParams,
                              estimate_refreshes, estimate_time, interpolate,
                              profiled_points)

@@ -5,6 +5,7 @@ import contextlib
 import os
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -241,7 +242,7 @@ def test_criterion_9_profiler_fidelity():
         # 1/64 sampling within +/-15% of the exhaustive profile, 10 seeds;
         # the exhaustive profile is the compiled oracle, pinned to the
         # Python one on the ratio-1 traces below
-        for seed in range(10):
+        def sampled_within_bounds(seed):
             trace = generate_synthetic(SyntheticTraceSpec(
                 phases=[PhaseSpec(500_000_000, 512 * 1024, 0.3, 0.0)],
                 rng_seed=300 + seed, accesses_per_kilo_instr=20))
@@ -257,6 +258,10 @@ def test_criterion_9_profiler_fidelity():
                 assert abs(est - exact) <= 0.15 * max(exact, 1), \
                     (seed, size, est, exact)
                 assert abs(est_loads - exact_loads) <= 0.15 * max(exact_loads, 1)
+
+        # two seeds at a time: the compiled calls release the GIL
+        with ThreadPoolExecutor(2) as pool:
+            list(pool.map(sampled_within_bounds, range(10)))
         # at sampling ratio 1: exact equality with both oracles
         for seed in (77, 78):
             trace = generate_synthetic(SyntheticTraceSpec(

@@ -16,9 +16,10 @@ import oracles
 from edrsim import sim
 from edrsim.cli import _json_pieces, _write_json, main
 from edrsim.config import ConfigError, load_config, load_sweep
-from edrsim.cache import CacheState, Passes, Replay
+from edrsim.cache import CacheState, Replay
 from edrsim.controller import Candidate, Decision
 from edrsim.energy import EnergyBreakdown, SchemeKind
+from edrsim.passes import Passes
 from edrsim.profiler import IntervalStats
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import (ComparisonRow, RunReport, SchemeConfigError, compare,
@@ -394,6 +395,61 @@ def test_clock_past_int64_writes_no_output(tmp_path, capsys):
     assert "could take 2**62 cycles or more" in capsys.readouterr().err
 
 
+def test_bank_smaller_than_a_set_writes_no_output(tmp_path, capsys):
+    # configs/demo.cfg with sets of 32 64-byte blocks, 2 KB, in 1 KB banks:
+    # no bank held a whole set, and the kernel divided by 0 sets per bank,
+    # which killed the process with SIGFPE (exit 136)
+    demo = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "demo.cfg")
+    with open(demo) as fh:
+        text = fh.read()
+    path = tmp_path / "banks.cfg"
+    path.write_text(text.replace("associativity = 8", "associativity = 32")
+                    .replace("bank_kb = 1024", "bank_kb = 1"))
+    error = "a bank of 1024 bytes is smaller than one set of 32"
+    with pytest.raises(ConfigError, match=error):
+        load_config(str(path))
+    out = str(tmp_path / "outdir")
+    assert main(["compare", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, phases, error", [
+    ("rpv", "400", r"^\[scheme\.rpv\] phases must be in \[1, 256\], got 400$"),
+    ("rpv8", "400", r"^\[scheme\.rpv8\] phases must be in \[1, 256\], "
+                    r"got 400$"),
+    ("rpv8", "7", r"^\[scheme\.rpv8\] retention_cycles 88000 not divisible "
+                  r"by 7 phases$"),
+    ("baseline", "2", r"^\[scheme\.baseline\] baseline_edram scheme uses "
+                      r"whole-period refresh \(phases=1\)$"),
+], ids=["first rpv", "second rpv", "second rpv divisor", "baseline"])
+def test_scheme_errors_name_their_section(tmp_path, capsys, name, phases,
+                                          error):
+    # configs/demo.cfg's schemes with a second RPV section: a bad value in
+    # either must say which section holds it
+    demo = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "demo.cfg")
+    with open(demo) as fh:
+        text = fh.read()
+    sections = {
+        "baseline": {"kind": "baseline_edram", "retention_period_us": "40"},
+        "rpv": {"kind": "rpv", "retention_period_us": "40", "phases": "4"},
+        "rpv8": {"kind": "rpv", "retention_period_us": "40", "phases": "8"}}
+    sections[name]["phases"] = phases
+    path = tmp_path / "schemes.cfg"
+    path.write_text(text[:text.index("[scheme.")] + "".join(
+        f"[scheme.{section}]\n"
+        + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in sections.items()))
+    with pytest.raises(ConfigError, match=error):
+        load_config(str(path))
+    out = str(tmp_path / "outdir")
+    assert main(["compare", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert re.search(error[1:], capsys.readouterr().err, re.M)
+
+
 def test_sweep_command(config_file, tmp_path):
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", config_file, "--out", out,
@@ -590,10 +646,11 @@ def test_run_shares_one_fixed_replay(config_file, tmp_path, replays_built):
         assert hashlib.sha256(data).hexdigest() == digest
 
 
-def test_compare_runs_each_scheme_through_sim_run(tmp_path, monkeypatch):
-    # perfbench's tracer times each scheme by wrapping the module attribute
-    # `edrsim.sim.run` (`sim.run_s.<kind>`): a scheme run around it would
-    # read 0 there
+def test_compare_runs_dcr_through_sim_run_and_the_rest_in_one_trip(
+        tmp_path, monkeypatch):
+    # DCR runs through the module attribute `edrsim.sim.run`, which
+    # perfbench's tracer wraps; baseline, RPV and SRAM share one timed trip
+    # through their fixed replay, a timer each, and DCR's trip has its own
     demo = os.path.join(os.path.dirname(__file__), "..", "configs", "demo.cfg")
     real, ran = sim.run, []
 
@@ -601,9 +658,18 @@ def test_compare_runs_each_scheme_through_sim_run(tmp_path, monkeypatch):
         ran.append(scheme.name)
         return real(trace, scheme, *args)
     monkeypatch.setattr(sim, "run", counted)
+    timers = []  # of each trip
+    bind_timing = Passes.bind_timing
+
+    def spy(self, *args):
+        timers.append(len(args[-1]))
+        return bind_timing(self, *args)
+    monkeypatch.setattr(Passes, "bind_timing", spy)
     assert main(["compare", "--config", demo,
                  "--out", str(tmp_path / "out")]) == 0
-    assert sorted(ran) == sorted(s.name for s in load_config(demo).schemes)
+    assert {s.kind for s in load_config(demo).schemes} == set(SchemeKind)
+    assert ran == ["dcr"]
+    assert sorted(timers) == [1, 3]
 
 
 @pytest.mark.parametrize("command, builds", [

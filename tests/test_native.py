@@ -1,6 +1,7 @@
 """The build helper: compile once into the user cache, reuse after, and fail
 loudly without a compiler; and the Python mirrors of lru.c's structs."""
 
+import ctypes
 import os
 import re
 import subprocess
@@ -8,12 +9,8 @@ import subprocess
 import pytest
 
 from oracles import replay, replay_reference
-from edrsim import cache, native, sim
-from edrsim.cache import CacheGeometry, CacheState, Passes, Replay
-from edrsim.energy import SchemeKind, builtin_params
-from edrsim.profiler import TimingParams
-from edrsim.refresh import RefreshConfig
-from edrsim.scheme import SchemeSpec
+from edrsim import cache, native, passes
+from edrsim.cache import CacheState, Replay
 from edrsim.trace import PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
 KERNEL = os.path.join(os.path.dirname(cache.__file__), "lru.c")
@@ -103,40 +100,33 @@ def test_c_sources_compile_without_warnings(source):
     assert proc.returncode == 0, proc.stderr
 
 
-def _members(struct: str) -> list[str]:
-    """The member names of lru.c's `struct NAME { ... };`, in order; a
-    declaration of several members gives each of them."""
+# lru.c's member types, as ctypes declares them; every pointer is a void *
+_CTYPES = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64,
+           "double": ctypes.c_double}
+
+
+def _members(struct: str) -> list[tuple[str, type]]:
+    """The members of lru.c's `struct NAME { ... };`, in order, each with
+    the ctypes type that mirrors it; a declaration of several members
+    gives each of them."""
     with open(KERNEL) as fh:
         source = re.sub(r"/\*.*?\*/", "", fh.read(), flags=re.S)
     body = re.search(r"^struct " + struct + r" \{(.*?)^\};", source,
                      re.S | re.M).group(1)
-    return [re.findall(r"\w+", declarator)[-1]
-            for declaration in body.split(";")[:-1]
-            for declarator in declaration.split(",")]
+    members = []
+    for declaration in body.split(";")[:-1]:
+        # the type, read from the first declarator, unless a pointer
+        base = re.findall(r"\w+", declaration.split(",")[0])[-2]
+        for declarator in declaration.split(","):
+            name = re.findall(r"\w+", declarator)[-1]
+            members.append((name, ctypes.c_void_p if "*" in declarator
+                            else _CTYPES[base]))
+    return members
 
 
-def test_ctypes_mirrors_name_lru_c_members_in_order(monkeypatch):
-    # a member added, removed or moved on one side only would misplace
-    # every pointer after it
-    assert _members("run") == [name for name, _ in cache._Run._fields_]
-    assert _members("cache") == [name for name, _ in cache._Cache._fields_]
-    # sim.run's clock array, as it binds it
-    clocks = []
-    bind_timing = Passes.bind_timing
-
-    def spy(self, gaps, clock, *rest, **kw):
-        clocks.append(len(clock))
-        bind_timing(self, gaps, clock, *rest, **kw)
-
-    monkeypatch.setattr(Passes, "bind_timing", spy)
-    geometry = CacheGeometry(size_bytes=64 * 1024, associativity=8,
-                             page_bytes=1024, bank_bytes=32 * 1024)
-    trace = generate_synthetic(SyntheticTraceSpec(
-        phases=[PhaseSpec(10_000, 8 * 1024)]))
-    sim.run(trace, SchemeSpec(kind=SchemeKind.RPV,
-                              refresh=RefreshConfig(2000, 4)),
-            geometry, TimingParams(clock_ghz=2.0),
-            builtin_params("EDRAM_2MB"))
-    members = _members("clock")
-    assert clocks == [len(members)]
-    assert members.index("instructions") == sim._INSTRUCTIONS
+def test_ctypes_mirrors_name_lru_c_members_in_order():
+    # a member added, removed, moved or retyped on one side only would
+    # misplace every member after it
+    for struct, mirror in [("run", passes._Run), ("cache", cache._Cache),
+                           ("clock", passes.Clock), ("timer", passes.Timer)]:
+        assert _members(struct) == mirror._fields_, struct

@@ -6,7 +6,8 @@ import pytest
 from oracles import (compiled_full_profile, estimate_misses, full_profile,
                      observe_arrays, observe_reference, probe,
                      profiler_overhead_bytes, replay, size_counts, trace_of)
-from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Passes, Replay
+from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay
+from edrsim.passes import Passes
 from edrsim.profiler import (PROFILED_FRACTIONS, IntervalStats, ProfilingUnit,
                              TimingParams, estimate_refreshes, estimate_time)
 from edrsim.refresh import RefreshConfig

@@ -249,6 +249,115 @@ def test_compare_with_shared_replay_matches_reference_runs():
         assert report.reports[spec.name] == want, spec.name
 
 
+def _grouped(refresh, phases=(2, 4)):
+    """Baseline, two RPV schemes of `phases` and SRAM, as one call to
+    `run_schemes` times them: on one trip, a timer each."""
+    rpv = [SchemeSpec(kind=SchemeKind.RPV, name=f"rpv{k}",
+                      refresh=RefreshConfig(refresh.retention_cycles, k))
+           for k in phases]
+    return [SchemeSpec(kind=SchemeKind.BASELINE_EDRAM, refresh=refresh),
+            *rpv, SchemeSpec(kind=SchemeKind.SRAM, energy=SRAM)]
+
+
+def _assert_grouped_equals_reference_and_lone_runs(trace, schemes, geometry,
+                                                   timing, **kwargs):
+    """Each scheme's report from the grouped call equals the record-at-a-
+    time reference and `run` of that scheme alone, on a trace that keeps
+    no replay; returns the reports."""
+    got = run_schemes(trace, schemes, geometry, timing, EDRAM, **kwargs)
+    for spec, report in zip(schemes, got, strict=True):
+        want = reference_run(trace, spec, geometry, timing, EDRAM, **kwargs)
+        assert report == want, spec.name
+        alone = TraceArrays(trace.gaps, trace.ops, trace.addrs)
+        assert run(alone, spec, geometry, timing, EDRAM, **kwargs) == want, \
+            spec.name
+    return got
+
+
+@pytest.mark.parametrize("case", ["warm-up inside an interval",
+                                  "close on the last record", "long burst"])
+def test_grouped_timing_matches_reference_and_lone_runs(case, monkeypatch):
+    # the grouped call shares the warm-up, the closes and the tallies of
+    # outcomes among the timers; each timer keeps its own cycle, refresh
+    # boundaries, banks and, for RPV, phases
+    geometry = _geometry(1 if case == "long burst" else 2)
+    trace = _trace(seed=31)
+    refresh = RefreshConfig(2400)
+    kwargs = dict(warmup_instructions=23_456, interval_instructions=10_000)
+    bursts = []
+    if case == "close on the last record":
+        # 240,000 instructions in 6,000 gaps of 40: the 60th close falls
+        # on the last record
+        kwargs = dict(warmup_instructions=0, interval_instructions=4_000)
+    elif case == "long burst":
+        # 1028 cycles for one bank of 1024 lines, more than a 257- or
+        # 514-cycle phase: a burst may hold the bank for its whole phase,
+        # so that a wait on it runs into the next boundary. It holds it no
+        # longer: a line joins a phase only while its bank is free in it.
+        refresh = RefreshConfig(1028)
+        real_lines = oracles.RpvPhases.lines
+
+        def lines(rpv, phase):
+            per_bank = real_lines(rpv, phase)
+            bursts.append(sum(per_bank) - rpv.phase_cycles)
+            return per_bank
+        monkeypatch.setattr(oracles.RpvPhases, "lines", lines)
+    timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
+    got = _assert_grouped_equals_reference_and_lone_runs(
+        trace, _grouped(refresh), geometry, timing, **kwargs)
+    cycles = {report.total_cycles for report in got}
+    assert len(cycles) == len(got)  # every scheme waits differently
+    if case == "close on the last record":
+        for report in got:
+            assert [iv.instructions for iv in report.intervals] == \
+                [4_000] * 60
+    if case == "long burst":
+        assert max(bursts) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(ways=st.sampled_from([2, 4]), banks=st.sampled_from([1, 2, 4]),
+       phases=st.sampled_from([(1, 2), (2, 4), (3, 4), (4, 1)]),
+       cpi=st.sampled_from([0.7, 1.0, 1.5]),
+       retention=st.sampled_from([120, 240]), data=st.data(),
+       records=st.lists(st.tuples(st.integers(0, 40), st.booleans(),
+                                  st.integers(0, 95), st.booleans()),
+                        min_size=2, max_size=150))
+def test_grouped_timing_matches_reference_on_tiny_configs(
+        ways, banks, phases, cpi, retention, data, records):
+    # the tiny caches of test_run_matches_reference_run_on_tiny_configs,
+    # timed for baseline, two RPV schemes and SRAM on one trip: a phase of
+    # 30-120 cycles is shorter than the 32-64 lines of a one-bank cache
+    geometry = CacheGeometry(size_bytes=16 * 64 * ways, associativity=ways,
+                             page_bytes=128,
+                             bank_bytes=16 * 64 * ways // banks)
+    gaps, writes, blocks, long = zip(*records)
+    gaps = [g + (data.draw(st.integers(2, 5)) * retention if far else 0)
+            for g, far in zip(gaps, long)]
+    trace = TraceArrays(gaps=np.array(gaps, dtype=np.uint32),
+                        ops=np.array(writes, dtype=np.uint8),
+                        addrs=np.array(blocks, dtype=np.uint64) * 64)
+    total = trace.instructions
+    assume(total > 0)
+    warmup = data.draw(st.sampled_from(
+        [None] + [w for w in (0, gaps[0], total // 3, total - gaps[-1] - 1)
+                  if 0 <= w < total]))
+    # the instructions after warm-up, which one interval of that length
+    # closes on the last record that adds any
+    seen = 0
+    for gap in gaps:
+        seen += gap
+        if warmup and seen >= warmup:
+            break
+    after = total - seen if warmup else total
+    interval = data.draw(st.sampled_from(
+        [i for i in (after, max(1, total // 3), max(1, total // 7)) if i]))
+    timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
+    _assert_grouped_equals_reference_and_lone_runs(
+        trace, _grouped(RefreshConfig(retention), phases), geometry, timing,
+        warmup_instructions=warmup, interval_instructions=interval)
+
+
 def test_functional_replay_matches_access_block(small_geometry):
     trace = _trace(seed=3)
     writes = trace.ops

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import trace_of
-from edrsim.cache import CacheGeometry, Passes
+from edrsim.cache import CacheGeometry
+from edrsim.passes import Passes
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim.refresh import RefreshConfig
