@@ -13,17 +13,18 @@ dirty bytes): set s owns the tag slots [s * ways, (s + 1) * ways), of
 which its first `fill[s]` hold the resident tags, least recent first: the
 same LRU stack DCR's profiling unit keeps at each of its sizes (Mattson et
 al., 1970). A tag is a full block number, so a block sits in at most one
-set; each slot has a dirty byte and a last-touch record index. Each bank
-counts its valid lines, and `n_valid` is their sum.
+set; each slot has a dirty byte. Each bank counts its valid lines, and
+`n_valid` is their sum.
 
 The functional pass of a simulation applies trace records to those arrays
 and writes each record's outcome into a code byte (a `Replay`), which the
-timing pass then reads. Hits, misses and evictions do not depend on time,
-so every scheme that never remaps the cache times the same replay, which
-`sim.run_schemes` builds once per trace and geometry. The per-record
-work, like the flush of a reconfiguration, is C (lru.c), built at first
-use (see native.py); `passes.Passes` binds a run's arguments to it
-once. The kernels route regions through the state's own `layout`, which
+timing pass then reads; a hit's also holds the line's age in four bits,
+so at most 16 ways. Hits, misses and evictions do not depend on time, so
+every scheme that never remaps the cache times the same replay, which
+`sim.run_schemes` builds once per trace and geometry. The per-record work,
+like the flush of a reconfiguration, is C (lru.c), built at first use
+(see native.py); `passes.Passes` binds a run's arguments to it once.
+The kernels route regions through the state's own `layout`, which
 `reconfigure` rewrites, so a bound run follows every reconfiguration.
 """
 
@@ -67,6 +68,9 @@ class CacheGeometry(Record):
             raise GeometryError(
                 f"a bank of {bank_bytes} bytes is smaller than one set of "
                 f"{associativity} {block_bytes}-byte blocks")
+        if associativity > 16:  # a hit's code holds its age in 4 bits
+            raise GeometryError(
+                f"associativity must be at most 16, got {associativity}")
         if page_bytes < block_bytes:
             raise GeometryError("page_bytes must be >= block_bytes")
         if size_bytes % (page_bytes * associativity):
@@ -100,15 +104,14 @@ class _Cache(ctypes.Structure):
     """lru.c's struct cache: a CacheState's arrays, ways and layout."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "tags", "dirty", "touch", "fill", "valid_by_bank")] + [
+        "tags", "dirty", "fill", "valid_by_bank")] + [
         ("ways", ctypes.c_int64), ("layout", ctypes.c_void_p)]
 
 
 class CacheState:
     """Mutable cache state owned by a single simulation instance."""
 
-    def __init__(self, geometry: CacheGeometry, min_colors: int = 1,
-                 touch: bool = False):
+    def __init__(self, geometry: CacheGeometry, min_colors: int = 1):
         self.geometry = geometry
         self.min_colors = min_colors
         m_total = geometry.color_count
@@ -117,13 +120,10 @@ class CacheState:
         self.active_count = m_total
         self.mapping: list[int] = list(range(m_total))
         # set s: tag slots [s * ways, (s + 1) * ways), the first fill[s]
-        # resident, least recent first, with a dirty byte and, with
-        # `touch`, a last-touch index per slot, which a replay's last-touch
-        # column needs
+        # resident, least recent first, with a dirty byte per slot
         lines, sets = geometry.total_lines, geometry.total_sets
         self.tags = zeros("Q", lines)
         self.dirty = bytearray(lines)
-        self.touch = zeros("i", lines) if touch else None
         self.fill = zeros("i", sets)
         self.valid_by_bank = zeros("q", geometry.num_banks)
         # how the kernels find a set under the mapping; reconfigure
@@ -132,7 +132,6 @@ class CacheState:
         # the same, as the compiled routines take it
         self.arrays = _Cache(
             address(self.tags, 8, lines), address(self.dirty, 1, lines),
-            None if self.touch is None else address(self.touch, 4, lines),
             address(self.fill, 4, sets),
             address(self.valid_by_bank, 8, geometry.num_banks),
             geometry.associativity, address(self.layout, 8, len(self.layout)))
@@ -147,23 +146,18 @@ HIT = 1
 EVICTED = 2  # a miss that pushed out the set's least recent line
 DIRTY_VICTIM = 4  # ... and that line was dirty
 WRITE = 8
+AGE_SHIFT = 4  # a hit's age, the lines of its set touched since, above
 
 
 class Replay:
-    """Outcome columns of a functional replay, one entry per trace record.
+    """The outcome of a functional replay: `codes`, a byte per trace record
+    unless None (DCR reads no codes back), holds the HIT/EVICTED/
+    DIRTY_VICTIM/WRITE bits and, for a hit, the line's age from bit
+    AGE_SHIFT up: 0 for the most recent line of its set."""
 
-    `codes`, unless None (DCR reads no codes back), holds the
-    HIT/EVICTED/DIRTY_VICTIM/WRITE bits, one byte per record.
-    `last_touch`, an int32 column if asked for (a fixed replay for RPV
-    is), gets the index of the record that last touched the line each record
-    hits or evicts, -1 for a fill of a free way: RPV's input.
-    """
-
-    def __init__(self, records: int, codes: bool = True,
-                 last_touch: bool = False):
+    def __init__(self, records: int, codes: bool = True):
         self.records = records
         self.codes = bytearray(records) if codes else None
-        self.last_touch = zeros("i", records) if last_touch else None
 
     def __len__(self):
         return self.records

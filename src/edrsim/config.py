@@ -101,27 +101,28 @@ class RunConfig(Record):
 
 def _parse_phases(value: str) -> list[PhaseSpec]:
     phases = []
-    for part in value.replace(";", "\n").splitlines():
-        part = part.strip()
-        if not part:
-            continue
+    parts = [part.strip() for part in value.replace(";", "\n").splitlines()]
+    for k, part in enumerate(filter(None, parts), 1):
+        where = f"[synthetic] phase {k}"
         bits = part.split(":")
         if len(bits) != 4:
             raise ConfigError(
-                f"phase '{part}' must be instructions:working_set_bytes:"
+                f"{where} '{part}' must be instructions:working_set_bytes:"
                 "write_fraction:reuse_locality")
-        phases.append(PhaseSpec(instructions=int(bits[0]),
-                                working_set_bytes=int(bits[1]),
-                                write_fraction=float(bits[2]),
-                                reuse_locality=float(bits[3])))
+        try:
+            phases.append(PhaseSpec(int(bits[0]), int(bits[1]),
+                                    float(bits[2]), float(bits[3])))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if not phases:
-        raise ConfigError("phases list is empty")
+        raise ConfigError("[synthetic] phases list is empty")
     return phases
 
 
 def _parse_synthetic(sec: dict, block_bytes: int) -> SyntheticTraceSpec:
     _check_keys("synthetic", sec, _SYNTH_KEYS)
-    return SyntheticTraceSpec(
+    return _in_section(
+        "synthetic", SyntheticTraceSpec,
         phases=_parse_phases(_get(sec, "synthetic", "phases", str,
                                   required=True)),
         rng_seed=_get(sec, "synthetic", "seed", int, default=0),

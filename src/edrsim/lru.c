@@ -12,9 +12,9 @@
  * - the functional pass (see cache.py), with a cache: a tag-only LRU step
  *   over flat arrays, applied to the main cache and to each size of DCR's
  *   profiling unit. A set is a row of `ways` tag slots; its first `fill`
- *   slots hold the resident tags, least recent first, and for a fixed
- *   replay the record that last touched each. Without a cache the loop
- *   reads the record's code byte, which an earlier functional pass wrote;
+ *   slots hold the resident tags, least recent first; a hit's code byte
+ *   holds the line's age (see lru_step). Without a cache the loop reads
+ *   the record's code byte, which an earlier functional pass wrote;
  * - the timing pass again: the tallies of the record's outcome, and on
  *   every timer the hit or miss latency. The loop stops after a record
  *   that closes an interval.
@@ -38,7 +38,8 @@
 #include <stdint.h>
 #include <string.h>
 
-enum { HIT = 1, EVICTED = 2, DIRTY_VICTIM = 4, WRITE = 8 };
+/* a code byte: the outcome bits, then a hit's age (at most 16 ways) */
+enum { HIT = 1, EVICTED = 2, DIRTY_VICTIM = 4, WRITE = 8, AGE_SHIFT = 4 };
 enum { BLOCK_SHIFT, PAGE_SHIFT, REGION_MASK, WITHIN_MASK, BANK_SHIFT,
        FIRST_SET };
 
@@ -57,13 +58,13 @@ struct clock {
  * boundary, the boundary length and the current phase; the tallies of
  * cycles and refreshed lines, which restart with the clock's; each bank's
  * busy-until cycle; the lines a boundary refreshes in bank b at a phase,
- * counts[b * phases + phase]; and RPV's phase column. */
+ * counts[b * phases + phase]; and RPV's phase of each line slot. */
 struct timer {
     int64_t now, next_boundary, boundary_len, phase, cycles, refreshed;
     int64_t *bank_busy;
     int64_t *counts;
     int64_t phases;
-    uint8_t *phase_of; /* RPV's, a byte per record (at most 256 phases) */
+    uint8_t *slot_phase; /* RPV's phase of each line slot (see settle) */
 };
 
 /* A cache.CacheState: its arrays, its ways and its layout, which also
@@ -71,7 +72,6 @@ struct timer {
 struct cache {
     uint64_t *tags;
     uint8_t *dirty;
-    int32_t *touch;
     int32_t *fill;
     int64_t *valid_by_bank;
     int64_t ways;
@@ -88,7 +88,6 @@ struct run {
     /* the functional pass */
     struct cache *cache;
     const uint8_t *writes;
-    int32_t *last_touch; /* which RPV's timers read */
     int64_t n_sizes; /* the profiling unit's, sampled one set in ratio */
     uint64_t ratio;
     uint64_t *unit_tags;
@@ -100,7 +99,7 @@ struct run {
     const uint32_t *gaps;
     double cpi;
     int64_t hit_cycles, miss_cycles;
-    int64_t n_banks;
+    int64_t n_banks, ways;
     struct timer *const *timers;
     int64_t n_timers;
 };
@@ -114,28 +113,27 @@ static int64_t set_of(const int64_t *layout, uint64_t addr)
 }
 
 /* One access to a set: a hit moves the tag to the end of the row, a miss
- * appends it and, in a full row, pushes out the first. `dirty` and `touch`,
- * if not NULL, are the row's dirty byte and last-touch index per slot and
- * move with the tags. Returns the HIT, EVICTED and DIRTY_VICTIM bits; the
- * accessed tag ends in slot *fill - 1, with the touch index of the line it
- * hit or evicted (-1 in a free way). */
-static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *touch,
-                    int32_t *fill, int ways, uint64_t tag)
+ * appends it and, in a full row, pushes out the first. `dirty`, if not
+ * NULL, is the row's dirty byte per slot and moves with the tags. Returns
+ * the HIT, EVICTED and DIRTY_VICTIM bits and, for a hit in slot i, the
+ * line's age last - i from bit AGE_SHIFT up; the accessed tag ends in slot
+ * *fill - 1. */
+static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *fill, int ways,
+                    uint64_t tag)
 {
-    int last = *fill - 1, i = last, code = HIT;
+    int last = *fill - 1, i = last, code;
     uint8_t d = 0;
 
     while (i >= 0 && row[i] != tag)
         i--;
     if (i >= 0) {
+        code = HIT | (last - i) << AGE_SHIFT;
         if (dirty)
             d = dirty[i];
     } else if (last + 1 < ways) {
         row[++last] = tag;
         if (dirty)
             dirty[last] = 0;
-        if (touch)
-            touch[last] = -1;
         *fill = last + 1;
         return 0;
     } else {
@@ -148,23 +146,16 @@ static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *touch,
         memmove(dirty + i, dirty + i + 1, (size_t)(last - i));
         dirty[last] = d;
     }
-    if (touch) {
-        int32_t t = touch[i];
-
-        memmove(touch + i, touch + i + 1, (size_t)(last - i) * sizeof *touch);
-        touch[last] = t;
-    }
     return code;
 }
 
 /* The functional pass of record r, whose block sits in `set` of `bank`:
- * the LRU step on the main cache, the dirty byte of a write, a fill of a
- * free way counted in valid_by_bank and, with last_touch, the touch index
- * that lru_step leaves. With a profiling unit, a block whose number is a
- * multiple of `ratio` is then looked up at each size u. A size samples
- * every ratio-th of its sets, a multiple of ratio, so the block's set,
- * block % sets, is sampled: the size's row block / ratio % unit_rows[u],
- * counted from the rows of the sizes before it. Size u counts misses,
+ * the LRU step on the main cache, the dirty byte of a write and a fill of
+ * a free way counted in valid_by_bank. With a profiling unit, a block
+ * whose number is a multiple of `ratio` is then looked up at each size u.
+ * A size samples every ratio-th of its sets, a multiple of ratio, so the
+ * block's set, block % sets, is sampled: the size's row block / ratio %
+ * unit_rows[u], counted from the rows of the sizes before it. Size u counts misses,
  * load misses and accesses at unit_counts[3u..3u + 2]. Returns the
  * record's code byte, also stored if the run binds codes. */
 static int replay(const struct run *run, int64_t r, int64_t set,
@@ -173,20 +164,14 @@ static int replay(const struct run *run, int64_t r, int64_t set,
     const struct cache *c = run->cache;
     uint64_t tag = run->addrs[r] >> run->layout[BLOCK_SHIFT];
     int ways = (int)c->ways, is_write = run->writes[r] != 0;
-    int32_t *touch = run->last_touch ? c->touch + set * ways : NULL;
-    int code = lru_step(c->tags + set * ways, c->dirty + set * ways, touch,
+    int code = lru_step(c->tags + set * ways, c->dirty + set * ways,
                         c->fill + set, ways, tag);
-    int32_t last = c->fill[set] - 1;
 
     if (!(code & (HIT | EVICTED)))
         c->valid_by_bank[bank]++;
     if (is_write) {
-        c->dirty[set * ways + last] = 1;
+        c->dirty[set * ways + c->fill[set] - 1] = 1;
         code |= WRITE;
-    }
-    if (touch) {
-        run->last_touch[r] = touch[last];
-        touch[last] = (int32_t)r;
     }
     if (run->codes)
         run->codes[r] = (uint8_t)code;
@@ -199,7 +184,7 @@ static int replay(const struct run *run, int64_t r, int64_t set,
         int64_t *count = run->unit_counts + 3 * u;
 
         count[2]++;
-        if (!(lru_step(run->unit_tags + row * ways, NULL, NULL,
+        if (!(lru_step(run->unit_tags + row * ways, NULL,
                        run->unit_fill + row, ways, tag) & HIT)) {
             count[0]++;
             count[1] += !is_write;
@@ -251,20 +236,29 @@ static void advance(struct timer *t, int64_t gap_cycles, int64_t bank,
     t->now = now;
 }
 
-/* Charge a timer for record r once its outcome is known: with a phase
- * column (RPV), the record's line leaves the phase of the record that
- * last touched it, `touched` (none if negative), and enters the current
- * phase, which the column keeps for r; then the latency. */
-static void settle(struct timer *t, int64_t r, int64_t bank,
-                   int32_t touched, int64_t latency)
+/* Charge a timer for a record in `bank` once its code is known: with slot
+ * phases (RPV), replay the record's LRU move on its set's row, a phase
+ * byte (at most 256 phases) per way, most recent first, at row_at. Slot
+ * a (a hit's age, a miss's ways - 1) leaves, slots [0, a) move up one and
+ * slot 0 takes the current phase; a hit's or a victim's line leaves the
+ * phase of slot a. Then the latency. */
+static void settle(struct timer *t, int64_t row_at, int64_t bank, int code,
+                   int a, int64_t latency)
 {
-    if (t->phase_of) {
+    if (t->slot_phase) {
         int64_t *counts = t->counts + bank * t->phases;
+        uint8_t *row = t->slot_phase + row_at, moved = (uint8_t)t->phase;
 
-        if (touched >= 0)
-            counts[t->phase_of[touched]]--;
+        /* a rotation: a plain shift loop compiles to a slower memmove */
+        for (int j = 0; j <= a; j++) {
+            uint8_t next = row[j];
+
+            row[j] = moved;
+            moved = next;
+        }
+        if (code & (HIT | EVICTED))
+            counts[moved]--;
         counts[t->phase]++;
-        t->phase_of[r] = (uint8_t)t->phase;
     }
     t->now += latency;
 }
@@ -286,12 +280,11 @@ static void settle(struct timer *t, int64_t r, int64_t bank,
  * interval, and the loop stops after it.
  *
  * DCR binds the cache's valid_by_bank as its timer's counts, so that a
- * refresh covers the valid lines. A timer with a phase column (RPV) also
- * reads a fixed replay's last-touch column: a record adds one line at the
- * current phase, and a hit or an eviction takes one from
- * phase_of[last_touch[r]], the phase of the record that last touched the
- * line, as phase_of[r] gets r's own. A record whose last-touch entry names
- * no earlier record stops the loop at once, which returns -1 - r. */
+ * refresh covers the valid lines. A timer with slot phases (RPV) counts
+ * the valid lines by the phase of their last touch, which it keeps per
+ * line slot from the codes (settle). A hit whose age is not below `ways`
+ * would move a slot outside its set: it stops the loop at once, which
+ * returns -1 - r. */
 int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
 {
     /* locals, which the byte stores of the loop cannot alias */
@@ -304,14 +297,13 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     const double cpi = run->cpi;
     const int64_t hit_cycles = run->hit_cycles;
     const int64_t miss_cycles = run->miss_cycles;
-    const int64_t n_banks = run->n_banks;
+    const int64_t n_banks = run->n_banks, ways = run->ways;
     struct clock *clock = run->clock;
     /* a lone timer (DCR's, or one fixed scheme's) is copied here for the
      * call, where no store through a pointer can reach it */
     struct timer one, *lone = &one;
     struct timer *const *timers = run->n_timers == 1 ? &lone : run->timers;
     const int64_t n_timers = run->n_timers;
-    const int32_t *touched_by = NULL; /* the column RPV's timers read */
     struct clock k = {0};
     int64_t r, stop = hi, i;
 
@@ -320,17 +312,13 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     if (n_timers == 1)
         one = *run->timers[0];
     /* a timer's cycles count from its cycle at the start of the call */
-    for (i = 0; i < n_timers; i++) {
+    for (i = 0; i < n_timers; i++)
         timers[i]->cycles -= timers[i]->now;
-        if (timers[i]->phase_of)
-            touched_by = run->last_touch;
-    }
     for (r = lo; r < hi; r++) {
         int64_t set = set_of(layout, addrs[r]);
         int64_t bank = set >> bank_shift;
-        int32_t touched = -1;
         int64_t latency;
-        int code;
+        int code, age;
 
         if (clock) {
             int64_t gap_cycles = (int64_t)rint(gaps[r] * cpi);
@@ -354,12 +342,10 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
         code = cache ? replay(run, r, set, bank) : codes[r];
         if (!clock)
             continue;
-        if (touched_by) {
-            touched = touched_by[r];
-            if (touched >= r) {
-                stop = -1 - r;
-                break;
-            }
+        age = code & HIT ? code >> AGE_SHIFT : (int)ways - 1;
+        if (age >= ways) {
+            stop = -1 - r;
+            break;
         }
         if (code & HIT) {
             latency = hit_cycles;
@@ -371,7 +357,7 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
             k.load_misses += !(code & WRITE);
         }
         for (i = 0; i < n_timers; i++)
-            settle(timers[i], r, bank, touched, latency);
+            settle(timers[i], set * ways, bank, code, age, latency);
         if (!k.warm_at && k.instructions >= k.close_at) {
             stop = r + 1;
             break;
@@ -390,8 +376,7 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
  * byte per region) only those whose page falls in a marked region. The
  * survivors of each set move to the front of its row in their order, the
  * dirty bytes past them are cleared, and fill and valid_by_bank lose the
- * flushed lines. `touch` is not moved: only a fixed replay keeps it, and
- * it never flushes. Stores the writebacks of dirty lines and returns the
+ * flushed lines. Stores the writebacks of dirty lines and returns the
  * lines flushed. */
 int64_t edr_flush(const struct cache *c, int64_t color,
                   const uint8_t *pulled, int64_t *writebacks)

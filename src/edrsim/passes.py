@@ -3,11 +3,10 @@
 `Passes` binds a trip's functional pass (a cache, and DCR's profiling
 unit) and its timing pass: a `Clock` that the trip's schemes share and a
 `Timer` per scheme, so that one trip over a fixed replay times every
-scheme that reads it. DCR binds the functional and the timing pass
-together, with one timer, so that one loop replays, times and stops at
-the end of each interval for the controller; it stores no code bytes.
-The classes below mirror lru.c's structs member for member.
-"""
+scheme (RPV's timer keeps each line slot's phase, moved by the codes'
+ages). DCR binds both passes together, with one timer, so that one loop
+replays, times and stops at the end of each interval for the controller;
+it stores no code bytes. The classes mirror lru.c's structs in order."""
 
 import ctypes
 
@@ -19,14 +18,15 @@ class _Run(ctypes.Structure):
     """lru.c's struct run."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "layout", "addrs", "codes", "cache", "writes", "last_touch")] + [
+        "layout", "addrs", "codes", "cache", "writes")] + [
         ("n_sizes", ctypes.c_int64), ("ratio", ctypes.c_uint64)] + [
         (name, ctypes.c_void_p) for name in (
             "unit_tags", "unit_fill", "unit_rows", "unit_counts", "clock",
             "gaps")] + [
         ("cpi", ctypes.c_double), ("hit_cycles", ctypes.c_int64),
         ("miss_cycles", ctypes.c_int64), ("n_banks", ctypes.c_int64),
-        ("timers", ctypes.c_void_p), ("n_timers", ctypes.c_int64)]
+        ("ways", ctypes.c_int64), ("timers", ctypes.c_void_p),
+        ("n_timers", ctypes.c_int64)]
 
 
 class Clock(ctypes.Structure):
@@ -55,7 +55,7 @@ class Timer(ctypes.Structure):
         "now", "next_boundary", "boundary_len", "phase", "cycles",
         "refreshed")] + [
         ("bank_busy", ctypes.c_void_p), ("counts", ctypes.c_void_p),
-        ("phases", ctypes.c_int64), ("phase_of", ctypes.c_void_p)]
+        ("phases", ctypes.c_int64), ("slot_phase", ctypes.c_void_p)]
 
     def take(self) -> tuple[int, int]:
         """The cycles and refreshed lines since the last take, or since
@@ -87,7 +87,8 @@ class Passes:
         self.out = out
         # the buffers the pointers below point into
         self._bound = [addrs]
-        self.args = _Run(addrs=address(addrs, 8, n))
+        self.args = _Run(addrs=address(addrs, 8, n),
+                         ways=geometry.associativity)
         self._bind("codes", out.codes, 1, n)
         # without a cache, records find their banks by the identity mapping
         identity = layout(geometry)
@@ -116,17 +117,8 @@ class Passes:
         if max(state.mapping) >= state.active_count:
             raise AssertionError("mapping routes regions to inactive color "
                                  f"{max(state.mapping)}")
-        n = len(self.out)
-        column = self.out.last_touch
-        # the kernel trusts them
-        if len(writes) != n or (column is not None and len(column) != n):
-            raise ValueError("the trace's write flags or the replay's "
-                             "last-touch column do not fit its records")
-        if column is not None and state.touch is None:
-            raise ValueError("a last-touch column needs a cache with touch")
         self._bound.append(state)
-        self._bind("writes", writes, 1, n)
-        self._bind("last_touch", column, 4, n)
+        self._bind("writes", writes, 1, len(self.out))
         self._bind("layout", state.layout, 8, len(state.layout))
         self.args.cache = ctypes.addressof(state.arrays)
         if unit is not None:
@@ -144,30 +136,26 @@ class Passes:
         counts, by_phase) of `timers`. A timer fires a refresh boundary
         every boundary_len cycles, never if 0, which refreshes in bank b
         the counts[b * phases + phase] lines of the phase it opens (an
-        int64 buffer, None without refresh). With by_phase (RPV), the
-        replay's last-touch column is read, and each record's phase is kept
-        in a column bound here, a byte per record: `refresh.RefreshConfig`
-        holds `phases` to 256. Returns the clock and the timers, whose
-        tallies the caller takes at each stop."""
-        n, banks = len(self.out), self.geometry.num_banks
+        int64 buffer, None without refresh). With by_phase (RPV), they
+        count the valid lines by the phase of their last touch, and a byte
+        per line slot bound here keeps its phase (`RefreshConfig` holds
+        `phases` to 256). Returns the clock and the timers, whose tallies
+        the caller takes at each stop."""
+        g, n = self.geometry, len(self.out)
+        banks, lines = g.num_banks, g.total_lines
         self._bind("gaps", gaps, 4, n)
         clock, bound = Clock(warm_at=warm_at, close_at=close_at), []
         for boundary_len, phases, counts, by_phase in timers:
             timer = Timer(next_boundary=boundary_len or 1 << 62,
                           boundary_len=boundary_len, phases=phases)
-            busy, phase_of = zeros("q", banks), None
+            busy, slot_phase = zeros("q", banks), None
             timer.bank_busy = address(busy, 8, banks)
             if counts is not None:
                 timer.counts = address(counts, 8, banks * phases)
             if by_phase:
-                column = self.out.last_touch
-                if column is None or len(column) != n:
-                    raise ValueError("the replay's last-touch column does "
-                                     "not fit its records")
-                self._bind("last_touch", column, 4, n)
-                phase_of = bytearray(n)
-                timer.phase_of = address(phase_of, 1, n)
-            self._bound += [timer, busy, counts, phase_of]
+                slot_phase = bytearray(lines)
+                timer.slot_phase = address(slot_phase, 1, lines)
+            self._bound += [timer, busy, counts, slot_phase]
             bound.append(timer)
         pointers = (ctypes.c_void_p * len(bound))(
             *map(ctypes.addressof, bound))
@@ -187,6 +175,6 @@ class Passes:
             raise ValueError("a replay without codes needs a cache bound")
         got = self._run(self._byref, lo, hi)
         if got < 0:
-            raise ValueError(f"record {-1 - got}: its last-touch entry "
-                             "names no earlier record")
+            raise ValueError(f"record {-1 - got}: its code's age is past "
+                             "the ways of its set")
         return got

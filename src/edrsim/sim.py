@@ -12,14 +12,14 @@ A run has two stages, as in gem5's atomic and timing CPUs. The functional
 pass decides each record's hit, eviction and dirty victim and writes them
 to a code byte per record; the timing pass turns the codes into cycles,
 refresh bursts and bank waits. The functional pass does not depend on
-time, so baseline, RPV and SRAM share one, the fixed replay, with RPV's
-last-touch column only when RPV runs. `run_schemes` builds it and keeps
-it on the trace (`TraceArrays.fixed_replay`) for the next call with an
-equal geometry. DCR replays each interval only after the controller has
-acted on the previous one, and times each record as it replays it, so it
-stores no codes. When DCR runs beside the fixed schemes, a helper thread
-takes the fixed replay's functional pass while DCR runs on the calling
-thread: the compiled loop releases the GIL.
+time, so baseline, RPV and SRAM share one, the fixed replay, one per
+geometry. `run_schemes` builds it and keeps it on the trace
+(`TraceArrays.fixed_replay`) for the next call with an equal geometry.
+DCR replays each interval only after the controller has acted on the
+previous one, and times each record as it replays it, so it stores no
+codes. When DCR runs beside the fixed schemes, a helper thread takes the
+fixed replay's functional pass while DCR runs on the calling thread: the
+compiled loop releases the GIL.
 
 Both passes are one compiled record loop (lru.c's edr_run), which `_time`
 binds once (`passes.Passes`) with a timer per scheme: DCR alone, with the
@@ -37,10 +37,11 @@ instructions only, so one clock holds those tallies for all of them; a
 timer holds its scheme's cycle, refresh boundaries, bank timers,
 counters and the tallies of cycles and refreshed lines. A scheme with
 refresh has a boundary every `phase_cycles` of its `RefreshConfig` and
-`phases` counters per bank; baseline and DCR take one phase. RPV reads
-the fixed replay's last-touch column and keeps each record's phase in a
-column of its own, a byte per record (`RefreshConfig` holds the phases to
-256), so the kept replay is never written. The loop itself finds where
+`phases` counters per bank; baseline and DCR take one phase. RPV keeps
+the phase of each line slot, a byte per line (`RefreshConfig` holds the
+phases to 256), each set's most recent first, and replays on them the LRU
+move that each code gives: a hit's holds the line's age, its slot in that
+order. The kept replay is never written. The loop itself finds where
 warm-up ends, restarting the tallies there, and stops after a record that
 closes an interval. The clock and the timers carry from one call to the
 next; `_time` reads each interval's tallies, builds each scheme's
@@ -62,25 +63,17 @@ from .scheme import RunReport, SchemeConfigError, SchemeSpec, check_run
 from .trace import TraceArrays
 
 
-def _fixed_pass(trace: TraceArrays, geometry: CacheGeometry, rpv: bool):
+def _fixed_pass(trace: TraceArrays, geometry: CacheGeometry):
     """The functional pass of a new fixed replay of the trace (its `out`),
     bound on a full-size cache of its own but not yet taken; None if the
-    replay the trace keeps serves: one of an equal geometry with, for
-    `rpv`, RPV's last-touch column (int32, so at most 2**31 - 1 records).
-    The kept one is dropped first, so a trace holds at most one. A trace's
-    columns must not change once it has been replayed.
-    """
-    kept = trace.fixed_replay
-    if kept is not None and kept[0] == geometry and (
-            not rpv or kept[1].last_touch is not None):
+    trace keeps one of an equal geometry. The kept one is dropped first,
+    so a trace holds at most one. A trace's columns must not change once
+    it has been replayed."""
+    if trace.fixed_replay is not None and trace.fixed_replay[0] == geometry:
         return None
     trace.fixed_replay = None
-    n = len(trace)
-    if rpv and n >= 1 << 31:
-        raise ValueError(f"a last-touch column indexes at most 2**31 - 1 "
-                         f"records with int32, not {n}")
-    passes = Passes(geometry, trace.addrs, Replay(n, last_touch=rpv))
-    passes.bind_cache(CacheState(geometry, touch=rpv), trace.ops)
+    passes = Passes(geometry, trace.addrs, Replay(len(trace)))
+    passes.bind_cache(CacheState(geometry), trace.ops)
     return passes
 
 
@@ -284,8 +277,8 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
 
     Every scheme is checked first, in order, so the first invalid one
     raises its own error before any record is replayed. Then, when a
-    scheme never remaps and the trace keeps no fixed replay that serves
-    them all (see `_fixed_pass`), its functional pass is taken and the
+    scheme never remaps and the trace keeps no fixed replay of the
+    geometry (see `_fixed_pass`), its functional pass is taken and the
     replay kept on the trace: on a helper thread while this thread runs
     DCR, if DCR is among the schemes (the compiled loop releases the GIL,
     and the two passes share only the trace, which neither writes), else
@@ -298,13 +291,10 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
                           warmup_instructions, interval_instructions)
     args = (geometry, timing, params, warmup_instructions,
             interval_instructions)
-    kinds = [s.kind for s in schemes]
-    dcr = [i for i, kind in enumerate(kinds) if kind is SchemeKind.DCR]
-    fixed = [i for i, kind in enumerate(kinds) if kind is not SchemeKind.DCR]
+    dcr = [i for i, s in enumerate(schemes) if s.kind is SchemeKind.DCR]
+    fixed = [i for i in range(len(schemes)) if i not in dcr]
     reports = {}
-    functional = None
-    if fixed:
-        functional = _fixed_pass(trace, geometry, SchemeKind.RPV in kinds)
+    functional = _fixed_pass(trace, geometry) if fixed else None
     if functional is not None:
         # whoever takes the pass holds the only reference to it, and with
         # it to the pass's cache, which is freed as soon as the pass returns

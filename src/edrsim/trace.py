@@ -105,9 +105,9 @@ class PhaseSpec(Record):
         self.write_fraction = write_fraction
         self.reuse_locality = reuse_locality
         if instructions <= 0:
-            raise TraceError("phase instructions must be > 0")
+            raise TraceError("instructions must be > 0")
         if working_set_bytes <= 0:
-            raise TraceError("phase working_set_bytes must be > 0")
+            raise TraceError("working_set_bytes must be > 0")
         if not 0.0 <= write_fraction <= 1.0:
             raise TraceError("write_fraction must be in [0, 1]")
         if not 0.0 <= reuse_locality <= 1.0:
@@ -136,12 +136,12 @@ class SyntheticTraceSpec(Record):
                              f"number > 0, got {rate}")
         if b <= 0 or b & (b - 1):
             raise TraceError("block_bytes must be a power of two")
-        for phase in phases:
+        for k, phase in enumerate(phases, 1):
             if -(-phase.working_set_bytes // b) > _PHASE_STRIDE_BLOCKS:
                 raise TraceError(
-                    f"phase working_set_bytes {phase.working_set_bytes} is "
-                    f"wider than {_PHASE_STRIDE_BLOCKS} blocks of {b} B, the "
-                    "distance between two phases' footprints")
+                    f"phase {k}: working_set_bytes {phase.working_set_bytes} "
+                    f"is wider than {_PHASE_STRIDE_BLOCKS} blocks of {b} B, "
+                    "the distance between two phases' footprints")
             try:
                 n = self.records(phase)
             except OverflowError:  # past a float, or infinitely many
@@ -149,8 +149,8 @@ class SyntheticTraceSpec(Record):
             # gaps are u32; record j ends at (j + 1) * i // n, in u64
             i = phase.instructions
             if i > n * _MASK32 or n * i > _MASK64:
-                raise TraceError(f"a phase of {i} instructions at {rate} "
-                                 "accesses per kilo-instruction does not "
+                raise TraceError(f"phase {k}, of {i} instructions at {rate} "
+                                 "accesses per kilo-instruction, does not "
                                  "fit the generator")
 
     def records(self, phase: PhaseSpec) -> int:

@@ -7,12 +7,13 @@ check beyond the parameter objects.
 `replay` drives the compiled functional pass (`passes.Passes`) over a run
 of records. The module also holds a record-at-a-time model of the cache:
 `access_block` applies one access to a `CacheState`'s sets held as plain
-Python lists (`SetLists`) and returns the code byte `replay` writes,
-`probe` looks one block up at each size of a profiling unit, and
-`replay_reference` is
-`replay` built from the two, record by record in Python: the reference
-the compiled kernel is diffed against. `flush_reference` is the compiled
-flush of a reconfiguration in numpy, on `view`s of the state's columns.
+Python lists (`SetLists`) and returns the outcome bits of the code byte
+`replay` writes, `age_in` a hit's age, the rest of that byte, `probe`
+looks one block up at each size of a profiling unit, and
+`replay_reference` is `replay` built from them, record by record in
+Python: the reference the compiled kernel is diffed against.
+`flush_reference` is the compiled flush of a reconfiguration in numpy, on
+`view`s of the state's columns.
 `reconfigure_reference` plans each pulled region of a reconfiguration by
 a `max` over every color, and `select_reference` prices each candidate
 through the `IntervalStats` it predicts and `interval_energy`: the
@@ -27,9 +28,10 @@ charges, and
 replay must match, counts refreshed lines from the same model.
 
 `trace_of` builds a trace from tuples, and `replay_codes` and
-`last_touch_column` drive the real functional pass, for tests that check
-the cache itself. `plain` is a report as the tree of dicts and lists
-whose `json.dumps` the CLI's writer must match byte for byte.
+`age_column` drive the real functional pass, for tests that check the
+cache itself; `age_mirror` is `age_column` from per-set lists. `plain` is
+a report as the tree of dicts and lists whose `json.dumps` the CLI's
+writer must match byte for byte.
 """
 
 import ctypes
@@ -40,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from edrsim import cache, native
-from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, ReconfigReport, Replay, layout,
-                          reconfigure)
+from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
+                          CacheGeometry, CacheState, ReconfigReport, Replay,
+                          layout, reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                candidate_space, select)
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
@@ -87,8 +89,7 @@ def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
     for the call, and its page offset picks the set inside that color. A
     hit moves the tag to the end of its set's row; a miss into a full set
     evicts the first. The dirty bytes and the valid counters (total and per
-    bank) follow, and so do the last-touch indices when `out` has a
-    last-touch column. With a profiling `unit`, every block whose number
+    bank) follow. With a profiling `unit`, every block whose number
     is a multiple of its sampling ratio is looked up at each of its sizes,
     which count its accesses, misses and load misses.
     """
@@ -204,7 +205,7 @@ def access_block(model: SetLists, is_write: bool, address: int,
                  rpv: RpvPhases | None = None, now: int = 0) -> int:
     """Apply one access (LRU probe and fill, dirty and valid bookkeeping,
     and with `rpv` the line's last-touch phase at cycle `now`); returns the
-    HIT/EVICTED/DIRTY_VICTIM/WRITE code byte."""
+    HIT/EVICTED/DIRTY_VICTIM/WRITE bits of its code byte."""
     set_index = model.set_of(address)
     assert set_index // model.sets_per_color < model.state.active_count
     tag = address // model.block_bytes
@@ -237,6 +238,14 @@ def access_block(model: SetLists, is_write: bool, address: int,
         rpv.of_tag[tag] = rpv.phase_of(now)
         rpv.by_bank[bank][rpv.of_tag[tag]] += 1
     return code
+
+
+def age_in(model: SetLists, address: int) -> int | None:
+    """The age of a block in its set, the tags after it in the list: what
+    a hit on it stores from bit AGE_SHIFT up. None if not resident."""
+    tags = model.tags[model.set_of(address)]
+    tag = address // model.block_bytes
+    return len(tags) - 1 - tags.index(tag) if tag in tags else None
 
 
 def probe(unit: ProfilingUnit, block: int, is_write: bool) -> None:
@@ -279,16 +288,18 @@ def profiler_overhead_bytes(unit: ProfilingUnit, tag_bits: int = 30) -> float:
 
 def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
                      out: Replay, unit=None) -> None:
-    """`replay` record by record: `access_block`, then `probe` in the
-    profiling unit for a block whose number is a multiple of its sampling
-    ratio."""
+    """`replay` record by record: `access_block`, with a hit's `age_in`,
+    then `probe` in the profiling unit for a block whose number is a
+    multiple of its sampling ratio."""
     assert max(state.mapping) < state.active_count, \
         f"mapping routes regions to inactive color {max(state.mapping)}"
     model = SetLists(state)
     block_bytes = state.geometry.block_bytes
     for i, addr, is_write in zip(range(lo, hi), ints(addrs)[lo:hi],
                                  ints(writes)[lo:hi]):
-        out.codes[i] = access_block(model, bool(is_write), addr)
+        age = age_in(model, addr) or 0
+        out.codes[i] = access_block(model, bool(is_write), addr) \
+            | age << AGE_SHIFT
         block = addr // block_bytes
         if unit is not None and not block % unit.ratio:
             probe(unit, block, bool(is_write))
@@ -726,35 +737,36 @@ def timeline_oracle(trace, policy: str, config: RefreshConfig,
     return TimelineVerdict(True)
 
 
-def last_touch_column(trace, geometry: CacheGeometry) -> list[int]:
-    """The last-touch column of a fixed replay (RPV's input), as the
-    compiled functional pass writes it: `replay` of the whole trace on a
-    full-size cache with touch indices."""
-    out = Replay(len(trace), last_touch=True)
-    replay(CacheState(geometry, touch=True), trace.addrs, trace.ops, 0,
-           len(trace), out)
-    return out.last_touch.tolist()
+def age_column(trace, geometry: CacheGeometry) -> list[int | None]:
+    """The age each hit of a fixed replay stores in its code byte (RPV's
+    input), as the compiled functional pass writes it: `replay_codes` of
+    the whole trace on a full-size cache; None for a miss, which stores
+    none."""
+    codes = replay_codes(CacheState(geometry), trace)
+    assert not any(code >> AGE_SHIFT for code in codes if not code & HIT)
+    return [code >> AGE_SHIFT if code & HIT else None for code in codes]
 
 
-def last_touch_mirror(trace, geometry: CacheGeometry) -> list[int]:
-    """`last_touch_column`, record by record: a per-set list of record
-    indices kept in the order of `access_block`'s tag list, so a hit or an
-    eviction reads the index of the record that last touched its line."""
-    model = SetLists(CacheState(geometry))
-    mirror: list[list[int]] = [[] for _ in range(geometry.total_sets)]
+def age_mirror(trace, geometry: CacheGeometry) -> list[int | None]:
+    """`age_column`, record by record: per set, a list of the blocks it
+    holds, least recent first, in which a hit finds its block's age, the
+    blocks after it. A hit moves its block to the end, a miss appends its
+    own and drops the first of a full set."""
+    sets: list[list[int]] = [[] for _ in range(geometry.total_sets)]
+    ways = geometry.associativity
+    model = SetLists(CacheState(geometry))  # for its set_of
     out = []
-    for i, (op, addr) in enumerate(zip(ints(trace.ops), ints(trace.addrs))):
-        set_index = model.set_of(addr)
-        before = list(model.tags[set_index])
-        indices = mirror[set_index]
-        code = access_block(model, op == Op.WRITE, addr)
-        if code & HIT:
-            out.append(indices.pop(before.index(addr // geometry.block_bytes)))
-        elif code & EVICTED:
-            out.append(indices.pop(0))
+    for addr in ints(trace.addrs):
+        blocks = sets[model.set_of(addr)]
+        block = addr // geometry.block_bytes
+        if block in blocks:
+            out.append(len(blocks) - 1 - blocks.index(block))
+            blocks.remove(block)
         else:
-            out.append(-1)
-        indices.append(i)
+            out.append(None)
+            if len(blocks) == ways:
+                blocks.pop(0)
+        blocks.append(block)
     return out
 
 

@@ -10,9 +10,9 @@ from oracles import (RpvPhases, SetLists, access_block, all_sets, dirty_tags,
                      flush_reference, full_profile, reconfigure_reference,
                      replay_codes, trace_of, validate_state, view)
 from edrsim import cache
-from edrsim.cache import (DIRTY_VICTIM, EVICTED, HIT, WRITE, CacheGeometry,
-                          CacheState, GeometryError, ReconfigError,
-                          reconfigure, zeros)
+from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
+                          CacheGeometry, CacheState, GeometryError,
+                          ReconfigError, reconfigure, zeros)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -123,7 +123,9 @@ def test_hit_promotes_to_mru(small_geometry):
         _access(state, False, a)
     _access(state, False, addrs[0])  # touch the oldest
     assert _access(state, False, (w * m) * page) == EVICTED
-    assert _access(state, False, addrs[0]) == HIT  # survived
+    # survived, second most recent: the hit's code carries age 1
+    code = _access(state, False, addrs[0])
+    assert code & 0x0F == HIT and code >> AGE_SHIFT == 1
 
 
 def test_write_sets_dirty_and_eviction_reports_it(small_geometry):

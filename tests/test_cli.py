@@ -415,6 +415,45 @@ def test_bank_smaller_than_a_set_writes_no_output(tmp_path, capsys):
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phases, error", [
+    ("x:65536:0.3:0.5",
+     "[synthetic] phase 1: invalid literal for int() with base 10: 'x'"),
+    ("1000:65536:0.3:0.5; 1000:65536:nan:0.5",
+     "[synthetic] phase 2: write_fraction must be in [0, 1]"),
+    ("1000:65536:0.3:0.5; 1000:64:0:0; 1000:0:0:0",
+     "[synthetic] phase 3: working_set_bytes must be > 0"),
+], ids=["instructions", "write fraction", "working set"])
+def test_synthetic_phase_errors_name_their_phase(tmp_path, capsys, phases,
+                                                 error):
+    path = tmp_path / "phases.cfg"
+    path.write_text(BASE_CONFIG.replace(
+        "phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2",
+        f"phases = {phases}"))
+    out = str(tmp_path / "outdir")
+    assert main(["run", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+def test_more_than_16_ways_writes_no_output(tmp_path, capsys):
+    # configs/demo.cfg with 32-way sets in its 1 MB banks: a hit's code
+    # byte numbers the line's age in four bits, so at most 16 ways
+    demo = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "demo.cfg")
+    with open(demo) as fh:
+        text = fh.read()
+    assert "bank_kb = 1024" in text
+    path = tmp_path / "ways.cfg"
+    path.write_text(text.replace("associativity = 8", "associativity = 32"))
+    error = "associativity must be at most 16, got 32"
+    with pytest.raises(ConfigError, match=error):
+        load_config(str(path))
+    out = str(tmp_path / "outdir")
+    assert main(["compare", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert error in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, phases, error", [
     ("rpv", "400", r"^\[scheme\.rpv\] phases must be in \[1, 256\], got 400$"),
     ("rpv8", "400", r"^\[scheme\.rpv8\] phases must be in \[1, 256\], "
@@ -820,9 +859,7 @@ def test_first_invalid_scheme_in_order_fails_before_any_replay(
 
 def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
     # DCR times each record as it replays it, so it reads no code byte
-    # back, and without a last-touch column its cache needs no touch array;
-    # the fixed replay has that column, and its cache touch indices, only
-    # when RPV runs
+    # back; the fixed replay stores its codes, with RPV or without
     made = []
 
     def record(cls):
@@ -831,19 +868,15 @@ def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
     monkeypatch.setattr(sim, "CacheState", record(CacheState))
     cfg = load_config(config_file)
     baseline, rpv, sram, dcr = cfg.schemes
-    for schemes, with_rpv in [([baseline, dcr], False),
-                              ([baseline, rpv, dcr], True)]:
+    for schemes in [baseline, dcr], [baseline, rpv, dcr]:
         made.clear()
         compare(generate_synthetic(cfg.synthetic), schemes, cfg.geometry,
                 cfg.timing, cfg.energy,
                 interval_instructions=cfg.interval_instructions)
         # the fixed replay and its cache, then DCR's cache and replay
         fixed_out, fixed_cache, dcr_cache, dcr_out = made
-        assert fixed_out.codes is not None
-        assert (fixed_out.last_touch is not None) is with_rpv
-        assert (fixed_cache.touch is not None) is with_rpv
-        assert dcr_cache.touch is None
-        assert dcr_out.codes is None and dcr_out.last_touch is None
+        assert len(fixed_out.codes) == len(fixed_out)
+        assert dcr_out.codes is None
     trace = generate_synthetic(cfg.synthetic)
     with pytest.raises(ValueError, match="without codes needs a cache"):
         Passes(cfg.geometry, trace.addrs, Replay(len(trace), codes=False))(
@@ -1054,6 +1087,34 @@ def test_any_rpv_phases_and_run_config_runs_or_fails_before_output(
         "[run]\n" + _lines({**warmup, "interval_instructions": interval}))
     text += "\n[scheme.rpv]\nkind = rpv\nretention_period_us = 1.024\n"
     _assert_runs_or_fails_before_output(text + _lines({"phases": phases}))
+
+
+# a phase's four fields, as written: mostly in range, else wild. Wild
+# instruction counts are refused (below 1, or too many records for the
+# generator), so that no drawn trace is large.
+_PHASE_FIELDS = st.tuples(
+    _maybe(st.integers(1, 30_000), st.integers(-2, 0)
+           | st.integers(2**40, 2**70) | st.sampled_from(["x", "1e3", ""])),
+    _maybe(st.integers(1, 4 << 20), st.integers(-2, 0)
+           | st.integers((1 << 32) + 1, 2**40) | st.just("1.5")),
+    _maybe(st.floats(0.0, 1.0), st.floats() | st.just("x")),
+    _maybe(st.floats(0.0, 1.0), st.floats() | st.just("")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(phases=st.lists(_PHASE_FIELDS, min_size=1, max_size=3))
+def test_any_synthetic_phases_run_or_fail_before_output(phases):
+    # [synthetic]'s phases, one to three: each field as the base config
+    # writes it (None), in range or wild
+    base = (40_000, 24_576, 0.3, 0.2)
+    written = "; ".join(":".join(
+        str(default if value is None else value)
+        for value, default in zip(phase, base)) for phase in phases)
+    text = _TINY_CONFIG.replace("l2_size_kb = 64", "l2_size_kb = 512")
+    text = text.replace("phases = 40000:24576:0.3:0.2; 40000:8192:0.3:0.2",
+                        f"phases = {written}")
+    assert f"phases = {written}" in text
+    _assert_runs_or_fails_before_output(text)
 
 
 def _assert_runs_or_fails_before_output(text: str) -> None:

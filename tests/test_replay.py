@@ -14,10 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (SetLists, access_block, all_sets, dirty_tags,
-                     last_touch_column, last_touch_mirror, reference_run,
-                     replay, replay_reference, validate_state, view)
-from edrsim.cache import CacheGeometry, CacheState, Replay, reconfigure
+from oracles import (SetLists, access_block, age_column, age_in, age_mirror,
+                     all_sets, dirty_tags, reference_run, replay,
+                     replay_reference, trace_of, validate_state, view)
+from edrsim.cache import (AGE_SHIFT, HIT, CacheGeometry, CacheState, Replay,
+                          reconfigure)
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim import profiler
@@ -33,9 +34,10 @@ EDRAM = builtin_params("EDRAM_2MB")
 SRAM = builtin_params("SRAM_2MB")
 
 
-def _geometry(banks):
-    # 64 KB, 8-way, 1 KB pages: 8 colors, 128 sets, 1024 lines
-    return CacheGeometry(size_bytes=64 * 1024, associativity=8,
+def _geometry(banks, ways=8):
+    # 64 KB, 8-way, 1 KB pages: 8 colors, 128 sets, 1024 lines; at 16
+    # ways, 4 colors of 64 sets
+    return CacheGeometry(size_bytes=64 * 1024, associativity=ways,
                          page_bytes=1024, bank_bytes=64 * 1024 // banks)
 
 
@@ -138,7 +140,7 @@ _TINY_SCHEMES = [(SchemeKind.BASELINE_EDRAM, 1), (SchemeKind.SRAM, 1),
 
 
 @settings(max_examples=150, deadline=None)
-@given(ways=st.sampled_from([2, 4]), banks=st.sampled_from([1, 2, 4]),
+@given(ways=st.sampled_from([2, 4, 8, 16]), banks=st.sampled_from([1, 2, 4]),
        scheme=st.sampled_from(_TINY_SCHEMES),
        cpi=st.sampled_from([0.7, 1.0, 1.5]),
        retention=st.sampled_from([120, 240]), data=st.data(),
@@ -147,11 +149,13 @@ _TINY_SCHEMES = [(SchemeKind.BASELINE_EDRAM, 1), (SchemeKind.SRAM, 1),
                         min_size=2, max_size=150))
 def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
                                                    retention, data, records):
-    # 128 B pages of two 64 B blocks on 8 colors: 16 sets, 32-64 lines, so
+    # 128 B pages of two 64 B blocks on 8 colors: 16 sets, 32-256 lines, so
     # DCR's X/16 unit has one set. Gaps of 0 put several records on one
     # instruction count, so that warm-up can end and an interval close on
-    # a record that adds no instructions.
+    # a record that adds no instructions. The retention grows with the
+    # ways, so that a bank's burst fits in it (check_scheme).
     kind, phases = scheme
+    retention *= max(1, ways // 2)
     geometry = CacheGeometry(size_bytes=16 * 64 * ways, associativity=ways,
                              page_bytes=128,
                              bank_bytes=16 * 64 * ways // banks)
@@ -316,7 +320,7 @@ def test_grouped_timing_matches_reference_and_lone_runs(case, monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ways=st.sampled_from([2, 4]), banks=st.sampled_from([1, 2, 4]),
+@given(ways=st.sampled_from([2, 4, 8, 16]), banks=st.sampled_from([1, 2, 4]),
        phases=st.sampled_from([(1, 2), (2, 4), (3, 4), (4, 1)]),
        cpi=st.sampled_from([0.7, 1.0, 1.5]),
        retention=st.sampled_from([120, 240]), data=st.data(),
@@ -327,7 +331,9 @@ def test_grouped_timing_matches_reference_on_tiny_configs(
         ways, banks, phases, cpi, retention, data, records):
     # the tiny caches of test_run_matches_reference_run_on_tiny_configs,
     # timed for baseline, two RPV schemes and SRAM on one trip: a phase of
-    # 30-120 cycles is shorter than the 32-64 lines of a one-bank cache
+    # 30-960 cycles may be shorter than the 32-256 lines of a one-bank
+    # cache
+    retention *= max(1, ways // 2)
     geometry = CacheGeometry(size_bytes=16 * 64 * ways, associativity=ways,
                              page_bytes=128,
                              bank_bytes=16 * 64 * ways // banks)
@@ -358,6 +364,25 @@ def test_grouped_timing_matches_reference_on_tiny_configs(
         warmup_instructions=warmup, interval_instructions=interval)
 
 
+def test_ages_reach_the_nibble_boundary_at_16_ways():
+    # 16 blocks of one set, touched in turn three times: once the set is
+    # full, each touch hits its oldest line, of age 15, the most four bits
+    # hold; then a trace that fills and thrashes the other sets
+    geometry = _geometry(2, ways=16)
+    page, colors = geometry.page_bytes, geometry.color_count
+    cycle = [(40, i % 3 == 0, i * colors * page) for i in range(16)] * 3
+    tail = _trace(seed=16)
+    trace = trace_of(cycle + list(zip(*map(oracles.ints, (
+        tail.gaps, tail.ops, tail.addrs)))))
+    ages = age_column(trace, geometry)
+    assert ages[:48] == [None] * 16 + [15] * 32
+    assert ages == age_mirror(trace, geometry)
+    timing = TimingParams(base_cpi=1.5, clock_ghz=2.0)
+    _assert_grouped_equals_reference_and_lone_runs(
+        trace, _grouped(RefreshConfig(2400)), geometry, timing,
+        warmup_instructions=0, interval_instructions=10_000)
+
+
 def test_functional_replay_matches_access_block(small_geometry):
     trace = _trace(seed=3)
     writes = trace.ops
@@ -370,7 +395,10 @@ def test_functional_replay_matches_access_block(small_geometry):
 
     lists = SetLists(CacheState(small_geometry))
     for i, (addr, is_write) in enumerate(zip(trace.addrs, writes)):
-        assert out.codes[i] == access_block(lists, is_write, addr), i
+        # the outcome bits, then a hit's age above them
+        age = age_in(lists, int(addr))
+        assert out.codes[i] & 0x0F == access_block(lists, is_write, addr), i
+        assert out.codes[i] >> AGE_SHIFT == (age or 0), i
     slow = lists.store()
     assert all_sets(fast) == all_sets(slow)
     assert dirty_tags(fast) == dirty_tags(slow)
@@ -425,6 +453,8 @@ def test_kernel_matches_reference_on_a_fixed_replay(banks):
                                        [])
     codes = np.frombuffer(out.codes, dtype=np.uint8)
     assert (codes & 2).any() and (codes & 4).any()  # evictions, dirty ones
+    # hits of every age an 8-way set holds
+    assert set(codes[codes & HIT == 1] >> AGE_SHIFT) == set(range(8))
 
 
 def test_kernel_matches_reference_across_reconfigurations():
@@ -474,6 +504,7 @@ def test_kernel_matches_reference_on_tiny_caches(ways, colors, data,
 @pytest.mark.parametrize("span", [None, 10, 1 << 34])
 def test_last_touch_matches_a_per_set_mirror(span, small_geometry,
                                              geometry_2mb):
+    # a hit's age counts the lines of its set touched since its last touch
     if span is None:
         geometry, trace = small_geometry, _trace(seed=5)
     else:
@@ -487,9 +518,13 @@ def test_last_touch_matches_a_per_set_mirror(span, small_geometry,
         trace = TraceArrays(gaps=np.ones(n, dtype=np.uint32),
                             ops=(rng.random(n) < 0.3).astype(np.uint8),
                             addrs=rng.choice(pool, n).astype(np.uint64) * 64)
-    got = last_touch_column(trace, geometry)
-    assert got == last_touch_mirror(trace, geometry)
-    assert sum(t >= 0 for t in got) > len(trace) // 2  # mostly hits, evictions
+    got = age_column(trace, geometry)
+    assert got == age_mirror(trace, geometry)
+    ages = [age for age in got if age is not None]
+    assert len(ages) > len(trace) // 4  # many hits
+    # of every age, but where each set holds at most one block
+    ways = geometry.associativity
+    assert set(ages) == ({0} if span == 10 else set(range(ways)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -505,8 +540,7 @@ def test_last_touch_property_on_tiny_caches(ways, colors, banks, accesses):
     trace = TraceArrays(gaps=np.ones(len(blocks), dtype=np.uint32),
                         ops=np.array(writes, dtype=np.uint8),
                         addrs=np.array(blocks, dtype=np.uint64) * 64)
-    assert last_touch_column(trace, geometry) == \
-        last_touch_mirror(trace, geometry)
+    assert age_column(trace, geometry) == age_mirror(trace, geometry)
 
 
 def _fixed_schemes(geometry, kinds=(SchemeKind.BASELINE_EDRAM,
@@ -519,9 +553,12 @@ def test_fixed_replay_is_kept_for_one_trace_and_geometry():
     geometry = _geometry(2)
     trace = _trace(seed=1)
     rest = (TimingParams(clock_ghz=2.0), EDRAM)
-    want = run_schemes(trace, _fixed_schemes(geometry), geometry, *rest)
+    want = [run(TraceArrays(trace.gaps, trace.ops, trace.addrs), scheme,
+                geometry, *rest) for scheme in _fixed_schemes(geometry)]
+    assert run_schemes(trace, _fixed_schemes(geometry), geometry,
+                       *rest) == want
     kept, first = trace.fixed_replay
-    assert kept == geometry and first.last_touch is not None
+    assert kept == geometry
     # each scheme run alone, and all of them again, time the same replay
     for scheme in _fixed_schemes(geometry):
         run(trace, scheme, geometry, *rest)
@@ -544,6 +581,28 @@ def test_fixed_replay_is_kept_for_one_trace_and_geometry():
     assert kept() is None  # freed with its trace
 
 
+def test_fixed_replay_has_a_last_touch_column_only_for_rpv():
+    # RPV reads each hit's age from its code, so no scheme needs a
+    # last-touch column: the replay that baseline and SRAM build holds the
+    # codes alone, and RPV times that same replay
+    geometry = _geometry(2)
+    trace = _trace(seed=1)
+    rest = (TimingParams(clock_ghz=2.0), EDRAM)
+    want = [run(TraceArrays(trace.gaps, trace.ops, trace.addrs), scheme,
+                geometry, *rest) for scheme in _fixed_schemes(geometry)]
+    plain = _fixed_schemes(geometry, (SchemeKind.BASELINE_EDRAM,
+                                      SchemeKind.SRAM))
+    assert run_schemes(trace, plain, geometry, *rest) == want[::2]
+    first = trace.fixed_replay[1]
+    assert set(vars(first)) == {"records", "codes"}
+    rpv = _scheme(SchemeKind.RPV, 4, geometry)
+    assert run(trace, rpv, geometry, *rest) == want[1]
+    assert trace.fixed_replay[1] is first
+    assert set(vars(first)) == {"records", "codes"}
+    assert run_schemes(trace, plain, geometry, *rest) == want[::2]
+    assert trace.fixed_replay[1] is first
+
+
 def test_fixed_replay_is_kept_for_an_equal_geometry():
     # a sweep parses a new but equal geometry for each value
     trace = _trace(seed=1)
@@ -556,27 +615,6 @@ def test_fixed_replay_is_kept_for_an_equal_geometry():
     assert trace.fixed_replay[1] is kept
 
 
-def test_fixed_replay_has_a_last_touch_column_only_for_rpv():
-    geometry = _geometry(2)
-    trace = _trace(seed=1)
-    rest = (TimingParams(clock_ghz=2.0), EDRAM)
-    plain = _fixed_schemes(geometry, (SchemeKind.BASELINE_EDRAM,
-                                      SchemeKind.SRAM))
-    want = [run(TraceArrays(trace.gaps, trace.ops, trace.addrs), scheme,
-                geometry, *rest) for scheme in _fixed_schemes(geometry)]
-    assert run_schemes(trace, plain, geometry, *rest) == want[::2]
-    first = trace.fixed_replay[1]
-    assert first.last_touch is None
-    # RPV rebuilds it with the column, which serves the others too
-    rpv = _scheme(SchemeKind.RPV, 4, geometry)
-    assert run(trace, rpv, geometry, *rest) == want[1]
-    second = trace.fixed_replay[1]
-    assert second is not first and second.last_touch is not None
-    assert second.codes == first.codes
-    assert run_schemes(trace, plain, geometry, *rest) == want[::2]
-    assert trace.fixed_replay[1] is second
-
-
 def test_run_rejects_an_empty_interval():
     geometry = _geometry(2)
     scheme = _scheme(SchemeKind.BASELINE_EDRAM, 1, geometry)
@@ -585,21 +623,24 @@ def test_run_rejects_an_empty_interval():
             EDRAM, interval_instructions=0)
 
 
-@pytest.mark.parametrize("where", ["next", "last", "past the end"])
-def test_rpv_rejects_a_last_touch_entry_that_points_forward(where):
-    # a corrupt column would make the timing pass read a record index as a
-    # phase, or read past the column; it stops at the record instead. `run`
-    # times the replay that the trace keeps for this geometry.
+@pytest.mark.parametrize("where", ["one past the ways", "widest nibble",
+                                   "miss made a hit"])
+def test_rpv_rejects_a_code_whose_age_leaves_its_set(where):
+    # a corrupt code of an 8-way replay would make the timing pass move
+    # phases past its set's row; it stops at the record instead, whose age
+    # may be only 0-7. `run` times the replay that the trace keeps for this
+    # geometry.
     geometry = _geometry(2)
     trace = _trace(seed=4)
     rpv = _scheme(SchemeKind.RPV, 4, geometry)
     rest = (TimingParams(clock_ghz=2.0), EDRAM)
     run(trace, rpv, geometry, *rest)
-    column = trace.fixed_replay[1].last_touch
-    r = [i for i, t in enumerate(column) if t >= 0][100]
-    column[r] = {"next": r + 1, "last": len(trace) - 1,
-                 "past the end": 2**31 - 1}[where]
-    with pytest.raises(ValueError, match=f"record {r}: its last-touch"):
+    codes = trace.fixed_replay[1].codes
+    hit = where != "miss made a hit"
+    r = [i for i, code in enumerate(codes) if bool(code & HIT) is hit][100]
+    age = 8 if where == "one past the ways" else 15
+    codes[r] = codes[r] & 0x0F | HIT | age << AGE_SHIFT
+    with pytest.raises(ValueError, match=f"record {r}: its code's age"):
         run(trace, rpv, geometry, *rest)
 
 
