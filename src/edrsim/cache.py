@@ -17,13 +17,14 @@ set; each slot has a dirty byte. Each bank counts its valid lines, and
 `n_valid` is their sum.
 
 The functional pass of a simulation applies trace records to those arrays
-and writes each record's outcome into a code byte (a `Replay`), which the
-timing pass then reads; a hit's also holds the line's age in four bits,
-so at most 16 ways. Hits, misses and evictions do not depend on time, so
-every scheme that never remaps the cache times the same replay, which
-`sim.run_schemes` builds once per trace and geometry. The per-record work,
-like the flush of a reconfiguration, is C (lru.c), built at first use
-(see native.py); `passes.Passes` binds a run's arguments to it once.
+and gives each record's outcome as a code byte, which the timing pass
+reads in the same step (a `Replay` with codes also stores it); a hit's
+also holds the line's age in four bits, so at most 16 ways. Hits, misses
+and evictions do not depend on time, so every scheme that never remaps
+the cache is timed on one pass, in one trip (see `sim.run_schemes`). The
+per-record work, like the flush of a reconfiguration, is C (lru.c), built
+at first use (see native.py); `passes.Passes` binds a run's arguments to
+it once.
 The kernels route regions through the state's own `layout`, which
 `reconfigure` rewrites, so a bound run follows every reconfiguration.
 """
@@ -151,7 +152,7 @@ AGE_SHIFT = 4  # a hit's age, the lines of its set touched since, above
 
 class Replay:
     """The outcome of a functional replay: `codes`, a byte per trace record
-    unless None (DCR reads no codes back), holds the HIT/EVICTED/
+    unless None (a simulation's trips store none), holds the HIT/EVICTED/
     DIRTY_VICTIM/WRITE bits and, for a hit, the line's age from bit
     AGE_SHIFT up: 0 for the most recent line of its set."""
 

@@ -160,11 +160,11 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
-def _check_compare(cfg: RunConfig) -> None:
+def _check_compare(cfg: RunConfig) -> int:
     """`sim.check_compare` on the config's schemes, before any trace is
-    built."""
+    built: the baseline's index."""
     try:
-        check_compare(cfg.schemes)
+        return check_compare(cfg.schemes)
     except SchemeConfigError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -214,26 +214,47 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _sweep_reports(arrays: TraceArrays, configs: list[RunConfig],
+                   warmup: int) -> list[list[RunReport]]:
+    """The reports of each config's schemes on one trace, in order. Of what
+    a trip's schemes share, a sweep changes only the geometry (by
+    l2_size_kb): timing, energy, warm-up and interval are never swept. So
+    the configs of one geometry share a `run_schemes` call, whose one trip
+    times the fixed schemes of them all."""
+    by_geometry, per = {}, len(configs[0].schemes)
+    for k, cfg in enumerate(configs):
+        by_geometry.setdefault(cfg.geometry, []).append(k)
+    reports = [None] * len(configs)
+    for geometry, ks in by_geometry.items():
+        cfg = configs[ks[0]]
+        got = run_schemes(arrays, [s for k in ks for s in configs[k].schemes],
+                          geometry, cfg.timing, cfg.energy, warmup,
+                          cfg.interval_instructions)
+        for j, k in enumerate(ks):
+            reports[k] = got[j * per:(j + 1) * per]
+    return reports
+
+
 def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
     configs = load_sweep(args.config, args.parameter, values)
     cfg = configs[0]
-    _check_compare(cfg)
+    baseline_idx = _check_compare(cfg)
 
     # no sweepable parameter changes the trace or the warm-up
     arrays = _load_trace_for(cfg, args.seed)
     warmup = _warmup_for(cfg, arrays)
+    reports = _sweep_reports(arrays, configs, warmup)
     rows = []
-    for value, vcfg in zip(values, configs):
-        report = compare(arrays, vcfg.schemes, vcfg.geometry, vcfg.timing,
-                         vcfg.energy, warmup_instructions=warmup,
-                         interval_instructions=vcfg.interval_instructions)
-        base = report.baseline
+    for value, got in zip(values, reports):
+        base = got[baseline_idx]
+        others = [rep for i, rep in enumerate(got) if i != baseline_idx]
         # the value column spells every value as a float: 1.0 for "1"
-        for row in [comparison_row(base, base), *report.rows]:
-            rows.append([args.parameter, repr(float(value)), *_row_cells(row)])
+        for rep in [base, *others]:
+            rows.append([args.parameter, repr(float(value)),
+                         *_row_cells(comparison_row(base, rep))])
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "sweep.csv"),
                   _csv_bytes(["parameter", "value", *_ROW_COLUMNS], rows))

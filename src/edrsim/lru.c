@@ -9,26 +9,25 @@
  *   scheme: count the record's instructions, then on every timer turn its
  *   gap into cycles, fire the refresh events due by then and wait out a
  *   burst on its bank;
- * - the functional pass (see cache.py), with a cache: a tag-only LRU step
- *   over flat arrays, applied to the main cache and to each size of DCR's
- *   profiling unit. A set is a row of `ways` tag slots; its first `fill`
- *   slots hold the resident tags, least recent first; a hit's code byte
- *   holds the line's age (see lru_step). Without a cache the loop reads
- *   the record's code byte, which an earlier functional pass wrote;
+ * - the functional pass (see cache.py) on the run's cache: a tag-only LRU
+ *   step over flat arrays, applied to the main cache and to each size of
+ *   DCR's profiling unit. A set is a row of `ways` tag slots; its first
+ *   `fill` slots hold the resident tags, least recent first. The step
+ *   gives the record's code byte, whose hit also holds the line's age (see
+ *   lru_step), stored only if the run binds codes;
  * - the timing pass again: the tallies of the record's outcome, and on
  *   every timer the hit or miss latency. The loop stops after a record
  *   that closes an interval.
  *
  * The record is decoded once for all of it: its set, its bank, its gap in
  * cycles and its code. The schemes that never remap the cache (baseline,
- * RPV and SRAM) bind one timer each to the codes of their shared fixed
- * replay, so one trip times them all; DCR binds its cache and one timer.
- * Both passes find a record's set through a layout, built by
+ * RPV and SRAM) bind one cache and a timer each, so one trip replays and
+ * times them all; DCR binds its cache, its profiling unit and one timer.
+ * A record finds its set through its cache's layout, built by
  * cache.layout: layout[FIRST_SET + region] is the first set of the color
  * the region maps to, and the block's offset in its page picks the set
- * inside that color. A cache owns its layout, which follows its mapping
- * (cache.reconfigure rewrites it); a run without a cache uses the
- * identity mapping's.
+ * inside that color. The layout follows the cache's mapping
+ * (cache.reconfigure rewrites it).
  *
  * edr_flush invalidates a color's lines when DCR reconfigures the cache.
  * edr_generate writes one phase of a synthetic trace, and edr_pack and
@@ -78,11 +77,10 @@ struct cache {
     const int64_t *layout;
 };
 
-/* What a run's passes read and write; a NULL cache skips the functional
- * pass, a NULL clock the timing pass and NULL codes the store of the code
- * bytes. */
+/* What a run's passes read and write: the functional pass always, on
+ * the cache; a NULL clock skips the timing pass and NULL codes the store
+ * of the code bytes. */
 struct run {
-    const int64_t *layout;
     const uint64_t *addrs;
     uint8_t *codes;
     /* the functional pass */
@@ -99,7 +97,7 @@ struct run {
     const uint32_t *gaps;
     double cpi;
     int64_t hit_cycles, miss_cycles;
-    int64_t n_banks, ways;
+    int64_t n_banks;
     struct timer *const *timers;
     int64_t n_timers;
 };
@@ -162,7 +160,7 @@ static int replay(const struct run *run, int64_t r, int64_t set,
                   int64_t bank)
 {
     const struct cache *c = run->cache;
-    uint64_t tag = run->addrs[r] >> run->layout[BLOCK_SHIFT];
+    uint64_t tag = run->addrs[r] >> c->layout[BLOCK_SHIFT];
     int ways = (int)c->ways, is_write = run->writes[r] != 0;
     int code = lru_step(c->tags + set * ways, c->dirty + set * ways,
                         c->fill + set, ways, tag);
@@ -273,31 +271,28 @@ static void settle(struct timer *t, int64_t row_at, int64_t bank, int code,
  * after its gap: every tally, the timers' and the unit's counts included,
  * restarts there. Each timer then fires the refresh boundaries due and
  * waits for the record's bank (advance). The record takes the functional
- * pass or reads its code, adds to the hit or miss tally (a miss also to
- * those of dirty victims and, unless a write, of load misses), and each
- * timer is charged hit_cycles or miss_cycles (settle). After warm-up, a
+ * pass, adds to the hit or miss tally (a miss also to those of dirty
+ * victims and, unless a write, of load misses), and each timer is
+ * charged hit_cycles or miss_cycles (settle). After warm-up, a
  * record that brings the instruction tally to close_at closes an
  * interval, and the loop stops after it.
  *
  * DCR binds the cache's valid_by_bank as its timer's counts, so that a
  * refresh covers the valid lines. A timer with slot phases (RPV) counts
  * the valid lines by the phase of their last touch, which it keeps per
- * line slot from the codes (settle). A hit whose age is not below `ways`
- * would move a slot outside its set: it stops the loop at once, which
- * returns -1 - r. */
+ * line slot from each record's code, made by the same iteration's LRU
+ * step (settle). */
 int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
 {
     /* locals, which the byte stores of the loop cannot alias */
-    const int64_t *layout = run->layout;
+    const int64_t *layout = run->cache->layout;
     const int64_t bank_shift = layout[BANK_SHIFT];
     const uint64_t *addrs = run->addrs;
     const uint32_t *gaps = run->gaps;
-    const uint8_t *codes = run->codes;
-    const struct cache *cache = run->cache;
     const double cpi = run->cpi;
     const int64_t hit_cycles = run->hit_cycles;
     const int64_t miss_cycles = run->miss_cycles;
-    const int64_t n_banks = run->n_banks, ways = run->ways;
+    const int64_t n_banks = run->n_banks, ways = run->cache->ways;
     struct clock *clock = run->clock;
     /* a lone timer (DCR's, or one fixed scheme's) is copied here for the
      * call, where no store through a pointer can reach it */
@@ -339,14 +334,10 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
             for (i = 0; i < n_timers; i++)
                 advance(timers[i], gap_cycles, bank, n_banks);
         }
-        code = cache ? replay(run, r, set, bank) : codes[r];
+        code = replay(run, r, set, bank);
         if (!clock)
             continue;
         age = code & HIT ? code >> AGE_SHIFT : (int)ways - 1;
-        if (age >= ways) {
-            stop = -1 - r;
-            break;
-        }
         if (code & HIT) {
             latency = hit_cycles;
             k.hits++;

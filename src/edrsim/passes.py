@@ -2,31 +2,29 @@
 
 `Passes` binds a trip's functional pass (a cache, and DCR's profiling
 unit) and its timing pass: a `Clock` that the trip's schemes share and a
-`Timer` per scheme, so that one trip over a fixed replay times every
-scheme (RPV's timer keeps each line slot's phase, moved by the codes'
-ages). DCR binds both passes together, with one timer, so that one loop
-replays, times and stops at the end of each interval for the controller;
-it stores no code bytes. The classes mirror lru.c's structs in order."""
+`Timer` per scheme, so that one loop replays the records once, times
+every scheme on each record's code as it is made (RPV's timer keeps each
+line slot's phase, moved by the codes' ages) and stops at the end of each
+interval. Only the tests bind code bytes to store. The classes mirror
+lru.c's structs in order."""
 
 import ctypes
 
-from .cache import (CacheGeometry, CacheState, Replay, address, kernel,
-                    layout, zeros)
+from .cache import CacheGeometry, CacheState, Replay, address, kernel, zeros
 
 
 class _Run(ctypes.Structure):
     """lru.c's struct run."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "layout", "addrs", "codes", "cache", "writes")] + [
+        "addrs", "codes", "cache", "writes")] + [
         ("n_sizes", ctypes.c_int64), ("ratio", ctypes.c_uint64)] + [
         (name, ctypes.c_void_p) for name in (
             "unit_tags", "unit_fill", "unit_rows", "unit_counts", "clock",
             "gaps")] + [
         ("cpi", ctypes.c_double), ("hit_cycles", ctypes.c_int64),
         ("miss_cycles", ctypes.c_int64), ("n_banks", ctypes.c_int64),
-        ("ways", ctypes.c_int64), ("timers", ctypes.c_void_p),
-        ("n_timers", ctypes.c_int64)]
+        ("timers", ctypes.c_void_p), ("n_timers", ctypes.c_int64)]
 
 
 class Clock(ctypes.Structure):
@@ -68,14 +66,14 @@ class Timer(ctypes.Structure):
 class Passes:
     """A run's arguments to lru.c's edr_run, bound once.
 
-    The trace's byte addresses and the code bytes of `out` are bound here,
-    the functional pass by `bind_cache` and the timing pass, with a timer
-    per scheme, by `bind_timing` (see `sim._time`). Calling it with
-    [lo, hi) takes those records through the bound passes, one record at a
-    time, and returns the record after the last one taken: `hi`, or
-    earlier where the timing pass closed an interval. The kernel counts in
-    the bound buffers and structs, the cache's, the profiling unit's, the
-    clock's and the timers', so a call copies nothing back.
+    The trace's byte addresses and the code bytes of `out`, if it has any,
+    are bound here, the functional pass by `bind_cache` and the timing
+    pass, with a timer per scheme, by `bind_timing` (see `sim._trip`).
+    Calling it with [lo, hi) takes those records through the bound passes,
+    one record at a time, and returns the record after the last one taken:
+    `hi`, or earlier where the timing pass closed an interval. The kernel
+    counts in the bound buffers and structs, the cache's, the profiling
+    unit's, the clock's and the timers', so a call copies nothing back.
     """
 
     def __init__(self, geometry: CacheGeometry, addrs, out: Replay):
@@ -87,12 +85,8 @@ class Passes:
         self.out = out
         # the buffers the pointers below point into
         self._bound = [addrs]
-        self.args = _Run(addrs=address(addrs, 8, n),
-                         ways=geometry.associativity)
+        self.args = _Run(addrs=address(addrs, 8, n))
         self._bind("codes", out.codes, 1, n)
-        # without a cache, records find their banks by the identity mapping
-        identity = layout(geometry)
-        self._bind("layout", identity, 8, len(identity))
         self._byref = ctypes.byref(self.args)
         self._run = kernel("edr_run")
 
@@ -119,7 +113,6 @@ class Passes:
                                  f"{max(state.mapping)}")
         self._bound.append(state)
         self._bind("writes", writes, 1, len(self.out))
-        self._bind("layout", state.layout, 8, len(state.layout))
         self.args.cache = ctypes.addressof(state.arrays)
         if unit is not None:
             self._bind("unit_tags", unit.tags, 8, len(unit.tags))
@@ -171,10 +164,6 @@ class Passes:
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"records [{lo}, {hi}) are not all in the "
                              f"trace's {n}")
-        if not self.args.cache and self.out.codes is None:
-            raise ValueError("a replay without codes needs a cache bound")
-        got = self._run(self._byref, lo, hi)
-        if got < 0:
-            raise ValueError(f"record {-1 - got}: its code's age is past "
-                             "the ways of its set")
-        return got
+        if not self.args.cache:
+            raise ValueError("no cache is bound to replay the records into")
+        return self._run(self._byref, lo, hi)

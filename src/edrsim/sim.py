@@ -9,30 +9,28 @@ bank for one cycle per refreshed line; an access to a busy bank waits for
 the burst to finish. Metrics accumulate only after the warm-up window.
 
 A run has two stages, as in gem5's atomic and timing CPUs. The functional
-pass decides each record's hit, eviction and dirty victim and writes them
-to a code byte per record; the timing pass turns the codes into cycles,
-refresh bursts and bank waits. The functional pass does not depend on
-time, so baseline, RPV and SRAM share one, the fixed replay, one per
-geometry. `run_schemes` builds it and keeps it on the trace
-(`TraceArrays.fixed_replay`) for the next call with an equal geometry.
-DCR replays each interval only after the controller has acted on the
-previous one, and times each record as it replays it, so it stores no
-codes. When DCR runs beside the fixed schemes, a helper thread takes the
-fixed replay's functional pass while DCR runs on the calling thread: the
-compiled loop releases the GIL.
+pass decides each record's hit, eviction and dirty victim, its code byte;
+the timing pass turns the code into cycles, refresh bursts and bank waits.
+Both are one compiled record loop (lru.c's edr_run), which `_trip` binds
+once (`passes.Passes`) on a full-size cache of the trip's own, with a
+timer per scheme: the fixed schemes of one `run_schemes` call (baseline,
+RPV and SRAM, which never remap) together, or DCR alone with its
+profiling unit. The functional pass does not depend on time, so the
+fixed schemes share one, and one trip replays and times them all; `run`
+of one fixed scheme is that trip with one timer, and a sweep's values of
+one geometry share one (`cli._sweep_reports`). No code byte is stored:
+each record's code is timed in the iteration that makes it.
+When DCR runs beside the fixed schemes, a helper thread takes the fixed
+trip, its loop and its tallies, while DCR runs on the calling thread:
+the compiled loop releases the GIL.
 
-Both passes are one compiled record loop (lru.c's edr_run), which `_time`
-binds once (`passes.Passes`) with a timer per scheme: DCR alone, with the
-functional pass, and the fixed schemes of one `run_schemes` call
-together, on the codes of their fixed replay, so one trip times them all;
-`run` of one fixed scheme is that trip with one timer. Per record the
-loop counts the gap's instructions, then on every timer adds its cycles,
-fires the refresh boundaries due by then and waits out a burst on the
-record's bank; it takes the functional pass or reads the code, tallies
-the outcome, and on every timer updates the counters an event reads
-(DCR's valid lines per bank; RPV's valid lines per bank and last-touch
-phase) and adds the hit or miss latency. The schemes share the records,
-their outcomes, the warm-up and the interval closes, which depend on
+Per record the loop counts the gap's instructions, then on every timer
+adds its cycles, fires the refresh boundaries due by then and waits out a
+burst on the record's bank; it takes the functional pass, tallies the
+outcome, and on every timer updates the counters an event reads (DCR's
+valid lines per bank; RPV's valid lines per bank and last-touch phase)
+and adds the hit or miss latency. The schemes share the records, their
+outcomes, the warm-up and the interval closes, which depend on
 instructions only, so one clock holds those tallies for all of them; a
 timer holds its scheme's cycle, refresh boundaries, bank timers,
 counters and the tallies of cycles and refreshed lines. A scheme with
@@ -41,13 +39,12 @@ refresh has a boundary every `phase_cycles` of its `RefreshConfig` and
 the phase of each line slot, a byte per line (`RefreshConfig` holds the
 phases to 256), each set's most recent first, and replays on them the LRU
 move that each code gives: a hit's holds the line's age, its slot in that
-order. The kept replay is never written. The loop itself finds where
-warm-up ends, restarting the tallies there, and stops after a record that
-closes an interval. The clock and the timers carry from one call to the
-next; `_time` reads each interval's tallies, builds each scheme's
-interval and lets DCR's controller act. DCR's records find their sets
-through the cache's own layout, which a reconfiguration rewrites, so the
-next call follows the new mapping.
+order. The loop itself finds where warm-up ends, restarting the tallies
+there, and stops after a record that closes an interval. The clock and
+the timers carry from one call to the next; `_time` turns each stop's
+tallies into each scheme's interval and lets DCR's controller act. DCR's
+records find their sets through the cache's own layout, which a
+reconfiguration rewrites, so the next call follows the new mapping.
 """
 
 import threading
@@ -63,20 +60,6 @@ from .scheme import RunReport, SchemeConfigError, SchemeSpec, check_run
 from .trace import TraceArrays
 
 
-def _fixed_pass(trace: TraceArrays, geometry: CacheGeometry):
-    """The functional pass of a new fixed replay of the trace (its `out`),
-    bound on a full-size cache of its own but not yet taken; None if the
-    trace keeps one of an equal geometry. The kept one is dropped first,
-    so a trace holds at most one. A trace's columns must not change once
-    it has been replayed."""
-    if trace.fixed_replay is not None and trace.fixed_replay[0] == geometry:
-        return None
-    trace.fixed_replay = None
-    passes = Passes(geometry, trace.addrs, Replay(len(trace)))
-    passes.bind_cache(CacheState(geometry), trace.ops)
-    return passes
-
-
 def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         timing: TimingParams, params: EnergyParams,
         warmup_instructions: int | None = None,
@@ -84,47 +67,39 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
     """Replay a trace under one scheme and return the full report.
 
     A scheme that never remaps (baseline, RPV, SRAM) is `run_schemes` of
-    that scheme alone: it times the fixed replay the trace keeps, built
-    there if none serves. DCR replays the trace itself, one interval at a
-    time, so each interval sees the mapping the controller left. Unless
-    given, the warm-up is a tenth of the trace, and an interval is
-    10,000,000 instructions for every scheme.
+    that scheme alone. DCR's trip stops at each interval's end, so each
+    interval sees the mapping the controller left. Unless given, the
+    warm-up is a tenth of the trace, and an interval is 10,000,000
+    instructions for every scheme.
     """
     if scheme.kind is not SchemeKind.DCR:
         return run_schemes(trace, [scheme], geometry, timing, params,
                            warmup_instructions, interval_instructions)[0]
-    warmup_instructions, interval_instructions = check_run(
-        trace, scheme, geometry, timing, warmup_instructions,
-        interval_instructions)
-    return _time(trace, [scheme], geometry, timing, params,
-                 warmup_instructions, interval_instructions)[0]
+    taken = check_run(trace, scheme, geometry, timing, warmup_instructions,
+                      interval_instructions)
+    return _time([scheme], _trip(trace, [scheme], geometry, timing, *taken),
+                 geometry, timing, params, *taken)[0]
 
 
-def _time(trace: TraceArrays, schemes: list[SchemeSpec],
+def _trip(trace: TraceArrays, schemes: list[SchemeSpec],
           geometry: CacheGeometry, timing: TimingParams,
-          params: EnergyParams, warmup_instructions: int,
-          interval_instructions: int,
-          replay: Replay | None = None) -> list[RunReport]:
-    """The reports of `schemes`, in order, timed on one trip through the
-    trace with a timer each: the schemes that never remap, on the codes of
-    their fixed `replay`, or one DCR scheme alone, which replays the trace
-    into a cache of its own, storing no codes, and lets its controller act
-    at each close. The checks of `check_run` have passed.
-    """
+          warmup_instructions: int, interval_instructions: int):
+    """One timed trip of `schemes` through the trace, bound on a new
+    full-size cache of its own with a timer each: the schemes that never
+    remap, or one DCR scheme alone, with its profiling unit. Returns the
+    cache, the unit (None without DCR) and the trip's stops: a generator,
+    not yet started, that takes the records up to each stop (see
+    `Passes`) and yields the clock's tallies and each timer's. The checks
+    of `check_run` have passed."""
     dcr = schemes[0] if schemes[0].kind is SchemeKind.DCR else None
     n = len(trace)
-    m_total = geometry.color_count
     hit_cycles = timing.l2_hit_cycles
-    miss_cost = hit_cycles + timing.dram_latency_cycles
-    state = unit = None
+    state, unit = CacheState(geometry), None
     if dcr is not None:
-        ctrl_cfg = dcr.controller
-        state = CacheState(geometry, min_colors=ctrl_cfg.c_min)
-        unit = ProfilingUnit(geometry, ctrl_cfg.sampling_ratio_denom)
-        replay = Replay(n, codes=False)
-    passes = Passes(geometry, trace.addrs, replay)
-    if dcr is not None:
-        passes.bind_cache(state, trace.ops, unit)
+        state.min_colors = dcr.controller.c_min
+        unit = ProfilingUnit(geometry, dcr.controller.sampling_ratio_denom)
+    passes = Passes(geometry, trace.addrs, Replay(n, codes=False))
+    passes.bind_cache(state, trace.ops, unit)
     specs = []
     for scheme in schemes:
         # a boundary every phase_cycles, over the lines it covers in each
@@ -144,21 +119,43 @@ def _time(trace: TraceArrays, schemes: list[SchemeSpec],
         specs.append((refresh.phase_cycles, refresh.phases, counts,
                       kind is SchemeKind.RPV))
     clock, timers = passes.bind_timing(
-        trace.gaps, timing.base_cpi, hit_cycles, miss_cost,
-        warmup_instructions, interval_instructions, specs)
+        trace.gaps, timing.base_cpi, hit_cycles,
+        hit_cycles + timing.dram_latency_cycles, warmup_instructions,
+        interval_instructions, specs)
 
+    def stops():
+        lo = 0
+        while True:
+            # up to the record that closes an interval, or to the end
+            lo = passes(lo, n)
+            tallies = clock.take()
+            yield tallies, [timer.take() for timer in timers]
+            if lo == n and tallies[0] < interval_instructions:
+                return
+    return state, unit, stops()
+
+
+def _time(schemes: list[SchemeSpec], trip, geometry: CacheGeometry,
+          timing: TimingParams, params: EnergyParams,
+          warmup_instructions: int,
+          interval_instructions: int) -> list[RunReport]:
+    """The reports of `schemes`, in order, from the cache, the unit and the
+    stops of their `_trip` (or a list of the stops it yielded): each
+    stop's tallies become an interval of each scheme, and the controller
+    of a DCR scheme acts at each close, before its trip goes on.
+    """
+    state, unit, stops = trip
+    dcr = schemes[0] if unit is not None else None
+    m_total = geometry.color_count
+    miss_cost = timing.l2_hit_cycles + timing.dram_latency_cycles
     carry_writebacks = carry_switched = 0
     active_fraction = 1.0
     intervals: list[list[IntervalStats]] = [[] for _ in schemes]
     decisions: list[Decision] = []
-    lo = 0
-    while True:
-        # up to the record that closes an interval, or to the end
-        lo = passes(lo, n)
-        instructions, hits, misses, writebacks, load_misses = clock.take()
+    for (instructions, hits, misses, writebacks, load_misses), timers in stops:
         closes = instructions >= interval_instructions
-        for scheme, timer, kept in zip(schemes, timers, intervals):
-            cycles, refreshed = timer.take()
+        for scheme, (cycles, refreshed), kept in zip(schemes, timers,
+                                                     intervals):
             stats = IntervalStats(
                 instructions=instructions,
                 l2_hits=hits, l2_misses=misses, load_misses=load_misses,
@@ -176,7 +173,7 @@ def _time(trace: TraceArrays, schemes: list[SchemeSpec],
                     or stats.dram_accesses or carry_switched):
                 continue
             stats.index = len(kept)
-            stats.colors = m_total if dcr is None else state.active_count
+            stats.colors = state.active_count
             if dcr is not None:  # every size's accesses
                 stats.prof_accesses = sum(unit.counts[2::3])
             stats.energy = interval_energy(stats, scheme.energy or params,
@@ -188,8 +185,9 @@ def _time(trace: TraceArrays, schemes: list[SchemeSpec],
                 # the controller acts on DCR's interval, the only one; the
                 # next interval pays for what its decision flushed and
                 # switched
-                decision = select(stats, unit, state, dcr.refresh, ctrl_cfg,
-                                  dcr.energy or params, timing)
+                decision = select(stats, unit, state, dcr.refresh,
+                                  dcr.controller, dcr.energy or params,
+                                  timing)
                 report = reconfigure(state, decision.chosen)
                 decision.interval = stats.index
                 decision.switched_blocks = carry_switched = \
@@ -199,8 +197,6 @@ def _time(trace: TraceArrays, schemes: list[SchemeSpec],
                 decisions.append(decision)
                 unit.reset()
             active_fraction = state.active_count / m_total
-        if lo == n and not closes:
-            break
 
     return [RunReport.from_intervals(scheme, warmup_instructions, kept,
                                      decisions)
@@ -276,55 +272,47 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
     """`run` every scheme on the same trace; the reports in scheme order.
 
     Every scheme is checked first, in order, so the first invalid one
-    raises its own error before any record is replayed. Then, when a
-    scheme never remaps and the trace keeps no fixed replay of the
-    geometry (see `_fixed_pass`), its functional pass is taken and the
-    replay kept on the trace: on a helper thread while this thread runs
-    DCR, if DCR is among the schemes (the compiled loop releases the GIL,
-    and the two passes share only the trace, which neither writes), else
-    here. The fixed schemes are then timed together on that replay, in
-    one trip with a timer each.
+    raises its own error before any record is replayed. The schemes that
+    never remap are then timed together, on one `_trip` with a timer each,
+    bound here: on a helper thread while this thread runs each DCR scheme,
+    if any (the compiled loop releases the GIL, and the trips share only
+    the trace, which neither writes), else here. The helper runs only the
+    loop and the reads of its tallies; the intervals are built here.
     """
     for scheme in schemes:
         # the warm-up and interval a run takes, the same for every scheme
         taken = check_run(trace, scheme, geometry, timing,
                           warmup_instructions, interval_instructions)
-    args = (geometry, timing, params, warmup_instructions,
-            interval_instructions)
-    dcr = [i for i, s in enumerate(schemes) if s.kind is SchemeKind.DCR]
-    fixed = [i for i in range(len(schemes)) if i not in dcr]
+    fixed = [i for i, s in enumerate(schemes) if s.kind is not SchemeKind.DCR]
     reports = {}
-    functional = _fixed_pass(trace, geometry) if fixed else None
-    if functional is not None:
-        # whoever takes the pass holds the only reference to it, and with
-        # it to the pass's cache, which is freed as soon as the pass returns
-        out, job, failed = functional.out, [functional], []
-        del functional
+    if fixed:
+        group = [schemes[i] for i in fixed]
+        state, unit, stops = _trip(trace, group, geometry, timing, *taken)
+        if len(fixed) < len(schemes):
+            done, failed = [], []
 
-        def take_fixed_pass():
-            try:
-                job.pop()(0, len(out))
-            except BaseException as exc:
-                failed.append(exc)
+            def take():
+                try:
+                    done.extend(stops)
+                except BaseException as exc:
+                    failed.append(exc)
 
-        if dcr:
-            helper = threading.Thread(target=take_fixed_pass)
+            helper = threading.Thread(target=take)
             helper.start()
             try:
-                for i in dcr:
-                    reports[i] = run(trace, schemes[i], *args)
+                for i, scheme in enumerate(schemes):
+                    if i not in fixed:
+                        reports[i] = run(trace, scheme, geometry, timing,
+                                         params, *taken)
             finally:
                 helper.join()
-        else:
-            take_fixed_pass()
-        if failed:
-            raise failed[0]
-        trace.fixed_replay = geometry, out
-    if fixed:
-        reports.update(zip(fixed, _time(
-            trace, [schemes[i] for i in fixed], geometry, timing, params,
-            *taken, trace.fixed_replay[1])))
-    return [reports[i] if i in reports else run(trace, scheme, *args)
+            if failed:
+                raise failed[0]
+            stops = done
+        reports.update(zip(fixed, _time(group, (state, unit, stops), geometry,
+                                        timing, params, *taken)))
+    return [reports[i] if i in reports else
+            run(trace, scheme, geometry, timing, params, *taken)
             for i, scheme in enumerate(schemes)]
 
 

@@ -57,12 +57,8 @@ class TraceArrays(Record):
     buffers of u32, u8 and u64 items: `array("I")`, `bytearray` and
     `array("Q")` here, numpy arrays in the tests. `instructions`, the sum of
     the gaps, is counted from them unless given; the columns must not change
-    afterwards.
+    afterwards. A run reads the columns and keeps nothing on the trace.
     """
-
-    # (geometry, `cache.Replay`): the fixed replay `sim.run_schemes` keeps
-    # for this trace; not a field, so equality, repr and reports ignore it
-    fixed_replay = None
 
     def __init__(self, gaps: array, ops: bytearray, addrs: array,
                  instructions: int | None = None):

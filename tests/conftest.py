@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))  # for `import oracles`
 
 from edrsim.cache import CacheGeometry
+from edrsim.passes import Passes
 
 
 @pytest.fixture
@@ -26,3 +27,16 @@ def tiny_geometry():
 def geometry_2mb():
     # 2 MB, 8-way, 64 B blocks, 4 KB pages, 1 MB banks -> 64 colors
     return CacheGeometry(size_bytes=2 * 1024 * 1024, associativity=8)
+
+
+@pytest.fixture
+def trips_timed(monkeypatch):
+    """The timer count of each trip the simulator binds, in order."""
+    timers = []
+    bind_timing = Passes.bind_timing
+
+    def spy(self, *args):
+        timers.append(len(args[-1]))
+        return bind_timing(self, *args)
+    monkeypatch.setattr(Passes, "bind_timing", spy)
+    return timers

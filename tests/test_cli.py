@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import edrsim
 import oracles
 from edrsim import sim
-from edrsim.cli import _json_pieces, _write_json, main
+from edrsim.cli import _json_pieces, _sweep_reports, _write_json, main
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.cache import CacheState, Replay
 from edrsim.controller import Candidate, Decision
@@ -24,7 +24,7 @@ from edrsim.profiler import IntervalStats
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import (ComparisonRow, RunReport, SchemeConfigError, compare,
                         run, run_schemes)
-from edrsim.trace import TraceArrays, generate_synthetic, read_trace_arrays
+from edrsim.trace import generate_synthetic, read_trace_arrays
 
 BASE_CONFIG = """
 [geometry]
@@ -656,28 +656,24 @@ _RUN_INTERVALS_SHA256 = {
 
 
 @pytest.fixture
-def replays_built(monkeypatch):
-    """Every Replay the simulator builds, as (fixed replays, DCR's own): a
-    fixed replay has codes, DCR's replay has none."""
-    built = []
+def caches_bound(monkeypatch):
+    """The caches that the simulator's trips bind, as (fixed trips', DCR
+    trips'): a DCR trip binds a profiling unit with its cache."""
+    bound = []
+    bind_cache = Passes.bind_cache
 
-    class Counted(Replay):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-    monkeypatch.setattr("edrsim.sim.Replay", Counted)
-
-    def counts():
-        fixed = sum(r.codes is not None for r in built)
-        return fixed, len(built) - fixed
-    return counts
+    def spy(self, state, writes, unit=None):
+        bound.append(unit is None)
+        return bind_cache(self, state, writes, unit)
+    monkeypatch.setattr(Passes, "bind_cache", spy)
+    return lambda: (sum(bound), len(bound) - sum(bound))
 
 
-def test_run_shares_one_fixed_replay(config_file, tmp_path, replays_built):
+def test_run_shares_one_fixed_replay(config_file, tmp_path, caches_bound):
     out = tmp_path / "run"
     assert main(["run", "--config", config_file, "--out", str(out)]) == 0
-    # baseline, RPV and SRAM share one fixed replay; DCR builds its own
-    assert replays_built() == (1, 1)
+    # baseline, RPV and SRAM share one trip, on one cache; DCR binds its own
+    assert caches_bound() == (1, 1)
     for name, digest in _RUN_INTERVALS_SHA256.items():
         assert _json_digest(out / f"report-{name}.json") == \
             _GOLDEN_SHA256[f"cmp/report-{name}.json"]
@@ -686,10 +682,10 @@ def test_run_shares_one_fixed_replay(config_file, tmp_path, replays_built):
 
 
 def test_compare_runs_dcr_through_sim_run_and_the_rest_in_one_trip(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, trips_timed):
     # DCR runs through the module attribute `edrsim.sim.run`, which
-    # perfbench's tracer wraps; baseline, RPV and SRAM share one timed trip
-    # through their fixed replay, a timer each, and DCR's trip has its own
+    # perfbench's tracer wraps; baseline, RPV and SRAM share one timed trip,
+    # a timer each, and DCR's trip has its own
     demo = os.path.join(os.path.dirname(__file__), "..", "configs", "demo.cfg")
     real, ran = sim.run, []
 
@@ -697,18 +693,11 @@ def test_compare_runs_dcr_through_sim_run_and_the_rest_in_one_trip(
         ran.append(scheme.name)
         return real(trace, scheme, *args)
     monkeypatch.setattr(sim, "run", counted)
-    timers = []  # of each trip
-    bind_timing = Passes.bind_timing
-
-    def spy(self, *args):
-        timers.append(len(args[-1]))
-        return bind_timing(self, *args)
-    monkeypatch.setattr(Passes, "bind_timing", spy)
     assert main(["compare", "--config", demo,
                  "--out", str(tmp_path / "out")]) == 0
     assert {s.kind for s in load_config(demo).schemes} == set(SchemeKind)
     assert ran == ["dcr"]
-    assert sorted(timers) == [1, 3]
+    assert sorted(trips_timed) == [1, 3]
 
 
 @pytest.mark.parametrize("command, builds", [
@@ -719,12 +708,13 @@ def test_compare_runs_dcr_through_sim_run_and_the_rest_in_one_trip(
      (3, 3)),
 ], ids=["compare", "sweep refresh_period_us", "sweep l2_size_kb"])
 def test_one_fixed_replay_per_trace_and_geometry(config_file, tmp_path,
-                                                  replays_built, command,
+                                                  caches_bound, command,
                                                   builds):
-    # only a cache size changes the fixed replay; DCR builds one per run
+    # only a cache size changes the fixed schemes' trip, whose one cache
+    # replays the trace for every value of that size; DCR binds one per run
     assert main([command[0], "--config", config_file,
                  "--out", str(tmp_path / "out"), *command[1:]]) == 0
-    assert replays_built() == builds
+    assert caches_bound() == builds
 
 
 @pytest.fixture
@@ -741,10 +731,8 @@ def helpers_started(monkeypatch):
 
 
 def _serial_runs(cfg, trace, warmup=None):
-    """Each scheme's `run`, one after another, on a copy of the trace (a
-    new object, so no fixed replay kept for `trace` is reused)."""
-    copy = TraceArrays(trace.gaps, trace.ops, trace.addrs)
-    return [run(copy, spec, cfg.geometry, cfg.timing, cfg.energy, warmup,
+    """Each scheme's `run`, one after another."""
+    return [run(trace, spec, cfg.geometry, cfg.timing, cfg.energy, warmup,
                 cfg.interval_instructions) for spec in cfg.schemes]
 
 
@@ -761,33 +749,65 @@ def test_run_schemes_and_compare_equal_serial_runs(config_file,
     report = compare(trace, cfg.schemes, cfg.geometry, cfg.timing,
                      cfg.energy, 40_000, cfg.interval_instructions)
     assert list(report.reports.values()) == want
-    # one helper each; a second call on the same trace reuses its replay
+    # one helper each; a second call on the same trace keeps nothing from
+    # the first, so it starts its own
     assert len(helpers_started) == 2
-    compare(trace, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
-            40_000, cfg.interval_instructions)
-    assert len(helpers_started) == 2
-    # without DCR beside, the fixed pass is taken on this thread
+    report = compare(trace, cfg.schemes, cfg.geometry, cfg.timing,
+                     cfg.energy, 40_000, cfg.interval_instructions)
+    assert list(report.reports.values()) == want
+    assert len(helpers_started) == 3
+    # without DCR beside, the fixed trip is taken on this thread
     got = run_schemes(generate_synthetic(cfg.synthetic), cfg.schemes[:3],
                       cfg.geometry, cfg.timing, cfg.energy, 40_000,
                       cfg.interval_instructions)
-    assert got == want[:3] and len(helpers_started) == 2
+    assert got == want[:3] and len(helpers_started) == 3
 
 
 @pytest.mark.parametrize("parameter, values, helpers", [
     ("l2_size_kb", ["64", "128"], 2), ("beta", ["1", "3"], 1)])
 def test_sweep_values_equal_serial_runs(config_file, helpers_started,
                                         parameter, values, helpers):
-    # as `edrsim sweep` runs them: one trace, one compare per value
+    # as `edrsim sweep` runs them: one trace, one `run_schemes` call per
+    # cache size
     configs = load_sweep(config_file, parameter, values)
     trace = generate_synthetic(configs[0].synthetic)
-    reports = [compare(trace, cfg.schemes, cfg.geometry, cfg.timing,
-                       cfg.energy,
-                       interval_instructions=cfg.interval_instructions)
-               for cfg in configs]
-    # a new geometry per cache size; the beta values share one replay
+    reports = _sweep_reports(trace, configs, 40_000)
+    # a trip per cache size; the beta values share one
     assert len(helpers_started) == helpers
-    for cfg, report in zip(configs, reports, strict=True):
-        assert list(report.reports.values()) == _serial_runs(cfg, trace)
+    for cfg, got in zip(configs, reports, strict=True):
+        assert got == _serial_runs(cfg, trace, 40_000)
+
+
+@pytest.mark.parametrize("parameter, values, trips", [
+    ("refresh_period_us", "1,2,3,4", [12, 1, 1, 1, 1]),
+    ("l2_size_kb", "64,128,256", [3, 1, 3, 1, 3, 1]),
+    ("beta", "1,3", [6, 1, 1]),
+])
+def test_sweep_times_one_fixed_trip_per_geometry(config_file, trips_timed,
+                                                 parameter, values, trips):
+    # the fixed trip, a timer per fixed scheme of each value of a geometry,
+    # then DCR's trip of each value
+    configs = load_sweep(config_file, parameter, values.split(","))
+    reports = _sweep_reports(generate_synthetic(configs[0].synthetic),
+                             configs, 40_000)
+    assert trips_timed == trips
+    for cfg, got in zip(configs, reports, strict=True):
+        alone = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
+                        cfg.geometry, cfg.timing, cfg.energy, 40_000,
+                        cfg.interval_instructions)
+        assert got == list(alone.reports.values())
+
+
+def _fail_off_the_main_thread(monkeypatch):
+    """Make every trip that runs off the main thread (the fixed trip on
+    the helper) fail at its first stop."""
+    call = Passes.__call__
+
+    def failing(self, lo, hi):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("fixed trip failed")
+        return call(self, lo, hi)
+    monkeypatch.setattr(Passes, "__call__", failing)
 
 
 def test_failures_beside_the_helper_leave_no_thread(config_file,
@@ -815,22 +835,34 @@ def test_failures_beside_the_helper_leave_no_thread(config_file,
     assert threading.active_count() == threads
     monkeypatch.undo()
 
-    # the fixed pass fails on the helper: its exception, and no replay kept
-    fixed_pass = sim._fixed_pass
+    # the fixed trip fails on the helper: its exception, once DCR on this
+    # thread has run to its end, and nothing kept on the trace
+    _fail_off_the_main_thread(monkeypatch)
+    real, finished = sim.run, []
 
-    class FailingPass:
-        def __init__(self, *args):
-            self.out = fixed_pass(*args).out
-
-        def __call__(self, lo, hi):
-            raise ValueError("fixed pass failed")
-    monkeypatch.setattr(sim, "_fixed_pass", FailingPass)
+    def counted(trace, scheme, *args):
+        report = real(trace, scheme, *args)
+        finished.append(scheme.name)
+        return report
+    monkeypatch.setattr(sim, "run", counted)
     trace = generate_synthetic(cfg.synthetic)
-    with pytest.raises(ValueError, match="fixed pass failed"):
+    with pytest.raises(ValueError, match="fixed trip failed"):
         compare(trace, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
                 interval_instructions=cfg.interval_instructions)
+    assert finished == ["dcr"]
     assert threading.active_count() == threads
-    assert trace.fixed_replay is None
+    assert set(vars(trace)) == {"gaps", "ops", "addrs", "instructions"}
+
+
+def test_a_fixed_trip_failing_on_the_helper_writes_no_output(
+        config_file, tmp_path, monkeypatch):
+    # `edrsim compare` exits 1 before it writes anything
+    _fail_off_the_main_thread(monkeypatch)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    assert main(["compare", "--config", config_file, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert threading.active_count() == threads
 
 
 def test_first_invalid_scheme_in_order_fails_before_any_replay(
@@ -858,8 +890,8 @@ def test_first_invalid_scheme_in_order_fails_before_any_replay(
 
 
 def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
-    # DCR times each record as it replays it, so it reads no code byte
-    # back; the fixed replay stores its codes, with RPV or without
+    # every trip times each record as it replays it, so no trip stores a
+    # code byte, with RPV or without; nor does a cache keep a touch array
     made = []
 
     def record(cls):
@@ -873,12 +905,13 @@ def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
         compare(generate_synthetic(cfg.synthetic), schemes, cfg.geometry,
                 cfg.timing, cfg.energy,
                 interval_instructions=cfg.interval_instructions)
-        # the fixed replay and its cache, then DCR's cache and replay
-        fixed_out, fixed_cache, dcr_cache, dcr_out = made
-        assert len(fixed_out.codes) == len(fixed_out)
-        assert dcr_out.codes is None
+        # the fixed trip's cache and replay, then DCR's
+        fixed_cache, fixed_out, dcr_cache, dcr_out = made
+        assert fixed_out.codes is None and dcr_out.codes is None
+        assert not hasattr(fixed_cache, "touch")
+        assert not hasattr(dcr_cache, "touch")
     trace = generate_synthetic(cfg.synthetic)
-    with pytest.raises(ValueError, match="without codes needs a cache"):
+    with pytest.raises(ValueError, match="no cache is bound"):
         Passes(cfg.geometry, trace.addrs, Replay(len(trace), codes=False))(
             0, 1)
 

@@ -3,25 +3,29 @@ record-at-a-time reference in oracles.reference_run, bit for bit, and the
 compiled functional pass against its Python reference,
 oracles.replay_reference."""
 
+import collections
 import itertools
 import random
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import (SetLists, access_block, age_column, age_in, age_mirror,
                      all_sets, dirty_tags, reference_run, replay,
                      replay_reference, trace_of, validate_state, view)
-from edrsim.cache import (AGE_SHIFT, HIT, CacheGeometry, CacheState, Replay,
+from edrsim.cache import (AGE_SHIFT, EVICTED, HIT, CacheGeometry, CacheState, Replay,
                           reconfigure)
+from edrsim.cli import _sweep_reports
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
 from edrsim import profiler
+from edrsim.passes import Passes
 from edrsim.profiler import ProfilingUnit
 from edrsim.refresh import RefreshConfig, RefreshConfigError
 from edrsim.scheme import check_scheme
@@ -139,56 +143,111 @@ _TINY_SCHEMES = [(SchemeKind.BASELINE_EDRAM, 1), (SchemeKind.SRAM, 1),
                  (SchemeKind.DCR, 1)] + [(SchemeKind.RPV, k) for k in range(1, 5)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(ways=st.sampled_from([2, 4, 8, 16]), banks=st.sampled_from([1, 2, 4]),
-       scheme=st.sampled_from(_TINY_SCHEMES),
-       cpi=st.sampled_from([0.7, 1.0, 1.5]),
-       retention=st.sampled_from([120, 240]), data=st.data(),
-       records=st.lists(st.tuples(st.integers(0, 40), st.booleans(),
-                                  st.integers(0, 95), st.booleans()),
-                        min_size=2, max_size=150))
-def test_run_matches_reference_run_on_tiny_configs(ways, banks, scheme, cpi,
-                                                   retention, data, records):
-    # 128 B pages of two 64 B blocks on 8 colors: 16 sets, 32-256 lines, so
-    # DCR's X/16 unit has one set. Gaps of 0 put several records on one
-    # instruction count, so that warm-up can end and an interval close on
-    # a record that adds no instructions. The retention grows with the
-    # ways, so that a bank's burst fits in it (check_scheme).
-    kind, phases = scheme
-    retention *= max(1, ways // 2)
+# the records of a tiny config, 2-150 of them, each drawn as one integer
+# (fewer draws, so longer traces at the same cost) that packs its gap, 0-40
+# instructions; whether a write; a block index, 0-511; and, for a long gap,
+# how many retention periods of instructions it adds
+_LONG_GAPS = (0, 0, 0, 0, 2, 3, 4, 5)
+_TINY_RECORDS = st.integers(2, 150).flatmap(lambda n: st.lists(
+    st.integers(0, (1 << 19) - 1).map(lambda x: (
+        x % 41, x >> 6 & 1, x >> 7 & 511, _LONG_GAPS[x >> 16])),
+    min_size=n, max_size=n))
+
+
+def _filling(ways):
+    """Records that fill one set past its ways, then touch its lines from
+    the most recent back, so that hits take every age up to ways - 1;
+    twice, so that refresh boundaries fire on the phases those hits
+    moved."""
+    order = [*range(ways + 4), *range(ways + 3, 3, -1)]
+    return [(40, b % 3 == 0, b, 0) for b in order * 2]
+
+
+def _tiny_case(ways, banks, retention, sets, records, seen):
+    """A tiny cache and a trace for it: 128 B pages of two 64 B blocks on
+    8 colors, 16 sets, 32-256 lines, so DCR's X/16 unit has one set. The
+    records touch 2 * ways blocks in each of `sets` sets (1, 2, 4 or all
+    16), so that sets fill and evict at every associativity. Gaps of 0
+    put several records on one instruction count, so that warm-up can end
+    and an interval close on a record that adds no instructions; a long
+    gap adds 2-5 retention periods, so that one record fires several
+    events. Tallies in `seen` the evictions and the hits of age 6 or more
+    that the trace draws, at each associativity."""
     geometry = CacheGeometry(size_bytes=16 * 64 * ways, associativity=ways,
                              page_bytes=128,
                              bank_bytes=16 * 64 * ways // banks)
-    gaps, writes, blocks, long = zip(*records)
-    # a long gap adds 2-5 retention periods of instructions, so that one
-    # record fires several events
-    gaps = [g + (data.draw(st.integers(2, 5)) * retention if far else 0)
-            for g, far in zip(gaps, long)]
+    gaps = [gap + far * retention for gap, _, _, far in records]
+    # block index b sits in set b % sets of the sets spread 16 // sets apart
+    blocks = [b % (2 * ways * sets) * (16 // sets) for _, _, b, _ in records]
     trace = TraceArrays(gaps=np.array(gaps, dtype=np.uint32),
-                        ops=np.array(writes, dtype=np.uint8),
+                        ops=np.array([w for _, w, _, _ in records],
+                                     dtype=np.uint8),
                         addrs=np.array(blocks, dtype=np.uint64) * 64)
-    total = trace.instructions
-    assume(total > 0)
-    warmup = data.draw(st.sampled_from(
-        [None] + [w for w in (0, gaps[0], total - gaps[-1] - 1)
-                  if 0 <= w < total]))
-    interval = max(1, total // data.draw(st.integers(2, 8)))
-    refresh = RefreshConfig(retention, phases)
-    if kind is SchemeKind.SRAM:
-        spec = SchemeSpec(kind=kind, energy=SRAM)
-    elif kind is SchemeKind.DCR:
-        spec = SchemeSpec(kind=kind, refresh=refresh,
-                          controller=default_config(
-                              geometry, granularity=1,
-                              delta=data.draw(st.integers(1, 8)),
-                              sampling_ratio_denom=1))
-    else:
-        spec = SchemeSpec(kind=kind, refresh=refresh)
-    timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
-    kwargs = dict(warmup_instructions=warmup, interval_instructions=interval)
-    got = run(trace, spec, geometry, timing, EDRAM, **kwargs)
-    want = reference_run(trace, spec, geometry, timing, EDRAM, **kwargs)
-    assert got == want
+    codes = oracles.replay_codes(CacheState(geometry), trace)
+    seen[ways, "evictions"] += sum(bool(code & EVICTED) for code in codes)
+    seen[ways, "ages of 6 or more"] += sum(
+        code >> AGE_SHIFT >= 6 for code in codes if code & HIT)
+    return geometry, trace, gaps
+
+
+def _assert_drawn(seen):
+    """Evictions and hits of age 6 or more at 8 and 16 ways, which a draw
+    of too few blocks a set never fills."""
+    for ways in (8, 16):
+        assert seen[ways, "evictions"], ways
+        assert seen[ways, "ages of 6 or more"], ways
+
+
+def test_run_matches_reference_run_on_tiny_configs():
+    # the retention grows with the ways, so that a bank's burst fits in it
+    # (check_scheme)
+    seen = collections.Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ways=st.sampled_from([2, 4, 8, 16]),
+           banks=st.sampled_from([1, 2, 4]),
+           scheme=st.sampled_from(_TINY_SCHEMES),
+           cpi=st.sampled_from([0.7, 1.0, 1.5]),
+           retention=st.sampled_from([120, 240]),
+           sets=st.sampled_from([1, 2, 4, 16]), records=_TINY_RECORDS,
+           warmup=st.integers(0, 3), parts=st.integers(2, 8),
+           delta=st.integers(1, 8))
+    @example(ways=8, banks=2, scheme=(SchemeKind.RPV, 4), cpi=1.0,
+             retention=120, sets=1, records=_filling(8), warmup=0, parts=3,
+             delta=1)
+    @example(ways=16, banks=1, scheme=(SchemeKind.RPV, 3), cpi=0.7,
+             retention=240, sets=1, records=_filling(16), warmup=1, parts=2,
+             delta=1)
+    def check(ways, banks, scheme, cpi, retention, sets, records, warmup,
+              parts, delta):
+        kind, phases = scheme
+        retention *= max(1, ways // 2)
+        geometry, trace, gaps = _tiny_case(ways, banks, retention, sets,
+                                           records, seen)
+        total = trace.instructions
+        assume(total > 0)
+        warmups = [None] + [w for w in (0, gaps[0], total - gaps[-1] - 1)
+                            if 0 <= w < total]
+        warmup = warmups[warmup % len(warmups)]
+        refresh = RefreshConfig(retention, phases)
+        if kind is SchemeKind.SRAM:
+            spec = SchemeSpec(kind=kind, energy=SRAM)
+        elif kind is SchemeKind.DCR:
+            spec = SchemeSpec(kind=kind, refresh=refresh,
+                              controller=default_config(
+                                  geometry, granularity=1, delta=delta,
+                                  sampling_ratio_denom=1))
+        else:
+            spec = SchemeSpec(kind=kind, refresh=refresh)
+        timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
+        kwargs = dict(warmup_instructions=warmup,
+                      interval_instructions=max(1, total // parts))
+        got = run(trace, spec, geometry, timing, EDRAM, **kwargs)
+        want = reference_run(trace, spec, geometry, timing, EDRAM, **kwargs)
+        assert got == want
+
+    check()
+    _assert_drawn(seen)
 
 
 def test_rpv_with_more_phases_than_a_byte_holds():
@@ -319,49 +378,54 @@ def test_grouped_timing_matches_reference_and_lone_runs(case, monkeypatch):
         assert max(bursts) == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(ways=st.sampled_from([2, 4, 8, 16]), banks=st.sampled_from([1, 2, 4]),
-       phases=st.sampled_from([(1, 2), (2, 4), (3, 4), (4, 1)]),
-       cpi=st.sampled_from([0.7, 1.0, 1.5]),
-       retention=st.sampled_from([120, 240]), data=st.data(),
-       records=st.lists(st.tuples(st.integers(0, 40), st.booleans(),
-                                  st.integers(0, 95), st.booleans()),
-                        min_size=2, max_size=150))
-def test_grouped_timing_matches_reference_on_tiny_configs(
-        ways, banks, phases, cpi, retention, data, records):
+def test_grouped_timing_matches_reference_on_tiny_configs():
     # the tiny caches of test_run_matches_reference_run_on_tiny_configs,
     # timed for baseline, two RPV schemes and SRAM on one trip: a phase of
     # 30-960 cycles may be shorter than the 32-256 lines of a one-bank
     # cache
-    retention *= max(1, ways // 2)
-    geometry = CacheGeometry(size_bytes=16 * 64 * ways, associativity=ways,
-                             page_bytes=128,
-                             bank_bytes=16 * 64 * ways // banks)
-    gaps, writes, blocks, long = zip(*records)
-    gaps = [g + (data.draw(st.integers(2, 5)) * retention if far else 0)
-            for g, far in zip(gaps, long)]
-    trace = TraceArrays(gaps=np.array(gaps, dtype=np.uint32),
-                        ops=np.array(writes, dtype=np.uint8),
-                        addrs=np.array(blocks, dtype=np.uint64) * 64)
-    total = trace.instructions
-    assume(total > 0)
-    warmup = data.draw(st.sampled_from(
-        [None] + [w for w in (0, gaps[0], total // 3, total - gaps[-1] - 1)
-                  if 0 <= w < total]))
-    # the instructions after warm-up, which one interval of that length
-    # closes on the last record that adds any
-    seen = 0
-    for gap in gaps:
-        seen += gap
-        if warmup and seen >= warmup:
-            break
-    after = total - seen if warmup else total
-    interval = data.draw(st.sampled_from(
-        [i for i in (after, max(1, total // 3), max(1, total // 7)) if i]))
-    timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
-    _assert_grouped_equals_reference_and_lone_runs(
-        trace, _grouped(RefreshConfig(retention), phases), geometry, timing,
-        warmup_instructions=warmup, interval_instructions=interval)
+    seen = collections.Counter()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ways=st.sampled_from([2, 4, 8, 16]),
+           banks=st.sampled_from([1, 2, 4]),
+           phases=st.sampled_from([(1, 2), (2, 4), (3, 4), (4, 1)]),
+           cpi=st.sampled_from([0.7, 1.0, 1.5]),
+           retention=st.sampled_from([120, 240]),
+           sets=st.sampled_from([1, 2, 4, 16]), records=_TINY_RECORDS,
+           warmup=st.integers(0, 4), interval=st.integers(0, 2))
+    @example(ways=8, banks=4, phases=(2, 4), cpi=1.5, retention=120, sets=1,
+             records=_filling(8), warmup=0, interval=2)
+    @example(ways=16, banks=2, phases=(3, 4), cpi=1.0, retention=240,
+             sets=1, records=_filling(16), warmup=2, interval=1)
+    def check(ways, banks, phases, cpi, retention, sets, records, warmup,
+              interval):
+        retention *= max(1, ways // 2)
+        geometry, trace, gaps = _tiny_case(ways, banks, retention, sets,
+                                           records, seen)
+        total = trace.instructions
+        assume(total > 0)
+        warmups = [None] + [w for w in (0, gaps[0], total // 3,
+                                        total - gaps[-1] - 1)
+                            if 0 <= w < total]
+        warmup = warmups[warmup % len(warmups)]
+        # the instructions after warm-up, which one interval of that
+        # length closes on the last record that adds any
+        counted = 0
+        for gap in gaps:
+            counted += gap
+            if warmup and counted >= warmup:
+                break
+        after = total - counted if warmup else total
+        intervals = [i for i in (after, max(1, total // 3),
+                                 max(1, total // 7)) if i]
+        timing = TimingParams(base_cpi=cpi, clock_ghz=2.0)
+        _assert_grouped_equals_reference_and_lone_runs(
+            trace, _grouped(RefreshConfig(retention), phases), geometry,
+            timing, warmup_instructions=warmup,
+            interval_instructions=intervals[interval % len(intervals)])
+
+    check()
+    _assert_drawn(seen)
 
 
 def test_ages_reach_the_nibble_boundary_at_16_ways():
@@ -549,70 +613,77 @@ def _fixed_schemes(geometry, kinds=(SchemeKind.BASELINE_EDRAM,
             for kind in kinds]
 
 
-def test_fixed_replay_is_kept_for_one_trace_and_geometry():
+def test_fixed_trip_keeps_nothing_on_the_trace():
+    # each call binds a trip on a cache of its own, which is freed when the
+    # call returns; a later call, of the same geometry or another, replays
+    # the trace again
     geometry = _geometry(2)
     trace = _trace(seed=1)
     rest = (TimingParams(clock_ghz=2.0), EDRAM)
     want = [run(TraceArrays(trace.gaps, trace.ops, trace.addrs), scheme,
                 geometry, *rest) for scheme in _fixed_schemes(geometry)]
-    assert run_schemes(trace, _fixed_schemes(geometry), geometry,
-                       *rest) == want
-    kept, first = trace.fixed_replay
-    assert kept == geometry
-    # each scheme run alone, and all of them again, time the same replay
-    for scheme in _fixed_schemes(geometry):
-        run(trace, scheme, geometry, *rest)
-    assert run_schemes(trace, _fixed_schemes(geometry), geometry,
-                       *rest) == want
-    assert trace.fixed_replay[1] is first
-    # another geometry replaces it
-    other = _geometry(4)
-    run(trace, _scheme(SchemeKind.RPV, 4, other), other, *rest)
-    assert trace.fixed_replay[0] == other
-    assert trace.fixed_replay[1] is not first
-    # an equal trace in another object builds its own, with equal codes
-    copy = TraceArrays(trace.gaps, trace.ops, trace.addrs)
-    assert run_schemes(copy, _fixed_schemes(geometry), geometry,
-                       *rest) == want
-    assert copy.fixed_replay[1] is not first
-    assert copy.fixed_replay[1].codes == first.codes
-    kept = weakref.ref(copy.fixed_replay[1])
-    del copy
-    assert kept() is None  # freed with its trace
+    made = []
+
+    def cache(*args, **kwargs):
+        made.append(CacheState(*args, **kwargs))
+        return made[-1]
+    with mock.patch("edrsim.sim.CacheState", cache):
+        assert run_schemes(trace, _fixed_schemes(geometry), geometry,
+                           *rest) == want
+        kept = weakref.ref(made.pop())
+        assert kept() is None
+        assert set(vars(trace)) == {"gaps", "ops", "addrs", "instructions"}
+        # each scheme run alone, another geometry, and all of them again
+        for scheme in _fixed_schemes(geometry):
+            run(trace, scheme, geometry, *rest)
+        other = _geometry(4)
+        run(trace, _scheme(SchemeKind.RPV, 4, other), other, *rest)
+        assert run_schemes(trace, _fixed_schemes(geometry), geometry,
+                           *rest) == want
+        assert len(made) == 5
 
 
-def test_fixed_replay_has_a_last_touch_column_only_for_rpv():
-    # RPV reads each hit's age from its code, so no scheme needs a
-    # last-touch column: the replay that baseline and SRAM build holds the
-    # codes alone, and RPV times that same replay
+def test_fixed_replay_has_a_last_touch_column_only_for_rpv(monkeypatch):
+    # RPV's timer keeps the last-touch phase of each line slot, a byte per
+    # line, and no other timer keeps one; the trip's replay stores no code
+    # bytes, with RPV or without
     geometry = _geometry(2)
     trace = _trace(seed=1)
     rest = (TimingParams(clock_ghz=2.0), EDRAM)
-    want = [run(TraceArrays(trace.gaps, trace.ops, trace.addrs), scheme,
-                geometry, *rest) for scheme in _fixed_schemes(geometry)]
+    bound = []
+    bind_timing = Passes.bind_timing
+
+    def spy(self, *args):
+        clock, timers = bind_timing(self, *args)
+        bound.append((self.out.codes, [t.slot_phase for t in timers]))
+        return clock, timers
+    monkeypatch.setattr(Passes, "bind_timing", spy)
     plain = _fixed_schemes(geometry, (SchemeKind.BASELINE_EDRAM,
                                       SchemeKind.SRAM))
-    assert run_schemes(trace, plain, geometry, *rest) == want[::2]
-    first = trace.fixed_replay[1]
-    assert set(vars(first)) == {"records", "codes"}
-    rpv = _scheme(SchemeKind.RPV, 4, geometry)
-    assert run(trace, rpv, geometry, *rest) == want[1]
-    assert trace.fixed_replay[1] is first
-    assert set(vars(first)) == {"records", "codes"}
-    assert run_schemes(trace, plain, geometry, *rest) == want[::2]
-    assert trace.fixed_replay[1] is first
+    run_schemes(trace, plain, geometry, *rest)
+    run_schemes(trace, _fixed_schemes(geometry), geometry, *rest)
+    [(codes, plain_phases), (rpv_codes, phases)] = bound
+    assert codes is None and rpv_codes is None
+    assert plain_phases == [None, None]
+    assert phases[0] is None and phases[1] and phases[2] is None
 
 
-def test_fixed_replay_is_kept_for_an_equal_geometry():
-    # a sweep parses a new but equal geometry for each value
+def test_fixed_replay_is_kept_for_an_equal_geometry(trips_timed):
+    # a sweep parses a new but equal geometry for each value; the values
+    # share one trip, with a timer for each of their fixed schemes
     trace = _trace(seed=1)
     first, second = _geometry(2), _geometry(2)
     assert first is not second
-    rest = (TimingParams(clock_ghz=2.0), EDRAM)
-    run_schemes(trace, _fixed_schemes(first), first, *rest)
-    kept = trace.fixed_replay[1]
-    run_schemes(trace, _fixed_schemes(second), second, *rest)
-    assert trace.fixed_replay[1] is kept
+    timing = TimingParams(clock_ghz=2.0)
+    configs = [SimpleNamespace(schemes=_fixed_schemes(g), geometry=g,
+                               timing=timing, energy=EDRAM,
+                               interval_instructions=None)
+               for g in (first, second)]
+    got = _sweep_reports(trace, configs, 20_000)
+    assert trips_timed == [6]
+    want = run_schemes(trace, _fixed_schemes(first), first, timing, EDRAM,
+                       20_000)
+    assert got == [want, want]
 
 
 def test_run_rejects_an_empty_interval():
@@ -621,27 +692,6 @@ def test_run_rejects_an_empty_interval():
     with pytest.raises(ValueError, match="interval_instructions must be"):
         run(_trace(seed=1), scheme, geometry, TimingParams(clock_ghz=2.0),
             EDRAM, interval_instructions=0)
-
-
-@pytest.mark.parametrize("where", ["one past the ways", "widest nibble",
-                                   "miss made a hit"])
-def test_rpv_rejects_a_code_whose_age_leaves_its_set(where):
-    # a corrupt code of an 8-way replay would make the timing pass move
-    # phases past its set's row; it stops at the record instead, whose age
-    # may be only 0-7. `run` times the replay that the trace keeps for this
-    # geometry.
-    geometry = _geometry(2)
-    trace = _trace(seed=4)
-    rpv = _scheme(SchemeKind.RPV, 4, geometry)
-    rest = (TimingParams(clock_ghz=2.0), EDRAM)
-    run(trace, rpv, geometry, *rest)
-    codes = trace.fixed_replay[1].codes
-    hit = where != "miss made a hit"
-    r = [i for i, code in enumerate(codes) if bool(code & HIT) is hit][100]
-    age = 8 if where == "one past the ways" else 15
-    codes[r] = codes[r] & 0x0F | HIT | age << AGE_SHIFT
-    with pytest.raises(ValueError, match=f"record {r}: its code's age"):
-        run(trace, rpv, geometry, *rest)
 
 
 def test_refresh_burst_must_fit_in_the_retention_period():
