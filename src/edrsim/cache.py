@@ -18,13 +18,14 @@ set; each slot has a dirty byte. Each bank counts its valid lines, and
 
 The functional pass of a simulation applies trace records to those arrays
 and gives each record's outcome as a code byte, which the timing pass
-reads in the same step (a `Replay` with codes also stores it); a hit's
-also holds the line's age in four bits, so at most 16 ways. Hits, misses
-and evictions do not depend on time, so every scheme that never remaps
-the cache is timed on one pass, in one trip (see `sim.run_schemes`). The
-per-record work, like the flush of a reconfiguration, is C (lru.c), built
-at first use (see native.py); `passes.Passes` binds a run's arguments to
-it once.
+reads in the same step (the tests also bind a bytearray that stores it);
+a hit's also holds the line's age in four bits, so at most 16 ways.
+Hits, misses and evictions do not depend on time, so every scheme that
+never remaps the cache is timed on one pass, in one trip (see
+`sim.run_schemes`). The per-record work, like the flush of a
+reconfiguration, is C (lru.c), built at first use (see native.py);
+`passes.Passes`, built on a state and a trace, binds a trip's arguments
+to it once.
 The kernels route regions through the state's own `layout`, which
 `reconfigure` rewrites, so a bound run follows every reconfiguration.
 """
@@ -142,26 +143,14 @@ class CacheState:
         return sum(self.valid_by_bank)
 
 
-# outcome bits of a Replay code byte
+# a record's code byte: its outcome bits and, for a hit, from bit AGE_SHIFT
+# up, the line's age: the lines of its set touched since, 0 for the most
+# recent
 HIT = 1
 EVICTED = 2  # a miss that pushed out the set's least recent line
 DIRTY_VICTIM = 4  # ... and that line was dirty
 WRITE = 8
-AGE_SHIFT = 4  # a hit's age, the lines of its set touched since, above
-
-
-class Replay:
-    """The outcome of a functional replay: `codes`, a byte per trace record
-    unless None (a simulation's trips store none), holds the HIT/EVICTED/
-    DIRTY_VICTIM/WRITE bits and, for a hit, the line's age from bit
-    AGE_SHIFT up: 0 for the most recent line of its set."""
-
-    def __init__(self, records: int, codes: bool = True):
-        self.records = records
-        self.codes = bytearray(records) if codes else None
-
-    def __len__(self):
-        return self.records
+AGE_SHIFT = 4
 
 
 _lib = None

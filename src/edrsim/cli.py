@@ -148,8 +148,13 @@ def _row_cells(row: ComparisonRow) -> list[str]:
 
 def cmd_gen_trace(args) -> int:
     cfg = load_config(args.config)
+    if cfg.trace_path:  # which drops any [synthetic] section
+        raise ConfigError(f"gen-trace writes the [synthetic] spec, but "
+                          f"[trace] path = {cfg.trace_path} selects a file; "
+                          f"set [trace] synthetic = true instead")
     if cfg.synthetic is None:
-        raise ConfigError("gen-trace needs a [synthetic] section")
+        raise ConfigError("gen-trace needs a [synthetic] section, and "
+                          "[trace] synthetic = true or no [trace] section")
     arrays = trace_mod.generate_synthetic(_with_seed(cfg.synthetic, args.seed))
     header = TraceHeader(record_count=len(arrays),
                          page_size_bytes=cfg.geometry.page_bytes)

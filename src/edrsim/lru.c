@@ -1,11 +1,11 @@
 /* The compiled passes of edrsim, built by native.py with the local C
  * compiler and called through ctypes.
  *
- * A run binds its arguments once, in a struct run (passes.Passes), and
- * edr_run then takes records [lo, hi) through one loop that does, per
- * record, what the run binds:
+ * A trip binds its arguments once, in a struct run (passes.Passes, which
+ * binds the cache, the trace and a clock when it is built), and edr_run
+ * then takes records [lo, hi) through one loop that does, per record:
  *
- * - the timing pass (see sim.py), with a clock and its timers, one per
+ * - the timing pass (see sim.py), with the clock and its timers, one per
  *   scheme: count the record's instructions, then on every timer turn its
  *   gap into cycles, fire the refresh events due by then and wait out a
  *   burst on its bank;
@@ -77,9 +77,9 @@ struct cache {
     const int64_t *layout;
 };
 
-/* What a run's passes read and write: the functional pass always, on
- * the cache; a NULL clock skips the timing pass and NULL codes the store
- * of the code bytes. */
+/* What a run's passes read and write: the functional pass on the
+ * cache, and the timing pass on the clock and its timers, none or more.
+ * NULL codes skip the store of the code bytes. */
 struct run {
     const uint64_t *addrs;
     uint8_t *codes;
@@ -265,8 +265,8 @@ static void settle(struct timer *t, int64_t row_at, int64_t bank, int code,
  * return the record after the last one taken: hi, or earlier after a
  * record that closes an interval.
  *
- * With a clock, each record adds its gap to the instruction tally and
- * advances every timer by rint(gap * cpi) cycles. The first record whose
+ * Each record adds its gap to the instruction tally and advances every
+ * timer by rint(gap * cpi) cycles. The first record whose
  * instructions since the start of the trace reach warm_at ends warm-up
  * after its gap: every tally, the timers' and the unit's counts included,
  * restarts there. Each timer then fires the refresh boundaries due and
@@ -293,17 +293,14 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     const int64_t hit_cycles = run->hit_cycles;
     const int64_t miss_cycles = run->miss_cycles;
     const int64_t n_banks = run->n_banks, ways = run->cache->ways;
-    struct clock *clock = run->clock;
     /* a lone timer (DCR's, or one fixed scheme's) is copied here for the
      * call, where no store through a pointer can reach it */
     struct timer one, *lone = &one;
     struct timer *const *timers = run->n_timers == 1 ? &lone : run->timers;
     const int64_t n_timers = run->n_timers;
-    struct clock k = {0};
+    struct clock k = *run->clock;
     int64_t r, stop = hi, i;
 
-    if (clock)
-        k = *clock;
     if (n_timers == 1)
         one = *run->timers[0];
     /* a timer's cycles count from its cycle at the start of the call */
@@ -312,31 +309,25 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     for (r = lo; r < hi; r++) {
         int64_t set = set_of(layout, addrs[r]);
         int64_t bank = set >> bank_shift;
-        int64_t latency;
+        int64_t gap_cycles = (int64_t)rint(gaps[r] * cpi), latency;
         int code, age;
 
-        if (clock) {
-            int64_t gap_cycles = (int64_t)rint(gaps[r] * cpi);
-
-            k.instructions += gaps[r];
-            if (k.warm_at && k.instructions >= k.warm_at) {
-                k.warm_at = k.instructions = 0;
-                k.hits = k.misses = k.dirty_victims = k.load_misses = 0;
-                /* the timers' tallies restart at the end of this gap */
-                for (i = 0; i < n_timers; i++) {
-                    timers[i]->cycles = -(timers[i]->now + gap_cycles);
-                    timers[i]->refreshed = 0;
-                }
-                if (run->n_sizes)
-                    memset(run->unit_counts, 0, (size_t)run->n_sizes * 3
-                                                * sizeof *run->unit_counts);
+        k.instructions += gaps[r];
+        if (k.warm_at && k.instructions >= k.warm_at) {
+            k.warm_at = k.instructions = 0;
+            k.hits = k.misses = k.dirty_victims = k.load_misses = 0;
+            /* the timers' tallies restart at the end of this gap */
+            for (i = 0; i < n_timers; i++) {
+                timers[i]->cycles = -(timers[i]->now + gap_cycles);
+                timers[i]->refreshed = 0;
             }
-            for (i = 0; i < n_timers; i++)
-                advance(timers[i], gap_cycles, bank, n_banks);
+            if (run->n_sizes)
+                memset(run->unit_counts, 0, (size_t)run->n_sizes * 3
+                                            * sizeof *run->unit_counts);
         }
+        for (i = 0; i < n_timers; i++)
+            advance(timers[i], gap_cycles, bank, n_banks);
         code = replay(run, r, set, bank);
-        if (!clock)
-            continue;
         age = code & HIT ? code >> AGE_SHIFT : (int)ways - 1;
         if (code & HIT) {
             latency = hit_cycles;
@@ -358,8 +349,7 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
         timers[i]->cycles += timers[i]->now;
     if (n_timers == 1)
         *run->timers[0] = one;
-    if (clock)
-        *clock = k;
+    *run->clock = k;
     return stop;
 }
 

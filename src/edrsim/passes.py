@@ -1,16 +1,16 @@
 """The arguments of lru.c's record loop, edr_run, bound once per trip.
 
-`Passes` binds a trip's functional pass (a cache, and DCR's profiling
-unit) and its timing pass: a `Clock` that the trip's schemes share and a
-`Timer` per scheme, so that one loop replays the records once, times
-every scheme on each record's code as it is made (RPV's timer keeps each
-line slot's phase, moved by the codes' ages) and stops at the end of each
-interval. Only the tests bind code bytes to store. The classes mirror
-lru.c's structs in order."""
+`Passes` binds a trip's functional pass (a cache, the trace, and DCR's
+profiling unit) and its timing pass: a `Clock` that the trip's schemes
+share and a `Timer` per scheme, so that one loop replays the records
+once, times every scheme on each record's code as it is made (RPV's timer
+keeps each line slot's phase, moved by the codes' ages) and stops at the
+end of each interval. Only the tests bind code bytes to store. The
+classes mirror lru.c's structs in order."""
 
 import ctypes
 
-from .cache import CacheGeometry, CacheState, Replay, address, kernel, zeros
+from .cache import CacheState, address, kernel, zeros
 
 
 class _Run(ctypes.Structure):
@@ -64,29 +64,48 @@ class Timer(ctypes.Structure):
 
 
 class Passes:
-    """A run's arguments to lru.c's edr_run, bound once.
+    """A trip's arguments to lru.c's edr_run, bound once.
 
-    The trace's byte addresses and the code bytes of `out`, if it has any,
-    are bound here, the functional pass by `bind_cache` and the timing
-    pass, with a timer per scheme, by `bind_timing` (see `sim._trip`).
-    Calling it with [lo, hi) takes those records through the bound passes,
-    one record at a time, and returns the record after the last one taken:
-    `hi`, or earlier where the timing pass closed an interval. The kernel
-    counts in the bound buffers and structs, the cache's, the profiling
-    unit's, the clock's and the timers', so a call copies nothing back.
+    Built on a cache state and a trace, it binds the functional pass: the
+    trace's addresses, write flags and gaps, the state, and, with a
+    `profiler.ProfilingUnit`, its sizes, which look up every block whose
+    number is a multiple of the unit's sampling ratio. With `codes`, a
+    bytearray of a byte per record, the kernel also stores each record's
+    code there. It also binds a clock with no timer, no warm-up and no
+    close, which `bind_timing` replaces (see `sim._trip`). Calling it with
+    [lo, hi) takes those records through the bound passes, one record at a
+    time, and returns the record after the last one taken: `hi`, or
+    earlier where the timing pass closed an interval. The kernel counts in
+    the bound buffers and structs, the cache's, the profiling unit's, the
+    clock's and the timers', so a call copies nothing back. Records find
+    their sets through the state's layout, which `reconfigure` keeps
+    current.
     """
 
-    def __init__(self, geometry: CacheGeometry, addrs, out: Replay):
-        n = len(out)
-        if len(addrs) != n:
-            raise ValueError(f"a trace of {len(addrs)} records does not "
-                             f"fit a replay of {n}")
-        self.geometry = geometry
-        self.out = out
+    def __init__(self, state: CacheState, trace, unit=None, codes=None):
+        g, n = state.geometry, len(trace)
+        if unit is not None and unit.ways != g.associativity:
+            raise ValueError("the cache and the profiling unit differ in "
+                             "geometry")
+        if max(state.mapping) >= state.active_count:
+            raise AssertionError("mapping routes regions to inactive color "
+                                 f"{max(state.mapping)}")
+        self.geometry, self.records = g, n
+        clock = Clock(close_at=1 << 62)
         # the buffers the pointers below point into
-        self._bound = [addrs]
-        self.args = _Run(addrs=address(addrs, 8, n))
-        self._bind("codes", out.codes, 1, n)
+        self._bound = [state, clock]
+        self.args = _Run(cache=ctypes.addressof(state.arrays),
+                         clock=ctypes.addressof(clock))
+        self._bind("addrs", trace.addrs, 8, n)
+        self._bind("codes", codes, 1, n)
+        self._bind("writes", trace.ops, 1, n)
+        self._bind("gaps", trace.gaps, 4, n)
+        if unit is not None:
+            self._bind("unit_tags", unit.tags, 8, len(unit.tags))
+            self._bind("unit_fill", unit.fill, 4, len(unit.fill))
+            self._bind("unit_rows", unit.rows, 8, len(unit.rows))
+            self._bind("unit_counts", unit.counts, 8, len(unit.counts))
+            self.args.n_sizes, self.args.ratio = len(unit.sizes), unit.ratio
         self._byref = ctypes.byref(self.args)
         self._run = kernel("edr_run")
 
@@ -97,46 +116,20 @@ class Passes:
         setattr(self.args, name,
                 None if buffer is None else address(buffer, itemsize, n))
 
-    def bind_cache(self, state: CacheState, writes, unit=None) -> None:
-        """Replay into `state`, with the write flags `writes`, one byte per
-        record (a trace's ops are), finding sets through the state's layout,
-        which `reconfigure` keeps current. With a `profiler.ProfilingUnit`,
-        every block whose number is a multiple of its sampling ratio is also
-        looked up at each of its sizes, which adds to its counts."""
-        g = self.geometry
-        if state.geometry != g or (unit is not None
-                                   and unit.ways != g.associativity):
-            raise ValueError("the cache, the profiling unit and the replay "
-                             "differ in geometry")
-        if max(state.mapping) >= state.active_count:
-            raise AssertionError("mapping routes regions to inactive color "
-                                 f"{max(state.mapping)}")
-        self._bound.append(state)
-        self._bind("writes", writes, 1, len(self.out))
-        self.args.cache = ctypes.addressof(state.arrays)
-        if unit is not None:
-            self._bind("unit_tags", unit.tags, 8, len(unit.tags))
-            self._bind("unit_fill", unit.fill, 4, len(unit.fill))
-            self._bind("unit_rows", unit.rows, 8, len(unit.rows))
-            self._bind("unit_counts", unit.counts, 8, len(unit.counts))
-            self.args.n_sizes, self.args.ratio = len(unit.sizes), unit.ratio
-
-    def bind_timing(self, gaps, cpi: float, hit_cycles: int,
-                    miss_cycles: int, warm_at: int, close_at: int,
+    def bind_timing(self, cpi: float, hit_cycles: int, miss_cycles: int,
+                    warm_at: int, close_at: int,
                     timers) -> tuple[Clock, list[Timer]]:
         """Time the records: the kernel's arguments of the same names (see
-        lru.c's edr_run), and a timer for each (boundary_len, phases,
-        counts, by_phase) of `timers`. A timer fires a refresh boundary
-        every boundary_len cycles, never if 0, which refreshes in bank b
-        the counts[b * phases + phase] lines of the phase it opens (an
-        int64 buffer, None without refresh). With by_phase (RPV), they
-        count the valid lines by the phase of their last touch, and a byte
-        per line slot bound here keeps its phase (`RefreshConfig` holds
-        `phases` to 256). Returns the clock and the timers, whose tallies
-        the caller takes at each stop."""
-        g, n = self.geometry, len(self.out)
-        banks, lines = g.num_banks, g.total_lines
-        self._bind("gaps", gaps, 4, n)
+        lru.c's edr_run), on a new clock, and a timer for each
+        (boundary_len, phases, counts, by_phase) of `timers`. A timer fires
+        a refresh boundary every boundary_len cycles, never if 0, which
+        refreshes in bank b the counts[b * phases + phase] lines of the
+        phase it opens (an int64 buffer, None without refresh). With
+        by_phase (RPV), they count the valid lines by the phase of their
+        last touch, and a byte per line slot bound here keeps its phase
+        (`RefreshConfig` holds `phases` to 256). Returns the clock and the
+        timers, whose tallies the caller takes at each stop."""
+        banks, lines = self.geometry.num_banks, self.geometry.total_lines
         clock, bound = Clock(warm_at=warm_at, close_at=close_at), []
         for boundary_len, phases, counts, by_phase in timers:
             timer = Timer(next_boundary=boundary_len or 1 << 62,
@@ -160,10 +153,7 @@ class Passes:
         return clock, bound
 
     def __call__(self, lo: int, hi: int) -> int:
-        n = len(self.out)
-        if not 0 <= lo <= hi <= n:
+        if not 0 <= lo <= hi <= self.records:
             raise ValueError(f"records [{lo}, {hi}) are not all in the "
-                             f"trace's {n}")
-        if not self.args.cache:
-            raise ValueError("no cache is bound to replay the records into")
+                             f"trace's {self.records}")
         return self._run(self._byref, lo, hi)

@@ -2,9 +2,10 @@
 
 `RefreshConfig` holds the retention period in core cycles and, for polyphase
 refresh, the number of phases it is split into: 1 to 256, so that a byte
-numbers a record's phase. A config file gives the period in microseconds;
-`config` converts it once with the run's clock. `sim.run` fires a boundary
-every `phase_cycles` and counts the lines each covers, per bank:
+numbers a line slot's phase (RPV's `passes.Timer.slot_phase`). A config
+file gives the period in microseconds; `config` converts it once with the
+run's clock. The compiled record loop (lru.c's `edr_run` and `fire`) fires
+a boundary every `phase_cycles` and counts the lines each covers, per bank:
   * baseline (refresh-all) -- every line, valid or not (1 phase, so at each
                               retention boundary)
   * RPV (polyphase valid)  -- the valid lines last touched in the phase whose
@@ -28,7 +29,7 @@ class RefreshConfig(Record):
         if not 0 < retention_cycles < 1 << 63:
             raise RefreshConfigError(f"retention_cycles must be > 0 and below "
                                      f"2**63, got {retention_cycles}")
-        if not 1 <= phases <= 256:  # a byte per record numbers them
+        if not 1 <= phases <= 256:  # a byte per line slot numbers them
             raise RefreshConfigError(f"phases must be in [1, 256], got "
                                      f"{phases}")
         if retention_cycles % phases:

@@ -12,14 +12,15 @@ A run has two stages, as in gem5's atomic and timing CPUs. The functional
 pass decides each record's hit, eviction and dirty victim, its code byte;
 the timing pass turns the code into cycles, refresh bursts and bank waits.
 Both are one compiled record loop (lru.c's edr_run), which `_trip` binds
-once (`passes.Passes`) on a full-size cache of the trip's own, with a
-timer per scheme: the fixed schemes of one `run_schemes` call (baseline,
-RPV and SRAM, which never remap) together, or DCR alone with its
-profiling unit. The functional pass does not depend on time, so the
-fixed schemes share one, and one trip replays and times them all; `run`
-of one fixed scheme is that trip with one timer, and a sweep's values of
-one geometry share one (`cli._sweep_reports`). No code byte is stored:
-each record's code is timed in the iteration that makes it.
+once: a `passes.Passes` built on the trace and a full-size cache of the
+trip's own, then timed with a timer per scheme: the fixed schemes of one
+`run_schemes` call (baseline, RPV and SRAM, which never remap) together,
+or DCR alone with its profiling unit. The functional pass does not
+depend on time, so the fixed schemes share one, and one trip replays and
+times them all; `run` of one fixed scheme is that trip with one timer,
+and a sweep's values of one geometry share one (`cli._sweep_reports`).
+No code byte is stored: each record's code is timed in the iteration
+that makes it.
 When DCR runs beside the fixed schemes, a helper thread takes the fixed
 trip, its loop and its tallies, while DCR runs on the calling thread:
 the compiled loop releases the GIL.
@@ -50,7 +51,7 @@ reconfiguration rewrites, so the next call follows the new mapping.
 import threading
 from array import array
 
-from .cache import CacheGeometry, CacheState, Replay, reconfigure, zeros
+from .cache import CacheGeometry, CacheState, reconfigure, zeros
 from .controller import Decision, select
 from .energy import EnergyParams, SchemeKind, interval_energy
 from .passes import Passes
@@ -64,7 +65,7 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         timing: TimingParams, params: EnergyParams,
         warmup_instructions: int | None = None,
         interval_instructions: int | None = None) -> RunReport:
-    """Replay a trace under one scheme and return the full report.
+    """Simulate a trace under one scheme and return the full report.
 
     A scheme that never remaps (baseline, RPV, SRAM) is `run_schemes` of
     that scheme alone. DCR's trip stops at each interval's end, so each
@@ -98,8 +99,7 @@ def _trip(trace: TraceArrays, schemes: list[SchemeSpec],
     if dcr is not None:
         state.min_colors = dcr.controller.c_min
         unit = ProfilingUnit(geometry, dcr.controller.sampling_ratio_denom)
-    passes = Passes(geometry, trace.addrs, Replay(n, codes=False))
-    passes.bind_cache(state, trace.ops, unit)
+    passes = Passes(state, trace, unit)
     specs = []
     for scheme in schemes:
         # a boundary every phase_cycles, over the lines it covers in each
@@ -119,9 +119,8 @@ def _trip(trace: TraceArrays, schemes: list[SchemeSpec],
         specs.append((refresh.phase_cycles, refresh.phases, counts,
                       kind is SchemeKind.RPV))
     clock, timers = passes.bind_timing(
-        trace.gaps, timing.base_cpi, hit_cycles,
-        hit_cycles + timing.dram_latency_cycles, warmup_instructions,
-        interval_instructions, specs)
+        timing.base_cpi, hit_cycles, hit_cycles + timing.dram_latency_cycles,
+        warmup_instructions, interval_instructions, specs)
 
     def stops():
         lo = 0

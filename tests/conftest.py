@@ -1,5 +1,6 @@
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,13 +31,22 @@ def geometry_2mb():
 
 
 @pytest.fixture
-def trips_timed(monkeypatch):
-    """The timer count of each trip the simulator binds, in order."""
-    timers = []
-    bind_timing = Passes.bind_timing
+def trips_bound(monkeypatch):
+    """Each trip the simulator binds, in order: whether it binds a
+    profiling unit (`unit`, so DCR's trip), its codes buffer (`codes`)
+    and the timers that its `bind_timing` binds (`timers`, none before)."""
+    trips = []
+    init, bind_timing = Passes.__init__, Passes.bind_timing
 
-    def spy(self, *args):
-        timers.append(len(args[-1]))
-        return bind_timing(self, *args)
-    monkeypatch.setattr(Passes, "bind_timing", spy)
-    return timers
+    def spy_init(self, state, trace, unit=None, codes=None):
+        init(self, state, trace, unit, codes)
+        self.spied = SimpleNamespace(unit=unit is not None, codes=codes,
+                                     timers=[])
+        trips.append(self.spied)
+
+    def spy_timing(self, *args):
+        clock, self.spied.timers = bind_timing(self, *args)
+        return clock, self.spied.timers
+    monkeypatch.setattr(Passes, "__init__", spy_init)
+    monkeypatch.setattr(Passes, "bind_timing", spy_timing)
+    return trips

@@ -43,8 +43,8 @@ import numpy as np
 
 from edrsim import cache, native
 from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
-                          CacheGeometry, CacheState, ReconfigReport, Replay,
-                          layout, reconfigure)
+                          CacheGeometry, CacheState, ReconfigReport, layout,
+                          reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                candidate_space, select)
 from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
@@ -79,23 +79,21 @@ def ints(column) -> list[int]:
     return memoryview(column).tolist()
 
 
-def replay(state: CacheState, addrs, writes, lo: int, hi: int, out: Replay,
-           unit=None) -> None:
-    """Apply records [lo, hi) to the cache and write their outcomes to `out`.
+def replay(state: CacheState, trace: TraceArrays, lo: int, hi: int,
+           codes: bytearray, unit=None) -> None:
+    """Apply records [lo, hi) of a trace to the cache and write their
+    outcomes to `codes`, a byte per record of the trace.
 
-    `addrs` and `writes` are the trace's columns: byte addresses and write
-    flags (a trace's ops, or numpy arrays); [lo, hi) must lie inside them. A record's region
-    (page number mod M) picks a color through the mapping, which is fixed
-    for the call, and its page offset picks the set inside that color. A
-    hit moves the tag to the end of its set's row; a miss into a full set
-    evicts the first. The dirty bytes and the valid counters (total and per
-    bank) follow. With a profiling `unit`, every block whose number
-    is a multiple of its sampling ratio is looked up at each of its sizes,
+    The trace's columns may be numpy arrays. A record's region (page
+    number mod M) picks a color through the mapping, which is fixed for
+    the call, and its page offset picks the set inside that color. A hit
+    moves the tag to the end of its set's row; a miss into a full set
+    evicts the first. The dirty bytes and the valid counters (total and
+    per bank) follow. With a profiling `unit`, every block whose number is
+    a multiple of its sampling ratio is looked up at each of its sizes,
     which count its accesses, misses and load misses.
     """
-    passes = Passes(state.geometry, addrs, out)
-    passes.bind_cache(state, writes, unit)
-    passes(lo, hi)
+    Passes(state, trace, unit, codes)(lo, hi)
 
 
 def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
@@ -103,9 +101,9 @@ def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
     """Apply records [lo, hi) of a trace to `state` with `replay`;
     their code bytes."""
     hi = len(trace) if hi is None else hi
-    out = Replay(len(trace))
-    replay(state, trace.addrs, trace.ops, lo, hi, out)
-    return bytes(out.codes[lo:hi])
+    codes = bytearray(len(trace))
+    replay(state, trace, lo, hi, codes)
+    return bytes(codes[lo:hi])
 
 
 def set_tags(state, row: int) -> list[int]:
@@ -286,8 +284,8 @@ def profiler_overhead_bytes(unit: ProfilingUnit, tag_bits: int = 30) -> float:
     return len(unit.tags) * tag_bits / 8
 
 
-def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
-                     out: Replay, unit=None) -> None:
+def replay_reference(state: CacheState, trace: TraceArrays, lo: int,
+                     hi: int, codes: bytearray, unit=None) -> None:
     """`replay` record by record: `access_block`, with a hit's `age_in`,
     then `probe` in the profiling unit for a block whose number is a
     multiple of its sampling ratio."""
@@ -295,10 +293,10 @@ def replay_reference(state: CacheState, addrs, writes, lo: int, hi: int,
         f"mapping routes regions to inactive color {max(state.mapping)}"
     model = SetLists(state)
     block_bytes = state.geometry.block_bytes
-    for i, addr, is_write in zip(range(lo, hi), ints(addrs)[lo:hi],
-                                 ints(writes)[lo:hi]):
+    for i, addr, is_write in zip(range(lo, hi), ints(trace.addrs)[lo:hi],
+                                 ints(trace.ops)[lo:hi]):
         age = age_in(model, addr) or 0
-        out.codes[i] = access_block(model, bool(is_write), addr) \
+        codes[i] = access_block(model, bool(is_write), addr) \
             | age << AGE_SHIFT
         block = addr // block_bytes
         if unit is not None and not block % unit.ratio:
@@ -455,8 +453,7 @@ def observe_arrays(unit: ProfilingUnit, trace,
     """Feed a whole trace to a profiling unit through `replay`, on a
     scratch main cache of `geometry`: each record whose block number is a
     multiple of the unit's sampling ratio is looked up at every size."""
-    out = Replay(len(trace))
-    replay(CacheState(geometry), trace.addrs, trace.ops, 0, len(trace), out,
+    replay(CacheState(geometry), trace, 0, len(trace), bytearray(len(trace)),
            unit)
 
 

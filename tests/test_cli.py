@@ -16,7 +16,6 @@ import oracles
 from edrsim import sim
 from edrsim.cli import _json_pieces, _sweep_reports, _write_json, main
 from edrsim.config import ConfigError, load_config, load_sweep
-from edrsim.cache import CacheState, Replay
 from edrsim.controller import Candidate, Decision
 from edrsim.energy import EnergyBreakdown, SchemeKind
 from edrsim.passes import Passes
@@ -163,6 +162,22 @@ def test_gen_trace_refusing_an_op_writes_no_file(config_file, tmp_path,
                  "--out", str(out / "a.trace")]) == 1
     assert "op 7 is neither READ" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+def test_gen_trace_names_a_trace_path_that_drops_the_synthetic_spec(
+        tmp_path, capsys):
+    # the config has a [synthetic] section, which its [trace] path leaves
+    # unused
+    path = tmp_path / "file.cfg"
+    path.write_text(BASE_CONFIG.replace(
+        "synthetic = true", f"path = {tmp_path / 'in.trace'}"))
+    out = tmp_path / "out"
+    assert main(["gen-trace", "--config", str(path),
+                 "--out", str(out / "a.trace")]) == 2
+    err = capsys.readouterr().err
+    assert "[trace] path = " in err and "[trace] synthetic = true" in err
+    assert "needs a [synthetic] section" not in err
+    assert not out.exists()
 
 
 def test_run_command_writes_reports(config_file, tmp_path):
@@ -655,25 +670,18 @@ _RUN_INTERVALS_SHA256 = {
 }
 
 
-@pytest.fixture
-def caches_bound(monkeypatch):
-    """The caches that the simulator's trips bind, as (fixed trips', DCR
-    trips'): a DCR trip binds a profiling unit with its cache."""
-    bound = []
-    bind_cache = Passes.bind_cache
-
-    def spy(self, state, writes, unit=None):
-        bound.append(unit is None)
-        return bind_cache(self, state, writes, unit)
-    monkeypatch.setattr(Passes, "bind_cache", spy)
-    return lambda: (sum(bound), len(bound) - sum(bound))
+def _caches(trips) -> tuple[int, int]:
+    """The caches that trips bound, as (fixed trips', DCR trips'): a DCR
+    trip binds a profiling unit with its cache."""
+    dcr = sum(trip.unit for trip in trips)
+    return len(trips) - dcr, dcr
 
 
-def test_run_shares_one_fixed_replay(config_file, tmp_path, caches_bound):
+def test_run_shares_one_fixed_replay(config_file, tmp_path, trips_bound):
     out = tmp_path / "run"
     assert main(["run", "--config", config_file, "--out", str(out)]) == 0
     # baseline, RPV and SRAM share one trip, on one cache; DCR binds its own
-    assert caches_bound() == (1, 1)
+    assert _caches(trips_bound) == (1, 1)
     for name, digest in _RUN_INTERVALS_SHA256.items():
         assert _json_digest(out / f"report-{name}.json") == \
             _GOLDEN_SHA256[f"cmp/report-{name}.json"]
@@ -682,7 +690,7 @@ def test_run_shares_one_fixed_replay(config_file, tmp_path, caches_bound):
 
 
 def test_compare_runs_dcr_through_sim_run_and_the_rest_in_one_trip(
-        tmp_path, monkeypatch, trips_timed):
+        tmp_path, monkeypatch, trips_bound):
     # DCR runs through the module attribute `edrsim.sim.run`, which
     # perfbench's tracer wraps; baseline, RPV and SRAM share one timed trip,
     # a timer each, and DCR's trip has its own
@@ -697,7 +705,7 @@ def test_compare_runs_dcr_through_sim_run_and_the_rest_in_one_trip(
                  "--out", str(tmp_path / "out")]) == 0
     assert {s.kind for s in load_config(demo).schemes} == set(SchemeKind)
     assert ran == ["dcr"]
-    assert sorted(trips_timed) == [1, 3]
+    assert sorted(len(trip.timers) for trip in trips_bound) == [1, 3]
 
 
 @pytest.mark.parametrize("command, builds", [
@@ -708,13 +716,13 @@ def test_compare_runs_dcr_through_sim_run_and_the_rest_in_one_trip(
      (3, 3)),
 ], ids=["compare", "sweep refresh_period_us", "sweep l2_size_kb"])
 def test_one_fixed_replay_per_trace_and_geometry(config_file, tmp_path,
-                                                  caches_bound, command,
+                                                  trips_bound, command,
                                                   builds):
     # only a cache size changes the fixed schemes' trip, whose one cache
     # replays the trace for every value of that size; DCR binds one per run
     assert main([command[0], "--config", config_file,
                  "--out", str(tmp_path / "out"), *command[1:]]) == 0
-    assert caches_bound() == builds
+    assert _caches(trips_bound) == builds
 
 
 @pytest.fixture
@@ -783,14 +791,14 @@ def test_sweep_values_equal_serial_runs(config_file, helpers_started,
     ("l2_size_kb", "64,128,256", [3, 1, 3, 1, 3, 1]),
     ("beta", "1,3", [6, 1, 1]),
 ])
-def test_sweep_times_one_fixed_trip_per_geometry(config_file, trips_timed,
+def test_sweep_times_one_fixed_trip_per_geometry(config_file, trips_bound,
                                                  parameter, values, trips):
     # the fixed trip, a timer per fixed scheme of each value of a geometry,
     # then DCR's trip of each value
     configs = load_sweep(config_file, parameter, values.split(","))
     reports = _sweep_reports(generate_synthetic(configs[0].synthetic),
                              configs, 40_000)
-    assert trips_timed == trips
+    assert [len(trip.timers) for trip in trips_bound] == trips
     for cfg, got in zip(configs, reports, strict=True):
         alone = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
                         cfg.geometry, cfg.timing, cfg.energy, 40_000,
@@ -866,7 +874,7 @@ def test_a_fixed_trip_failing_on_the_helper_writes_no_output(
 
 
 def test_first_invalid_scheme_in_order_fails_before_any_replay(
-        config_file, helpers_started, monkeypatch):
+        config_file, helpers_started, trips_bound):
     # a baseline whose refresh burst outlasts its retention period, listed
     # before a DCR scheme whose c_min exceeds the colors; with DCR beside or
     # not, nothing is replayed
@@ -874,9 +882,6 @@ def test_first_invalid_scheme_in_order_fails_before_any_replay(
     baseline, rpv, sram, dcr = cfg.schemes
     baseline.refresh = RefreshConfig(100)
     dcr.controller.c_min = 99
-    built = []
-    monkeypatch.setattr(sim, "Replay",
-                        lambda *a, **k: built.append(a) or Replay(*a, **k))
     trace = generate_synthetic(cfg.synthetic)
     rest = (cfg.geometry, cfg.timing, cfg.energy)
     for schemes, error in [([baseline, rpv, sram, dcr], "baseline: refreshing"),
@@ -886,34 +891,21 @@ def test_first_invalid_scheme_in_order_fails_before_any_replay(
             compare(trace, schemes, *rest)
         with pytest.raises(SchemeConfigError, match=error):
             run_schemes(trace, schemes, *rest)
-    assert built == [] and helpers_started == []
+    assert trips_bound == [] and helpers_started == []
 
 
-def test_dcr_allocates_no_codes_and_no_touch_array(config_file, monkeypatch):
-    # every trip times each record as it replays it, so no trip stores a
-    # code byte, with RPV or without; nor does a cache keep a touch array
-    made = []
-
-    def record(cls):
-        return lambda *a, **k: made.append(cls(*a, **k)) or made[-1]
-    monkeypatch.setattr(sim, "Replay", record(Replay))
-    monkeypatch.setattr(sim, "CacheState", record(CacheState))
+def test_no_trip_stores_codes_with_rpv_or_without(config_file, trips_bound):
+    # every trip times each record as it replays it, so neither the fixed
+    # trip nor DCR's binds a buffer for code bytes
     cfg = load_config(config_file)
     baseline, rpv, sram, dcr = cfg.schemes
     for schemes in [baseline, dcr], [baseline, rpv, dcr]:
-        made.clear()
+        trips_bound.clear()
         compare(generate_synthetic(cfg.synthetic), schemes, cfg.geometry,
                 cfg.timing, cfg.energy,
                 interval_instructions=cfg.interval_instructions)
-        # the fixed trip's cache and replay, then DCR's
-        fixed_cache, fixed_out, dcr_cache, dcr_out = made
-        assert fixed_out.codes is None and dcr_out.codes is None
-        assert not hasattr(fixed_cache, "touch")
-        assert not hasattr(dcr_cache, "touch")
-    trace = generate_synthetic(cfg.synthetic)
-    with pytest.raises(ValueError, match="no cache is bound"):
-        Passes(cfg.geometry, trace.addrs, Replay(len(trace), codes=False))(
-            0, 1)
+        assert [(trip.unit, trip.codes) for trip in trips_bound] == \
+            [(False, None), (True, None)]
 
 
 @pytest.mark.parametrize("elements", [16, 1024])

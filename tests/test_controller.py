@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import replay, select_reference, size_counts
-from edrsim.cache import (HIT, WRITE, CacheGeometry, CacheState, Replay,
-                          reconfigure)
+from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, reconfigure
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                candidate_space, default_config, select)
 from edrsim.energy import EnergyParams, builtin_params
@@ -80,11 +79,11 @@ def _prepped_state_and_unit(geometry, ws_kb, seed=3, records=40_000):
         rng_seed=seed, accesses_per_kilo_instr=20))
     state = CacheState(geometry)
     unit = ProfilingUnit(geometry, 2)
-    out = Replay(len(arrays))
-    replay(state, arrays.addrs, arrays.ops, 0, len(arrays), out, unit)
-    hits = sum(bool(code & HIT) for code in out.codes)
+    codes = bytearray(len(arrays))
+    replay(state, arrays, 0, len(arrays), codes, unit)
+    hits = sum(bool(code & HIT) for code in codes)
     misses = len(arrays) - hits
-    load_misses = sum(not code & (HIT | WRITE) for code in out.codes)
+    load_misses = sum(not code & (HIT | WRITE) for code in codes)
     stats = IntervalStats(
         instructions=arrays.instructions, l2_hits=hits, l2_misses=misses,
         load_misses=load_misses, memory_stall_cycles=load_misses * 166,

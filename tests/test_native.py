@@ -10,7 +10,7 @@ import pytest
 
 from oracles import replay, replay_reference
 from edrsim import cache, native, passes
-from edrsim.cache import CacheState, Replay
+from edrsim.cache import CacheState
 from edrsim.trace import PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
 KERNEL = os.path.join(os.path.dirname(cache.__file__), "lru.c")
@@ -21,10 +21,9 @@ def _codes(geometry, step=replay) -> bytes:
     trace = generate_synthetic(SyntheticTraceSpec(
         phases=[PhaseSpec(100_000, 96 * 1024, 0.4, 0.2)], rng_seed=3,
         accesses_per_kilo_instr=100))
-    out = Replay(len(trace))
-    step(CacheState(geometry), trace.addrs, trace.ops, 0,
-         len(trace), out)
-    return bytes(out.codes)
+    codes = bytearray(len(trace))
+    step(CacheState(geometry), trace, 0, len(trace), codes)
+    return bytes(codes)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import pytest
 from oracles import (compiled_full_profile, estimate_misses, full_profile,
                      observe_arrays, observe_reference, probe,
                      profiler_overhead_bytes, replay, size_counts, trace_of)
-from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, Replay
+from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState
 from edrsim.passes import Passes
 from edrsim.profiler import (PROFILED_FRACTIONS, IntervalStats, ProfilingUnit,
                              TimingParams, estimate_refreshes, estimate_time)
@@ -26,11 +26,10 @@ def test_full_sampling_matches_main_cache(small_geometry):
     # placement, so the 1X size at full sampling tracks the cache exactly
     arrays = _trace(5, ws_kb=96)
     unit = ProfilingUnit(small_geometry, 1)
-    out = Replay(len(arrays))
-    replay(CacheState(small_geometry), arrays.addrs, arrays.ops,
-           0, len(arrays), out, unit)
-    misses = sum(not code & HIT for code in out.codes)
-    load_misses = sum(not code & (HIT | WRITE) for code in out.codes)
+    codes = bytearray(len(arrays))
+    replay(CacheState(small_geometry), arrays, 0, len(arrays), codes, unit)
+    misses = sum(not code & HIT for code in codes)
+    load_misses = sum(not code & (HIT | WRITE) for code in codes)
     assert unit.sizes[0] == small_geometry.size_bytes
     assert size_counts(unit)[0][:2] == (misses, load_misses)
 
@@ -54,11 +53,11 @@ def test_unsampled_record_leaves_counters_alone(small_geometry):
     # and the unit takes only the even blocks
     arrays = trace_of([(1, Op.READ, 64), (1, Op.READ, 128)])
     state = CacheState(small_geometry)
-    out = Replay(2)
-    replay(state, arrays.addrs, arrays.ops, 0, 1, out, unit)
+    codes = bytearray(2)
+    replay(state, arrays, 0, 1, codes, unit)
     assert not any(unit.counts)
     assert not any(unit.fill)
-    replay(state, arrays.addrs, arrays.ops, 1, 2, out, unit)
+    replay(state, arrays, 1, 2, codes, unit)
     assert size_counts(unit) == [(1, 1, 1)] * len(PROFILED_FRACTIONS)
     # set 2 is the second sampled set: the second row of each size
     firsts = [sum(unit.rows[:u]) for u in range(len(unit.rows))]
@@ -81,11 +80,11 @@ def test_replay_feeds_units_like_the_python_reference(small_geometry):
     arrays = _trace(7, ws_kb=64, records=5_000)
     for ratio in (1, 2):
         fed = ProfilingUnit(small_geometry, ratio)
-        out = Replay(len(arrays))
+        codes = bytearray(len(arrays))
         state = CacheState(small_geometry)
         half = len(arrays) // 2  # two calls, as sim.run's segments make
-        replay(state, arrays.addrs, arrays.ops, 0, half, out, fed)
-        replay(state, arrays.addrs, arrays.ops, half, len(arrays), out, fed)
+        replay(state, arrays, 0, half, codes, fed)
+        replay(state, arrays, half, len(arrays), codes, fed)
         want = ProfilingUnit(small_geometry, ratio)
         observe_reference(want, arrays, small_geometry)
         assert fed.tags == want.tags
@@ -231,7 +230,6 @@ def test_replay_rejects_a_unit_of_other_associativity(small_geometry):
     # the kernel steps the unit's rows with the cache's ways
     four_way = CacheGeometry(64 * 1024, 4, page_bytes=1024,
                              bank_bytes=32 * 1024)
-    passes = Passes(small_geometry, array("Q", [0]), Replay(1))
     with pytest.raises(ValueError, match="differ in geometry"):
-        passes.bind_cache(CacheState(small_geometry), bytearray(1),
-                          ProfilingUnit(four_way, 1))
+        Passes(CacheState(small_geometry), trace_of([(0, Op.READ, 0)]),
+               ProfilingUnit(four_way, 1))

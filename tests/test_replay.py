@@ -19,8 +19,8 @@ import oracles
 from oracles import (SetLists, access_block, age_column, age_in, age_mirror,
                      all_sets, dirty_tags, reference_run, replay,
                      replay_reference, trace_of, validate_state, view)
-from edrsim.cache import (AGE_SHIFT, EVICTED, HIT, CacheGeometry, CacheState, Replay,
-                          reconfigure)
+from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
+                          CacheGeometry, CacheState, reconfigure)
 from edrsim.cli import _sweep_reports
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
@@ -449,26 +449,49 @@ def test_ages_reach_the_nibble_boundary_at_16_ways():
 
 def test_functional_replay_matches_access_block(small_geometry):
     trace = _trace(seed=3)
-    writes = trace.ops
     fast = CacheState(small_geometry)
-    out = Replay(len(trace))
+    codes = bytearray(len(trace))
     # in two chunks, to cover a start in the middle of the trace
     half = len(trace) // 2
-    replay(fast, trace.addrs, writes, 0, half, out)
-    replay(fast, trace.addrs, writes, half, len(trace), out)
+    replay(fast, trace, 0, half, codes)
+    replay(fast, trace, half, len(trace), codes)
 
     lists = SetLists(CacheState(small_geometry))
-    for i, (addr, is_write) in enumerate(zip(trace.addrs, writes)):
+    for i, (addr, is_write) in enumerate(zip(trace.addrs, trace.ops)):
         # the outcome bits, then a hit's age above them
         age = age_in(lists, int(addr))
-        assert out.codes[i] & 0x0F == access_block(lists, is_write, addr), i
-        assert out.codes[i] >> AGE_SHIFT == (age or 0), i
+        assert codes[i] & 0x0F == access_block(lists, is_write, addr), i
+        assert codes[i] >> AGE_SHIFT == (age or 0), i
     slow = lists.store()
     assert all_sets(fast) == all_sets(slow)
     assert dirty_tags(fast) == dirty_tags(slow)
     assert fast.n_valid == slow.n_valid
     assert fast.valid_by_bank.tolist() == slow.valid_by_bank.tolist()
     assert validate_state(fast).ok
+
+
+def test_functional_replay_clock_tallies_its_stored_codes(
+        small_geometry):
+    # a clock with no timer, no warm-up and no close counts, over each
+    # call's records, what their stored codes say
+    trace = _trace(seed=3)
+    codes = bytearray(len(trace))
+    passes = Passes(CacheState(small_geometry), trace, codes=codes)
+    clock, timers = passes.bind_timing(1.5, 12, 166, 0, 1 << 62, [])
+    assert timers == []
+    half = len(trace) // 2
+    for lo, hi in (0, half), (half, len(trace)):
+        assert passes(lo, hi) == hi
+        window = codes[lo:hi]
+        assert clock.take() == (
+            sum(trace.gaps[lo:hi]),
+            sum(bool(code & HIT) for code in window),
+            sum(not code & HIT for code in window),
+            sum(bool(code & DIRTY_VICTIM) for code in window),
+            sum(not code & (HIT | WRITE) for code in window))
+    # the second phase thrashes: evictions of dirty and of clean lines
+    evicted = [code & DIRTY_VICTIM for code in codes if code & EVICTED]
+    assert any(evicted) and not all(evicted)
 
 
 def _assert_same_state(fast, slow, fast_unit=None, slow_unit=None):
@@ -489,33 +512,32 @@ def _kernel_against_reference(geometry, trace, cuts, colors, ratio=None,
     Python reference, reconfiguring both to colors[k] after segment k;
     with `ratio`, both also feed a profiling unit of that ratio. Compare
     everything after each step."""
-    writes = trace.ops
     states = [CacheState(geometry, min_colors=min_colors) for _ in range(2)]
     units = [ProfilingUnit(geometry, ratio) if ratio else None
              for _ in range(2)]
-    outs = [Replay(len(trace)) for _ in range(2)]
+    codes = [bytearray(len(trace)) for _ in range(2)]
     bounds = [0, *cuts, len(trace)]
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         for step, state, unit, out in zip((replay, replay_reference), states,
-                                          units, outs):
-            step(state, trace.addrs, writes, lo, hi, out, unit)
-        assert outs[0].codes[lo:hi] == outs[1].codes[lo:hi], k
+                                          units, codes):
+            step(state, trace, lo, hi, out, unit)
+        assert codes[0][lo:hi] == codes[1][lo:hi], k
         _assert_same_state(states[0], states[1], units[0], units[1])
         if k < len(colors):
             reports = [reconfigure(state, colors[k]) for state in states]
             assert reports[0] == reports[1]
             _assert_same_state(states[0], states[1])
     assert validate_state(states[0]).ok
-    return outs[0], units[0]
+    return codes[0], units[0]
 
 
 @pytest.mark.parametrize("banks", [1, 2, 4])
 def test_kernel_matches_reference_on_a_fixed_replay(banks):
     geometry = _geometry(banks)
     trace = _trace(seed=40 + banks)
-    out, _ = _kernel_against_reference(geometry, trace, [len(trace) // 3],
-                                       [])
-    codes = np.frombuffer(out.codes, dtype=np.uint8)
+    codes, _ = _kernel_against_reference(geometry, trace, [len(trace) // 3],
+                                         [])
+    codes = np.frombuffer(codes, dtype=np.uint8)
     assert (codes & 2).any() and (codes & 4).any()  # evictions, dirty ones
     # hits of every age an 8-way set holds
     assert set(codes[codes & HIT == 1] >> AGE_SHIFT) == set(range(8))
@@ -643,32 +665,25 @@ def test_fixed_trip_keeps_nothing_on_the_trace():
         assert len(made) == 5
 
 
-def test_fixed_replay_has_a_last_touch_column_only_for_rpv(monkeypatch):
+def test_only_rpv_keeps_slot_phases_and_no_trip_stores_codes(trips_bound):
     # RPV's timer keeps the last-touch phase of each line slot, a byte per
-    # line, and no other timer keeps one; the trip's replay stores no code
-    # bytes, with RPV or without
+    # line, and no other timer keeps one; the trip stores no code bytes,
+    # with RPV or without
     geometry = _geometry(2)
     trace = _trace(seed=1)
     rest = (TimingParams(clock_ghz=2.0), EDRAM)
-    bound = []
-    bind_timing = Passes.bind_timing
-
-    def spy(self, *args):
-        clock, timers = bind_timing(self, *args)
-        bound.append((self.out.codes, [t.slot_phase for t in timers]))
-        return clock, timers
-    monkeypatch.setattr(Passes, "bind_timing", spy)
     plain = _fixed_schemes(geometry, (SchemeKind.BASELINE_EDRAM,
                                       SchemeKind.SRAM))
     run_schemes(trace, plain, geometry, *rest)
     run_schemes(trace, _fixed_schemes(geometry), geometry, *rest)
-    [(codes, plain_phases), (rpv_codes, phases)] = bound
-    assert codes is None and rpv_codes is None
+    assert [trip.codes for trip in trips_bound] == [None, None]
+    plain_phases, phases = [[timer.slot_phase for timer in trip.timers]
+                            for trip in trips_bound]
     assert plain_phases == [None, None]
     assert phases[0] is None and phases[1] and phases[2] is None
 
 
-def test_fixed_replay_is_kept_for_an_equal_geometry(trips_timed):
+def test_fixed_replay_is_kept_for_an_equal_geometry(trips_bound):
     # a sweep parses a new but equal geometry for each value; the values
     # share one trip, with a timer for each of their fixed schemes
     trace = _trace(seed=1)
@@ -680,7 +695,7 @@ def test_fixed_replay_is_kept_for_an_equal_geometry(trips_timed):
                                interval_instructions=None)
                for g in (first, second)]
     got = _sweep_reports(trace, configs, 20_000)
-    assert trips_timed == [6]
+    assert [len(trip.timers) for trip in trips_bound] == [6]
     want = run_schemes(trace, _fixed_schemes(first), first, timing, EDRAM,
                        20_000)
     assert got == [want, want]
