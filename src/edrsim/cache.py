@@ -8,13 +8,13 @@ always reachable through the current mapping: whenever a region is remapped, its
 resident lines are flushed (dirty ones counted as writebacks), which keeps
 lookups consistent and the per-bank valid counters exact.
 
-The sets live in flat arrays (`array.array`, and a `bytearray` for the
-dirty bytes): set s owns the tag slots [s * ways, (s + 1) * ways), of
-which its first `fill[s]` hold the resident tags, least recent first: the
-same LRU stack DCR's profiling unit keeps at each of its sizes (Mattson et
-al., 1970). A tag is a full block number, so a block sits in at most one
-set; each slot has a dirty byte. Each bank counts its valid lines, and
-`n_valid` is their sum.
+The sets live in flat `array.array`s: set s owns the line slots
+[s * ways, (s + 1) * ways), of which its first `fill[s]` hold the resident
+lines, least recent first: the same LRU stack DCR's profiling unit keeps at
+each of its sizes (Mattson et al., 1970). A slot is a 64-bit word: the
+line's tag, a full block number (so a block sits in at most one set), in
+bits 0-62, which blocks of 2 bytes or more leave room for, and its dirty
+bit in bit 63. Each bank counts its valid lines; `n_valid` is their sum.
 
 The functional pass of a simulation applies trace records to those arrays
 and gives each record's outcome as a code byte, which the timing pass
@@ -63,8 +63,10 @@ class CacheGeometry(Record):
         for name in self._fields:
             if not _is_pow2(getattr(self, name)):
                 raise GeometryError(f"{name} must be a power of two")
-        if not size_bytes >= bank_bytes >= block_bytes:
-            raise GeometryError("need size_bytes >= bank_bytes >= block_bytes")
+        # a line's word keeps its dirty bit above its tag, in bit 63
+        if not size_bytes >= bank_bytes >= block_bytes >= 2:
+            raise GeometryError(
+                "need size_bytes >= bank_bytes >= block_bytes >= 2")
         # so a bank holds a power of two of whole sets
         if bank_bytes < block_bytes * associativity:
             raise GeometryError(
@@ -106,7 +108,7 @@ class _Cache(ctypes.Structure):
     """lru.c's struct cache: a CacheState's arrays, ways and layout."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "tags", "dirty", "fill", "valid_by_bank")] + [
+        "tags", "fill", "valid_by_bank")] + [
         ("ways", ctypes.c_int64), ("layout", ctypes.c_void_p)]
 
 
@@ -121,11 +123,10 @@ class CacheState:
         # region i in color i
         self.active_count = m_total
         self.mapping: list[int] = list(range(m_total))
-        # set s: tag slots [s * ways, (s + 1) * ways), the first fill[s]
-        # resident, least recent first, with a dirty byte per slot
+        # set s: line slots [s * ways, (s + 1) * ways), the first fill[s]
+        # resident, least recent first; a word each, dirty bit on top
         lines, sets = geometry.total_lines, geometry.total_sets
         self.tags = zeros("Q", lines)
-        self.dirty = bytearray(lines)
         self.fill = zeros("i", sets)
         self.valid_by_bank = zeros("q", geometry.num_banks)
         # how the kernels find a set under the mapping; reconfigure
@@ -133,8 +134,7 @@ class CacheState:
         self.layout = layout(geometry)
         # the same, as the compiled routines take it
         self.arrays = _Cache(
-            address(self.tags, 8, lines), address(self.dirty, 1, lines),
-            address(self.fill, 4, sets),
+            address(self.tags, 8, lines), address(self.fill, 4, sets),
             address(self.valid_by_bank, 8, geometry.num_banks),
             geometry.associativity, address(self.layout, 8, len(self.layout)))
 

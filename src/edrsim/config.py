@@ -282,6 +282,10 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
             raise ConfigError("[trace] set path or synthetic=true, not both")
         if wants_synth and synthetic is None:
             raise ConfigError("[trace] synthetic=true needs a [synthetic] section")
+        if not (trace_path or wants_synth):
+            dropped = " and drops the [synthetic] section" if synthetic else ""
+            raise ConfigError("[trace] sets neither path nor synthetic = "
+                              f"true, so it selects no trace{dropped}")
         if not wants_synth:
             synthetic = None
     # a synthetic trace holds its phases' instructions, whatever its seed

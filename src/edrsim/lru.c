@@ -9,12 +9,13 @@
  *   scheme: count the record's instructions, then on every timer turn its
  *   gap into cycles, fire the refresh events due by then and wait out a
  *   burst on its bank;
- * - the functional pass (see cache.py) on the run's cache: a tag-only LRU
- *   step over flat arrays, applied to the main cache and to each size of
- *   DCR's profiling unit. A set is a row of `ways` tag slots; its first
- *   `fill` slots hold the resident tags, least recent first. The step
- *   gives the record's code byte, whose hit also holds the line's age (see
- *   lru_step), stored only if the run binds codes;
+ * - the functional pass (see cache.py) on the run's cache: an LRU step
+ *   over flat arrays, applied to the main cache and to each size of DCR's
+ *   profiling unit. A set is a row of `ways` line slots, a word each: the
+ *   line's tag (its block number) in bits 0-62 and its dirty bit on top.
+ *   A set's first `fill` slots hold its resident lines, least recent
+ *   first. The step gives the record's code byte, whose hit also holds
+ *   the line's age (see lru_step), stored only if the run binds codes;
  * - the timing pass again: the tallies of the record's outcome, and on
  *   every timer the hit or miss latency. The loop stops after a record
  *   that closes an interval.
@@ -27,7 +28,7 @@
  * cache.layout: layout[FIRST_SET + region] is the first set of the color
  * the region maps to, and the block's offset in its page picks the set
  * inside that color. The layout follows the cache's mapping
- * (cache.reconfigure rewrites it).
+ * (cache.reconfigure rewrites it, between calls).
  *
  * edr_flush invalidates a color's lines when DCR reconfigures the cache.
  * edr_generate writes one phase of a synthetic trace, and edr_pack and
@@ -41,6 +42,9 @@
 enum { HIT = 1, EVICTED = 2, DIRTY_VICTIM = 4, WRITE = 8, AGE_SHIFT = 4 };
 enum { BLOCK_SHIFT, PAGE_SHIFT, REGION_MASK, WITHIN_MASK, BANK_SHIFT,
        FIRST_SET };
+/* a line slot's dirty bit, above its tag: a tag is a byte address shifted
+ * right by at least one bit, since a block holds 2 bytes or more */
+#define DIRTY ((uint64_t)1 << 63)
 
 /* The timing pass's clock, carried across calls and shared by its
  * timers, whose schemes see the same records and the same outcomes: the
@@ -66,11 +70,11 @@ struct timer {
     uint8_t *slot_phase; /* RPV's phase of each line slot (see settle) */
 };
 
-/* A cache.CacheState: its arrays, its ways and its layout, which also
+/* A cache.CacheState: its line slots, a word each of a tag and the dirty
+ * bit, its fill and valid counts, its ways and its layout, which also
  * gives its shape. */
 struct cache {
     uint64_t *tags;
-    uint8_t *dirty;
     int32_t *fill;
     int64_t *valid_by_bank;
     int64_t ways;
@@ -102,75 +106,63 @@ struct run {
     int64_t n_timers;
 };
 
-static int64_t set_of(const int64_t *layout, uint64_t addr)
-{
-    return layout[FIRST_SET + ((addr >> layout[PAGE_SHIFT])
-                               & (uint64_t)layout[REGION_MASK])]
-           + (int64_t)((addr >> layout[BLOCK_SHIFT])
-                       & (uint64_t)layout[WITHIN_MASK]);
-}
-
-/* One access to a set: a hit moves the tag to the end of the row, a miss
- * appends it and, in a full row, pushes out the first. `dirty`, if not
- * NULL, is the row's dirty byte per slot and moves with the tags. Returns
- * the HIT, EVICTED and DIRTY_VICTIM bits and, for a hit in slot i, the
- * line's age last - i from bit AGE_SHIFT up; the accessed tag ends in slot
- * *fill - 1. */
-static int lru_step(uint64_t *row, uint8_t *dirty, int32_t *fill, int ways,
-                    uint64_t tag)
+/* One access to a set: a hit moves its line's word to the end of the
+ * row, a miss appends the tag and, in a full row, pushes out the first
+ * line. A tag matches a word's bits 0-62; `dirty` (DIRTY for a write, or
+ * 0) is set in the accessed line, which a hit moves with its own dirty
+ * bit. Returns the HIT, EVICTED and DIRTY_VICTIM bits and, for a hit in
+ * slot i, the line's age last - i from bit AGE_SHIFT up; the accessed
+ * line ends in slot *fill - 1. */
+static inline __attribute__((always_inline)) int lru_step(
+    uint64_t *row, int32_t *fill, int ways, uint64_t tag, uint64_t dirty)
 {
     int last = *fill - 1, i = last, code;
-    uint8_t d = 0;
+    uint64_t moved;
 
-    while (i >= 0 && row[i] != tag)
+    while (i >= 0 && (row[i] & ~DIRTY) != tag)
         i--;
     if (i >= 0) {
         code = HIT | (last - i) << AGE_SHIFT;
-        if (dirty)
-            d = dirty[i];
+        moved = row[i] | dirty;
     } else if (last + 1 < ways) {
-        row[++last] = tag;
-        if (dirty)
-            dirty[last] = 0;
-        *fill = last + 1;
+        row[last + 1] = tag | dirty;
+        *fill = last + 2;
         return 0;
     } else {
         i = 0;
-        code = EVICTED | (dirty && dirty[0] ? DIRTY_VICTIM : 0);
+        code = EVICTED | (row[0] & DIRTY ? DIRTY_VICTIM : 0);
+        moved = tag | dirty;
     }
-    memmove(row + i, row + i + 1, (size_t)(last - i) * sizeof *row);
-    row[last] = tag;
-    if (dirty) {
-        memmove(dirty + i, dirty + i + 1, (size_t)(last - i));
-        dirty[last] = d;
+    /* a rotation: a plain shift loop compiles to a call of memmove */
+    for (int j = last; j >= i; j--) {
+        uint64_t next = row[j];
+
+        row[j] = moved;
+        moved = next;
     }
     return code;
 }
 
-/* The functional pass of record r, whose block sits in `set` of `bank`:
- * the LRU step on the main cache, the dirty byte of a write and a fill of
- * a free way counted in valid_by_bank. With a profiling unit, a block
- * whose number is a multiple of `ratio` is then looked up at each size u.
- * A size samples every ratio-th of its sets, a multiple of ratio, so the
- * block's set, block % sets, is sampled: the size's row block / ratio %
- * unit_rows[u], counted from the rows of the sizes before it. Size u counts misses,
+/* The functional pass of record r, whose block `tag` sits in `set` of
+ * `bank`: the LRU step on the cache c, a run's cache copied for the call,
+ * with a write's dirty bit, and a fill of a free way counted in
+ * valid_by_bank. With a profiling unit, a block whose number is a
+ * multiple of `ratio` is then looked up at each size u. A size samples
+ * every ratio-th of its sets, a multiple of ratio, so the block's set,
+ * block % sets, is sampled: the size's row block / ratio % unit_rows[u],
+ * counted from the rows of the sizes before it. Size u counts misses,
  * load misses and accesses at unit_counts[3u..3u + 2]. Returns the
  * record's code byte, also stored if the run binds codes. */
-static int replay(const struct run *run, int64_t r, int64_t set,
-                  int64_t bank)
+static inline __attribute__((always_inline)) int replay(
+    const struct run *run, const struct cache *c, int64_t r, uint64_t tag,
+    int64_t set, int64_t bank)
 {
-    const struct cache *c = run->cache;
-    uint64_t tag = run->addrs[r] >> c->layout[BLOCK_SHIFT];
     int ways = (int)c->ways, is_write = run->writes[r] != 0;
-    int code = lru_step(c->tags + set * ways, c->dirty + set * ways,
-                        c->fill + set, ways, tag);
+    int code = lru_step(c->tags + set * ways, c->fill + set, ways, tag,
+                        is_write ? DIRTY : 0) | (is_write ? WRITE : 0);
 
     if (!(code & (HIT | EVICTED)))
         c->valid_by_bank[bank]++;
-    if (is_write) {
-        c->dirty[set * ways + c->fill[set] - 1] = 1;
-        code |= WRITE;
-    }
     if (run->codes)
         run->codes[r] = (uint8_t)code;
     if (!run->n_sizes || tag % run->ratio)
@@ -182,8 +174,8 @@ static int replay(const struct run *run, int64_t r, int64_t set,
         int64_t *count = run->unit_counts + 3 * u;
 
         count[2]++;
-        if (!(lru_step(run->unit_tags + row * ways, NULL,
-                       run->unit_fill + row, ways, tag) & HIT)) {
+        if (!(lru_step(run->unit_tags + row * ways, run->unit_fill + row,
+                       ways, tag, 0) & HIT)) {
             count[0]++;
             count[1] += !is_write;
         }
@@ -284,35 +276,38 @@ static void settle(struct timer *t, int64_t row_at, int64_t bank, int code,
  * step (settle). */
 int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
 {
-    /* locals, which the byte stores of the loop cannot alias */
-    const int64_t *layout = run->cache->layout;
-    const int64_t bank_shift = layout[BANK_SHIFT];
-    const uint64_t *addrs = run->addrs;
-    const uint32_t *gaps = run->gaps;
-    const double cpi = run->cpi;
-    const int64_t hit_cycles = run->hit_cycles;
-    const int64_t miss_cycles = run->miss_cycles;
-    const int64_t n_banks = run->n_banks, ways = run->cache->ways;
+    /* copies, which the stores of the loop cannot alias; reconfigure
+     * rewrites the layout only between calls */
+    const struct run a = *run;
+    const struct cache c = *a.cache;
+    const int64_t *first_set = c.layout + FIRST_SET;
+    const int64_t block_shift = c.layout[BLOCK_SHIFT];
+    const int64_t page_shift = c.layout[PAGE_SHIFT];
+    const int64_t bank_shift = c.layout[BANK_SHIFT];
+    const uint64_t region_mask = (uint64_t)c.layout[REGION_MASK];
+    const uint64_t within_mask = (uint64_t)c.layout[WITHIN_MASK];
     /* a lone timer (DCR's, or one fixed scheme's) is copied here for the
      * call, where no store through a pointer can reach it */
     struct timer one, *lone = &one;
-    struct timer *const *timers = run->n_timers == 1 ? &lone : run->timers;
-    const int64_t n_timers = run->n_timers;
-    struct clock k = *run->clock;
+    struct timer *const *timers = a.n_timers == 1 ? &lone : a.timers;
+    const int64_t n_timers = a.n_timers;
+    struct clock k = *a.clock;
     int64_t r, stop = hi, i;
 
     if (n_timers == 1)
-        one = *run->timers[0];
+        one = *a.timers[0];
     /* a timer's cycles count from its cycle at the start of the call */
     for (i = 0; i < n_timers; i++)
         timers[i]->cycles -= timers[i]->now;
     for (r = lo; r < hi; r++) {
-        int64_t set = set_of(layout, addrs[r]);
+        uint64_t addr = a.addrs[r], tag = addr >> block_shift;
+        int64_t set = first_set[(addr >> page_shift) & region_mask]
+                      + (int64_t)(tag & within_mask);
         int64_t bank = set >> bank_shift;
-        int64_t gap_cycles = (int64_t)rint(gaps[r] * cpi), latency;
+        int64_t gap_cycles = (int64_t)rint(a.gaps[r] * a.cpi), latency;
         int code, age;
 
-        k.instructions += gaps[r];
+        k.instructions += a.gaps[r];
         if (k.warm_at && k.instructions >= k.warm_at) {
             k.warm_at = k.instructions = 0;
             k.hits = k.misses = k.dirty_victims = k.load_misses = 0;
@@ -321,25 +316,25 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
                 timers[i]->cycles = -(timers[i]->now + gap_cycles);
                 timers[i]->refreshed = 0;
             }
-            if (run->n_sizes)
-                memset(run->unit_counts, 0, (size_t)run->n_sizes * 3
-                                            * sizeof *run->unit_counts);
+            if (a.n_sizes)
+                memset(a.unit_counts, 0, (size_t)a.n_sizes * 3
+                                         * sizeof *a.unit_counts);
         }
         for (i = 0; i < n_timers; i++)
-            advance(timers[i], gap_cycles, bank, n_banks);
-        code = replay(run, r, set, bank);
-        age = code & HIT ? code >> AGE_SHIFT : (int)ways - 1;
+            advance(timers[i], gap_cycles, bank, a.n_banks);
+        code = replay(&a, &c, r, tag, set, bank);
+        age = code & HIT ? code >> AGE_SHIFT : (int)c.ways - 1;
         if (code & HIT) {
-            latency = hit_cycles;
+            latency = a.hit_cycles;
             k.hits++;
         } else {
-            latency = miss_cycles;
+            latency = a.miss_cycles;
             k.misses++;
             k.dirty_victims += (code & DIRTY_VICTIM) != 0;
             k.load_misses += !(code & WRITE);
         }
         for (i = 0; i < n_timers; i++)
-            settle(timers[i], set * ways, bank, code, age, latency);
+            settle(timers[i], set * c.ways, bank, code, age, latency);
         if (!k.warm_at && k.instructions >= k.close_at) {
             stop = r + 1;
             break;
@@ -348,16 +343,16 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     for (i = 0; i < n_timers; i++)
         timers[i]->cycles += timers[i]->now;
     if (n_timers == 1)
-        *run->timers[0] = one;
-    *run->clock = k;
+        *a.timers[0] = one;
+    *a.clock = k;
     return stop;
 }
 
 /* Invalidate the resident lines of a color's sets, or with `pulled` (a
  * byte per region) only those whose page falls in a marked region. The
  * survivors of each set move to the front of its row in their order, the
- * dirty bytes past them are cleared, and fill and valid_by_bank lose the
- * flushed lines. Stores the writebacks of dirty lines and returns the
+ * slots they leave lose their dirty bits, and fill and valid_by_bank lose
+ * the flushed lines. Stores the writebacks of dirty lines and returns the
  * lines flushed. */
 int64_t edr_flush(const struct cache *c, int64_t color,
                   const uint8_t *pulled, int64_t *writebacks)
@@ -370,19 +365,17 @@ int64_t edr_flush(const struct cache *c, int64_t color,
 
     for (int64_t s = first; s < first + sets; s++) {
         uint64_t *row = c->tags + s * c->ways;
-        uint8_t *dirty = c->dirty + s * c->ways;
-        int32_t n = c->fill[s], kept = 0;
+        int32_t n = c->fill[s], kept = 0, i;
 
-        for (int32_t i = 0; i < n; i++) {
-            if (pulled && !pulled[(row[i] >> page_shift)
-                                  & (uint64_t)layout[REGION_MASK]]) {
-                row[kept] = row[i];
-                dirty[kept++] = dirty[i];
-            } else {
-                dirty_lost += dirty[i] != 0;
-            }
+        for (i = 0; i < n; i++) {
+            if (pulled && !pulled[((row[i] & ~DIRTY) >> page_shift)
+                                  & (uint64_t)layout[REGION_MASK]])
+                row[kept++] = row[i];
+            else
+                dirty_lost += row[i] >> 63;
         }
-        memset(dirty + kept, 0, (size_t)(n - kept));
+        for (i = kept; i < n; i++)
+            row[i] &= ~DIRTY;
         c->fill[s] = kept;
         c->valid_by_bank[s >> layout[BANK_SHIFT]] -= n - kept;
         flushed += n - kept;

@@ -6,8 +6,8 @@ and X/16 (X = the main cache size), as UMON-style set sampling does
 (Qureshi & Patt, MICRO 2006), and counts misses, load misses and accesses
 on one set in `ratio` of each size. Every size samples the same set
 residues, so the LRU stacks stay comparable across sizes. The sampled
-sets are laid out as the main cache's (see cache.py), without dirty
-bytes, and the functional pass steps them with the same LRU routine,
+sets are laid out as the main cache's (see cache.py), with no dirty
+bit ever set, and the functional pass steps them with the same LRU routine,
 adding to the unit's counts in place. Estimates for intermediate sizes
 are interpolated log-linearly between the profiled points.
 """

@@ -20,8 +20,11 @@ through the `IntervalStats` it predicts and `interval_energy`: the
 one-at-a-time forms of `reconfigure` and `select`.
 `generate_reference` is the synthetic trace generator in numpy, drawing
 from numpy's own generator. `RpvPhases` keeps RPV's last-touch phases
-and per-bank-per-phase valid counts beside the state. `set_tags` and
-`set_dirty` read one set of the flat arrays back as lists. The
+and per-bank-per-phase valid counts beside the state. A line slot of the
+flat arrays is one word, the line's tag in bits 0-62 and its dirty bit in
+bit 63: `set_tags` and `set_dirty` read one set back as lists of each,
+`dirty_bits` the dirty bit of every slot, and `SetLists.store` writes
+both back. The
 charge-timeline oracle checks the refresh counts against its own per-line
 charges, and
 `reference_run`, the record-at-a-time replay that `sim.run`'s two-stage
@@ -88,7 +91,7 @@ def replay(state: CacheState, trace: TraceArrays, lo: int, hi: int,
     number mod M) picks a color through the mapping, which is fixed for
     the call, and its page offset picks the set inside that color. A hit
     moves the tag to the end of its set's row; a miss into a full set
-    evicts the first. The dirty bytes and the valid counters (total and
+    evicts the first. The dirty bits and the valid counters (total and
     per bank) follow. With a profiling `unit`, every block whose number is
     a multiple of its sampling ratio is looked up at each of its sizes,
     which count its accesses, misses and load misses.
@@ -106,17 +109,30 @@ def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
     return bytes(codes[lo:hi])
 
 
-def set_tags(state, row: int) -> list[int]:
-    """The resident tags of a set of a `CacheState`, or of a row (a sampled
-    set) of a `ProfilingUnit`, least recent first."""
+DIRTY = 1 << 63  # a line slot's dirty bit, above its tag
+
+
+def _words(state, row: int) -> list[int]:
     start = row * (len(state.tags) // len(state.fill))
     return state.tags[start:start + state.fill[row]].tolist()
 
 
+def set_tags(state, row: int) -> list[int]:
+    """The resident tags of a set of a `CacheState`, or of a row (a sampled
+    set) of a `ProfilingUnit`, least recent first."""
+    return [word & ~DIRTY for word in _words(state, row)]
+
+
 def set_dirty(state: CacheState, row: int) -> list[int]:
-    """The dirty bytes of a set's resident tags, in `set_tags` order."""
-    start = row * state.geometry.associativity
-    return list(state.dirty[start:start + state.fill[row]])
+    """The dirty bits (0 or 1) of a set's resident lines, in `set_tags`
+    order."""
+    return [word >> 63 for word in _words(state, row)]
+
+
+def dirty_bits(state: CacheState) -> np.ndarray:
+    """The dirty bit of every line slot of a state, the empty ones
+    included, as 0s and 1s."""
+    return view(state.tags) >> np.uint64(63)
 
 
 def _store_set(state, row: int, tags: list[int]) -> None:
@@ -128,13 +144,13 @@ def _store_set(state, row: int, tags: list[int]) -> None:
 def all_sets(state) -> list[list[int]]:
     """`set_tags` of every set (or sampled set)."""
     ways = len(state.tags) // len(state.fill)
-    tags = state.tags.tolist()
+    tags = [word & ~DIRTY for word in state.tags.tolist()]
     return [tags[row * ways:row * ways + n]
             for row, n in enumerate(state.fill)]
 
 
 def dirty_tags(state: CacheState) -> set[int]:
-    """The resident tags whose dirty byte is set."""
+    """The resident tags whose dirty bit is set."""
     return {tag for row in range(len(state.fill))
             for tag, d in zip(set_tags(state, row), set_dirty(state, row))
             if d}
@@ -192,8 +208,8 @@ class SetLists:
         state = self.state
         for row, (tags, dirty) in enumerate(zip(self.tags, self.dirty)):
             start = row * self.ways
-            state.tags[start:start + len(tags)] = array("Q", tags)
-            state.dirty[start:start + len(tags)] = bytes(dirty)
+            state.tags[start:start + len(tags)] = array(
+                "Q", [tag | d << 63 for tag, d in zip(tags, dirty)])
             state.fill[row] = len(tags)
         state.valid_by_bank[:] = array("q", self.valid_by_bank)
         return state
@@ -309,31 +325,30 @@ def flush_reference(state: CacheState, color: int,
     """`cache._flush` in numpy: invalidate the resident lines of a color, or
     only those whose page's region is in `regions`. A stable sort moves the
     survivors of each set to the front of its row in their order, and the
-    flushed lines' dirty bytes are cleared. Returns (flushed lines,
+    flushed lines lose their dirty bits. Returns (flushed lines,
     writebacks of dirty ones)."""
     g = state.geometry
     ways = g.associativity
     first = color * g.sets_per_color
     rows = slice(first, first + g.sets_per_color)
-    tags = view(state.tags).reshape(-1, ways)[rows]  # views into the state
-    dirty = view(state.dirty).reshape(-1, ways)[rows]
+    words = view(state.tags).reshape(-1, ways)[rows]  # views into the state
     fill = view(state.fill)[rows]
     gone = np.arange(ways) < fill[:, None]  # the resident slots ...
     if regions is not None:  # ... of the regions' pages
         page_shift = g.sets_per_color.bit_length() - 1  # tag >> it = page
         pulled = np.zeros(g.color_count, dtype=bool)
         pulled[regions] = True
+        tags = words & np.uint64(DIRTY - 1)
         gone &= pulled[(tags >> page_shift) & np.uint64(g.color_count - 1)]
     lost = gone.sum(axis=1)
     flushed = int(lost.sum())
     if not flushed:
         return 0, 0
-    writebacks = int(np.count_nonzero(dirty[gone]))
-    dirty[gone] = 0
+    writebacks = int(np.count_nonzero(words[gone] >> np.uint64(63)))
+    words[gone] &= np.uint64(DIRTY - 1)
     if regions is not None:
         order = np.argsort(gone, axis=1, kind="stable")
-        tags[:] = np.take_along_axis(tags, order, axis=1)
-        dirty[:] = np.take_along_axis(dirty, order, axis=1)
+        words[:] = np.take_along_axis(words, order, axis=1)
     fill -= lost.astype(np.int32)
     np.subtract.at(view(state.valid_by_bank),
                    np.arange(first, first + g.sets_per_color) // g.sets_per_bank,
@@ -556,7 +571,7 @@ def validate_state(state: CacheState,
 
     Verifies set occupancy (at most `associativity` distinct tags per set, no
     block in two sets), the n_valid counter (total and per bank), that no
-    dirty byte is set on an empty slot, containment (no valid line in an
+    dirty bit is set on an empty slot, containment (no valid line in an
     inactive color), mapping totality and codomain, the layout the kernels
     route by (it must follow the mapping), and reachability (each valid
     line's region still maps to the color holding it). With `rpv`, it
@@ -585,17 +600,16 @@ def validate_state(state: CacheState,
     by_bank = [0] * g.num_banks
     if rpv is not None:
         by_bank_phase = [[0] * rpv.phases for _ in range(g.num_banks)]
-    if len(state.fill) != g.total_sets or len(state.tags) != g.total_lines \
-            or len(state.dirty) != g.total_lines:
+    if len(state.fill) != g.total_sets or len(state.tags) != g.total_lines:
         return OracleVerdict(False, "arrays do not match the geometry")
     if min(state.fill) < 0 or max(state.fill) > g.associativity:
         return OracleVerdict(False, f"a set's fill count is outside [0, "
                              f"{g.associativity}]: {min(state.fill)} "
                              f"to {max(state.fill)}")
     slots = np.arange(g.associativity) < view(state.fill)[:, None]
-    stale = view(state.dirty).reshape(-1, g.associativity)[~slots]
+    stale = dirty_bits(state).reshape(-1, g.associativity)[~slots]
     if stale.any():
-        return OracleVerdict(False, f"{np.count_nonzero(stale)} dirty bytes "
+        return OracleVerdict(False, f"{np.count_nonzero(stale)} dirty bits "
                              "set on empty slots")
     for set_index, tags in enumerate(all_sets(state)):
         color = set_index // g.sets_per_color

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (RpvPhases, SetLists, access_block, all_sets, dirty_tags,
-                     flush_reference, full_profile, reconfigure_reference,
-                     replay_codes, trace_of, validate_state, view)
+from oracles import (RpvPhases, SetLists, access_block, all_sets, dirty_bits,
+                     dirty_tags, flush_reference, full_profile,
+                     reconfigure_reference, replay_codes, trace_of,
+                     validate_state, view)
 from edrsim import cache
 from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
                           CacheGeometry, CacheState, GeometryError,
@@ -342,21 +343,22 @@ def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
                                                colors, seed, full, dirty,
                                                flushes):
     # random rows: some sets full, the rest filled part way, a share of
-    # the resident lines dirty, tags of any region (half at or above 2^63)
+    # the resident lines dirty, tags of any region (half at or above 2^62,
+    # just under the dirty bit)
     g = CacheGeometry(size_bytes=colors * page_bytes * ways,
                       associativity=ways, page_bytes=page_bytes,
                       bank_bytes=colors * page_bytes * ways // banks)
     rng = np.random.default_rng(seed)
     fill = np.where(rng.random(g.total_sets) < full, ways,
                     rng.integers(0, ways + 1, g.total_sets)).astype(np.int32)
-    tags = rng.integers(0, 1 << 63, g.total_lines, dtype=np.uint64)
-    tags[rng.random(g.total_lines) < 0.5] |= np.uint64(1 << 63)
+    tags = rng.integers(0, 1 << 62, g.total_lines, dtype=np.uint64)
+    tags[rng.random(g.total_lines) < 0.5] |= np.uint64(1 << 62)
     resident = (np.arange(ways) < fill[:, None]).ravel()
-    dirt = ((rng.random(g.total_lines) < dirty) & resident).astype(np.uint8)
+    dirt = (rng.random(g.total_lines) < dirty) & resident
+    words = tags | dirt.astype(np.uint64) << np.uint64(63)
     states = [CacheState(g), CacheState(g)]
     for state in states:
-        view(state.tags)[:], view(state.dirty)[:], view(state.fill)[:] = \
-            tags, dirt, fill
+        view(state.tags)[:], view(state.fill)[:] = words, fill
         np.add.at(view(state.valid_by_bank),
                   np.arange(g.total_sets) // g.sets_per_bank, fill)
     for color, regions in flushes:
@@ -366,7 +368,8 @@ def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
         got = cache._flush(states[0], color, regions)
         assert got == flush_reference(states[1], color, regions)
         assert all_sets(states[0]) == all_sets(states[1])
-        for name in ("dirty", "fill", "valid_by_bank"):
+        assert np.array_equal(dirty_bits(states[0]), dirty_bits(states[1]))
+        for name in ("fill", "valid_by_bank"):
             assert np.array_equal(getattr(states[0], name),
                                   getattr(states[1], name)), name
         assert states[0].n_valid == states[1].n_valid
@@ -416,7 +419,8 @@ def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
         # the resident tags in order; the slots past a set's fill hold
         # leftovers that no lookup reads
         assert all_sets(batched) == all_sets(single), step
-        for name in ("dirty", "fill", "valid_by_bank", "layout"):
+        assert np.array_equal(dirty_bits(batched), dirty_bits(single)), step
+        for name in ("fill", "valid_by_bank", "layout"):
             assert np.array_equal(getattr(batched, name),
                                   getattr(single, name)), (step, name)
         assert batched.mapping == single.mapping

@@ -469,6 +469,42 @@ def test_more_than_16_ways_writes_no_output(tmp_path, capsys):
     assert error in capsys.readouterr().err
 
 
+def test_one_byte_blocks_write_no_output(tmp_path, capsys):
+    # a line slot keeps its dirty bit above a tag of 63 bits, so a block
+    # holds 2 bytes or more
+    path = tmp_path / "blocks.cfg"
+    path.write_text(BASE_CONFIG.replace("block_bytes = 64", "block_bytes = 1"))
+    error = "need size_bytes >= bank_bytes >= block_bytes >= 2"
+    with pytest.raises(ConfigError, match=error):
+        load_config(str(path))
+    out = str(tmp_path / "outdir")
+    assert main(["compare", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+@pytest.mark.parametrize("dropped", [True, False],
+                         ids=["drops [synthetic]", "no [synthetic]"])
+def test_a_trace_section_that_selects_no_trace_writes_no_output(
+        tmp_path, capsys, dropped):
+    # [trace] synthetic = false and no path: load_config fails, and names
+    # the [synthetic] section that goes unused if there is one
+    text = BASE_CONFIG.replace("[trace]\nsynthetic = true",
+                               "[trace]\nsynthetic = false")
+    if not dropped:
+        text = re.sub(r"\[synthetic\]\n(?:\w.*\n)+", "", text)
+    path = tmp_path / "trace.cfg"
+    path.write_text(text)
+    error = ("[trace] sets neither path nor synthetic = true, so it selects "
+             "no trace" + " and drops the [synthetic] section" * dropped)
+    with pytest.raises(ConfigError, match=re.escape(error) + "$"):
+        load_config(str(path))
+    out = str(tmp_path / "outdir")
+    assert main(["compare", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
 @pytest.mark.parametrize("name, phases, error", [
     ("rpv", "400", r"^\[scheme\.rpv\] phases must be in \[1, 256\], got 400$"),
     ("rpv8", "400", r"^\[scheme\.rpv8\] phases must be in \[1, 256\], "

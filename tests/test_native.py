@@ -99,6 +99,29 @@ def test_c_sources_compile_without_warnings(source):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_record_loop_calls_only_fire_and_memset(tmp_path):
+    # edr_run's body, the cold part gcc splits off included, calls fire (a
+    # refresh boundary) and memset (the end of warm-up) and nothing else:
+    # no step left out of line, and no memmove that gcc made of a shift
+    # loop
+    asm = tmp_path / "lru.s"
+    proc = subprocess.run([native.CC, *native.CFLAGS, "-S", "-o", str(asm),
+                           KERNEL], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    called, function = set(), None
+    for line in asm.read_text().splitlines():
+        label = re.match(r"([A-Za-z_][\w.]*):", line)
+        if label:
+            function = label.group(1).split(".")[0]
+            continue
+        words = line.split()
+        if function == "edr_run" and len(words) > 1 \
+                and words[0] in ("call", "jmp", "bl", "b") \
+                and re.fullmatch(r"[A-Za-z_]\w*(@PLT)?", words[1]):
+            called.add(words[1].removesuffix("@PLT"))
+    assert called == {"fire", "memset"}
+
+
 # lru.c's member types, as ctypes declares them; every pointer is a void *
 _CTYPES = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64,
            "double": ctypes.c_double}

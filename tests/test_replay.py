@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (SetLists, access_block, age_column, age_in, age_mirror,
-                     all_sets, dirty_tags, reference_run, replay,
+                     all_sets, dirty_tags, ints, reference_run, replay,
                      replay_reference, trace_of, validate_state, view)
 from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
                           CacheGeometry, CacheState, reconfigure)
@@ -470,6 +470,16 @@ def test_functional_replay_matches_access_block(small_geometry):
     assert validate_state(fast).ok
 
 
+def _tallies(trace, codes, lo, hi):
+    """A clock's tallies of records [lo, hi), from their code bytes."""
+    window = codes[lo:hi]
+    return (sum(trace.gaps[lo:hi]),
+            sum(bool(code & HIT) for code in window),
+            sum(not code & HIT for code in window),
+            sum(bool(code & DIRTY_VICTIM) for code in window),
+            sum(not code & (HIT | WRITE) for code in window))
+
+
 def test_functional_replay_clock_tallies_its_stored_codes(
         small_geometry):
     # a clock with no timer, no warm-up and no close counts, over each
@@ -482,13 +492,7 @@ def test_functional_replay_clock_tallies_its_stored_codes(
     half = len(trace) // 2
     for lo, hi in (0, half), (half, len(trace)):
         assert passes(lo, hi) == hi
-        window = codes[lo:hi]
-        assert clock.take() == (
-            sum(trace.gaps[lo:hi]),
-            sum(bool(code & HIT) for code in window),
-            sum(not code & HIT for code in window),
-            sum(bool(code & DIRTY_VICTIM) for code in window),
-            sum(not code & (HIT | WRITE) for code in window))
+        assert clock.take() == _tallies(trace, codes, lo, hi)
     # the second phase thrashes: evictions of dirty and of clean lines
     evicted = [code & DIRTY_VICTIM for code in codes if code & EVICTED]
     assert any(evicted) and not all(evicted)
@@ -497,7 +501,7 @@ def test_functional_replay_clock_tallies_its_stored_codes(
 def _assert_same_state(fast, slow, fast_unit=None, slow_unit=None):
     """Every array and counter of two states (and their profiling units)
     is equal, the empty slots included."""
-    for name in ("tags", "dirty", "fill", "valid_by_bank"):
+    for name in ("tags", "fill", "valid_by_bank"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
     assert fast.n_valid == slow.n_valid
     assert fast.mapping == slow.mapping
@@ -585,6 +589,60 @@ def test_kernel_matches_reference_on_tiny_caches(ways, colors, data,
     with mock.patch.object(profiler, "PROFILED_FRACTIONS",
                            (1, 2) if ratio == 2 else (1, 2, 4)):
         _kernel_against_reference(geometry, trace, cuts, allocations, ratio)
+
+
+@pytest.mark.parametrize("block_bytes", [2, 64])
+def test_line_words_at_the_top_of_the_address_space(block_bytes):
+    # a line slot keeps its tag in bits 0-62 and its dirty bit in bit 63:
+    # blocks at the top of the address space, 2**64 - 1 first, fill the
+    # tag's top bits (all 63 of them at 2-byte blocks); the rest of a
+    # 1536-block working set has random high bits. 8 colors of 16 sets, 4
+    # ways; the cache shrinks to 2 colors, then grows back to 8.
+    geometry = CacheGeometry(size_bytes=512 * block_bytes, associativity=4,
+                             block_bytes=block_bytes,
+                             page_bytes=16 * block_bytes,
+                             bank_bytes=256 * block_bytes)
+    rng = random.Random(block_bytes)
+    top = (1 << 64) // block_bytes - 1
+    pool = [top - i for i in range(768)] + [
+        rng.getrandbits(64) // block_bytes for _ in range(768)]
+    hot = pool[:96] + pool[-96:]
+    records = [(3, 0, (1 << 64) - 1)] + [
+        (3, rng.random() < 0.4,
+         rng.choice(hot if rng.random() < 0.6 else pool) * block_bytes
+         + rng.randrange(block_bytes)) for _ in range(5999)]
+    trace = trace_of(records)
+    state, model = CacheState(geometry), CacheState(geometry)
+    codes, reference = bytearray(len(trace)), bytearray(len(trace))
+    passes = Passes(state, trace, codes=codes)
+    clock, _ = passes.bind_timing(1.0, 12, 166, 0, 1 << 62, [])
+    written_hits = writebacks = 0
+    for lo, hi, colors in (0, 2000, 2), (2000, 4000, 8), (4000, 6000, None):
+        assert passes(lo, hi) == hi
+        replay_reference(model, trace, lo, hi, reference)
+        assert codes[lo:hi] == reference[lo:hi], lo
+        assert clock.take() == _tallies(trace, reference, lo, hi), lo
+        assert all_sets(state) == all_sets(model)
+        assert dirty_tags(state) == dirty_tags(model)
+        written_hits += sum(code & (HIT | WRITE) == HIT | WRITE
+                            for code in reference[lo:hi])
+        if colors is None:
+            break
+        # the model's dirty lines that leave: those of the colors turned
+        # off, or of the regions pulled to a color turned on
+        before = dirty_tags(model)
+        report = reconfigure(state, colors)
+        assert report == oracles.reconfigure_reference(model, colors)
+        lost = before - dirty_tags(model)
+        assert report.writebacks == len(lost)
+        assert report.flushed_lines > report.writebacks > 0
+        writebacks += report.writebacks
+        assert validate_state(state).ok
+    assert max(ints(trace.addrs)) == (1 << 64) - 1
+    assert written_hits and writebacks
+    evicted = [code & DIRTY_VICTIM for code in reference if code & EVICTED]
+    assert any(evicted) and not all(evicted)  # dirty and clean evictions
+    assert validate_state(state).ok
 
 
 @pytest.mark.parametrize("span", [None, 10, 1 << 34])
