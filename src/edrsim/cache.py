@@ -2,11 +2,12 @@
 
 The cache is split into M equally sized colors, of which the colors [0, c)
 are on; memory regions (page number mod M) map onto them through a mapping
-table. Shrinking c flushes the colors turned off and remaps their regions;
-growing it rebalances regions onto the colors turned on. A valid line is
-always reachable through the current mapping: whenever a region is remapped, its
-resident lines are flushed (dirty ones counted as writebacks), which keeps
-lookups consistent and the per-bank valid counters exact.
+table. Shrinking c remaps the regions of the colors turned off; growing
+it rebalances regions onto the colors turned on. A valid line is always
+reachable through the current mapping: whenever a region is remapped, its
+resident lines are flushed (dirty ones counted as writebacks), in one
+flush per reconfiguration, which keeps lookups consistent and the
+per-bank valid counters exact.
 
 The sets live in flat `array.array`s: set s owns the line slots
 [s * ways, (s + 1) * ways), of which its first `fill[s]` hold the resident
@@ -31,6 +32,8 @@ The kernels route regions through the state's own `layout`, which
 """
 
 import ctypes
+import itertools
+import operator
 import os
 from array import array
 
@@ -165,7 +168,7 @@ def kernel(name: str):
         ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
         for routine, restype, argtypes in (
                 (lib.edr_run, i64, [ptr, i64, i64]),
-                (lib.edr_flush, i64, [ptr, i64, ptr, ptr]),
+                (lib.edr_flush, i64, [ptr, ptr, ptr]),
                 (lib.edr_generate, u64, [ptr, i64, u64, u64, u64, u64,
                                          ctypes.c_double, ctypes.c_double,
                                          ptr, ptr, ptr]),
@@ -206,35 +209,68 @@ def layout(geometry: CacheGeometry, mapping=None) -> array:
                        *[color * per_color for color in regions]])
 
 
-def _flush(state: CacheState, color: int, regions=None) -> tuple[int, int]:
-    """Invalidate the lines of a color, or only those of some regions in it.
+def _flush(state: CacheState, moved: bytes) -> tuple[int, int]:
+    """Invalidate the lines of the regions that `moved` marks (a byte per
+    region) in the colors that `state.layout` still maps them to, each such
+    color scanned once.
 
     The surviving tags of each set move to the front of its row in their
     order. Returns (flushed lines, writebacks of dirty ones).
     """
-    pulled = None
-    if regions is not None:
-        pulled = bytearray(state.geometry.color_count)
-        for region in regions:
-            pulled[region] = 1
-        pulled = bytes(pulled)
     writebacks = ctypes.c_int64()
-    flushed = kernel("edr_flush")(ctypes.byref(state.arrays), color, pulled,
+    flushed = kernel("edr_flush")(ctypes.byref(state.arrays), moved,
                                   ctypes.byref(writebacks))
+    if flushed < 0:
+        raise MemoryError("edr_flush could not allocate its color marks")
     return flushed, writebacks.value
+
+
+def _plan(mapping: list[int], old: int, colors: int) -> list[int]:
+    """The mapping (region -> color) that `reconfigure` from `old` to
+    `colors` colors on makes of `mapping`.
+
+    A shrink re-spreads the regions of the colors turned off round-robin
+    over [0, colors), in region order. A growth gives each color turned
+    on, in ascending order, m // colors of the m regions, one at a time
+    from the color holding the most: the lowest index on a tie, its
+    highest region first. The colors below the one being filled hold more
+    than m // colors regions on average, and the colors turned on before
+    it no more, so the donor is always an old color; and the pulls go
+    level by level from the top count down, one from each old color
+    holding at least that level, in index order.
+    """
+    if colors < old:
+        spare = itertools.count()
+        return [c if c < colors else next(spare) % colors for c in mapping]
+    share = len(mapping) // colors
+    need = (colors - old) * share
+    count = [0] * old
+    for c in mapping:
+        count[c] += 1
+    # the regions by color, each color's highest first, so that old color
+    # c gives order[ends[c] - level] at each level down from count[c]
+    order = sorted(reversed(range(len(mapping))), key=mapping.__getitem__)
+    ends = list(itertools.accumulate(count))
+    pulled, level = [], max(count)
+    while len(pulled) < need:
+        pulled += [order[end - level] for end, n in zip(ends, count)
+                   if n >= level]
+        level -= 1
+    planned = mapping.copy()
+    for k, region in enumerate(pulled[:need]):
+        planned[region] = old + k // share
+    return planned
 
 
 def reconfigure(state: CacheState, colors: int) -> ReconfigReport:
     """Keep the colors [0, colors) on; flush and remap as needed.
 
-    Colors turned off are flushed wholesale and their regions re-spread
-    round-robin over [0, colors). Each color turned on, in ascending order,
-    pulls regions from the color holding the most (the lowest index on a
-    tie, its highest region first) until it reaches the balanced share;
-    pulled regions are flushed from their old color so no stale line
-    outlives its mapping entry. Which color gives up which region depends
-    only on the region counts, so every pull is planned first and each
-    donor is then flushed once, over all the regions it gave up.
+    Colors turned off give their regions to the colors left on, and
+    colors turned on pull regions from the others, as `_plan` lays out.
+    Every region whose color changes is flushed from its old color, so no
+    stale line outlives its mapping entry: one flush for the whole
+    reconfiguration, made before the layout is rewritten. A count equal to
+    the current one changes nothing and returns at once.
     """
     g = state.geometry
     m_total = g.color_count
@@ -244,47 +280,15 @@ def reconfigure(state: CacheState, colors: int) -> ReconfigReport:
         raise ReconfigError(
             f"cannot go below {state.min_colors} colors (asked {colors})")
     old = state.active_count
-
-    flushed = writebacks = 0
-
-    # 1. flush everything in colors being turned off
-    for color in range(colors, old):
-        f, w = _flush(state, color)
-        flushed += f
-        writebacks += w
-
-    # 2. orphaned regions go round-robin over the colors left on
-    rr = 0
-    for region in range(m_total):
-        if state.mapping[region] >= colors:
-            state.mapping[region] = rr % colors
-            rr += 1
-
-    # 3. rebalance onto the colors turned on; per color, its regions
-    # ascending, how many it holds and, as a donor, the regions it gave up
-    regions_of = [[] for _ in range(colors)]
-    for region, color in enumerate(state.mapping):
-        regions_of[color].append(region)
-    count = [len(regions) for regions in regions_of]
-    pulled = [[] for _ in range(colors)]
-    for color in range(old, colors):
-        while count[color] < m_total // colors:
-            donor = count.index(max(count))  # the lowest index on a tie
-            if count[donor] <= count[color]:
-                break
-            count[donor], count[color] = count[donor] - 1, count[color] + 1
-            region = regions_of[donor].pop()  # highest region index
-            pulled[donor].append(region)
-            state.mapping[region] = color
-            regions_of[color].append(region)
-    for donor, regions in enumerate(pulled):
-        if regions:
-            f, w = _flush(state, donor, regions)
-            flushed += f
-            writebacks += w
-
-    switched = abs(colors - old) * g.lines_per_color
+    if colors == old:
+        return ReconfigReport(flushed_lines=0, writebacks=0,
+                              switched_blocks=0)
+    planned = _plan(state.mapping, old, colors)
+    flushed, writebacks = _flush(
+        state, bytes(map(operator.ne, state.mapping, planned)))
+    state.mapping[:] = planned
     state.active_count = colors
-    state.layout[:] = layout(g, state.mapping)
+    state.layout[:] = layout(g, planned)
+    switched = abs(colors - old) * g.lines_per_color
     return ReconfigReport(flushed_lines=flushed, writebacks=writebacks,
                           switched_blocks=switched)

@@ -39,9 +39,11 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 def _plain(obj):
     """json's `default` hook: a record as the dict of its fields, a scheme
-    kind as its value."""
+    kind as its value. A record's fields are its attributes, as a report's
+    records keep no other (the encoder sorts the keys), so it goes as its
+    own `__dict__`."""
     if isinstance(obj, Record):
-        return {name: getattr(obj, name) for name in obj._fields}
+        return obj.__dict__
     if isinstance(obj, SchemeKind):
         return obj.value
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -111,8 +113,6 @@ def _load_trace_for(cfg: RunConfig, seed: int | None) -> TraceArrays:
         with open(cfg.trace_path, "rb") as fh:
             _, arrays = trace_mod.read_trace_arrays(fh)
         return arrays
-    if cfg.synthetic is None:
-        raise ConfigError("config provides neither a trace path nor a synthetic spec")
     return trace_mod.generate_synthetic(_with_seed(cfg.synthetic, seed))
 
 
@@ -152,9 +152,6 @@ def cmd_gen_trace(args) -> int:
         raise ConfigError(f"gen-trace writes the [synthetic] spec, but "
                           f"[trace] path = {cfg.trace_path} selects a file; "
                           f"set [trace] synthetic = true instead")
-    if cfg.synthetic is None:
-        raise ConfigError("gen-trace needs a [synthetic] section, and "
-                          "[trace] synthetic = true or no [trace] section")
     arrays = trace_mod.generate_synthetic(_with_seed(cfg.synthetic, args.seed))
     header = TraceHeader(record_count=len(arrays),
                          page_size_bytes=cfg.geometry.page_bytes)

@@ -288,6 +288,9 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
                               f"true, so it selects no trace{dropped}")
         if not wants_synth:
             synthetic = None
+    elif synthetic is None:
+        raise ConfigError("config has neither a [trace] nor a [synthetic] "
+                          "section, so it selects no trace")
     # a synthetic trace holds its phases' instructions, whatever its seed
     if synthetic is not None and warmup_instructions is not None:
         total = sum(phase.instructions for phase in synthetic.phases)

@@ -15,8 +15,7 @@ import math
 from .cache import CacheGeometry, CacheState
 from .energy import EnergyParams, SchemeKind, energy_terms
 from .profiler import (IntervalStats, ProfilingUnit, TimingParams,
-                       estimate_refreshes, estimate_time, interpolate,
-                       profiled_points)
+                       interpolate, profiled_points)
 from .record import Record
 from .refresh import RefreshConfig
 
@@ -88,15 +87,29 @@ def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
            refresh_config: RefreshConfig, cfg: ControllerConfig,
            params: EnergyParams, timing: TimingParams) -> Decision:
     """Pick the next interval's color count from the finished interval's
-    stats."""
+    stats.
+
+    A candidate of c colors is priced on the next interval it predicts:
+    the profiling unit's misses and load misses at its size
+    (`interpolate`, all candidates in one walk); a time of the finished
+    interval's cycles outside load misses plus the hit and DRAM latency
+    per estimated load miss; every valid line the c colors hold refreshed
+    once per whole retention period of that time; the finished interval's
+    writebacks per miss; and the blocks switched on or off from here.
+    """
     geometry = state.geometry
     m_total = geometry.color_count
     current = state.active_count
     space = candidate_space(current, m_total, cfg)
 
     points = profiled_points(unit)
-    _, full_load = interpolate(points, geometry.size_bytes)
-    t_0 = estimate_time(stats, full_load, timing)
+    # the same for every candidate: the time outside load misses, the
+    # cycles per load miss (a float, as the report writes the time, even
+    # for a whole number of misses), and the refresh period
+    compute = stats.elapsed_cycles - stats.memory_stall_cycles
+    per_miss = float(timing.l2_hit_cycles + timing.dram_latency_cycles)
+    retention = refresh_config.retention_cycles
+    t_0 = compute + per_miss * points[0][3]  # X is profiled
     if t_0 <= 0:
         # an interval of no compute whose full size sampled no load miss:
         # no time to weigh a candidate's slowdown against, so stay put
@@ -109,20 +122,21 @@ def select(stats: IntervalStats, unit: ProfilingUnit, state: CacheState,
         wb_ratio = 0.0
 
     size_bytes, lines_per_color = geometry.size_bytes, geometry.lines_per_color
-    n_valid, ghz = state.n_valid, timing.clock_ghz
+    n_valid, ghz, beta = state.n_valid, timing.clock_ghz, cfg.beta
+    prof_accesses = stats.prof_accesses
     candidates = []
-    for colors in space:
-        est_m, est_load = interpolate(points, colors * size_bytes / m_total)
-        t_i = estimate_time(stats, est_load, timing)
+    for colors, (est_m, est_load) in zip(space, interpolate(
+            points, [colors * size_bytes / m_total for colors in space])):
+        t_i = compute + per_miss * est_load
         d_i = (t_i - t_0) / t_0 * 100.0  # % slower than the full size
-        # priced on the counts the candidate predicts for the next interval
+        refreshed = min(n_valid, colors * lines_per_color) \
+            * int(t_i // retention)
         energy = energy_terms(
             params, SchemeKind.DCR, ghz, t_i, colors / m_total,
-            max(accesses - est_m, 0.0), est_m,
-            estimate_refreshes(n_valid, colors, geometry, t_i, refresh_config),
+            max(accesses - est_m, 0.0), est_m, refreshed,
             est_m * (1.0 + wb_ratio), abs(colors - current) * lines_per_color,
-            stats.prof_accesses)[-1]
-        candidates.append(Candidate(colors, t_i, d_i, energy, d_i > cfg.beta))
+            prof_accesses)[-1]
+        candidates.append(Candidate(colors, t_i, d_i, energy, d_i > beta))
 
     survivors = [c for c in candidates if not c.rejected_by_beta]
     if survivors:

@@ -30,12 +30,14 @@
  * inside that color. The layout follows the cache's mapping
  * (cache.reconfigure rewrites it, between calls).
  *
- * edr_flush invalidates a color's lines when DCR reconfigures the cache.
+ * edr_flush invalidates the lines of the regions that a reconfiguration
+ * of DCR's moves.
  * edr_generate writes one phase of a synthetic trace, and edr_pack and
  * edr_unpack convert a trace's columns to and from the file's records
  * (see trace.py). */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* a code byte: the outcome bits, then a hit's age (at most 16 ways) */
@@ -348,38 +350,52 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     return stop;
 }
 
-/* Invalidate the resident lines of a color's sets, or with `pulled` (a
- * byte per region) only those whose page falls in a marked region. The
- * survivors of each set move to the front of its row in their order, the
- * slots they leave lose their dirty bits, and fill and valid_by_bank lose
- * the flushed lines. Stores the writebacks of dirty lines and returns the
- * lines flushed. */
-int64_t edr_flush(const struct cache *c, int64_t color,
-                  const uint8_t *pulled, int64_t *writebacks)
+/* Invalidate the resident lines of the regions that `moved` marks (a
+ * byte per region) in the colors the layout maps them to: cache.reconfigure
+ * marks the regions whose color it changes and calls this once, before it
+ * rewrites the layout. Each such color is scanned once, for the lines of
+ * every marked region. The survivors of each set move to the front of its
+ * row in their order, the slots they leave lose their dirty bits, and fill
+ * and valid_by_bank lose the flushed lines. Stores the writebacks of dirty
+ * lines and returns the lines flushed, or -1 if out of memory. */
+int64_t edr_flush(const struct cache *c, const uint8_t *moved,
+                  int64_t *writebacks)
 {
     const int64_t *layout = c->layout;
-    int64_t sets = layout[WITHIN_MASK] + 1, first = color * sets;
+    const uint64_t region_mask = (uint64_t)layout[REGION_MASK];
+    /* as many colors as regions */
+    int64_t colors = (int64_t)region_mask + 1, sets = layout[WITHIN_MASK] + 1;
     /* a tag is a block number, so its page is tag >> page_shift */
     int64_t page_shift = layout[PAGE_SHIFT] - layout[BLOCK_SHIFT];
     int64_t flushed = 0, dirty_lost = 0;
+    uint8_t *scan = calloc((size_t)colors, 1); /* the colors to scan */
 
-    for (int64_t s = first; s < first + sets; s++) {
-        uint64_t *row = c->tags + s * c->ways;
-        int32_t n = c->fill[s], kept = 0, i;
+    if (!scan)
+        return -1;
+    for (int64_t r = 0; r < colors; r++)
+        if (moved[r])
+            scan[layout[FIRST_SET + r] / sets] = 1;
+    for (int64_t color = 0; color < colors; color++) {
+        if (!scan[color])
+            continue;
+        for (int64_t s = color * sets; s < (color + 1) * sets; s++) {
+            uint64_t *row = c->tags + s * c->ways;
+            int32_t n = c->fill[s], kept = 0, i;
 
-        for (i = 0; i < n; i++) {
-            if (pulled && !pulled[((row[i] & ~DIRTY) >> page_shift)
-                                  & (uint64_t)layout[REGION_MASK]])
-                row[kept++] = row[i];
-            else
-                dirty_lost += row[i] >> 63;
+            for (i = 0; i < n; i++) {
+                if (!moved[((row[i] & ~DIRTY) >> page_shift) & region_mask])
+                    row[kept++] = row[i];
+                else
+                    dirty_lost += row[i] >> 63;
+            }
+            for (i = kept; i < n; i++)
+                row[i] &= ~DIRTY;
+            c->fill[s] = kept;
+            c->valid_by_bank[s >> layout[BANK_SHIFT]] -= n - kept;
+            flushed += n - kept;
         }
-        for (i = kept; i < n; i++)
-            row[i] &= ~DIRTY;
-        c->fill[s] = kept;
-        c->valid_by_bank[s >> layout[BANK_SHIFT]] -= n - kept;
-        flushed += n - kept;
     }
+    free(scan);
     *writebacks = dirty_lost;
     return flushed;
 }
@@ -513,19 +529,29 @@ uint64_t edr_generate(uint64_t *rng, int64_t n, uint64_t instructions,
  * bytes and the byte address (u64), little endian. */
 enum { RECORD_BYTES = 16 };
 
-static uint64_t get_le(const uint8_t *p, int bytes)
+/* A field of `bytes` bytes: on a little-endian host, a copy of its
+ * bytes (which gcc makes one load or store); elsewhere, a byte at a time. */
+static inline uint64_t get_le(const uint8_t *p, int bytes)
 {
     uint64_t v = 0;
 
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    memcpy(&v, p, (size_t)bytes);
+#else
     for (int i = bytes - 1; i >= 0; i--)
         v = v << 8 | p[i];
+#endif
     return v;
 }
 
-static void put_le(uint8_t *p, uint64_t v, int bytes)
+static inline void put_le(uint8_t *p, uint64_t v, int bytes)
 {
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    memcpy(p, &v, (size_t)bytes);
+#else
     for (int i = 0; i < bytes; i++, v >>= 8)
         p[i] = (uint8_t)v;
+#endif
 }
 
 /* The n records of a trace file into its columns, storing the sum of the

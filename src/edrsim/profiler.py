@@ -9,7 +9,8 @@ residues, so the LRU stacks stay comparable across sizes. The sampled
 sets are laid out as the main cache's (see cache.py), with no dirty
 bit ever set, and the functional pass steps them with the same LRU routine,
 adding to the unit's counts in place. Estimates for intermediate sizes
-are interpolated log-linearly between the profiled points.
+are interpolated log-linearly between the profiled points, for all of a
+decision's candidate sizes in one walk.
 """
 
 import math
@@ -18,7 +19,6 @@ from array import array
 from .cache import CacheGeometry, zeros
 from .energy import EnergyBreakdown
 from .record import Record
-from .refresh import RefreshConfig
 
 PROFILED_FRACTIONS = (1, 2, 4, 8, 16)  # size = X / fraction
 
@@ -116,35 +116,21 @@ def profiled_points(unit: ProfilingUnit) -> list[tuple]:
              counts[3 * u + 1] * scale) for u, size in enumerate(unit.sizes)]
 
 
-def interpolate(points: list[tuple], size: float) -> tuple[float, float]:
-    """Estimated (misses, load misses) of a cache of `size` bytes, at most
-    X, from `profiled_points`: exact at the profiled sizes; log-linear in
-    size between them; sizes below the smallest clamp to its estimate."""
-    # walk up from the smallest size to the first one at or above `size`
-    hi = len(points) - 1
-    while points[hi][0] < size:
-        hi -= 1
-    hi_size, hi_log, hi_m, hi_l = points[hi]
-    if hi_size == size or hi == len(points) - 1:
-        return hi_m, hi_l
-    _, lo_log, lo_m, lo_l = points[hi + 1]
-    t = (math.log2(size) - lo_log) / (hi_log - lo_log)
-    return lo_m + t * (hi_m - lo_m), lo_l + t * (hi_l - lo_l)
-
-
-def estimate_time(stats: IntervalStats, est_load_misses: float,
-                  timing: TimingParams) -> float:
-    """Interval-time estimate: the finished interval's cycles outside load
-    misses, plus the hit and DRAM latency per estimated load miss."""
-    compute = stats.elapsed_cycles - stats.memory_stall_cycles
-    # a float, as the report writes it, even for a whole number of misses
-    per_miss = float(timing.l2_hit_cycles + timing.dram_latency_cycles)
-    return compute + per_miss * est_load_misses
-
-
-def estimate_refreshes(n_valid: int, colors: int, geometry: CacheGeometry,
-                       t_cycles: float, config: RefreshConfig) -> int:
-    """Lines refreshed over an interval of t_cycles at the given allocation."""
-    per_period = min(n_valid, colors * geometry.lines_per_color)
-    periods = int(t_cycles // config.retention_cycles)
-    return per_period * periods
+def interpolate(points: list[tuple], sizes) -> list[tuple[float, float]]:
+    """Estimated (misses, load misses) of caches of `sizes` bytes, ascending
+    and at most X, from `profiled_points`, in one walk up the points:
+    exact at the profiled sizes; log-linear in size between them; sizes
+    below the smallest clamp to its estimate."""
+    got, hi, smallest = [], len(points) - 1, len(points) - 1
+    for size in sizes:
+        # walk up to the first profiled size at or above `size`
+        while points[hi][0] < size:
+            hi -= 1
+        hi_size, hi_log, hi_m, hi_l = points[hi]
+        if hi_size == size or hi == smallest:
+            got.append((hi_m, hi_l))
+            continue
+        _, lo_log, lo_m, lo_l = points[hi + 1]
+        t = (math.log2(size) - lo_log) / (hi_log - lo_log)
+        got.append((lo_m + t * (hi_m - lo_m), lo_l + t * (hi_l - lo_l)))
+    return got

@@ -1,8 +1,9 @@
 """Base of edrsim's record classes: configs, interval stats, reports.
 
 A record's fields are its `__init__`'s parameters, in order and each
-annotated with its type; `_fields` names them, and the CLI's JSON writer
-writes a record as the dict of them (`cli._plain`). Records of one class
+annotated with its type; `_fields` names them. The CLI's JSON writer
+writes a record as its `__dict__` (`cli._plain`), so a record that a
+report holds keeps no attribute but its fields. Records of one class
 with equal fields are equal; a record class that is hashed hashes them
 (`_values`).
 """

@@ -13,11 +13,12 @@ looks one block up at each size of a profiling unit, and
 `replay_reference` is `replay` built from them, record by record in
 Python: the reference the compiled kernel is diffed against.
 `flush_reference` is the compiled flush of a reconfiguration in numpy, on
-`view`s of the state's columns.
+`view`s of the state's columns, one color at a time.
 `reconfigure_reference` plans each pulled region of a reconfiguration by
-a `max` over every color, and `select_reference` prices each candidate
-through the `IntervalStats` it predicts and `interval_energy`: the
-one-at-a-time forms of `reconfigure` and `select`.
+a `max` over every color and flushes each donor on its own, and
+`select_reference` prices each candidate through `interpolate_reference`,
+the `IntervalStats` it predicts and `interval_energy`: the one-at-a-time
+forms of `reconfigure` and `select`.
 `generate_reference` is the synthetic trace generator in numpy, drawing
 from numpy's own generator. `RpvPhases` keeps RPV's last-touch phases
 and per-bank-per-phase valid counts beside the state. A line slot of the
@@ -38,13 +39,14 @@ writer must match byte for byte.
 """
 
 import ctypes
+import math
 import os
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from edrsim import cache, native
+from edrsim import native
 from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
                           CacheGeometry, CacheState, ReconfigReport, layout,
                           reconfigure)
@@ -54,8 +56,7 @@ from edrsim.energy import (EnergyBreakdown, EnergyParams, SchemeKind,
                            interval_energy)
 from edrsim.passes import Passes
 from edrsim.profiler import (IntervalStats, ProfilingUnit, TimingParams,
-                             estimate_refreshes, estimate_time, interpolate,
-                             profiled_points)
+                             interpolate, profiled_points)
 from edrsim.record import Record
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import RunReport
@@ -322,10 +323,11 @@ def replay_reference(state: CacheState, trace: TraceArrays, lo: int,
 
 def flush_reference(state: CacheState, color: int,
                     regions=None) -> tuple[int, int]:
-    """`cache._flush` in numpy: invalidate the resident lines of a color, or
-    only those whose page's region is in `regions`. A stable sort moves the
-    survivors of each set to the front of its row in their order, and the
-    flushed lines lose their dirty bits. Returns (flushed lines,
+    """A flush in numpy: invalidate the resident lines of a color, or only
+    those whose page's region is in `regions`, as `cache._flush` does in
+    each color it scans, with the regions it marks. A stable sort moves
+    the survivors of each set to the front of its row in their order, and
+    the flushed lines lose their dirty bits. Returns (flushed lines,
     writebacks of dirty ones)."""
     g = state.geometry
     ways = g.associativity
@@ -363,8 +365,44 @@ def estimate_misses(unit: ProfilingUnit, colors: int,
     m_total = geometry.color_count
     if not 1 <= colors <= m_total:
         raise ValueError(f"colors must be in [1, {m_total}]")
-    return interpolate(profiled_points(unit),
-                       colors * geometry.size_bytes / m_total)
+    [got] = interpolate(profiled_points(unit),
+                        [colors * geometry.size_bytes / m_total])
+    return got
+
+
+def interpolate_reference(points: list[tuple],
+                          size: float) -> tuple[float, float]:
+    """`profiler.interpolate` at one size, walking up from the smallest
+    profiled size to the first one at or above `size`."""
+    hi = len(points) - 1
+    while points[hi][0] < size:
+        hi -= 1
+    hi_size, hi_log, hi_m, hi_l = points[hi]
+    if hi_size == size or hi == len(points) - 1:
+        return hi_m, hi_l
+    _, lo_log, lo_m, lo_l = points[hi + 1]
+    t = (math.log2(size) - lo_log) / (hi_log - lo_log)
+    return lo_m + t * (hi_m - lo_m), lo_l + t * (hi_l - lo_l)
+
+
+def estimate_time(stats: IntervalStats, est_load_misses: float,
+                  timing: TimingParams) -> float:
+    """`controller.select`'s time estimate of a candidate: the finished
+    interval's cycles outside load misses, plus the hit and DRAM latency
+    per estimated load miss."""
+    compute = stats.elapsed_cycles - stats.memory_stall_cycles
+    # a float, as the report writes it, even for a whole number of misses
+    per_miss = float(timing.l2_hit_cycles + timing.dram_latency_cycles)
+    return compute + per_miss * est_load_misses
+
+
+def estimate_refreshes(n_valid: int, colors: int, geometry: CacheGeometry,
+                       t_cycles: float, config: RefreshConfig) -> int:
+    """`controller.select`'s refresh estimate of a candidate: the lines
+    refreshed over an interval of t_cycles at the given allocation."""
+    per_period = min(n_valid, colors * geometry.lines_per_color)
+    periods = int(t_cycles // config.retention_cycles)
+    return per_period * periods
 
 
 def reconfigure_reference(state: CacheState, colors: int,
@@ -379,7 +417,7 @@ def reconfigure_reference(state: CacheState, colors: int,
     m, old = g.color_count, state.active_count
     flushed = writebacks = 0
     for color in range(colors, old):
-        f, w = cache._flush(state, color)
+        f, w = flush_reference(state, color)
         flushed, writebacks = flushed + f, writebacks + w
     orphans = [r for r in range(m) if state.mapping[r] >= colors]
     for rr, region in enumerate(orphans):
@@ -396,13 +434,13 @@ def reconfigure_reference(state: CacheState, colors: int,
             if batched:
                 pulled[donor].append(region)
             else:
-                f, w = cache._flush(state, donor, [region])
+                f, w = flush_reference(state, donor, [region])
                 flushed, writebacks = flushed + f, writebacks + w
             state.mapping[region] = color
             regions_of[color].append(region)
     for donor, regions in enumerate(pulled):
         if regions:
-            f, w = cache._flush(state, donor, regions)
+            f, w = flush_reference(state, donor, regions)
             flushed, writebacks = flushed + f, writebacks + w
     state.active_count = colors
     state.layout[:] = layout(g, state.mapping)
@@ -414,15 +452,17 @@ def select_reference(stats: IntervalStats, unit: ProfilingUnit,
                      state: CacheState, refresh_config: RefreshConfig,
                      cfg: ControllerConfig, params: EnergyParams,
                      timing: TimingParams) -> Decision:
-    """`controller.select`, one candidate at a time: `estimate_misses` at
-    its size, the `IntervalStats` it predicts and their `interval_energy`
+    """`controller.select`, one candidate at a time:
+    `interpolate_reference` at its size, the `IntervalStats` it predicts
+    (`estimate_time`, `estimate_refreshes`) and their `interval_energy`
     as a DCR interval."""
     geometry = state.geometry
     m_total = geometry.color_count
     current = state.active_count
     space = candidate_space(current, m_total, cfg)
 
-    _, full_load = estimate_misses(unit, m_total, geometry)
+    points = profiled_points(unit)
+    _, full_load = interpolate_reference(points, geometry.size_bytes)
     t_0 = estimate_time(stats, full_load, timing)
     if t_0 <= 0:
         return Decision(current, current, False, [])
@@ -436,7 +476,8 @@ def select_reference(stats: IntervalStats, unit: ProfilingUnit,
 
     candidates = []
     for colors in space:
-        est_m, est_load = estimate_misses(unit, colors, geometry)
+        est_m, est_load = interpolate_reference(
+            points, colors * geometry.size_bytes / m_total)
         t_i = estimate_time(stats, est_load, timing)
         d_i = (t_i - t_0) / t_0 * 100.0
         expected = IntervalStats(

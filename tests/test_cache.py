@@ -13,7 +13,7 @@ from oracles import (RpvPhases, SetLists, access_block, all_sets, dirty_bits,
 from edrsim import cache
 from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
                           CacheGeometry, CacheState, GeometryError,
-                          ReconfigError, reconfigure, zeros)
+                          ReconfigError, layout, reconfigure, zeros)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -182,14 +182,33 @@ def test_full_cache_matches_independent_lru(small_geometry):
                                                  small_geometry.size_bytes)
 
 
-def test_identity_reconfigure_is_free(small_geometry):
+def test_identity_reconfigure_is_free(small_geometry, monkeypatch):
+    # at every color, then after a shrink to 3: a reconfigure to the
+    # current count calls no flush and leaves every column byte-equal
     state = CacheState(small_geometry)
     replay_codes(state, trace_of((0, i % 3 == 0, i * small_geometry.block_bytes)
                                  for i in range(200)))
-    report = reconfigure(state, state.active_count)
-    assert report.flushed_lines == 0
-    assert report.writebacks == 0
-    assert report.switched_blocks == 0
+    flushes = []
+    real_flush = cache._flush
+
+    def flush(*args):
+        flushes.append(args)
+        return real_flush(*args)
+    monkeypatch.setattr(cache, "_flush", flush)
+
+    def columns():
+        return [bytes(memoryview(getattr(state, name))) for name in (
+            "tags", "fill", "valid_by_bank", "layout")] + [state.mapping[:]]
+    for colors in (small_geometry.color_count, 3):
+        reconfigure(state, colors)
+        calls, before = len(flushes), columns()
+        report = reconfigure(state, state.active_count)
+        assert report.flushed_lines == 0
+        assert report.writebacks == 0
+        assert report.switched_blocks == 0
+        assert len(flushes) == calls
+        assert columns() == before
+    assert len(flushes) == 1  # the shrink's
 
 
 def test_reconfigure_counts_flushes_and_writebacks(small_geometry):
@@ -336,15 +355,18 @@ def test_replay_rejects_records_outside_the_trace(small_geometry):
        colors=st.sampled_from([4, 8, 16]), seed=st.integers(0, 2**32 - 1),
        full=st.sampled_from([0.0, 0.5, 1.0]),
        dirty=st.sampled_from([0.0, 0.3, 1.0]),
-       flushes=st.lists(st.tuples(st.integers(0, 15), st.none() | st.lists(
-           st.integers(0, 15), min_size=1, max_size=8)), min_size=1,
-           max_size=4))
+       flushes=st.lists(st.tuples(
+           st.lists(st.integers(0, 15), min_size=16, max_size=16),
+           st.lists(st.integers(0, 15), min_size=1, max_size=16)),
+           min_size=1, max_size=4))
 def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
                                                colors, seed, full, dirty,
                                                flushes):
     # random rows: some sets full, the rest filled part way, a share of
     # the resident lines dirty, tags of any region (half at or above 2^62,
-    # just under the dirty bit)
+    # just under the dirty bit); each flush routes the regions by a drawn
+    # mapping, so that a color holds lines of regions it is not mapped to
+    # and a marked color may hold several marked regions
     g = CacheGeometry(size_bytes=colors * page_bytes * ways,
                       associativity=ways, page_bytes=page_bytes,
                       bank_bytes=colors * page_bytes * ways // banks)
@@ -361,12 +383,16 @@ def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
         view(state.tags)[:], view(state.fill)[:] = words, fill
         np.add.at(view(state.valid_by_bank),
                   np.arange(g.total_sets) // g.sets_per_bank, fill)
-    for color, regions in flushes:
-        color %= colors
-        if regions is not None:  # pulled regions, several at a time
-            regions = sorted({r % colors for r in regions})
-        got = cache._flush(states[0], color, regions)
-        assert got == flush_reference(states[1], color, regions)
+    for mapping, marked in flushes:
+        mapping = [c % colors for c in mapping[:colors]]
+        marked = sorted({r % colors for r in marked})
+        for state in states:
+            state.layout[:] = layout(g, mapping)
+        moved = bytes(r in marked for r in range(colors))
+        got = cache._flush(states[0], moved)
+        want = [flush_reference(states[1], color, marked)
+                for color in sorted({mapping[r] for r in marked})]
+        assert got == tuple(map(sum, zip(*want)))
         assert all_sets(states[0]) == all_sets(states[1])
         assert np.array_equal(dirty_bits(states[0]), dirty_bits(states[1]))
         for name in ("fill", "valid_by_bank"):
@@ -393,7 +419,7 @@ def test_random_reconfigure_sequences_keep_invariants(small_geometry):
 def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
                                                            monkeypatch):
     # 8 or 32 colors; growing from a few colors makes each donor give up
-    # several regions, which reconfigure flushes in one call
+    # several regions, which reconfigure flushes in one scan of the donor
     g = CacheGeometry(size_bytes=64 * 1024, associativity=8,
                       page_bytes=page_bytes, bank_bytes=16 * 1024)
     m = g.color_count
@@ -401,21 +427,27 @@ def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
                               rng_seed=page_bytes, accesses_per_kilo_instr=100)
     arrays = generate_synthetic(spec)
     batched, single = CacheState(g), CacheState(g)
-    most = []  # the most regions one flush of the batched state covered
+    # per flush call: the most regions that one scanned color gave up
+    most = []
     real_flush = cache._flush
 
-    def flush(state, color, regions=None):
-        if state is batched and regions is not None:
-            most.append(len(regions))
-        return real_flush(state, color, regions)
+    def flush(state, moved):
+        assert state is batched
+        # reconfigure flushes before it rewrites the mapping
+        donors = [state.mapping[r] for r in range(m) if moved[r]]
+        most.append(max(map(donors.count, donors)))
+        return real_flush(state, moved)
     monkeypatch.setattr(cache, "_flush", flush)
     rng = random.Random(page_bytes)
     for step in range(30):
         for state in (batched, single):
             replay_codes(state, arrays, step * 200, step * 200 + 200)
         colors = rng.choice([1, 2, rng.randint(1, m), m])
+        calls, changes = len(most), colors != batched.active_count
         assert reconfigure(batched, colors) == \
             reconfigure_reference(single, colors, batched=False), step
+        # one flush per reconfiguration that changes the count, none else
+        assert len(most) - calls == changes, step
         # the resident tags in order; the slots past a set's fill hold
         # leftovers that no lookup reads
         assert all_sets(batched) == all_sets(single), step
@@ -455,6 +487,8 @@ def test_reconfigure_matches_the_reference_planner(page_bytes, data):
         assert fast.mapping == reference.mapping, step
         assert fast.layout == reference.layout, step
         assert all_sets(fast) == all_sets(reference), step
+        verdict = validate_state(fast)
+        assert verdict.ok, f"step {step}: {verdict.first_divergence}"
 
 
 @pytest.mark.parametrize("typecode", ["Q", "q", "i"])

@@ -20,6 +20,7 @@ from edrsim.controller import Candidate, Decision
 from edrsim.energy import EnergyBreakdown, SchemeKind
 from edrsim.passes import Passes
 from edrsim.profiler import IntervalStats
+from edrsim.record import Record
 from edrsim.refresh import RefreshConfig
 from edrsim.sim import (ComparisonRow, RunReport, SchemeConfigError, compare,
                         run, run_schemes)
@@ -505,6 +506,26 @@ def test_a_trace_section_that_selects_no_trace_writes_no_output(
     assert capsys.readouterr().err == f"config error: {error}\n"
 
 
+def test_a_config_with_no_trace_source_writes_no_output(tmp_path, capsys):
+    # neither a [trace] nor a [synthetic] section: load_config (and so a
+    # sweep's load) fails and names both sections
+    text = re.sub(r"\[synthetic\]\n(?:\w.*\n)+", "",
+                  BASE_CONFIG.replace("[trace]\nsynthetic = true\n", ""))
+    assert "[trace]" not in text and "[synthetic]" not in text
+    path = tmp_path / "none.cfg"
+    path.write_text(text)
+    error = ("config has neither a [trace] nor a [synthetic] section, so it "
+             "selects no trace")
+    with pytest.raises(ConfigError, match=re.escape(error) + "$"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=re.escape(error) + "$"):
+        load_sweep(str(path), "beta", ["1"])
+    out = str(tmp_path / "outdir")
+    assert main(["compare", "--config", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
 @pytest.mark.parametrize("name, phases, error", [
     ("rpv", "400", r"^\[scheme\.rpv\] phases must be in \[1, 256\], got 400$"),
     ("rpv8", "400", r"^\[scheme\.rpv8\] phases must be in \[1, 256\], "
@@ -672,6 +693,32 @@ def test_json_keys_are_the_record_fields(config_file):
                       (decision["candidates"][0], Candidate),
                       (row, ComparisonRow)]:
         assert list(keys) == sorted(cls._fields), cls.__name__
+
+
+def test_report_records_hold_only_their_fields(config_file):
+    # the writer encodes a record as its __dict__: every record in the
+    # reports of all four scheme kinds and in the comparison, at any
+    # depth, has exactly its fields as attributes, so no derived attribute
+    # can leak a key into a report
+    cfg = load_config(config_file)
+    report = compare(generate_synthetic(cfg.synthetic), cfg.schemes,
+                     cfg.geometry, cfg.timing, cfg.energy,
+                     interval_instructions=cfg.interval_instructions)
+    runs = list(report.reports.values())
+    assert {run.kind for run in runs} == set(SchemeKind)
+    seen, todo = set(), [*runs, report.to_dict()]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, Record):
+            assert sorted(vars(obj)) == sorted(obj._fields), obj
+            seen.add(type(obj))
+            obj = vars(obj)
+        if isinstance(obj, dict):
+            todo += obj.values()
+        elif isinstance(obj, list):
+            todo += obj
+    assert seen == {RunReport, IntervalStats, EnergyBreakdown, Decision,
+                    Candidate, ComparisonRow}
 
 
 # sweep.csv of each other sweepable parameter on BASE_CONFIG

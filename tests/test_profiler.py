@@ -2,14 +2,18 @@ import math
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (compiled_full_profile, estimate_misses, full_profile,
-                     observe_arrays, observe_reference, probe,
-                     profiler_overhead_bytes, replay, size_counts, trace_of)
+from oracles import (compiled_full_profile, estimate_misses,
+                     estimate_refreshes, estimate_time, full_profile,
+                     interpolate_reference, observe_arrays, observe_reference,
+                     probe, profiler_overhead_bytes, replay, size_counts,
+                     trace_of)
 from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState
 from edrsim.passes import Passes
 from edrsim.profiler import (PROFILED_FRACTIONS, IntervalStats, ProfilingUnit,
-                             TimingParams, estimate_refreshes, estimate_time)
+                             TimingParams, interpolate)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -140,6 +144,26 @@ def test_estimate_clamps_below_smallest(geometry_2mb):
     # 2 colors of 64 -> 64 KB, below the 128 KB (X/16) point: clamp to it
     got = estimate_misses(unit, 2, geometry_2mb)
     assert got == (42.0 * 64, 21.0 * 64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_x=st.integers(7, 40),
+       counts=st.lists(st.integers(0, 10**12), min_size=10, max_size=10),
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                          max_size=40),
+       profiled=st.lists(st.sampled_from(PROFILED_FRACTIONS), max_size=5))
+def test_one_walk_interpolation_matches_the_reference(log_x, counts,
+                                                      fractions, profiled):
+    # drawn counts at the five profiled sizes of X = 2**log_x bytes, priced
+    # at ascending sizes in (0, X], profiled ones among them: the walk
+    # gives each size what the per-size reference does, bit for bit
+    x = 2 ** log_x
+    points = [(x // f, math.log2(x // f), counts[2 * u], counts[2 * u + 1])
+              for u, f in enumerate(PROFILED_FRACTIONS)]
+    sizes = sorted([x * q for q in fractions] + [x / f for f in profiled])
+    got = interpolate(points, sizes)
+    want = [interpolate_reference(points, size) for size in sizes]
+    assert repr(got) == repr(want)
 
 
 def test_monotone_profiled_points_on_random_traces(small_geometry):

@@ -77,6 +77,27 @@ def test_bulk_and_record_paths_produce_identical_bytes():
     assert _same(rarrays, arrays)
 
 
+def test_fields_at_their_extremes_round_trip():
+    # the widest gap and the top address, with both ops and next to zeros:
+    # every byte of a field is written and read back in its place
+    records = [(2**32 - 1, Op.WRITE, 2**64 - 1), (0, Op.READ, 0),
+               (2**32 - 1, Op.READ, 2**64 - 1), (1, Op.WRITE, 2**63),
+               (0x01020304, Op.READ, 0x0102030405060708)]
+    arrays = trace_of(records)
+    header_only = io.BytesIO()
+    write_trace_arrays(trace_of([]), TraceHeader(record_count=0), header_only)
+    buf = io.BytesIO()
+    write_trace_arrays(arrays, TraceHeader(record_count=len(records)), buf)
+    body = buf.getvalue()[len(header_only.getvalue()):]
+    assert body[:16] == bytes.fromhex("ffffffff 01 000000 ffffffffffffffff")
+    assert body[64:] == bytes.fromhex("04030201 00 000000 0807060504030201")
+    assert body == b"".join(struct.pack("<IB3xQ", *r) for r in records)
+    buf.seek(0)
+    _, back = read_trace_arrays(buf)
+    assert _same(back, arrays)
+    assert back.instructions == 2 * (2**32 - 1) + 1 + 0x01020304
+
+
 def test_bad_magic_rejected():
     with pytest.raises(TraceError, match="magic"):
         read_trace_arrays(io.BytesIO(b"NOTTRACE" + b"\0" * 64))
