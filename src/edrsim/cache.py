@@ -173,7 +173,8 @@ def kernel(name: str):
                                          ctypes.c_double, ctypes.c_double,
                                          ptr, ptr, ptr]),
                 (lib.edr_unpack, i64, [ptr, i64, ptr, ptr, ptr, ptr]),
-                (lib.edr_pack, i64, [ptr, i64, ptr, ptr, ptr])):
+                (lib.edr_check_ops, i64, [ptr, i64]),
+                (lib.edr_pack, None, [ptr, i64, ptr, ptr, ptr])):
             routine.restype, routine.argtypes = restype, argtypes
         _lib = lib
     return getattr(_lib, name)

@@ -33,8 +33,9 @@
  * edr_flush invalidates the lines of the regions that a reconfiguration
  * of DCR's moves.
  * edr_generate writes one phase of a synthetic trace, and edr_pack and
- * edr_unpack convert a trace's columns to and from the file's records
- * (see trace.py). */
+ * edr_unpack convert a trace's columns to and from the file's records, a
+ * buffer's worth at a time; edr_check_ops finds a column's first bad op
+ * before a write begins (see trace.py). */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -554,7 +555,7 @@ static inline void put_le(uint8_t *p, uint64_t v, int bytes)
 #endif
 }
 
-/* The n records of a trace file into its columns, storing the sum of the
+/* n records of a trace file into its columns, storing the sum of their
  * gaps. Returns n, or the index of the first record whose op is neither
  * READ (0) nor WRITE (1); its fields are unpacked. */
 int64_t edr_unpack(const uint8_t *records, int64_t n, uint32_t *gaps,
@@ -577,20 +578,27 @@ int64_t edr_unpack(const uint8_t *records, int64_t n, uint32_t *gaps,
     return j;
 }
 
-/* A trace's columns into n records of a zeroed buffer. Returns n, or the
- * index of the first record whose op is neither READ nor WRITE, which
- * stops the packing. */
-int64_t edr_pack(uint8_t *records, int64_t n, const uint32_t *gaps,
-                 const uint8_t *ops, const uint64_t *addrs)
+/* The index of the first of n ops that is neither READ (0) nor WRITE (1),
+ * or n. */
+int64_t edr_check_ops(const uint8_t *ops, int64_t n)
 {
-    int64_t j;
+    int64_t j = 0;
 
-    for (j = 0; j < n && ops[j] <= 1; j++) {
+    while (j < n && ops[j] <= 1)
+        j++;
+    return j;
+}
+
+/* A trace's columns into n records of a buffer whose pad bytes are zero;
+ * edr_check_ops has passed the ops. */
+void edr_pack(uint8_t *records, int64_t n, const uint32_t *gaps,
+              const uint8_t *ops, const uint64_t *addrs)
+{
+    for (int64_t j = 0; j < n; j++) {
         uint8_t *p = records + j * RECORD_BYTES;
 
         put_le(p, gaps[j], 4);
         p[4] = ops[j];
         put_le(p + 8, addrs[j], 8);
     }
-    return j;
 }

@@ -8,10 +8,16 @@ The generator draws from numpy's default_rng stream, reimplemented here
 (`seed_words`) and in lru.c (`edr_generate`), so a seed gives the same trace
 whatever numpy version is installed, or none. lru.c also packs and unpacks
 the file's records.
+
+A file is read and written through one fixed buffer of _BUFFER_BYTES, so a
+read holds the columns (13 B a record) and that buffer, and a write holds
+the buffer alone, however long the trace.
 """
 
 import ctypes
 import math
+import os
+import stat
 import struct
 from array import array
 from enum import IntEnum
@@ -26,6 +32,9 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIQII")
 # instr_gap: u32, op: u8, 3 pad bytes, address: u64 -- 16 bytes, little endian
 _RECORD_BYTES = 16
+# a file is read and written through one buffer of this many bytes
+_BUFFER_BYTES = 1 << 16
+_BUFFER_RECORDS = _BUFFER_BYTES // _RECORD_BYTES
 
 
 class TraceError(ValueError):
@@ -162,26 +171,33 @@ def _pack_header(header: TraceHeader) -> bytes:
 
 
 def write_trace_arrays(arrays: TraceArrays, header: TraceHeader, sink) -> int:
-    """Write header + fixed-width records to a binary stream.
+    """Write header + fixed-width records to a binary stream, packed a
+    buffer at a time.
 
     Returns the number of bytes written. The header must have this format's
     version and header.record_count the number of records, and every op must
-    be READ or WRITE: the writer refuses what `read_trace_arrays` rejects.
+    be READ or WRITE: the writer refuses what `read_trace_arrays` rejects,
+    before it writes a byte.
     """
     _check_version(header.version)
     n = len(arrays)
     if header.record_count != n:
         raise TraceError(
             f"header says {header.record_count} records, have {n}")
+    gaps, ops, addrs = _column_addresses(arrays)
+    bad = kernel("edr_check_ops")(ops, n)
+    if bad < n:
+        raise _bad_op(bad, arrays.ops[bad])
     hdr = _pack_header(header)
-    body = bytearray(n * _RECORD_BYTES)
-    got = kernel("edr_pack")(address(body, 1, len(body)), n,
-                             *_column_addresses(arrays))
-    if got < n:
-        raise _bad_op(got, arrays.ops[got])
     sink.write(hdr)
-    sink.write(body)
-    return len(hdr) + len(body)
+    buf = bytearray(_BUFFER_BYTES)  # the pad bytes stay zero
+    view, base, pack = memoryview(buf), address(buf, 1, len(buf)), \
+        kernel("edr_pack")
+    for lo in range(0, n, _BUFFER_RECORDS):
+        m = min(_BUFFER_RECORDS, n - lo)
+        pack(base, m, gaps + 4 * lo, ops + lo, addrs + 8 * lo)
+        sink.write(view[:m * _RECORD_BYTES])
+    return len(hdr) + n * _RECORD_BYTES
 
 
 def _check_version(version: int) -> None:
@@ -190,47 +206,103 @@ def _check_version(version: int) -> None:
                          f"{FORMAT_VERSION}")
 
 
-def _read_header(source) -> TraceHeader:
-    raw = source.read(_HEADER.size)
-    if len(raw) < _HEADER.size:
+def _fill(source, view: memoryview, lo: int, hi: int) -> int:
+    """Read the stream into view[lo:hi] until that is full or the stream
+    ends, however few bytes each read gives. Returns the end of what was
+    read."""
+    while lo < hi:
+        got = source.readinto(view[lo:hi])
+        if not got:
+            break
+        lo += got
+    return lo
+
+
+def _read_header(source, view: memoryview) -> TraceHeader:
+    if _fill(source, view, 0, _HEADER.size) < _HEADER.size:
         raise TraceError("truncated trace header")
-    magic, version, count, page, desc_len = _HEADER.unpack(raw)
+    magic, version, count, page, desc_len = _HEADER.unpack_from(view)
     if magic != MAGIC:
         raise TraceError(f"bad magic {magic!r}, expected {MAGIC!r}")
     _check_version(version)
-    desc = source.read(desc_len)
-    if len(desc) < desc_len:
-        raise TraceError("truncated trace description")
+    desc = bytearray()  # grows as its bytes arrive, whatever desc_len says
+    while len(desc) < desc_len:
+        want = min(desc_len - len(desc), len(view))
+        got = _fill(source, view, 0, want)
+        desc += view[:got]
+        if got < want:
+            raise TraceError("truncated trace description")
+    try:
+        text = desc.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"trace description is not UTF-8: byte "
+                         f"{desc[exc.start]:#04x} at offset {exc.start}"
+                         ) from None
     return TraceHeader(version=version, record_count=count,
-                       page_size_bytes=page, description=desc.decode("utf-8"))
+                       page_size_bytes=page, description=text)
+
+
+def _records_held(source) -> int:
+    """The whole records a regular file holds past its position; 0 for a
+    stream of unknown length (a pipe, an in-memory stream)."""
+    try:
+        st = os.fstat(source.fileno())
+        if stat.S_ISREG(st.st_mode):
+            return max(0, st.st_size - source.tell()) // _RECORD_BYTES
+    except (AttributeError, OSError):  # io.UnsupportedOperation among them
+        pass
+    return 0
+
+
+def _grow(arrays: TraceArrays, n: int) -> None:
+    """Zeroed columns for records len(arrays) to n, appended in place."""
+    more = n - len(arrays)
+    arrays.gaps.frombytes(bytes(4 * more))
+    arrays.ops += bytes(more)
+    arrays.addrs.frombytes(bytes(8 * more))
 
 
 def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
     """Read a binary trace from a stream into columns. Returns
-    (header, arrays)."""
-    header = _read_header(source)
+    (header, arrays).
+
+    The stream is read through one buffer of _BUFFER_BYTES, up to the
+    records the header claims or the stream's end, whichever comes first;
+    each buffer's whole records are unpacked into the columns in place. A
+    regular file's columns are sized once, for the records it holds; a
+    stream's grow as its records arrive. So a count past the end sizes
+    nothing, and a pipe is left holding whatever follows the records."""
+    buf = bytearray(_BUFFER_BYTES)
+    view = memoryview(buf)
+    header = _read_header(source, view)
     n = header.record_count
-    # a bounded chunk at a time, up to the records the header claims or the
-    # stream's end, whichever comes first: a count past the end sizes no
-    # read, and a pipe is left holding whatever follows the records
-    want, chunks, got = n * _RECORD_BYTES, [], 0
-    while got < want:
-        chunk = source.read(min(want - got, 1 << 24))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        got += len(chunk)
-    body = b"".join(chunks)
-    if len(body) < want:
-        raise TraceError(
-            f"truncated record at index {len(body) // _RECORD_BYTES}")
-    arrays = _columns(n)
+    arrays = _columns(min(n, _records_held(source)))
+    gaps, ops, addrs = _column_addresses(arrays)
+    base, unpack = address(buf, 1, len(buf)), kernel("edr_unpack")
     gap_sum = ctypes.c_uint64()
-    got = kernel("edr_unpack")(body, n, *_column_addresses(arrays),
-                               ctypes.byref(gap_sum))
-    if got < n:
-        raise _bad_op(got, arrays.ops[got])
-    arrays.instructions = gap_sum.value
+    # records read; bytes of the next record at the buffer's front; the
+    # first bad op's record, reported only if no record is missing
+    done, held, bad = 0, 0, None
+    while done < n:
+        want = min(len(buf), (n - done) * _RECORD_BYTES)
+        end = _fill(source, view, held, want)
+        m = end // _RECORD_BYTES
+        if m and bad is None:
+            if done + m > len(arrays):
+                _grow(arrays, done + m)
+                gaps, ops, addrs = _column_addresses(arrays)
+            k = unpack(base, m, gaps + 4 * done, ops + done,
+                       addrs + 8 * done, ctypes.byref(gap_sum))
+            arrays.instructions += gap_sum.value
+            if k < m:
+                bad = done + k
+        done += m
+        held = end - m * _RECORD_BYTES
+        view[:held] = view[end - held:end]
+        if end < want:
+            raise TraceError(f"truncated record at index {done}")
+    if bad is not None:
+        raise _bad_op(bad, arrays.ops[bad])
     return header, arrays
 
 

@@ -206,6 +206,26 @@ def test_run_on_pregenerated_trace(config_file, tmp_path):
     assert main(["run", "--config", str(path), "--out", out]) == 0
 
 
+def test_trace_description_that_is_not_utf8_is_named(config_file, tmp_path,
+                                                     capsys):
+    # the CLI used to print only the codec's own "'utf-8' codec can't decode"
+    trace_path = tmp_path / "t.trace"
+    assert main(["gen-trace", "--config", config_file,
+                 "--out", str(trace_path)]) == 0
+    data = bytearray(trace_path.read_bytes())
+    data[24:28] = (1).to_bytes(4, "little")  # desc_len, then one byte
+    trace_path.write_bytes(data[:28] + b"\xff" + data[28:])
+    path = tmp_path / "file.cfg"
+    path.write_text(BASE_CONFIG.replace("[trace]\nsynthetic = true",
+                                        f"[trace]\npath = {trace_path}"))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: trace description is not "
+                                       "UTF-8: byte 0xff at offset 0\n")
+    assert not out.exists()
+
+
 def test_compare_command(config_file, tmp_path):
     out = str(tmp_path / "cmp")
     assert main(["compare", "--config", config_file, "--out", out]) == 0

@@ -1,6 +1,8 @@
 import io
 import os
 import struct
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from oracles import (generate_reference, replay_codes, reuse_sources,
 from edrsim.cache import HIT, CacheGeometry, CacheState
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec,
                           TraceArrays, TraceError, TraceHeader,
-                          _PHASE_STRIDE_BLOCKS, generate_synthetic,
-                          read_trace_arrays, seed_words, write_trace_arrays)
+                          _BUFFER_BYTES, _PHASE_STRIDE_BLOCKS,
+                          generate_synthetic, read_trace_arrays, seed_words,
+                          write_trace_arrays)
 
 
 def _same(a: TraceArrays, b: TraceArrays) -> bool:
@@ -161,6 +164,162 @@ def test_record_count_past_the_file_reports_index(count, stream, tmp_path):
     with opened as fh, \
             pytest.raises(TraceError, match="truncated record at index 2$"):
         read_trace_arrays(fh)
+
+
+# the records one buffer of the reader and the writer holds
+_PER_BUFFER = _BUFFER_BYTES // 16
+
+
+def _numbered(n: int) -> TraceArrays:
+    """n records whose gap and address are their index; every third is a
+    write."""
+    return TraceArrays(array("I", range(n)),
+                       bytearray(i % 3 == 2 for i in range(n)),
+                       array("Q", range(n)))
+
+
+def _trace_bytes(arrays: TraceArrays, description: str = "") -> bytes:
+    buf = io.BytesIO()
+    write_trace_arrays(arrays, TraceHeader(record_count=len(arrays),
+                                           description=description), buf)
+    return buf.getvalue()
+
+
+class _Trickle(io.RawIOBase):
+    """A stream that gives at most `step` bytes per read, as a socket or a
+    slow pipe may."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.pos, self.step = data, 0, step
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        k = min(len(b), self.step, len(self.data) - self.pos)
+        b[:k] = self.data[self.pos:self.pos + k]
+        self.pos += k
+        return k
+
+
+@pytest.mark.parametrize("step", [1, 5, 16, 17, _BUFFER_BYTES - 1,
+                                  _BUFFER_BYTES + 1])
+def test_short_reads_round_trip_header_and_records(step):
+    # a header and description split across reads used to raise "truncated
+    # trace header"; the description is wider than the buffer and splits
+    # its multi-byte characters, and the records span three buffers
+    arrays = _numbered(2 * _PER_BUFFER + 3)
+    description = "\u00e9t\u00e9 " * (_BUFFER_BYTES // 5)
+    data = _trace_bytes(arrays, description)
+    stream = _Trickle(data + b"tail", step)
+    header, back = read_trace_arrays(stream)
+    assert (header.record_count, header.description) == (len(arrays),
+                                                        description)
+    assert _same(back, arrays)
+    assert _trace_bytes(back, header.description) == data
+    assert stream.data[stream.pos:] == b"tail"  # nothing read past the count
+
+
+def _open(data: bytes, stream: str, tmp_path):
+    if stream == "bytes":
+        return io.BytesIO(data)
+    path = tmp_path / "boundary.trace"
+    path.write_bytes(data)
+    return open(path, "rb")
+
+
+@pytest.mark.parametrize("stream", ["file", "bytes"])
+@pytest.mark.parametrize("index", [_PER_BUFFER - 1, _PER_BUFFER])
+def test_bad_op_at_a_buffer_boundary_reports_its_index(index, stream,
+                                                      tmp_path):
+    # the last record of the first buffer and the first of the second
+    data = bytearray(_trace_bytes(_numbered(2 * _PER_BUFFER), "boundary"))
+    records = len(data) - 2 * _BUFFER_BYTES
+    data[records + 16 * index + 4] = 7
+    data[records + 16 * (index + 1) + 4] = 9
+    with _open(bytes(data), stream, tmp_path) as fh, pytest.raises(
+            TraceError, match=f"^record {index}: op 7 is neither"):
+        read_trace_arrays(fh)
+
+
+@pytest.mark.parametrize("stream", ["file", "bytes"])
+@pytest.mark.parametrize("bad_op_before", [False, True])
+@pytest.mark.parametrize("partial", [0, 5])
+@pytest.mark.parametrize("index", [_PER_BUFFER - 1, _PER_BUFFER])
+def test_truncation_at_a_buffer_boundary_reports_its_index(
+        index, partial, bad_op_before, stream, tmp_path):
+    # the file ends before record `index`, or `partial` bytes into it; a bad
+    # op in an earlier record does not hide that records are missing
+    data = bytearray(_trace_bytes(_numbered(2 * _PER_BUFFER), "boundary"))
+    records = len(data) - 2 * _BUFFER_BYTES
+    if bad_op_before:
+        data[records + 16 * (index - 2) + 4] = 7
+    cut = bytes(data[:records + 16 * index + partial])
+    with _open(cut, stream, tmp_path) as fh, pytest.raises(
+            TraceError, match=f"^truncated record at index {index}$"):
+        read_trace_arrays(fh)
+
+
+def test_description_that_is_not_utf8_rejected():
+    # it used to escape as a bare UnicodeDecodeError
+    data = bytearray(_trace_bytes(_numbered(2), "ab\u00e9"))
+    data[28 + 2] = 0xFF  # the first byte of the description's third char
+    with pytest.raises(TraceError, match="^trace description is not UTF-8: "
+                       "byte 0xff at offset 2$"):
+        read_trace_arrays(io.BytesIO(bytes(data)))
+
+
+# what a read or a write may allocate beyond its columns and its buffer:
+# the header, the stream's small objects and the ctypes arguments
+_SLACK_BYTES = 16 * 1024
+
+
+def _peak_bytes(call) -> int:
+    """The most memory that `call()` held at once beyond what was held
+    before it, as tracemalloc sees it (array and bytearray buffers
+    included)."""
+    call()  # the kernel is loaded and every import done
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+        del result
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_reading_a_file_holds_its_columns_and_one_buffer(tmp_path):
+    # the file body (16 B a record) used to be held next to its columns
+    # (13 B a record): 29 B a record in all
+    n = 100_000
+    path = tmp_path / "big.trace"
+    path.write_bytes(_trace_bytes(_numbered(n), "held"))
+
+    def read():
+        with open(path, "rb") as fh:
+            return read_trace_arrays(fh)
+
+    assert _peak_bytes(read) <= 13 * n + _BUFFER_BYTES + _SLACK_BYTES
+
+
+def test_writing_holds_one_buffer():
+    # the whole packed body (16 B a record) used to be built first
+    class Discard(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, b):
+            return memoryview(b).nbytes
+
+    arrays = _numbered(100_000)
+
+    def write():
+        return write_trace_arrays(arrays, TraceHeader(
+            record_count=len(arrays)), Discard())
+
+    assert _peak_bytes(write) <= _BUFFER_BYTES + _SLACK_BYTES
 
 
 def test_other_format_version_rejected():
