@@ -168,7 +168,7 @@ def kernel(name: str):
         ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
         for routine, restype, argtypes in (
                 (lib.edr_run, i64, [ptr, i64, i64]),
-                (lib.edr_flush, i64, [ptr, ptr, ptr]),
+                (lib.edr_flush, i64, [ptr, ptr, ptr, ptr]),
                 (lib.edr_generate, u64, [ptr, i64, u64, u64, u64, u64,
                                          ctypes.c_double, ctypes.c_double,
                                          ptr, ptr, ptr]),
@@ -210,19 +210,17 @@ def layout(geometry: CacheGeometry, mapping=None) -> array:
                        *[color * per_color for color in regions]])
 
 
-def _flush(state: CacheState, moved: bytes) -> tuple[int, int]:
+def _flush(state: CacheState, moved: bytes, scan: bytes) -> tuple[int, int]:
     """Invalidate the lines of the regions that `moved` marks (a byte per
-    region) in the colors that `state.layout` still maps them to, each such
-    color scanned once.
+    region) in the colors that `scan` marks (a byte per color): the colors
+    that `state.layout` still maps those regions to, each scanned once.
 
     The surviving tags of each set move to the front of its row in their
     order. Returns (flushed lines, writebacks of dirty ones).
     """
     writebacks = ctypes.c_int64()
-    flushed = kernel("edr_flush")(ctypes.byref(state.arrays), moved,
+    flushed = kernel("edr_flush")(ctypes.byref(state.arrays), moved, scan,
                                   ctypes.byref(writebacks))
-    if flushed < 0:
-        raise MemoryError("edr_flush could not allocate its color marks")
     return flushed, writebacks.value
 
 
@@ -236,29 +234,19 @@ def _plan(mapping: list[int], old: int, colors: int) -> list[int]:
     from the color holding the most: the lowest index on a tie, its
     highest region first. The colors below the one being filled hold more
     than m // colors regions on average, and the colors turned on before
-    it no more, so the donor is always an old color; and the pulls go
-    level by level from the top count down, one from each old color
-    holding at least that level, in index order.
+    it no more, so the donor is always an old color. An old color's l-th
+    lowest region is thus pulled at level l, and the pulls go by level
+    down, then by color.
     """
     if colors < old:
         spare = itertools.count()
         return [c if c < colors else next(spare) % colors for c in mapping]
     share = len(mapping) // colors
-    need = (colors - old) * share
-    count = [0] * old
-    for c in mapping:
-        count[c] += 1
-    # the regions by color, each color's highest first, so that old color
-    # c gives order[ends[c] - level] at each level down from count[c]
-    order = sorted(reversed(range(len(mapping))), key=mapping.__getitem__)
-    ends = list(itertools.accumulate(count))
-    pulled, level = [], max(count)
-    while len(pulled) < need:
-        pulled += [order[end - level] for end, n in zip(ends, count)
-                   if n >= level]
-        level -= 1
+    level = [itertools.count(1) for _ in range(old)]
+    pulls = sorted((-next(level[c]), c, region)
+                   for region, c in enumerate(mapping))
     planned = mapping.copy()
-    for k, region in enumerate(pulled[:need]):
+    for k, (_, _, region) in enumerate(pulls[:(colors - old) * share]):
         planned[region] = old + k // share
     return planned
 
@@ -285,8 +273,10 @@ def reconfigure(state: CacheState, colors: int) -> ReconfigReport:
         return ReconfigReport(flushed_lines=0, writebacks=0,
                               switched_blocks=0)
     planned = _plan(state.mapping, old, colors)
+    moved = bytes(map(operator.ne, state.mapping, planned))
+    scanned = set(itertools.compress(state.mapping, moved))
     flushed, writebacks = _flush(
-        state, bytes(map(operator.ne, state.mapping, planned)))
+        state, moved, bytes(c in scanned for c in range(m_total)))
     state.mapping[:] = planned
     state.active_count = colors
     state.layout[:] = layout(g, planned)

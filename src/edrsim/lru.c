@@ -31,14 +31,13 @@
  * (cache.reconfigure rewrites it, between calls).
  *
  * edr_flush invalidates the lines of the regions that a reconfiguration
- * of DCR's moves.
+ * of DCR's moves, in the old colors its caller marks.
  * edr_generate writes one phase of a synthetic trace, and edr_pack and
  * edr_unpack convert a trace's columns to and from the file's records, a
  * buffer's worth at a time; edr_check_ops finds a column's first bad op
  * before a write begins (see trace.py). */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* a code byte: the outcome bits, then a hit's age (at most 16 ways) */
@@ -352,15 +351,16 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
 }
 
 /* Invalidate the resident lines of the regions that `moved` marks (a
- * byte per region) in the colors the layout maps them to: cache.reconfigure
- * marks the regions whose color it changes and calls this once, before it
- * rewrites the layout. Each such color is scanned once, for the lines of
- * every marked region. The survivors of each set move to the front of its
- * row in their order, the slots they leave lose their dirty bits, and fill
- * and valid_by_bank lose the flushed lines. Stores the writebacks of dirty
- * lines and returns the lines flushed, or -1 if out of memory. */
+ * byte per region) in the colors that `scan` marks (a byte per color),
+ * the colors the layout maps them to: cache.reconfigure marks both and
+ * calls this once, before it rewrites the layout. Each marked color is
+ * scanned once, for the lines of every marked region. The survivors of
+ * each set move to the front of its row in their order, the slots they
+ * leave lose their dirty bits, and fill and valid_by_bank lose the
+ * flushed lines. Stores the writebacks of dirty lines and returns the
+ * lines flushed. */
 int64_t edr_flush(const struct cache *c, const uint8_t *moved,
-                  int64_t *writebacks)
+                  const uint8_t *scan, int64_t *writebacks)
 {
     const int64_t *layout = c->layout;
     const uint64_t region_mask = (uint64_t)layout[REGION_MASK];
@@ -369,13 +369,7 @@ int64_t edr_flush(const struct cache *c, const uint8_t *moved,
     /* a tag is a block number, so its page is tag >> page_shift */
     int64_t page_shift = layout[PAGE_SHIFT] - layout[BLOCK_SHIFT];
     int64_t flushed = 0, dirty_lost = 0;
-    uint8_t *scan = calloc((size_t)colors, 1); /* the colors to scan */
 
-    if (!scan)
-        return -1;
-    for (int64_t r = 0; r < colors; r++)
-        if (moved[r])
-            scan[layout[FIRST_SET + r] / sets] = 1;
     for (int64_t color = 0; color < colors; color++) {
         if (!scan[color])
             continue;
@@ -396,7 +390,6 @@ int64_t edr_flush(const struct cache *c, const uint8_t *moved,
             flushed += n - kept;
         }
     }
-    free(scan);
     *writebacks = dirty_lost;
     return flushed;
 }

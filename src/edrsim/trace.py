@@ -206,20 +206,20 @@ def _check_version(version: int) -> None:
                          f"{FORMAT_VERSION}")
 
 
-def _fill(source, view: memoryview, lo: int, hi: int) -> int:
-    """Read the stream into view[lo:hi] until that is full or the stream
-    ends, however few bytes each read gives. Returns the end of what was
-    read."""
-    while lo < hi:
-        got = source.readinto(view[lo:hi])
-        if not got:
+def _fill(source, view: memoryview, want: int) -> int:
+    """Read the stream into view[:want] until that is full or the stream
+    ends, however few bytes each read gives. Returns the bytes read."""
+    got = 0
+    while got < want:
+        more = source.readinto(view[got:want])
+        if not more:
             break
-        lo += got
-    return lo
+        got += more
+    return got
 
 
 def _read_header(source, view: memoryview) -> TraceHeader:
-    if _fill(source, view, 0, _HEADER.size) < _HEADER.size:
+    if _fill(source, view, _HEADER.size) < _HEADER.size:
         raise TraceError("truncated trace header")
     magic, version, count, page, desc_len = _HEADER.unpack_from(view)
     if magic != MAGIC:
@@ -228,7 +228,7 @@ def _read_header(source, view: memoryview) -> TraceHeader:
     desc = bytearray()  # grows as its bytes arrive, whatever desc_len says
     while len(desc) < desc_len:
         want = min(desc_len - len(desc), len(view))
-        got = _fill(source, view, 0, want)
+        got = _fill(source, view, want)
         desc += view[:got]
         if got < want:
             raise TraceError("truncated trace description")
@@ -280,12 +280,13 @@ def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
     gaps, ops, addrs = _column_addresses(arrays)
     base, unpack = address(buf, 1, len(buf)), kernel("edr_unpack")
     gap_sum = ctypes.c_uint64()
-    # records read; bytes of the next record at the buffer's front; the
-    # first bad op's record, reported only if no record is missing
-    done, held, bad = 0, 0, None
+    # records read; the first bad op's record, reported only if no record
+    # is missing. Each read asks for whole records, and only the stream's
+    # end leaves it short, so no part of a record is carried over.
+    done, bad = 0, None
     while done < n:
         want = min(len(buf), (n - done) * _RECORD_BYTES)
-        end = _fill(source, view, held, want)
+        end = _fill(source, view, want)
         m = end // _RECORD_BYTES
         if m and bad is None:
             if done + m > len(arrays):
@@ -297,8 +298,6 @@ def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
             if k < m:
                 bad = done + k
         done += m
-        held = end - m * _RECORD_BYTES
-        view[:held] = view[end - held:end]
         if end < want:
             raise TraceError(f"truncated record at index {done}")
     if bad is not None:

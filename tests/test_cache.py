@@ -389,9 +389,11 @@ def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
         for state in states:
             state.layout[:] = layout(g, mapping)
         moved = bytes(r in marked for r in range(colors))
-        got = cache._flush(states[0], moved)
+        scanned = sorted({mapping[r] for r in marked})
+        got = cache._flush(states[0], moved,
+                           bytes(c in scanned for c in range(colors)))
         want = [flush_reference(states[1], color, marked)
-                for color in sorted({mapping[r] for r in marked})]
+                for color in scanned]
         assert got == tuple(map(sum, zip(*want)))
         assert all_sets(states[0]) == all_sets(states[1])
         assert np.array_equal(dirty_bits(states[0]), dirty_bits(states[1]))
@@ -431,12 +433,14 @@ def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
     most = []
     real_flush = cache._flush
 
-    def flush(state, moved):
+    def flush(state, moved, scan):
         assert state is batched
-        # reconfigure flushes before it rewrites the mapping
+        # reconfigure flushes before it rewrites the mapping, and scans
+        # the old colors of the moved regions
         donors = [state.mapping[r] for r in range(m) if moved[r]]
+        assert list(scan) == [c in donors for c in range(m)]
         most.append(max(map(donors.count, donors)))
-        return real_flush(state, moved)
+        return real_flush(state, moved, scan)
     monkeypatch.setattr(cache, "_flush", flush)
     rng = random.Random(page_bytes)
     for step in range(30):
@@ -489,6 +493,27 @@ def test_reconfigure_matches_the_reference_planner(page_bytes, data):
         assert all_sets(fast) == all_sets(reference), step
         verdict = validate_state(fast)
         assert verdict.ok, f"step {step}: {verdict.first_divergence}"
+
+
+@pytest.mark.parametrize("m", [8, 32])
+def test_every_reconfiguration_pair_matches_the_reference_planner(m):
+    # every ordered pair (old, colors) on an empty cache: a growth starts
+    # from the full cache shrunk to old, a shrink from one color grown to
+    # old
+    g = CacheGeometry(size_bytes=m * 128 * 2, associativity=2,
+                      page_bytes=128, bank_bytes=m * 128 * 2)
+    for old in range(1, m + 1):
+        for colors in range(1, m + 1):
+            if colors == old:
+                continue
+            states = [CacheState(g), CacheState(g)]
+            for state in states:
+                reconfigure(state, old if colors > old else 1)
+                reconfigure(state, old)
+            reconfigure(states[0], colors)
+            reconfigure_reference(states[1], colors)
+            assert states[0].mapping == states[1].mapping, (old, colors)
+            assert states[0].layout == states[1].layout, (old, colors)
 
 
 @pytest.mark.parametrize("typecode", ["Q", "q", "i"])

@@ -127,13 +127,17 @@ _CTYPES = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64,
            "double": ctypes.c_double}
 
 
+def _source() -> str:
+    """lru.c without its comments."""
+    with open(KERNEL) as fh:
+        return re.sub(r"/\*.*?\*/", "", fh.read(), flags=re.S)
+
+
 def _members(struct: str) -> list[tuple[str, type]]:
     """The members of lru.c's `struct NAME { ... };`, in order, each with
     the ctypes type that mirrors it; a declaration of several members
     gives each of them."""
-    with open(KERNEL) as fh:
-        source = re.sub(r"/\*.*?\*/", "", fh.read(), flags=re.S)
-    body = re.search(r"^struct " + struct + r" \{(.*?)^\};", source,
+    body = re.search(r"^struct " + struct + r" \{(.*?)^\};", _source(),
                      re.S | re.M).group(1)
     members = []
     for declaration in body.split(";")[:-1]:
@@ -152,3 +156,21 @@ def test_ctypes_mirrors_name_lru_c_members_in_order():
     for struct, mirror in [("run", passes._Run), ("cache", cache._Cache),
                            ("clock", passes.Clock), ("timer", passes.Timer)]:
         assert _members(struct) == mirror._fields_, struct
+
+
+def test_ctypes_prototypes_mirror_lru_c_functions():
+    # ctypes passes an extra argument without a word, so a prototype
+    # changed in lru.c alone would be called with the old arguments; and
+    # a routine missing from kernel()'s table would take no argtypes
+    defined = re.findall(r"^(\w+) (edr_\w+)\((.*?)\)\s*\{", _source(),
+                         re.S | re.M)
+    assert {"edr_run", "edr_flush", "edr_pack"} <= {d[1] for d in defined}
+    for restype, name, params in defined:
+        routine = cache.kernel(name)
+        assert routine.argtypes is not None, f"{name} is not in the table"
+        assert list(routine.argtypes) == [
+            ctypes.c_void_p if "*" in param
+            else _CTYPES[re.findall(r"\w+", param)[-2]]
+            for param in params.split(",")], name
+        assert routine.restype is (
+            None if restype == "void" else _CTYPES[restype]), name
