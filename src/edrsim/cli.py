@@ -1,6 +1,5 @@
 """Command-line front end: gen-trace, run, compare, sweep."""
 
-import argparse
 import csv
 import io
 import json
@@ -105,21 +104,20 @@ def _with_seed(spec: SyntheticTraceSpec, seed: int | None):
         raise ConfigError(f"--seed {seed}: {exc}") from None
 
 
-def _load_trace_for(cfg: RunConfig, seed: int | None) -> TraceArrays:
+def _load_trace_for(cfg: RunConfig,
+                    seed: int | None) -> tuple[TraceArrays, int]:
+    """The config's trace and the instructions of its warm-up."""
     if cfg.trace_path:
         if seed is not None:
             raise ConfigError(f"--seed does nothing: the config reads the "
                               f"trace file {cfg.trace_path}")
         with open(cfg.trace_path, "rb") as fh:
             _, arrays = trace_mod.read_trace_arrays(fh)
-        return arrays
-    return trace_mod.generate_synthetic(_with_seed(cfg.synthetic, seed))
-
-
-def _warmup_for(cfg: RunConfig, arrays: TraceArrays) -> int:
+    else:
+        arrays = trace_mod.generate_synthetic(_with_seed(cfg.synthetic, seed))
     if cfg.warmup_instructions is not None:
-        return cfg.warmup_instructions
-    return int(arrays.instructions * cfg.warmup_fraction)
+        return arrays, cfg.warmup_instructions
+    return arrays, int(arrays.instructions * cfg.warmup_fraction)
 
 
 def _interval_csv(report: RunReport) -> bytes:
@@ -146,19 +144,19 @@ def _row_cells(row: ComparisonRow) -> list[str]:
     return [row.scheme, *(repr(getattr(row, m)) for m in _ROW_METRICS)]
 
 
-def cmd_gen_trace(args) -> int:
-    cfg = load_config(args.config)
+def cmd_gen_trace(config, out, seed=None) -> int:
+    cfg = load_config(config)
     if cfg.trace_path:  # which drops any [synthetic] section
         raise ConfigError(f"gen-trace writes the [synthetic] spec, but "
                           f"[trace] path = {cfg.trace_path} selects a file; "
                           f"set [trace] synthetic = true instead")
-    arrays = trace_mod.generate_synthetic(_with_seed(cfg.synthetic, args.seed))
+    arrays = trace_mod.generate_synthetic(_with_seed(cfg.synthetic, seed))
     header = TraceHeader(record_count=len(arrays),
                          page_size_bytes=cfg.geometry.page_bytes)
-    _replace(args.out,
+    _replace(out,
              lambda fh: trace_mod.write_trace_arrays(arrays, header, fh))
     print(f"wrote {len(arrays)} records ({arrays.instructions} instructions) "
-          f"to {args.out}")
+          f"to {out}")
     return 0
 
 
@@ -171,19 +169,18 @@ def _check_compare(cfg: RunConfig) -> int:
         raise ConfigError(str(exc)) from None
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def cmd_run(config, out, seed=None) -> int:
+    cfg = load_config(config)
     if not cfg.schemes:
         raise ConfigError("config needs at least 1 [scheme.*] section")
-    arrays = _load_trace_for(cfg, args.seed)
-    warmup = _warmup_for(cfg, arrays)
+    arrays, warmup = _load_trace_for(cfg, seed)
     # every scheme runs before the first write, so a late failure leaves no
     # partial output
     reports = run_schemes(arrays, cfg.schemes, cfg.geometry, cfg.timing,
                           cfg.energy, warmup, cfg.interval_instructions)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     for report in reports:
-        base = os.path.join(args.out, f"report-{report.scheme}")
+        base = os.path.join(out, f"report-{report.scheme}")
         _write_json(base + ".json", report)
         _atomic_write(base + ".intervals.csv", _interval_csv(report))
         print(f"{report.scheme}: {report.total_energy_j:.6e} J, "
@@ -192,20 +189,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
+def cmd_compare(config, out, seed=None) -> int:
+    cfg = load_config(config)
     _check_compare(cfg)
-    arrays = _load_trace_for(cfg, args.seed)
-    warmup = _warmup_for(cfg, arrays)
+    arrays, warmup = _load_trace_for(cfg, seed)
     report = compare(arrays, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
                      warmup_instructions=warmup,
                      interval_instructions=cfg.interval_instructions)
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "comparison.json"), report.to_dict())
-    _atomic_write(os.path.join(args.out, "comparison.csv"), _csv_bytes(
+    os.makedirs(out, exist_ok=True)
+    _write_json(os.path.join(out, "comparison.json"), report.to_dict())
+    _atomic_write(os.path.join(out, "comparison.csv"), _csv_bytes(
         _ROW_COLUMNS, [_row_cells(r) for r in report.rows]))
     for name, rep in report.reports.items():
-        _write_json(os.path.join(args.out, f"report-{name}.json"), rep)
+        _write_json(os.path.join(out, f"report-{name}.json"), rep)
     print(f"baseline {report.baseline_name}: "
           f"{report.baseline.total_energy_j:.6e} J")
     for row in report.rows:
@@ -222,32 +218,32 @@ def _sweep_reports(arrays: TraceArrays, configs: list[RunConfig],
     a trip's schemes share, a sweep changes only the geometry (by
     l2_size_kb): timing, energy, warm-up and interval are never swept. So
     the configs of one geometry share a `run_schemes` call, whose one trip
-    times the fixed schemes of them all."""
-    by_geometry, per = {}, len(configs[0].schemes)
+    times the fixed schemes of them all, each distinct scheme once."""
+    by_geometry = {}
     for k, cfg in enumerate(configs):
         by_geometry.setdefault(cfg.geometry, []).append(k)
     reports = [None] * len(configs)
     for geometry, ks in by_geometry.items():
-        cfg = configs[ks[0]]
-        got = run_schemes(arrays, [s for k in ks for s in configs[k].schemes],
-                          geometry, cfg.timing, cfg.energy, warmup,
-                          cfg.interval_instructions)
-        for j, k in enumerate(ks):
-            reports[k] = got[j * per:(j + 1) * per]
+        cfg, specs = configs[ks[0]], []
+        for k in ks:  # specs are unhashable records, compared by equality
+            specs += [s for s in configs[k].schemes if s not in specs]
+        got = run_schemes(arrays, specs, geometry, cfg.timing, cfg.energy,
+                          warmup, cfg.interval_instructions)
+        for k in ks:
+            reports[k] = [got[specs.index(s)] for s in configs[k].schemes]
     return reports
 
 
-def cmd_sweep(args) -> int:
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+def cmd_sweep(config, out, parameter, values, seed=None) -> int:
+    values = [v.strip() for v in values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    configs = load_sweep(args.config, args.parameter, values)
+    configs = load_sweep(config, parameter, values)
     cfg = configs[0]
     baseline_idx = _check_compare(cfg)
 
     # no sweepable parameter changes the trace or the warm-up
-    arrays = _load_trace_for(cfg, args.seed)
-    warmup = _warmup_for(cfg, arrays)
+    arrays, warmup = _load_trace_for(cfg, seed)
     reports = _sweep_reports(arrays, configs, warmup)
     rows = []
     for value, got in zip(values, reports):
@@ -255,55 +251,74 @@ def cmd_sweep(args) -> int:
         others = [rep for i, rep in enumerate(got) if i != baseline_idx]
         # the value column spells every value as a float: 1.0 for "1"
         for rep in [base, *others]:
-            rows.append([args.parameter, repr(float(value)),
+            rows.append([parameter, repr(float(value)),
                          *_row_cells(comparison_row(base, rep))])
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "sweep.csv"),
+    os.makedirs(out, exist_ok=True)
+    _atomic_write(os.path.join(out, "sweep.csv"),
                   _csv_bytes(["parameter", "value", *_ROW_COLUMNS], rows))
-    print(f"swept {args.parameter} over {len(values)} value(s) -> "
-          f"{os.path.join(args.out, 'sweep.csv')}")
+    print(f"swept {parameter} over {len(values)} value(s) -> "
+          f"{os.path.join(out, 'sweep.csv')}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="edrsim",
-        description="Trace-driven energy simulator for eDRAM last-level caches")
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's function, the options it needs besides --config and --out,
+# and what it does; every command also takes --seed
+_COMMANDS = {
+    "gen-trace": (cmd_gen_trace, (), "write the [synthetic] trace to --out"),
+    "run": (cmd_run, (), "run each scheme, write its reports"),
+    "compare": (cmd_compare, (), "run all schemes, compare to the baseline"),
+    "sweep": (cmd_sweep, ("parameter", "values"), "compare at each of VALUES"),
+}
+USAGE = "usage:\n" + "".join(
+    f"  edrsim {name} --config PATH --out PATH"
+    f"{''.join(f' --{o} {o.upper()}' for o in needs)} [--seed N]\n"
+    f"      {what}\n" for name, (_, needs, what) in _COMMANDS.items())
 
-    def common(p):
-        p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the synthetic trace seed")
-        p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("gen-trace", help="write a synthetic binary trace")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="output trace file path")
-    p.set_defaults(func=cmd_gen_trace)
-
-    p = sub.add_parser("run", help="run each configured scheme, write reports")
-    common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("compare", help="run all schemes and compare to baseline")
-    common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep", help="repeat compare over a parameter range")
-    common(p)
-    p.add_argument("--parameter", required=True,
-                   help=f"one of {', '.join(SWEEPABLE)}")
-    p.add_argument("--values", required=True, help="comma-separated values")
-    p.set_defaults(func=cmd_sweep)
-    return parser
+def parse_args(argv: list[str]):
+    """The command's function and its keyword arguments. An option is
+    `--name value` or `--name=value`, and the last of a repeated one wins;
+    a bad command line raises ValueError."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command not in _COMMANDS:
+        raise ValueError(f"unknown command {command!r}" if command
+                         else "no command given")
+    func, needs, _ = _COMMANDS[command]
+    needs = ("config", "out", *needs)
+    opts = {}
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not name.startswith("--") or name[2:] not in (*needs, "seed"):
+            raise ValueError(f"{command} takes no option {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{name} needs a value")
+        opts[name[2:]] = value
+    missing = [f"--{name}" for name in needs if name not in opts]
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+    try:
+        if "seed" in opts:
+            opts["seed"] = int(opts["seed"])
+    except ValueError:
+        raise ValueError(f"--seed {opts['seed']!r}: not an integer") from None
+    return func, opts
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
     try:
-        return args.func(args)
+        func, opts = parse_args(argv)
+    except ValueError as exc:
+        print(f"{USAGE}edrsim: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return func(**opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

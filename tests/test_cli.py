@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import edrsim
 import oracles
 from edrsim import sim
-from edrsim.cli import _json_pieces, _sweep_reports, _write_json, main
+from edrsim.cli import USAGE, _json_pieces, _sweep_reports, _write_json, main
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.controller import Candidate, Decision
 from edrsim.energy import EnergyBreakdown, SchemeKind
@@ -890,14 +890,16 @@ def test_sweep_values_equal_serial_runs(config_file, helpers_started,
 
 
 @pytest.mark.parametrize("parameter, values, trips", [
-    ("refresh_period_us", "1,2,3,4", [12, 1, 1, 1, 1]),
+    # baseline and RPV per value, and the one SRAM scheme all values share
+    ("refresh_period_us", "1,2,3,4", [9, 1, 1, 1, 1]),
     ("l2_size_kb", "64,128,256", [3, 1, 3, 1, 3, 1]),
-    ("beta", "1,3", [6, 1, 1]),
+    # beta changes only DCR: the fixed schemes are timed once for both
+    ("beta", "1,3", [3, 1, 1]),
 ])
 def test_sweep_times_one_fixed_trip_per_geometry(config_file, trips_bound,
                                                  parameter, values, trips):
-    # the fixed trip, a timer per fixed scheme of each value of a geometry,
-    # then DCR's trip of each value
+    # the fixed trip, a timer per distinct fixed scheme of the values of a
+    # geometry, then DCR's trip of each value
     configs = load_sweep(config_file, parameter, values.split(","))
     reports = _sweep_reports(generate_synthetic(configs[0].synthetic),
                              configs, 40_000)
@@ -1454,3 +1456,115 @@ def test_compare_runs_without_numpy(config_file, tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "comparison.json").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "no command given"),
+    (["frob", "--config", "CFG", "--out", "OUT"], "unknown command 'frob'"),
+    (["run", "--config", "CFG"], "run needs --out"),
+    (["sweep", "--config", "CFG", "--out", "OUT", "--values", "1"],
+     "sweep needs --parameter"),
+    (["run", "--config", "CFG", "--out", "OUT", "--threads", "2"],
+     "run takes no option '--threads'"),
+    # prefixes of an option name are not the option
+    (["run", "--conf", "CFG", "--out", "OUT"], "run takes no option '--conf'"),
+    (["run", "--config", "CFG", "--out", "OUT", "extra"],
+     "run takes no option 'extra'"),
+    (["run", "--config", "CFG", "--out", "OUT", "--seed"],
+     "--seed needs a value"),
+    (["run", "--config", "--out", "OUT"], "--config needs a value"),
+    (["run", "--config", "CFG", "--out", "OUT", "--seed", "x"],
+     "--seed 'x': not an integer"),
+    (["compare", "--config", "CFG", "--out", "OUT", "--parameter", "beta"],
+     "compare takes no option '--parameter'"),
+], ids=["no command", "unknown command", "missing option",
+        "missing sweep option", "unknown option", "abbreviated option",
+        "positional", "no value at the end", "no value before an option",
+        "seed not an int", "sweep option to compare"])
+def test_usage_errors_exit_2_before_output(config_file, tmp_path, capsys,
+                                           argv, error):
+    out = tmp_path / "out"
+    argv = [{"CFG": config_file, "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{USAGE}edrsim: error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sweep", "--help"],
+                                  ["run", "--config", "CFG", "-h"]])
+def test_help_prints_the_usage_and_exits_0(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (USAGE, "")
+    for name in ("gen-trace", "run", "compare", "sweep", "--seed N"):
+        assert name in USAGE
+
+
+def test_option_forms_and_repeats(config_file, tmp_path):
+    # `--name=value` is `--name value`, and the last of a repeated option
+    # wins
+    def trace(*argv):
+        out = tmp_path / f"{len(list(tmp_path.iterdir()))}.trace"
+        assert main(["gen-trace", *argv, f"--out={out}"]) == 0
+        return out.read_bytes()
+    spaced = trace("--config", config_file, "--seed", "99")
+    assert trace(f"--config={config_file}", "--seed=99") == spaced
+    assert trace("--seed", "1", "--config", config_file, "--seed=99") == spaced
+    assert trace("--config", config_file) != spaced
+
+
+def test_console_script_reads_sys_argv(config_file, tmp_path):
+    # the `edrsim` script calls main() with no argument
+    script = "import sys\nfrom edrsim.cli import main\nsys.exit(main())\n"
+    src = os.path.dirname(os.path.dirname(edrsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = tmp_path / "t.trace"
+    for argv, rc in [(["gen-trace", "--config", config_file, "--seed=3"], 2),
+                     (["gen-trace", "--config", config_file, "--seed=3",
+                       "--out", str(out)], 0)]:
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == rc, proc.stderr
+        assert out.exists() == (rc == 0)
+    assert proc.stdout.startswith("wrote ")
+
+
+_ARGV_OPTIONS = ["--config", "--out", "--seed", "--parameter", "--values"]
+_ARGV_VALUES = ["CFG", "OUT", "OUT/sub", "1", "-1", "x", "", "beta",
+                "refresh_period_us", "l2_size_kb", "1,3", "1,,x"]
+_ARGV_JUNK = ["", "-", "--", "=", "-h", "--conf", "--threads", "frob"]
+_ARGV_PAIR = st.tuples(st.sampled_from(_ARGV_OPTIONS),
+                       st.sampled_from(_ARGV_VALUES))
+_ARGV = st.tuples(
+    st.sampled_from(["gen-trace", "run", "compare", "sweep", *_ARGV_JUNK]),
+    st.lists(_ARGV_PAIR.map(list) | _ARGV_PAIR.map(lambda p: ["=".join(p)])
+             | st.sampled_from(_ARGV_OPTIONS + _ARGV_VALUES + _ARGV_JUNK)
+             .map(lambda token: [token]), max_size=7),
+).map(lambda drawn: [drawn[0], *(t for tokens in drawn[1] for t in tokens)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_ARGV)
+@example(argv=["sweep", "--config", "CFG", "--out", "OUT",
+               "--parameter=beta", "--values", "1,3", "--seed", "1"])
+def test_any_argv_exits_0_or_fails_cleanly(argv):
+    # main never raises: it returns 0, 1, or 2 having written nothing
+    text = _TINY_CONFIG.replace("l2_size_kb = 64", "l2_size_kb = 512")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        names = {"CFG": path, "OUT": os.path.join(tmp, "out")}
+        argv = [t.replace("CFG", names["CFG"]).replace("OUT", names["OUT"])
+                for t in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            pytest.fail(f"SystemExit({exc.code}) from {argv}")
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert os.listdir(tmp) == ["run.cfg"], argv
+            with open(path) as fh:
+                assert fh.read() == text, argv

@@ -29,9 +29,10 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # importing them costs every command about 10 ms of set-up, and
-    # nothing in edrsim needs them
-    code = ("import sys, edrsim.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # nothing in edrsim needs them; nor argparse, whose first parser
+    # imports gettext and locale and took 2-4 ms of every command
+    code = ("import sys, edrsim.cli; print(sorted({'dataclasses', 'inspect', "
+            "'argparse', 'gettext', 'locale'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC})
