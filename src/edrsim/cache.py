@@ -25,8 +25,8 @@ Hits, misses and evictions do not depend on time, so every scheme that
 never remaps the cache is timed on one pass, in one trip (see
 `sim.run_schemes`). The per-record work, like the flush of a
 reconfiguration, is C (lru.c), built at first use (see native.py);
-`passes.Passes`, built on a state and a trace, binds a trip's arguments
-to it once.
+`passes.Passes`, built on a state, a trace and the trip's schemes, binds
+all of a trip's arguments to it in one call.
 The kernels route regions through the state's own `layout`, which
 `reconfigure` rewrites, so a bound run follows every reconfiguration.
 """

@@ -12,6 +12,7 @@ passes the same checks as a value written in the file.
 
 import configparser
 import math
+import os
 
 from .cache import CacheGeometry
 from .controller import ControllerConfig, default_config
@@ -230,7 +231,12 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
     scheme_names = []
     for section in sections:
         if section.startswith("scheme."):
-            scheme_names.append(section[len("scheme."):])
+            name = section[len("scheme."):]
+            # the name names the scheme's report files in --out
+            if not name or {"/", os.sep, os.altsep} & set(name):
+                raise ConfigError(f"[{section}] a scheme's name must be "
+                                  "non-empty and hold no path separator")
+            scheme_names.append(name)
         elif section not in _FIXED_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 

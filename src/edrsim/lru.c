@@ -2,8 +2,9 @@
  * compiler and called through ctypes.
  *
  * A trip binds its arguments once, in a struct run (passes.Passes, which
- * binds the cache, the trace and a clock when it is built), and edr_run
- * then takes records [lo, hi) through one loop that does, per record:
+ * binds the cache, the trace, a clock and a timer per scheme when it is
+ * built), and edr_run then takes records [lo, hi) through one loop that
+ * does, per record:
  *
  * - the timing pass (see sim.py), with the clock and its timers, one per
  *   scheme: count the record's instructions, then on every timer turn its
@@ -523,29 +524,22 @@ uint64_t edr_generate(uint64_t *rng, int64_t n, uint64_t instructions,
  * bytes and the byte address (u64), little endian. */
 enum { RECORD_BYTES = 16 };
 
-/* A field of `bytes` bytes: on a little-endian host, a copy of its
- * bytes (which gcc makes one load or store); elsewhere, a byte at a time. */
+/* A field of `bytes` bytes, a byte at a time on every host: unrolled, the
+ * loop is one load or store where the host is little endian. */
 static inline uint64_t get_le(const uint8_t *p, int bytes)
 {
     uint64_t v = 0;
-
-#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    memcpy(&v, p, (size_t)bytes);
-#else
+#pragma GCC unroll 8
     for (int i = bytes - 1; i >= 0; i--)
         v = v << 8 | p[i];
-#endif
     return v;
 }
 
 static inline void put_le(uint8_t *p, uint64_t v, int bytes)
 {
-#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    memcpy(p, &v, (size_t)bytes);
-#else
+#pragma GCC unroll 8
     for (int i = 0; i < bytes; i++, v >>= 8)
         p[i] = (uint8_t)v;
-#endif
 }
 
 /* n records of a trace file into its columns, storing the sum of their

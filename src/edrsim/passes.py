@@ -1,16 +1,19 @@
 """The arguments of lru.c's record loop, edr_run, bound once per trip.
 
-`Passes` binds a trip's functional pass (a cache, the trace, and DCR's
-profiling unit) and its timing pass: a `Clock` that the trip's schemes
-share and a `Timer` per scheme, so that one loop replays the records
-once, times every scheme on each record's code as it is made (RPV's timer
-keeps each line slot's phase, moved by the codes' ages) and stops at the
-end of each interval. Only the tests bind code bytes to store. The
-classes mirror lru.c's structs in order."""
+One `Passes` call binds a trip's functional pass (a cache, the trace, and
+DCR's profiling unit) and its timing pass: a `Clock` that the trip's
+schemes share and a `Timer` per scheme, so that one loop replays the
+records once, times every scheme on each record's code as it is made
+(RPV's timer keeps each line slot's phase, moved by the codes' ages) and
+stops at the end of each interval. Only the tests bind code bytes to
+store. The classes mirror lru.c's structs in order."""
 
 import ctypes
+from array import array
 
 from .cache import CacheState, address, kernel, zeros
+from .energy import SchemeKind
+from .profiler import TimingParams
 
 
 class _Run(ctypes.Structure):
@@ -71,18 +74,27 @@ class Passes:
     `profiler.ProfilingUnit`, its sizes, which look up every block whose
     number is a multiple of the unit's sampling ratio. With `codes`, a
     bytearray of a byte per record, the kernel also stores each record's
-    code there. It also binds a clock with no timer, no warm-up and no
-    close, which `bind_timing` replaces (see `sim._trip`). Calling it with
-    [lo, hi) takes those records through the bound passes, one record at a
-    time, and returns the record after the last one taken: `hi`, or
-    earlier where the timing pass closed an interval. The kernel counts in
-    the bound buffers and structs, the cache's, the profiling unit's, the
-    clock's and the timers', so a call copies nothing back. Records find
-    their sets through the state's layout, which `reconfigure` keeps
-    current.
+    code there. It binds the timing pass too, with `timing`'s CPI and
+    latencies: a `clock` whose warm-up ends at `warm_at` instructions and
+    whose intervals close every `close_at`, and `timers`, one per scheme,
+    in order. A scheme's timer fires a refresh boundary every
+    `phase_cycles` of its `RefreshConfig`, refreshing in each bank the
+    lines that the phase it opens covers: every line for the baseline,
+    the state's valid lines for DCR (its live per-bank counters), and for
+    RPV the valid lines of that last-touch phase, which a byte per line
+    slot keeps (`RefreshConfig` holds the phases to 256); SRAM's never
+    fires. Calling it with [lo, hi) takes those records through the bound
+    passes, one record at a time, and returns the record after the last
+    one taken: `hi`, or earlier where an interval closed. The kernel
+    counts in the bound buffers and structs, the cache's, the profiling
+    unit's, the clock's and the timers', so a call copies nothing back;
+    the caller takes the tallies at each stop. Records find their sets
+    through the state's layout, which `reconfigure` keeps current.
     """
 
-    def __init__(self, state: CacheState, trace, unit=None, codes=None):
+    def __init__(self, state: CacheState, trace, unit, schemes,
+                 timing: TimingParams, warm_at: int, close_at: int,
+                 codes=None):
         g, n = state.geometry, len(trace)
         if unit is not None and unit.ways != g.associativity:
             raise ValueError("the cache and the profiling unit differ in "
@@ -90,67 +102,57 @@ class Passes:
         if max(state.mapping) >= state.active_count:
             raise AssertionError("mapping routes regions to inactive color "
                                  f"{max(state.mapping)}")
-        self.geometry, self.records = g, n
-        clock = Clock(close_at=1 << 62)
-        # the buffers the pointers below point into
-        self._bound = [state, clock]
-        self.args = _Run(cache=ctypes.addressof(state.arrays),
-                         clock=ctypes.addressof(clock))
-        self._bind("addrs", trace.addrs, 8, n)
-        self._bind("codes", codes, 1, n)
-        self._bind("writes", trace.ops, 1, n)
-        self._bind("gaps", trace.gaps, 4, n)
+        self.records, banks = n, g.num_banks
+        self.clock = Clock(warm_at=warm_at, close_at=close_at)
+        # the buffers the pointers below point into, besides the clock's
+        # and the timers'
+        self._bound = [state]
+        pin = self._pin
+        hit = timing.l2_hit_cycles
+        self.args = a = _Run(
+            addrs=pin(trace.addrs, 8, n), codes=pin(codes, 1, n),
+            cache=ctypes.addressof(state.arrays),
+            writes=pin(trace.ops, 1, n), gaps=pin(trace.gaps, 4, n),
+            clock=ctypes.addressof(self.clock), cpi=timing.base_cpi,
+            hit_cycles=hit, miss_cycles=hit + timing.dram_latency_cycles,
+            n_banks=banks, n_timers=len(schemes))
         if unit is not None:
-            self._bind("unit_tags", unit.tags, 8, len(unit.tags))
-            self._bind("unit_fill", unit.fill, 4, len(unit.fill))
-            self._bind("unit_rows", unit.rows, 8, len(unit.rows))
-            self._bind("unit_counts", unit.counts, 8, len(unit.counts))
-            self.args.n_sizes, self.args.ratio = len(unit.sizes), unit.ratio
-        self._byref = ctypes.byref(self.args)
+            a.unit_tags = pin(unit.tags, 8, len(unit.tags))
+            a.unit_fill = pin(unit.fill, 4, len(unit.fill))
+            a.unit_rows = pin(unit.rows, 8, len(unit.rows))
+            a.unit_counts = pin(unit.counts, 8, len(unit.counts))
+            a.n_sizes, a.ratio = len(unit.sizes), unit.ratio
+        self.timers = []
+        for scheme in schemes:
+            refresh, kind = scheme.refresh, scheme.kind
+            timer = Timer(next_boundary=1 << 62, phases=1,
+                          bank_busy=pin(zeros("q", banks), 8, banks))
+            if refresh is not None:  # all but SRAM
+                timer.boundary_len = timer.next_boundary = \
+                    refresh.phase_cycles
+                timer.phases = phases = refresh.phases
+                if kind is SchemeKind.BASELINE_EDRAM:
+                    counts = array("q", [g.lines_per_bank]) * banks
+                elif kind is SchemeKind.DCR:
+                    counts = state.valid_by_bank
+                else:  # RPV
+                    counts = zeros("q", banks * phases)
+                    timer.slot_phase = pin(bytearray(g.total_lines), 1,
+                                           g.total_lines)
+                timer.counts = pin(counts, 8, banks * phases)
+            self.timers.append(timer)
+        pointers = (ctypes.c_void_p * len(schemes))(
+            *map(ctypes.addressof, self.timers))
+        self._bound.append(pointers)
+        a.timers = ctypes.addressof(pointers)
+        self._byref = ctypes.byref(a)
         self._run = kernel("edr_run")
 
-    def _bind(self, name: str, buffer, itemsize: int, n: int) -> None:
-        """Point the kernel's argument `name` at a buffer of n items of
-        `itemsize` bytes, or at nothing for None."""
+    def _pin(self, buffer, itemsize: int, n: int) -> int | None:
+        """The address of a buffer of n items of `itemsize` bytes, kept
+        alive as long as this binding, or None for None."""
         self._bound.append(buffer)
-        setattr(self.args, name,
-                None if buffer is None else address(buffer, itemsize, n))
-
-    def bind_timing(self, cpi: float, hit_cycles: int, miss_cycles: int,
-                    warm_at: int, close_at: int,
-                    timers) -> tuple[Clock, list[Timer]]:
-        """Time the records: the kernel's arguments of the same names (see
-        lru.c's edr_run), on a new clock, and a timer for each
-        (boundary_len, phases, counts, by_phase) of `timers`. A timer fires
-        a refresh boundary every boundary_len cycles, never if 0, which
-        refreshes in bank b the counts[b * phases + phase] lines of the
-        phase it opens (an int64 buffer, None without refresh). With
-        by_phase (RPV), they count the valid lines by the phase of their
-        last touch, and a byte per line slot bound here keeps its phase
-        (`RefreshConfig` holds `phases` to 256). Returns the clock and the
-        timers, whose tallies the caller takes at each stop."""
-        banks, lines = self.geometry.num_banks, self.geometry.total_lines
-        clock, bound = Clock(warm_at=warm_at, close_at=close_at), []
-        for boundary_len, phases, counts, by_phase in timers:
-            timer = Timer(next_boundary=boundary_len or 1 << 62,
-                          boundary_len=boundary_len, phases=phases)
-            busy, slot_phase = zeros("q", banks), None
-            timer.bank_busy = address(busy, 8, banks)
-            if counts is not None:
-                timer.counts = address(counts, 8, banks * phases)
-            if by_phase:
-                slot_phase = bytearray(lines)
-                timer.slot_phase = address(slot_phase, 1, lines)
-            self._bound += [timer, busy, counts, slot_phase]
-            bound.append(timer)
-        pointers = (ctypes.c_void_p * len(bound))(
-            *map(ctypes.addressof, bound))
-        self._bound += [clock, pointers]
-        a = self.args
-        a.clock, a.timers = ctypes.addressof(clock), ctypes.addressof(pointers)
-        a.n_timers, a.n_banks = len(bound), banks
-        a.cpi, a.hit_cycles, a.miss_cycles = cpi, hit_cycles, miss_cycles
-        return clock, bound
+        return None if buffer is None else address(buffer, itemsize, n)
 
     def __call__(self, lo: int, hi: int) -> int:
         if not 0 <= lo <= hi <= self.records:

@@ -12,18 +12,17 @@ A run has two stages, as in gem5's atomic and timing CPUs. The functional
 pass decides each record's hit, eviction and dirty victim, its code byte;
 the timing pass turns the code into cycles, refresh bursts and bank waits.
 Both are one compiled record loop (lru.c's edr_run), which `_trip` binds
-once: a `passes.Passes` built on the trace and a full-size cache of the
-trip's own, then timed with a timer per scheme: the fixed schemes of one
-`run_schemes` call (baseline, RPV and SRAM, which never remap) together,
-or DCR alone with its profiling unit. The functional pass does not
-depend on time, so the fixed schemes share one, and one trip replays and
-times them all; `run` of one fixed scheme is that trip with one timer,
-and a sweep's values of one geometry share one (`cli._sweep_reports`).
-No code byte is stored: each record's code is timed in the iteration
-that makes it.
+in one `passes.Passes` call: the trace, a full-size cache of the trip's
+own, a clock and a timer per scheme. The fixed schemes of one
+`run_schemes` call (baseline, RPV and SRAM, which never remap) share a
+trip: the functional pass does not depend on time, so one trip replays
+and times them all, and a sweep's values of one geometry share one
+(`cli._sweep_reports`). `run` times any one scheme on a trip of its own,
+DCR's with its profiling unit. No code byte is stored: each record's
+code is timed in the iteration that makes it.
 When DCR runs beside the fixed schemes, a helper thread takes the fixed
-trip, its loop and its tallies, while DCR runs on the calling thread:
-the compiled loop releases the GIL.
+trip, its loop and its tallies, while `run` times DCR on the calling
+thread: the compiled loop releases the GIL.
 
 Per record the loop counts the gap's instructions, then on every timer
 adds its cycles, fires the refresh boundaries due by then and waits out a
@@ -49,9 +48,8 @@ reconfiguration rewrites, so the next call follows the new mapping.
 """
 
 import threading
-from array import array
 
-from .cache import CacheGeometry, CacheState, reconfigure, zeros
+from .cache import CacheGeometry, CacheState, reconfigure
 from .controller import Decision, select
 from .energy import EnergyParams, SchemeKind, interval_energy
 from .passes import Passes
@@ -65,17 +63,12 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
         timing: TimingParams, params: EnergyParams,
         warmup_instructions: int | None = None,
         interval_instructions: int | None = None) -> RunReport:
-    """Simulate a trace under one scheme and return the full report.
-
-    A scheme that never remaps (baseline, RPV, SRAM) is `run_schemes` of
-    that scheme alone. DCR's trip stops at each interval's end, so each
-    interval sees the mapping the controller left. Unless given, the
+    """Simulate a trace under one scheme, on a `_trip` of its own, and
+    return the full report. DCR's trip stops at each interval's end, so
+    each interval sees the mapping the controller left. Unless given, the
     warm-up is a tenth of the trace, and an interval is 10,000,000
     instructions for every scheme.
     """
-    if scheme.kind is not SchemeKind.DCR:
-        return run_schemes(trace, [scheme], geometry, timing, params,
-                           warmup_instructions, interval_instructions)[0]
     taken = check_run(trace, scheme, geometry, timing, warmup_instructions,
                       interval_instructions)
     return _time([scheme], _trip(trace, [scheme], geometry, timing, *taken),
@@ -85,42 +78,20 @@ def run(trace: TraceArrays, scheme: SchemeSpec, geometry: CacheGeometry,
 def _trip(trace: TraceArrays, schemes: list[SchemeSpec],
           geometry: CacheGeometry, timing: TimingParams,
           warmup_instructions: int, interval_instructions: int):
-    """One timed trip of `schemes` through the trace, bound on a new
-    full-size cache of its own with a timer each: the schemes that never
-    remap, or one DCR scheme alone, with its profiling unit. Returns the
-    cache, the unit (None without DCR) and the trip's stops: a generator,
-    not yet started, that takes the records up to each stop (see
-    `Passes`) and yields the clock's tallies and each timer's. The checks
+    """One timed trip of `schemes` through the trace, bound by one
+    `Passes` on a new full-size cache of its own, with a timer each: the
+    schemes that never remap, or one DCR scheme alone, with its profiling
+    unit. Returns the cache, the unit (None without DCR) and the trip's
+    stops: a generator, not yet started, that takes the records up to
+    each stop and yields the clock's tallies and each timer's. The checks
     of `check_run` have passed."""
-    dcr = schemes[0] if schemes[0].kind is SchemeKind.DCR else None
+    dcr = schemes[0].controller  # None but for DCR
     n = len(trace)
-    hit_cycles = timing.l2_hit_cycles
-    state, unit = CacheState(geometry), None
-    if dcr is not None:
-        state.min_colors = dcr.controller.c_min
-        unit = ProfilingUnit(geometry, dcr.controller.sampling_ratio_denom)
-    passes = Passes(state, trace, unit)
-    specs = []
-    for scheme in schemes:
-        # a boundary every phase_cycles, over the lines it covers in each
-        # bank, at bank * phases + phase: every line for the baseline,
-        # DCR's valid lines, RPV's valid lines by last-touch phase; without
-        # refresh (SRAM), never
-        refresh, kind = scheme.refresh, scheme.kind
-        if refresh is None:
-            specs.append((0, 1, None, False))
-            continue
-        if kind is SchemeKind.DCR:
-            counts = state.valid_by_bank
-        elif kind is SchemeKind.BASELINE_EDRAM:
-            counts = array("q", [geometry.lines_per_bank]) * geometry.num_banks
-        else:
-            counts = zeros("q", geometry.num_banks * refresh.phases)
-        specs.append((refresh.phase_cycles, refresh.phases, counts,
-                      kind is SchemeKind.RPV))
-    clock, timers = passes.bind_timing(
-        timing.base_cpi, hit_cycles, hit_cycles + timing.dram_latency_cycles,
-        warmup_instructions, interval_instructions, specs)
+    state = CacheState(geometry, dcr.c_min if dcr else 1)
+    unit = dcr and ProfilingUnit(geometry, dcr.sampling_ratio_denom)
+    passes = Passes(state, trace, unit, schemes, timing, warmup_instructions,
+                    interval_instructions)
+    clock, timers = passes.clock, passes.timers
 
     def stops():
         lo = 0
@@ -273,22 +244,24 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
     Every scheme is checked first, in order, so the first invalid one
     raises its own error before any record is replayed. The schemes that
     never remap are then timed together, on one `_trip` with a timer each,
-    bound here: on a helper thread while this thread runs each DCR scheme,
-    if any (the compiled loop releases the GIL, and the trips share only
-    the trace, which neither writes), else here. The helper runs only the
-    loop and the reads of its tallies; the intervals are built here.
+    bound here: on a helper thread while this thread `run`s each DCR
+    scheme, if any (the compiled loop releases the GIL, and the trips
+    share only the trace, which neither writes), else here. The helper
+    runs only the loop and the reads of its tallies; the intervals are
+    built here.
     """
     for scheme in schemes:
         # the warm-up and interval a run takes, the same for every scheme
         taken = check_run(trace, scheme, geometry, timing,
                           warmup_instructions, interval_instructions)
     fixed = [i for i, s in enumerate(schemes) if s.kind is not SchemeKind.DCR]
-    reports = {}
-    if fixed:
-        group = [schemes[i] for i in fixed]
-        state, unit, stops = _trip(trace, group, geometry, timing, *taken)
-        if len(fixed) < len(schemes):
-            done, failed = [], []
+    group = [schemes[i] for i in fixed]
+    helper, failed = None, []
+    if group:
+        state, unit, stops = trip = _trip(trace, group, geometry, timing,
+                                          *taken)
+        if len(group) < len(schemes):
+            done = []
 
             def take():
                 try:
@@ -298,21 +271,19 @@ def run_schemes(trace: TraceArrays, schemes: list[SchemeSpec],
 
             helper = threading.Thread(target=take)
             helper.start()
-            try:
-                for i, scheme in enumerate(schemes):
-                    if i not in fixed:
-                        reports[i] = run(trace, scheme, geometry, timing,
-                                         params, *taken)
-            finally:
-                helper.join()
-            if failed:
-                raise failed[0]
-            stops = done
-        reports.update(zip(fixed, _time(group, (state, unit, stops), geometry,
-                                        timing, params, *taken)))
-    return [reports[i] if i in reports else
-            run(trace, scheme, geometry, timing, params, *taken)
-            for i, scheme in enumerate(schemes)]
+            trip = state, unit, done
+    try:
+        reports = {i: run(trace, scheme, geometry, timing, params, *taken)
+                   for i, scheme in enumerate(schemes) if i not in fixed}
+    finally:
+        if helper is not None:
+            helper.join()
+    if failed:
+        raise failed[0]
+    if group:
+        reports.update(zip(fixed, _time(group, trip, geometry, timing,
+                                        params, *taken)))
+    return [reports[i] for i in range(len(schemes))]
 
 
 def check_compare(schemes: list[SchemeSpec]) -> int:

@@ -34,19 +34,15 @@ def geometry_2mb():
 def trips_bound(monkeypatch):
     """Each trip the simulator binds, in order: whether it binds a
     profiling unit (`unit`, so DCR's trip), its codes buffer (`codes`)
-    and the timers that its `bind_timing` binds (`timers`, none before)."""
+    and the timers that its one `Passes` call binds (`timers`)."""
     trips = []
-    init, bind_timing = Passes.__init__, Passes.bind_timing
+    init = Passes.__init__
 
-    def spy_init(self, state, trace, unit=None, codes=None):
-        init(self, state, trace, unit, codes)
-        self.spied = SimpleNamespace(unit=unit is not None, codes=codes,
-                                     timers=[])
-        trips.append(self.spied)
-
-    def spy_timing(self, *args):
-        clock, self.spied.timers = bind_timing(self, *args)
-        return clock, self.spied.timers
+    def spy_init(self, state, trace, unit, schemes, timing, warm_at,
+                 close_at, codes=None):
+        init(self, state, trace, unit, schemes, timing, warm_at, close_at,
+             codes)
+        trips.append(SimpleNamespace(unit=unit is not None, codes=codes,
+                                     timers=self.timers))
     monkeypatch.setattr(Passes, "__init__", spy_init)
-    monkeypatch.setattr(Passes, "bind_timing", spy_timing)
     return trips

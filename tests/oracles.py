@@ -97,7 +97,7 @@ def replay(state: CacheState, trace: TraceArrays, lo: int, hi: int,
     a multiple of its sampling ratio is looked up at each of its sizes,
     which count its accesses, misses and load misses.
     """
-    Passes(state, trace, unit, codes)(lo, hi)
+    Passes(state, trace, unit, [], TimingParams(), 0, 1 << 62, codes)(lo, hi)
 
 
 def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,

@@ -471,6 +471,28 @@ def test_synthetic_phase_errors_name_their_phase(tmp_path, capsys, phases,
     assert capsys.readouterr().err == f"config error: {error}\n"
 
 
+@pytest.mark.parametrize("command, name", [
+    # report-a/../../../escaped.json resolves outside --out: compare wrote
+    # its comparison and some reports, then failed (exit 1) to rename into
+    # place a temporary file made outside --out
+    ("compare", "a/../../../escaped"),
+    # the empty name fell back to the kind's, so run wrote this scheme and
+    # [scheme.rpv] to one report-rpv.json and exited 0
+    ("run", ""),
+], ids=["separator", "empty"])
+def test_a_scheme_name_that_cannot_name_a_file_is_config_error(
+        tmp_path, capsys, command, name):
+    path = tmp_path / "names.cfg"
+    path.write_text(BASE_CONFIG + f"\n[scheme.{name}]\nkind = rpv\n"
+                    "retention_period_us = 1\n")
+    out = tmp_path / "deep" / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert os.listdir(tmp_path) == ["names.cfg"]
+    assert capsys.readouterr().err == (
+        f"config error: [scheme.{name}] a scheme's name must be non-empty "
+        "and hold no path separator\n")
+
+
 def test_more_than_16_ways_writes_no_output(tmp_path, capsys):
     # configs/demo.cfg with 32-way sets in its 1 MB banks: a hit's code
     # byte numbers the line's age in four bits, so at most 16 ways

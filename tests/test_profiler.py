@@ -256,4 +256,4 @@ def test_replay_rejects_a_unit_of_other_associativity(small_geometry):
                              bank_bytes=32 * 1024)
     with pytest.raises(ValueError, match="differ in geometry"):
         Passes(CacheState(small_geometry), trace_of([(0, Op.READ, 0)]),
-               ProfilingUnit(four_way, 1))
+               ProfilingUnit(four_way, 1), [], TimingParams(), 0, 1 << 62)

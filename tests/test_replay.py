@@ -486,8 +486,9 @@ def test_functional_replay_clock_tallies_its_stored_codes(
     # call's records, what their stored codes say
     trace = _trace(seed=3)
     codes = bytearray(len(trace))
-    passes = Passes(CacheState(small_geometry), trace, codes=codes)
-    clock, timers = passes.bind_timing(1.5, 12, 166, 0, 1 << 62, [])
+    passes = Passes(CacheState(small_geometry), trace, None, [],
+                    TimingParams(base_cpi=1.5), 0, 1 << 62, codes)
+    clock, timers = passes.clock, passes.timers
     assert timers == []
     half = len(trace) // 2
     for lo, hi in (0, half), (half, len(trace)):
@@ -614,8 +615,9 @@ def test_line_words_at_the_top_of_the_address_space(block_bytes):
     trace = trace_of(records)
     state, model = CacheState(geometry), CacheState(geometry)
     codes, reference = bytearray(len(trace)), bytearray(len(trace))
-    passes = Passes(state, trace, codes=codes)
-    clock, _ = passes.bind_timing(1.0, 12, 166, 0, 1 << 62, [])
+    passes = Passes(state, trace, None, [], TimingParams(), 0, 1 << 62,
+                    codes)
+    clock = passes.clock
     written_hits = writebacks = 0
     for lo, hi, colors in (0, 2000, 2), (2000, 4000, 8), (4000, 6000, None):
         assert passes(lo, hi) == hi
