@@ -172,7 +172,7 @@ def kernel(name: str):
                 (lib.edr_generate, u64, [ptr, i64, u64, u64, u64, u64,
                                          ctypes.c_double, ctypes.c_double,
                                          ptr, ptr, ptr]),
-                (lib.edr_unpack, i64, [ptr, i64, ptr, ptr, ptr, ptr]),
+                (lib.edr_unpack, None, [ptr, i64, ptr, ptr, ptr, ptr]),
                 (lib.edr_check_ops, i64, [ptr, i64]),
                 (lib.edr_pack, None, [ptr, i64, ptr, ptr, ptr])):
             routine.restype, routine.argtypes = restype, argtypes

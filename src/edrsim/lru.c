@@ -35,8 +35,8 @@
  * of DCR's moves, in the old colors its caller marks.
  * edr_generate writes one phase of a synthetic trace, and edr_pack and
  * edr_unpack convert a trace's columns to and from the file's records, a
- * buffer's worth at a time; edr_check_ops finds a column's first bad op
- * before a write begins (see trace.py). */
+ * buffer's worth at a time; edr_check_ops finds a column's first bad op,
+ * before a write begins and after a read ends (see trace.py). */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -61,12 +61,13 @@ struct clock {
 };
 
 /* A scheme's timer, carried across calls: its cycle, its next refresh
- * boundary, the boundary length and the current phase; the tallies of
- * cycles and refreshed lines, which restart with the clock's; each bank's
+ * boundary, the boundary length and the current phase; the cycle its
+ * tallies started at (so it has taken now - start cycles since) and the
+ * tally of refreshed lines, both restarted with the clock's; each bank's
  * busy-until cycle; the lines a boundary refreshes in bank b at a phase,
  * counts[b * phases + phase]; and RPV's phase of each line slot. */
 struct timer {
-    int64_t now, next_boundary, boundary_len, phase, cycles, refreshed;
+    int64_t now, next_boundary, boundary_len, phase, start, refreshed;
     int64_t *bank_busy;
     int64_t *counts;
     int64_t phases;
@@ -85,8 +86,8 @@ struct cache {
 };
 
 /* What a run's passes read and write: the functional pass on the
- * cache, and the timing pass on the clock and its timers, none or more.
- * NULL codes skip the store of the code bytes. */
+ * cache, and the timing pass on the clock and its array of n_timers
+ * timers, none or more. NULL codes skip the store of the code bytes. */
 struct run {
     const uint64_t *addrs;
     uint8_t *codes;
@@ -105,7 +106,7 @@ struct run {
     double cpi;
     int64_t hit_cycles, miss_cycles;
     int64_t n_banks;
-    struct timer *const *timers;
+    struct timer *timers;
     int64_t n_timers;
 };
 
@@ -189,8 +190,8 @@ static inline __attribute__((always_inline)) int replay(
 /* A timer after its next refresh boundary fires: in each bank b, the
  * boundary refreshes counts[b * phases + phase] lines at the phase it
  * opens, and holds the bank one cycle per line. Rare, so kept out of the
- * record loop, whose timers need the registers; the timer goes by value,
- * so that a local copy of it stays local. */
+ * record loop, whose timers need the registers; the timer goes by value
+ * and comes back. */
 static __attribute__((noinline, cold)) struct timer fire(struct timer t,
                                                          int64_t n_banks)
 {
@@ -261,11 +262,12 @@ static void settle(struct timer *t, int64_t row_at, int64_t bank, int code,
  * record that closes an interval.
  *
  * Each record adds its gap to the instruction tally and advances every
- * timer by rint(gap * cpi) cycles. The first record whose
- * instructions since the start of the trace reach warm_at ends warm-up
- * after its gap: every tally, the timers' and the unit's counts included,
- * restarts there. Each timer then fires the refresh boundaries due and
- * waits for the record's bank (advance). The record takes the functional
+ * timer by rint(gap * cpi) cycles. The first record whose instructions
+ * since the start of the trace reach warm_at ends warm-up after its gap:
+ * every tally, the timers' and the unit's counts included, restarts
+ * there, and each timer's start moves to that cycle. Each timer then
+ * fires the refresh boundaries due and waits for the record's bank
+ * (advance). The record takes the functional
  * pass, adds to the hit or miss tally (a miss also to those of dirty
  * victims and, unless a write, of load misses), and each timer is
  * charged hit_cycles or miss_cycles (settle). After warm-up, a
@@ -289,19 +291,9 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     const int64_t bank_shift = c.layout[BANK_SHIFT];
     const uint64_t region_mask = (uint64_t)c.layout[REGION_MASK];
     const uint64_t within_mask = (uint64_t)c.layout[WITHIN_MASK];
-    /* a lone timer (DCR's, or one fixed scheme's) is copied here for the
-     * call, where no store through a pointer can reach it */
-    struct timer one, *lone = &one;
-    struct timer *const *timers = a.n_timers == 1 ? &lone : a.timers;
-    const int64_t n_timers = a.n_timers;
     struct clock k = *a.clock;
     int64_t r, stop = hi, i;
 
-    if (n_timers == 1)
-        one = *a.timers[0];
-    /* a timer's cycles count from its cycle at the start of the call */
-    for (i = 0; i < n_timers; i++)
-        timers[i]->cycles -= timers[i]->now;
     for (r = lo; r < hi; r++) {
         uint64_t addr = a.addrs[r], tag = addr >> block_shift;
         int64_t set = first_set[(addr >> page_shift) & region_mask]
@@ -315,16 +307,16 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
             k.warm_at = k.instructions = 0;
             k.hits = k.misses = k.dirty_victims = k.load_misses = 0;
             /* the timers' tallies restart at the end of this gap */
-            for (i = 0; i < n_timers; i++) {
-                timers[i]->cycles = -(timers[i]->now + gap_cycles);
-                timers[i]->refreshed = 0;
+            for (i = 0; i < a.n_timers; i++) {
+                a.timers[i].start = a.timers[i].now + gap_cycles;
+                a.timers[i].refreshed = 0;
             }
             if (a.n_sizes)
                 memset(a.unit_counts, 0, (size_t)a.n_sizes * 3
                                          * sizeof *a.unit_counts);
         }
-        for (i = 0; i < n_timers; i++)
-            advance(timers[i], gap_cycles, bank, a.n_banks);
+        for (i = 0; i < a.n_timers; i++)
+            advance(&a.timers[i], gap_cycles, bank, a.n_banks);
         code = replay(&a, &c, r, tag, set, bank);
         age = code & HIT ? code >> AGE_SHIFT : (int)c.ways - 1;
         if (code & HIT) {
@@ -336,17 +328,13 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
             k.dirty_victims += (code & DIRTY_VICTIM) != 0;
             k.load_misses += !(code & WRITE);
         }
-        for (i = 0; i < n_timers; i++)
-            settle(timers[i], set * c.ways, bank, code, age, latency);
+        for (i = 0; i < a.n_timers; i++)
+            settle(&a.timers[i], set * c.ways, bank, code, age, latency);
         if (!k.warm_at && k.instructions >= k.close_at) {
             stop = r + 1;
             break;
         }
     }
-    for (i = 0; i < n_timers; i++)
-        timers[i]->cycles += timers[i]->now;
-    if (n_timers == 1)
-        *a.timers[0] = one;
     *a.clock = k;
     return stop;
 }
@@ -543,30 +531,26 @@ static inline void put_le(uint8_t *p, uint64_t v, int bytes)
 }
 
 /* n records of a trace file into its columns, storing the sum of their
- * gaps. Returns n, or the index of the first record whose op is neither
- * READ (0) nor WRITE (1); its fields are unpacked. */
-int64_t edr_unpack(const uint8_t *records, int64_t n, uint32_t *gaps,
-                   uint8_t *ops, uint64_t *addrs, uint64_t *gap_sum)
+ * gaps; the ops are checked once all are in (edr_check_ops). */
+void edr_unpack(const uint8_t *records, int64_t n, uint32_t *gaps,
+                uint8_t *ops, uint64_t *addrs, uint64_t *gap_sum)
 {
     uint64_t sum = 0;
-    int64_t j;
 
-    for (j = 0; j < n; j++) {
+    for (int64_t j = 0; j < n; j++) {
         const uint8_t *p = records + j * RECORD_BYTES;
 
         gaps[j] = (uint32_t)get_le(p, 4);
         ops[j] = p[4];
         addrs[j] = get_le(p + 8, 8);
         sum += gaps[j];
-        if (ops[j] > 1)
-            break;
     }
     *gap_sum = sum;
-    return j;
 }
 
 /* The index of the first of n ops that is neither READ (0) nor WRITE (1),
- * or n. */
+ * or n: a trace's whole ops column, before a write begins and after a
+ * read ends. */
 int64_t edr_check_ops(const uint8_t *ops, int64_t n)
 {
     int64_t j = 0;

@@ -53,16 +53,16 @@ class Timer(ctypes.Structure):
     banks."""
 
     _fields_ = [(name, ctypes.c_int64) for name in (
-        "now", "next_boundary", "boundary_len", "phase", "cycles",
+        "now", "next_boundary", "boundary_len", "phase", "start",
         "refreshed")] + [
         ("bank_busy", ctypes.c_void_p), ("counts", ctypes.c_void_p),
         ("phases", ctypes.c_int64), ("slot_phase", ctypes.c_void_p)]
 
     def take(self) -> tuple[int, int]:
         """The cycles and refreshed lines since the last take, or since
-        warm-up ended; cleared."""
-        got = self.cycles, self.refreshed
-        self.cycles = self.refreshed = 0
+        warm-up ended; the tallies restart at the current cycle."""
+        got = self.now - self.start, self.refreshed
+        self.start, self.refreshed = self.now, 0
         return got
 
 
@@ -77,7 +77,8 @@ class Passes:
     code there. It binds the timing pass too, with `timing`'s CPI and
     latencies: a `clock` whose warm-up ends at `warm_at` instructions and
     whose intervals close every `close_at`, and `timers`, one per scheme,
-    in order. A scheme's timer fires a refresh boundary every
+    in order: the elements of one array, which the kernel steps through on
+    every record. A scheme's timer fires a refresh boundary every
     `phase_cycles` of its `RefreshConfig`, refreshing in each bank the
     lines that the phase it opens covers: every line for the baseline,
     the state's valid lines for DCR (its live per-bank counters), and for
@@ -88,7 +89,9 @@ class Passes:
     one taken: `hi`, or earlier where an interval closed. The kernel
     counts in the bound buffers and structs, the cache's, the profiling
     unit's, the clock's and the timers', so a call copies nothing back;
-    the caller takes the tallies at each stop. Records find their sets
+    the caller takes the tallies at each stop. A timer keeps the cycle its
+    tallies started at, so its cycles are `now - start`; the end of
+    warm-up moves `start` to the cycle it ends at. Records find their sets
     through the state's layout, which `reconfigure` keeps current.
     """
 
@@ -122,11 +125,13 @@ class Passes:
             a.unit_rows = pin(unit.rows, 8, len(unit.rows))
             a.unit_counts = pin(unit.counts, 8, len(unit.counts))
             a.n_sizes, a.ratio = len(unit.sizes), unit.ratio
-        self.timers = []
-        for scheme in schemes:
+        timers = (Timer * len(schemes))()
+        a.timers = ctypes.addressof(timers)
+        self.timers = list(timers)  # each keeps the array alive
+        for scheme, timer in zip(schemes, self.timers):
             refresh, kind = scheme.refresh, scheme.kind
-            timer = Timer(next_boundary=1 << 62, phases=1,
-                          bank_busy=pin(zeros("q", banks), 8, banks))
+            timer.next_boundary, timer.phases = 1 << 62, 1
+            timer.bank_busy = pin(zeros("q", banks), 8, banks)
             if refresh is not None:  # all but SRAM
                 timer.boundary_len = timer.next_boundary = \
                     refresh.phase_cycles
@@ -140,11 +145,6 @@ class Passes:
                     timer.slot_phase = pin(bytearray(g.total_lines), 1,
                                            g.total_lines)
                 timer.counts = pin(counts, 8, banks * phases)
-            self.timers.append(timer)
-        pointers = (ctypes.c_void_p * len(schemes))(
-            *map(ctypes.addressof, self.timers))
-        self._bound.append(pointers)
-        a.timers = ctypes.addressof(pointers)
         self._byref = ctypes.byref(a)
         self._run = kernel("edr_run")
 

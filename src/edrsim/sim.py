@@ -33,9 +33,9 @@ and adds the hit or miss latency. The schemes share the records, their
 outcomes, the warm-up and the interval closes, which depend on
 instructions only, so one clock holds those tallies for all of them; a
 timer holds its scheme's cycle, refresh boundaries, bank timers,
-counters and the tallies of cycles and refreshed lines. A scheme with
-refresh has a boundary every `phase_cycles` of its `RefreshConfig` and
-`phases` counters per bank; baseline and DCR take one phase. RPV keeps
+counters, the cycle its tallies started at and the tally of refreshed
+lines. A scheme with refresh has a boundary every `phase_cycles` of its
+`RefreshConfig` and `phases` counters per bank; baseline and DCR take one phase. RPV keeps
 the phase of each line slot, a byte per line (`RefreshConfig` holds the
 phases to 256), each set's most recent first, and replays on them the LRU
 move that each code gives: a hit's holds the line's age, its slot in that

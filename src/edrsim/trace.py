@@ -47,9 +47,11 @@ class Op(IntEnum):
 
 
 class TraceHeader(Record):
-    def __init__(self, version: int = FORMAT_VERSION, record_count: int = 0,
-                 page_size_bytes: int = 4096, description: str = ""):
-        self.version = version
+    """A trace file's header; a file is written at FORMAT_VERSION, and a
+    file of another version is rejected."""
+
+    def __init__(self, record_count: int = 0, page_size_bytes: int = 4096,
+                 description: str = ""):
         self.record_count = record_count
         self.page_size_bytes = p = page_size_bytes
         self.description = description
@@ -89,15 +91,22 @@ def _columns(n: int) -> TraceArrays:
     return TraceArrays(zeros("I", n), bytearray(n), zeros("Q", n), 0)
 
 
-def _column_addresses(arrays: TraceArrays) -> tuple:
+def _column_addresses(arrays: TraceArrays, lo: int = 0) -> tuple:
+    """The addresses of the gap, op and address of record `lo`."""
     n = len(arrays)
-    return (address(arrays.gaps, 4, n), address(arrays.ops, 1, n),
-            address(arrays.addrs, 8, n))
+    return (address(arrays.gaps, 4, n) + 4 * lo,
+            address(arrays.ops, 1, n) + lo,
+            address(arrays.addrs, 8, n) + 8 * lo)
 
 
-def _bad_op(index: int, op: int) -> TraceError:
-    return TraceError(f"record {index}: op {op} is neither READ "
-                      f"({Op.READ:d}) nor WRITE ({Op.WRITE:d})")
+def _check_ops(arrays: TraceArrays) -> None:
+    """Reject a trace with an op that is neither READ nor WRITE, naming the
+    first such record."""
+    n = len(arrays)
+    bad = kernel("edr_check_ops")(address(arrays.ops, 1, n), n)
+    if bad < n:
+        raise TraceError(f"record {bad}: op {arrays.ops[bad]} is neither "
+                         f"READ ({Op.READ:d}) nor WRITE ({Op.WRITE:d})")
 
 
 class PhaseSpec(Record):
@@ -166,7 +175,7 @@ class SyntheticTraceSpec(Record):
 
 def _pack_header(header: TraceHeader) -> bytes:
     desc = header.description.encode("utf-8")
-    return _HEADER.pack(MAGIC, header.version, header.record_count,
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, header.record_count,
                         header.page_size_bytes, len(desc)) + desc
 
 
@@ -174,20 +183,15 @@ def write_trace_arrays(arrays: TraceArrays, header: TraceHeader, sink) -> int:
     """Write header + fixed-width records to a binary stream, packed a
     buffer at a time.
 
-    Returns the number of bytes written. The header must have this format's
-    version and header.record_count the number of records, and every op must
-    be READ or WRITE: the writer refuses what `read_trace_arrays` rejects,
-    before it writes a byte.
+    Returns the number of bytes written. header.record_count must be the
+    number of records, and every op must be READ or WRITE: the writer
+    refuses what `read_trace_arrays` rejects, before it writes a byte.
     """
-    _check_version(header.version)
     n = len(arrays)
     if header.record_count != n:
         raise TraceError(
             f"header says {header.record_count} records, have {n}")
-    gaps, ops, addrs = _column_addresses(arrays)
-    bad = kernel("edr_check_ops")(ops, n)
-    if bad < n:
-        raise _bad_op(bad, arrays.ops[bad])
+    _check_ops(arrays)
     hdr = _pack_header(header)
     sink.write(hdr)
     buf = bytearray(_BUFFER_BYTES)  # the pad bytes stay zero
@@ -195,15 +199,9 @@ def write_trace_arrays(arrays: TraceArrays, header: TraceHeader, sink) -> int:
         kernel("edr_pack")
     for lo in range(0, n, _BUFFER_RECORDS):
         m = min(_BUFFER_RECORDS, n - lo)
-        pack(base, m, gaps + 4 * lo, ops + lo, addrs + 8 * lo)
+        pack(base, m, *_column_addresses(arrays, lo))
         sink.write(view[:m * _RECORD_BYTES])
     return len(hdr) + n * _RECORD_BYTES
-
-
-def _check_version(version: int) -> None:
-    if version != FORMAT_VERSION:
-        raise TraceError(f"trace format version {version}, expected "
-                         f"{FORMAT_VERSION}")
 
 
 def _fill(source, view: memoryview, want: int) -> int:
@@ -224,7 +222,9 @@ def _read_header(source, view: memoryview) -> TraceHeader:
     magic, version, count, page, desc_len = _HEADER.unpack_from(view)
     if magic != MAGIC:
         raise TraceError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    _check_version(version)
+    if version != FORMAT_VERSION:
+        raise TraceError(f"trace format version {version}, expected "
+                         f"{FORMAT_VERSION}")
     desc = bytearray()  # grows as its bytes arrive, whatever desc_len says
     while len(desc) < desc_len:
         want = min(desc_len - len(desc), len(view))
@@ -238,8 +238,8 @@ def _read_header(source, view: memoryview) -> TraceHeader:
         raise TraceError(f"trace description is not UTF-8: byte "
                          f"{desc[exc.start]:#04x} at offset {exc.start}"
                          ) from None
-    return TraceHeader(version=version, record_count=count,
-                       page_size_bytes=page, description=text)
+    return TraceHeader(record_count=count, page_size_bytes=page,
+                       description=text)
 
 
 def _records_held(source) -> int:
@@ -271,37 +271,33 @@ def read_trace_arrays(source) -> tuple[TraceHeader, TraceArrays]:
     each buffer's whole records are unpacked into the columns in place. A
     regular file's columns are sized once, for the records it holds; a
     stream's grow as its records arrive. So a count past the end sizes
-    nothing, and a pipe is left holding whatever follows the records."""
+    nothing, and a pipe is left holding whatever follows the records. The
+    ops are checked once every record is in, so a missing record is
+    reported before a bad op."""
     buf = bytearray(_BUFFER_BYTES)
     view = memoryview(buf)
     header = _read_header(source, view)
     n = header.record_count
     arrays = _columns(min(n, _records_held(source)))
-    gaps, ops, addrs = _column_addresses(arrays)
     base, unpack = address(buf, 1, len(buf)), kernel("edr_unpack")
     gap_sum = ctypes.c_uint64()
-    # records read; the first bad op's record, reported only if no record
-    # is missing. Each read asks for whole records, and only the stream's
-    # end leaves it short, so no part of a record is carried over.
-    done, bad = 0, None
+    # records read. Each read asks for whole records, and only the
+    # stream's end leaves it short, so no part of a record is carried over.
+    done = 0
     while done < n:
         want = min(len(buf), (n - done) * _RECORD_BYTES)
         end = _fill(source, view, want)
         m = end // _RECORD_BYTES
-        if m and bad is None:
+        if m:
             if done + m > len(arrays):
                 _grow(arrays, done + m)
-                gaps, ops, addrs = _column_addresses(arrays)
-            k = unpack(base, m, gaps + 4 * done, ops + done,
-                       addrs + 8 * done, ctypes.byref(gap_sum))
+            unpack(base, m, *_column_addresses(arrays, done),
+                   ctypes.byref(gap_sum))
             arrays.instructions += gap_sum.value
-            if k < m:
-                bad = done + k
         done += m
         if end < want:
             raise TraceError(f"truncated record at index {done}")
-    if bad is not None:
-        raise _bad_op(bad, arrays.ops[bad])
+    _check_ops(arrays)
     return header, arrays
 
 
@@ -376,16 +372,13 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> TraceArrays:
     arrays = _columns(sum(counts))
     rng = _pcg64(spec.rng_seed)
     state = address(rng, 8, len(rng))
-    gaps, ops, addrs = _column_addresses(arrays)
     generate = kernel("edr_generate")
-    block = spec.block_bytes
+    block, lo = spec.block_bytes, 0
     for phase_idx, (phase, n) in enumerate(zip(spec.phases, counts)):
         arrays.instructions += generate(
             state, n, phase.instructions,
             -(-phase.working_set_bytes // block),  # ceil
             phase_idx * _PHASE_STRIDE_BLOCKS, block, phase.reuse_locality,
-            phase.write_fraction, gaps, ops, addrs)
-        gaps += 4 * n
-        ops += n
-        addrs += 8 * n
+            phase.write_fraction, *_column_addresses(arrays, lo))
+        lo += n
     return arrays

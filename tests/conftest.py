@@ -1,3 +1,4 @@
+import fnmatch
 import os
 import sys
 from types import SimpleNamespace
@@ -8,6 +9,29 @@ sys.path.insert(0, os.path.dirname(__file__))  # for `import oracles`
 
 from edrsim.cache import CacheGeometry
 from edrsim.passes import Passes
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _ignored(name: str) -> bool:
+    """Whether the root's .gitignore ignores an entry of the root: its
+    caches and build output."""
+    with open(os.path.join(ROOT, ".gitignore")) as fh:
+        patterns = [line.strip().strip("/") for line in fh]
+    return any(p and fnmatch.fnmatch(name, p) for p in patterns)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def root_left_clean():
+    """The run leaves no new file or directory in the repository root,
+    but for what .gitignore ignores: a test writes under a temporary
+    directory of its own."""
+    before = set(os.listdir(ROOT))
+    yield
+    new = sorted(name for name in set(os.listdir(ROOT)) - before
+                 if not _ignored(name))
+    if new:
+        pytest.fail(f"the tests left {new} in {ROOT}")
 
 
 @pytest.fixture

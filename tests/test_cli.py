@@ -1571,9 +1571,14 @@ _ARGV = st.tuples(
 @given(argv=_ARGV)
 @example(argv=["sweep", "--config", "CFG", "--out", "OUT",
                "--parameter=beta", "--values", "1,3", "--seed", "1"])
+@example(argv=["gen-trace", "--config", "CFG", "--out", "beta"])
 def test_any_argv_exits_0_or_fails_cleanly(argv):
-    # main never raises: it returns 0, 1, or 2 having written nothing
+    # main never raises: it returns 0, 1, or 2 having written nothing. It
+    # runs in the temporary directory, where a relative --out lands, and
+    # leaves the caller's working directory as it found it
     text = _TINY_CONFIG.replace("l2_size_kb = 64", "l2_size_kb = 512")
+    home = os.getcwd()
+    listing = sorted(os.listdir(home))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w") as fh:
@@ -1581,10 +1586,14 @@ def test_any_argv_exits_0_or_fails_cleanly(argv):
         names = {"CFG": path, "OUT": os.path.join(tmp, "out")}
         argv = [t.replace("CFG", names["CFG"]).replace("OUT", names["OUT"])
                 for t in argv]
+        os.chdir(tmp)
         try:
             rc = main(argv)
         except SystemExit as exc:
             pytest.fail(f"SystemExit({exc.code}) from {argv}")
+        finally:
+            os.chdir(home)
+        assert sorted(os.listdir(home)) == listing, argv
         assert rc in (0, 1, 2), argv
         if rc == 2:
             assert os.listdir(tmp) == ["run.cfg"], argv

@@ -346,9 +346,6 @@ def test_op_other_than_read_or_write_rejected():
 
 def test_writer_rejects_what_the_reader_rejects():
     sink = io.BytesIO()
-    with pytest.raises(TraceError, match="version 99, expected 1"):
-        write_trace_arrays(trace_of([(1, Op.READ, 0)]),
-                           TraceHeader(version=99, record_count=1), sink)
     records = [(1, Op.READ, i * 64) for i in range(4)]
     records[2] = (1, 7, 128)
     with pytest.raises(TraceError, match="record 2: op 7 is neither"):
