@@ -146,16 +146,6 @@ class CacheState:
         return sum(self.valid_by_bank)
 
 
-# a record's code byte: its outcome bits and, for a hit, from bit AGE_SHIFT
-# up, the line's age: the lines of its set touched since, 0 for the most
-# recent
-HIT = 1
-EVICTED = 2  # a miss that pushed out the set's least recent line
-DIRTY_VICTIM = 4  # ... and that line was dirty
-WRITE = 8
-AGE_SHIFT = 4
-
-
 _lib = None
 
 

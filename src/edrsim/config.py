@@ -236,6 +236,11 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
             if not name or {"/", os.sep, os.altsep} & set(name):
                 raise ConfigError(f"[{section}] a scheme's name must be "
                                   "non-empty and hold no path separator")
+            # report-NAME.intervals.csv, the longest, must fit NAME_MAX
+            if "\0" in name or len(os.fsencode(
+                    f"report-{name}.intervals.csv")) > 255:
+                raise ConfigError(f"[{section}] a scheme's name must hold "
+                                  "no NUL byte and at most 234 bytes")
             scheme_names.append(name)
         elif section not in _FIXED_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")

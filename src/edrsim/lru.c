@@ -2,14 +2,14 @@
  * compiler and called through ctypes.
  *
  * A trip binds its arguments once, in a struct run (passes.Passes, which
- * binds the cache, the trace, a clock and a timer per scheme when it is
- * built), and edr_run then takes records [lo, hi) through one loop that
- * does, per record:
+ * binds the cache, the trace and a timer per scheme when it is built),
+ * whose last members are the trip's clock, and edr_run then takes records
+ * [lo, hi) through one loop that does, per record:
  *
- * - the timing pass (see sim.py), with the clock and its timers, one per
- *   scheme: count the record's instructions, then on every timer turn its
- *   gap into cycles, fire the refresh events due by then and wait out a
- *   burst on its bank;
+ * - the timing pass (see sim.py), with the run's clock and its timers,
+ *   one per scheme: count the record's instructions, then on every timer
+ *   turn its gap into cycles, fire the refresh events due by then and
+ *   wait out a burst on its bank;
  * - the functional pass (see cache.py) on the run's cache: an LRU step
  *   over flat arrays, applied to the main cache and to each size of DCR's
  *   profiling unit. A set is a row of `ways` line slots, a word each: the
@@ -49,17 +49,6 @@ enum { BLOCK_SHIFT, PAGE_SHIFT, REGION_MASK, WITHIN_MASK, BANK_SHIFT,
  * right by at least one bit, since a block holds 2 bytes or more */
 #define DIRTY ((uint64_t)1 << 63)
 
-/* The timing pass's clock, carried across calls and shared by its
- * timers, whose schemes see the same records and the same outcomes: the
- * instructions that end warm-up (0 once warm-up has ended, or without
- * one) and those that close an interval; then the tallies since warm-up
- * ended or the caller last cleared them: instructions, hits, misses,
- * dirty victims and load misses. */
-struct clock {
-    int64_t warm_at, close_at;
-    int64_t instructions, hits, misses, dirty_victims, load_misses;
-};
-
 /* A scheme's timer, carried across calls: its cycle, its next refresh
  * boundary, the boundary length and the current phase; the cycle its
  * tallies started at (so it has taken now - start cycles since) and the
@@ -86,8 +75,8 @@ struct cache {
 };
 
 /* What a run's passes read and write: the functional pass on the
- * cache, and the timing pass on the clock and its array of n_timers
- * timers, none or more. NULL codes skip the store of the code bytes. */
+ * cache, and the timing pass on an array of n_timers timers, none or
+ * more, and on the clock. NULL codes skip the store of the code bytes. */
 struct run {
     const uint64_t *addrs;
     uint8_t *codes;
@@ -101,13 +90,18 @@ struct run {
     const int64_t *unit_rows;
     int64_t *unit_counts;
     /* the timing pass */
-    struct clock *clock;
     const uint32_t *gaps;
     double cpi;
     int64_t hit_cycles, miss_cycles;
     int64_t n_banks;
     struct timer *timers;
     int64_t n_timers;
+    /* the clock, shared by the timers, whose schemes see the same records
+     * and outcomes: the instructions that end warm-up (0 once it has
+     * ended, or without one) and those that close an interval; then the
+     * tallies since warm-up ended or the caller last cleared them */
+    int64_t warm_at, close_at;
+    int64_t instructions, hits, misses, dirty_victims, load_misses;
 };
 
 /* One access to a set: a hit moves its line's word to the end of the
@@ -257,9 +251,9 @@ static void settle(struct timer *t, int64_t row_at, int64_t bank, int code,
     t->now += latency;
 }
 
-/* Take records [lo, hi) through the passes the run binds (see above) and
- * return the record after the last one taken: hi, or earlier after a
- * record that closes an interval.
+/* Take records [lo, hi) through the passes the run binds (see above),
+ * store the run's clock back, and return the record after the last one
+ * taken: hi, or earlier after a record that closes an interval.
  *
  * Each record adds its gap to the instruction tally and advances every
  * timer by rint(gap * cpi) cycles. The first record whose instructions
@@ -279,11 +273,11 @@ static void settle(struct timer *t, int64_t row_at, int64_t bank, int code,
  * the valid lines by the phase of their last touch, which it keeps per
  * line slot from each record's code, made by the same iteration's LRU
  * step (settle). */
-int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
+int64_t edr_run(struct run *run, int64_t lo, int64_t hi)
 {
     /* copies, which the stores of the loop cannot alias; reconfigure
-     * rewrites the layout only between calls */
-    const struct run a = *run;
+     * rewrites the layout only between calls, and a's clock goes back */
+    struct run a = *run;
     const struct cache c = *a.cache;
     const int64_t *first_set = c.layout + FIRST_SET;
     const int64_t block_shift = c.layout[BLOCK_SHIFT];
@@ -291,7 +285,6 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
     const int64_t bank_shift = c.layout[BANK_SHIFT];
     const uint64_t region_mask = (uint64_t)c.layout[REGION_MASK];
     const uint64_t within_mask = (uint64_t)c.layout[WITHIN_MASK];
-    struct clock k = *a.clock;
     int64_t r, stop = hi, i;
 
     for (r = lo; r < hi; r++) {
@@ -302,10 +295,10 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
         int64_t gap_cycles = (int64_t)rint(a.gaps[r] * a.cpi), latency;
         int code, age;
 
-        k.instructions += a.gaps[r];
-        if (k.warm_at && k.instructions >= k.warm_at) {
-            k.warm_at = k.instructions = 0;
-            k.hits = k.misses = k.dirty_victims = k.load_misses = 0;
+        a.instructions += a.gaps[r];
+        if (a.warm_at && a.instructions >= a.warm_at) {
+            a.warm_at = a.instructions = 0;
+            a.hits = a.misses = a.dirty_victims = a.load_misses = 0;
             /* the timers' tallies restart at the end of this gap */
             for (i = 0; i < a.n_timers; i++) {
                 a.timers[i].start = a.timers[i].now + gap_cycles;
@@ -321,21 +314,21 @@ int64_t edr_run(const struct run *run, int64_t lo, int64_t hi)
         age = code & HIT ? code >> AGE_SHIFT : (int)c.ways - 1;
         if (code & HIT) {
             latency = a.hit_cycles;
-            k.hits++;
+            a.hits++;
         } else {
             latency = a.miss_cycles;
-            k.misses++;
-            k.dirty_victims += (code & DIRTY_VICTIM) != 0;
-            k.load_misses += !(code & WRITE);
+            a.misses++;
+            a.dirty_victims += (code & DIRTY_VICTIM) != 0;
+            a.load_misses += !(code & WRITE);
         }
         for (i = 0; i < a.n_timers; i++)
             settle(&a.timers[i], set * c.ways, bank, code, age, latency);
-        if (!k.warm_at && k.instructions >= k.close_at) {
+        if (!a.warm_at && a.instructions >= a.close_at) {
             stop = r + 1;
             break;
         }
     }
-    *a.clock = k;
+    *run = a;
     return stop;
 }
 

@@ -31,18 +31,20 @@ outcome, and on every timer updates the counters an event reads (DCR's
 valid lines per bank; RPV's valid lines per bank and last-touch phase)
 and adds the hit or miss latency. The schemes share the records, their
 outcomes, the warm-up and the interval closes, which depend on
-instructions only, so one clock holds those tallies for all of them; a
-timer holds its scheme's cycle, refresh boundaries, bank timers,
-counters, the cycle its tallies started at and the tally of refreshed
-lines. A scheme with refresh has a boundary every `phase_cycles` of its
-`RefreshConfig` and `phases` counters per bank; baseline and DCR take one phase. RPV keeps
+instructions only, so one clock, the last members of the trip's
+`struct run`, holds those tallies for all of them; a timer holds its
+scheme's cycle, refresh boundaries, bank timers, counters, the cycle its
+tallies started at and the tally of refreshed lines. A scheme with
+refresh has a boundary every `phase_cycles` of its `RefreshConfig` and
+`phases` counters per bank; baseline and DCR take one phase. RPV keeps
 the phase of each line slot, a byte per line (`RefreshConfig` holds the
 phases to 256), each set's most recent first, and replays on them the LRU
 move that each code gives: a hit's holds the line's age, its slot in that
 order. The loop itself finds where warm-up ends, restarting the tallies
 there, and stops after a record that closes an interval. The clock and
-the timers carry from one call to the next; `_time` turns each stop's
-tallies into each scheme's interval and lets DCR's controller act. DCR's
+the timers carry from one call to the next; at each stop `Passes.take`
+reads and restarts all their tallies at once, and `_time` turns them
+into each scheme's interval and lets DCR's controller act. DCR's
 records find their sets through the cache's own layout, which a
 reconfiguration rewrites, so the next call follows the new mapping.
 """
@@ -83,24 +85,23 @@ def _trip(trace: TraceArrays, schemes: list[SchemeSpec],
     schemes that never remap, or one DCR scheme alone, with its profiling
     unit. Returns the cache, the unit (None without DCR) and the trip's
     stops: a generator, not yet started, that takes the records up to
-    each stop and yields the clock's tallies and each timer's. The checks
-    of `check_run` have passed."""
+    each stop and yields `Passes.take`: the clock's tallies and each
+    timer's. The checks of `check_run` have passed."""
     dcr = schemes[0].controller  # None but for DCR
     n = len(trace)
     state = CacheState(geometry, dcr.c_min if dcr else 1)
     unit = dcr and ProfilingUnit(geometry, dcr.sampling_ratio_denom)
     passes = Passes(state, trace, unit, schemes, timing, warmup_instructions,
                     interval_instructions)
-    clock, timers = passes.clock, passes.timers
 
     def stops():
         lo = 0
         while True:
             # up to the record that closes an interval, or to the end
             lo = passes(lo, n)
-            tallies = clock.take()
-            yield tallies, [timer.take() for timer in timers]
-            if lo == n and tallies[0] < interval_instructions:
+            taken = passes.take()
+            yield taken
+            if lo == n and taken[0][0] < interval_instructions:
                 return
     return state, unit, stops()
 

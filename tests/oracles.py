@@ -31,6 +31,9 @@ charges, and
 `reference_run`, the record-at-a-time replay that `sim.run`'s two-stage
 replay must match, counts refreshed lines from the same model.
 
+`HIT`, `EVICTED`, `DIRTY_VICTIM`, `WRITE` and `AGE_SHIFT` name the
+parts of the code byte, as lru.c makes it, and `predicted_hit_ratio`
+gives LRU's hit ratio on a uniform working set from first principles.
 `trace_of` builds a trace from tuples, and `replay_codes` and
 `age_column` drive the real functional pass, for tests that check the
 cache itself; `age_mirror` is `age_column` from per-set lists. `plain` is
@@ -47,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from edrsim import native
-from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
-                          CacheGeometry, CacheState, ReconfigReport, layout,
+from edrsim.cache import (CacheGeometry, CacheState, ReconfigReport, layout,
                           reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                candidate_space, select)
@@ -111,6 +113,15 @@ def replay_codes(state: CacheState, trace: TraceArrays, lo: int = 0,
 
 
 DIRTY = 1 << 63  # a line slot's dirty bit, above its tag
+
+# a record's code byte, as lru.c makes it: its outcome bits and, for a hit,
+# from bit AGE_SHIFT up, the line's age: the lines of its set touched
+# since, 0 for the most recent
+HIT = 1
+EVICTED = 2  # a miss that pushed out the set's least recent line
+DIRTY_VICTIM = 4  # ... and that line was dirty
+WRITE = 8
+AGE_SHIFT = 4
 
 
 def _words(state, row: int) -> list[int]:
@@ -293,6 +304,16 @@ def size_counts(unit: ProfilingUnit) -> list[tuple[int, int, int]]:
     accesses)."""
     counts = unit.counts.tolist()
     return [tuple(counts[i:i + 3]) for i in range(0, len(counts), 3)]
+
+
+def predicted_hit_ratio(lines: int, ws_blocks: int) -> float:
+    """The steady-state LRU hit ratio of a cache of `lines` lines under
+    uniform, independent references to a working set of `ws_blocks`
+    blocks that spread evenly over its sets: min(1, A*S/W). A set of A
+    ways then holds A of its k = W/S blocks, whichever were touched, so
+    every reference hits with probability min(1, A/k) (King, IFIP 1971;
+    Mattson et al., IBM Systems Journal 1970)."""
+    return min(1.0, lines / ws_blocks)
 
 
 def profiler_overhead_bytes(unit: ProfilingUnit, tag_bits: int = 30) -> float:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (RpvPhases, SetLists, access_block, all_sets, dirty_bits,
+from oracles import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE, RpvPhases,
+                     SetLists, access_block, all_sets, dirty_bits,
                      dirty_tags, flush_reference, full_profile,
                      reconfigure_reference, replay_codes, trace_of,
                      validate_state, view)
 from edrsim import cache
-from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
-                          CacheGeometry, CacheState, GeometryError,
+from edrsim.cache import (CacheGeometry, CacheState, GeometryError,
                           ReconfigError, layout, reconfigure, zeros)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic

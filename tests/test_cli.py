@@ -471,17 +471,32 @@ def test_synthetic_phase_errors_name_their_phase(tmp_path, capsys, phases,
     assert capsys.readouterr().err == f"config error: {error}\n"
 
 
-@pytest.mark.parametrize("command, name", [
+_SEPARATOR = "be non-empty and hold no path separator"
+_FILE_NAME = "hold no NUL byte and at most 234 bytes"
+
+
+@pytest.mark.parametrize("command, name, rule", [
     # report-a/../../../escaped.json resolves outside --out: compare wrote
     # its comparison and some reports, then failed (exit 1) to rename into
     # place a temporary file made outside --out
-    ("compare", "a/../../../escaped"),
+    ("compare", "a/../../../escaped", _SEPARATOR),
     # the empty name fell back to the kind's, so run wrote this scheme and
     # [scheme.rpv] to one report-rpv.json and exited 0
-    ("run", ""),
-], ids=["separator", "empty"])
+    ("run", "", _SEPARATOR),
+    # report-NAME.json is 262 bytes, more than a file name holds: compare
+    # wrote its comparison and the reports before it, then exited 1
+    ("compare", "s" * 250, _FILE_NAME),
+    # report-NAME.intervals.csv is 256 bytes: run wrote the other schemes'
+    # reports, then exited 1
+    ("run", "s" * 235, _FILE_NAME),
+    ("run", "é" * 117 + "s", _FILE_NAME),  # 235 bytes in 118 characters
+    # run wrote the other schemes' reports, then exited 1 on the embedded
+    # null byte
+    ("run", "a\0b", _FILE_NAME),
+], ids=["separator", "empty", "too long", "one byte too long",
+        "too long in bytes", "nul"])
 def test_a_scheme_name_that_cannot_name_a_file_is_config_error(
-        tmp_path, capsys, command, name):
+        tmp_path, capsys, command, name, rule):
     path = tmp_path / "names.cfg"
     path.write_text(BASE_CONFIG + f"\n[scheme.{name}]\nkind = rpv\n"
                     "retention_period_us = 1\n")
@@ -489,8 +504,18 @@ def test_a_scheme_name_that_cannot_name_a_file_is_config_error(
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert os.listdir(tmp_path) == ["names.cfg"]
     assert capsys.readouterr().err == (
-        f"config error: [scheme.{name}] a scheme's name must be non-empty "
-        "and hold no path separator\n")
+        f"config error: [scheme.{name}] a scheme's name must {rule}\n")
+
+
+def test_a_scheme_name_of_234_bytes_names_its_files(tmp_path):
+    # the longest name whose report-NAME.intervals.csv fits 255 bytes
+    path = tmp_path / "names.cfg"
+    name = "s" * 234
+    path.write_text(BASE_CONFIG + f"\n[scheme.{name}]\nkind = sram\n"
+                    "energy_builtin = SRAM_2MB\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert os.path.exists(out / f"report-{name}.intervals.csv")
 
 
 def test_more_than_16_ways_writes_no_output(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import replay, select_reference, size_counts
-from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState, reconfigure
+from oracles import HIT, WRITE, replay, select_reference, size_counts
+from edrsim.cache import CacheGeometry, CacheState, reconfigure
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                candidate_space, default_config, select)
 from edrsim.energy import EnergyParams, builtin_params

@@ -1,5 +1,6 @@
 """The build helper: compile once into the user cache, reuse after, and fail
-loudly without a compiler; and the Python mirrors of lru.c's structs."""
+loudly without a compiler; and the Python mirrors of lru.c's structs,
+routines and code byte."""
 
 import ctypes
 import os
@@ -8,6 +9,7 @@ import subprocess
 
 import pytest
 
+import oracles
 from oracles import replay, replay_reference
 from edrsim import cache, native, passes
 from edrsim.cache import CacheState
@@ -156,8 +158,17 @@ def test_ctypes_mirrors_name_lru_c_members_in_order():
     # a member added, removed, moved or retyped on one side only would
     # misplace every member after it
     for struct, mirror in [("run", passes._Run), ("cache", cache._Cache),
-                           ("clock", passes.Clock), ("timer", passes.Timer)]:
+                           ("timer", passes.Timer)]:
         assert _members(struct) == mirror._fields_, struct
+
+
+def test_code_byte_names_mirror_lru_c():
+    # the tests read the kernel's code bytes by these names
+    body = re.search(r"^enum \{ (HIT = .*?) \};", _source(), re.M).group(1)
+    named = dict(item.split(" = ") for item in body.split(", "))
+    assert {name: int(value) for name, value in named.items()} == {
+        name: getattr(oracles, name)
+        for name in ("HIT", "EVICTED", "DIRTY_VICTIM", "WRITE", "AGE_SHIFT")}
 
 
 def test_ctypes_prototypes_mirror_lru_c_functions():

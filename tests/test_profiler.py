@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (compiled_full_profile, estimate_misses,
+from oracles import (HIT, WRITE, compiled_full_profile, estimate_misses,
                      estimate_refreshes, estimate_time, full_profile,
                      interpolate_reference, observe_arrays, observe_reference,
                      probe, profiler_overhead_bytes, replay, size_counts,
                      trace_of)
-from edrsim.cache import HIT, WRITE, CacheGeometry, CacheState
+from edrsim.cache import CacheGeometry, CacheState
 from edrsim.passes import Passes
 from edrsim.profiler import (PROFILED_FRACTIONS, IntervalStats, ProfilingUnit,
                              TimingParams, interpolate)

@@ -16,11 +16,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import (SetLists, access_block, age_column, age_in, age_mirror,
-                     all_sets, dirty_tags, ints, reference_run, replay,
+from oracles import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE, SetLists,
+                     access_block, age_column, age_in, age_mirror, all_sets,
+                     dirty_tags, ints, reference_run, replay,
                      replay_reference, trace_of, validate_state, view)
-from edrsim.cache import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE,
-                          CacheGeometry, CacheState, reconfigure)
+from edrsim.cache import CacheGeometry, CacheState, reconfigure
 from edrsim.cli import _sweep_reports
 from edrsim.controller import default_config
 from edrsim.energy import SchemeKind, builtin_params
@@ -488,12 +488,11 @@ def test_functional_replay_clock_tallies_its_stored_codes(
     codes = bytearray(len(trace))
     passes = Passes(CacheState(small_geometry), trace, None, [],
                     TimingParams(base_cpi=1.5), 0, 1 << 62, codes)
-    clock, timers = passes.clock, passes.timers
-    assert timers == []
+    assert passes.timers == []
     half = len(trace) // 2
     for lo, hi in (0, half), (half, len(trace)):
         assert passes(lo, hi) == hi
-        assert clock.take() == _tallies(trace, codes, lo, hi)
+        assert passes.take() == (_tallies(trace, codes, lo, hi), [])
     # the second phase thrashes: evictions of dirty and of clean lines
     evicted = [code & DIRTY_VICTIM for code in codes if code & EVICTED]
     assert any(evicted) and not all(evicted)
@@ -617,13 +616,12 @@ def test_line_words_at_the_top_of_the_address_space(block_bytes):
     codes, reference = bytearray(len(trace)), bytearray(len(trace))
     passes = Passes(state, trace, None, [], TimingParams(), 0, 1 << 62,
                     codes)
-    clock = passes.clock
     written_hits = writebacks = 0
     for lo, hi, colors in (0, 2000, 2), (2000, 4000, 8), (4000, 6000, None):
         assert passes(lo, hi) == hi
         replay_reference(model, trace, lo, hi, reference)
         assert codes[lo:hi] == reference[lo:hi], lo
-        assert clock.take() == _tallies(trace, reference, lo, hi), lo
+        assert passes.take() == (_tallies(trace, reference, lo, hi), []), lo
         assert all_sets(state) == all_sets(model)
         assert dirty_tags(state) == dirty_tags(model)
         written_hits += sum(code & (HIT | WRITE) == HIT | WRITE

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (generate_reference, replay_codes, reuse_sources,
+from oracles import (HIT, generate_reference, replay_codes, reuse_sources,
                      reuse_window, trace_of, view)
-from edrsim.cache import HIT, CacheGeometry, CacheState
+from edrsim.cache import CacheGeometry, CacheState
 from edrsim.trace import (Op, PhaseSpec, SyntheticTraceSpec,
                           TraceArrays, TraceError, TraceHeader,
                           _BUFFER_BYTES, _PHASE_STRIDE_BLOCKS,
