@@ -5,7 +5,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 from . import trace as trace_mod
 from .config import SWEEPABLE, ConfigError, RunConfig, load_config, load_sweep
@@ -16,24 +15,34 @@ from .sim import (ComparisonRow, RunReport, SchemeConfigError, check_compare,
 from .trace import SyntheticTraceSpec, TraceArrays, TraceHeader
 
 
-def _replace(path: str, fill) -> None:
-    """Write-temp-then-rename so readers never see partial output: fill(fh)
-    writes the temporary file, open in binary mode."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-edrsim-")
+def _write(files: dict) -> None:
+    """Write a command's files, all or nothing: `files` maps each path to
+    its bytes or to a fill(fh) that writes them. A path that is a directory
+    fails before any file is made. Each file goes to a temporary file in
+    its own directory, with a plain `open`'s mode (0o666 & ~umask), and
+    they are renamed into place once all are written; a failure removes
+    every temporary file."""
+    for path in filter(os.path.isdir, files):
+        raise IsADirectoryError(f"{path} is a directory")
+    made = []  # (temporary file, path)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fill(fh)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, ".tmp-edrsim-" + os.urandom(8).hex())
+            with open(tmp, "xb") as fh:
+                made.append((tmp, path))
+                if callable(data):
+                    data(fh)
+                else:
+                    fh.write(data)
+        for tmp, path in made:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in made:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    _replace(path, lambda fh: fh.write(data))
 
 
 def _plain(obj):
@@ -78,11 +87,9 @@ def _json_pieces(obj):
     yield head[:-1] + "}\n"
 
 
-def _write_json(path: str, obj) -> None:
-    """`obj` as compact JSON with sorted keys into `path`, a piece at a
-    time."""
-    _replace(path, lambda fh: fh.writelines(
-        piece.encode() for piece in _json_pieces(obj)))
+def _json_fill(obj):
+    """A fill(fh) for `_write` that streams `obj` through `_json_pieces`."""
+    return lambda fh: fh.writelines(p.encode() for p in _json_pieces(obj))
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -153,8 +160,7 @@ def cmd_gen_trace(config, out, seed=None) -> int:
     arrays = trace_mod.generate_synthetic(_with_seed(cfg.synthetic, seed))
     header = TraceHeader(record_count=len(arrays),
                          page_size_bytes=cfg.geometry.page_bytes)
-    _replace(out,
-             lambda fh: trace_mod.write_trace_arrays(arrays, header, fh))
+    _write({out: lambda fh: trace_mod.write_trace_arrays(arrays, header, fh)})
     print(f"wrote {len(arrays)} records ({arrays.instructions} instructions) "
           f"to {out}")
     return 0
@@ -174,15 +180,15 @@ def cmd_run(config, out, seed=None) -> int:
     if not cfg.schemes:
         raise ConfigError("config needs at least 1 [scheme.*] section")
     arrays, warmup = _load_trace_for(cfg, seed)
-    # every scheme runs before the first write, so a late failure leaves no
-    # partial output
     reports = run_schemes(arrays, cfg.schemes, cfg.geometry, cfg.timing,
                           cfg.energy, warmup, cfg.interval_instructions)
-    os.makedirs(out, exist_ok=True)
+    files = {}
     for report in reports:
         base = os.path.join(out, f"report-{report.scheme}")
-        _write_json(base + ".json", report)
-        _atomic_write(base + ".intervals.csv", _interval_csv(report))
+        files[base + ".json"] = _json_fill(report)
+        files[base + ".intervals.csv"] = _interval_csv(report)
+    _write(files)
+    for report in reports:
         print(f"{report.scheme}: {report.total_energy_j:.6e} J, "
               f"{report.total_cycles} cycles, RPKI {report.rpki:.2f}, "
               f"MPKI {report.mpki:.3f}")
@@ -196,12 +202,12 @@ def cmd_compare(config, out, seed=None) -> int:
     report = compare(arrays, cfg.schemes, cfg.geometry, cfg.timing, cfg.energy,
                      warmup_instructions=warmup,
                      interval_instructions=cfg.interval_instructions)
-    os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "comparison.json"), report.to_dict())
-    _atomic_write(os.path.join(out, "comparison.csv"), _csv_bytes(
-        _ROW_COLUMNS, [_row_cells(r) for r in report.rows]))
+    files = {"comparison.json": _json_fill(report.to_dict()),
+             "comparison.csv": _csv_bytes(
+                 _ROW_COLUMNS, [_row_cells(r) for r in report.rows])}
     for name, rep in report.reports.items():
-        _write_json(os.path.join(out, f"report-{name}.json"), rep)
+        files[f"report-{name}.json"] = _json_fill(rep)
+    _write({os.path.join(out, name): data for name, data in files.items()})
     print(f"baseline {report.baseline_name}: "
           f"{report.baseline.total_energy_j:.6e} J")
     for row in report.rows:
@@ -253,9 +259,8 @@ def cmd_sweep(config, out, parameter, values, seed=None) -> int:
         for rep in [base, *others]:
             rows.append([parameter, repr(float(value)),
                          *_row_cells(comparison_row(base, rep))])
-    os.makedirs(out, exist_ok=True)
-    _atomic_write(os.path.join(out, "sweep.csv"),
-                  _csv_bytes(["parameter", "value", *_ROW_COLUMNS], rows))
+    _write({os.path.join(out, "sweep.csv"):
+            _csv_bytes(["parameter", "value", *_ROW_COLUMNS], rows)})
     print(f"swept {parameter} over {len(values)} value(s) -> "
           f"{os.path.join(out, 'sweep.csv')}")
     return 0

@@ -67,6 +67,12 @@ def _get(sec: dict, section: str, key, conv, default=None, required=False):
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"{text!r} is neither true nor false")
+    return text.lower() == "true"
+
+
 def _int64(sec: dict, section: str, key: str, low: int) -> int | None:
     """An integer key that the compiled passes hold in an int64, if set."""
     value = _get(sec, section, key, int)
@@ -287,8 +293,7 @@ def _build(sections: dict[str, dict[str, str]]) -> RunConfig:
         tsec = sections["trace"]
         _check_keys("trace", tsec, _TRACE_KEYS)
         trace_path = _get(tsec, "trace", "path", str)
-        wants_synth = _get(tsec, "trace", "synthetic",
-                           lambda s: s.lower() == "true", default=False)
+        wants_synth = _get(tsec, "trace", "synthetic", _bool, default=False)
         if trace_path and wants_synth:
             raise ConfigError("[trace] set path or synthetic=true, not both")
         if wants_synth and synthetic is None:

@@ -12,7 +12,6 @@ compiler, loading fails with an error that names it.
 import ctypes
 import os
 import shutil
-import tempfile
 
 # The interpreter's own SHA-256: hashlib would load OpenSSL, which adds
 # about 3.6 MB to every simulation's resident memory.
@@ -62,8 +61,7 @@ def _build(source_path: str, target: str) -> None:
             f"compiler {CC!r}, which is not on PATH; install {CC} to run "
             "simulations")
     os.makedirs(os.path.dirname(target), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
-    os.close(fd)
+    tmp = f"{target}.tmp-{os.urandom(8).hex()}"
     try:
         proc = subprocess.run([compiler, *CFLAGS, "-o", tmp, source_path],
                               capture_output=True, text=True)

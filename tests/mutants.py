@@ -58,6 +58,11 @@ _GROUPED = ("test_replay.py::test_grouped_timing_matches_reference_on_tiny_"
             "configs",)
 _TALLIES = ("test_replay.py::test_functional_replay_clock_tallies_its_"
             "stored_codes", "test_sim.py::test_conservation_across_intervals")
+_PLANNER = ("test_cache.py::test_every_reconfiguration_pair_matches_the_"
+            "reference_planner",)
+_WRITER = ("test_cli.py::test_a_failed_write_leaves_the_older_output_as_it_"
+           "was", "test_cli.py::test_a_directory_in_place_of_a_report_writes_"
+           "nothing")
 
 MUTANTS = [
     # the timers a trip binds (passes.Passes)
@@ -98,6 +103,32 @@ MUTANTS = [
            "+ (int64_t)(tag & within_mask);",
            "+ (int64_t)(tag & within_mask & ~(uint64_t)1);",
            ("test_analytic.py",)),
+    # the plan of a reconfiguration and the colors its flush scans
+    Mutant("plan-pulls-lowest-level-first", "cache.py",
+           "sorted((-next(level[c]), c, region)",
+           "sorted((next(level[c]), c, region)", _PLANNER),
+    Mutant("plan-ties-to-highest-color", "cache.py",
+           "sorted((-next(level[c]), c, region)",
+           "sorted((-next(level[c]), -c, region)", _PLANNER),
+    Mutant("scan-marks-new-colors", "cache.py",
+           "set(itertools.compress(state.mapping, moved))",
+           "set(itertools.compress(planned, moved))",
+           ("test_cache.py::test_batched_pulls_match_flushing_one_region_at_"
+            "a_time",)),
+    # the command line's one writer (cli._write)
+    Mutant("writer-renames-in-the-write-loop", "cli.py",
+           "                    fh.write(data)\n"
+           "        for tmp, path in made:\n"
+           "            os.replace(tmp, path)\n",
+           "                    fh.write(data)\n"
+           "            os.replace(tmp, path)\n", _WRITER),
+    Mutant("writer-without-directory-check", "cli.py",
+           "    for path in filter(os.path.isdir, files):\n"
+           '        raise IsADirectoryError(f"{path} is a directory")\n', "",
+           _WRITER),
+    Mutant("writer-keeps-temporary-files", "cli.py",
+           "                os.unlink(tmp)\n", "                pass\n",
+           _WRITER),
     # trace files and configs
     Mutant("reader-skips-op-check", "trace.py",
            "    _check_ops(arrays)\n    return header, arrays",

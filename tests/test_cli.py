@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 import edrsim
 import oracles
 from edrsim import sim
-from edrsim.cli import USAGE, _json_pieces, _sweep_reports, _write_json, main
+from edrsim.cli import (USAGE, _json_fill, _json_pieces, _sweep_reports,
+                        _write, main)
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.controller import Candidate, Decision
 from edrsim.energy import EnergyBreakdown, SchemeKind
@@ -327,6 +329,12 @@ _RPV_REFRESH = "retention_period_us = 1\nphases = 4"
     ("synthetic = true\n\n[synthetic]\nseed = 5",
      "path = never.trace\n\n[synthetic]\nseed = 5\nbogus_key = 1",
      r"\[synthetic\] unknown key\(s\): bogus_key"),
+    # [trace] synthetic is true or false: `maybe` beside a path read as
+    # false, and `yes` as "sets neither path nor synthetic = true"
+    ("synthetic = true", "synthetic = maybe\npath = x.trace",
+     r"\[trace\] synthetic: 'maybe' is neither true nor false"),
+    ("synthetic = true", "synthetic = yes",
+     r"\[trace\] synthetic: 'yes' is neither true nor false"),
     # a negative seed failed only when the trace was drawn, with exit 1
     ("seed = 5", "seed = -3", "seed must be >= 0, got -3"),
     # blocks are [geometry]'s, and a description was never read
@@ -391,7 +399,8 @@ _RPV_REFRESH = "retention_period_us = 1\nphases = 4"
         "negative warm-up fraction", "nan warm-up fraction",
         "warm-up fraction above 1", "negative warm-up",
         "inf access rate", "nan access rate", "duplicate key",
-        "unused synthetic section", "negative seed", "synthetic block size",
+        "unused synthetic section", "synthetic maybe beside a path",
+        "synthetic yes", "negative seed", "synthetic block size",
         "synthetic description", "gap past u32", "edge past u64",
         "instructions past u64", "instructions past a float",
         "hit latency past int64", "interval past int64", "warm-up past int64",
@@ -573,6 +582,18 @@ def test_a_trace_section_that_selects_no_trace_writes_no_output(
     assert capsys.readouterr().err == f"config error: {error}\n"
 
 
+@pytest.mark.parametrize("value", ["TRUE", "False"])
+def test_trace_synthetic_is_true_or_false_in_any_case(tmp_path, value):
+    synthetic = value.lower() == "true"
+    path = "" if synthetic else "\npath = x.trace"
+    text = BASE_CONFIG.replace("[trace]\nsynthetic = true",
+                               f"[trace]\nsynthetic = {value}{path}")
+    (tmp_path / "trace.cfg").write_text(text)
+    cfg = load_config(str(tmp_path / "trace.cfg"))
+    assert (cfg.synthetic is not None, cfg.trace_path) == \
+        (synthetic, None if synthetic else "x.trace")
+
+
 def test_a_config_with_no_trace_source_writes_no_output(tmp_path, capsys):
     # neither a [trace] nor a [synthetic] section: load_config (and so a
     # sweep's load) fails and names both sections
@@ -737,7 +758,7 @@ def test_json_bytes_of_reports_are_the_bytes_of_their_plain_trees(
     assert report.reports["dcr"].decisions
     for doc in [*runs, report.to_dict()]:
         path = tmp_path / "doc.json"
-        _write_json(str(path), doc)
+        _write({str(path): _json_fill(doc)})
         data = path.read_bytes()
         assert json.loads(data) == oracles.plain(doc)
         assert data == (json.dumps(oracles.plain(doc), sort_keys=True,
@@ -1088,11 +1109,104 @@ def test_json_is_written_in_bounded_batches(config_file, tmp_path, elements):
                       for item in items)
         prefix = max(len(json.dumps(key)) for key in tree) + 4
         assert max(map(len, pieces)) <= prefix + longest
-        _write_json(str(out / name), doc)
+        _write({str(out / name): _json_fill(doc)})
         assert (out / name).read_bytes() == "".join(pieces).encode()
         assert json.loads((out / name).read_bytes()) == tree
     assert len(list(_json_pieces(long))) > 2 * elements
     assert sorted(os.listdir(out)) == ["cmp.json", "dcr.json", "long.json"]
+
+
+def _files(out) -> dict:
+    """Each name in the directory `out` with its bytes (None for a
+    directory)."""
+    return {name: None if (out / name).is_dir() else (out / name).read_bytes()
+            for name in os.listdir(out)}
+
+
+class _FullDisk:
+    """A file open for writing whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    writelines = write
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_failed_write_leaves_the_older_output_as_it_was(
+        config_file, tmp_path, monkeypatch, command):
+    # --out holds a run of another seed; a disk that fills up on the k-th
+    # file, for every k, must leave each of its files and its listing as
+    # they were, and no temporary file behind
+    argv = [command, "--config", config_file, "--out"]
+    assert main([*argv, str(tmp_path / "new")]) == 0
+    count = len(os.listdir(tmp_path / "new"))
+    assert count == {"run": 8, "compare": 6}[command]
+    out = tmp_path / "out"
+    assert main([*argv, str(out), "--seed", "9"]) == 0
+    old = _files(out)
+    new = _files(tmp_path / "new")
+    assert old.keys() == new.keys()
+    assert all(old[name] != new[name] for name in old)
+    for k in range(count):
+        opened = []
+
+        def open_(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if "r" in mode:
+                return fh
+            opened.append(path)
+            return _FullDisk(fh) if len(opened) == k + 1 else fh
+        monkeypatch.setattr(edrsim.cli, "open", open_, raising=False)
+        assert main([*argv, str(out)]) == 1
+        assert len(opened) == k + 1
+        assert _files(out) == old
+        assert not [name for name in os.listdir(out)
+                    if name.startswith(".tmp-edrsim-")]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_directory_in_place_of_a_report_writes_nothing(
+        config_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", config_file, "--out", str(out),
+                 "--seed", "9"]) == 0
+    (out / "report-sram.json").unlink()
+    (out / "report-sram.json").mkdir()
+    old = _files(out)
+    capsys.readouterr()
+    assert main([command, "--config", config_file, "--out", str(out)]) == 1
+    assert _files(out) == old
+    assert capsys.readouterr() == (
+        "", f"error: {out / 'report-sram.json'} is a directory\n")
+
+
+def test_output_files_have_the_mode_open_gives(config_file, tmp_path):
+    # 0o666 & ~umask, as for a file made by open(), not mkstemp's 0o600
+    umask = os.umask(0o027)
+    try:
+        for argv in (["gen-trace", "--out", str(tmp_path / "t.trace")],
+                     ["run", "--out", str(tmp_path / "run")],
+                     ["compare", "--out", str(tmp_path / "compare")],
+                     ["sweep", "--out", str(tmp_path / "sweep"),
+                      "--parameter", "beta", "--values", "2,3"]):
+            assert main([*argv, "--config", config_file]) == 0
+    finally:
+        os.umask(umask)
+    made = [tmp_path / "t.trace", *(tmp_path / "sweep").iterdir(),
+            *(tmp_path / "run").iterdir(), *(tmp_path / "compare").iterdir()]
+    assert len(made) == 1 + 1 + 8 + 6
+    assert {str(path): path.stat().st_mode & 0o777 for path in made} == \
+        {str(path): 0o640 for path in made}
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf"])
