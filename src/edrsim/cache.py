@@ -27,8 +27,9 @@ never remaps the cache is timed on one pass, in one trip (see
 reconfiguration, is C (lru.c), built at first use (see native.py);
 `passes.Passes`, built on a state, a trace and the trip's schemes, binds
 all of a trip's arguments to it in one call.
-The kernels route regions through the state's own `layout`, which
-`reconfigure` rewrites, so a bound run follows every reconfiguration.
+The kernels route regions through the state's own `mapping`, which
+`reconfigure` rewrites in place, so a bound run follows every
+reconfiguration.
 """
 
 import ctypes
@@ -108,38 +109,43 @@ class ReconfigReport(Record):
 
 
 class _Cache(ctypes.Structure):
-    """lru.c's struct cache: a CacheState's arrays, ways and layout."""
+    """lru.c's struct cache: a CacheState's arrays, ways and mapping, and
+    the shifts and mask by which a byte address finds its set."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "tags", "fill", "valid_by_bank")] + [
-        ("ways", ctypes.c_int64), ("layout", ctypes.c_void_p)]
+        ("ways", ctypes.c_int64), ("mapping", ctypes.c_void_p)] + [
+        (name, ctypes.c_int64) for name in (
+            "block_shift", "page_shift", "region_mask", "color_shift",
+            "bank_shift")]
 
 
 class CacheState:
     """Mutable cache state owned by a single simulation instance."""
 
-    def __init__(self, geometry: CacheGeometry, min_colors: int = 1):
-        self.geometry = geometry
-        self.min_colors = min_colors
-        m_total = geometry.color_count
+    def __init__(self, geometry: CacheGeometry):
+        self.geometry = g = geometry
+        m_total = g.color_count
         # the colors [0, active_count) are on: at first every color, with
-        # region i in color i
+        # region i in color i; reconfigure rewrites the mapping in place
         self.active_count = m_total
-        self.mapping: list[int] = list(range(m_total))
+        self.mapping = array("q", range(m_total))
         # set s: line slots [s * ways, (s + 1) * ways), the first fill[s]
         # resident, least recent first; a word each, dirty bit on top
-        lines, sets = geometry.total_lines, geometry.total_sets
+        lines, sets = g.total_lines, g.total_sets
         self.tags = zeros("Q", lines)
         self.fill = zeros("i", sets)
-        self.valid_by_bank = zeros("q", geometry.num_banks)
-        # how the kernels find a set under the mapping; reconfigure
-        # rewrites it in place
-        self.layout = layout(geometry)
-        # the same, as the compiled routines take it
+        self.valid_by_bank = zeros("q", g.num_banks)
+        # the arrays and the mapping as the compiled routines take them,
+        # with the shifts and the mask that find an address's set
         self.arrays = _Cache(
             address(self.tags, 8, lines), address(self.fill, 4, sets),
-            address(self.valid_by_bank, 8, geometry.num_banks),
-            geometry.associativity, address(self.layout, 8, len(self.layout)))
+            address(self.valid_by_bank, 8, g.num_banks), g.associativity,
+            address(self.mapping, 8, m_total),
+            block_shift=g.block_bytes.bit_length() - 1,
+            page_shift=g.page_bytes.bit_length() - 1, region_mask=m_total - 1,
+            color_shift=g.sets_per_color.bit_length() - 1,
+            bank_shift=g.sets_per_bank.bit_length() - 1)
 
     @property
     def n_valid(self) -> int:
@@ -187,23 +193,10 @@ def address(buffer, itemsize: int, n: int) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(view)) if n else 0
 
 
-def layout(geometry: CacheGeometry, mapping=None) -> array:
-    """How the kernels find a byte address's set under `mapping` (region ->
-    color; the identity if None): the block shift, the page shift, the
-    region mask, the mask of a block's set inside its color, the shift from
-    a set to its bank, then the first set of each region's color."""
-    g, per_color = geometry, geometry.sets_per_color
-    regions = range(g.color_count) if mapping is None else mapping
-    return array("q", [g.block_bytes.bit_length() - 1,
-                       g.page_bytes.bit_length() - 1, g.color_count - 1,
-                       per_color - 1, g.sets_per_bank.bit_length() - 1,
-                       *[color * per_color for color in regions]])
-
-
 def _flush(state: CacheState, moved: bytes, scan: bytes) -> tuple[int, int]:
     """Invalidate the lines of the regions that `moved` marks (a byte per
     region) in the colors that `scan` marks (a byte per color): the colors
-    that `state.layout` still maps those regions to, each scanned once.
+    that `state.mapping` still sends those regions to, each scanned once.
 
     The surviving tags of each set move to the front of its row in their
     order. Returns (flushed lines, writebacks of dirty ones).
@@ -214,7 +207,7 @@ def _flush(state: CacheState, moved: bytes, scan: bytes) -> tuple[int, int]:
     return flushed, writebacks.value
 
 
-def _plan(mapping: list[int], old: int, colors: int) -> list[int]:
+def _plan(mapping: array, old: int, colors: int) -> list[int]:
     """The mapping (region -> color) that `reconfigure` from `old` to
     `colors` colors on makes of `mapping`.
 
@@ -235,7 +228,7 @@ def _plan(mapping: list[int], old: int, colors: int) -> list[int]:
     level = [itertools.count(1) for _ in range(old)]
     pulls = sorted((-next(level[c]), c, region)
                    for region, c in enumerate(mapping))
-    planned = mapping.copy()
+    planned = list(mapping)
     for k, (_, _, region) in enumerate(pulls[:(colors - old) * share]):
         planned[region] = old + k // share
     return planned
@@ -248,16 +241,14 @@ def reconfigure(state: CacheState, colors: int) -> ReconfigReport:
     colors turned on pull regions from the others, as `_plan` lays out.
     Every region whose color changes is flushed from its old color, so no
     stale line outlives its mapping entry: one flush for the whole
-    reconfiguration, made before the layout is rewritten. A count equal to
-    the current one changes nothing and returns at once.
+    reconfiguration, made before the mapping is rewritten. A count equal to
+    the current one changes nothing and returns at once. DCR's floor, c_min,
+    is the controller's: `controller.candidate_space` keeps to it.
     """
     g = state.geometry
     m_total = g.color_count
     if not 1 <= colors <= m_total:
         raise ReconfigError(f"colors must be in [1, {m_total}], got {colors}")
-    if colors < state.min_colors:
-        raise ReconfigError(
-            f"cannot go below {state.min_colors} colors (asked {colors})")
     old = state.active_count
     if colors == old:
         return ReconfigReport(flushed_lines=0, writebacks=0,
@@ -267,9 +258,8 @@ def reconfigure(state: CacheState, colors: int) -> ReconfigReport:
     scanned = set(itertools.compress(state.mapping, moved))
     flushed, writebacks = _flush(
         state, moved, bytes(c in scanned for c in range(m_total)))
-    state.mapping[:] = planned
+    state.mapping[:] = array("q", planned)
     state.active_count = colors
-    state.layout[:] = layout(g, planned)
     switched = abs(colors - old) * g.lines_per_color
     return ReconfigReport(flushed_lines=flushed, writebacks=writebacks,
                           switched_blocks=switched)

@@ -25,11 +25,10 @@
  * cycles and its code. The schemes that never remap the cache (baseline,
  * RPV and SRAM) bind one cache and a timer each, so one trip replays and
  * times them all; DCR binds its cache, its profiling unit and one timer.
- * A record finds its set through its cache's layout, built by
- * cache.layout: layout[FIRST_SET + region] is the first set of the color
- * the region maps to, and the block's offset in its page picks the set
- * inside that color. The layout follows the cache's mapping
- * (cache.reconfigure rewrites it, between calls).
+ * A record finds its set through its cache's mapping: mapping[region] is
+ * the color the region maps to, whose sets start at color << color_shift,
+ * and the block's offset in its page picks the set inside that color.
+ * cache.reconfigure rewrites the mapping in place, between calls.
  *
  * edr_flush invalidates the lines of the regions that a reconfiguration
  * of DCR's moves, in the old colors its caller marks.
@@ -43,8 +42,6 @@
 
 /* a code byte: the outcome bits, then a hit's age (at most 16 ways) */
 enum { HIT = 1, EVICTED = 2, DIRTY_VICTIM = 4, WRITE = 8, AGE_SHIFT = 4 };
-enum { BLOCK_SHIFT, PAGE_SHIFT, REGION_MASK, WITHIN_MASK, BANK_SHIFT,
-       FIRST_SET };
 /* a line slot's dirty bit, above its tag: a tag is a byte address shifted
  * right by at least one bit, since a block holds 2 bytes or more */
 #define DIRTY ((uint64_t)1 << 63)
@@ -64,14 +61,16 @@ struct timer {
 };
 
 /* A cache.CacheState: its line slots, a word each of a tag and the dirty
- * bit, its fill and valid counts, its ways and its layout, which also
- * gives its shape. */
+ * bit, its fill and valid counts, its ways and its mapping (region ->
+ * color); then its shape: the log2 of the block and the page sizes, the
+ * region mask (colors - 1), and the log2 of a color's and a bank's sets. */
 struct cache {
     uint64_t *tags;
     int32_t *fill;
     int64_t *valid_by_bank;
     int64_t ways;
-    const int64_t *layout;
+    const int64_t *mapping;
+    int64_t block_shift, page_shift, region_mask, color_shift, bank_shift;
 };
 
 /* What a run's passes read and write: the functional pass on the
@@ -276,22 +275,18 @@ static void settle(struct timer *t, int64_t row_at, int64_t bank, int code,
 int64_t edr_run(struct run *run, int64_t lo, int64_t hi)
 {
     /* copies, which the stores of the loop cannot alias; reconfigure
-     * rewrites the layout only between calls, and a's clock goes back */
+     * rewrites the mapping only between calls, and a's clock goes back */
     struct run a = *run;
     const struct cache c = *a.cache;
-    const int64_t *first_set = c.layout + FIRST_SET;
-    const int64_t block_shift = c.layout[BLOCK_SHIFT];
-    const int64_t page_shift = c.layout[PAGE_SHIFT];
-    const int64_t bank_shift = c.layout[BANK_SHIFT];
-    const uint64_t region_mask = (uint64_t)c.layout[REGION_MASK];
-    const uint64_t within_mask = (uint64_t)c.layout[WITHIN_MASK];
+    const uint64_t region_mask = (uint64_t)c.region_mask;
+    const uint64_t within_mask = ((uint64_t)1 << c.color_shift) - 1;
     int64_t r, stop = hi, i;
 
     for (r = lo; r < hi; r++) {
-        uint64_t addr = a.addrs[r], tag = addr >> block_shift;
-        int64_t set = first_set[(addr >> page_shift) & region_mask]
-                      + (int64_t)(tag & within_mask);
-        int64_t bank = set >> bank_shift;
+        uint64_t addr = a.addrs[r], tag = addr >> c.block_shift;
+        int64_t set = c.mapping[(addr >> c.page_shift) & region_mask]
+                      << c.color_shift | (int64_t)(tag & within_mask);
+        int64_t bank = set >> c.bank_shift;
         int64_t gap_cycles = (int64_t)rint(a.gaps[r] * a.cpi), latency;
         int code, age;
 
@@ -334,8 +329,8 @@ int64_t edr_run(struct run *run, int64_t lo, int64_t hi)
 
 /* Invalidate the resident lines of the regions that `moved` marks (a
  * byte per region) in the colors that `scan` marks (a byte per color),
- * the colors the layout maps them to: cache.reconfigure marks both and
- * calls this once, before it rewrites the layout. Each marked color is
+ * the colors the mapping sends them to: cache.reconfigure marks both and
+ * calls this once, before it rewrites the mapping. Each marked color is
  * scanned once, for the lines of every marked region. The survivors of
  * each set move to the front of its row in their order, the slots they
  * leave lose their dirty bits, and fill and valid_by_bank lose the
@@ -344,12 +339,11 @@ int64_t edr_run(struct run *run, int64_t lo, int64_t hi)
 int64_t edr_flush(const struct cache *c, const uint8_t *moved,
                   const uint8_t *scan, int64_t *writebacks)
 {
-    const int64_t *layout = c->layout;
-    const uint64_t region_mask = (uint64_t)layout[REGION_MASK];
-    /* as many colors as regions */
-    int64_t colors = (int64_t)region_mask + 1, sets = layout[WITHIN_MASK] + 1;
-    /* a tag is a block number, so its page is tag >> page_shift */
-    int64_t page_shift = layout[PAGE_SHIFT] - layout[BLOCK_SHIFT];
+    const uint64_t region_mask = (uint64_t)c->region_mask;
+    /* as many colors as regions; a color has a set per block of a page,
+     * and a tag is a block number, so its page is tag >> color_shift */
+    const int64_t color_shift = c->color_shift;
+    int64_t colors = c->region_mask + 1, sets = (int64_t)1 << color_shift;
     int64_t flushed = 0, dirty_lost = 0;
 
     for (int64_t color = 0; color < colors; color++) {
@@ -360,7 +354,7 @@ int64_t edr_flush(const struct cache *c, const uint8_t *moved,
             int32_t n = c->fill[s], kept = 0, i;
 
             for (i = 0; i < n; i++) {
-                if (!moved[((row[i] & ~DIRTY) >> page_shift) & region_mask])
+                if (!moved[((row[i] & ~DIRTY) >> color_shift) & region_mask])
                     row[kept++] = row[i];
                 else
                     dirty_lost += row[i] >> 63;
@@ -368,7 +362,7 @@ int64_t edr_flush(const struct cache *c, const uint8_t *moved,
             for (i = kept; i < n; i++)
                 row[i] &= ~DIRTY;
             c->fill[s] = kept;
-            c->valid_by_bank[s >> layout[BANK_SHIFT]] -= n - kept;
+            c->valid_by_bank[s >> c->bank_shift] -= n - kept;
             flushed += n - kept;
         }
     }

@@ -71,8 +71,8 @@ class Passes:
     call copies nothing back; the caller takes the tallies at each stop
     (`take`). A timer keeps the cycle its tallies started at, so its
     cycles are `now - start`; the end of warm-up moves `start` to the
-    cycle it ends at. Records find their sets through the state's layout,
-    which `reconfigure` keeps current.
+    cycle it ends at. Records find their sets through the state's mapping,
+    which `reconfigure` rewrites in place.
     """
 
     def __init__(self, state: CacheState, trace, unit, schemes,

@@ -45,8 +45,8 @@ there, and stops after a record that closes an interval. The clock and
 the timers carry from one call to the next; at each stop `Passes.take`
 reads and restarts all their tallies at once, and `_time` turns them
 into each scheme's interval and lets DCR's controller act. DCR's
-records find their sets through the cache's own layout, which a
-reconfiguration rewrites, so the next call follows the new mapping.
+records find their sets through the cache's own mapping, which a
+reconfiguration rewrites in place, so the next call follows it.
 """
 
 import threading
@@ -89,7 +89,7 @@ def _trip(trace: TraceArrays, schemes: list[SchemeSpec],
     timer's. The checks of `check_run` have passed."""
     dcr = schemes[0].controller  # None but for DCR
     n = len(trace)
-    state = CacheState(geometry, dcr.c_min if dcr else 1)
+    state = CacheState(geometry)
     unit = dcr and ProfilingUnit(geometry, dcr.sampling_ratio_denom)
     passes = Passes(state, trace, unit, schemes, timing, warmup_instructions,
                     interval_instructions)
@@ -120,7 +120,6 @@ def _time(schemes: list[SchemeSpec], trip, geometry: CacheGeometry,
     m_total = geometry.color_count
     miss_cost = timing.l2_hit_cycles + timing.dram_latency_cycles
     carry_writebacks = carry_switched = 0
-    active_fraction = 1.0
     intervals: list[list[IntervalStats]] = [[] for _ in schemes]
     decisions: list[Decision] = []
     for (instructions, hits, misses, writebacks, load_misses), timers in stops:
@@ -133,7 +132,7 @@ def _time(schemes: list[SchemeSpec], trip, geometry: CacheGeometry,
                 memory_stall_cycles=load_misses * miss_cost,
                 refreshed_lines=refreshed,
                 dram_accesses=carry_writebacks + misses + writebacks,
-                active_fraction=active_fraction,
+                active_fraction=state.active_count / m_total,
                 elapsed_cycles=cycles,
                 switched_blocks=carry_switched)
             # the interval after the last close is kept if anything
@@ -167,7 +166,6 @@ def _time(schemes: list[SchemeSpec], trip, geometry: CacheGeometry,
                     report.writebacks
                 decisions.append(decision)
                 unit.reset()
-            active_fraction = state.active_count / m_total
 
     return [RunReport.from_intervals(scheme, warmup_instructions, kept,
                                      decisions)

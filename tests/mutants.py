@@ -100,9 +100,22 @@ MUTANTS = [
            "a.warm_at = a.instructions = 0;", "a.warm_at = 0;", _TINY_RUNS),
     # a record's set: the analytic hit ratios see half the sets
     Mutant("set-index-drops-a-bit", "lru.c",
-           "+ (int64_t)(tag & within_mask);",
-           "+ (int64_t)(tag & within_mask & ~(uint64_t)1);",
+           "| (int64_t)(tag & within_mask);",
+           "| (int64_t)(tag & within_mask & ~(uint64_t)1);",
            ("test_analytic.py",)),
+    # the shifts a state gives the kernels, and the mapping they read
+    Mutant("color-shift-one-short", "cache.py",
+           "color_shift=g.sets_per_color.bit_length() - 1,",
+           "color_shift=g.sets_per_color.bit_length() - 2,",
+           ("test_replay.py::test_kernel_matches_reference_on_a_fixed_"
+            "replay",) + _TINY_RUNS),
+    Mutant("reconfigure-keeps-the-mapping", "cache.py",
+           '    state.mapping[:] = array("q", planned)\n', "",
+           _PLANNER + _TINY_RUNS),
+    # each interval's share of colors on
+    Mutant("active-fraction-always-1", "sim.py",
+           "active_fraction=state.active_count / m_total,",
+           "active_fraction=1.0,", _TINY_RUNS),
     # the plan of a reconfiguration and the colors its flush scans
     Mutant("plan-pulls-lowest-level-first", "cache.py",
            "sorted((-next(level[c]), c, region)",

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from edrsim import native
-from edrsim.cache import (CacheGeometry, CacheState, ReconfigReport, layout,
+from edrsim.cache import (CacheGeometry, CacheState, ReconfigReport,
                           reconfigure)
 from edrsim.controller import (Candidate, ControllerConfig, Decision,
                                candidate_space, select)
@@ -161,6 +161,11 @@ def all_sets(state) -> list[list[int]]:
             for row, n in enumerate(state.fill)]
 
 
+def bank_of(geometry: CacheGeometry, sets):
+    """The bank of a set index, or of each of a numpy array of them."""
+    return sets // geometry.sets_per_bank
+
+
 def dirty_tags(state: CacheState) -> set[int]:
     """The resident tags whose dirty bit is set."""
     return {tag for row in range(len(state.fill))
@@ -192,7 +197,7 @@ class SetLists:
     model's cache: per set, the resident tags least recent first and their
     dirty flags, and the valid lines per bank, read from the state's
     arrays. `store` writes them back; until then the state's
-    arrays are stale. The mapping is the state's own list."""
+    arrays are stale. The mapping is the state's own array."""
 
     def __init__(self, state: CacheState):
         g = state.geometry
@@ -200,8 +205,7 @@ class SetLists:
         self.mapping = state.mapping
         self.ways, self.block_bytes, self.page_bytes = (
             g.associativity, g.block_bytes, g.page_bytes)
-        self.colors, self.sets_per_color, self.sets_per_bank = (
-            g.color_count, g.sets_per_color, g.sets_per_bank)
+        self.colors, self.sets_per_color = g.color_count, g.sets_per_color
         self.tags = all_sets(state)
         self.dirty = [set_dirty(state, row) for row in range(len(self.tags))]
         self.valid_by_bank = state.valid_by_bank.tolist()
@@ -237,7 +241,7 @@ def access_block(model: SetLists, is_write: bool, address: int,
     tag = address // model.block_bytes
     tags = model.tags[set_index]
     dirty = model.dirty[set_index]
-    bank = set_index // model.sets_per_bank
+    bank = bank_of(model.state.geometry, set_index)
     if tag in tags:
         i = tags.index(tag)
         del tags[i]
@@ -374,7 +378,7 @@ def flush_reference(state: CacheState, color: int,
         words[:] = np.take_along_axis(words, order, axis=1)
     fill -= lost.astype(np.int32)
     np.subtract.at(view(state.valid_by_bank),
-                   np.arange(first, first + g.sets_per_color) // g.sets_per_bank,
+                   bank_of(g, np.arange(first, first + g.sets_per_color)),
                    lost)
     return flushed, writebacks
 
@@ -464,7 +468,6 @@ def reconfigure_reference(state: CacheState, colors: int,
             f, w = flush_reference(state, donor, regions)
             flushed, writebacks = flushed + f, writebacks + w
     state.active_count = colors
-    state.layout[:] = layout(g, state.mapping)
     return ReconfigReport(flushed, writebacks,
                           abs(colors - old) * g.lines_per_color)
 
@@ -634,9 +637,8 @@ def validate_state(state: CacheState,
     Verifies set occupancy (at most `associativity` distinct tags per set, no
     block in two sets), the n_valid counter (total and per bank), that no
     dirty bit is set on an empty slot, containment (no valid line in an
-    inactive color), mapping totality and codomain, the layout the kernels
-    route by (it must follow the mapping), and reachability (each valid
-    line's region still maps to the color holding it). With `rpv`, it
+    inactive color), mapping totality and codomain, and reachability (each
+    valid line's region still maps to the color holding it). With `rpv`, it
     also checks that every resident tag, and only those, has a phase, and
     the per-bank-per-phase counts.
     """
@@ -653,9 +655,6 @@ def validate_state(state: CacheState,
     if codomain != active:
         return OracleVerdict(False, "active colors without any region: "
                              f"{sorted(active - codomain)}")
-    if state.layout != layout(g, state.mapping):
-        return OracleVerdict(False, "the kernels' layout does not follow "
-                             "the mapping")
 
     n_valid = 0
     resident: set[int] = set()
@@ -675,7 +674,7 @@ def validate_state(state: CacheState,
                              "set on empty slots")
     for set_index, tags in enumerate(all_sets(state)):
         color = set_index // g.sets_per_color
-        bank = set_index // g.sets_per_bank
+        bank = bank_of(g, set_index)
         for tag in tags:
             if tag in resident:
                 return OracleVerdict(False, f"tag {tag:#x} resident twice "
@@ -935,7 +934,7 @@ def reference_run(trace, scheme, geometry, timing, params,
     if interval_instructions is None:
         interval_instructions = 10_000_000
 
-    state = CacheState(geometry, min_colors=ctrl_cfg.c_min if is_dcr else 1)
+    state = CacheState(geometry)
     model = SetLists(state)
     rpv = RpvPhases(geometry, refresh_cfg) if kind is SchemeKind.RPV else None
     unit = (ProfilingUnit(geometry, ctrl_cfg.sampling_ratio_denom)
@@ -1020,7 +1019,7 @@ def reference_run(trace, scheme, geometry, timing, params,
                 unit.reset()
 
         is_write = op == Op.WRITE
-        bank = model.set_of(addr) // model.sets_per_bank
+        bank = bank_of(geometry, model.set_of(addr))
         while True:
             while next_boundary is not None and next_boundary <= now:
                 fire(next_boundary)

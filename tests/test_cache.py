@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (AGE_SHIFT, DIRTY_VICTIM, EVICTED, HIT, WRITE, RpvPhases,
-                     SetLists, access_block, all_sets, dirty_bits,
+                     SetLists, access_block, all_sets, bank_of, dirty_bits,
                      dirty_tags, flush_reference, full_profile,
                      reconfigure_reference, replay_codes, trace_of,
                      validate_state, view)
 from edrsim import cache
 from edrsim.cache import (CacheGeometry, CacheState, GeometryError,
-                          ReconfigError, layout, reconfigure, zeros)
+                          ReconfigError, reconfigure, zeros)
 from edrsim.refresh import RefreshConfig
 from edrsim.trace import Op, PhaseSpec, SyntheticTraceSpec, generate_synthetic
 
@@ -198,7 +198,7 @@ def test_identity_reconfigure_is_free(small_geometry, monkeypatch):
 
     def columns():
         return [bytes(memoryview(getattr(state, name))) for name in (
-            "tags", "fill", "valid_by_bank", "layout")] + [state.mapping[:]]
+            "tags", "fill", "valid_by_bank", "mapping")]
     for colors in (small_geometry.color_count, 3):
         reconfigure(state, colors)
         calls, before = len(flushes), columns()
@@ -284,11 +284,10 @@ def test_reconfigure_is_idempotent(small_geometry):
     assert second.switched_blocks == 0
 
 
-def test_reconfigure_below_min_colors_rejected(small_geometry):
-    # and any other count outside [min_colors, color count]
+def test_reconfigure_outside_the_color_count_rejected(small_geometry):
     m = small_geometry.color_count
-    state = CacheState(small_geometry, min_colors=2)
-    for colors in (1, 0, m + 1):
+    state = CacheState(small_geometry)
+    for colors in (0, m + 1):
         with pytest.raises(ReconfigError):
             reconfigure(state, colors)
     assert state.active_count == m
@@ -382,12 +381,10 @@ def test_compiled_flush_matches_flush_reference(page_bytes, banks, ways,
     for state in states:
         view(state.tags)[:], view(state.fill)[:] = words, fill
         np.add.at(view(state.valid_by_bank),
-                  np.arange(g.total_sets) // g.sets_per_bank, fill)
+                  bank_of(g, np.arange(g.total_sets)), fill)
     for mapping, marked in flushes:
         mapping = [c % colors for c in mapping[:colors]]
         marked = sorted({r % colors for r in marked})
-        for state in states:
-            state.layout[:] = layout(g, mapping)
         moved = bytes(r in marked for r in range(colors))
         scanned = sorted({mapping[r] for r in marked})
         got = cache._flush(states[0], moved,
@@ -456,7 +453,7 @@ def test_batched_pulls_match_flushing_one_region_at_a_time(page_bytes,
         # leftovers that no lookup reads
         assert all_sets(batched) == all_sets(single), step
         assert np.array_equal(dirty_bits(batched), dirty_bits(single)), step
-        for name in ("fill", "valid_by_bank", "layout"):
+        for name in ("fill", "valid_by_bank"):
             assert np.array_equal(getattr(batched, name),
                                   getattr(single, name)), (step, name)
         assert batched.mapping == single.mapping
@@ -489,7 +486,6 @@ def test_reconfigure_matches_the_reference_planner(page_bytes, data):
         assert reconfigure(fast, colors) == \
             reconfigure_reference(reference, colors), step
         assert fast.mapping == reference.mapping, step
-        assert fast.layout == reference.layout, step
         assert all_sets(fast) == all_sets(reference), step
         verdict = validate_state(fast)
         assert verdict.ok, f"step {step}: {verdict.first_divergence}"
@@ -513,7 +509,6 @@ def test_every_reconfiguration_pair_matches_the_reference_planner(m):
             reconfigure(states[0], colors)
             reconfigure_reference(states[1], colors)
             assert states[0].mapping == states[1].mapping, (old, colors)
-            assert states[0].layout == states[1].layout, (old, colors)
 
 
 @pytest.mark.parametrize("typecode", ["Q", "q", "i"])

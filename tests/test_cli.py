@@ -16,7 +16,7 @@ import edrsim
 import oracles
 from edrsim import sim
 from edrsim.cli import (USAGE, _json_fill, _json_pieces, _sweep_reports,
-                        _write, main)
+                        _write, main, parse_args)
 from edrsim.config import ConfigError, load_config, load_sweep
 from edrsim.controller import Candidate, Decision
 from edrsim.energy import EnergyBreakdown, SchemeKind
@@ -228,6 +228,25 @@ def test_trace_description_that_is_not_utf8_is_named(config_file, tmp_path,
     assert not out.exists()
 
 
+def test_run_on_a_truncated_trace_writes_nothing(config_file, tmp_path,
+                                                 capsys):
+    trace_path = tmp_path / "t.trace"
+    assert main(["gen-trace", "--config", config_file,
+                 "--out", str(trace_path)]) == 0
+    data = trace_path.read_bytes()
+    n = int.from_bytes(data[12:20], "little")  # the header's record count
+    trace_path.write_bytes(data[:-20])  # the last record and a bit more
+    path = tmp_path / "file.cfg"
+    path.write_text(BASE_CONFIG.replace("[trace]\nsynthetic = true",
+                                        f"[trace]\npath = {trace_path}"))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: truncated record at index {n - 2}\n"
+    assert not out.exists()
+
+
 def test_compare_command(config_file, tmp_path):
     out = str(tmp_path / "cmp")
     assert main(["compare", "--config", config_file, "--out", out]) == 0
@@ -394,6 +413,35 @@ _RPV_REFRESH = "retention_period_us = 1\nphases = 4"
     ("warmup_fraction = 0.1", "warmup_instructions = 800000",
      "warmup_instructions 800000 must be shorter than the synthetic "
      "trace's 800000 instructions"),
+    # the rest of load_config's checks, one case each
+    ("l2_size_kb = 64\n", "",
+     r"missing required key 'l2_size_kb' in \[geometry\]"),
+    ("400000:24576:0.3:0.2", "400000:24576:0.3",
+     r"\[synthetic\] phase 1 '400000:24576:0.3' must be instructions:"),
+    ("phases = 400000:24576:0.3:0.2; 400000:8192:0.3:0.2", "phases = ;",
+     r"\[synthetic\] phases list is empty"),
+    ("builtin = EDRAM_2MB", "builtin = EDRAM_2MB\ne_dyn_dram = 70",
+     r"\[energy\] builtin cannot be mixed with overrides: e_dyn_dram"),
+    ("retention_period_us = 1", "retention_period_us = 0",
+     "retention period must be > 0"),
+    ("kind = sram", "kind = dram", r"\[scheme.sram\] kind must be one of"),
+    ("kind = sram", "kind = sram\nretention_period_us = 1",
+     r"\[scheme.sram\] SRAM scheme takes no refresh keys"),
+    ("kind = baseline_edram", "kind = baseline_edram\ndelta = 4",
+     r"\[scheme.baseline\] key 'delta' is only valid for kind=dcr"),
+    ("[geometry]\nl2_size_kb = 64\nassociativity = 8\nblock_bytes = 64\n"
+     "page_kb = 1\nbank_kb = 32\n", "", r"missing \[geometry\] section"),
+    ("[energy]\nbuiltin = EDRAM_2MB\n", "", r"missing \[energy\] section"),
+    ("warmup_fraction = 0.1", "warmup_fraction = 0.1\nwarmup_instructions = 5",
+     r"\[run\] set warmup_instructions or warmup_fraction, not both"),
+    ("synthetic = true", "synthetic = true\npath = x.trace",
+     r"\[trace\] set path or synthetic=true, not both"),
+    ("[synthetic]\nseed = 5\n" + _SYNTH_RATE_AND_PHASES, "",
+     r"\[trace\] synthetic=true needs a \[synthetic\] section"),
+    # the geometry's own checks
+    ("block_bytes = 64", "block_bytes = 2048",
+     "page_bytes must be >= block_bytes"),
+    ("page_kb = 1", "page_kb = 16", "color count is not integral"),
 ], ids=["energy clock", "phase past the stride", "empty interval",
         "nan cpi", "inf cpi", "nan clock", "nan leakage", "inf dram energy",
         "negative warm-up fraction", "nan warm-up fraction",
@@ -408,7 +456,12 @@ _RPV_REFRESH = "retention_period_us = 1\nphases = 4"
         "negative granularity", "granularity above the colors",
         "no multiple from c_min", "no phase", "phases past a byte",
         "phases dividing the retention", "a billion phases",
-        "warm-up of the whole trace"])
+        "warm-up of the whole trace", "missing key", "phase of 3 fields",
+        "no phases", "builtin and overrides", "zero retention",
+        "unknown kind", "sram with refresh", "dcr key on the baseline",
+        "no geometry", "no energy", "both warm-ups",
+        "path and synthetic", "synthetic without its section",
+        "page below a block", "colors not integral"])
 def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
     path = tmp_path / "bad.cfg"
     options = []
@@ -423,6 +476,31 @@ def test_config_error_writes_no_output(tmp_path, capsys, old, new, error):
     assert main(["compare", "--config", str(path), "--out", out,
                  *options]) == 2
     assert not os.path.exists(out)
+    assert re.search(error, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["compare", "--config", "MISSING", "--out", "OUT"],
+     "cannot read config file .*missing.cfg"),
+    (["run", "--config", "NO_SCHEMES", "--out", "OUT"],
+     r"config needs at least 1 \[scheme\.\*\] section"),
+    (["sweep", "--config", "CFG", "--out", "OUT", "--parameter", "beta",
+      "--values", ","], "--values must list at least one value"),
+], ids=["unreadable file", "run without a scheme", "sweep of no value"])
+def test_command_config_error_writes_no_output(config_file, tmp_path, capsys,
+                                               argv, error):
+    # the config errors that a command raises beside load_config's
+    no_schemes = tmp_path / "no-schemes.cfg"
+    no_schemes.write_text(BASE_CONFIG[:BASE_CONFIG.index("[scheme.")])
+    out = tmp_path / "out"
+    argv = [{"CFG": config_file, "MISSING": str(tmp_path / "missing.cfg"),
+             "NO_SCHEMES": str(no_schemes), "OUT": str(out)}.get(a, a)
+            for a in argv]
+    func, opts = parse_args(argv)
+    with pytest.raises(ConfigError, match=error):
+        func(**opts)
+    assert main(argv) == 2
+    assert not out.exists()
     assert re.search(error, capsys.readouterr().err)
 
 

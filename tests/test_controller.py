@@ -273,7 +273,7 @@ def test_select_matches_select_reference(data):
     unit = ProfilingUnit(g, data.draw(st.sampled_from([1, 2, 8])))
     unit.counts[:] = array("q", data.draw(
         st.lists(_COUNTS, min_size=15, max_size=15)))
-    state = CacheState(g, min_colors=cfg.c_min)
+    state = CacheState(g)
     reconfigure(state, current)
     lines = g.total_lines // g.num_banks
     state.valid_by_bank[:] = array("q", data.draw(st.lists(

@@ -510,13 +510,12 @@ def _assert_same_state(fast, slow, fast_unit=None, slow_unit=None):
             assert getattr(fast_unit, name) == getattr(slow_unit, name), name
 
 
-def _kernel_against_reference(geometry, trace, cuts, colors, ratio=None,
-                              min_colors=1):
+def _kernel_against_reference(geometry, trace, cuts, colors, ratio=None):
     """Replay the segments between `cuts` with the kernel and with the
     Python reference, reconfiguring both to colors[k] after segment k;
     with `ratio`, both also feed a profiling unit of that ratio. Compare
     everything after each step."""
-    states = [CacheState(geometry, min_colors=min_colors) for _ in range(2)]
+    states = [CacheState(geometry) for _ in range(2)]
     units = [ProfilingUnit(geometry, ratio) if ratio else None
              for _ in range(2)]
     codes = [bytearray(len(trace)) for _ in range(2)]
@@ -558,7 +557,7 @@ def test_kernel_matches_reference_across_reconfigurations():
     m = geometry.color_count
     colors = [rng.randint(2, m) for _ in cuts]
     _, unit = _kernel_against_reference(geometry, trace, cuts, colors,
-                                        ratio=2, min_colors=2)
+                                        ratio=2)
     assert all(misses and accesses for misses, _, accesses in
                oracles.size_counts(unit))
 

@@ -260,6 +260,39 @@ def test_truncation_at_a_buffer_boundary_reports_its_index(
         read_trace_arrays(fh)
 
 
+@pytest.mark.parametrize("cut", [0, 27])
+def test_truncated_header_rejected(cut):
+    # the header is 28 bytes
+    data = _trace_bytes(_numbered(2))[:cut]
+    with pytest.raises(TraceError, match="^truncated trace header$"):
+        read_trace_arrays(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("length, cut", [(4, 2), (_BUFFER_BYTES + 8,
+                                                  _BUFFER_BYTES + 3)],
+                         ids=["in the first read", "past a buffer"])
+def test_truncated_description_rejected(length, cut):
+    data = _trace_bytes(_numbered(0), "d" * length)[:28 + cut]
+    with pytest.raises(TraceError, match="^truncated trace description$"):
+        read_trace_arrays(io.BytesIO(data))
+
+
+def test_columns_of_unequal_length_rejected():
+    for ops, addrs in ((bytearray(2), array("Q", [0])),
+                       (bytearray(3), array("Q", [0, 0]))):
+        with pytest.raises(TraceError, match="^trace columns must have "
+                           "equal length$"):
+            TraceArrays(array("I", [1, 2]), ops, addrs)
+
+
+@pytest.mark.parametrize("block_bytes", [0, -64, 48])
+def test_synthetic_block_size_must_be_a_power_of_two(block_bytes):
+    with pytest.raises(TraceError,
+                       match="^block_bytes must be a power of two$"):
+        SyntheticTraceSpec(phases=[PhaseSpec(1000, 4096)],
+                           block_bytes=block_bytes)
+
+
 def test_description_that_is_not_utf8_rejected():
     # it used to escape as a bare UnicodeDecodeError
     data = bytearray(_trace_bytes(_numbered(2), "ab\u00e9"))
