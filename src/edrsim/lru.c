@@ -32,7 +32,10 @@
  *
  * edr_flush invalidates the lines of the regions that a reconfiguration
  * of DCR's moves, in the old colors its caller marks.
- * edr_generate writes one phase of a synthetic trace, and edr_pack and
+ * edr_generate writes one phase of a synthetic trace from numpy's PCG64
+ * stream: its blocks one draw after another, and its other columns, whose
+ * draw counts are known, in four chains that each start with a jump ahead
+ * in the stream, so their draws need not wait on each other. edr_pack and
  * edr_unpack convert a trace's columns to and from the file's records, a
  * buffer's worth at a time; edr_check_ops finds a column's first bad op,
  * before a write begins and after a read ends (see trace.py). */
@@ -372,9 +375,11 @@ int64_t edr_flush(const struct cache *c, const uint8_t *moved,
 
 /* PCG64 as numpy's default_rng runs it (O'Neill, 2014): a 128-bit LCG
  * whose output is the XSL-RR permutation of the new state. A 32-bit draw
- * takes the low half of a 64-bit one and keeps the high half for the next
- * 32-bit draw; a double takes a 64-bit draw of its own. */
+ * takes the low half of a 64-bit one and keeps the high half, the spare,
+ * for the next 32-bit draw; a double takes a 64-bit draw of its own. */
 typedef unsigned __int128 u128;
+
+#define MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
 
 struct pcg {
     u128 state, inc;
@@ -382,16 +387,15 @@ struct pcg {
     uint32_t spare;
 };
 
-static uint64_t next64(struct pcg *g)
+/* one LCG step of a state, and the draw it gives */
+static inline uint64_t step(u128 *state, u128 inc)
 {
-    const u128 mult = ((u128)0x2360ed051fc65da4ULL << 64)
-                      | 0x4385df649fccf645ULL;
     uint64_t x;
     unsigned rot;
 
-    g->state = g->state * mult + g->inc;
-    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    rot = (unsigned)(g->state >> 122);
+    *state = *state * MULT + inc;
+    x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    rot = (unsigned)(*state >> 122);
     return (x >> rot) | (x << (-rot & 63));
 }
 
@@ -403,7 +407,7 @@ static uint32_t next32(struct pcg *g)
         g->has_spare = 0;
         return g->spare;
     }
-    x = next64(g);
+    x = step(&g->state, g->inc);
     g->has_spare = 1;
     g->spare = (uint32_t)(x >> 32);
     return (uint32_t)x;
@@ -425,31 +429,86 @@ static uint32_t below(struct pcg *g, uint32_t top)
     return (uint32_t)(m >> 32);
 }
 
-static double uniform(struct pcg *g)
+enum { REUSE_WINDOW = 32, REUSED = 32, CHAINS = 4 };
+
+/* The state `steps` draws after `state`, in O(log steps) multiplications
+ * (Brown, 1994): k steps of the LCG are again a map x -> a x + c, and the
+ * maps of 2**i steps come from squaring. */
+static u128 jump(u128 state, u128 inc, uint64_t steps)
 {
-    return (double)(next64(g) >> 11) * (1.0 / 9007199254740992.0);
+    u128 mult = MULT, plus = inc, a = 1, c = 0;
+
+    for (; steps; steps >>= 1) {
+        if (steps & 1) {
+            a *= mult;
+            c = c * mult + plus;
+        }
+        plus *= mult + 1;
+        mult *= mult;
+    }
+    return a * state + c;
 }
 
-enum { REUSE_WINDOW = 32, REUSED = 32 };
+/* What a chained column makes of its draw i, x (see chained). random()
+ * is x's top 53 bits over 2**53, converted as an int64_t, in one
+ * instruction. A ring slot, integers(0, 32), is below()'s product of a
+ * 32-bit half and 32, >> 32: the half's top 5 bits, never rejected. */
+static inline void take(uint8_t *ops, int64_t i, uint64_t x, double p,
+                        uint8_t flag)
+{
+    if (flag) {
+        ops[i] = (double)(int64_t)(x >> 11) * 0x1p-53 < p ? flag : 0;
+    } else {
+        ops[2 * i] |= (uint8_t)((uint32_t)x >> 27);
+        ops[2 * i + 1] |= (uint8_t)(x >> 59);
+    }
+}
 
-/* One phase of trace.generate_synthetic: n records that spread
+/* A column's `draws` 64-bit draws in CHAINS chains that need not wait on
+ * each other: chain k jumps to draw k * part and takes `part` draws, and
+ * the last goes on through the tail; g ends after the last draw. With a
+ * `flag`, draw i sets ops[i] to it where its random() is below p, else to
+ * 0; without (the ring), it adds its halves' slots to ops[2i], ops[2i+1]. */
+static inline __attribute__((always_inline)) void chained(
+    struct pcg *g, int64_t draws, uint8_t *ops, double p, uint8_t flag)
+{
+    const int64_t part = draws / CHAINS;
+    u128 s[CHAINS];
+
+    for (int k = 0; k < CHAINS; k++)
+        s[k] = jump(g->state, g->inc, (uint64_t)(k * part));
+    for (int64_t i = 0; i < part; i++)
+#pragma GCC unroll 4
+        for (int k = 0; k < CHAINS; k++)
+            take(ops, k * part + i, step(&s[k], g->inc), p, flag);
+    for (int64_t i = CHAINS * part; i < draws; i++)
+        take(ops, i, step(&s[CHAINS - 1], g->inc), p, flag);
+    g->state = s[CHAINS - 1];
+}
+
+/* One phase of trace.generate_synthetic: n >= 1 records that spread
  * `instructions` evenly, record j ending at (j + 1) * instructions / n,
  * and touch blocks of a working set of ws_blocks blocks (at most 2**26)
  * that starts at base_block. Draws, in this order and as numpy's
  * Generator makes them: n blocks, integers(0, ws_blocks), of which a
  * working set of one block draws none; n reuse draws, random() <
  * reuse; n ring slots, integers(0, 32); n write draws, random() < write.
+ * A rejected block moves every later draw, so the blocks are drawn in
+ * turn; the other columns are chained, the ring two slots to a draw after
+ * a carried spare half, if any, and an odd last slot leaves a new spare.
  *
- * A reused record re-touches the block at slot `slot % filled` of a ring
- * of the phase's last 32 blocks: record slot % j while the ring is
- * filling (j <= 32), else the most recent record before j that is
- * congruent to slot modulo the ring size. That record is earlier, so one
- * pass in record order resolves every reuse. The first record has nothing
- * to re-touch.
+ * The gaps need no product: each is instructions / n, plus one where the
+ * running remainder of instructions % n per record reaches n. A reused
+ * record re-touches the block at slot `slot % filled` of a ring of the
+ * phase's last 32 blocks: record slot % j while the ring is filling (j <=
+ * 32), else the most recent record before j that is congruent to slot
+ * modulo the ring size. That record is earlier, so one pass in record
+ * order resolves every reuse, with a mask in place of a branch. The first
+ * record has nothing to re-touch.
  *
  * `rng` holds the generator between phases: the state and the increment,
  * high word first, whether a spare 32-bit half is held, and that half.
- * Returns the sum of the gaps. */
+ * Returns the sum of the gaps, `instructions`. */
 uint64_t edr_generate(uint64_t *rng, int64_t n, uint64_t instructions,
                       uint64_t ws_blocks, uint64_t base_block,
                       uint64_t block_bytes, double reuse, double write,
@@ -458,41 +517,45 @@ uint64_t edr_generate(uint64_t *rng, int64_t n, uint64_t instructions,
     struct pcg g = {((u128)rng[0] << 64) | rng[1],
                     ((u128)rng[2] << 64) | rng[3], rng[4] != 0,
                     (uint32_t)rng[5]};
-    uint64_t edge = 0, sum = 0;
-    int64_t j;
+    const uint64_t whole = instructions / (uint64_t)n;
+    const uint64_t rest = instructions % (uint64_t)n;
+    uint64_t carry = 0;
+    int64_t j, held;
 
     for (j = 0; j < n; j++) {
-        uint64_t next = (uint64_t)(j + 1) * instructions / (uint64_t)n;
+        uint64_t over = (carry += rest) >= (uint64_t)n;
 
-        gaps[j] = (uint32_t)(next - edge);
-        sum += gaps[j];
-        edge = next;
+        carry -= over ? (uint64_t)n : 0;
+        gaps[j] = (uint32_t)(whole + over);
     }
     for (j = 0; j < n; j++)
         addrs[j] = ws_blocks > 1 ? below(&g, (uint32_t)(ws_blocks - 1)) : 0;
     /* the ops hold each record's reuse bit and ring slot until the writes
      * are drawn */
-    for (j = 0; j < n; j++)
-        ops[j] = uniform(&g) < reuse ? REUSED : 0;
-    for (j = 0; j < n; j++)
-        ops[j] |= (uint8_t)below(&g, REUSE_WINDOW - 1);
-    for (j = 0; j < n; j++) {
+    chained(&g, n, ops, reuse, REUSED);
+    held = g.has_spare;
+    if (held)
+        ops[0] |= (uint8_t)(next32(&g) >> 27);
+    chained(&g, (n - held) / 2, ops + held, 0.0, 0);
+    if ((n - held) % 2)
+        ops[n - 1] |= (uint8_t)(next32(&g) >> 27);
+    addrs[0] = (addrs[0] + base_block) * block_bytes;
+    for (j = 1; j < n; j++) {
         uint64_t slot = ops[j] & (REUSE_WINDOW - 1);
+        uint64_t from = j > REUSE_WINDOW
+            ? (uint64_t)j - 1 - (((uint64_t)j - 1 - slot) & (REUSE_WINDOW - 1))
+            : slot % (uint64_t)j;
+        uint64_t reused = -(uint64_t)((ops[j] & REUSED) != 0);
 
-        if (j && ops[j] & REUSED)
-            addrs[j] = addrs[j <= REUSE_WINDOW ? slot % (uint64_t)j
-                             : (uint64_t)j - 1 - ((uint64_t)j - 1 - slot)
-                                                 % REUSE_WINDOW];
-        else
-            addrs[j] = (addrs[j] + base_block) * block_bytes;
+        addrs[j] = (addrs[from] & reused)
+                   | ((addrs[j] + base_block) * block_bytes & ~reused);
     }
-    for (j = 0; j < n; j++)
-        ops[j] = uniform(&g) < write;
+    chained(&g, n, ops, write, 1);
     rng[0] = (uint64_t)(g.state >> 64);
     rng[1] = (uint64_t)g.state;
     rng[4] = (uint64_t)g.has_spare;
     rng[5] = g.spare;
-    return sum;
+    return instructions;
 }
 
 /* A trace file's record: the instruction gap (u32), the op (u8), 3 pad

@@ -160,7 +160,9 @@ class SyntheticTraceSpec(Record):
                 n = self.records(phase)
             except OverflowError:  # past a float, or infinitely many
                 n = 0
-            # gaps are u32; record j ends at (j + 1) * i // n, in u64
+            # gaps are u32. lru.c spreads them with a running remainder,
+            # but the tests' numpy reference (oracles.generate_reference)
+            # ends record j at (j + 1) * i // n in u64: n * i must fit one
             i = phase.instructions
             if i > n * _MASK32 or n * i > _MASK64:
                 raise TraceError(f"phase {k}, of {i} instructions at {rate} "

@@ -63,6 +63,11 @@ _PLANNER = ("test_cache.py::test_every_reconfiguration_pair_matches_the_"
 _WRITER = ("test_cli.py::test_a_failed_write_leaves_the_older_output_as_it_"
            "was", "test_cli.py::test_a_directory_in_place_of_a_report_writes_"
            "nothing")
+_WALK = ("test_profiler.py::test_estimate_exact_at_profiled_points",
+         "test_profiler.py::test_estimate_clamps_below_smallest",
+         "test_profiler.py::test_one_walk_interpolation_matches_the_"
+         "reference")
+_GENERATOR = ("test_trace.py::test_generator_matches_numpy_reference",)
 
 MUTANTS = [
     # the timers a trip binds (passes.Passes)
@@ -128,6 +133,51 @@ MUTANTS = [
            "set(itertools.compress(planned, moved))",
            ("test_cache.py::test_batched_pulls_match_flushing_one_region_at_"
             "a_time",)),
+    # a line's dirty bit in its slot's word
+    Mutant("hit-drops-its-dirty-bit", "lru.c",
+           "moved = row[i] | dirty;", "moved = (row[i] & ~DIRTY) | dirty;",
+           ("test_cache.py::test_write_sets_dirty_and_eviction_reports_it",)
+           + _TINY_RUNS),
+    Mutant("tag-match-sees-the-dirty-bit", "lru.c",
+           "(row[i] & ~DIRTY) != tag)", "row[i] != tag)",
+           ("test_cache.py::test_write_sets_dirty_and_eviction_reports_it",)
+           + _TINY_RUNS),
+    Mutant("flush-counts-every-line-dirty", "lru.c",
+           "dirty_lost += row[i] >> 63;", "dirty_lost += 1;",
+           ("test_cache.py::test_compiled_flush_matches_flush_reference",
+            "test_cache.py::test_reconfigure_counts_flushes_and_writebacks")),
+    # a growth that pulls one region too many, and a flush of only the
+    # first moved region's color
+    Mutant("plan-pulls-one-region-too-many", "cache.py",
+           "pulls[:(colors - old) * share]",
+           "pulls[:(colors - old) * share + 1]", _PLANNER),
+    Mutant("flush-scans-one-color", "cache.py",
+           "scanned = set(itertools.compress(state.mapping, moved))",
+           "scanned = set(list(itertools.compress(state.mapping, moved))"
+           "[:1])",
+           ("test_cache.py::test_batched_pulls_match_flushing_one_region_at_"
+            "a_time",) + _PLANNER),
+    # the walk up the profiled points (profiler.interpolate)
+    Mutant("walk-clamps-one-point-early", "profiler.py",
+           "or hi == smallest:", "or hi == smallest - 1:", _WALK),
+    Mutant("walk-passes-an-exact-point", "profiler.py",
+           "while points[hi][0] < size:", "while points[hi][0] <= size:",
+           _WALK),
+    # the generator's chained columns, gaps and reuse (lru.c edr_generate)
+    Mutant("chain-starts-one-draw-late", "lru.c",
+           "(uint64_t)(k * part));", "(uint64_t)(k * part + (k == 1)));",
+           _GENERATOR),
+    Mutant("tail-from-the-first-chain", "lru.c",
+           "step(&s[CHAINS - 1], g->inc)", "step(&s[0], g->inc)",
+           _GENERATOR),
+    Mutant("ring-ignores-a-spare-half", "lru.c",
+           "held = g.has_spare;", "held = 0;", _GENERATOR),
+    Mutant("gap-carry-dropped", "lru.c",
+           "gaps[j] = (uint32_t)(whole + over);",
+           "gaps[j] = (uint32_t)whole;", _GENERATOR),
+    Mutant("reuse-mask-inverted", "lru.c",
+           "-(uint64_t)((ops[j] & REUSED) != 0)",
+           "-(uint64_t)((ops[j] & REUSED) == 0)", _GENERATOR),
     # the command line's one writer (cli._write)
     Mutant("writer-renames-in-the-write-loop", "cli.py",
            "                    fh.write(data)\n"

@@ -103,27 +103,47 @@ def test_c_sources_compile_without_warnings(source, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_record_loop_calls_only_fire_and_memset(tmp_path):
-    # edr_run's body, the cold part gcc splits off included, calls fire (a
-    # refresh boundary) and memset (the end of warm-up) and nothing else:
-    # no step left out of line, and no memmove that gcc made of a shift
-    # loop
-    asm = tmp_path / "lru.s"
+@pytest.fixture(scope="module")
+def assembly(tmp_path_factory) -> tuple[dict[str, set[str]], set[str]]:
+    """lru.c compiled to assembly with the build's compiler and flags: the
+    functions that each function calls, the cold parts gcc splits off
+    included, and the functions the file defines."""
+    asm = tmp_path_factory.mktemp("asm") / "lru.s"
     proc = subprocess.run([native.CC, *native.CFLAGS, "-S", "-o", str(asm),
                            KERNEL], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    called, function = set(), None
-    for line in asm.read_text().splitlines():
+    text = asm.read_text()
+    calls, function = {}, None
+    for line in text.splitlines():
         label = re.match(r"([A-Za-z_][\w.]*):", line)
         if label:
             function = label.group(1).split(".")[0]
             continue
         words = line.split()
-        if function == "edr_run" and len(words) > 1 \
-                and words[0] in ("call", "jmp", "bl", "b") \
-                and re.fullmatch(r"[A-Za-z_]\w*(@PLT)?", words[1]):
-            called.add(words[1].removesuffix("@PLT"))
-    assert called == {"fire", "memset"}
+        if len(words) > 1 and words[0] in ("call", "jmp", "bl", "b") \
+                and re.fullmatch(r"[A-Za-z_][\w.]*(@PLT)?", words[1]):
+            calls.setdefault(function, set()).add(
+                words[1].removesuffix("@PLT").split(".")[0])
+    defined = {name.split(".")[0] for name in re.findall(
+        r"\.type\s+([\w.]+),\s*[@%]function", text)}
+    return calls, defined
+
+
+def test_the_record_loop_calls_only_fire_and_memset(assembly):
+    # edr_run calls fire (a refresh boundary) and memset (the end of
+    # warm-up) and nothing else: no step left out of line, and no memmove
+    # that gcc made of a shift loop
+    calls, _ = assembly
+    assert calls["edr_run"] == {"fire", "memset"}
+
+
+def test_the_generator_calls_only_functions_lru_c_defines(assembly):
+    # edr_generate's jump-ahead and loops take no 128-bit division from
+    # libgcc (__udivti3, __umodti3) and nothing from libm; below, say,
+    # may stay out of line
+    calls, defined = assembly
+    assert "edr_generate" in defined
+    assert calls.get("edr_generate", set()) <= defined
 
 
 # lru.c's member types, as ctypes declares them; every pointer is a void *

@@ -218,6 +218,11 @@ def test_run_matches_reference_run_on_tiny_configs():
     @example(ways=16, banks=1, scheme=(SchemeKind.RPV, 3), cpi=0.7,
              retention=240, sets=1, records=_filling(16), warmup=1, parts=2,
              delta=1)
+    # DCR refreshes the lines its cache holds when a boundary fires, not
+    # those it held when the trip was bound
+    @example(ways=8, banks=2, scheme=(SchemeKind.DCR, 1), cpi=1.0,
+             retention=120, sets=1, records=_filling(8), warmup=0, parts=3,
+             delta=1)
     def check(ways, banks, scheme, cpi, retention, sets, records, warmup,
               parts, delta):
         kind, phases = scheme

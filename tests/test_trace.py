@@ -492,6 +492,23 @@ _PHASE = st.tuples(
 @example(seed=2**64 + 1, phases=[(20_000, 2**26, 0, 0.3, 0.5)] * 4, rate=20.0)
 @example(seed=2**130 + 5, phases=[(3, 7, 1, 1.0, 0.0), (9000, 3, 0, 0.0, 1.0)],
          rate=7.5)
+# lru.c draws the reuse, ring and write columns in four chains: phases of
+# 1 to 9 records (fewer than the chains, and every residue mod 4), after
+# block columns of 33 blocks or of none, so that ring columns start with
+# and without a carried spare half
+@example(seed=7, phases=[(k, 33, 0, 0.5, 0.5) for k in range(1, 10)],
+         rate=1000.0)
+@example(seed=8, phases=[(k, 1, 0, 0.5, 0.5) for k in range(1, 10)],
+         rate=1000.0)
+# an odd phase leaves a spare half, which starts the next phase's ring
+# column (one block: no block draws), whose 5 other slots leave another
+# for the third phase's block column
+@example(seed=9, phases=[(7, 1, 0, 0.5, 0.5), (6, 1, 0, 0.5, 1.0),
+                         (41, 40, 0, 0.5, 0.5)], rate=1000.0)
+# a working set under 2**26 blocks whose block column rejects 1 draw in
+# 65 (2**32 % 66,076,420 is 66,076,416; a power of two never rejects)
+@example(seed=10, phases=[(3000, 66_076_420, 0, 0.3, 0.5),
+                          (101, 33, 0, 0.3, 0.5)], rate=1000.0)
 def test_generator_matches_numpy_reference(seed, phases, rate):
     spec = SyntheticTraceSpec(
         phases=[PhaseSpec(instructions, blocks * 64 - short, writes, reuse)
